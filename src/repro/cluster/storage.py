@@ -1,7 +1,13 @@
 """Persistent storage that survives node crashes.
 
 Two flavours, both simple key/value namespaces with deep-copy semantics so a
-daemon can never accidentally share a live object with "disk":
+daemon can never accidentally share a live object with "disk" — every
+:meth:`Disk.write` copies in and every :meth:`Disk.read` copies out, so the
+cost of an access is the size of the *one* record it names. Callers keep
+that small by storing one record per thing that changes on its own (the
+PBS server: one per job plus a server record, not one table) and use the
+prefix forms of :meth:`Disk.keys` / :meth:`Disk.delete_prefix` to treat a
+family of records as a unit (recovery scan, purge, checkpoint copy):
 
 * :class:`Disk` — a node's local disk. Survives the node's crash/restart
   cycle (TORQUE persists its job queue this way).
@@ -41,8 +47,15 @@ class Disk:
     def delete(self, key: str) -> None:
         self._data.pop(key, None)
 
-    def keys(self) -> list[str]:
-        return sorted(self._data)
+    def keys(self, prefix: str = "") -> list[str]:
+        """Stored keys starting with *prefix*, sorted (never in write
+        order: what a scan returns must not depend on history)."""
+        return sorted(key for key in self._data if key.startswith(prefix))
+
+    def delete_prefix(self, prefix: str) -> None:
+        """Delete every record whose key starts with *prefix*."""
+        for key in self.keys(prefix):
+            del self._data[key]
 
     def wipe(self) -> None:
         """Destroy all contents (disk replacement, not crash)."""

@@ -50,6 +50,12 @@ class DeliveryQueue:
         self._transitional_seqs: set[int] = set()
         #: next seq the cursor will deliver.
         self._cursor = 0
+        #: highest seq found agreed-ready so far in this view. Readiness of
+        #: a prefix never reverts within a view — orderings are only added,
+        #: and :meth:`gc` drops a payload only once its id is in
+        #: ``_delivered_ids``, which never shrinks — so the scan resumes
+        #: here instead of restarting at seq 0 on every delivery.
+        self._ready = -1
         #: next seq the garbage collector will consider.
         self._gc_cursor = 0
         #: per-member cumulative "I hold everything through seq" acks.
@@ -72,6 +78,7 @@ class DeliveryQueue:
         self._order.clear()
         self._transitional_seqs.clear()
         self._cursor = 0
+        self._ready = -1
         self._gc_cursor = 0
         self._stable = {m: -1 for m in view.members}
         for seq, (msg_id, service, payload) in enumerate(closing):
@@ -127,12 +134,13 @@ class DeliveryQueue:
     def agreed_ready_through(self) -> int:
         """Highest seq *s* such that data+order are (or were, before being
         garbage-collected post-delivery) present for all ``<= s``."""
-        seq = -1
+        seq = self._ready
         while (seq + 1) in self._order:
             msg_id = self._order[seq + 1]
             if msg_id not in self._data and msg_id not in self._delivered_ids:
                 break
             seq += 1
+        self._ready = seq
         return seq
 
     def stable_through(self) -> int:

@@ -39,7 +39,19 @@ if TYPE_CHECKING:  # pragma: no cover
 
 __all__ = ["ActiveStandbySystem", "FailoverMonitor"]
 
+#: Key of the PBS server record, and prefix of every record the server
+#: persists (``pbs/server.py``: the server record plus one per job).
 _CKPT_KEY = "pbs.torque"
+
+
+def _mirror_server_records(source, target) -> None:
+    """Make *target*'s PBS record set equal *source*'s: stale records go,
+    then every record is copied — ``rsync --delete`` of ``server_priv``.
+    One record alone is never a checkpoint: the job records without the
+    server record lose the id counter, and the reverse loses the queue."""
+    target.delete_prefix(_CKPT_KEY)
+    for key in source.keys(_CKPT_KEY):
+        target.write(key, source.read(key))
 
 
 class _CheckpointDaemon(Daemon):
@@ -58,9 +70,8 @@ class _CheckpointDaemon(Daemon):
     def run(self):
         while True:
             yield self.kernel.timeout(self.interval)
-            state = self.node.disk.read(_CKPT_KEY)
-            if state is not None:
-                self.shared.write(_CKPT_KEY, state)
+            if _CKPT_KEY in self.node.disk:
+                _mirror_server_records(self.node.disk, self.shared)
                 self.checkpoints += 1
 
 
@@ -111,9 +122,8 @@ class FailoverMonitor(Daemon):
         yield self.kernel.timeout(self.failover_delay)
         # Restore the last checkpoint onto the local disk so the server
         # recovers from it exactly as it would from its own crash.
-        checkpoint = self.shared.read(_CKPT_KEY)
-        if checkpoint is not None:
-            self.node.disk.write(_CKPT_KEY, checkpoint)
+        if _CKPT_KEY in self.shared:
+            _mirror_server_records(self.shared, self.node.disk)
         self.node.start_daemon("pbs_server")
         self.node.start_daemon("maui")
         # The checkpointing duty follows the active role: without this, a

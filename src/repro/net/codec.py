@@ -427,12 +427,60 @@ class Codec:
         out += raw
 
     def _encode_value(self, value: Any, out: bytearray) -> None:
-        # Exact-type dispatch first: bool before int, and registered record
-        # classes (including NamedTuple subclasses of tuple) before their
-        # builtin bases.
+        # Exact-type dispatch, builtins first and in the order the measured
+        # traffic has them: ``str`` is most of every qstat/poll row, and no
+        # builtin can be a registered record or enum, so testing them ahead
+        # of the two registry lookups changes no frame. ``type() is`` keeps
+        # bool apart from int and NamedTuple records apart from tuple.
         cls = type(value)
-        record = self._records_by_type.get(cls)
-        if record is not None:
+        if cls is str:
+            raw = value.encode("utf-8")
+            size = len(raw)
+            out.append(_T_STR)
+            if size < 0x80:
+                out.append(size)  # the whole varint
+            else:
+                _encode_varint(size, out)
+            out += raw
+        elif cls is int:
+            out.append(_T_INT)
+            if -0x40 <= value < 0x40:
+                # Zig-zag of a small int is one varint byte.
+                out.append(value << 1 if value >= 0 else ~(value << 1))
+            else:
+                _encode_varint(_zigzag(value), out)
+        elif value is None:
+            out.append(_T_NONE)
+        elif cls is dict:
+            out.append(_T_DICT)
+            _encode_varint(len(value), out)
+            encode = self._encode_value
+            # repro-lint: ignore[R3] insertion order IS the wire contract here: the sender's dict order is encoded verbatim and reproduced by decode, so it is deterministic iff the sender built the dict deterministically (which R3 checks at the send sites)
+            for pair in value.items():
+                for part in pair:
+                    # A qstat/poll row is short strings (every key, most
+                    # values): write those here — the bytes the call
+                    # would write — and recurse for everything else.
+                    if type(part) is str:
+                        raw = part.encode("utf-8")
+                        if (size := len(raw)) < 0x80:
+                            out.append(_T_STR)
+                            out.append(size)
+                            out += raw
+                            continue
+                    encode(part, out)
+        elif cls is float:
+            out.append(_T_FLOAT)
+            out += _FLOAT.pack(value)
+        elif cls is list or cls is tuple:
+            out.append(_T_LIST if cls is list else _T_TUPLE)
+            _encode_varint(len(value), out)
+            encode = self._encode_value
+            for item in value:
+                encode(item, out)
+        elif cls is bool:
+            out.append(_T_TRUE if value else _T_FALSE)
+        elif (record := self._records_by_type.get(cls)) is not None:
             out.append(_T_RECORD)
             self._encode_str(record.name, out)
             send = len(record.fields)
@@ -448,49 +496,17 @@ class Codec:
                     else:
                         break
             out += record.prefix_headers[send - record.min_fields]
+            encode = self._encode_value
             for field in record.fields[:send]:
-                self._encode_value(getattr(value, field), out)
-            return
-        enum_name = self._enum_types.get(cls)
-        if enum_name is not None:
+                encode(getattr(value, field), out)
+        elif (enum_name := self._enum_types.get(cls)) is not None:
             out.append(_T_ENUM)
             self._encode_str(enum_name, out)
             self._encode_value(value.value, out)
-            return
-        if value is None:
-            out.append(_T_NONE)
-        elif cls is bool:
-            out.append(_T_TRUE if value else _T_FALSE)
-        elif cls is int:
-            out.append(_T_INT)
-            _encode_varint(_zigzag(value), out)
-        elif cls is float:
-            out.append(_T_FLOAT)
-            out += _FLOAT.pack(value)
-        elif cls is str:
-            out.append(_T_STR)
-            self._encode_str(value, out)
         elif cls is bytes:
             out.append(_T_BYTES)
             _encode_varint(len(value), out)
             out += value
-        elif cls is tuple:
-            out.append(_T_TUPLE)
-            _encode_varint(len(value), out)
-            for item in value:
-                self._encode_value(item, out)
-        elif cls is list:
-            out.append(_T_LIST)
-            _encode_varint(len(value), out)
-            for item in value:
-                self._encode_value(item, out)
-        elif cls is dict:
-            out.append(_T_DICT)
-            _encode_varint(len(value), out)
-            # repro-lint: ignore[R3] insertion order IS the wire contract here: the sender's dict order is encoded verbatim and reproduced by decode, so it is deterministic iff the sender built the dict deterministically (which R3 checks at the send sites)
-            for key, item in value.items():
-                self._encode_value(key, out)
-                self._encode_value(item, out)
         elif isinstance(value, (set, frozenset)):
             raise CodecError(
                 "sets cannot cross the wire: their iteration order is hash-"
@@ -528,47 +544,80 @@ class Codec:
     def _decode_value(
         self, data: bytes, pos: int, tolerant: bool
     ) -> tuple[Any, int]:
-        if pos >= len(data):
+        # Tags tested in the order the measured traffic has them (see
+        # ``_encode_value``); a length or small int that fits one varint
+        # byte is read in place, anything else (including "no byte there")
+        # goes through ``_decode_varint`` and its errors.
+        size = len(data)
+        if pos >= size:
             raise _codec_error("truncated frame", pos)
         tag = data[pos]
         pos += 1
-        if tag == _T_NONE:
-            return None, pos
-        if tag == _T_FALSE:
-            return False, pos
-        if tag == _T_TRUE:
-            return True, pos
+        if tag == _T_STR:
+            if pos < size and (length := data[pos]) < 0x80:
+                pos += 1
+            else:
+                length, pos = _decode_varint(data, pos)
+            end = pos + length
+            if end > size:
+                raise _codec_error("truncated string", pos)
+            return data[pos:end].decode("utf-8"), end
         if tag == _T_INT:
+            if pos < size and (raw := data[pos]) < 0x80:
+                return (raw >> 1) ^ -(raw & 1), pos + 1
             raw, pos = _decode_varint(data, pos)
             return _unzigzag(raw), pos
-        if tag == _T_FLOAT:
-            end = pos + 8
-            if end > len(data):
-                raise _codec_error("truncated float", pos)
-            return _FLOAT.unpack(data[pos:end])[0], end
-        if tag == _T_STR:
-            return self._decode_str(data, pos)
-        if tag == _T_BYTES:
-            length, pos = _decode_varint(data, pos)
-            end = pos + length
-            if end > len(data):
-                raise _codec_error("truncated bytes", pos)
-            return data[pos:end], end
-        if tag in (_T_TUPLE, _T_LIST):
-            count, pos = _decode_varint(data, pos)
-            items = []
-            for _ in range(count):
-                item, pos = self._decode_value(data, pos, tolerant)
-                items.append(item)
-            return (tuple(items) if tag == _T_TUPLE else items), pos
+        if tag == _T_NONE:
+            return None, pos
         if tag == _T_DICT:
             count, pos = _decode_varint(data, pos)
+            decode = self._decode_value
+            last = size - 1
             mapping = {}
             for _ in range(count):
-                key, pos = self._decode_value(data, pos, tolerant)
-                item, pos = self._decode_value(data, pos, tolerant)
+                # A qstat/poll row is short strings (every key, most
+                # values): read those in place — same checks, same error —
+                # and recurse for everything else, including a string
+                # whose tag or length byte is not there to look at.
+                if (pos < last and data[pos] == _T_STR
+                        and (length := data[pos + 1]) < 0x80):
+                    pos += 2
+                    end = pos + length
+                    if end > size:
+                        raise _codec_error("truncated string", pos)
+                    key = data[pos:end].decode("utf-8")
+                    pos = end
+                else:
+                    key, pos = decode(data, pos, tolerant)
+                if (pos < last and data[pos] == _T_STR
+                        and (length := data[pos + 1]) < 0x80):
+                    pos += 2
+                    end = pos + length
+                    if end > size:
+                        raise _codec_error("truncated string", pos)
+                    item = data[pos:end].decode("utf-8")
+                    pos = end
+                else:
+                    item, pos = decode(data, pos, tolerant)
                 mapping[key] = item
             return mapping, pos
+        if tag == _T_FLOAT:
+            end = pos + 8
+            if end > size:
+                raise _codec_error("truncated float", pos)
+            return _FLOAT.unpack_from(data, pos)[0], end
+        if tag == _T_LIST or tag == _T_TUPLE:
+            count, pos = _decode_varint(data, pos)
+            decode = self._decode_value
+            items = []
+            for _ in range(count):
+                item, pos = decode(data, pos, tolerant)
+                items.append(item)
+            return (tuple(items) if tag == _T_TUPLE else items), pos
+        if tag == _T_TRUE:
+            return True, pos
+        if tag == _T_FALSE:
+            return False, pos
         if tag == _T_RECORD:
             return self._decode_record(data, pos, tolerant, start=pos - 1)
         if tag == _T_ENUM:
@@ -579,6 +628,12 @@ class Codec:
                 raise _codec_error(f"unknown wire enum {name!r}", start)
             value, pos = self._decode_value(data, pos, tolerant)
             return cls(value), pos
+        if tag == _T_BYTES:
+            length, pos = _decode_varint(data, pos)
+            end = pos + length
+            if end > size:
+                raise _codec_error("truncated bytes", pos)
+            return data[pos:end], end
         raise _codec_error(f"unknown wire tag 0x{tag:02X}", pos - 1)
 
     def _decode_fields(

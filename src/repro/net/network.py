@@ -347,9 +347,8 @@ class Network:
         if not local:
             # The frame survived every drop decision: it occupies the wire.
             self.stats["bytes_wire"] += size
-            kind = _payload_kind(payload)
-            self.wire_bytes_by_type[kind] = (
-                self.wire_bytes_by_type.get(kind, 0) + size
+            self.wire_bytes_by_type[offered_kind] = (
+                self.wire_bytes_by_type.get(offered_kind, 0) + size
             )
         if local or not self.shared_medium:
             delay = model.delay(size, self._rng)

@@ -5,6 +5,12 @@ selection respects it, and all mutation goes through explicit methods so
 the server can persist on every change. Holding a job removes it from FIFO
 eligibility without losing its position (PBS semantics: a released job is
 eligible again at its original priority/position).
+
+Every job also carries a **queue rank** (TORQUE's ``qrank``): a number
+assigned once, when the job enters the queue — one more than the rank at
+the tail. Iteration order is ascending rank by construction, so a server
+that persists each job's rank beside the job can rebuild the queue in its
+pre-crash order from records that were written one at a time.
 """
 
 from __future__ import annotations
@@ -22,6 +28,7 @@ class JobQueue:
 
     def __init__(self):
         self._jobs: dict[str, Job] = {}  # insertion-ordered
+        self._ranks: dict[str, int] = {}  # same keys, same order
 
     def __len__(self) -> int:
         return len(self._jobs)
@@ -32,10 +39,27 @@ class JobQueue:
     def __iter__(self) -> Iterator[Job]:
         return iter(self._jobs.values())
 
-    def add(self, job: Job) -> None:
+    def add(self, job: Job, rank: int | None = None) -> None:
+        """Append *job*. *rank* restores a persisted queue rank (recovery
+        adds jobs in ascending rank); by default the next fresh one."""
         if job.job_id in self._jobs:
             raise UnknownJobError(job.job_id)  # pragma: no cover - server bug guard
+        tail = next(reversed(self._ranks.values()), -1)
+        if rank is None:
+            rank = tail + 1
+        elif rank <= tail:
+            raise ValueError(  # pragma: no cover - server bug guard
+                f"rank {rank} of {job.job_id} is not past the queue tail"
+            )
         self._jobs[job.job_id] = job
+        self._ranks[job.job_id] = rank
+
+    def rank(self, job_id: str) -> int:
+        """The queue rank *job_id* was given when it was added."""
+        try:
+            return self._ranks[job_id]
+        except KeyError:
+            raise UnknownJobError(job_id) from None
 
     def get(self, job_id: str) -> Job:
         try:
@@ -51,6 +75,7 @@ class JobQueue:
     def remove(self, job_id: str) -> Job:
         if job_id not in self._jobs:
             raise UnknownJobError(job_id)
+        del self._ranks[job_id]
         return self._jobs.pop(job_id)
 
     def in_state(self, *states: JobState) -> list[Job]:

@@ -15,10 +15,31 @@ Responsibilities, mirroring the real thing where the experiments can tell:
 
 Request handling is idempotent per RPC id (a cached response is replayed on
 client retry), so client-side retransmission cannot double-submit a job.
+
+On-disk layout (TORQUE's ``server_priv``: ``serverdb`` plus one
+``jobs/<id>.JB`` per job), all on the hosting node's
+:class:`~repro.cluster.storage.Disk`:
+
+``pbs.<server_name>``
+    The server record, ``{"next_seq": n}``.
+``pbs.<server_name>.job.<job_id>``
+    One record per job in the queue, ``(queue rank, Job)``.
+
+Every mutation rewrites the records of the jobs it changed and the server
+record, and deletes the records of the jobs it removed — never the table,
+so a commit costs the same whether the queue holds one job or a thousand.
+Recovery reads every job record and re-adds the jobs in ascending queue
+rank (:mod:`repro.pbs.queue`), which is the pre-crash queue order. The
+requeue it applies to RUNNING/EXITING jobs is not written back: such a
+job's record keeps its pre-crash state until the job's next mutation, and
+recovering from it again yields the same requeued job. Everything under
+the ``pbs.<server_name>`` prefix is also the unit the active/standby
+baseline checkpoints (:mod:`repro.ha.active_standby`).
 """
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import TYPE_CHECKING
 
 from repro.cluster.daemon import Daemon
@@ -165,22 +186,36 @@ class PBSServer(Daemon):
     def _disk_key(self) -> str:
         return f"pbs.{self.server_name}"
 
-    def _persist(self) -> None:
-        self.node.disk.write(
-            self._disk_key(),
-            {"jobs": self.jobs.snapshot(), "next_seq": self.next_seq},
-        )
+    def _job_key(self, job_id: str) -> str:
+        return f"{self._disk_key()}.job.{job_id}"
+
+    def _persist(self, *jobs: Job) -> None:
+        """Write the records of the *jobs* a mutation changed, then the
+        server record (see the module docstring for the layout)."""
+        disk = self.node.disk
+        for job in jobs:
+            disk.write(
+                self._job_key(job.job_id), (self.jobs.rank(job.job_id), job)
+            )
+        disk.write(self._disk_key(), {"next_seq": self.next_seq})
 
     def _recover(self) -> None:
-        saved = self.node.disk.read(self._disk_key())
-        if not saved:
+        disk = self.node.disk
+        saved = disk.read(self._disk_key())
+        if saved is None:
             return
         self.next_seq = saved["next_seq"]
-        for job in saved["jobs"]:
+        records = [disk.read(key) for key in disk.keys(self._job_key(""))]
+        for rank, job in sorted(records, key=lambda record: record[0]):
             if job.state in (JobState.RUNNING, JobState.EXITING):
                 if self.requeue_on_recovery:
-                    job = job.transition(
-                        JobState.QUEUED,
+                    # Not Job.transition: EXITING -> QUEUED is no legal
+                    # *command* (a job being killed cannot be qrerun), but
+                    # the restart lost the kill in flight with everything
+                    # else volatile, and the application starts over.
+                    job = replace(
+                        job,
+                        state=JobState.QUEUED,
                         start_time=None,
                         exec_nodes=(),
                         comment="requeued after server recovery",
@@ -193,7 +228,7 @@ class PBSServer(Daemon):
                         exit_status=-1,
                         comment="lost in server failure",
                     )
-            self.jobs.add(job)
+            self.jobs.add(job, rank)
 
     # -- observability -------------------------------------------------------
 
@@ -231,7 +266,7 @@ class PBSServer(Daemon):
             self.next_seq += 1
         job = Job(job_id, req.spec, submit_time=self.kernel.now)
         self.jobs.add(job)
-        self._persist()
+        self._persist(job)
         self.stats["submitted"] += 1
         self._notify("Q", job)
         return SubmitResp(job_id)
@@ -251,7 +286,7 @@ class PBSServer(Daemon):
             mom = self._mom_for(job.exec_nodes[0])
             job = job.transition(JobState.EXITING, comment="qdel")
             self.jobs.update(job)
-            self._persist()
+            self._persist(job)
             yield from rpc_call(
                 self.node.network, self.node.name, mom, KillJobReq(job.job_id),
                 timeout=1.0,
@@ -264,7 +299,7 @@ class PBSServer(Daemon):
                 comment="deleted by user",
             )
             self.jobs.update(job)
-            self._persist()
+            self._persist(job)
             self.stats["deleted"] += 1
             self._notify("D", job)
         return DeleteResp(job.job_id)
@@ -273,7 +308,7 @@ class PBSServer(Daemon):
         job = self.jobs.get(req.job_id)
         job = job.transition(JobState.HELD, comment="user hold")
         self.jobs.update(job)
-        self._persist()
+        self._persist(job)
         self._notify("H", job)
         return SimpleResp()
 
@@ -281,7 +316,7 @@ class PBSServer(Daemon):
         job = self.jobs.get(req.job_id)
         job = job.transition(JobState.QUEUED, comment="released")
         self.jobs.update(job)
-        self._persist()
+        self._persist(job)
         self._notify("R", job)
         return SimpleResp()
 
@@ -308,7 +343,7 @@ class PBSServer(Daemon):
             comment="requeued by qrerun",
         )
         self.jobs.update(job)
-        self._persist()
+        self._persist(job)
         self._notify("R", job)
         return SimpleResp()
 
@@ -323,6 +358,7 @@ class PBSServer(Daemon):
             ]
             for job_id in doomed:
                 self.jobs.remove(job_id)
+                self.node.disk.delete(self._job_key(job_id))
                 for node_name, owner in sorted(self.allocations.items()):
                     if owner == job_id:
                         self.allocations[node_name] = None
@@ -330,6 +366,7 @@ class PBSServer(Daemon):
             return SimpleResp(detail=f"purged {len(doomed)} jobs (stripe)")
         count = len(self.jobs)
         self.jobs = JobQueue()
+        self.node.disk.delete_prefix(self._job_key(""))
         self.next_seq = 1
         for node_name in self.allocations:
             self.allocations[node_name] = None
@@ -352,7 +389,7 @@ class PBSServer(Daemon):
             self.next_seq = max(self.next_seq, req.next_seq)
         else:
             self.next_seq = req.next_seq
-        self._persist()
+        self._persist(*req.jobs)
         return SimpleResp(detail=f"loaded {len(req.jobs)} jobs")
 
     def _do_sched_poll(self) -> SchedPollResp:
@@ -395,7 +432,7 @@ class PBSServer(Daemon):
             comment=f"started ({response.mode})",
         )
         self.jobs.update(job)
-        self._persist()
+        self._persist(job)
         self._notify("S", job)
         return RunJobResp(True, response.mode)
 
@@ -438,6 +475,6 @@ class PBSServer(Daemon):
         for node_name, owner in sorted(self.allocations.items()):
             if owner == obit.job_id:
                 self.allocations[node_name] = None
-        self._persist()
+        self._persist(job)
         self.stats["completed"] += 1
         self._notify("E", job)

@@ -102,6 +102,43 @@ class TestActiveStandby:
         assert kept in jobs
         assert lost not in jobs  # rolled back to the last checkpoint
 
+    def test_failover_restores_exactly_the_checkpointed_job_set(self):
+        """The checkpoint is the server's whole record set (one record per
+        job plus the server record): jobs submitted, deleted or held after
+        it roll back together, and so does the id counter."""
+        cluster, system = self.make()
+        ids = [
+            drive(cluster, system.submit(JobSpec(name=f"j{i}", walltime=900)))
+            for i in range(4)
+        ]
+        cluster.run(until=6.5)  # checkpoint at t=6 holds all four
+        primary = cluster.heads[0]
+        assert (cluster.shared_storage.keys("pbs.torque")
+                == primary.disk.keys("pbs.torque"))
+        assert len(primary.disk.keys("pbs.torque")) == 1 + len(ids)
+        # Exclusive FIFO: the first job runs, the others wait.
+        Q, R = JobState.QUEUED, JobState.RUNNING
+        assert [j.state for j in primary.daemon("pbs_server").jobs] == [R, Q, Q, Q]
+        # Several mutations the next checkpoint (t=9) never sees.
+        client = system._client()
+        lost = drive(cluster, system.submit(JobSpec(name="lost", walltime=900)))
+        drive(cluster, client.qdel(ids[2]))
+        drive(cluster, client.qhold(ids[3]))
+        assert cluster.kernel.now < 9.0
+        primary.crash()
+        cluster.run(until=30.0)
+        assert system.monitor.failed_over
+        server = cluster.heads[1].daemon("pbs_server")
+        # Same jobs, same queue order; the running ones restarted, the
+        # delete and the hold are undone, the late submission is gone.
+        assert [j.job_id for j in server.jobs] == ids
+        assert [j.state for j in server.jobs] == [R, Q, Q, Q]
+        assert [j.run_count for j in server.jobs] == [2, 0, 0, 0]
+        assert lost not in server.jobs
+        # The server record rolled back with the job records.
+        again = drive(cluster, system.submit(JobSpec(name="again", walltime=900)))
+        assert again == lost
+
     def test_running_application_restarts_on_failover(self):
         cluster, system = self.make()
         job_id = drive(cluster, system.submit(JobSpec(name="app", walltime=25.0)))
@@ -129,7 +166,14 @@ class TestActiveStandby:
         continuity across both transitions."""
         cluster, system = self.make(seed=61)
         kept = drive(cluster, system.submit(JobSpec(name="gen0", walltime=900)))
-        cluster.run(until=6.0)  # checkpointed
+        cluster.run(until=6.5)  # checkpointed
+        # Two submissions no checkpoint sees: rolled back by the failover,
+        # but their records stay on the dead primary's disk.
+        ghosts = [
+            drive(cluster, system.submit(JobSpec(name=f"ghost{i}", walltime=900)))
+            for i in range(2)
+        ]
+        assert cluster.kernel.now < 9.0
         cluster.heads[0].crash()
         cluster.run(until=25.0)
         assert system.monitor.failed_over
@@ -150,6 +194,9 @@ class TestActiveStandby:
         assert system.monitor.failed_over
         jobs = system.authoritative_jobs()
         assert kept in jobs and gen1 in jobs
+        # gen1 reused the first ghost's id; the second ghost's stale record
+        # on head0's disk must not survive the restore of the checkpoint.
+        assert gen1 == ghosts[0] and ghosts[1] not in jobs
         post = drive(cluster, system.submit(JobSpec(name="gen2", walltime=900)))
         assert post in system.authoritative_jobs()
 

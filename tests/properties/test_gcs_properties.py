@@ -9,13 +9,18 @@ simulated stack, then checks the paper-relevant guarantees:
 * sender FIFO,
 * exactly-once for surviving senders,
 * SAFE copies exist at all members of the delivery view.
+
+And, without the stack: the delivery queue's monotone ready cursor is
+observably the from-zero rescan it replaced.
 """
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.gcs import GroupConfig, GroupMember, boot_static_group
-from repro.gcs.messages import AGREED, SAFE
+from repro.gcs.delivery import DeliveryQueue
+from repro.gcs.messages import AGREED, SAFE, DataMsg, MessageId
+from repro.gcs.view import View
 from repro.net import Address, Network
 from repro.net.link import FAST_ETHERNET
 from repro.sim import Kernel
@@ -189,3 +194,83 @@ def test_safe_delivery_implies_all_members_hold_copy(seed, safe_count):
         members["n1"].multicast(k, service=SAFE)
     kernel.run(until=3.0)
     assert held_at_delivery and all(held_at_delivery)
+
+
+# -- DeliveryQueue: the ready cursor equals a from-zero rescan ------------------
+
+MEMBERS = [Address("n0", GCS_PORT), Address("n1", GCS_PORT)]
+
+
+class RescanQueue(DeliveryQueue):
+    """Reference: ``agreed_ready_through`` as it was before the monotone
+    cursor — every call rescans the view's whole history from seq 0."""
+
+    def agreed_ready_through(self) -> int:
+        seq = -1
+        while (seq + 1) in self._order:
+            msg_id = self._order[seq + 1]
+            if msg_id not in self._data and msg_id not in self._delivered_ids:
+                break
+            seq += 1
+        return seq
+
+
+queue_op = st.one_of(
+    st.tuples(st.just("data"), st.integers(0, 11)),
+    st.tuples(st.just("order"), st.integers(0, 11)),
+    st.tuples(st.just("stable"), st.integers(0, 1), st.integers(-1, 12)),
+    st.tuples(st.just("pop")),
+    st.tuples(st.just("gc")),
+    st.tuples(st.just("ready")),
+    # New view whose closing list re-injects this many messages of the old
+    # one (delivered or not, in an order of the strategy's choosing).
+    st.tuples(st.just("view"), st.lists(st.integers(0, 11), max_size=4, unique=True)),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(ops=st.lists(queue_op, max_size=60))
+def test_ready_cursor_equals_rescan_from_zero(ops):
+    """Arbitrary interleavings of add_data / add_assignments / record_stable
+    / pop_deliverable / gc / start_view: the cursor-keeping queue and the
+    rescanning reference agree on every observable result."""
+    queues = [DeliveryQueue(MEMBERS[0]), RescanQueue(MEMBERS[0])]
+    view_id = 1
+    for queue in queues:
+        queue.start_view(View.make(view_id, MEMBERS), ())
+    base = 0  # seqs 0..base-1 belong to the closing list
+
+    def message(view, slot):
+        # Fresh ids per view, so one id is never ordered at two seqs; even
+        # slots are SAFE (blocked by stability), odd ones AGREED.
+        return DataMsg(MessageId(MEMBERS[slot % 2], 100 * view + slot), view,
+                       SAFE if slot % 2 == 0 else AGREED, f"p{slot}")
+
+    for op in ops:
+        kind = op[0]
+        if kind == "data":
+            results = [q.add_data(message(view_id, op[1])) for q in queues]
+        elif kind == "order":
+            entry = (base + op[1], message(view_id, op[1]).msg_id)
+            results = [q.add_assignments([entry]) for q in queues]
+        elif kind == "stable":
+            results = [q.record_stable(MEMBERS[op[1]], op[2]) for q in queues]
+        elif kind == "pop":
+            results = [q.pop_deliverable() for q in queues]
+        elif kind == "gc":
+            results = [q.gc() for q in queues]
+        elif kind == "ready":
+            results = [q.agreed_ready_through() for q in queues]
+        else:
+            closing = [
+                (m.msg_id, m.service, m.payload)
+                for m in (message(view_id, slot) for slot in op[1])
+            ]
+            view_id += 1
+            base = len(closing)
+            results = [q.start_view(View.make(view_id, MEMBERS), closing)
+                       for q in queues]
+        assert results[0] == results[1], op
+    assert queues[0].agreed_ready_through() == queues[1].agreed_ready_through()
+    assert queues[0].snapshot() == queues[1].snapshot()
+    assert queues[0].flush_report() == queues[1].flush_report()

@@ -5,16 +5,37 @@
 * the queue's FIFO selection matches a reference model under arbitrary
   add/hold/release/complete interleavings;
 * JOSHUA replicas end bit-identical (same job ids, same states) for random
-  jsub/jdel scripts — with and without a head crash mid-script.
+  jsub/jdel scripts — with and without a head crash mid-script;
+* a PBS server restarted from its per-job disk records at an arbitrary
+  point of an arbitrary command history holds the pre-crash queue, in the
+  pre-crash order, with the pre-crash id counter.
 """
+
+import dataclasses
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
 import pytest
 
+from repro.cluster import Cluster
+from repro.net.address import Address
 from repro.pbs.job import Job, JobSpec, JobState
+from repro.pbs.mom import PBSMom
 from repro.pbs.queue import JobQueue
+from repro.pbs.server import PBS_MOM_PORT, PBS_SERVER_PORT, PBSServer
+from repro.pbs.wire import (
+    DeleteReq,
+    HoldReq,
+    LoadStateReq,
+    PurgeReq,
+    ReleaseReq,
+    RerunReq,
+    RunJobReq,
+    SubmitReq,
+    rpc_call,
+)
 from repro.util.errors import PBSError
 
 
@@ -144,3 +165,184 @@ def test_joshua_replicas_identical_for_random_scripts(script, seed, crash, crash
         tuple((j.job_id, j.state.value) for j in stack.pbs(h).jobs) for h in live
     ]
     assert len(set(snapshots)) == 1, f"replica divergence: {snapshots}"
+
+
+# -- restart from disk at an arbitrary point of an arbitrary history --------------
+
+COMPUTES = ("compute0", "compute1")
+#: Pick an existing job by position (modulo the queue length).
+job_picks = st.integers(min_value=0, max_value=63)
+specs = st.builds(
+    JobSpec,
+    name=st.sampled_from(["a", "bb", "ccc"]),
+    nodes=st.integers(1, 2),
+    # Short jobs finish (obituaries); long ones stay RUNNING across crashes.
+    walltime=st.sampled_from([0.3, 500.0]),
+)
+loaded_jobs = st.lists(
+    st.tuples(
+        st.integers(1, 30), specs,
+        st.sampled_from([JobState.QUEUED, JobState.HELD, JobState.RUNNING,
+                         JobState.EXITING, JobState.COMPLETE]),
+    ),
+    max_size=5, unique_by=lambda entry: entry[0],
+)
+
+
+def _requeued(job: Job) -> Job:
+    """What ``PBSServer._recover`` documents for a job found mid-run (or
+    mid-kill: the restart loses the kill in flight too)."""
+    if job.state not in (JobState.RUNNING, JobState.EXITING):
+        return job
+    return dataclasses.replace(
+        job, state=JobState.QUEUED, start_time=None, exec_nodes=(),
+        comment="requeued after server recovery",
+    )
+
+
+class RestartFromDisk(RuleBasedStateMachine):
+    """One head with a PBS server and two moms, no scheduler: the machine
+    issues every mutating request itself, over the real RPC path, and may
+    crash and restart the head between any two of them."""
+
+    def __init__(self):
+        super().__init__()
+        self.cluster = Cluster(head_count=1, compute_count=2, seed=5)
+        self.head = self.cluster.heads[0]
+        self.address = Address(self.head.name, PBS_SERVER_PORT)
+        moms = [Address(name, PBS_MOM_PORT) for name in COMPUTES]
+        self.head.add_daemon("pbs_server", lambda node: PBSServer(node, moms=moms))
+        for compute in self.cluster.computes:
+            compute.add_daemon(
+                "pbs_mom", lambda node: PBSMom(node, servers=[self.address]))
+        #: Ids a purge removed and nothing has re-added since.
+        self.removed: set[str] = set()
+
+    @property
+    def server(self) -> PBSServer:
+        return self.head.daemon("pbs_server")
+
+    def request(self, payload):
+        """One request to completion; a PBS-level refusal returns None."""
+        def call():
+            try:
+                return (yield from rpc_call(
+                    self.cluster.network, "compute0", self.address, payload,
+                    timeout=5.0))
+            except PBSError:
+                return None
+
+        before = {job.job_id for job in self.server.jobs}
+        result = self.cluster.run(until=self.cluster.kernel.spawn(call()))
+        after = {job.job_id for job in self.server.jobs}
+        self.removed = (self.removed | (before - after)) - after
+        return result
+
+    def pick(self, index: int) -> str:
+        jobs = self.server.jobs.snapshot()
+        return jobs[index % len(jobs)].job_id if jobs else "404.torque"
+
+    # -- user and scheduler commands ------------------------------------------
+
+    @rule(spec=specs)
+    def submit(self, spec):
+        self.request(SubmitReq(spec))
+
+    @rule(spec=specs, seq=st.integers(1, 40))
+    def submit_forced_id(self, spec, seq):
+        job_id = f"{seq}.torque"
+        if job_id not in self.server.jobs:
+            self.request(SubmitReq(spec, force_job_id=job_id))
+
+    @rule(index=job_picks)
+    def delete(self, index):
+        self.request(DeleteReq(self.pick(index)))
+
+    @rule(index=job_picks)
+    def hold(self, index):
+        self.request(HoldReq(self.pick(index)))
+
+    @rule(index=job_picks)
+    def release(self, index):
+        self.request(ReleaseReq(self.pick(index)))
+
+    @rule(index=job_picks)
+    def rerun(self, index):
+        self.request(RerunReq(self.pick(index)))
+
+    @rule(index=job_picks, nodes=st.sampled_from([COMPUTES[:1], COMPUTES[1:], COMPUTES]))
+    def run(self, index, nodes):
+        self.request(RunJobReq(self.pick(index), nodes))
+
+    @rule(seconds=st.sampled_from([0.1, 1.0]))
+    def let_obituaries_arrive(self, seconds):
+        self.cluster.run(until=self.cluster.kernel.now + seconds)
+
+    # -- the state-transfer requests --------------------------------------------
+
+    @rule()
+    def purge_everything(self):
+        self.request(PurgeReq())
+        assert len(self.server.jobs) == 0 and self.server.next_seq == 1
+
+    @rule(stride=st.integers(2, 3), lane=st.integers(0, 2))
+    def purge_stripe(self, stride, lane):
+        self.request(PurgeReq(stride, lane % stride))
+
+    def _snapshot(self, entries, next_seq) -> tuple[tuple, int]:
+        """Job records and id counter as a sponsor would send them (its
+        counter is always past every id it holds)."""
+        jobs = tuple(
+            Job(f"{seq}.torque", spec, state=state, submit_time=float(seq),
+                exec_nodes=COMPUTES[:spec.nodes]
+                if state in (JobState.RUNNING, JobState.EXITING) else ())
+            for seq, spec, state in entries
+        )
+        return jobs, max([next_seq] + [seq + 1 for seq, _, _ in entries])
+
+    @rule(entries=loaded_jobs, next_seq=st.integers(1, 50))
+    def load_snapshot(self, entries, next_seq):
+        """Unsharded snapshot transfer: wipe, then load into the empty
+        server (a non-empty one must refuse and change nothing)."""
+        jobs, next_seq = self._snapshot(entries, next_seq)
+        if len(self.server.jobs):
+            before = self.server.jobs.snapshot()
+            assert self.request(LoadStateReq(jobs, next_seq)) is None
+            assert self.server.jobs.snapshot() == before
+        self.request(PurgeReq())
+        self.request(LoadStateReq(jobs, next_seq))
+        assert self.server.jobs.snapshot() == list(jobs)
+        assert self.server.next_seq == next_seq
+
+    @rule(entries=loaded_jobs, next_seq=st.integers(1, 50))
+    def load_merge(self, entries, next_seq):
+        """Sharded snapshot transfer: overwrite in place or append."""
+        jobs, next_seq = self._snapshot(entries, next_seq)
+        self.request(LoadStateReq(jobs, next_seq, merge=True))
+
+    # -- the crash ---------------------------------------------------------------
+
+    @rule(downtime=st.sampled_from([0.0, 0.5]))
+    def crash_and_restart(self, downtime):
+        before = self.server.jobs.snapshot()
+        next_seq = self.server.next_seq
+        self.head.crash()
+        self.cluster.run(until=self.cluster.kernel.now + downtime)
+        self.head.restart()
+        recovered = self.server
+        assert recovered.jobs.snapshot() == [_requeued(job) for job in before]
+        assert recovered.next_seq == next_seq
+        assert not self.removed & {job.job_id for job in recovered.jobs}
+
+    @invariant()
+    def queue_order_is_rank_order(self):
+        jobs = self.server.jobs
+        ranks = [jobs.rank(job.job_id) for job in jobs]
+        assert ranks == sorted(ranks) and len(set(ranks)) == len(ranks)
+
+
+RestartFromDisk.TestCase.settings = settings(
+    max_examples=60, stateful_step_count=30, deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+TestRestartFromDisk = RestartFromDisk.TestCase

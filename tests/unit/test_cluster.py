@@ -195,6 +195,44 @@ class TestStorage:
         disk.wipe()
         assert disk.keys() == []
 
+    def test_prefix_enumeration_is_sorted_not_write_order(self):
+        disk = Disk("n")
+        for key in ["pbs.t.job.2.t", "pbs.t", "other", "pbs.t.job.10.t", "pbs.t2"]:
+            disk.write(key, key.upper())
+        assert disk.keys("pbs.t.job.") == ["pbs.t.job.10.t", "pbs.t.job.2.t"]
+        assert disk.keys("pbs.t") == [
+            "pbs.t", "pbs.t.job.10.t", "pbs.t.job.2.t", "pbs.t2"]
+        assert disk.keys("nothing") == []
+        # Rewriting a record does not move it.
+        disk.write("pbs.t.job.10.t", "again")
+        assert disk.keys("pbs.t.job.") == ["pbs.t.job.10.t", "pbs.t.job.2.t"]
+
+    def test_delete_prefix_removes_exactly_the_family(self):
+        disk = Disk("n")
+        for key in ["pbs.t", "pbs.t.job.1.t", "pbs.t.job.2.t", "other"]:
+            disk.write(key, 1)
+        disk.delete_prefix("pbs.t.job.")
+        assert disk.keys() == ["other", "pbs.t"]
+        disk.delete_prefix("absent")  # nothing to do is not an error
+        assert disk.keys() == ["other", "pbs.t"]
+
+    def test_record_of_frozen_values_is_isolated_both_ways(self):
+        """The PBS server's job record is ``(rank, Job)``: frozen, but the
+        disk still hands out copies, never the stored object."""
+        from repro.pbs.job import Job, JobSpec
+
+        disk = Disk("n")
+        job = Job("1.t", JobSpec(name="a"), exec_nodes=("compute0",))
+        disk.write("k", (0, job))
+        first, second = disk.read("k"), disk.read("k")
+        assert first == second == (0, job)
+        assert first[1] is not job and first[1] is not second[1]
+        assert first[1].spec is not job.spec
+        # Bypassing the freeze on a copy must not reach the disk.
+        object.__setattr__(first[1], "comment", "tampered")
+        object.__setattr__(job, "comment", "tampered")
+        assert disk.read("k")[1].comment == ""
+
 
 class TestFailureSchedule:
     def test_builder_and_sorting(self):

@@ -223,6 +223,41 @@ class TestCrashRecovery:
         assert job.state is JobState.COMPLETE
         assert job.run_count >= 1
 
+    def test_job_being_killed_is_requeued_after_recovery(self, stack):
+        """Regression (found by the restart-from-disk state machine):
+        EXITING -> QUEUED is no legal *command* transition, and recovery
+        went through ``Job.transition`` — a head that crashed with a qdel
+        in flight could not start its server again."""
+        cluster = stack.cluster
+        client = stack.client()
+        job_id = drive(stack, client.qsub(name="doomed", walltime=300))
+        cluster.run(until=2.0)  # job starts
+        head = cluster.heads[0]
+        job = head.daemon("pbs_server").jobs.get(job_id)
+        # The mother superior dies: the kill never lands, no obit comes.
+        cluster.node(job.exec_nodes[0]).crash()
+        with pytest.raises(PBSError):
+            drive(stack, client.qdel(job_id))
+        assert head.daemon("pbs_server").jobs.get(job_id).state is JobState.EXITING
+        head.crash()
+        head.restart()
+        job = head.daemon("pbs_server").jobs.get(job_id)
+        assert job.state is JobState.QUEUED
+        assert "requeued" in job.comment
+
+    def test_recovered_queue_keeps_its_order(self, stack):
+        """Job records are written one at a time and keyed by id, so disk
+        order ("10.torque" < "2.torque") is not queue order: recovery must
+        sort by the persisted queue rank."""
+        cluster = stack.cluster
+        client = stack.client(node="compute0")
+        ids = [drive(stack, client.qsub(name=f"j{i}", walltime=300)) for i in range(11)]
+        drive(stack, client.qhold(ids[3]))  # rewriting a record keeps its rank
+        head = cluster.heads[0]
+        head.crash()
+        head.restart()
+        assert [j.job_id for j in head.daemon("pbs_server").jobs] == ids
+
     def test_client_times_out_when_head_down(self, stack):
         cluster = stack.cluster
         cluster.heads[0].crash()
