@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from typing import Any, Generator
 
-from repro.aa.replicated import ReplRequest, ReplResult
+from repro.aa.wire import ReplRequest, ReplResult
 from repro.net.address import Address
 from repro.net.network import Network
 from repro.rpc import failover_call, rpc_state

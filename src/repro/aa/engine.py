@@ -1,0 +1,599 @@
+"""The replication engine: one ordered-apply / reply-cache / marker-join core.
+
+External symmetric active/active replication (paper §3) is service-agnostic:
+intercept the service's interface, totally order the requests through the
+group communication system, apply them at every replica, deliver the output
+exactly once, and bring a joining replica up from a consistent cut. This
+module is that machinery, once, for every replicated service in the tree:
+
+* :class:`ReplicationEngine` — one ordering group's worth of it: client
+  intake with uuid dedup and a single SAFE multicast per command, the
+  strictly serial apply loop, the reply cache and pending-reply table, the
+  applied-sequence surface local reads gate on, and the whole marker-cut
+  join (drop what was ordered before our own marker, capture at the cut,
+  push, pull over RPC on a lost push, fresh cut on a silent sponsor,
+  demote-and-resync after a lost partition merge);
+* :class:`EngineDriver` — the seam to the replicated service: execute one
+  ordered command against the local backend, capture its state at a cut,
+  install a capture. A driver must be **deterministic**: the same command
+  sequence leaves the same state and returns the same results at every
+  replica (no local clocks, RNG draws or unordered iteration in anything
+  that reaches state or results);
+* :class:`ReplicaDaemon` — the daemon shell: one client-facing endpoint and
+  typed RPC dispatcher in front of one engine per ordering shard.
+
+JOSHUA (:mod:`repro.joshua`) is this engine with the PBS driver, plus the
+launch mutex and mom announcements it adds through the two subclass hooks
+(:meth:`ReplicationEngine.on_ordered`, :meth:`ReplicationEngine._on_view`);
+:class:`~repro.aa.replicated.ReplicatedService` hosts the same engine around
+any :class:`~repro.aa.replicated.BackendDriver`.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+from typing import TYPE_CHECKING, Callable, Generator, Protocol
+
+from repro.aa.wire import (
+    Command,
+    SeqStampedResp,
+    StateXferReq,
+    StateXferResp,
+    XferMarker,
+    XferPush,
+)
+from repro.cluster.daemon import Daemon
+from repro.gcs.member import GroupMember
+from repro.gcs.messages import SAFE, DeliveredMessage
+from repro.gcs.view import View
+from repro.net.address import Address
+from repro.obs.collector import collector_of
+from repro.rpc import RpcDispatcher, RpcTimeout, call as rpc_call, rpc_state
+from repro.sim.resources import Store
+from repro.util.errors import PBSError  # what rpc.call raises for an error reply
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.gcs.config import GroupConfig
+
+__all__ = ["EngineDriver", "ReplicationEngine", "ReplicaDaemon"]
+
+
+class EngineDriver(Protocol):
+    """What the engine needs from the service it replicates."""
+
+    def execute_command(self, command: Command) -> Generator:  # pragma: no cover
+        """Apply *command* to the local backend; return the reply record to
+        cache and relay (deterministic failures are replies too)."""
+
+    def capture_state(self, marker_uuid: str) -> Generator:  # pragma: no cover
+        """The backend's state right now, as a :class:`StateXferResp` for
+        *marker_uuid* (the engine fills in ``results``/``applied_seq``)."""
+
+    def install_state(self, response: StateXferResp) -> Generator:  # pragma: no cover
+        """Replace the local backend's state with a sponsor's capture."""
+
+
+class ReplicationEngine:
+    """One ordering group's replica: intake, serial apply, cache, join.
+
+    Parameters
+    ----------
+    host:
+        The :class:`ReplicaDaemon` whose endpoint clients and joiners talk
+        to; the engine learns its client-facing address, log identity,
+        reply path and reply cost from it.
+    driver:
+        The :class:`EngineDriver` for the replicated service.
+    group_config / gcs_port:
+        Group-communication tuning and the *base* GCS port: shard *k* of
+        *nshards* runs ``group_id=k`` on ``gcs_port + k``, so frames of
+        different shards can never cross-deliver.
+    founders / contacts:
+        Node names for static bootstrap vs. live join (exactly one is
+        non-empty).
+    index / nshards:
+        Which ordering shard of how many this engine is.
+    """
+
+    def __init__(
+        self,
+        host: "ReplicaDaemon",
+        driver: EngineDriver,
+        group_config: "GroupConfig",
+        gcs_port: int,
+        *,
+        founders: list[str],
+        contacts: list[str],
+        index: int = 0,
+        nshards: int = 1,
+    ):
+        self.host = host
+        self.driver = driver
+        self.index = index
+        self.nshards = nshards
+        self.gcs_port = gcs_port + index
+        self.founders = founders
+        self.contacts = contacts
+        self.node = host.node
+        self.kernel = host.kernel
+        self.log = host.log
+        #: The *client-facing* address (the host daemon's endpoint) —
+        #: markers carry it, and it is shard-unambiguous because markers
+        #: are multicast within one shard's own group.
+        self.address = host.address
+        self.tag = host.tag if nshards == 1 else f"{host.tag}[s{index}]"
+        #: Trace-event label naming the owning shard — only when sharding
+        #: is actually on, so single-shard event payloads stay identical to
+        #: the historical stream.
+        self._labels = {} if nshards == 1 else {"shard": index}
+
+        #: Fully in service (joined + state transferred) — per shard: one
+        #: shard can be mid-resync while its siblings keep executing.
+        self.active = False
+        self.stats = {"commands": 0, "executed": 0,
+                      "state_transfers_served": 0, "state_transfers_pulled": 0}
+
+        # -- serial apply loop and reply cache --------------------------------
+        self.queue: Store = Store(self.kernel)
+        #: uuid -> cached local result (output dedup across retries).
+        self.results: dict[str, object] = {}
+        #: uuid -> applied_seq the command executed at on this replica
+        #: (only recorded while the counter is exact; feeds SeqStampedResp).
+        self.results_seq: dict[str, int] = {}
+        #: uuid -> [(client src, rpc id, stamp seq?)] awaiting the result.
+        self._pending_replies: dict[str, list[tuple[Address, int, bool]]] = {}
+        #: uuids this replica has multicast (avoid re-multicast on retry).
+        self._multicast_uuids: set[str] = set()
+        #: Replicated command log (delivered order) — used by tests and the
+        #: chaos invariants; state transfer captures the backend rather
+        #: than replaying from time zero.
+        self.command_log: list[Command] = []
+
+        # -- applied-sequence surface (local reads, PROTOCOLS.md §12) ---------
+        #: Commands this replica has actually applied to its backend
+        #: (dedup-skipped re-deliveries do not count, so every replica of a
+        #: shard computes the identical sequence) — the staleness position
+        #: the read path reports and the RYW catch-up gate waits on.
+        self.applied_seq = 0
+        #: Whether ``applied_seq`` is exact (founders) or a floor (a joiner
+        #: whose sponsor did not transfer its counter). A floor counter can
+        #: serve eventual reads but must not stamp writes or satisfy RYW
+        #: floors — understating a client's floor would admit stale reads.
+        self.seq_exact = True
+        #: Commands delivered by the group to this replica (applied or not)
+        #: and commands its loop has drained — their difference is the
+        #: read path's staleness-lag gauge (the local apply backlog).
+        self.delivered_commands = 0
+        self.drained_commands = 0
+        #: RYW catch-up waiters: ``(floor, event)`` pairs; the loop
+        #: succeeds the event once ``applied_seq`` reaches the floor.
+        self._seq_waiters: list = []
+
+        # -- marker-cut join ---------------------------------------------------
+        #: While syncing: drop deliveries ordered before our own marker.
+        self.syncing_marker: str | None = None
+        self.marker_seen = False
+        self._responses: dict[str, StateXferResp] = {}
+        #: Sponsor side: captures we already served, kept so a joiner whose
+        #: pushed :class:`XferPush` frame was lost can pull them over RPC.
+        self._served: dict[str, StateXferResp] = {}
+        self._push_waiters: dict[str, object] = {}
+        self._installed: set[str] = set()
+        self._seen_rejoins = 0
+        #: Set when a partition re-merge demotes us: an *established* member
+        #: (no contacts) that must nevertheless pin a transfer marker.
+        self.needs_resync = False
+
+        self.group = GroupMember(
+            self.node.network.bind(self.node.name, self.gcs_port),
+            dataclasses.replace(group_config, group_id=index, shard_count=nshards),
+            on_deliver=self._on_deliver,
+            on_view=self._on_view,
+        )
+
+    def start(self) -> None:
+        """Boot or join this shard's group (from the daemon's on_start)."""
+        if self.founders:
+            self.group.boot([Address(n, self.gcs_port) for n in self.founders])
+            self.active = True
+        else:
+            self.group.join([Address(n, self.gcs_port) for n in self.contacts])
+
+    # ------------------------------------------------------------------
+    # client command intake
+    # ------------------------------------------------------------------
+
+    @property
+    def can_order(self) -> bool:
+        """Whether :meth:`submit` can take a command right now. False while
+        inactive (state transfer in progress) or mid-(re)join after an
+        exclusion: the host must send the client to another replica rather
+        than crash on the multicast."""
+        return self.active and self.group.can_multicast
+
+    def submit(self, src: Address, request_id: int, command: Command,
+               track: bool = False):
+        """Dedup an incoming client command by uuid and multicast it once.
+
+        Returns the cached reply for an already-executed uuid, else ``None``
+        (the RPC stays open; :meth:`answer` replies after local execution).
+        *track* asks for the reply to carry its commit position. Callers
+        check :attr:`can_order` first."""
+        uuid = command.uuid
+        if uuid in self.results:
+            return self._stamped(uuid, track)
+        self._pending_replies.setdefault(uuid, []).append((src, request_id, track))
+        if uuid in self._multicast_uuids:
+            return None  # already in flight; the delivery will answer
+        self._multicast_uuids.add(uuid)
+        self.stats["commands"] += 1
+        self._trace("job.received", uuid, command=command.kind)
+        self.group.multicast(command, service=SAFE)
+        return None
+
+    def _trace(self, kind: str, uuid: str, **fields) -> None:
+        collector = collector_of(self.node.network)
+        if collector is not None:
+            collector.job_event(self.node.name, kind, trace_id=uuid,
+                                **fields, **self._labels)
+
+    def answer(self, uuid: str) -> None:
+        for src, request_id, track in self._pending_replies.pop(uuid, []):
+            self.host._reply(src, request_id, self._stamped(uuid, track))
+
+    def _stamped(self, uuid: str, track: bool):
+        """The cached reply for *uuid*, wrapped in a :class:`SeqStampedResp`
+        when the writer asked for its commit position — never for an error
+        relay (it must reach the client unwrapped to re-raise) and never
+        from a floor counter (an understated stamp would admit stale RYW
+        reads later)."""
+        result = self.results.get(uuid)
+        if (
+            not track
+            or getattr(result, "__rpc_error_relay__", False)
+            or uuid not in self.results_seq
+        ):
+            return result
+        return SeqStampedResp(result, self.index, self.results_seq[uuid])
+
+    # ------------------------------------------------------------------
+    # serial apply loop
+    # ------------------------------------------------------------------
+
+    def serialise(self, work: Callable[[], Generator]) -> None:
+        """Run *work* (a generator function) in the serial loop, after
+        everything already queued — for driver-side work that must not
+        interleave with command execution."""
+        self.queue.put_nowait(work)
+
+    def loop(self):
+        while True:
+            item = yield self.queue.get()
+            if not isinstance(item, DeliveredMessage):
+                yield from item()
+                continue
+            payload = item.payload
+            if isinstance(payload, XferMarker):
+                if payload.joiner == self.address:
+                    yield from self._receive_state(payload)
+                else:
+                    yield from self._serve_state(payload)
+                continue
+            self.drained_commands += 1
+            self._trace("job.ordered", payload.uuid,
+                        seq=item.seq, view=item.view_id)
+            if not self.active and self.syncing_marker is not None:
+                # Commands queued between an abandoned marker and its
+                # replacement are covered by the fresh capture.
+                continue
+            yield from self._apply(payload)
+
+    def _apply(self, command: Command):
+        uuid = command.uuid
+        if uuid in self.results:
+            self.answer(uuid)
+            return
+        self.command_log.append(command)
+        result = yield from self.driver.execute_command(command)
+        self.results[uuid] = result
+        self._set_applied(self.applied_seq + 1)
+        if self.seq_exact:
+            self.results_seq[uuid] = self.applied_seq
+        self.stats["executed"] += 1
+        self._trace("job.executed", uuid, command=command.kind,
+                    result=type(result).__name__)
+        if self.host.reply_delay is not None:
+            yield self.kernel.timeout(self.host.reply_delay)
+        self.answer(uuid)
+
+    # ------------------------------------------------------------------
+    # applied-sequence surface
+    # ------------------------------------------------------------------
+
+    def _set_applied(self, seq: int) -> None:
+        """Move the applied position — one more command applied to the
+        backend, or a state transfer re-anchoring it at the sponsor's
+        counter — and release any RYW waiters the move satisfies."""
+        self.applied_seq = seq
+        if not self._seq_waiters:
+            return
+        still_waiting = []
+        for floor, event in self._seq_waiters:
+            if seq >= floor:
+                if not event.triggered:
+                    event.succeed(seq)
+            else:
+                still_waiting.append((floor, event))
+        self._seq_waiters = still_waiting
+
+    def waiter_for_seq(self, floor: int):
+        """A kernel event that succeeds (with the applied position) once
+        ``applied_seq`` reaches *floor* — immediately if it already has."""
+        event = self.kernel.event()
+        if self.applied_seq >= floor:
+            event.succeed(self.applied_seq)
+        else:
+            self._seq_waiters.append((floor, event))
+        return event
+
+    def forget_waiter(self, event) -> None:
+        """Drop a catch-up waiter that timed out (fell back to ordered)."""
+        self._seq_waiters = [
+            (floor, e) for floor, e in self._seq_waiters if e is not event
+        ]
+
+    # ------------------------------------------------------------------
+    # group callbacks
+    # ------------------------------------------------------------------
+
+    def _on_deliver(self, msg: DeliveredMessage) -> None:
+        payload = msg.payload
+        own_marker = (
+            isinstance(payload, XferMarker)
+            and payload.marker_uuid == self.syncing_marker
+        )
+        if self.syncing_marker is not None and not self.marker_seen and not own_marker:
+            # Everything ordered before our own marker is covered by the
+            # state transfer; drop it.
+            return
+        if isinstance(payload, Command):
+            self.delivered_commands += 1
+            self.queue.put_nowait(msg)
+        elif isinstance(payload, XferMarker):
+            self.queue.put_nowait(msg)
+            if own_marker:
+                self.marker_seen = True
+        else:
+            self.on_ordered(payload)
+
+    def on_ordered(self, payload) -> None:
+        """Hook: a totally ordered message that is neither a command nor a
+        marker — a subclass's own replicated traffic (JOSHUA's launch-mutex
+        claims). Only called for messages ordered after our join cut."""
+
+    def _on_view(self, view: View) -> None:
+        """View hook. Subclasses extend it for their own view-change work
+        (call ``super()._on_view(view)`` first)."""
+        rejoins = self.group.stats.get("rejoins", 0)
+        if rejoins > self._seen_rejoins:
+            self._seen_rejoins = rejoins
+            if self.active and view.size > 1:
+                # Our GCS member lost a partition merge and dissolved into
+                # the surviving component (e.g. after a NIC blackout). Our
+                # replica may have missed commands — or executed client
+                # retries the majority already answered differently. The
+                # survivors are authoritative: demote and resync.
+                self.log.warning(
+                    self.tag, "re-merged from losing partition side; resyncing"
+                )
+                self.active = False
+                self.syncing_marker = None
+                self.needs_resync = True
+        if self.syncing_marker is None and not self.active and (
+            self.contacts or self.needs_resync
+        ) and self.group.can_multicast:
+            # First view containing us after a join: pin the transfer cut.
+            self._pin_marker()
+
+    # ------------------------------------------------------------------
+    # marker-cut join
+    # ------------------------------------------------------------------
+
+    def _pin_marker(self) -> None:
+        # The id family keeps its historical name: marker uuids are on the
+        # wire, and the pinned baselines carry them.
+        marker_id = rpc_state(self.node.network).next_id("joshua-marker")
+        marker = XferMarker(f"xfer-{self.node.name}-{marker_id}", self.address)
+        self.syncing_marker = marker.marker_uuid
+        self.marker_seen = False
+        self.group.multicast(marker)
+
+    # -- sponsor side ---------------------------------------------------------
+
+    def _serve_state(self, marker: XferMarker):
+        # Every active member serves (replicas are identical at the marker
+        # cut, so the captures are too, and the joiner dedups). A single
+        # designated sponsor can deadlock: two replicas resyncing at once
+        # would each elect the other — inactive and unable to serve.
+        view = self.group.view
+        if view is None or not self.active:
+            return
+        # marker.joiner is the joiner's *client-facing* endpoint; members
+        # are GCS endpoints — compare by node.
+        if all(m.node == marker.joiner.node for m in view.members):
+            return
+        captured = yield from self.driver.capture_state(marker.marker_uuid)
+        # The applied counter at the marker cut, so the joiner's read path
+        # resumes with an exact staleness position. Only transferred once a
+        # read/tracked request has latched seq_tracking on this host (the
+        # field stays at its default — and off the wire — in deployments
+        # that never use the read path) and only from an exact counter (a
+        # floor would poison the joiner's RYW gate).
+        applied = (
+            self.applied_seq
+            if self.host.seq_tracking and self.seq_exact
+            else -1
+        )
+        response = dataclasses.replace(
+            captured,
+            results=tuple(sorted(self.results.items())),
+            applied_seq=applied,
+        )
+        self._served[marker.marker_uuid] = response
+        self.stats["state_transfers_served"] += 1
+        if not self.host.endpoint.closed:
+            self.host.endpoint.send(marker.joiner, XferPush(response, self.index))
+
+    def served(self, marker_uuid: str) -> StateXferResp | None:
+        """The capture for *marker_uuid*, if this member already served it
+        (backs the :class:`StateXferReq` pull path)."""
+        return self._served.get(marker_uuid)
+
+    # -- joiner side ----------------------------------------------------------
+
+    def handle_push(self, response: StateXferResp) -> None:
+        self._responses[response.marker_uuid] = response
+        waiter = self._push_waiters.pop(response.marker_uuid, None)
+        if waiter is not None and not waiter.triggered:
+            waiter.succeed(response)
+
+    def _pull_state(self, uuid: str):
+        """Ask each member directly for the capture of *uuid*.
+
+        Fallback for a lost :class:`XferPush` frame: the sponsors may
+        have captured and answered perfectly well without our ever hearing
+        it. Returns the first matching :class:`StateXferResp`, or ``None``
+        if nobody has one (sponsor died mid-capture → fresh marker cut).
+        """
+        view = self.group.view
+        if view is None:
+            return None
+        for member in sorted(view.members):
+            if member.node == self.node.name:
+                continue
+            try:
+                response = yield from rpc_call(
+                    self.node.network, self.node.name,
+                    Address(member.node, self.address.port),
+                    StateXferReq(uuid, self.address, self.index),
+                    timeout=self.group.config.flush_timeout,
+                )
+            except (RpcTimeout, PBSError):
+                continue
+            if isinstance(response, StateXferResp) and response.marker_uuid == uuid:
+                self.stats["state_transfers_pulled"] += 1
+                self.log.info(self.tag, f"pulled state for {uuid} from {member.node}")
+                return response
+        return None
+
+    def _receive_state(self, marker: XferMarker):
+        uuid = marker.marker_uuid
+        if uuid in self._installed or uuid != self.syncing_marker:
+            return  # stale marker; we moved on to a fresh cut
+        if uuid not in self._responses:
+            waiter = self.kernel.event()
+            self._push_waiters[uuid] = waiter
+            deadline = self.kernel.timeout(self.group.config.flush_timeout * 4)
+            yield self.kernel.any_of([waiter, deadline])
+            if not waiter.triggered:
+                self._push_waiters.pop(uuid, None)
+                # The push frame may simply have been lost while the
+                # sponsors captured fine: pull the state over RPC before
+                # paying for a fresh marker cut.
+                pulled = yield from self._pull_state(uuid)
+                if pulled is not None:
+                    self._responses[uuid] = pulled
+            if uuid not in self._responses:
+                # Sponsor silent (likely died mid-capture): pin a fresh cut.
+                if not self.group.can_multicast:
+                    # The group itself is mid-(re)join; a marker cannot be
+                    # ordered right now. Drop the stale cut — the view that
+                    # ends the join re-enters _on_view, which pins a new one.
+                    self.syncing_marker = None
+                    return
+                self._pin_marker()
+                return  # the fresh marker's delivery re-enters here
+        response = self._responses[uuid]
+        self._installed.add(uuid)
+        yield from self.driver.install_state(response)
+        for cached_uuid, cached in response.results:
+            self.results.setdefault(cached_uuid, cached)
+        # Re-anchor the read path's applied position at the marker cut:
+        # post-marker commands execute after this method returns, so the
+        # sponsor's exact counter is exact here too. Without a transferred
+        # counter we restart at a floor — eventual reads stay safe, but RYW
+        # floors and write stamps are disabled until the replica re-founds.
+        self.seq_exact = response.applied_seq >= 0
+        self._set_applied(max(response.applied_seq, 0))
+        self.syncing_marker = None
+        self.needs_resync = False
+        self.active = True
+        self.log.info(self.tag, f"state transfer complete ({response.mode}), now active")
+
+
+class ReplicaDaemon(Daemon):
+    """One client-facing endpoint in front of one engine per ordering shard.
+
+    Subclasses speak the service's client protocol: they build ``self.rpc``
+    (an :class:`~repro.rpc.RpcDispatcher` that routes at least
+    :class:`StateXferReq`) and ``self.shards`` in their constructor, check
+    :attr:`ReplicationEngine.can_order` and refuse in their own vocabulary,
+    and hand accepted requests to :meth:`ReplicationEngine.submit`.
+    """
+
+    #: CPU cost of relaying a command's output back after local execution;
+    #: ``None`` charges nothing and schedules nothing (a 0 is still an event).
+    reply_delay: float | None = None
+    #: Latched the first time a client asks for commit positions or reads
+    #: locally. Gates the applied-counter transfer at a join, so
+    #: deployments that never use the read path never put the counter on
+    #: the wire (the pinned baseline scenarios stay bit-identical).
+    seq_tracking = False
+
+    rpc: RpcDispatcher
+    shards: list[ReplicationEngine]
+
+    @property
+    def active(self) -> bool:
+        """Fully in service: every shard joined + state transferred."""
+        return all(engine.active for engine in self.shards)
+
+    @property
+    def stats(self) -> dict[str, int]:
+        """Engine counters summed across shards (per-shard counters are on
+        ``self.shards[k].stats``)."""
+        totals: dict[str, int] = {}
+        for engine in self.shards:
+            for key, value in sorted(engine.stats.items()):
+                totals[key] = totals.get(key, 0) + value
+        return totals
+
+    def on_start(self) -> None:
+        for engine in self.shards:
+            suffix = f"-s{engine.index}" if len(self.shards) > 1 else ""
+            self.spawn(engine.loop(), name=f"{self.tag}-executor{suffix}")
+            engine.start()
+
+    def on_stop(self, *, crashed: bool) -> None:
+        for engine in self.shards:
+            engine.group.stop()
+
+    def leave(self) -> None:
+        """Voluntary departure — handled as a forced failure (paper §4:
+        the JOSHUA server shuts down via a signal)."""
+        for engine in self.shards:
+            engine.group.leave()
+        self.stop()
+
+    def run(self):
+        while True:
+            delivery = yield self.endpoint.recv()
+            frame = delivery.payload
+            if self.rpc.handle_frame(delivery.src, frame):
+                continue
+            # The one non-RPC frame: a sponsor's fire-and-forget push.
+            if isinstance(frame, XferPush) and 0 <= frame.shard < len(self.shards):
+                self.shards[frame.shard].handle_push(frame.response)
+
+    def _reply(self, dst: Address, request_id: int, response) -> None:
+        self.rpc.reply(dst, request_id, response)

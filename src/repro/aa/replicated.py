@@ -13,29 +13,25 @@ symmetric active/active service. The backend is supplied as a
 ``restore(state)``
     Replace the backend state with a snapshot.
 
-The wrapper supplies everything else: SAFE-multicast ordering, serial
-execution, exactly-once output (UUID-keyed result caching across client
-retries/failovers), and the marker-cut join protocol. JOSHUA
-(:mod:`repro.joshua`) is historically the same pattern hand-specialised to
-the PBS interface plus the launch mutual exclusion PBS needs; new services
-(like the PVFS metadata server in :mod:`repro.pvfs`) build on this class
-directly.
+Everything else — SAFE-multicast ordering, serial execution, exactly-once
+output (UUID-keyed reply caching across client retries/failovers, carried
+to joiners), and the marker-cut join with its pull, recut and
+partition-merge resync paths — is the shared
+:class:`~repro.aa.engine.ReplicationEngine`, the same one JOSHUA
+(:mod:`repro.joshua`) runs with its PBS driver. The daemon here only
+speaks the generic client protocol and adapts the payload-level
+:class:`BackendDriver` to the engine's command-level seam.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Generator, Protocol
 
-from repro.cluster.daemon import Daemon
+from repro.aa.engine import ReplicaDaemon, ReplicationEngine
+from repro.aa.wire import Command, ReplRequest, ReplResult, StateXferReq, StateXferResp
 from repro.gcs.config import GroupConfig
-from repro.gcs.member import GroupMember
-from repro.gcs.messages import SAFE, DeliveredMessage
-from repro.gcs.view import View
 from repro.net.address import Address
-from repro.net.codec import register_wire_types
-from repro.rpc import RpcDispatcher, rpc_state
-from repro.sim.resources import Store
+from repro.rpc import RpcDispatcher
 from repro.util.errors import JoshuaError
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -57,43 +53,7 @@ class BackendDriver(Protocol):
         ...
 
 
-@dataclass(frozen=True)
-class ReplRequest:
-    """Client -> replica: one request with its exactly-once identity."""
-
-    uuid: str
-    payload: Any
-
-
-@dataclass(frozen=True)
-class ReplResult:
-    uuid: str
-    value: Any
-    error: str | None = None
-
-
-@dataclass(frozen=True)
-class _Cmd:
-    uuid: str
-    payload: Any
-
-
-@dataclass(frozen=True)
-class _Marker:
-    uuid: str
-    joiner: Address
-
-
-@dataclass(frozen=True)
-class _Snapshot:
-    marker_uuid: str
-    state: Any
-
-
-register_wire_types(ReplRequest, ReplResult, _Cmd, _Marker, _Snapshot)
-
-
-class ReplicatedService(Daemon):
+class ReplicatedService(ReplicaDaemon):
     """One replica of a generic active/active service.
 
     Parameters
@@ -125,173 +85,46 @@ class ReplicatedService(Daemon):
         group_config: GroupConfig | None = None,
     ):
         super().__init__(node, name, port)
-        if group_config is None:
-            group_config = GroupConfig()
         if (initial_members is None) == (contacts is None):
             raise JoshuaError("exactly one of initial_members/contacts required")
         self.driver = driver
-        self.gcs_port = gcs_port
-        self.initial_members = list(initial_members or [])
-        self.contacts = list(contacts or [])
-        self.group = GroupMember(
-            node.network.bind(node.name, gcs_port),
-            group_config,
-            on_deliver=self._on_deliver,
-            on_view=self._on_view,
-        )
-        self.active = False
-        self.results: dict[str, ReplResult] = {}
-        self._pending: dict[str, list[tuple[Address, int]]] = {}
-        self._multicast_uuids: set[str] = set()
-        self._queue: Store = Store(self.kernel)
-        self._syncing_marker: str | None = None
-        self._marker_seen = False
-        self._snapshots: dict[str, _Snapshot] = {}
-        self._snapshot_waiters: dict[str, object] = {}
-        self._applied: set[str] = set()
-        self.stats = {"requests": 0, "executed": 0, "snapshots_served": 0}
+        self.shards = [ReplicationEngine(
+            self, self, group_config or GroupConfig(), gcs_port,
+            founders=list(initial_members or []), contacts=list(contacts or []),
+        )]
         self.rpc = RpcDispatcher(self)
         self.rpc.register(ReplRequest, self._handle_request)
+        self.rpc.register(StateXferReq, self._handle_xfer_req)
 
-    # -- lifecycle ------------------------------------------------------------
-
-    def on_start(self) -> None:
-        self.spawn(self._executor(), name=f"{self.tag}-executor")
-        if self.initial_members:
-            self.group.boot([Address(n, self.gcs_port) for n in self.initial_members])
-            self.active = True
-        else:
-            self.group.join([Address(n, self.gcs_port) for n in self.contacts])
-
-    def on_stop(self, *, crashed: bool) -> None:
-        self.group.stop()
-
-    def leave(self) -> None:
-        self.group.leave()
-        self.stop()
-
-    # -- client handling ---------------------------------------------------------
-
-    def run(self):
-        while True:
-            delivery = yield self.endpoint.recv()
-            frame = delivery.payload
-            if self.rpc.handle_frame(delivery.src, frame):
-                continue
-            if not isinstance(frame, tuple) or not frame:
-                continue
-            if frame[0] == "SNAP":
-                self._handle_snapshot(frame[1])
-
-    def _reply(self, dst: Address, request_id: int, result: ReplResult) -> None:
-        self.rpc.reply(dst, request_id, result)
+    # -- client protocol ------------------------------------------------------
 
     def _handle_request(self, src: Address, request_id: int, request: ReplRequest):
-        if not self.active:
+        engine = self.shards[0]
+        if not engine.can_order:
             return ReplResult(request.uuid, None, "joining")
-        if request.uuid in self.results:
-            return self.results[request.uuid]
-        self._pending.setdefault(request.uuid, []).append((src, request_id))
-        if request.uuid in self._multicast_uuids:
-            return None
-        self._multicast_uuids.add(request.uuid)
-        self.stats["requests"] += 1
-        self.group.multicast(_Cmd(request.uuid, request.payload), service=SAFE)
-        return None
+        return engine.submit(
+            src, request_id, Command(request.uuid, "call", request.payload)
+        )
 
-    # -- delivery / execution ---------------------------------------------------------
+    def _handle_xfer_req(self, src: Address, request_id: int, request: StateXferReq):
+        # A joiner that never heard our push pulls the capture; any other
+        # answer sends it on to the next member.
+        return self.shards[0].served(request.marker_uuid) or ReplResult(
+            request.marker_uuid, None, "retry"
+        )
 
-    def _on_deliver(self, msg: DeliveredMessage) -> None:
-        payload = msg.payload
-        if self._syncing_marker is not None and not self._marker_seen:
-            if not (isinstance(payload, _Marker) and payload.uuid == self._syncing_marker):
-                return
-        if isinstance(payload, (_Cmd, _Marker)):
-            self._queue.put_nowait(payload)
-            if isinstance(payload, _Marker) and payload.uuid == self._syncing_marker:
-                self._marker_seen = True
+    # -- engine seam, adapted to the payload-level BackendDriver --------------
 
-    def _next_marker_uuid(self) -> str:
-        marker_id = rpc_state(self.node.network).next_id("aa-marker")
-        return f"aa-{self.node.name}-{marker_id}"
-
-    def _on_view(self, view: View) -> None:
-        if self._syncing_marker is None and not self.active and self.contacts:
-            marker = _Marker(self._next_marker_uuid(), self.address)
-            self._syncing_marker = marker.uuid
-            self._marker_seen = False
-            self.group.multicast(marker)
-
-    def _executor(self):
-        while True:
-            item = yield self._queue.get()
-            if isinstance(item, _Marker):
-                yield from self._execute_marker(item)
-            elif isinstance(item, _Cmd):
-                if not self.active and self._syncing_marker is not None:
-                    continue  # superseded by a fresh marker's snapshot
-                yield from self._execute_cmd(item)
-
-    def _execute_cmd(self, cmd: _Cmd):
-        if cmd.uuid in self.results:
-            self._answer(cmd.uuid)
-            return
+    def execute_command(self, command: Command):
         try:
-            value = yield from self.driver.execute(cmd.payload)
-            result = ReplResult(cmd.uuid, value)
+            value = yield from self.driver.execute(command.payload)
         except Exception as exc:  # deterministic application errors
-            result = ReplResult(cmd.uuid, None, f"{type(exc).__name__}: {exc}")
-        self.results[cmd.uuid] = result
-        self.stats["executed"] += 1
-        self._answer(cmd.uuid)
+            return ReplResult(command.uuid, None, f"{type(exc).__name__}: {exc}")
+        return ReplResult(command.uuid, value)
 
-    def _answer(self, uuid: str) -> None:
-        result = self.results.get(uuid)
-        for src, request_id in self._pending.pop(uuid, []):
-            self._reply(src, request_id, result)
-
-    # -- join / snapshot transfer --------------------------------------------------------
-
-    def _execute_marker(self, marker: _Marker):
-        if marker.joiner == self.address:
-            yield from self._receive_snapshot(marker)
-            return
-        view = self.group.view
-        if view is None or not self.active:
-            return
-        others = [m for m in view.members if m.node != marker.joiner.node]
-        if not others or min(others) != self.group.address:
-            return
+    def capture_state(self, marker_uuid: str):
         state = yield from self.driver.snapshot()
-        self.stats["snapshots_served"] += 1
-        if not self.endpoint.closed:
-            self.endpoint.send(marker.joiner, ("SNAP", _Snapshot(marker.uuid, state)))
+        return StateXferResp(marker_uuid, "snapshot", (state,), 0, ())
 
-    def _handle_snapshot(self, snapshot: _Snapshot) -> None:
-        self._snapshots[snapshot.marker_uuid] = snapshot
-        waiter = self._snapshot_waiters.pop(snapshot.marker_uuid, None)
-        if waiter is not None and not waiter.triggered:
-            waiter.succeed(snapshot)
-
-    def _receive_snapshot(self, marker: _Marker):
-        uuid = marker.uuid
-        if uuid in self._applied or uuid != self._syncing_marker:
-            return
-        if uuid not in self._snapshots:
-            waiter = self.kernel.event()
-            self._snapshot_waiters[uuid] = waiter
-            deadline = self.kernel.timeout(self.group.config.flush_timeout * 4)
-            yield self.kernel.any_of([waiter, deadline])
-            if not waiter.triggered:
-                self._snapshot_waiters.pop(uuid, None)
-                fresh = _Marker(self._next_marker_uuid(), self.address)
-                self._syncing_marker = fresh.uuid
-                self._marker_seen = False
-                self.group.multicast(fresh)
-                return
-        snapshot = self._snapshots[uuid]
-        self._applied.add(uuid)
-        yield from self.driver.restore(snapshot.state)
-        self._syncing_marker = None
-        self.active = True
-        self.log.info(self.tag, "snapshot transfer complete, replica active")
+    def install_state(self, response: StateXferResp):
+        yield from self.driver.restore(response.items[0])

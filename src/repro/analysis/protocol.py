@@ -84,6 +84,17 @@ PROTOCOLS = (
             "DeliveredMessage": "local delivery record handed to services, never on the wire",
         },
     ),
+    ProtocolSpec(
+        name="aa",
+        wire="aa/wire.py",
+        # The engine's records are dispatched by the engine itself and by
+        # every daemon that hosts it.
+        handler_prefixes=("aa/", "joshua/"),
+        exempt={
+            "ReplResult": "response record (named before the *Resp "
+                          "convention), consumed generically by rpc.call",
+        },
+    ),
     ProtocolSpec(name="pbs", wire="pbs/wire.py", handler_prefixes=("pbs/",)),
     ProtocolSpec(name="joshua", wire="joshua/wire.py", handler_prefixes=("joshua/",)),
     ProtocolSpec(name="pvfs", wire="pvfs/wire.py", handler_prefixes=("pvfs/",)),
@@ -98,8 +109,8 @@ ERROR_KINDS_EXEMPT = {
     "pbs-error": "generic server failure wrapper, surfaced to the user as-is",
     "bad-request": "malformed/unroutable request; a correct client never sees it",
     "bad-command": "unknown replicated command kind; a correct client never sees it",
-    "retry": "consumed generically: the state-transfer puller retries on any "
-             "PBSError (joshua/xfer.py)",
+    "retry": "consumed generically: the state-transfer puller moves on to the "
+             "next member on any PBSError (aa/engine.py)",
 }
 
 
@@ -481,12 +492,12 @@ CODEC_MODULES = (
                                 "never on the wire",
         },
     ),
+    CodecSpec("aa/wire.py"),
     CodecSpec("pbs/wire.py"),
     CodecSpec("pbs/job.py"),
     CodecSpec("joshua/wire.py"),
     CodecSpec("pvfs/wire.py"),
     CodecSpec("pvfs/metadata.py"),
-    CodecSpec("aa/replicated.py"),
 )
 
 _RECORD_REGISTER = "register_wire_types"

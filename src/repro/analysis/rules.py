@@ -16,7 +16,7 @@ __all__ = ["PER_FILE_RULES", "rule_r1", "rule_r2", "rule_r3", "rule_r5"]
 
 # Layers whose iteration order reaches the wire or the replicated state
 # machine (R3's scope).
-_PROTOCOL_LAYERS = ("net/", "rpc/", "gcs/", "pbs/", "joshua/")
+_PROTOCOL_LAYERS = ("net/", "rpc/", "gcs/", "aa/", "pbs/", "joshua/")
 
 # Reducers whose result does not depend on iteration order; an unordered
 # iteration consumed by one of these is harmless.

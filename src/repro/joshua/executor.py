@@ -1,194 +1,221 @@
-"""Serial command execution and the delivered-once output cache.
+"""The PBS driver: JOSHUA's side of the replication engine's seam.
 
-Extracted from :class:`~repro.joshua.server.JoshuaServer`: the replication
-hot path of paper §4. Client commands are deduplicated by UUID (across
-client retries *and* head failovers), multicast through the GCS with SAFE
-service, and applied to the **local** TORQUE server by a strictly serial
-executor — identical command order + deterministic server/scheduler =
-identical replica state. The head that took the client connection replays
-its cached local output back, exactly once.
+The engine (:mod:`repro.aa.engine`) orders, dedups, caches and joins; this
+class is what makes it JOSHUA (paper §4): each totally ordered command is
+applied to the **local** TORQUE server through the ordinary PBS wire
+protocol — identical command order + deterministic server/scheduler =
+identical replica state — and a joining head is brought up from a capture
+of the local queue taken at the marker cut.
 
-The executor also drains two non-command work items that must serialise
-with the command stream: launch-mutex revocations (delegated to
-:class:`~repro.joshua.mutex.MutexArbiter`) and state-transfer markers
-(delegated to the server's marker path, see :mod:`repro.joshua.xfer`).
+Two transfer modes: ``"replay"`` re-submits live jobs through the PBS
+interface (the prototype's approach; held jobs cannot be transferred —
+reproduced limitation), ``"snapshot"`` bulk-loads job records (the
+future-work mode).
 """
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from repro.gcs.messages import SAFE
-from repro.joshua.wire import Command, JDelReq, JSubReq, SeqStampedResp, XferMarker
+from repro.joshua.mutex import _MutexEntry
+from repro.joshua.wire import Command, JDelReq, JSubReq, StateXferResp
 from repro.net.address import Address
 from repro.obs.collector import collector_of
-from repro.pbs.wire import DeleteReq, ErrorResp, StatReq, SubmitReq, rpc_call
-from repro.sim.resources import Store
+from repro.pbs.job import Job, JobSpec, JobState
+from repro.pbs.wire import (
+    DeleteReq,
+    ErrorResp,
+    LoadStateReq,
+    PurgeReq,
+    StatReq,
+    SubmitReq,
+    rpc_call,
+)
 from repro.util.errors import PBSError
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.joshua.shard import ShardReplica
 
-__all__ = ["SerialExecutor"]
+__all__ = ["SerialExecutor", "spec_from_row", "job_from_row"]
+
+
+def spec_from_row(row: dict) -> JobSpec:
+    return JobSpec(
+        name=row["name"],
+        owner=row["owner"],
+        nodes=row["nodes"],
+        walltime=row["walltime"],
+        queue=row["queue"],
+    )
+
+
+def job_from_row(row: dict, now: float) -> Job:
+    """The :class:`Job` record a snapshot transfers for one qstat *row*."""
+    state = JobState(row["state"])
+    job = Job(
+        row["job_id"],
+        spec_from_row(row),
+        submit_time=now,
+        comment="state transfer",
+    )
+    if state in (JobState.RUNNING, JobState.EXITING):
+        job = job.transition(
+            JobState.RUNNING,
+            start_time=now,
+            exec_nodes=tuple(row["exec_nodes"]),
+            run_count=1,
+        )
+    elif state is JobState.HELD:
+        job = job.transition(JobState.HELD)
+    elif state is JobState.WAITING:
+        job = job.transition(JobState.WAITING)
+    return job
 
 
 class SerialExecutor:
-    """Command intake, dedup cache and serial executor for one replica."""
+    """Executes one replica's ordered commands against its local PBS."""
 
     def __init__(self, replica: "ShardReplica"):
         self.s = replica
-        self.queue: Store = Store(replica.kernel)
-        #: uuid -> cached local result (output dedup across retries).
-        self.results: dict[str, object] = {}
-        #: uuid -> applied_seq the command executed at on this replica
-        #: (only recorded while the counter is exact; feeds SeqStampedResp).
-        self.results_seq: dict[str, int] = {}
-        #: uuid -> [(client src, rpc id, stamp seq?)] awaiting the result.
-        self._pending_replies: dict[str, list[tuple[Address, int, bool]]] = {}
-        #: uuids this server has multicast (avoid re-multicast on retry).
-        self._multicast_uuids: set[str] = set()
-        #: Replicated command log (delivered order) — used by tests and by
-        #: replay-mode diagnostics; state transfer itself snapshots the
-        #: local queue rather than replaying from time zero.
-        self.command_log: list[Command] = []
-
-    # -- client command intake ----------------------------------------------
-
-    def submit(self, src: Address, request_id: int, payload):
-        """Dedup an incoming ``jsub``/``jdel``/``jstat`` and multicast it."""
-        s = self.s
-        if not s.active or not s.group.can_multicast:
-            # Inactive (state transfer in progress) or mid-(re)join after an
-            # exclusion: either way we cannot order the command — send the
-            # client to another head instead of crashing on the multicast.
-            return ErrorResp("joining", "head is joining; retry another")
-        uuid = payload.uuid
-        track = bool(getattr(payload, "track_seq", False))
-        if uuid in self.results:
-            return self._stamped(self.results[uuid], uuid, track)
-        self._pending_replies.setdefault(uuid, []).append((src, request_id, track))
-        if uuid in self._multicast_uuids:
-            return None  # already in flight; the delivery will answer
-        self._multicast_uuids.add(uuid)
-        if isinstance(payload, JSubReq):
-            command = Command(uuid, "jsub", payload.spec)
-        elif isinstance(payload, JDelReq):
-            command = Command(uuid, "jdel", payload.job_id)
-        else:
-            command = Command(uuid, "jstat", payload.job_id)
-        s.stats["commands"] += 1
-        collector = collector_of(s.node.network)
-        if collector is not None:
-            collector.job_event(s.node.name, "job.received",
-                                trace_id=uuid, command=command.kind,
-                                **self._shard_label())
-        s.group.multicast(command, service=SAFE)
-        return None
-
-    def _shard_label(self) -> dict:
-        """Trace-event label naming the owning shard — only when sharding
-        is actually on, so single-shard event payloads stay byte-identical
-        to the historical stream."""
-        if self.s.nshards == 1:
-            return {}
-        return {"shard": self.s.shard_id}
-
-    # -- serial executor ------------------------------------------------------
-
-    def loop(self):
-        s = self.s
-        while True:
-            item = yield self.queue.get()
-            if isinstance(item, tuple) and item and item[0] == "revoke":
-                yield from s.arbiter.execute_revoke(item[1])
-                continue
-            payload = item.payload
-            if isinstance(payload, XferMarker):
-                yield from s._execute_marker(payload)
-            elif isinstance(payload, Command):
-                s.drained_commands += 1
-                collector = collector_of(s.node.network)
-                if collector is not None:
-                    collector.job_event(s.node.name, "job.ordered",
-                                        trace_id=payload.uuid,
-                                        seq=item.seq, view=item.view_id,
-                                        **self._shard_label())
-                if not s.active and s.xfer.syncing_marker is not None:
-                    # Commands queued between an abandoned marker and its
-                    # replacement are covered by the fresh capture.
-                    continue
-                yield from self.execute_command(payload)
 
     def local_rpc(self, payload, *, timeout: float = 3.0, retries: int = 2):
         s = self.s
         response = yield from rpc_call(
-            s.node.network, s.node.name, s.local_pbs, payload,
+            s.node.network, s.node.name, s.host.local_pbs, payload,
             timeout=timeout, retries=retries,
         )
         return response
 
+    # -- client command intake ----------------------------------------------
+
+    def submit(self, src: Address, request_id: int, payload):
+        """Hand an incoming ``jsub``/``jdel``/``jstat`` to the engine as a
+        :class:`Command`, or refuse it while this replica cannot order."""
+        if not self.s.can_order:
+            return ErrorResp("joining", "head is joining; retry another")
+        if isinstance(payload, JSubReq):
+            command = Command(payload.uuid, "jsub", payload.spec)
+        elif isinstance(payload, JDelReq):
+            command = Command(payload.uuid, "jdel", payload.job_id)
+        else:
+            command = Command(payload.uuid, "jstat", payload.job_id)
+        return self.s.submit(
+            src, request_id, command, bool(getattr(payload, "track_seq", False))
+        )
+
+    # -- engine seam: execute -----------------------------------------------
+
     def execute_command(self, command: Command):
-        if command.uuid in self.results:
-            self.answer(command.uuid)
-            return
-        self.command_log.append(command)
         try:
             if command.kind == "jsub":
                 # Sharded deployments stripe the job-id space: every
                 # replica of this shard computes the same forced id from
                 # the totally-ordered execution count. None = single
                 # shard, the local PBS assigns ids itself.
-                forced = self.s.next_forced_job_id()
-                if forced is None:
-                    request = SubmitReq(command.payload)
-                else:
-                    request = SubmitReq(command.payload, force_job_id=forced)
-                response = yield from self.local_rpc(request)
-                result = response
+                request = SubmitReq(
+                    command.payload, force_job_id=self.s.next_forced_job_id()
+                )
             elif command.kind == "jdel":
-                response = yield from self.local_rpc(DeleteReq(command.payload))
-                result = response
+                request = DeleteReq(command.payload)
             elif command.kind == "jstat":
-                response = yield from self.local_rpc(StatReq(command.payload))
-                result = response
+                request = StatReq(command.payload)
             else:  # pragma: no cover - protocol guard
-                result = ErrorResp("bad-command", command.kind)
+                return ErrorResp("bad-command", command.kind)
+            result = yield from self.local_rpc(request)
         except PBSError as exc:
-            result = ErrorResp("pbs-error", str(exc))
-        self.results[command.uuid] = result
-        self.s.note_applied()
-        if self.s.seq_exact:
-            self.results_seq[command.uuid] = self.s.applied_seq
-        self.s.stats["executed"] += 1
-        collector = collector_of(self.s.node.network)
-        if collector is not None:
-            job_id = getattr(result, "job_id", None)
-            if command.kind == "jsub" and job_id is not None:
+            return ErrorResp("pbs-error", str(exc))
+        job_id = getattr(result, "job_id", None)
+        if command.kind == "jsub" and job_id is not None:
+            collector = collector_of(self.s.node.network)
+            if collector is not None:
                 # Later lifecycle events (claims, launches, obits) are
                 # keyed by PBS job id; tie them back to this command.
                 collector.job_alias(command.uuid, job_id)
-            collector.job_event(self.s.node.name, "job.executed",
-                                trace_id=command.uuid, command=command.kind,
-                                result=type(result).__name__,
-                                **self._shard_label())
-        yield self.s.kernel.timeout(self.s.times.cmd_reply)
-        self.answer(command.uuid)
+        return result
 
-    def answer(self, uuid: str) -> None:
-        result = self.results.get(uuid)
-        for src, request_id, track in self._pending_replies.pop(uuid, []):
-            self.s._reply(src, request_id, self._stamped(result, uuid, track))
+    # -- engine seam: capture at the cut (sponsor side) ---------------------
 
-    def _stamped(self, result, uuid: str, track: bool):
-        """Wrap *result* in a :class:`SeqStampedResp` when the writer asked
-        for its commit position — never for errors (the ``ErrorResp`` relay
-        must reach the client unwrapped to re-raise as PBSError) and never
-        from a floor counter (an understated stamp would admit stale RYW
-        reads later)."""
-        if (
-            not track
-            or isinstance(result, ErrorResp)
-            or uuid not in self.results_seq
-        ):
-            return result
-        return SeqStampedResp(result, self.s.shard_id, self.results_seq[uuid])
+    def capture_state(self, marker_uuid: str):
+        s = self.s
+        mode = s.host.state_transfer
+        stat = yield from self.local_rpc(StatReq(None))
+        rows = list(stat.rows)
+        if s.nshards > 1:
+            # The local PBS holds every shard's jobs; capture only our
+            # stripe. next_seq then carries the *stripe count* — taken from
+            # the replica's own counter, not inferred from surviving rows,
+            # because it advances in total order and therefore agrees
+            # across replicas even after the highest-id job was deleted.
+            rows = [r for r in rows if s.owns_job(r["job_id"])]
+            next_seq = s.stripe_count
+        else:
+            next_seq = 1 + max(
+                (int(r["job_id"].split(".")[0]) for r in rows), default=0
+            )
+        live = [r for r in rows if r["state"] in ("Q", "R", "E", "H", "W")]
+        skipped: list[str] = []
+        items: list = []
+        if mode == "replay":
+            for row in live:
+                if row["state"] == "H":
+                    # The paper's documented limitation: command replay
+                    # cannot reconstruct held jobs consistently.
+                    skipped.append(row["job_id"])
+                    continue
+                items.append(("submit", spec_from_row(row), row["job_id"]))
+        else:
+            for row in live:
+                items.append(job_from_row(row, s.kernel.now))
+        mutex = tuple(
+            (job_id, entry.winner, entry.started)
+            for job_id, entry in sorted(s.arbiter.entries.items())
+        )
+        return StateXferResp(
+            marker_uuid, mode, tuple(items), next_seq, mutex,
+            tuple(skipped),
+        )
+
+    # -- engine seam: install a capture (joiner side) -----------------------
+
+    def install_state(self, response: StateXferResp):
+        s = self.s
+        sharded = s.nshards > 1
+        # Discard any stale local state (a rejoining head recovered its old
+        # queue from disk; the transferred state supersedes it). Sharded:
+        # wipe only our stripe — sibling replicas share this PBS server.
+        yield from self.local_rpc(
+            PurgeReq(s.nshards, s.index) if sharded else PurgeReq()
+        )
+        if response.mode == "replay":
+            if not sharded:
+                # "Configuration file modification": align the id counter
+                # first, then replay the live jobs through the ordinary PBS
+                # interface. (Sharded submissions carry forced striped ids,
+                # so there is no counter to align — next_seq is the stripe
+                # count, restored below.)
+                yield from self.local_rpc(LoadStateReq((), response.next_seq))
+            for _kind, spec, job_id in response.items:
+                try:
+                    yield from self.local_rpc(SubmitReq(spec, force_job_id=job_id))
+                except PBSError as exc:  # pragma: no cover - replay guard
+                    s.log.error(s.tag, f"replay of {job_id} failed: {exc}")
+            if response.skipped:
+                s.log.warning(
+                    s.tag,
+                    f"replay could not transfer held jobs: {list(response.skipped)}",
+                )
+        else:
+            # Sharded snapshots merge into the shared queue (other shards'
+            # jobs survived the stripe purge) and leave the id counter to
+            # the forced-id ratchet.
+            yield from self.local_rpc(
+                LoadStateReq(
+                    tuple(response.items),
+                    0 if sharded else response.next_seq,
+                    merge=sharded,
+                )
+            )
+        if sharded:
+            s.stripe_count = response.next_seq
+        for job_id, winner, started in response.mutex:
+            s.arbiter.entries.setdefault(job_id, _MutexEntry(winner, started))

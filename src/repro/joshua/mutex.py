@@ -10,13 +10,14 @@ rest emulate. ``jdone`` (from the mom's epilogue) releases the mutex.
 Orphan-winner rerun: if a winner head dies *before* its launch actually
 happened, every surviving server notices at the next view change (claim
 present, no :class:`~repro.joshua.wire.Started`, winner not in view) and
-enqueues a local ``qrerun`` through the serial executor, so the job is
+enqueues a local ``qrerun`` into the engine's serial loop, so the job is
 re-dispatched and re-arbitrated rather than stranded in an emulated
 RUNNING state.
 """
 
 from __future__ import annotations
 
+import functools
 from typing import TYPE_CHECKING
 
 from repro.gcs.messages import SAFE
@@ -62,13 +63,13 @@ class MutexArbiter:
         entry = self.entries.get(req.job_id)
         if entry is not None:
             decision = "run" if entry.winner == req.head else "emulate"
-            s._reply(src, request_id, JMutexResp(decision, entry.winner))
+            s.host._reply(src, request_id, JMutexResp(decision, entry.winner))
             return
         self._waiters.setdefault(req.job_id, []).append((src, request_id))
         if req.job_id not in self.claimed and s.group.can_multicast:
             self.claimed.add(req.job_id)
             s.stats["claims"] += 1
-            s.group.multicast(Claim(req.job_id, s.head_name), service=SAFE)
+            s.group.multicast(Claim(req.job_id, s.node.name), service=SAFE)
 
     def flush_waiters(self, job_id: str) -> None:
         s = self.s
@@ -76,14 +77,14 @@ class MutexArbiter:
         if entry is None:
             return
         waiters = self._waiters.pop(job_id, [])
-        decision = "run" if entry.winner == s.head_name else "emulate"
+        decision = "run" if entry.winner == s.node.name else "emulate"
         if waiters:
             collector = collector_of(s.node.network)
             if collector is not None:
                 collector.job_event(s.node.name, "job.decided", job_id=job_id,
                                     decision=decision, winner=entry.winner)
         for src, request_id in waiters:
-            s._reply(src, request_id, JMutexResp(decision, entry.winner))
+            s.host._reply(src, request_id, JMutexResp(decision, entry.winner))
 
     # -- delivered (totally ordered) side -------------------------------------
 
@@ -121,12 +122,12 @@ class MutexArbiter:
             self.entries.pop(job_id, None)
             self.claimed.discard(job_id)
             s.stats["revocations"] += 1
-            s.executor.queue.put_nowait(("revoke", job_id))
+            s.serialise(functools.partial(self.execute_revoke, job_id))
 
     def execute_revoke(self, job_id: str):
         s = self.s
         try:
-            yield from s.executor.local_rpc(RerunReq(job_id), retries=1)
+            yield from s.driver.local_rpc(RerunReq(job_id), retries=1)
             s.log.warning(s.tag, f"requeued {job_id}: launch winner died pre-start")
         except PBSError:
             pass  # job not running locally (already finished or unknown)

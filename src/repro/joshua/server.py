@@ -10,12 +10,14 @@ identical replica state.
 
 The daemon is a thin **front-end router** over one or more
 :class:`~repro.joshua.shard.ShardReplica` units (PROTOCOLS.md §10). Each
-replica owns a complete protocol stack — GCS membership on its own
-per-shard port, :class:`~repro.joshua.executor.SerialExecutor`,
-:class:`~repro.joshua.mutex.MutexArbiter` and
-:class:`~repro.joshua.xfer.StateTransfer` — while the façade owns the one
-client-facing endpoint and the typed RPC dispatcher, and routes each
-request to the owning shard:
+replica is a complete :class:`~repro.aa.engine.ReplicationEngine` — GCS
+membership on its own per-shard port, serial apply loop, reply cache and
+marker-cut join — driving the local PBS through a
+:class:`~repro.joshua.executor.SerialExecutor`, plus a
+:class:`~repro.joshua.mutex.MutexArbiter`; the façade owns the one
+client-facing endpoint and the typed RPC dispatcher (the
+:class:`~repro.aa.engine.ReplicaDaemon` shell), and routes each request to
+the owning shard:
 
 * ``jsub`` — by PBS queue name (falling back to the job owner), hashed
   with CRC-32 so the mapping is stable across runs and processes;
@@ -37,10 +39,9 @@ from __future__ import annotations
 import zlib
 from typing import TYPE_CHECKING
 
-from repro.cluster.daemon import Daemon
+from repro.aa.engine import ReplicaDaemon
 from repro.gcs.config import GroupConfig
 from repro.joshua.config import ERA_2006_JOSHUA, JOSHUA_GROUP_CONFIG, JoshuaTimes
-from repro.joshua.mutex import _MutexEntry  # noqa: F401 (re-export)
 from repro.joshua.shard import ShardReplica
 from repro.joshua.wire import (
     Command,
@@ -55,10 +56,7 @@ from repro.joshua.wire import (
     JSubReq,
     Started,
     StateXferReq,
-    XferMarker,
-    XferPush,
 )
-from repro.joshua.xfer import StateTransfer
 from repro.net.address import Address
 from repro.obs.collector import collector_of
 from repro.pbs.job import JobSpec
@@ -69,14 +67,20 @@ from repro.util.errors import JoshuaError, PBSError
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.cluster.node import Node
+    from repro.joshua.mutex import _MutexEntry
 
-__all__ = ["JoshuaServer", "JOSHUA_PORT", "JOSHUA_GCS_PORT"]
+__all__ = ["JoshuaServer", "JOSHUA_PORT", "JOSHUA_GCS_PORT", "REPLICA_SERVER_NAME"]
 
 JOSHUA_PORT = 4412
 JOSHUA_GCS_PORT = 4413
 
+#: The daemon's name — and the one logical server name every replicated
+#: ``pbs_server`` runs under, so replayed submissions yield identical job
+#: ids on every head (see DESIGN.md).
+REPLICA_SERVER_NAME = "joshua"
 
-class JoshuaServer(Daemon):
+
+class JoshuaServer(ReplicaDaemon):
     """The joshua daemon on one head node.
 
     Parameters
@@ -112,7 +116,7 @@ class JoshuaServer(Daemon):
         moms: list[Address] | None = None,
         shards: int = 1,
     ):
-        super().__init__(node, "joshua", JOSHUA_PORT)
+        super().__init__(node, REPLICA_SERVER_NAME, JOSHUA_PORT)
         if (initial_heads is None) == (contacts is None):
             raise JoshuaError("exactly one of initial_heads/contacts required")
         if state_transfer not in ("replay", "snapshot"):
@@ -122,6 +126,7 @@ class JoshuaServer(Daemon):
         self.initial_heads = list(initial_heads or [])
         self.contacts = list(contacts or [])
         self.times = times
+        self.reply_delay = times.cmd_reply
         self.state_transfer = state_transfer
         self.moms = list(moms or [])
         self.local_pbs = Address(node.name, PBS_SERVER_PORT)
@@ -135,13 +140,6 @@ class JoshuaServer(Daemon):
         #: ordered paths keep their historical timing untouched.
         self._read_busy_until = 0.0
 
-        #: Latched the first time any read-path or ``track_seq`` request
-        #: arrives at this head. Gates the applied-counter transfer in
-        #: :meth:`~repro.joshua.xfer.StateTransfer.capture_state`, so
-        #: deployments that never use the read path never put the counter
-        #: on the wire (the pinned baseline scenarios stay bit-identical).
-        self.seq_tracking = False
-
         #: One replica unit per shard, each with its own ordering group.
         self.shards = [
             ShardReplica(self, k, shards, group_config, JOSHUA_GCS_PORT)
@@ -149,11 +147,11 @@ class JoshuaServer(Daemon):
         ]
         self.rpc = self._build_dispatcher()
 
-    # -- component state, exposed under the historical names ------------------
+    # -- merged read views ----------------------------------------------------
     #
     # With one shard these are the real per-replica objects (tests mutate
     # them); with several they are merged read views — per-shard state lives
-    # on ``self.shards[k]``.
+    # on ``self.shards[k]``. ``active`` and ``stats`` come from the shell.
 
     @property
     def group(self):
@@ -166,45 +164,13 @@ class JoshuaServer(Daemon):
         return [replica.group for replica in self.shards]
 
     @property
-    def executor(self):
-        return self.shards[0].executor
-
-    @property
-    def arbiter(self):
-        return self.shards[0].arbiter
-
-    @property
-    def xfer(self):
-        return self.shards[0].xfer
-
-    @property
-    def active(self) -> bool:
-        """Fully in service: every shard joined + state transferred."""
-        return all(replica.active for replica in self.shards)
-
-    @active.setter
-    def active(self, value: bool) -> None:
-        for replica in self.shards:
-            replica.active = value
-
-    @property
-    def stats(self) -> dict[str, int]:
-        """Engine counters summed across shards (per-shard counters are on
-        ``self.shards[k].stats``)."""
-        totals: dict[str, int] = {}
-        for replica in self.shards:
-            for key, value in sorted(replica.stats.items()):
-                totals[key] = totals.get(key, 0) + value
-        return totals
-
-    @property
     def results(self) -> dict[str, object]:
         """uuid -> cached local result (output dedup across retries)."""
         if self.nshards == 1:
-            return self.shards[0].executor.results
+            return self.shards[0].results
         merged: dict[str, object] = {}
         for replica in self.shards:
-            merged.update(replica.executor.results)
+            merged.update(replica.results)
         return merged
 
     @property
@@ -212,10 +178,10 @@ class JoshuaServer(Daemon):
         """Replicated command log in delivered order (concatenated by shard
         when sharded — there is no global order across shards)."""
         if self.nshards == 1:
-            return self.shards[0].executor.command_log
+            return self.shards[0].command_log
         log: list[Command] = []
         for replica in self.shards:
-            log.extend(replica.executor.command_log)
+            log.extend(replica.command_log)
         return log
 
     @property
@@ -227,35 +193,6 @@ class JoshuaServer(Daemon):
         for replica in self.shards:
             merged.update(replica.arbiter.entries)
         return merged
-
-    # ------------------------------------------------------------------
-    # lifecycle
-    # ------------------------------------------------------------------
-
-    def on_start(self) -> None:
-        for replica in self.shards:
-            name = (
-                f"{self.tag}-executor"
-                if self.nshards == 1
-                else f"{self.tag}-executor-s{replica.index}"
-            )
-            self.spawn(replica.executor.loop(), name=name)
-            replica.start()
-
-    def on_stop(self, *, crashed: bool) -> None:
-        for replica in self.shards:
-            replica.group.stop()
-
-    def leave(self) -> None:
-        """Voluntary departure — handled as a forced failure (paper §4:
-        the JOSHUA server shuts down via a signal)."""
-        for replica in self.shards:
-            replica.group.leave()
-        self.stop()
-
-    @property
-    def head_name(self) -> str:
-        return self.node.name
 
     # ------------------------------------------------------------------
     # request routing
@@ -290,23 +227,6 @@ class JoshuaServer(Daemon):
     # client / mom RPC handling
     # ------------------------------------------------------------------
 
-    def run(self):
-        # Non-RPC frames (fire-and-forget pushes) route through a typed
-        # dispatch table, same shape as the RPC handler registry.
-        pushes = {XferPush: self._handle_xfer_push}
-        while True:
-            delivery = yield self.endpoint.recv()
-            frame = delivery.payload
-            if self.rpc.handle_frame(delivery.src, frame):
-                continue
-            handler = pushes.get(type(frame))
-            if handler is not None:
-                handler(frame)
-
-    def _handle_xfer_push(self, frame: XferPush) -> None:
-        if 0 <= frame.shard < self.nshards:
-            self.shards[frame.shard].xfer.handle_response(frame.response)
-
     def _build_dispatcher(self) -> RpcDispatcher:
         """Typed request routing with the calibrated receive delays."""
         t = self.times
@@ -323,9 +243,6 @@ class JoshuaServer(Daemon):
         rpc.register(StateXferReq, self._handle_xfer_req, delay=t.cmd_receive)
         return rpc
 
-    def _reply(self, dst: Address, request_id: int, response) -> None:
-        self.rpc.reply(dst, request_id, response)
-
     def _handle_command(self, src: Address, request_id: int, payload):
         if isinstance(payload, JStatReq) and payload.consistency != "ordered":
             self.seq_tracking = True
@@ -333,7 +250,7 @@ class JoshuaServer(Daemon):
         if getattr(payload, "track_seq", False):
             self.seq_tracking = True
         replica = self._route_command(payload)
-        return replica.executor.submit(src, request_id, payload)
+        return replica.driver.submit(src, request_id, payload)
 
     # ------------------------------------------------------------------
     # read path (PROTOCOLS.md §12)
@@ -363,7 +280,7 @@ class JoshuaServer(Daemon):
         floors = dict(req.min_seq) if req.consistency == "ryw" else {}
         unmet = []
         for replica in gating:
-            floor = floors.get(replica.shard_id, 0)
+            floor = floors.get(replica.index, 0)
             if floor <= 0:
                 continue
             if not replica.seq_exact:
@@ -399,15 +316,15 @@ class JoshuaServer(Daemon):
         if start > self.kernel.now:
             yield self.kernel.timeout(start - self.kernel.now)
         try:
-            stat = yield from gating[0].executor.local_rpc(StatReq(req.job_id))
+            stat = yield from gating[0].driver.local_rpc(StatReq(req.job_id))
         except PBSError as exc:
             result = ErrorResp("pbs-error", str(exc))
         else:
             as_of = tuple(sorted(
-                (replica.shard_id, replica.applied_seq)
+                (replica.index, replica.applied_seq)
                 for replica in gating if replica.seq_exact
             ))
-            result = JStatResp(tuple(stat.rows), as_of, self.head_name)
+            result = JStatResp(tuple(stat.rows), as_of, self.node.name)
         self._observe_read(req, "local", self.kernel.now - t0, gating)
         yield self.kernel.timeout(self.times.cmd_reply)
         return result
@@ -426,14 +343,14 @@ class JoshuaServer(Daemon):
         if req.job_id is None and floors:
             best_lag = 0
             for candidate in self.shards:
-                floor = floors.get(candidate.shard_id, 0)
+                floor = floors.get(candidate.index, 0)
                 lag = floor - (
                     candidate.applied_seq if candidate.seq_exact else 0
                 )
                 if lag > best_lag:
                     best_lag, replica = lag, candidate
         self._observe_read(req, "fallback", waited, [replica])
-        return replica.executor.submit(src, request_id, req)
+        return replica.driver.submit(src, request_id, req)
 
     def _observe_read(
         self, req: JStatReq, outcome: str, waited: float, shards: list,
@@ -446,7 +363,7 @@ class JoshuaServer(Daemon):
             self.node.name, trace_id=req.uuid, mode=req.consistency,
             outcome=outcome, wait_s=waited, lag=lag,
             shard=(
-                shards[0].shard_id
+                shards[0].index
                 if self.nshards > 1 and len(shards) == 1 else None
             ),
         )
@@ -455,50 +372,28 @@ class JoshuaServer(Daemon):
         self.shard_for_job(req.job_id).arbiter.handle_jmutex(src, request_id, req)
 
     def _handle_started(self, src: Address, request_id: int, payload: JStartedReq):
-        replica = self.shard_for_job(payload.job_id)
-        if replica.active and replica.group.can_multicast:
-            replica.group.multicast(Started(payload.job_id))
+        return self._order_for_job(payload.job_id, Started(payload.job_id))
+
+    def _handle_done(self, src: Address, request_id: int, payload: JDoneReq):
+        return self._order_for_job(payload.job_id, Done(payload.job_id))
+
+    def _order_for_job(self, job_id: str, record):
+        replica = self.shard_for_job(job_id)
+        if replica.can_order:
+            replica.group.multicast(record)
             return JMutexResp("ok")
         # Refuse rather than ack-and-drop: the mom's notifier must
         # move on to a head that can actually record the event.
         return ErrorResp("joining", "not in view")
 
-    def _handle_done(self, src: Address, request_id: int, payload: JDoneReq):
-        replica = self.shard_for_job(payload.job_id)
-        if replica.active and replica.group.can_multicast:
-            replica.group.multicast(Done(payload.job_id))
-            return JMutexResp("ok")
-        return ErrorResp("joining", "not in view")
-
     def _handle_xfer_req(self, src: Address, request_id: int, payload: StateXferReq):
-        # State is normally *pushed* when the executor reaches the marker;
+        # State is normally *pushed* when the serial loop reaches the marker;
         # a direct request means the joiner never heard that push (lost
         # frame). Re-serve the capture if we have it, else tell the joiner
         # to retry/recut.
         if not 0 <= payload.shard < self.nshards:
             return ErrorResp("bad-request", f"no shard {payload.shard}")
-        response = self.shards[payload.shard].xfer.served(payload.marker_uuid)
+        response = self.shards[payload.shard].served(payload.marker_uuid)
         if response is not None:
             return response
         return ErrorResp("retry", "marker not reached")
-
-    # ------------------------------------------------------------------
-    # state transfer (thin hooks kept on the façade for tests/tools;
-    # the executor drives the per-replica versions in shard.py)
-    # ------------------------------------------------------------------
-
-    def _execute_marker(self, marker: XferMarker):
-        yield from self.shards[0]._execute_marker(marker)
-
-    def _serve_state(self, marker: XferMarker):
-        yield from self.shards[0]._serve_state(marker)
-
-    def _receive_state(self, marker: XferMarker):
-        yield from self.shards[0]._receive_state(marker)
-
-    @staticmethod
-    def _spec_from_row(row: dict):
-        return StateTransfer.spec_from_row(row)
-
-    def _job_from_row(self, row: dict):
-        return self.shards[0].xfer.job_from_row(row)

@@ -3,12 +3,12 @@
 The sharded deployment (PROTOCOLS.md §10) partitions the job namespace by
 PBS queue across N independent GCS groups hosted on the *same* head nodes.
 Each :class:`ShardReplica` is what the pre-sharding ``JoshuaServer`` used
-to be in miniature: it owns one :class:`~repro.gcs.member.GroupMember`
-(bound to the per-shard port ``JOSHUA_GCS_PORT + index`` with
-``group_id=index``, so frames from different shards can never
-cross-deliver), one :class:`~repro.joshua.executor.SerialExecutor`, one
-:class:`~repro.joshua.mutex.MutexArbiter` and one
-:class:`~repro.joshua.xfer.StateTransfer`. The façade
+to be in miniature: one :class:`~repro.aa.engine.ReplicationEngine` (its
+own :class:`~repro.gcs.member.GroupMember` on the per-shard port
+``JOSHUA_GCS_PORT + index`` with ``group_id=index``, serial apply loop,
+reply cache and marker-cut join) driving the local PBS through a
+:class:`~repro.joshua.executor.SerialExecutor`, plus one
+:class:`~repro.joshua.mutex.MutexArbiter`. The façade
 :class:`~repro.joshua.server.JoshuaServer` keeps the single client-facing
 endpoint and routes each request to the owning replica.
 
@@ -23,17 +23,14 @@ itself, byte-identical to the pre-sharding build.
 
 from __future__ import annotations
 
-import dataclasses
 import zlib
 from typing import TYPE_CHECKING
 
-from repro.gcs.member import GroupMember
-from repro.gcs.messages import DeliveredMessage
+from repro.aa.engine import ReplicationEngine
 from repro.gcs.view import View
 from repro.joshua.executor import SerialExecutor
 from repro.joshua.mutex import MutexArbiter
-from repro.joshua.wire import Claim, Command, Done, Started, XferMarker
-from repro.joshua.xfer import StateTransfer
+from repro.joshua.wire import Claim, Done, Started
 from repro.net.address import Address
 from repro.pbs.server import PBS_SERVER_PORT
 from repro.pbs.wire import AdminServers
@@ -43,10 +40,6 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.joshua.server import JoshuaServer
 
 __all__ = ["ShardReplica", "queue_for_shard"]
-
-#: Mirrors :data:`repro.joshua.deploy.REPLICA_SERVER_NAME` (importing it
-#: here would cycle deploy -> server -> shard -> deploy).
-_REPLICA_SERVER_NAME = "joshua"
 
 
 def queue_for_shard(shard: int, nshards: int) -> str:
@@ -65,14 +58,10 @@ def queue_for_shard(shard: int, nshards: int) -> str:
         j += 1
 
 
-class ShardReplica:
-    """One shard's protocol engines on one head node.
-
-    Everything the engines historically accessed on the ``JoshuaServer``
-    façade (``s.group``, ``s.stats``, ``s.active``, ``s._reply`` …) lives
-    here now; the attributes that are genuinely head-wide (the client
-    endpoint, the RPC reply path, logging identity) delegate back to the
-    façade so one head still looks like one daemon to the outside.
+class ShardReplica(ReplicationEngine):
+    """One shard's replication engine on one head node, plus what is
+    JOSHUA's own: the striped job-id space, the launch-mutex arbiter riding
+    the same ordered stream, and the server-list announcements to the moms.
     """
 
     def __init__(
@@ -83,100 +72,16 @@ class ShardReplica:
         group_config: "GroupConfig",
         gcs_base_port: int,
     ):
-        self.server = server
-        self.index = index
-        self.shard_id = index
-        self.nshards = nshards
-        self.gcs_port = gcs_base_port + index
-        self.node = server.node
-        self.kernel = server.kernel
-        self.times = server.times
-        self.local_pbs = server.local_pbs
-        self.state_transfer = server.state_transfer
-        self.contacts = server.contacts
-
-        #: Fully in service (joined + state transferred) — per shard: one
-        #: shard can be mid-resync while its siblings keep executing.
-        self.active = False
-        self.stats = {"commands": 0, "executed": 0, "claims": 0,
-                      "revocations": 0, "state_transfers_served": 0,
-                      "state_transfers_pulled": 0}
         #: jsub executions this shard has totally ordered — drives the
         #: striped force_job_id sequence (see :meth:`next_forced_job_id`).
         self.stripe_count = 0
-        #: Commands this replica has actually applied to the local PBS
-        #: (dedup-skipped re-deliveries do not count, so every replica of a
-        #: shard computes the identical sequence) — the staleness position
-        #: the read path reports and the RYW catch-up gate waits on.
-        self.applied_seq = 0
-        #: Whether ``applied_seq`` is exact (founders) or a floor (a joiner
-        #: whose sponsor did not transfer its counter). A floor counter can
-        #: serve eventual reads but must not stamp writes or satisfy RYW
-        #: floors — understating a client's floor would admit stale reads.
-        self.seq_exact = True
-        #: Commands delivered by the group to this replica (applied or not)
-        #: and commands its executor has drained — their difference is the
-        #: read path's staleness-lag gauge (the local apply backlog).
-        self.delivered_commands = 0
-        self.drained_commands = 0
-        #: RYW catch-up waiters: ``(floor, event)`` pairs; the executor
-        #: succeeds the event once ``applied_seq`` reaches the floor.
-        self._seq_waiters: list = []
-
-        self.group = GroupMember(
-            server.node.network.bind(server.node.name, self.gcs_port),
-            dataclasses.replace(group_config, group_id=index, shard_count=nshards),
-            on_deliver=self._on_deliver,
-            on_view=self._on_view,
+        super().__init__(
+            server, SerialExecutor(self), group_config, gcs_base_port,
+            founders=server.initial_heads, contacts=server.contacts,
+            index=index, nshards=nshards,
         )
-        self.executor = SerialExecutor(self)
+        self.stats.update(claims=0, revocations=0)
         self.arbiter = MutexArbiter(self)
-        self.xfer = StateTransfer(self)
-
-    # -- façade delegation ----------------------------------------------------
-
-    @property
-    def head_name(self) -> str:
-        return self.server.head_name
-
-    @property
-    def address(self) -> Address:
-        """The *client-facing* address (head:JOSHUA_PORT) — markers carry
-        it, and it is shard-unambiguous because markers are multicast
-        within one shard's own group."""
-        return self.server.address
-
-    @property
-    def endpoint(self):
-        return self.server.endpoint
-
-    @property
-    def log(self):
-        return self.server.log
-
-    @property
-    def tag(self) -> str:
-        if self.nshards == 1:
-            return self.server.tag
-        return f"{self.server.tag}[s{self.index}]"
-
-    def _reply(self, dst: Address, request_id: int, response) -> None:
-        # Looked up at call time, never captured: tests monkeypatch the
-        # façade's _reply and must intercept replica traffic too.
-        self.server._reply(dst, request_id, response)
-
-    # -- lifecycle ------------------------------------------------------------
-
-    def start(self) -> None:
-        """Boot or join this shard's group (from the daemon's on_start)."""
-        server = self.server
-        if server.initial_heads:
-            self.group.boot(
-                [Address(h, self.gcs_port) for h in server.initial_heads]
-            )
-            self.active = True
-        else:
-            self.group.join([Address(h, self.gcs_port) for h in server.contacts])
 
     # -- job-id striping ------------------------------------------------------
 
@@ -186,69 +91,23 @@ class ShardReplica:
         Advances only on totally-ordered jsub executions, so every replica
         of this shard computes the identical sequence. With one shard the
         local PBS assigns ids itself — the pre-sharding wire behaviour.
+        The suffix is the daemon's name, which is also the logical server
+        name every replicated ``pbs_server`` runs under.
         """
         if self.nshards <= 1:
             return None
         seq = self.index + 1 + self.stripe_count * self.nshards
         self.stripe_count += 1
-        return f"{seq}.{_REPLICA_SERVER_NAME}"
+        return f"{seq}.{self.host.name}"
 
-    # -- read-path sequence surface -------------------------------------------
+    def owns_job(self, job_id: str) -> bool:
+        """*job_id* falls in this replica's stripe of the id space."""
+        return (int(job_id.split(".", 1)[0]) - 1) % self.nshards == self.index
 
-    def note_applied(self) -> None:
-        """One command actually applied to the local PBS: advance the
-        applied position and release any RYW waiters it satisfies."""
-        self.applied_seq += 1
-        if not self._seq_waiters:
-            return
-        still_waiting = []
-        for floor, event in self._seq_waiters:
-            if self.applied_seq >= floor:
-                if not event.triggered:
-                    event.succeed(self.applied_seq)
-            else:
-                still_waiting.append((floor, event))
-        self._seq_waiters = still_waiting
+    # -- engine hooks ---------------------------------------------------------
 
-    def restore_applied(self, seq: int, exact: bool) -> None:
-        """Re-anchor the applied position after a state transfer (the
-        sponsor's counter at the marker cut) and release waiters the jump
-        satisfies."""
-        self.seq_exact = exact
-        if seq > self.applied_seq:
-            self.applied_seq = seq - 1
-            self.note_applied()
-        else:
-            self.applied_seq = seq
-
-    def waiter_for_seq(self, floor: int):
-        """A kernel event that succeeds (with the applied position) once
-        ``applied_seq`` reaches *floor* — immediately if it already has."""
-        event = self.kernel.event()
-        if self.applied_seq >= floor:
-            event.succeed(self.applied_seq)
-        else:
-            self._seq_waiters.append((floor, event))
-        return event
-
-    def forget_waiter(self, event) -> None:
-        """Drop a catch-up waiter that timed out (fell back to ordered)."""
-        self._seq_waiters = [
-            (floor, e) for floor, e in self._seq_waiters if e is not event
-        ]
-
-    # -- group callbacks ------------------------------------------------------
-
-    def _on_deliver(self, msg: DeliveredMessage) -> None:
-        payload = msg.payload
-        if self.xfer.should_drop(payload):
-            return
-        if isinstance(payload, (Command, XferMarker)):
-            if isinstance(payload, Command):
-                self.delivered_commands += 1
-            self.executor.queue.put_nowait(msg)
-            self.xfer.note_enqueued(payload)
-        elif isinstance(payload, Claim):
+    def on_ordered(self, payload) -> None:
+        if isinstance(payload, Claim):
             self.arbiter.on_claim(payload)
         elif isinstance(payload, Started):
             self.arbiter.on_started(payload)
@@ -256,7 +115,7 @@ class ShardReplica:
             self.arbiter.on_done(payload)
 
     def _on_view(self, view: View) -> None:
-        self.xfer.on_view(view)
+        super()._on_view(view)
         self.arbiter.revoke_for_view(view)
         # Tell every mom the current server set, so obituaries (and future
         # start attempts) reach exactly the live heads. Only shard 0
@@ -270,20 +129,7 @@ class ShardReplica:
             servers = tuple(
                 sorted(Address(m.node, PBS_SERVER_PORT) for m in view.members)
             )
-            for mom in self.server.moms:
-                if not self.endpoint.closed:
-                    self.endpoint.send(mom, AdminServers(servers))
-
-    # -- state transfer (thin hooks; the executor calls _execute_marker) ------
-
-    def _execute_marker(self, marker: XferMarker):
-        if marker.joiner == self.address:
-            yield from self._receive_state(marker)
-        else:
-            yield from self._serve_state(marker)
-
-    def _serve_state(self, marker: XferMarker):
-        yield from self.xfer.serve_state(marker)
-
-    def _receive_state(self, marker: XferMarker):
-        yield from self.xfer.receive_state(marker)
+            endpoint = self.host.endpoint
+            for mom in self.host.moms:
+                if not endpoint.closed:
+                    endpoint.send(mom, AdminServers(servers))

@@ -1,4 +1,9 @@
-"""JOSHUA wire messages: client commands, mutex traffic, state transfer.
+"""JOSHUA wire messages: client commands and launch-mutex traffic.
+
+The ordered :class:`Command`/:class:`XferMarker`, the state-transfer frames
+and the commit-position stamp are the replication engine's records
+(:mod:`repro.aa.wire`); they are re-exported here because they are part of
+what a JOSHUA head puts on the wire.
 
 The read-path records (PROTOCOLS.md §12) grow existing requests by
 **wire-optional trailing fields** (:func:`repro.net.codec.mark_wire_optional`):
@@ -11,9 +16,15 @@ byte-identically to the pre-extension declaration, which is what keeps the
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any
 
-from repro.net.address import Address
+from repro.aa.wire import (
+    Command,
+    SeqStampedResp,
+    StateXferReq,
+    StateXferResp,
+    XferMarker,
+    XferPush,
+)
 from repro.net.codec import elided_repr, mark_wire_optional, register_wire_types
 from repro.pbs.job import JobSpec
 
@@ -92,17 +103,6 @@ class JStatResp:
     node: str = ""
 
 
-@dataclass(frozen=True)
-class SeqStampedResp:
-    """A write reply carrying its commit position: the wrapped PBS result
-    plus the (shard, applied_seq) the command executed at on the answering
-    head. Only sent when the writer asked via ``track_seq``."""
-
-    result: Any
-    shard: int
-    seq: int
-
-
 # -- mom prologue/epilogue -> joshua server ----------------------------------------
 
 
@@ -134,72 +134,7 @@ class JDoneReq:
     job_id: str
 
 
-# -- state transfer ---------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class StateXferReq:
-    """Joiner -> sponsor: send me the state as of my marker."""
-
-    marker_uuid: str
-    joiner: Address
-    #: Which ordering shard's replica unit this transfer belongs to (the
-    #: front-end router on JOSHUA_PORT serves every shard hosted on the
-    #: head; 0 is the only shard in an unsharded deployment).
-    shard: int = 0
-
-
-@dataclass(frozen=True, repr=False)
-class StateXferResp:
-    marker_uuid: str
-    mode: str  # "replay" | "snapshot"
-    #: replay: tuple of (kind, payload) commands to re-execute;
-    #: snapshot: tuple of Job records.
-    items: tuple
-    next_seq: int
-    #: job_id -> (winner head, started) launch-mutex entries.
-    mutex: tuple
-    #: Job ids the sponsor could not transfer (held jobs in replay mode —
-    #: the paper's documented limitation).
-    skipped: tuple = ()
-    #: (uuid, cached response) pairs: the sponsor's command dedup cache, so
-    #: a client retrying an already-executed command against the joiner is
-    #: answered from cache instead of re-executing (and possibly
-    #: re-launching) it.
-    results: tuple = ()
-    #: The sponsor's exact applied-command counter at the marker cut, so
-    #: the joiner's read path resumes with an exact staleness position.
-    #: -1 (elided on the wire) when the sponsor is not tracking sequences —
-    #: the joiner then restarts with a floor counter (eventual reads only).
-    applied_seq: int = -1
-
-    __repr__ = elided_repr
-
-
-@dataclass(frozen=True)
-class XferPush:
-    """Sponsor -> joiner: unsolicited state-transfer capture push.
-
-    Fire-and-forget (not request/response — the joiner asked via the
-    ordered :class:`XferMarker`, not an RPC); sent to the joiner's joshua
-    endpoint when the sponsor's executor reaches the marker cut. *shard*
-    routes the push to the owning replica unit behind the front-end.
-    """
-
-    response: StateXferResp
-    shard: int = 0
-
-
 # -- group multicast payloads --------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Command:
-    """A totally ordered user command, executed at every head."""
-
-    uuid: str
-    kind: str  # "jsub" | "jdel" | "jstat"
-    payload: Any
 
 
 @dataclass(frozen=True)
@@ -220,22 +155,12 @@ class Done:
     job_id: str
 
 
-@dataclass(frozen=True)
-class XferMarker:
-    """Joiner's cut point in the command stream for state transfer."""
-
-    marker_uuid: str
-    joiner: Address
-
-
 mark_wire_optional(JSubReq, "track_seq")
 mark_wire_optional(JDelReq, "track_seq")
 mark_wire_optional(JStatReq, "consistency", "min_seq")
-mark_wire_optional(StateXferResp, "applied_seq")
 
 register_wire_types(
-    JSubReq, JDelReq, JStatReq, JStatResp, SeqStampedResp,
+    JSubReq, JDelReq, JStatReq, JStatResp,
     JMutexReq, JMutexResp, JStartedReq, JDoneReq,
-    StateXferReq, StateXferResp, XferPush,
-    Command, Claim, Started, Done, XferMarker,
+    Claim, Started, Done,
 )

@@ -128,7 +128,7 @@ class TestLaunchMutexUnderFailure:
     def test_revocation_requeues_unstarted_job(self, stack):
         """Directly exercise the revocation path: a claim by a dead head
         with no Started record is revoked and the job requeued."""
-        from repro.joshua.server import _MutexEntry
+        from repro.joshua.mutex import _MutexEntry
 
         client = stack.client()
         job_id = drive(stack, client.jsub(name="stranded", walltime=5.0))

@@ -138,7 +138,7 @@ class TestCrossShardReads:
                               consistency="ryw")
         a = drive(stack, client.jsub(name="a", walltime=300, queue="batch"))
         settle(stack, 1.0)
-        owner = stack.joshua("head0").shard_for_job(a).shard_id
+        owner = stack.joshua("head0").shard_for_job(a).index
         other = 1 - owner
         client.last_write_seq[other] = 10_000  # would never be met
         rows = drive(stack, client.jstat(a))

@@ -156,6 +156,33 @@ class TestJoin:
         for head in mds.head_names:
             assert mds.backend(head).store.readdir("/base") == ["post-join.dat"]
 
+    def test_retry_after_join_answered_from_transferred_cache(self):
+        """A client retry of an already-answered create that lands on a
+        freshly joined replica is answered from the reply cache the join
+        transferred — re-executing it there would fail ("exists") and
+        advance only the joiner's logical clock."""
+        from repro.aa.replicated import ReplRequest
+        from repro.pvfs.wire import Create
+        from repro.pbs.wire import rpc_call
+        cluster, mds, client = make_mds(heads=2)
+        request = ReplRequest("fixed-join", Create("/once.dat"))
+        first = drive(cluster, rpc_call(
+            cluster.network, "login", mds.addresses()[0], request))
+        mds.add_replica("head2")
+        cluster.run(until=cluster.kernel.now + 5.0)
+        assert mds.replica("head2").active
+        retry = drive(cluster, rpc_call(
+            cluster.network, "login", mds.addresses()[2], request))
+        assert retry == first and retry.error is None
+        # Logical time and the handle allocator stayed in step everywhere.
+        created = drive(cluster, client.create("/next.dat"))
+        cluster.run(until=cluster.kernel.now + 1.0)
+        backends = [mds.backend(head) for head in mds.head_names]
+        assert len({b._logical_time for b in backends}) == 1
+        for backend in backends:
+            assert backend.store.getattr("/next.dat") == created
+            assert backend.store.snapshot() == backends[0].store.snapshot()
+
     def test_ops_racing_the_join_not_lost(self):
         cluster, mds, client = make_mds(heads=2)
         drive(cluster, client.mkdir("/race"))

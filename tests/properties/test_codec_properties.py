@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 
 # Importing the wire modules populates the shared registry, exactly as a
 # simulation does: each module registers its own types at import time.
-import repro.aa.replicated  # noqa: F401
+import repro.aa.wire  # noqa: F401
 import repro.gcs.messages  # noqa: F401
 import repro.joshua.wire  # noqa: F401
 import repro.net.frames  # noqa: F401

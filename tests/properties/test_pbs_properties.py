@@ -179,6 +179,10 @@ specs = st.builds(
     # Short jobs finish (obituaries); long ones stay RUNNING across crashes.
     walltime=st.sampled_from([0.3, 500.0]),
 )
+#: Simulated seconds after which no obituary is still on its way: a short
+#: job's run (0.3 s + mom start/finish) plus the mom's 5 s give-up window.
+#: Thirty steps of it stay well short of a long job's 500 s.
+QUIESCE = 6.0
 loaded_jobs = st.lists(
     st.tuples(
         st.integers(1, 30), specs,
@@ -306,6 +310,12 @@ class RestartFromDisk(RuleBasedStateMachine):
         server (a non-empty one must refuse and change nothing)."""
         jobs, next_seq = self._snapshot(entries, next_seq)
         if len(self.server.jobs):
+            # The request takes simulated time, and an obituary already on
+            # its way (a short job ending, a kill in flight) may land inside
+            # it and move that job's state. Let every such obituary arrive
+            # first — a short job's whole run plus the mom's give-up window
+            # — so that any difference below is the refused load's doing.
+            self.cluster.run(until=self.cluster.kernel.now + QUIESCE)
             before = self.server.jobs.snapshot()
             assert self.request(LoadStateReq(jobs, next_seq)) is None
             assert self.server.jobs.snapshot() == before

@@ -5,8 +5,10 @@ import pytest
 
 from repro.aa.client import ReplicatedClient, ServiceError
 from repro.aa.replicated import ReplicatedService, ReplRequest, ReplResult
+from repro.aa.wire import XferPush
 from repro.bench.workloads import DiurnalWorkload
 from repro.cluster import Cluster
+from repro.cluster.node import Node
 from repro.gcs.config import GroupConfig
 from repro.net.address import Address
 from repro.util.errors import JoshuaError, NoActiveHeadError, ReproError
@@ -66,6 +68,28 @@ def drive(cluster, coroutine):
     return cluster.run(until=process)
 
 
+def join(cluster, services, name, contacts):
+    """Bring a brand-new replica *name* into the running group."""
+    node = Node(cluster.network, name, role="head")
+    cluster.heads.append(node)
+
+    def factory(n):
+        return ReplicatedService(
+            n, "counter", CounterDriver(n.kernel),
+            port=7000, gcs_port=7001, contacts=contacts, group_config=FAST,
+        )
+
+    services[name] = node.add_daemon("counter", factory)
+    return services[name]
+
+
+def ask(cluster, head, request):
+    from repro.pbs.wire import rpc_call
+    return drive(cluster, rpc_call(
+        cluster.network, "login", Address(head, 7000), request, timeout=3.0,
+    ))
+
+
 class TestReplicatedService:
     def test_replicated_execution(self):
         cluster, services, client = deploy()
@@ -122,6 +146,60 @@ class TestReplicatedService:
         cluster = Cluster(head_count=1, compute_count=0, seed=1)
         with pytest.raises(NoActiveHeadError):
             ReplicatedClient(cluster.network, "head0", [])
+
+
+class TestEngineJoin:
+    """The join paths the generic service inherits from the shared engine
+    (each failed on the private copy ``aa/replicated.py`` used to carry)."""
+
+    def test_retry_after_join_answered_from_transferred_cache(self):
+        cluster, services, _client = deploy()
+        request = ReplRequest("fixed", ("add", 10))
+        assert ask(cluster, "head0", request).value == 10
+        joiner = join(cluster, services, "head2", ["head0", "head1"])
+        cluster.run(until=cluster.kernel.now + 5.0)
+        assert joiner.active
+        # The reply cache travelled with the state: the retry is answered,
+        # not re-executed (which would answer 20 and fork the joiner).
+        assert ask(cluster, "head2", request).value == 10
+        cluster.run(until=cluster.kernel.now + 0.5)
+        assert [s.driver.value for s in services.values()] == [10, 10, 10]
+        assert joiner.stats["executed"] == 0
+
+    def test_losing_partition_side_demotes_and_resyncs(self):
+        cluster, services, client = deploy(n=3)
+        assert drive(cluster, client.call(("add", 1))) == 1
+        net = cluster.network
+        net.partitions.set_partitions([["head0", "head1", "login"], ["head2"]])
+        cluster.run(until=cluster.kernel.now + 3.0)
+        drive(cluster, client.call(("add", 10)))
+        assert drive(cluster, client.call(("add", 10))) == 21
+        assert services["head2"].driver.value == 1  # missed both
+        net.partitions.heal_partitions()
+        cluster.run(until=cluster.kernel.now + 12.0)
+        loser = services["head2"]
+        # Re-merged, demoted, resynced through a fresh marker: converged.
+        assert loser.active
+        assert [s.driver.value for s in services.values()] == [21, 21, 21]
+        assert loser.shards[0].group.stats["rejoins"] == 1
+        assert loser.shards[0].group.view.size == 3
+        assert drive(cluster, client.call(("add", 1))) == 22
+        cluster.run(until=cluster.kernel.now + 0.5)
+        assert loser.driver.value == 22
+
+    def test_lost_push_frame_pulled_over_rpc(self):
+        cluster, services, client = deploy()
+        drive(cluster, client.call(("add", 7)))
+        cluster.network.add_drop_filter(
+            lambda src, dst, payload: isinstance(payload, XferPush)
+        )
+        joiner = join(cluster, services, "head2", ["head0", "head1"])
+        cluster.run(until=cluster.kernel.now + 10.0)
+        assert joiner.active
+        assert joiner.stats["state_transfers_pulled"] == 1
+        assert joiner.driver.value == 7
+        # It pulled the first cut: nobody was asked to capture a second one.
+        assert services["head0"].stats["state_transfers_served"] == 1
 
 
 class TestDiurnalWorkload:

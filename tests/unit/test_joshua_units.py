@@ -5,11 +5,12 @@ import pytest
 from repro.cluster import Cluster
 from repro.joshua import JoshuaServer, JoshuaClient
 from repro.joshua.config import ERA_2006_JOSHUA, JOSHUA_GROUP_CONFIG, JoshuaTimes
-from repro.joshua.server import _MutexEntry
+from repro.joshua.executor import job_from_row, spec_from_row
+from repro.joshua.mutex import _MutexEntry
 from repro.pbs.job import JobSpec, JobState
 from repro.util.errors import JoshuaError, NoActiveHeadError
 
-from tests.integration.conftest import FAST_GROUP, drive, make_stack, settle
+from tests.integration.conftest import drive, make_stack, settle
 
 
 class TestConstruction:
@@ -49,11 +50,6 @@ class TestConstruction:
 
 
 class TestRowConversion:
-    def make_server(self):
-        cluster = Cluster(head_count=1, compute_count=2, seed=3)
-        return JoshuaServer(cluster.heads[0], initial_heads=["head0"],
-                            group_config=FAST_GROUP)
-
     def row(self, state="Q", exec_nodes=()):
         return {
             "job_id": "5.joshua", "name": "x", "owner": "u", "state": state,
@@ -62,17 +58,17 @@ class TestRowConversion:
         }
 
     def test_spec_from_row(self):
-        spec = JoshuaServer._spec_from_row(self.row())
+        spec = spec_from_row(self.row())
         assert spec == JobSpec(name="x", owner="u", nodes=1, walltime=60.0)
 
     def test_job_from_row_states(self):
-        server = self.make_server()
-        assert server._job_from_row(self.row("Q")).state is JobState.QUEUED
-        assert server._job_from_row(self.row("H")).state is JobState.HELD
-        assert server._job_from_row(self.row("W")).state is JobState.WAITING
-        running = server._job_from_row(self.row("R", exec_nodes=["compute0"]))
+        assert job_from_row(self.row("Q"), 7.0).state is JobState.QUEUED
+        assert job_from_row(self.row("H"), 7.0).state is JobState.HELD
+        assert job_from_row(self.row("W"), 7.0).state is JobState.WAITING
+        running = job_from_row(self.row("R", exec_nodes=["compute0"]), 7.0)
         assert running.state is JobState.RUNNING
         assert running.exec_nodes == ("compute0",)
+        assert running.start_time == running.submit_time == 7.0
 
 
 class TestMutexBookkeeping:

@@ -3,7 +3,10 @@
 The core packages form strict layers — each may import only from layers
 below it::
 
-    util -> sim -> net -> rpc -> obs -> gcs -> pbs -> joshua
+    util -> sim -> net -> rpc -> obs -> gcs -> aa -> pbs -> joshua
+
+(``aa`` holds the service-agnostic replication engine: ranked below ``pbs``
+so it can import neither the PBS stack nor JOSHUA, its first driver.)
 
 CI additionally runs ``lint-imports`` (import-linter) against the same
 contract declared in ``pyproject.toml``; this AST-based test keeps the
@@ -18,9 +21,9 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parents[2] / "src" / "repro"
 
 #: Layer order, lowest first. A module in layer i may import repro.<layer j>
-#: only for j <= i. Packages not listed (cluster, aa, pvfs, faults, bench,
-#: cli, workload, …) sit above the stack and are unconstrained.
-LAYERS = ["util", "sim", "net", "rpc", "obs", "gcs", "pbs", "joshua"]
+#: only for j <= i. Packages not listed (cluster, pvfs, faults, bench, cli,
+#: workload, …) sit above the stack and are unconstrained.
+LAYERS = ["util", "sim", "net", "rpc", "obs", "gcs", "aa", "pbs", "joshua"]
 RANK = {name: index for index, name in enumerate(LAYERS)}
 
 

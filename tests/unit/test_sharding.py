@@ -193,5 +193,5 @@ class TestFacadeCompat:
         stack.cluster.run(until=0.0)
         joshua = stack.joshua("head0")
         assert joshua.mutex is joshua.shards[0].arbiter.entries
-        assert joshua.results is joshua.shards[0].executor.results
-        assert joshua.command_log is joshua.shards[0].executor.command_log
+        assert joshua.results is joshua.shards[0].results
+        assert joshua.command_log is joshua.shards[0].command_log
