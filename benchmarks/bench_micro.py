@@ -8,7 +8,7 @@ should stay interactive.
 """
 
 from repro.cluster.cluster import Cluster
-from repro.gcs.config import GroupConfig
+from repro.gcs.config import FAST_GROUP_CONFIG
 from repro.gcs.member import GroupMember, boot_static_group
 from repro.joshua.deploy import build_joshua_stack
 from repro.net.network import Network
@@ -37,10 +37,6 @@ def test_kernel_event_throughput(benchmark):
 
 def test_gcs_multicast_throughput(benchmark):
     """3-member group delivering a 200-message burst."""
-    config = GroupConfig(
-        heartbeat_interval=0.1, suspect_timeout=0.35,
-        flush_timeout=0.8, retransmit_interval=0.05,
-    )
 
     def run():
         kernel = Kernel(seed=1)
@@ -52,7 +48,7 @@ def test_gcs_multicast_throughput(benchmark):
             network.register_node(name)
             members.append(
                 GroupMember(
-                    network.bind(name, 9), config,
+                    network.bind(name, 9), FAST_GROUP_CONFIG,
                     on_deliver=delivered.append if i == 0 else None,
                 )
             )

@@ -15,14 +15,9 @@ Run:  python examples/functional_testing.py
 """
 
 from repro.cluster import Cluster
-from repro.gcs.config import GroupConfig
+from repro.gcs.config import FAST_GROUP_CONFIG
 from repro.joshua import build_joshua_stack
 from repro.pbs.job import JobState
-
-GROUP = GroupConfig(
-    heartbeat_interval=0.1, suspect_timeout=0.35,
-    flush_timeout=0.8, retransmit_interval=0.05,
-)
 
 CHECKS: list[tuple[str, bool]] = []
 
@@ -34,7 +29,7 @@ def check(description: str, passed: bool) -> None:
 
 def fresh(heads=3):
     cluster = Cluster(head_count=heads, compute_count=2, seed=1906, login_node=True)
-    stack = build_joshua_stack(cluster, group_config=GROUP)
+    stack = build_joshua_stack(cluster, group_config=FAST_GROUP_CONFIG)
     cluster.run(until=0.5)
     return cluster, stack
 

@@ -1,8 +1,8 @@
 """Wire-trace digests: the sharding refactor's behavior-preservation proof.
 
 Runs the three baseline scenarios (normal operation, membership churn,
-partition + heal — the same drivers as ``tools/capture_trace.py``) and
-reduces every frame the simulation puts on the wire to one canonical line::
+partition + heal) and reduces every frame the simulation puts on the wire
+to one canonical line::
 
     <send time> <src> <dst> <encoded frame length> <payload repr>
 
@@ -13,9 +13,11 @@ pre-sharding build; the regression test regenerates them with ``shards=1``
 and compares, proving the router/replica split is invisible on the wire
 when there is only one shard (the PR-2 decomposition-proof style).
 
-The scenario code lives here — importable by both the capture tool
-(``tools/capture_wire_baseline.py``) and the test — so the two can never
-drift apart.
+The scenario code and the ``Network.send`` spy live here and nowhere else:
+the capture tool (``tools/capture_wire_baseline.py``), the baseline test and
+the observer-passivity test (``tests/integration/test_obs_passive.py``) all
+drive :func:`make_stack` / :func:`spy_network` / :data:`SCENARIOS` /
+:func:`trace_record`, so they can never drift apart.
 """
 
 from __future__ import annotations
@@ -23,33 +25,33 @@ from __future__ import annotations
 import hashlib
 
 from repro.cluster.cluster import Cluster
-from repro.gcs.config import GroupConfig
+from repro.gcs.config import FAST_GROUP_CONFIG
 from repro.joshua.deploy import JoshuaStack, build_joshua_stack
 from repro.net.codec import encoded_size
 
-__all__ = ["SCENARIOS", "run_scenario", "scenario_digests", "BASELINE_GROUP"]
-
-#: Must match ``tests/integration/conftest.FAST_GROUP`` — the protocol
-#: timings every integration scenario runs under.
-BASELINE_GROUP = GroupConfig(
-    heartbeat_interval=0.1,
-    suspect_timeout=0.35,
-    flush_timeout=0.8,
-    retransmit_interval=0.05,
-)
+__all__ = [
+    "SCENARIOS",
+    "make_stack",
+    "spy_network",
+    "trace_record",
+    "run_scenario",
+    "scenario_digests",
+]
 
 _SEED = 11
 _HEADS = 3
 _COMPUTES = 2
 
 
-def _make_stack(shards: int) -> JoshuaStack:
+def make_stack(shards: int = 1) -> JoshuaStack:
+    """The testbed every scenario runs on (3 heads, 2 computes, a login
+    node, seed 11, the integration tests' fast group timings)."""
     cluster = Cluster(
         head_count=_HEADS, compute_count=_COMPUTES, seed=_SEED, login_node=True
     )
-    extra = {"shards": shards} if shards != 1 else {}
     return build_joshua_stack(
-        cluster, group_config=BASELINE_GROUP, state_transfer="replay", **extra
+        cluster, group_config=FAST_GROUP_CONFIG, state_transfer="replay",
+        shards=shards,
     )
 
 
@@ -58,7 +60,7 @@ def _drive(stack: JoshuaStack, coroutine):
     return stack.cluster.run(until=process)
 
 
-def _spy_network(stack: JoshuaStack) -> list[str]:
+def spy_network(stack: JoshuaStack) -> list[str]:
     """Record every frame crossing :meth:`Network.send` as a canonical line."""
     lines: list[str] = []
     network = stack.cluster.network
@@ -75,7 +77,7 @@ def _spy_network(stack: JoshuaStack) -> list[str]:
     return lines
 
 
-# -- scenario drivers (mirrors tools/capture_trace.py exactly) ---------------
+# -- scenario drivers ---------------------------------------------------------
 
 
 def _scenario_normal(stack: JoshuaStack) -> None:
@@ -123,13 +125,10 @@ SCENARIOS = {
 }
 
 
-def run_scenario(name: str, *, shards: int = 1) -> dict:
-    """One scenario's wire digest plus the coarse counters that aid triage
+def trace_record(stack: JoshuaStack, lines: list[str]) -> dict:
+    """The wire digest of *lines* plus the coarse counters that aid triage
     when the digest differs (frame count narrows *where*, the clock and
     event count narrow *when*)."""
-    stack = _make_stack(shards)
-    lines = _spy_network(stack)
-    SCENARIOS[name](stack)
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
     return {
         "digest": digest,
@@ -138,6 +137,14 @@ def run_scenario(name: str, *, shards: int = 1) -> dict:
         "now": round(stack.cluster.kernel.now, 9),
         "events": stack.cluster.kernel.processed_events,
     }
+
+
+def run_scenario(name: str, *, shards: int = 1) -> dict:
+    """One scenario's :func:`trace_record` on a fresh stack."""
+    stack = make_stack(shards)
+    lines = spy_network(stack)
+    SCENARIOS[name](stack)
+    return trace_record(stack, lines)
 
 
 def scenario_digests(*, shards: int = 1) -> dict:

@@ -17,8 +17,10 @@ Four sweeps, each isolating one mechanism:
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 from repro.cluster.cluster import Cluster
-from repro.gcs.config import GroupConfig
+from repro.gcs.config import FAST_GROUP_CONFIG, GroupConfig
 from repro.gcs.member import GroupMember, boot_static_group
 from repro.gcs.messages import SAFE
 from repro.joshua.config import JOSHUA_GROUP_CONFIG
@@ -76,13 +78,7 @@ def ordering_engine_latency(*, max_heads: int = 4, trials: int = 20) -> list[dic
     for heads in range(1, max_heads + 1):
         row: dict = {"heads": heads}
         for engine in ("sequencer", "token"):
-            config = GroupConfig(
-                heartbeat_interval=0.1,
-                suspect_timeout=0.35,
-                flush_timeout=0.8,
-                retransmit_interval=0.05,
-                ordering=engine,
-            )
+            config = replace(FAST_GROUP_CONFIG, ordering=engine)
             latency = _multicast_latency(heads, config, service="agreed", trials=trials)
             row[f"{engine}_ms"] = round(latency * 1000, 2)
         rows.append(row)
@@ -93,13 +89,7 @@ def sequencer_batching(*, batch_delays=(0.0, 0.005, 0.02, 0.05), burst: int = 50
     """ORDER batching delay vs. time to deliver a burst of multicasts."""
     rows = []
     for delay in batch_delays:
-        config = GroupConfig(
-            heartbeat_interval=0.1,
-            suspect_timeout=0.35,
-            flush_timeout=0.8,
-            retransmit_interval=0.05,
-            sequencer_batch_delay=delay,
-        )
+        config = replace(FAST_GROUP_CONFIG, sequencer_batch_delay=delay)
         kernel, _net, members, delivered = _group(3, config)
         kernel.run(until=0.5)
         start = kernel.now
@@ -150,15 +140,7 @@ def stable_slot_sweep(*, slots=(0.0, 0.01, 0.029, 0.06), heads: int = 3) -> list
     """Deferred-ack slot vs. end-to-end jsub latency (Figure 10's knob)."""
     rows = []
     for slot in slots:
-        config = GroupConfig(
-            heartbeat_interval=JOSHUA_GROUP_CONFIG.heartbeat_interval,
-            suspect_timeout=JOSHUA_GROUP_CONFIG.suspect_timeout,
-            flush_timeout=JOSHUA_GROUP_CONFIG.flush_timeout,
-            retransmit_interval=JOSHUA_GROUP_CONFIG.retransmit_interval,
-            processing_delay=JOSHUA_GROUP_CONFIG.processing_delay,
-            stable_ack_base=JOSHUA_GROUP_CONFIG.stable_ack_base,
-            stable_ack_slot=slot,
-        )
+        config = replace(JOSHUA_GROUP_CONFIG, stable_ack_slot=slot)
         cluster = Cluster(head_count=heads, compute_count=2, seed=1)
         stack = build_joshua_stack(cluster, group_config=config)
         cluster.run(until=1.0)

@@ -28,7 +28,7 @@ cost:
 from __future__ import annotations
 
 from repro.cluster.cluster import Cluster
-from repro.gcs.config import GroupConfig
+from repro.gcs.config import FAST_GROUP_CONFIG
 from repro.joshua.config import JOSHUA_GROUP_CONFIG
 from repro.joshua.deploy import build_joshua_stack
 from repro.joshua.server import JOSHUA_GCS_PORT
@@ -38,16 +38,6 @@ from repro.obs.metrics import MetricsRegistry
 from repro.util.errors import NoActiveHeadError
 
 __all__ = ["measure_shard_burst", "shard_scaling", "sequencer_kill"]
-
-#: Fast group timings for the sequencer-kill run: failure detection and
-#: the resulting view change must complete inside a short measured window.
-#: (The scaling burst keeps the paper-calibrated JOSHUA_GROUP_CONFIG.)
-KILL_GROUP_CONFIG = GroupConfig(
-    heartbeat_interval=0.1,
-    suspect_timeout=0.35,
-    flush_timeout=0.8,
-    retransmit_interval=0.05,
-)
 
 
 def measure_shard_burst(
@@ -131,8 +121,11 @@ def sequencer_kill(
     """
     cluster = Cluster(head_count=heads, compute_count=computes,
                       login_node=True, seed=seed)
+    # Fast group timings (unlike the scaling burst's paper-calibrated
+    # JOSHUA_GROUP_CONFIG): failure detection and the resulting view change
+    # must complete inside a short measured window.
     stack = build_joshua_stack(
-        cluster, group_config=KILL_GROUP_CONFIG, shards=shards
+        cluster, group_config=FAST_GROUP_CONFIG, shards=shards
     )
     kernel = cluster.kernel
     cluster.run(until=2.0)  # every shard's full view forms

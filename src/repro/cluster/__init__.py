@@ -1,4 +1,4 @@
-"""Virtual cluster: nodes, daemons, persistent storage, failure injection.
+"""Virtual cluster: nodes, daemons, persistent storage.
 
 Models the paper's testbed — up to 4 head nodes and 2 compute nodes on one
 LAN — as simulation objects:
@@ -12,16 +12,17 @@ LAN — as simulation objects:
   lifecycle so protocol code never sees half-dead daemons.
 * :class:`~repro.cluster.cluster.Cluster` — builder that wires a kernel, a
   network, N head nodes and M compute nodes together.
-* :class:`~repro.cluster.failures.FailureInjector` — deterministic fault
-  schedules ("crash head2 at t=12.5") and stochastic MTTF/MTTR failure
-  processes for availability experiments.
+
+Fault injection lives above this package, in :mod:`repro.faults` (scripted
+and seeded-random schedules applied to a :class:`Cluster`); a node's
+up/down history is derived from its lifecycle observers by
+:class:`repro.ha.raslog.RASCollector`.
 """
 
 from repro.cluster.node import Node, NodeState
 from repro.cluster.daemon import Daemon
 from repro.cluster.cluster import Cluster
 from repro.cluster.storage import Disk, SharedStorage
-from repro.cluster.failures import FailureInjector, FailureSchedule, FailureEvent
 
 __all__ = [
     "Node",
@@ -30,7 +31,4 @@ __all__ = [
     "Cluster",
     "Disk",
     "SharedStorage",
-    "FailureInjector",
-    "FailureSchedule",
-    "FailureEvent",
 ]

@@ -14,7 +14,7 @@ seed + schedule JSON for replay.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from repro.cluster.cluster import Cluster
 from repro.faults.injector import FaultInjector
@@ -150,16 +150,12 @@ def run_chaos(
     # batching likewise stays on so every chaos run exercises the Nagle
     # window across crashes, partitions and view changes.
     batch_delay = 0.005 if ordering == "sequencer" else 0.0
-    group = GroupConfig(
-        heartbeat_interval=CHAOS_GROUP.heartbeat_interval,
-        suspect_timeout=CHAOS_GROUP.suspect_timeout,
-        flush_timeout=CHAOS_GROUP.flush_timeout,
-        retransmit_interval=CHAOS_GROUP.retransmit_interval,
+    group = replace(
+        CHAOS_GROUP,
         ordering=ordering,
         sequencer_batch_delay=batch_delay,
         data_batch_delay=0.005,
         data_batch_min_delay=0.001,
-        gc_interval=CHAOS_GROUP.gc_interval,
     )
     cluster = Cluster(
         head_count=heads, compute_count=computes, login_node=True, seed=seed

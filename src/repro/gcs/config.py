@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 from repro.util.errors import GroupCommError
 
-__all__ = ["GroupConfig"]
+__all__ = ["GroupConfig", "FAST_GROUP_CONFIG"]
 
 
 @dataclass(frozen=True)
@@ -150,3 +150,15 @@ class GroupConfig:
             raise GroupCommError("stable ack delays must be non-negative")
         if self.gc_interval < 0:
             raise GroupCommError("gc_interval must be non-negative")
+
+
+#: Fast protocol timings: failure detection and the view change it causes
+#: finish within a fraction of a simulated second. The integration tests,
+#: the wire-baseline scenarios, the PVFS MDS and every experiment that is
+#: not reproducing the paper's calibrated latencies run under these.
+FAST_GROUP_CONFIG = GroupConfig(
+    heartbeat_interval=0.1,
+    suspect_timeout=0.35,
+    flush_timeout=0.8,
+    retransmit_interval=0.05,
+)

@@ -28,9 +28,9 @@ from repro.net.address import Address
 from repro.pbs.commands import PBSClient
 from repro.pbs.job import JobSpec, JobState
 from repro.pbs.mom import PBSMom
-from repro.pbs.scheduler import MauiScheduler
-from repro.pbs.server import PBS_MOM_PORT, PBS_SERVER_PORT, PBSServer
+from repro.pbs.server import PBS_MOM_PORT, PBS_SERVER_PORT
 from repro.pbs.service_times import ERA_2006, ServiceTimes
+from repro.pbs.stack import install_head_daemons
 from repro.pbs.wire import AdminServers, RpcTimeout, SchedPollReq, rpc_call
 from repro.util.errors import PBSError
 
@@ -170,15 +170,8 @@ class ActiveStandbySystem:
         primary_address = Address(self.primary.name, PBS_SERVER_PORT)
 
         # Primary stack + checkpointing.
-        self.primary.add_daemon(
-            "pbs_server",
-            lambda n: PBSServer(n, moms=mom_addresses, service_times=service_times),
-        )
-        self.primary.add_daemon(
-            "maui",
-            lambda n: MauiScheduler(
-                n, server=Address(n.name, PBS_SERVER_PORT), service_times=service_times
-            ),
+        install_head_daemons(
+            self.primary, moms=mom_addresses, service_times=service_times
         )
         shared = cluster.shared_storage
         self.primary.add_daemon(
@@ -186,16 +179,8 @@ class ActiveStandbySystem:
             lambda n: _CheckpointDaemon(n, shared=shared, interval=checkpoint_interval),
         )
         # Standby: cold daemons registered but not started, plus the monitor.
-        self.standby.add_daemon(
-            "pbs_server",
-            lambda n: PBSServer(n, moms=mom_addresses, service_times=service_times),
-            start=False,
-        )
-        self.standby.add_daemon(
-            "maui",
-            lambda n: MauiScheduler(
-                n, server=Address(n.name, PBS_SERVER_PORT), service_times=service_times
-            ),
+        install_head_daemons(
+            self.standby, moms=mom_addresses, service_times=service_times,
             start=False,
         )
         self.standby.add_daemon(

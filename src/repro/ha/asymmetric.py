@@ -25,9 +25,9 @@ from repro.net.address import Address
 from repro.pbs.commands import PBSClient
 from repro.pbs.job import JobSpec, JobState
 from repro.pbs.mom import PBSMom
-from repro.pbs.scheduler import MauiScheduler
-from repro.pbs.server import PBS_MOM_PORT, PBS_SERVER_PORT, PBSServer
+from repro.pbs.server import PBS_MOM_PORT, PBS_SERVER_PORT
 from repro.pbs.service_times import ERA_2006, ServiceTimes
+from repro.pbs.stack import install_head_daemons
 from repro.util.errors import NoActiveHeadError, PBSError
 
 __all__ = ["AsymmetricSystem"]
@@ -63,20 +63,11 @@ class AsymmetricSystem:
             self.partition[head.name].append(Address(compute.name, PBS_MOM_PORT))
 
         for head in cluster.heads:
-            moms = list(self.partition[head.name])
-            server_name = f"torque-{head.name}"
-            head.add_daemon(
-                "pbs_server",
-                lambda n, moms=moms, sn=server_name: PBSServer(
-                    n, moms=moms, server_name=sn, service_times=service_times
-                ),
-            )
-            head.add_daemon(
-                "maui",
-                lambda n: MauiScheduler(
-                    n, server=Address(n.name, PBS_SERVER_PORT),
-                    service_times=service_times,
-                ),
+            install_head_daemons(
+                head,
+                moms=self.partition[head.name],
+                service_times=service_times,
+                server_name=f"torque-{head.name}",
             )
         for index, compute in enumerate(cluster.computes):
             owner = cluster.heads[index % len(cluster.heads)]

@@ -27,9 +27,9 @@ from repro.joshua.jmutex import install_jmutex
 from repro.joshua.server import REPLICA_SERVER_NAME, JoshuaServer
 from repro.net.address import Address
 from repro.pbs.mom import PBSMom
-from repro.pbs.scheduler import MauiScheduler
 from repro.pbs.server import PBS_MOM_PORT, PBS_SERVER_PORT, PBSServer
 from repro.pbs.service_times import ERA_2006, ServiceTimes
+from repro.pbs.stack import install_head_daemons
 from repro.util.errors import JoshuaError
 
 __all__ = ["JoshuaStack", "build_joshua_stack"]
@@ -91,24 +91,12 @@ class JoshuaStack:
 
     def _install_head_daemons(self, node: Node, *, initial: bool, contacts: list[str]) -> None:
         mom_addresses = self.mom_addresses
-        server_address = Address(node.name, PBS_SERVER_PORT)
-        times = self.service_times
-
-        node.add_daemon(
-            "pbs_server",
-            lambda n: PBSServer(
-                n,
-                moms=mom_addresses,
-                server_name=REPLICA_SERVER_NAME,
-                service_times=times,
-            ),
-        )
-        exclusive = self.exclusive
-        node.add_daemon(
-            "maui",
-            lambda n: MauiScheduler(
-                n, server=server_address, service_times=times, exclusive=exclusive
-            ),
+        install_head_daemons(
+            node,
+            moms=mom_addresses,
+            service_times=self.service_times,
+            server_name=REPLICA_SERVER_NAME,
+            exclusive=self.exclusive,
         )
         heads_at_creation = list(self.head_names)
         config = self.group_config

@@ -13,10 +13,9 @@ imports the stacks it observes; scenario *construction* belongs up here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from repro.cluster.cluster import Cluster
-from repro.gcs.config import GroupConfig
 from repro.joshua.config import JOSHUA_GROUP_CONFIG
 from repro.joshua.deploy import build_joshua_stack
 from repro.joshua.shard import queue_for_shard
@@ -73,16 +72,7 @@ def run_traced_scenario(
     namespace and GCS spans/metrics carry ``shard=`` labels. The flight
     recorder and time-series sampler are always attached (passive).
     """
-    group = GroupConfig(
-        heartbeat_interval=JOSHUA_GROUP_CONFIG.heartbeat_interval,
-        suspect_timeout=JOSHUA_GROUP_CONFIG.suspect_timeout,
-        flush_timeout=JOSHUA_GROUP_CONFIG.flush_timeout,
-        retransmit_interval=JOSHUA_GROUP_CONFIG.retransmit_interval,
-        ordering=ordering,
-        processing_delay=JOSHUA_GROUP_CONFIG.processing_delay,
-        stable_ack_base=JOSHUA_GROUP_CONFIG.stable_ack_base,
-        stable_ack_slot=JOSHUA_GROUP_CONFIG.stable_ack_slot,
-    )
+    group = replace(JOSHUA_GROUP_CONFIG, ordering=ordering)
     cluster = Cluster(
         head_count=heads, compute_count=computes, login_node=True, seed=seed
     )

@@ -525,9 +525,21 @@ class Codec:
 
         *strict* overrides this codec's schema-evolution tolerance for one
         call (see the module docstring); the default is the codec's own
-        setting."""
+        setting.
+
+        Malformed input raises :class:`CodecError` and nothing else: what
+        corrupt bytes provoke further down — a string that is not UTF-8, an
+        unhashable dict key, an enum value or record arguments the class
+        itself refuses — is converted here, at the one public entry."""
         tolerant = not (self._strict if strict is None else strict)
-        value, pos = self._decode_value(frame, 0, tolerant)
+        try:
+            value, pos = self._decode_value(frame, 0, tolerant)
+        except CodecError:
+            raise
+        except Exception as exc:
+            raise CodecError(
+                f"malformed frame: {type(exc).__name__}: {exc}"
+            ) from exc
         if pos != len(frame):
             raise _codec_error(
                 f"{len(frame) - pos} trailing bytes after decoded value", pos

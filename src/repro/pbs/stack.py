@@ -19,7 +19,7 @@ from repro.pbs.scheduler import MauiScheduler
 from repro.pbs.server import PBS_MOM_PORT, PBS_SERVER_PORT, PBSServer
 from repro.pbs.service_times import ERA_2006, ServiceTimes
 
-__all__ = ["PBSStack", "build_pbs_stack"]
+__all__ = ["PBSStack", "build_pbs_stack", "install_head_daemons"]
 
 
 @dataclass
@@ -47,6 +47,46 @@ class PBSStack:
         )
 
 
+def install_head_daemons(
+    head: Node,
+    *,
+    moms: list[Address],
+    service_times: ServiceTimes,
+    server_name: str = "torque",
+    exclusive: bool = True,
+    start: bool = True,
+) -> tuple[PBSServer, MauiScheduler]:
+    """Register ``pbs_server`` then ``maui`` on *head* — the pair every
+    assembly (this one, JOSHUA, the HA baselines) puts on a head node.
+
+    The scheduler polls the server on its own node. With ``start=False``
+    the factories are registered cold (a warm standby) and the result is
+    ``(None, None)``.
+    """
+    server_address = Address(head.name, PBS_SERVER_PORT)
+    server = head.add_daemon(
+        "pbs_server",
+        lambda node: PBSServer(
+            node,
+            moms=moms,
+            server_name=server_name,
+            service_times=service_times,
+        ),
+        start=start,
+    )
+    scheduler = head.add_daemon(
+        "maui",
+        lambda node: MauiScheduler(
+            node,
+            server=server_address,
+            service_times=service_times,
+            exclusive=exclusive,
+        ),
+        start=start,
+    )
+    return server, scheduler
+
+
 def build_pbs_stack(
     cluster: Cluster,
     *,
@@ -66,23 +106,12 @@ def build_pbs_stack(
     mom_addresses = [Address(c.name, PBS_MOM_PORT) for c in cluster.computes]
     server_address = Address(head.name, PBS_SERVER_PORT)
 
-    server = head.add_daemon(
-        "pbs_server",
-        lambda node: PBSServer(
-            node,
-            moms=mom_addresses,
-            server_name=server_name,
-            service_times=service_times,
-        ),
-    )
-    scheduler = head.add_daemon(
-        "maui",
-        lambda node: MauiScheduler(
-            node,
-            server=server_address,
-            service_times=service_times,
-            exclusive=exclusive,
-        ),
+    server, scheduler = install_head_daemons(
+        head,
+        moms=mom_addresses,
+        service_times=service_times,
+        server_name=server_name,
+        exclusive=exclusive,
     )
     moms = [
         compute.add_daemon(

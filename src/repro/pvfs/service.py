@@ -19,7 +19,7 @@ from typing import TYPE_CHECKING, Generator
 
 from repro.aa.replicated import ReplicatedService
 from repro.cluster.cluster import Cluster
-from repro.gcs.config import GroupConfig
+from repro.gcs.config import FAST_GROUP_CONFIG, GroupConfig
 from repro.net.address import Address
 from repro.pvfs.metadata import MetadataStore
 from repro.pvfs.wire import (
@@ -147,10 +147,7 @@ def build_replicated_mds(
     stripe_width: int = 4,
 ) -> ReplicatedMDS:
     """Deploy one metadata replica on every head node of *cluster*."""
-    config = group_config or GroupConfig(
-        heartbeat_interval=0.1, suspect_timeout=0.35,
-        flush_timeout=0.8, retransmit_interval=0.05,
-    )
+    config = group_config or FAST_GROUP_CONFIG
     head_names = [h.name for h in cluster.heads]
 
     def factory(node: "Node") -> ReplicatedService:

@@ -133,11 +133,9 @@ def failover_call(
     policy: RetryPolicy | None = None,
     timeout: float | None = None,
     skip_down: bool = True,
-    count_skipped: bool = True,
     retry_error: Callable[[PBSError], bool] | None = None,
     reject: Callable[[Any], bool] | None = None,
     stats: dict | None = None,
-    stats_key: str = "failovers",
     what: str | None = None,
 ) -> Generator:
     """Coroutine: try *payload* against each target until one answers.
@@ -146,8 +144,7 @@ def failover_call(
 
     * ``skip_down`` — skip targets whose node is down without burning a
       full RPC timeout (models the instant connection-refused a dead
-      node's TCP stack produces); ``count_skipped`` controls whether a
-      skip counts as a failover in *stats*;
+      node's TCP stack produces);
     * :class:`RpcTimeout` always fails over to the next target;
     * other :class:`PBSError`\\ s fail over when ``retry_error(exc)`` is
       true (e.g. a head answering "joining"), otherwise propagate;
@@ -155,14 +152,17 @@ def failover_call(
       ``reject(response)`` is true (e.g. a result carrying a
       transient error marker) — otherwise it is returned.
 
+    Every target passed over (skipped, timed out, retried or rejected)
+    adds one to ``stats["failovers"]`` when *stats* is given.
+
     Raises :class:`NoActiveHeadError` (message prefix *what*) when every
     target was skipped, timed out, or rejected.
     """
     last_error: Exception | None = None
     for target in targets:
         if skip_down and not network.node_is_up(target.node):
-            if stats is not None and count_skipped:
-                stats[stats_key] = stats.get(stats_key, 0) + 1
+            if stats is not None:
+                stats["failovers"] = stats.get("failovers", 0) + 1
             continue
         try:
             response = yield from call(
@@ -172,18 +172,18 @@ def failover_call(
         except RpcTimeout as exc:
             last_error = exc
             if stats is not None:
-                stats[stats_key] = stats.get(stats_key, 0) + 1
+                stats["failovers"] = stats.get("failovers", 0) + 1
             continue
         except PBSError as exc:
             if retry_error is not None and retry_error(exc):
                 last_error = exc
                 if stats is not None:
-                    stats[stats_key] = stats.get(stats_key, 0) + 1
+                    stats["failovers"] = stats.get("failovers", 0) + 1
                 continue
             raise
         if reject is not None and reject(response):
             if stats is not None:
-                stats[stats_key] = stats.get(stats_key, 0) + 1
+                stats["failovers"] = stats.get("failovers", 0) + 1
             continue
         return response
     if what is None:

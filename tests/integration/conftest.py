@@ -10,17 +10,8 @@ minute.
 import pytest
 
 from repro.cluster import Cluster
-from repro.gcs.config import GroupConfig
+from repro.gcs.config import FAST_GROUP_CONFIG as FAST_GROUP
 from repro.joshua import build_joshua_stack
-
-#: Fast GCS timings for tests (the calibrated deployment config is only
-#: needed by the latency/throughput benches).
-FAST_GROUP = GroupConfig(
-    heartbeat_interval=0.1,
-    suspect_timeout=0.35,
-    flush_timeout=0.8,
-    retransmit_interval=0.05,
-)
 
 
 def make_stack(heads=2, computes=2, seed=11, state_transfer="replay", shards=1,

@@ -8,10 +8,11 @@ extension only the majority side wins SAFE-gated operations, preventing
 split-brain job launches.
 """
 
+from dataclasses import replace
+
 import pytest
 
 from repro.cluster import Cluster
-from repro.gcs.config import GroupConfig
 from repro.joshua import build_joshua_stack
 from repro.pbs.job import JobState
 
@@ -19,13 +20,7 @@ from tests.integration.conftest import FAST_GROUP, drive, settle, total_runs
 
 
 def make_partitioned_stack(primary_partition=False, seed=53):
-    config = GroupConfig(
-        heartbeat_interval=FAST_GROUP.heartbeat_interval,
-        suspect_timeout=FAST_GROUP.suspect_timeout,
-        flush_timeout=FAST_GROUP.flush_timeout,
-        retransmit_interval=FAST_GROUP.retransmit_interval,
-        primary_partition=primary_partition,
-    )
+    config = replace(FAST_GROUP, primary_partition=primary_partition)
     cluster = Cluster(head_count=3, compute_count=2, seed=seed, login_node=True)
     stack = build_joshua_stack(cluster, group_config=config)
     return cluster, stack

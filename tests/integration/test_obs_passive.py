@@ -4,80 +4,31 @@ The obs layer's hard contract (ISSUE 3, extended by ISSUE 8): attaching
 the full observation stack — TraceCollector + MetricsRegistry, and now
 the FlightRecorder and TimeSeriesSampler on top — must not schedule a
 simulation event, draw randomness, or change a wire payload. These tests
-run four representative scenarios (normal operation, membership churn,
-partition + heal, and a *sharded* membership-churn run on two ordering
-groups) twice — bare and fully observed — and demand *exact* equality of
-the wire-level send trace and the kernel/network counters. Back-to-back
-runs of the same seed are already bit-identical (see test_determinism),
-so any difference here is caused by observation itself.
+run the three wire-baseline scenarios of :mod:`repro.analysis.wiretrace`
+(normal operation, membership churn, partition + heal) fully observed and
+demand that the wire digest, frame and byte counts, clock and kernel event
+count equal the pinned ``tests/data/wire_baseline.json`` — the very record
+the unobserved build is held to. Two scenarios the baseline does not pin
+(membership churn on two ordering groups, and a read-heavy gateway run) are
+run twice, bare and observed, and must agree with each other exactly.
 
 Each observed run also has to produce non-trivial traces, metrics, ring
 contents and time-series samples, so an observer that silently observes
 nothing cannot pass vacuously.
 """
 
+import json
+from pathlib import Path
+
 import pytest
 
+from repro.analysis import wiretrace
 from repro.obs import attach_collector, attach_recorder, attach_timeseries
 from tests.integration.conftest import drive, make_stack
 
-
-def _spy_network_sends(stack, sink: list):
-    kernel = stack.cluster.kernel
-    original_send = stack.cluster.network.send
-
-    def spy(src, dst, payload, **kw):
-        sink.append((kernel.now, str(src), str(dst), repr(payload)[:160]))
-        return original_send(src, dst, payload, **kw)
-
-    stack.cluster.network.send = spy
-
-
-def _summary(stack):
-    cluster = stack.cluster
-    deliveries = tuple(
-        (h, stack.joshua(h).group.stats["delivered"])
-        for h in stack.head_names
-        if cluster.node(h).is_up and "joshua" in cluster.node(h).daemons
-    )
-    return {
-        "events": cluster.kernel.processed_events,
-        "now": cluster.kernel.now,
-        "net": dict(cluster.network.stats),
-        "deliveries": deliveries,
-    }
-
-
-def _scenario_normal(stack):
-    client = stack.client(node="login")
-    for i in range(3):
-        drive(stack, client.jsub(name=f"n{i}", walltime=2.0))
-    drive(stack, client.jstat())
-    stack.cluster.run(until=20.0)
-
-
-def _scenario_membership(stack):
-    client = stack.client(node="login")
-    for i in range(2):
-        drive(stack, client.jsub(name=f"m{i}", walltime=2.0))
-    stack.cluster.node("head0").crash()
-    stack.cluster.run(until=stack.cluster.kernel.now + 3.0)
-    drive(stack, client.jsub(name="after-crash", walltime=2.0))
-    stack.cluster.node("head0").restart()
-    stack.cluster.run(until=35.0)
-
-
-def _scenario_partition(stack):
-    client = stack.client(node="login")
-    drive(stack, client.jsub(name="p0", walltime=2.0))
-    net = stack.cluster.network
-    net.partitions.set_partitions(
-        [["head0", "head1", "compute0", "compute1", "login"], ["head2"]]
-    )
-    stack.cluster.run(until=stack.cluster.kernel.now + 4.0)
-    drive(stack, client.jsub(name="during-partition", walltime=2.0))
-    net.partitions.heal_partitions()
-    stack.cluster.run(until=40.0)
+PINNED = json.loads(
+    (Path(__file__).parents[1] / "data" / "wire_baseline.json").read_text()
+)
 
 
 def _scenario_read_heavy(stack):
@@ -99,41 +50,38 @@ def _scenario_read_heavy(stack):
     stack.cluster.run(until=25.0)
 
 
-#: (scenario function, ordering-layer shard count). The sharded entry
-#: proves passivity of the whole observation stack — shard-labelled
-#: spans/metrics included — on the multi-group deployment under faults;
-#: the read-heavy entry proves it for the local read path (ISSUE 10).
+#: (scenario function, ordering-layer shard count). The first three are
+#: compared with the pinned baseline; the sharded entry proves passivity of
+#: the whole observation stack — shard-labelled spans/metrics included — on
+#: the multi-group deployment under faults, the read-heavy entry proves it
+#: for the local read path (ISSUE 10).
 SCENARIOS = {
-    "normal": (_scenario_normal, 1),
-    "membership": (_scenario_membership, 1),
-    "partition": (_scenario_partition, 1),
-    "sharded-membership": (_scenario_membership, 2),
+    **{name: (scenario, 1) for name, scenario in wiretrace.SCENARIOS.items()},
+    "sharded-membership": (wiretrace.SCENARIOS["membership"], 2),
     "read-heavy": (_scenario_read_heavy, 1),
 }
 
 
 def _run(scenario: str, *, observed: bool):
     run_scenario, shards = SCENARIOS[scenario]
-    stack = make_stack(heads=3, computes=2, seed=11, shards=shards)
-    sends: list = []
-    _spy_network_sends(stack, sends)
+    stack = wiretrace.make_stack(shards)
+    lines = wiretrace.spy_network(stack)
+    network = stack.cluster.network
     observers = None
     if observed:
-        network = stack.cluster.network
         observers = (
             attach_collector(network),
             attach_recorder(network),
             attach_timeseries(network),
         )
     run_scenario(stack)
-    return sends, _summary(stack), observers
+    return wiretrace.trace_record(stack, lines), dict(network.stats), observers
 
 
 class TestObservationIsPassive:
     @pytest.mark.parametrize("scenario", sorted(SCENARIOS))
     def test_trace_bit_identical_with_and_without_observers(self, scenario):
-        bare_sends, bare_summary, _ = _run(scenario, observed=False)
-        obs_sends, obs_summary, observers = _run(scenario, observed=True)
+        observed, net, observers = _run(scenario, observed=True)
 
         # The observed run really observed something...
         collector, recorder, sampler = observers
@@ -167,9 +115,12 @@ class TestObservationIsPassive:
             assert collector.registry.find("gcs.fd.transitions")
 
         # ...and perturbed nothing: every datagram, timestamp and counter
-        # matches the unobserved run exactly.
-        assert obs_summary == bare_summary
-        assert obs_sends == bare_sends
+        # matches the unobserved run exactly — the pinned one where the
+        # baseline has the scenario, a bare run of the same seed otherwise.
+        if scenario in PINNED:
+            assert observed == PINNED[scenario]
+        else:
+            assert (observed, net) == _run(scenario, observed=False)[:2]
 
 
 class TestCollectorLifecycle:

@@ -12,7 +12,9 @@
 """
 
 import dataclasses
+import json
 import re
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -221,6 +223,46 @@ def test_truncated_and_trailing_frames_are_decode_errors():
         WIRE.decode(frame + b"\x00")
     with pytest.raises(CodecError):
         WIRE.decode(b"\xff")
+
+
+_GOLDEN_FRAMES = [
+    bytes.fromhex(frame["hex"])
+    for frame in json.loads(
+        (Path(__file__).parents[1] / "data" / "codec_golden.json").read_text()
+    )["frames"]
+]
+#: A five-byte varint (~4 G): spliced over a length or count byte it claims
+#: far more payload than the frame holds.
+_HUGE_VARINT = b"\xff\xff\xff\xff\x0f"
+
+
+@st.composite
+def _damaged_golden_frames(draw):
+    """A golden frame with 1-3 bytes overwritten, then possibly one byte
+    replaced by an inflated length and possibly a truncated tail."""
+    frame = bytearray(draw(st.sampled_from(_GOLDEN_FRAMES)))
+    positions = st.integers(0, len(frame) - 1)
+    for _ in range(draw(st.integers(1, 3))):
+        frame[draw(positions)] = draw(st.integers(0, 255))
+    if draw(st.booleans()):
+        at = draw(positions)
+        frame[at:at + 1] = _HUGE_VARINT
+    if draw(st.booleans()):
+        del frame[draw(st.integers(0, len(frame))):]
+    return bytes(frame)
+
+
+@settings(max_examples=3000, deadline=None, derandomize=True)
+@given(frame=_damaged_golden_frames())
+def test_malformed_frames_decode_or_raise_codec_error_only(frame):
+    """Whatever arrives, ``decode`` answers with a value or a
+    :class:`CodecError` — never a ``UnicodeDecodeError`` from a string's
+    bytes, a ``TypeError`` from an unhashable key or a record's arity, a
+    ``ValueError`` from an enum, or a record's own ``__post_init__``."""
+    try:
+        WIRE.decode(frame)
+    except CodecError:
+        pass
 
 
 # ---------------------------------------------------------------------------

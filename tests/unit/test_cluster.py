@@ -1,9 +1,10 @@
-"""Unit tests for nodes, daemons, storage and failure injection."""
+"""Unit tests for nodes, daemons and storage, and for the node, daemon and
+partition faults :mod:`repro.faults` drives through them."""
 
 import pytest
 
-from repro.cluster import Cluster, Daemon, Disk, FailureInjector, FailureSchedule, SharedStorage
-from repro.cluster.failures import FailureEvent, UpDownLog
+from repro.cluster import Cluster, Daemon, Disk, SharedStorage
+from repro.faults import FaultEvent, FaultInjector, FaultSchedule
 from repro.util.errors import ClusterError, NodeDown
 
 
@@ -236,21 +237,21 @@ class TestStorage:
 
 class TestFailureSchedule:
     def test_builder_and_sorting(self):
-        s = FailureSchedule().restart(5, "h").crash(1, "h").heal(3)
+        s = FaultSchedule().restart(5, "h").crash(1, "h").heal(3)
         assert [e.kind for e in s.sorted_events()] == ["crash", "heal", "restart"]
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ClusterError):
-            FailureEvent(0, "explode")
+            FaultEvent(0, "explode")
 
     def test_negative_time_rejected(self):
         with pytest.raises(ClusterError):
-            FailureEvent(-1, "crash")
+            FaultEvent(-1, "heal")
 
     def test_schedule_executes(self, cluster):
-        injector = FailureInjector(cluster)
+        injector = FaultInjector(cluster)
         injector.apply(
-            FailureSchedule().crash(2.0, "head0").restart(5.0, "head0")
+            FaultSchedule().crash(2.0, "head0").restart(5.0, "head0")
         )
         cluster.run(until=3.0)
         assert not cluster.node("head0").is_up
@@ -258,9 +259,9 @@ class TestFailureSchedule:
         assert cluster.node("head0").is_up
 
     def test_partition_events(self, cluster):
-        injector = FailureInjector(cluster)
+        injector = FaultInjector(cluster)
         injector.apply(
-            FailureSchedule()
+            FaultSchedule()
             .partition(1.0, [["head0"], ["head1", "compute0", "compute1"]])
             .heal(2.0)
         )
@@ -270,8 +271,8 @@ class TestFailureSchedule:
         assert cluster.network.partitions.reachable("head0", "head1")
 
     def test_cut_restore_events(self, cluster):
-        injector = FailureInjector(cluster)
-        injector.apply(FailureSchedule().cut(1.0, "head0", "head1").restore(2.0, "head0", "head1"))
+        injector = FaultInjector(cluster)
+        injector.apply(FaultSchedule().cut(1.0, "head0", "head1").restore(2.0, "head0", "head1"))
         cluster.run(until=1.5)
         assert not cluster.network.partitions.reachable("head0", "head1")
         cluster.run(until=2.5)
@@ -280,38 +281,7 @@ class TestFailureSchedule:
     def test_stop_daemon_event(self, cluster):
         node = cluster.heads[0]
         d = node.add_daemon("ticker", TickerDaemon)
-        injector = FailureInjector(cluster)
-        injector.apply(FailureSchedule().stop_daemon(2.5, "head0", "ticker"))
+        injector = FaultInjector(cluster)
+        injector.apply(FaultSchedule().stop_daemon(2.5, "head0", "ticker"))
         cluster.run(until=10)
         assert d.ticks == 2
-
-
-class TestExponentialLifecycle:
-    def test_empirical_availability_matches_formula(self):
-        """Long-run empirical availability ≈ MTTF/(MTTF+MTTR) (Equation 1)."""
-        cluster = Cluster(head_count=1, compute_count=0, seed=11)
-        injector = FailureInjector(cluster)
-        mttf, mttr = 100.0, 10.0
-        log = injector.exponential_lifecycle(cluster.heads[0], mttf=mttf, mttr=mttr)
-        horizon = 200_000.0
-        cluster.run(until=horizon)
-        expected = mttf / (mttf + mttr)
-        assert log.availability(horizon) == pytest.approx(expected, abs=0.01)
-
-    def test_invalid_parameters(self, cluster):
-        injector = FailureInjector(cluster)
-        with pytest.raises(ClusterError):
-            injector.exponential_lifecycle(cluster.heads[0], mttf=0, mttr=1)
-
-    def test_updown_log_bookkeeping(self):
-        log = UpDownLog("n")
-        log.record(10, "down")
-        log.record(15, "up")
-        log.record(90, "down")
-        assert log.downtime(100) == pytest.approx(5 + 10)
-        assert log.availability(100) == pytest.approx(0.85)
-
-    def test_updown_log_horizon_before_transition(self):
-        log = UpDownLog("n")
-        log.record(50, "down")
-        assert log.downtime(30) == 0.0

@@ -1,12 +1,15 @@
-"""Tier-1 guard for the benchmark's outside-in tracer.
+"""Tier-1 guard for the names the benchmark binds under ``src/``.
 
-``perf/layer_trace.py`` binds to private names under ``src/`` at run time
-(``install()`` raises ``AttributeError`` on a stale one), but ``perf/`` is
-only exercised by CI's ``pytest perf/``. This test reads the tracer's
-tables — without installing a single shim — and checks every name still
-resolves, so a rename fails here, in under a second.
+``perf/layer_trace.py`` binds to private names at run time (``install()``
+raises ``AttributeError`` on a stale one) and every ``perf/*.py`` imports
+its stack builders, observers, fault plane and group configurations from
+``repro``, but ``perf/`` is only exercised by CI's ``pytest perf/``. These
+tests read the tracer's tables — without installing a single shim — and the
+import statements, and check every name still resolves, so a rename or a
+deletion fails here, in under a second.
 """
 
+import ast
 import importlib
 import importlib.util
 import inspect
@@ -32,6 +35,24 @@ def _resolve(module_name, class_name, attribute):
     if class_name is not None:
         owner = getattr(owner, class_name)
     return getattr(owner, attribute)
+
+
+def test_every_repro_name_perf_imports_resolves():
+    imported = [
+        (path.name, node.module, alias.name)
+        for path in sorted(PERF.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.ImportFrom) and node.level == 0
+        and (node.module or "").split(".")[0] == "repro"
+        for alias in node.names
+    ]
+    assert {"CHAOS_GROUP", "BATCHED_GROUP_CONFIG", "build_joshua_stack"} <= {
+        name for _file, _module, name in imported
+    }
+    for file, module_name, name in imported:
+        assert hasattr(importlib.import_module(module_name), name), (
+            f"perf/{file}: from {module_name} import {name}"
+        )
 
 
 def test_every_traced_name_resolves():
