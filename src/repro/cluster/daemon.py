@@ -50,7 +50,10 @@ class Daemon:
             self.endpoint = node.network.bind(node.name, port)
         self.running = False
         self._main: Process | None = None
-        self._helpers: list[Process] = []
+        #: Live helper processes in spawn order (an insertion-ordered dict
+        #: used as a set: teardown interrupts in this order, and the order of
+        #: those interrupts is on the event schedule).
+        self._helpers: dict[Process, None] = {}
 
     # -- identity ------------------------------------------------------------
 
@@ -98,10 +101,17 @@ class Daemon:
     def spawn(self, generator: Generator, name: str | None = None) -> Process:
         """Run a helper process that dies with the daemon."""
         process = self.kernel.spawn(generator, name=name or f"{self.tag}-helper")
-        # Opportunistic cleanup of finished helpers, then track the new one.
-        self._helpers = [p for p in self._helpers if p.is_alive]
-        self._helpers.append(process)
+        self._helpers[process] = None
+        process.callbacks.append(self._helper_done)
         return process
+
+    def _helper_done(self, helper: Process) -> None:
+        """Completion callback of every helper: forget it."""
+        self._helpers.pop(helper, None)  # teardown has already cleared it
+        if not helper.ok:
+            # This callback made the helper look awaited to the kernel's
+            # "nobody is waiting on a crashed process" test: keep it loud.
+            self.kernel.report_crash(helper, helper.value)
 
     def _guarded_run(self):
         try:

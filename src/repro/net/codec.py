@@ -74,6 +74,30 @@ fingerprints of its own declaration and fills the elided tail from the
 defaults — even in strict mode, because a compact frame of the *same*
 declaration is not version skew.
 
+Same bytes, less work
+---------------------
+Most encoded bytes are values sent before: every scheduler poll ships the
+whole job table, and a job's row changes only on a state transition. Two
+host-time devices exploit that; neither moves a byte of any frame.
+
+* **Encode** — :class:`PlainFragment` holds the bytes of a builtins-only
+  value, encoded once by its owner; the encoder splices them verbatim.
+* **Decode** — each :class:`Codec` keeps a bounded memo of the plain dicts
+  it has decoded: complete encoding -> ``marshal`` snapshot of the value,
+  indexed by the encoding's first ``_MEMO_KEY`` bytes -> the lengths
+  remembered under that prefix. At a dict tag the decoder looks the next
+  ``_MEMO_KEY`` bytes up and probes each remembered length that still fits
+  in the frame; a hit returns a freshly deserialised copy and skips the
+  bytes. This is sound because the format is prefix-free — a complete
+  encoding found at ``pos`` is exactly what the decoder would consume
+  there, and a plain dict's value depends on nothing else (no registry, no
+  ``strict`` flag) — and fresh because a hit shares no mutable object with
+  the memo or with any other result. The memo is a pure function of the
+  frame bytes this codec has decoded: nothing passes from encoder to
+  decoder, so truncated, corrupted and mixed-version frames miss, take the
+  ordinary path and raise the ordinary errors. Reaching ``_MEMO_CAP``
+  entries empties it.
+
 Registry
 --------
 Registration is decentralised to respect the layering contract: each wire
@@ -89,6 +113,7 @@ from __future__ import annotations
 
 import dataclasses
 import enum
+import marshal
 import struct
 import zlib
 from typing import Any
@@ -98,6 +123,7 @@ from repro.util.errors import NetworkError
 __all__ = [
     "Codec",
     "CodecError",
+    "PlainFragment",
     "WIRE",
     "register_wire_types",
     "register_wire_enum",
@@ -155,6 +181,14 @@ _T_ENUM = 0x0B
 
 _FLOAT = struct.Struct(">d")
 
+#: Decode memo (see the module docstring): how many leading bytes of a
+#: dict's encoding index the lengths remembered for it, the longest encoding
+#: worth a snapshot (a qstat row is 150-250 bytes), and the entry count at
+#: which the memo is emptied. Together they bound its memory.
+_MEMO_KEY = 20
+_MEMO_MAX = 1024
+_MEMO_CAP = 4096
+
 
 def _encode_varint(value: int, out: bytearray) -> None:
     """Unsigned LEB128."""
@@ -202,6 +236,43 @@ def schema_fingerprint(name: str, fields: tuple[str, ...]) -> int:
     lint rule R7 instead."""
     crc = zlib.crc32(",".join((name, *fields)).encode("utf-8"))
     return (crc ^ (crc >> 16)) & 0xFFFF
+
+
+class PlainFragment:
+    """The wire bytes of a value made only of builtins, encoded once.
+
+    A sender that ships the same plain value many times (a job's qstat/poll
+    row, unchanged between scheduler polls) builds the fragment once and
+    puts *it* in its payloads; the encoder splices the bytes verbatim, so
+    the frame is byte-identical to one built from the value itself.
+
+    The value is encoded by a codec with an empty registry: a record or an
+    enum inside it is a :class:`CodecError` (as is a set), so the bytes hold
+    no wire name, fingerprint or field count and are the same under every
+    :meth:`Codec.clone` of a mixed-version group. Decoding never produces a
+    fragment — the receiver gets the plain value. Immutable; equal and
+    hashed by its bytes; ``repr`` is the value's own (payload printers such
+    as ``wiretrace`` cannot tell it from the value it stands for).
+    """
+
+    __slots__ = ("_wire",)
+
+    def __init__(self, value: Any) -> None:
+        out = bytearray()
+        Codec()._encode_value(value, out)
+        object.__setattr__(self, "_wire", bytes(out))
+
+    def __setattr__(self, name: str, value: Any) -> None:
+        raise AttributeError("PlainFragment is immutable")
+
+    def __eq__(self, other: object) -> bool:
+        return type(other) is PlainFragment and other._wire == self._wire
+
+    def __hash__(self) -> int:
+        return hash(self._wire)
+
+    def __repr__(self) -> str:
+        return repr(Codec()._decode_value(self._wire, 0, True)[0])
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
@@ -306,6 +377,10 @@ class Codec:
         self._enums_by_name: dict[str, type] = {}
         self._enum_types: dict[type, str] = {}
         self._strict = strict
+        # Decode memo: complete encoding of a plain dict -> marshal snapshot
+        # of its value, and first _MEMO_KEY bytes -> the lengths remembered.
+        self._memo: dict[bytes, bytes] = {}
+        self._memo_lengths: dict[bytes, list[int]] = {}
 
     # -- registration -----------------------------------------------------------
 
@@ -456,19 +531,11 @@ class Codec:
             _encode_varint(len(value), out)
             encode = self._encode_value
             # repro-lint: ignore[R3] insertion order IS the wire contract here: the sender's dict order is encoded verbatim and reproduced by decode, so it is deterministic iff the sender built the dict deterministically (which R3 checks at the send sites)
-            for pair in value.items():
-                for part in pair:
-                    # A qstat/poll row is short strings (every key, most
-                    # values): write those here — the bytes the call
-                    # would write — and recurse for everything else.
-                    if type(part) is str:
-                        raw = part.encode("utf-8")
-                        if (size := len(raw)) < 0x80:
-                            out.append(_T_STR)
-                            out.append(size)
-                            out += raw
-                            continue
-                    encode(part, out)
+            for key, item in value.items():
+                encode(key, out)
+                encode(item, out)
+        elif cls is PlainFragment:
+            out += value._wire
         elif cls is float:
             out.append(_T_FLOAT)
             out += _FLOAT.pack(value)
@@ -582,36 +649,24 @@ class Codec:
         if tag == _T_NONE:
             return None, pos
         if tag == _T_DICT:
+            start = pos - 1
+            for length in self._memo_lengths.get(
+                    data[start:start + _MEMO_KEY], ()):
+                # Fit first: a slice past the frame's end comes back short
+                # and can equal a shorter remembered encoding.
+                end = start + length
+                if end <= size and (
+                        snapshot := self._memo.get(data[start:end])) is not None:
+                    return marshal.loads(snapshot), end
             count, pos = _decode_varint(data, pos)
             decode = self._decode_value
-            last = size - 1
             mapping = {}
             for _ in range(count):
-                # A qstat/poll row is short strings (every key, most
-                # values): read those in place — same checks, same error —
-                # and recurse for everything else, including a string
-                # whose tag or length byte is not there to look at.
-                if (pos < last and data[pos] == _T_STR
-                        and (length := data[pos + 1]) < 0x80):
-                    pos += 2
-                    end = pos + length
-                    if end > size:
-                        raise _codec_error("truncated string", pos)
-                    key = data[pos:end].decode("utf-8")
-                    pos = end
-                else:
-                    key, pos = decode(data, pos, tolerant)
-                if (pos < last and data[pos] == _T_STR
-                        and (length := data[pos + 1]) < 0x80):
-                    pos += 2
-                    end = pos + length
-                    if end > size:
-                        raise _codec_error("truncated string", pos)
-                    item = data[pos:end].decode("utf-8")
-                    pos = end
-                else:
-                    item, pos = decode(data, pos, tolerant)
+                key, pos = decode(data, pos, tolerant)
+                item, pos = decode(data, pos, tolerant)
                 mapping[key] = item
+            if _MEMO_KEY <= pos - start <= _MEMO_MAX:
+                self._remember(data[start:pos], mapping)
             return mapping, pos
         if tag == _T_FLOAT:
             end = pos + 8
@@ -647,6 +702,23 @@ class Codec:
                 raise _codec_error("truncated bytes", pos)
             return data[pos:end], end
         raise _codec_error(f"unknown wire tag 0x{tag:02X}", pos - 1)
+
+    def _remember(self, encoded: bytes, mapping: dict) -> None:
+        """Memoise a freshly decoded dict under its complete encoding, if it
+        is made only of builtins (``marshal`` refuses a record or an enum:
+        those decode through the registry and the ``tolerant`` flag, so
+        their value is not a function of the bytes alone)."""
+        try:
+            snapshot = marshal.dumps(mapping)
+        except ValueError:
+            return
+        if len(self._memo) >= _MEMO_CAP:
+            self._memo.clear()
+            self._memo_lengths.clear()
+        self._memo[encoded] = snapshot
+        lengths = self._memo_lengths.setdefault(encoded[:_MEMO_KEY], [])
+        if len(encoded) not in lengths:
+            lengths.append(len(encoded))
 
     def _decode_fields(
         self,

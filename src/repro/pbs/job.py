@@ -4,8 +4,9 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
-from repro.net.codec import register_wire_enum, register_wire_types
+from repro.net.codec import PlainFragment, register_wire_enum, register_wire_types
 from repro.util.errors import PBSError
 
 __all__ = ["JobState", "JobSpec", "Job"]
@@ -112,6 +113,22 @@ class Job:
             "exit_status": self.exit_status,
             "comment": self.comment,
         }
+
+    @cached_property
+    def wire_row(self) -> PlainFragment:
+        """:meth:`stat_row` pre-encoded — what the server puts in a qstat
+        or scheduler-poll reply. Built on first use and kept with this
+        record: a transition makes a new record, so a stale row cannot be
+        sent. Derived state, not a field: equality, ``repr``, ``replace``
+        and the codec's record encoding go by the declared fields."""
+        return PlainFragment(self.stat_row())
+
+    def __getstate__(self) -> dict:
+        # Copies and pickles carry the fields only: without this the cached
+        # row would ride into every Disk write's deep copy of the record.
+        state = self.__dict__.copy()
+        state.pop("wire_row", None)
+        return state
 
 
 # Job records ride inside LoadStateReq/StateXferResp (state transfer) and

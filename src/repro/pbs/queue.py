@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from typing import Callable, Iterator
 
+from repro.net.codec import PlainFragment
 from repro.pbs.job import Job, JobState
 from repro.util.errors import UnknownJobError
 
@@ -98,6 +99,8 @@ class JobQueue:
         """All jobs in submission order (jobs are immutable; safe to share)."""
         return list(self._jobs.values())
 
-    def to_wire(self) -> list[dict]:
+    def to_wire(self) -> list[PlainFragment]:
+        """Every job's qstat row in submission order, pre-encoded (an
+        unchanged job costs one attribute read — ``Job.wire_row``)."""
         # repro-lint: ignore[R3] submission (insertion) order IS the FIFO queue semantics
-        return [j.stat_row() for j in self._jobs.values()]
+        return [j.wire_row for j in self._jobs.values()]

@@ -274,7 +274,7 @@ class PBSServer(Daemon):
     def _do_stat(self, req: StatReq) -> StatResp:
         if req.job_id is None:
             return StatResp(tuple(self.jobs.to_wire()))
-        return StatResp((self.jobs.get(req.job_id).stat_row(),))
+        return StatResp((self.jobs.get(req.job_id).wire_row,))
 
     def _do_delete(self, req: DeleteReq):
         job = self.jobs.get(req.job_id)

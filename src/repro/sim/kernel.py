@@ -215,6 +215,12 @@ class Kernel:
                 f"process {process.name!r} crashed at t={self._now}: {exc!r}"
             ) from exc
 
+    def report_crash(self, process: Process, exc: BaseException) -> None:
+        """Record the failure of a process nobody was waiting on, for
+        :meth:`run` to surface (``strict_errors``) or :meth:`drain_crashes`
+        to hand out, instead of it being dropped silently."""
+        self._crashed_processes.append((process, exc))
+
     def drain_crashes(self) -> list[tuple[Process, BaseException]]:
         """Return and clear recorded unobserved process crashes."""
         crashes, self._crashed_processes = self._crashed_processes, []

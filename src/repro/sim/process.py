@@ -119,19 +119,19 @@ class Process(Event):
                 if not self.callbacks:
                     # Nobody is waiting on this process: remember the crash so
                     # Kernel.run() can surface it instead of silently dropping it.
-                    self.kernel._crashed_processes.append((self, exc))
+                    self.kernel.report_crash(self, exc)
                 return
             if not isinstance(target, Event):
                 exc = SimulationError(f"process {self.name} yielded non-event {target!r}")
                 self.fail(exc)
                 if not self.callbacks:
-                    self.kernel._crashed_processes.append((self, exc))
+                    self.kernel.report_crash(self, exc)
                 return
             if target.kernel is not self.kernel:
                 exc = SimulationError("process yielded an event from a different kernel")
                 self.fail(exc)
                 if not self.callbacks:
-                    self.kernel._crashed_processes.append((self, exc))
+                    self.kernel.report_crash(self, exc)
                 return
             if target.processed:
                 # Already settled: resume immediately via a zero-delay event.

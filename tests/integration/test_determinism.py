@@ -45,6 +45,9 @@ def run_scenario(seed: int):
     cluster.run(until=40.0)
     if SANITIZE:
         assert kernel.sanitizer.ambiguities == [], kernel.sanitizer.report()
+        # Poll rows leave as shared pre-encoded fragments and mostly arrive
+        # from the decode memo: still nothing shared across a delivery.
+        assert kernel.sanitizer.aliasing == [], kernel.sanitizer.report()
     queue = tuple(
         (j.job_id, j.state.value, j.exit_status) for j in stack.pbs("head1").jobs
     )

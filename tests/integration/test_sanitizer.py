@@ -153,6 +153,53 @@ class TestRealScenario:
         assert kernel.sanitizer.aliasing == [], kernel.sanitizer.report()
         assert kernel.sanitizer.digest != 0
 
+    def test_isolation_audit_passes_with_fragments_in_the_sent_payload(self):
+        """A poll reply is *sent* holding pre-encoded fragments — each the
+        same object in every reply until its job changes — and *arrives* as
+        plain rows, memo hits included: nothing of the sender's, and
+        nothing of an earlier delivery, may be in them."""
+        from repro.net.codec import PlainFragment
+        from repro.pbs.wire import SchedPollResp
+
+        cluster = Cluster(head_count=2, compute_count=2, seed=13,
+                          login_node=True, sanitize=True)
+        stack = build_joshua_stack(cluster, group_config=FAST_GROUP)
+        network = cluster.network
+        sent, delivered = [], []
+        inner_send = network.send
+
+        def spy(src, dst, payload):
+            reply = getattr(payload, "payload", None)
+            if isinstance(reply, SchedPollResp) and reply.rows:
+                sent.append(reply)
+            return inner_send(src, dst, payload)
+
+        network.send = spy
+        audit = cluster.kernel.sanitizer.check_payload_isolation
+
+        def audit_spy(time, src, dst, was_sent, fresh):
+            reply = getattr(fresh, "payload", None)
+            if isinstance(reply, SchedPollResp) and reply.rows:
+                delivered.append(reply)
+            return audit(time, src, dst, was_sent, fresh)
+
+        cluster.kernel.sanitizer.check_payload_isolation = audit_spy
+        client = stack.client(node="login")
+        process = cluster.kernel.spawn(client.jsub(name="held", walltime=900.0))
+        cluster.run(until=process)
+        cluster.run(until=3.0)
+        assert len(sent) > 10 and len(delivered) == len(sent)
+        assert all(type(row) is PlainFragment for r in sent for row in r.rows)
+        assert all(type(row) is dict for r in delivered for row in r.rows)
+        # The unchanged row is one fragment, sent again and again...
+        assert len({id(r.rows[0]) for r in sent[-6:]}) <= 2  # one per head
+        # ...and every delivery of it is its own dict with its own list.
+        rows = [r.rows[0] for r in delivered]
+        assert len({id(row) for row in rows}) == len(rows)
+        assert len({id(row["exec_nodes"]) for row in rows}) == len(rows)
+        assert cluster.kernel.sanitizer.aliasing == [], \
+            cluster.kernel.sanitizer.report()
+
     def test_faulted_scenario_has_no_cross_node_aliasing(self):
         """Membership churn and partitions exercise the state-transfer and
         recovery paths — the snapshot-heavy traffic most likely to leak a

@@ -162,6 +162,62 @@ class TestDaemonLifecycle:
         cluster.run(until=10)
         assert log == [1.0, 2.0]
 
+    def test_finished_helpers_are_forgotten_without_a_later_spawn(self, cluster):
+        daemon = cluster.heads[0].add_daemon("ticker", TickerDaemon)
+        kernel = cluster.kernel
+
+        def short():
+            yield kernel.timeout(1.0)
+
+        def forever():
+            yield kernel.timeout(1e9)
+
+        done = [daemon.spawn(short(), name=f"short{i}") for i in range(3)]
+        survivor = daemon.spawn(forever(), name="forever")
+        assert list(daemon._helpers) == done + [survivor]
+        cluster.run(until=2.0)
+        # Each finished helper dropped itself; nothing scanned the rest.
+        assert list(daemon._helpers) == [survivor]
+        daemon.stop()
+        cluster.run(until=3.0)
+        assert not daemon._helpers and not survivor.is_alive
+
+    def test_surviving_helpers_are_interrupted_in_spawn_order(self, cluster):
+        """Teardown's interrupts are events: their order is on the schedule
+        and must be the spawn order, not a hash order."""
+        from repro.util.errors import Interrupt
+
+        daemon = cluster.heads[0].add_daemon("ticker", TickerDaemon)
+        kernel = cluster.kernel
+        interrupted = []
+
+        def helper(index):
+            try:
+                yield kernel.timeout(0.5 if index % 3 == 0 else 1e9)
+            except Interrupt:
+                interrupted.append(index)
+
+        for index in range(64):
+            daemon.spawn(helper(index), name=f"h{index}")
+        cluster.run(until=1.0)  # every third helper finishes on its own
+        cluster.heads[0].crash()
+        cluster.run(until=2.0)
+        assert interrupted == [i for i in range(64) if i % 3]
+
+    def test_crashed_helper_is_still_reported(self, cluster):
+        from repro.util.errors import SimulationError
+
+        daemon = cluster.heads[0].add_daemon("ticker", TickerDaemon)
+
+        def broken():
+            yield cluster.kernel.timeout(0.5)
+            raise RuntimeError("protocol bug")
+
+        daemon.spawn(broken(), name="broken-helper")
+        with pytest.raises(SimulationError, match="broken-helper"):
+            cluster.run(until=1.0)
+        assert not daemon._helpers
+
 
 class TestStorage:
     def test_disk_survives_crash(self, cluster):

@@ -89,9 +89,11 @@ def _representative_frames():
     scheduler's poll reply (``SchedPollResp``: one ten-key ``dict`` row per
     job, over loopback) is 69-93 % of what the codec handles on the four
     ``perf/`` workloads, so one reply at ``POLL_ROWS`` jobs dominates the
-    mix the way it dominates the runs; the GCS records ride along: DATA
-    carrying a typed submit payload, batched ORDER assignments, STABLE
-    acks, heartbeats."""
+    mix the way it dominates the runs — built as the server builds it,
+    from ``JobQueue.to_wire()``'s pre-encoded rows, and decoded over and
+    over by one codec, as a head's Maui decodes an unchanged table; the GCS
+    records ride along: DATA carrying a typed submit payload, batched ORDER
+    assignments, STABLE acks, heartbeats."""
     from repro.gcs.messages import (
         DataMsg,
         Heartbeat,
@@ -101,6 +103,7 @@ def _representative_frames():
     )
     from repro.net.address import Address
     from repro.pbs.job import Job, JobSpec
+    from repro.pbs.queue import JobQueue
     from repro.pbs.wire import SchedPollResp
     from repro.rpc.wire import Reply
 
@@ -116,13 +119,12 @@ def _representative_frames():
     ))
     frames.append(StableMsg(3, 8))
     frames.append(Heartbeat(12.5))
-    rows = tuple(
-        Job(f"{i}.torque", JobSpec(name=f"job-{i:04d}", walltime=3600.0),
-            submit_time=float(i)).stat_row()
-        for i in range(1, POLL_ROWS + 1)
-    )
+    queue = JobQueue()
+    for i in range(1, POLL_ROWS + 1):
+        queue.add(Job(f"{i}.torque", JobSpec(name=f"job-{i:04d}", walltime=3600.0),
+                      submit_time=float(i)))
     frames.append(Reply(1, SchedPollResp(
-        rows, (("compute0", True), ("compute1", False)))))
+        tuple(queue.to_wire()), (("compute0", True), ("compute1", False)))))
     return frames
 
 
