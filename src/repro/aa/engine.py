@@ -184,11 +184,17 @@ class ReplicationEngine:
         #: (no contacts) that must nevertheless pin a transfer marker.
         self.needs_resync = False
 
+        # Boot counter of this GCS address, on the disk that outlives us:
+        # the member numbers its multicasts apart from its predecessors'.
+        boots_key = f"gcs.boots.{self.gcs_port}"
+        incarnation = self.node.disk.read(boots_key, 0)
+        self.node.disk.write(boots_key, incarnation + 1)
         self.group = GroupMember(
             self.node.network.bind(self.node.name, self.gcs_port),
             dataclasses.replace(group_config, group_id=index, shard_count=nshards),
             on_deliver=self._on_deliver,
             on_view=self._on_view,
+            incarnation=incarnation,
         )
 
     def start(self) -> None:

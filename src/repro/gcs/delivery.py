@@ -9,7 +9,7 @@ arriving from the wire" and "the application sees a totally ordered stream":
 * per-member cumulative stability acknowledgements, which gate SAFE
   messages: a SAFE message at seq *s* is deliverable only when **every**
   view member has acknowledged holding all messages through *s*;
-* a delivered-message-id set for duplicate suppression across view changes.
+* a :class:`DeliveredTracker` for duplicate suppression across view changes.
 
 A SAFE message that is not yet stable blocks everything behind it — that is
 what keeps SAFE and AGREED messages in one total order (Transis/Totem
@@ -19,6 +19,7 @@ visible in the paper's latency overhead per added head node.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from typing import Iterable
 
 from repro.gcs.messages import (
@@ -33,7 +34,58 @@ from repro.gcs.view import View
 from repro.net.address import Address
 from repro.util.errors import GroupCommError
 
-__all__ = ["DeliveryQueue"]
+__all__ = ["DeliveredTracker", "DeliveryQueue"]
+
+
+class DeliveredTracker:
+    """Which multicast ids were delivered, in space O(senders) not O(history).
+
+    A sender numbers its multicasts contiguously (each incarnation from its
+    own base, see ``INCARNATION_SHIFT``) and they are delivered nearly in
+    that order, so per sender the set is a few *runs* of consecutive
+    counters: one per incarnation seen, one more per gap — a multicast lost
+    with its sender, or history from before we joined. Kept exactly (this is
+    a set, not a summary) as one flat sorted list ``[lo0, hi0, lo1, hi1,
+    ...]`` of half-open, non-adjacent runs per sender. :meth:`report` is that
+    state as sorted ``(sender, runs)`` entries: what a ``FlushOk`` carries,
+    and what the constructor rebuilds a tracker from.
+    """
+
+    def __init__(self, report: Iterable[tuple[Address, Iterable[int]]] = ()):
+        self._runs: dict[Address, list[int]] = {
+            sender: list(runs) for sender, runs in report
+        }
+
+    def add(self, msg_id: MessageId) -> None:
+        sender, counter = msg_id
+        runs = self._runs.setdefault(sender, [])
+        i = bisect_right(runs, counter)
+        if i % 2:
+            return  # inside a run already
+        joins_left = i > 0 and runs[i - 1] == counter
+        joins_right = i < len(runs) and runs[i] == counter + 1
+        if joins_left and joins_right:
+            del runs[i - 1:i + 1]
+        elif joins_left:
+            runs[i - 1] = counter + 1
+        elif joins_right:
+            runs[i] = counter
+        else:
+            runs[i:i] = (counter, counter + 1)
+
+    def __contains__(self, msg_id: MessageId) -> bool:
+        # An odd number of run boundaries at or below the counter: inside.
+        runs = self._runs.get(msg_id[0])
+        return runs is not None and bisect_right(runs, msg_id[1]) % 2 == 1
+
+    def __len__(self) -> int:
+        """Runs held — not ids delivered."""
+        return sum(len(runs) for runs in self._runs.values()) // 2
+
+    def report(self) -> tuple[tuple[Address, tuple[int, ...]], ...]:
+        return tuple(
+            (sender, tuple(runs)) for sender, runs in sorted(self._runs.items())
+        )
 
 
 class DeliveryQueue:
@@ -53,7 +105,7 @@ class DeliveryQueue:
         #: highest seq found agreed-ready so far in this view. Readiness of
         #: a prefix never reverts within a view — orderings are only added,
         #: and :meth:`gc` drops a payload only once its id is in
-        #: ``_delivered_ids``, which never shrinks — so the scan resumes
+        #: ``_delivered``, which never shrinks — so the scan resumes
         #: here instead of restarting at seq 0 on every delivery.
         self._ready = -1
         #: next seq the garbage collector will consider.
@@ -61,7 +113,7 @@ class DeliveryQueue:
         #: per-member cumulative "I hold everything through seq" acks.
         self._stable: dict[Address, int] = {}
         #: every msg_id this member has ever delivered (any view).
-        self._delivered_ids: set[MessageId] = set()
+        self._delivered = DeliveredTracker()
         #: messages delivered across *all* views — the cumulative position
         #: the read path's sequence surface reports (the per-view cursor
         #: resets at every view change, so it cannot serve as a monotonic
@@ -137,7 +189,7 @@ class DeliveryQueue:
         seq = self._ready
         while (seq + 1) in self._order:
             msg_id = self._order[seq + 1]
-            if msg_id not in self._data and msg_id not in self._delivered_ids:
+            if msg_id not in self._data and msg_id not in self._delivered:
                 break
             seq += 1
         self._ready = seq
@@ -167,9 +219,9 @@ class DeliveryQueue:
             if data.service == SAFE and seq > stable:
                 break  # not yet stable everywhere; blocks everything behind it
             self._cursor += 1
-            if msg_id in self._delivered_ids:
+            if msg_id in self._delivered:
                 continue  # duplicate across a view change
-            self._delivered_ids.add(msg_id)
+            self._delivered.add(msg_id)
             self.delivered_total += 1
             out.append(
                 DeliveredMessage(
@@ -185,7 +237,7 @@ class DeliveryQueue:
         return out
 
     def was_delivered(self, msg_id: MessageId) -> bool:
-        return msg_id in self._delivered_ids
+        return msg_id in self._delivered
 
     # -- garbage collection -----------------------------------------------------
 
@@ -204,7 +256,7 @@ class DeliveryQueue:
         released = 0
         while self._gc_cursor <= threshold:
             msg_id = self._order.get(self._gc_cursor)
-            if msg_id is None or msg_id not in self._delivered_ids:
+            if msg_id is None or msg_id not in self._delivered:
                 break  # keep the prefix contiguous; retry next sweep
             if msg_id in self._data:
                 del self._data[msg_id]
@@ -239,14 +291,10 @@ class DeliveryQueue:
     # -- flush support -----------------------------------------------------------
 
     def flush_report(self) -> tuple[tuple, tuple, tuple]:
-        """(known, orderings, delivered) for a FlushOk contribution."""
+        """(known, orderings, delivered report) for a FlushOk contribution."""
         known = tuple(
             (msg_id, (data.service, data.payload))
             for msg_id, data in sorted(self._data.items())
         )
         orderings = tuple(sorted(self._order.items()))
-        delivered = tuple(sorted(self._delivered_ids))
-        return known, orderings, delivered
-
-    def undelivered_of(self, msg_ids: Iterable[MessageId]) -> list[MessageId]:
-        return [m for m in msg_ids if m not in self._delivered_ids]
+        return known, orderings, self._delivered.report()

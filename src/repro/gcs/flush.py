@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any
 
+from repro.gcs.delivery import DeliveredTracker
 from repro.gcs.lifecycle import FLUSHING, NORMAL
 from repro.gcs.messages import FlushOk, FlushReq, JoinReq, LeaveReq, MessageId, NewView
 from repro.gcs.view import View
@@ -237,26 +238,21 @@ class FlushEngine:
                 orderings[seq] = msg_id
         # Messages every surviving *old* member already delivered need not
         # (must not) be redelivered; fresh joiners (view_id == -1) get state
-        # transfer at the application layer instead and are excluded from
-        # the intersection. Members lagging a view behind deliver the
-        # difference from the closing list (duplicate suppression protects
-        # the advanced members).
-        old_responders = [
-            ok for a, ok in sorted(flush.replies.items())
+        # transfer at the application layer instead and are not asked.
+        # Members lagging a view behind deliver the difference from the
+        # closing list (duplicate suppression protects the advanced members).
+        old_delivered = [
+            DeliveredTracker(ok.delivered_runs)
+            for a, ok in sorted(flush.replies.items())
             if a in old_members and ok.view_id >= 0
         ]
-        if old_responders:
-            delivered_by_all = set.intersection(
-                *[set(ok.delivered) for ok in old_responders]
-            )
-        else:
-            delivered_by_all = set()
         ordered_ids = [mid for _s, mid in sorted(orderings.items())]
         unordered = sorted(set(known) - set(ordered_ids))
         closing = tuple(
             (mid, known[mid][0], known[mid][1])
             for mid in [*ordered_ids, *unordered]
-            if mid in known and mid not in delivered_by_all
+            if mid in known
+            and not (old_delivered and all(mid in d for d in old_delivered))
         )
         primary = True
         if m.config.primary_partition and m.view is not None:

@@ -37,6 +37,7 @@ from repro.gcs.flush import FlushEngine
 from repro.gcs.lifecycle import FLUSHING, IDLE, JOINING, NORMAL, STOPPED
 from repro.gcs.messages import (
     AGREED,
+    INCARNATION_SHIFT,
     SAFE,
     DataBatchMsg,
     DataMsg,
@@ -87,6 +88,10 @@ class GroupMember:
     on_view:
         ``callback(view: View)`` — called at each view installation, before
         the view's transitional deliveries.
+    incarnation:
+        How many processes were instantiated at this address before this one
+        (from stable storage): it numbers our multicasts apart from theirs,
+        which the survivors remember having delivered.
     """
 
     def __init__(
@@ -96,6 +101,7 @@ class GroupMember:
         *,
         on_deliver: Callable[[DeliveredMessage], None] | None = None,
         on_view: Callable[[View], None] | None = None,
+        incarnation: int = 0,
     ):
         if config is None:
             config = GroupConfig()
@@ -163,7 +169,7 @@ class GroupMember:
 
         self.state = IDLE
         self.view: View | None = None
-        self._msg_counter = 0
+        self._msg_counter = incarnation << INCARNATION_SHIFT
         #: Own multicasts not yet delivered: msg_id -> (service, payload).
         self._own_pending: dict[MessageId, tuple[str, Any]] = {}
         self._last_stable_sent = -1

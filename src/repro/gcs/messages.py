@@ -2,9 +2,10 @@
 
 All protocol traffic is dataclasses tagged by type; the transport carries
 them opaquely. ``MessageId`` is the globally unique identity of one
-application multicast: ``(sender address, sender-local counter)`` — the
-counter never resets within a member's lifetime, and a restarted member is a
-new transport epoch whose traffic cannot be confused with its past life.
+application multicast: ``(sender address, sender-local counter)``. The
+counter's high bits are the sender's *incarnation* (0 on first start,
+strictly larger each time a process is re-instantiated at the address), so a
+restarted member can never re-issue an id of its past life.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from repro.net.codec import register_wire_types
 
 __all__ = [
     "MessageId",
+    "INCARNATION_SHIFT",
     "AGREED",
     "SAFE",
     "DataMsg",
@@ -37,6 +39,12 @@ __all__ = [
 #: Delivery services (paper §3: totally ordered vs. safe/stable delivery).
 AGREED = "agreed"
 SAFE = "safe"
+
+
+#: ``MessageId.counter = (incarnation << INCARNATION_SHIFT) | n`` for the
+#: sender's *n*-th multicast of that incarnation. Incarnation 0 leaves the
+#: counter — and every frame of a never-restarted member — as it always was.
+INCARNATION_SHIFT = 32
 
 
 class MessageId(NamedTuple):
@@ -165,12 +173,14 @@ class FlushOk:
     known: tuple[tuple[MessageId, tuple], ...]
     #: global seq -> message id orderings this member has seen.
     orderings: tuple[tuple[int, MessageId], ...]
-    #: message ids this member has already delivered (any view).
-    delivered: tuple[MessageId, ...]
+    #: what this member has already delivered (any view), as a
+    #: :meth:`~repro.gcs.delivery.DeliveredTracker.report`: per sender, the
+    #: runs of consecutive counters ``(lo0, hi0, lo1, hi1, ...)``.
+    delivered_runs: tuple[tuple[Address, tuple[int, ...]], ...]
     #: view id this member has installed (-1 for joiners with no view); the
     #: coordinator merges orderings only from the most advanced responders
-    #: and computes the globally-delivered set only over responders that
-    #: held a view at all.
+    #: and asks "already delivered?" only of responders that held a view at
+    #: all.
     view_id: int = -1
 
 

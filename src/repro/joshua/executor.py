@@ -23,6 +23,7 @@ from repro.net.address import Address
 from repro.obs.collector import collector_of
 from repro.pbs.job import Job, JobSpec, JobState
 from repro.pbs.wire import (
+    CaptureReq,
     DeleteReq,
     ErrorResp,
     LoadStateReq,
@@ -138,20 +139,17 @@ class SerialExecutor:
     def capture_state(self, marker_uuid: str):
         s = self.s
         mode = s.host.state_transfer
-        stat = yield from self.local_rpc(StatReq(None))
-        rows = list(stat.rows)
+        capture = yield from self.local_rpc(CaptureReq())
+        rows = list(capture.rows)
+        # Never inferred from the rows: a sponsor that itself joined holds
+        # no row of the jobs that finished before, and their ids are taken.
+        next_seq = capture.next_seq
         if s.nshards > 1:
             # The local PBS holds every shard's jobs; capture only our
-            # stripe. next_seq then carries the *stripe count* — taken from
-            # the replica's own counter, not inferred from surviving rows,
-            # because it advances in total order and therefore agrees
-            # across replicas even after the highest-id job was deleted.
+            # stripe. next_seq then carries the *stripe count*: the
+            # replica's own counter, which advances in total order.
             rows = [r for r in rows if s.owns_job(r["job_id"])]
             next_seq = s.stripe_count
-        else:
-            next_seq = 1 + max(
-                (int(r["job_id"].split(".")[0]) for r in rows), default=0
-            )
         live = [r for r in rows if r["state"] in ("Q", "R", "E", "H", "W")]
         skipped: list[str] = []
         items: list = []

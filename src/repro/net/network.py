@@ -332,10 +332,11 @@ class Network:
         if not self.partitions.reachable(src.node, dst.node):
             self.stats["dropped_unreachable"] += 1
             return
-        for _token, predicate in sorted(self._drop_filters.items()):
-            if predicate(src, dst, payload):
-                self.stats["dropped_filtered"] += 1
-                return
+        if self._drop_filters:
+            for _token, predicate in sorted(self._drop_filters.items()):
+                if predicate(src, dst, payload):
+                    self.stats["dropped_filtered"] += 1
+                    return
 
         local = src.node == dst.node
         model = self.loopback if local else self.lan
@@ -396,8 +397,12 @@ class Network:
         # sanitizer: same-instant deliveries are distinguishable ties, not
         # ambiguous ones — by (src, dst), and among same-pair datagrams by
         # the per-pair send sequence (per-pair send order is part of the
-        # determinism contract).
-        seq = self._pair_seq.get((src, dst), 0) + 1
-        self._pair_seq[(src, dst)] = seq
-        timer = self.kernel.timeout(delay, det_key=(str(src), str(dst), seq))
+        # determinism contract). Only the sanitizer reads it, and a kernel
+        # has one from construction or never.
+        det_key = None
+        if self.kernel.sanitizer is not None:
+            seq = self._pair_seq.get((src, dst), 0) + 1
+            self._pair_seq[(src, dst)] = seq
+            det_key = (str(src), str(dst), seq)
+        timer = self.kernel.timeout(delay, det_key=det_key)
         timer.callbacks.append(deliver)

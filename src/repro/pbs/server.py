@@ -49,6 +49,8 @@ from repro.pbs.job import Job, JobSpec, JobState, KILLED_EXIT_STATUS
 from repro.pbs.queue import JobQueue
 from repro.pbs.service_times import ERA_2006, ServiceTimes
 from repro.pbs.wire import (
+    CaptureReq,
+    CaptureResp,
     DeleteReq,
     DeleteResp,
     ErrorResp,
@@ -176,6 +178,9 @@ class PBSServer(Daemon):
         reg(LoadStateReq, lambda s, r, p: self._do_load_state(p),
             delay=t.disk_write)
         reg(PurgeReq, lambda s, r, p: self._do_purge(p), delay=t.disk_write)
+        reg(CaptureReq,
+            lambda s, r, p: CaptureResp(tuple(self.jobs.to_wire()), self.next_seq),
+            delay=t.qstat_process)
         reg(SchedPollReq, lambda s, r, p: self._do_sched_poll(),
             delay=t.qstat_process)
         reg(RunJobReq, lambda s, r, p: self._do_run(p), delay=t.run_process)

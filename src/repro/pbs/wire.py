@@ -27,6 +27,7 @@ __all__ = [
     "StatReq", "StatResp",
     "DeleteReq", "DeleteResp",
     "HoldReq", "ReleaseReq", "SignalReq", "RerunReq", "LoadStateReq", "PurgeReq",
+    "CaptureReq", "CaptureResp",
     "AdminServers",
     "SimpleResp",
     "RunJobReq", "RunJobResp",
@@ -134,6 +135,22 @@ class LoadStateReq:
 
 
 @dataclass(frozen=True)
+class CaptureReq:
+    """HA layer -> its local server: the job table *and* the id counter, for
+    a state-transfer capture. The counter cannot be inferred from the rows:
+    a server that was itself cloned holds no record of the jobs that
+    finished before, yet must never hand their ids out again."""
+
+
+@dataclass(frozen=True)
+class CaptureResp:
+    #: qstat-style rows, submission order (as :class:`StatResp`).
+    rows: tuple
+    #: the sequence number the server's next self-assigned job id takes.
+    next_seq: int
+
+
+@dataclass(frozen=True)
 class AdminServers:
     """HA layer -> mom: the authoritative head-server set after a
     membership change (obituaries and future start reports follow it)."""
@@ -230,6 +247,7 @@ register_wire_types(
     StatReq, StatResp,
     DeleteReq, DeleteResp,
     HoldReq, ReleaseReq, SignalReq, RerunReq, LoadStateReq, PurgeReq,
+    CaptureReq, CaptureResp,
     AdminServers,
     SimpleResp,
     RunJobReq, RunJobResp,

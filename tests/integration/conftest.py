@@ -7,11 +7,26 @@ protocol timings so each scenario completes in a fraction of a simulated
 minute.
 """
 
+import os
+
 import pytest
 
 from repro.cluster import Cluster
 from repro.gcs.config import FAST_GROUP_CONFIG as FAST_GROUP
 from repro.joshua import build_joshua_stack
+
+
+#: CI re-runs some modules with REPRO_SANITIZE=1: same tests, with the
+#: kernel's determinism sanitizer watching (see repro.sim.sanitizer). Those
+#: modules build their kernels with ``sanitize=SANITIZE`` and finish with
+#: :func:`assert_sanitizer_clean`.
+SANITIZE = os.environ.get("REPRO_SANITIZE", "") == "1"
+
+
+def assert_sanitizer_clean(kernel):
+    if kernel.sanitizer is not None:
+        assert kernel.sanitizer.ambiguities == [], kernel.sanitizer.report()
+        assert kernel.sanitizer.aliasing == [], kernel.sanitizer.report()
 
 
 def make_stack(heads=2, computes=2, seed=11, state_transfer="replay", shards=1,

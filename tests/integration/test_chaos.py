@@ -7,9 +7,18 @@ checker watching. The second half smoke-tests the random soak path that
 ``repro chaos soak`` and CI rely on.
 """
 
+from pathlib import Path
+
+import pytest
+
 from repro.faults import FaultSchedule, run_chaos
 
 from tests.integration.conftest import drive, make_stack, settle
+
+#: The committed rolling-restart scenario CI's chaos-smoke replays: every
+#: head crashed and restarted in turn under load, head2 restarting while
+#: head1 is still joining, head0 (the clients' first choice) twice.
+ROLLING_RESTART = Path(__file__).resolve().parents[1] / "data" / "chaos_rolling_restart.json"
 
 
 class TestScriptedScenarios:
@@ -88,6 +97,22 @@ class TestScriptedScenarios:
         )
         assert report.ok, [str(v) for v in report.violations]
         assert report.jobs_completed == report.jobs_submitted
+
+
+class TestRollingRestart:
+    @pytest.mark.parametrize("ordering,shards", [
+        ("sequencer", 1), ("token", 1), ("sequencer", 2),
+    ])
+    def test_rolling_restart_schedule(self, ordering, shards):
+        """Before incarnation-stamped ids a restarted gateway head needed 4
+        × flush_timeout per multicast of its past life to rejoin, so this
+        schedule left the clients nobody to talk to (7 of 12 submissions
+        accepted); now every head is back within a marker round."""
+        schedule = FaultSchedule.from_json(ROLLING_RESTART.read_text())
+        report = run_chaos(schedule, seed=0, jobs=12, duration=30.0,
+                           ordering=ordering, shards=shards)
+        assert report.ok, [str(v) for v in report.violations]
+        assert report.jobs_submitted == 12
 
 
 class TestRandomSmoke:

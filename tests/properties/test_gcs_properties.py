@@ -11,17 +11,19 @@ simulated stack, then checks the paper-relevant guarantees:
 * SAFE copies exist at all members of the delivery view.
 
 And, without the stack: the delivery queue's monotone ready cursor is
-observably the from-zero rescan it replaced.
+observably the from-zero rescan it replaced, and its delivered tracker is
+observably the plain id set it replaced.
 """
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.gcs import GroupConfig, GroupMember, boot_static_group
-from repro.gcs.delivery import DeliveryQueue
-from repro.gcs.messages import AGREED, SAFE, DataMsg, MessageId
+from repro.gcs.delivery import DeliveredTracker, DeliveryQueue
+from repro.gcs.messages import AGREED, INCARNATION_SHIFT, SAFE, DataMsg, MessageId
 from repro.gcs.view import View
 from repro.net import Address, Network
+from repro.net.codec import WIRE
 from repro.net.link import FAST_ETHERNET
 from repro.sim import Kernel
 
@@ -209,7 +211,7 @@ class RescanQueue(DeliveryQueue):
         seq = -1
         while (seq + 1) in self._order:
             msg_id = self._order[seq + 1]
-            if msg_id not in self._data and msg_id not in self._delivered_ids:
+            if msg_id not in self._data and msg_id not in self._delivered:
                 break
             seq += 1
         return seq
@@ -274,3 +276,39 @@ def test_ready_cursor_equals_rescan_from_zero(ops):
     assert queues[0].agreed_ready_through() == queues[1].agreed_ready_through()
     assert queues[0].snapshot() == queues[1].snapshot()
     assert queues[0].flush_report() == queues[1].flush_report()
+
+
+# -- DeliveredTracker: exactly a set of ids, in a fraction of the space ---------
+
+tracked_id = st.builds(
+    lambda sender, incarnation, n: MessageId(
+        Address(f"n{sender}", GCS_PORT), (incarnation << INCARNATION_SHIFT) | n
+    ),
+    st.integers(0, 2), st.integers(0, 2), st.integers(0, 9),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(adds=st.lists(tracked_id, max_size=80))
+def test_delivered_tracker_equals_plain_set(adds):
+    """Arbitrary interleavings of senders, incarnations and out-of-order
+    (and repeated) adds: membership is that of a plain set at every step,
+    the size is the number of runs, and the report survives the wire."""
+    universe = [
+        MessageId(Address(f"n{s}", GCS_PORT), (i << INCARNATION_SHIFT) | n)
+        for s in range(3) for i in range(3) for n in range(-1, 11)
+    ]
+    tracker, model = DeliveredTracker(), set()
+    for msg_id in adds:
+        tracker.add(msg_id)
+        model.add(msg_id)
+        assert [m in tracker for m in universe] == [m in model for m in universe]
+    runs = sum(
+        1 for m in model if MessageId(m.sender, m.counter - 1) not in model
+    )
+    assert len(tracker) == runs
+    report = tracker.report()
+    assert report == tuple(sorted(report))
+    rebuilt = DeliveredTracker(WIRE.decode(WIRE.encode(report)))
+    assert rebuilt.report() == report
+    assert [m in rebuilt for m in universe] == [m in model for m in universe]

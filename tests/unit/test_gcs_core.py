@@ -192,7 +192,8 @@ class TestDeliveryQueue:
         known, orderings, delivered = q.flush_report()
         assert known == ((d.msg_id, (AGREED, "p")),)
         assert orderings == ((0, d.msg_id),)
-        assert delivered == (d.msg_id,)
+        # One (sender, runs) entry: addr(1)'s counters [0, 1).
+        assert delivered == ((addr(1), (0, 1)),)
 
     def test_agreed_ready_through(self):
         q, _ = self.make()

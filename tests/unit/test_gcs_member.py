@@ -21,14 +21,17 @@ FAST = GroupConfig(
 class Harness:
     """N group members on one simulated LAN, with delivery/view recording."""
 
-    def __init__(self, n, config=FAST, seed=1, loss=0.0):
+    def __init__(self, n, config=FAST, seed=1, loss=0.0, sanitize=False):
         from repro.net.link import FAST_ETHERNET
-        self.kernel = Kernel(seed=seed)
+        self.kernel = Kernel(seed=seed, sanitize=sanitize)
         lan = FAST_ETHERNET.with_loss(loss) if loss else FAST_ETHERNET
         self.net = Network(self.kernel, lan=lan, shared_medium=False)
         self.members: dict[str, GroupMember] = {}
         self.delivered: dict[str, list] = {}
         self.views: dict[str, list] = {}
+        #: Members ever attached per name — the boot counter a real
+        #: deployment keeps on the node's disk (see ReplicationEngine).
+        self.boots: dict[str, int] = {}
         self.config = config
         for i in range(n):
             self.add_node(f"n{i}")
@@ -46,7 +49,9 @@ class Harness:
             self.config,
             on_deliver=lambda m, nm=name: self.delivered[nm].append(m),
             on_view=lambda v, nm=name: self.views[nm].append(v),
+            incarnation=self.boots.get(name, 0),
         )
+        self.boots[name] = self.boots.get(name, 0) + 1
         self.members[name] = member
         return member
 
