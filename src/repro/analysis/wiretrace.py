@@ -6,6 +6,9 @@ to one canonical line::
 
     <send time> <src> <dst> <encoded frame length> <payload repr>
 
+(a frame addressed to a group — a heartbeat, a probe — is one line whose
+``<dst>`` is the comma-joined sorted group: one transmission, one line).
+
 The sha256 over those lines is the scenario's **wire digest**: two builds
 with the same digest sent byte-for-byte identical traffic at identical
 times. ``tests/data/wire_baseline.json`` pins the digests of the
@@ -27,6 +30,7 @@ import hashlib
 from repro.cluster.cluster import Cluster
 from repro.gcs.config import FAST_GROUP_CONFIG
 from repro.joshua.deploy import JoshuaStack, build_joshua_stack
+from repro.net.address import dst_text
 from repro.net.codec import encoded_size
 
 __all__ = [
@@ -61,7 +65,8 @@ def _drive(stack: JoshuaStack, coroutine):
 
 
 def spy_network(stack: JoshuaStack) -> list[str]:
-    """Record every frame crossing :meth:`Network.send` as a canonical line."""
+    """Record every frame crossing :meth:`Network.send` — the fabric's one
+    entry point, group frames included — as a canonical line."""
     lines: list[str] = []
     network = stack.cluster.network
     inner = network.send
@@ -69,7 +74,8 @@ def spy_network(stack: JoshuaStack) -> list[str]:
 
     def spy(src, dst, payload):
         lines.append(
-            f"{kernel.now:.9f} {src} {dst} {encoded_size(payload)} {payload!r}"
+            f"{kernel.now:.9f} {src} {dst_text(dst)} "
+            f"{encoded_size(payload)} {payload!r}"
         )
         return inner(src, dst, payload)
 

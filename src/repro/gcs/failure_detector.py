@@ -1,8 +1,12 @@
 """Heartbeat failure detector.
 
-Each member beacons an unreliable :class:`~repro.gcs.messages.Heartbeat` to
-every monitored peer each ``heartbeat_interval`` and suspects any peer silent
-for longer than ``suspect_timeout``. Suspicion is *sticky* per incarnation:
+Each member beacons **one** unreliable :class:`~repro.gcs.messages.Heartbeat`
+frame per ``heartbeat_interval``, addressed to the group of all monitored
+peers (link-level multicast, see :meth:`repro.net.network.Network.send`: one
+frame on the wire however many peers hear it, so beacon bytes are linear in
+group size), and suspects any peer silent for longer than
+``suspect_timeout``. Monitoring stays all-to-all and each receiver hears or
+loses its copy on its own. Suspicion is *sticky* per incarnation:
 once suspected, a peer stays suspected until explicitly forgiven (the
 membership layer forgives on view change or when the peer re-joins), which
 prevents flapping from repeatedly aborting flush rounds.
@@ -136,14 +140,16 @@ class FailureDetector:
                 now = self.kernel.now
                 for peer in sorted(self._peers):
                     self._last_heard[peer] = now
-            beat = Heartbeat(sent_at=self.kernel.now)
-            # Sorted: heartbeat wire order must not depend on the hash
-            # seed of the peer set (the determinism sanitizer's digest
-            # diverges across PYTHONHASHSEED values otherwise).
-            for peer in sorted(self._peers):
-                self.transport.send_raw(peer, beat)
             now = self.kernel.now
-            for peer in sorted(self._peers):
+            # Sorted: the group is seen by spies and hooks, and must not
+            # depend on the hash seed of the peer set (the determinism
+            # sanitizer's digest diverges across PYTHONHASHSEED values
+            # otherwise).
+            peers = sorted(self._peers)
+            if peers:
+                # One beacon, one frame, every peer.
+                self.transport.send_raw(tuple(peers), Heartbeat(sent_at=now))
+            for peer in peers:
                 if peer in self._suspected:
                     continue
                 if now - self._last_heard.get(peer, now) > self.suspect_timeout:

@@ -92,12 +92,13 @@ class RecoveryTracker:
         foreign = self.known_addresses - set(m.view.members)
         if not foreign:
             return
-        probe = Probe(m.view.view_id, m.view.size, m.view.coordinator)
-        # Sorted: set iteration order is hash-order (varies across
-        # PYTHONHASHSEED values) and probe send order is observable on
-        # the wire.
-        for address in sorted(foreign):
-            m.transport.send_raw(address, probe)
+        # One probe frame to the whole foreign set. Sorted: set iteration
+        # order is hash-order (varies across PYTHONHASHSEED values) and the
+        # group is observable on the wire.
+        m.transport.send_raw(
+            tuple(sorted(foreign)),
+            Probe(m.view.view_id, m.view.size, m.view.coordinator),
+        )
 
     def handle_probe(self, src: Address, probe: Probe) -> None:
         """A foreign group announced itself (partition merge discovery)."""

@@ -3,11 +3,11 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, NamedTuple
+from typing import Any, NamedTuple, Sequence
 
 from repro.net.codec import register_wire_types
 
-__all__ = ["Address", "Delivery"]
+__all__ = ["Address", "Delivery", "canonical_group", "dst_text"]
 
 
 class Address(NamedTuple):
@@ -23,6 +23,27 @@ class Address(NamedTuple):
 
     def __str__(self) -> str:
         return f"{self.node}:{self.port}"
+
+
+def canonical_group(group: Sequence[Address]) -> tuple[Address, ...]:
+    """A destination *group* — any sequence of addresses — in delivery
+    order: sorted and deduplicated. A ``set`` is refused the way the codec
+    refuses one: a caller that holds one must sort it, so hash order never
+    reaches a spy, a hook or the wire."""
+    if isinstance(group, (set, frozenset)):
+        raise TypeError(
+            "a destination group must be a sequence, not a set: iteration "
+            "order is hash-dependent; pass a sorted tuple instead"
+        )
+    return tuple(sorted(set(group)))
+
+
+def dst_text(dst: Address | Sequence[Address]) -> str:
+    """``node:port`` for one address, comma-joined (no spaces) for a group —
+    the one spelling trace lines and recorder entries use."""
+    if isinstance(dst, Address):
+        return str(dst)
+    return ",".join(map(str, canonical_group(dst)))
 
 
 @dataclass(frozen=True)

@@ -3,8 +3,19 @@
 :class:`Network` is the single shared LAN of the simulated cluster. Daemons
 :meth:`~Network.bind` an :class:`Endpoint` (a ``(node, port)`` address plus a
 mailbox) and exchange *datagrams*: unreliable, unordered-between-pairs
-point-to-point messages. Reliability and FIFO ordering are layered on top by
+messages addressed to one endpoint or — link-level multicast — to a *group*
+of them. Reliability and FIFO ordering are layered on top by
 :mod:`repro.net.transport`, mirroring how real stacks separate IP from TCP.
+
+Group send: a frame addressed to a group is **one transmission** — encoded
+once, offered once (``sent``, ``bytes_offered``, the ``on_frame`` hook) and,
+if at least one off-node receiver survives the drop decisions, charged to
+the wire once (``bytes_wire`` and the shared medium's occupancy, at one
+site). Everything below that belongs to a *receiver* and is decided per
+receiver, in sorted address order: the fault semantics, the propagation
+jitter draw, the delivery-time re-check, a fresh decode and one delivery
+event — observably the loop of one-address sends it replaces, so
+``bytes_delivered`` may exceed ``bytes_offered``.
 
 Fault semantics (all fail-stop, like the paper's):
 
@@ -12,7 +23,7 @@ Fault semantics (all fail-stop, like the paper's):
 * destination port unbound → dropped (connection refused is invisible to a
   datagram sender);
 * sender's node down → :class:`~repro.util.errors.NodeDown` is raised — a
-  crashed daemon must not transmit;
+  crashed daemon must not transmit (once per frame, group or not);
 * pair unreachable per :class:`~repro.net.partition.PartitionState` → dropped;
 * random loss per the link model → dropped.
 
@@ -44,9 +55,9 @@ and the delivered object graphs.
 
 from __future__ import annotations
 
-from typing import Any, Callable
+from typing import Any, Callable, Sequence
 
-from repro.net.address import Address, Delivery
+from repro.net.address import Address, Delivery, canonical_group
 from repro.net.codec import WIRE, Codec
 from repro.net.link import FAST_ETHERNET, LOOPBACK, LinkModel
 from repro.net.partition import PartitionState
@@ -89,8 +100,9 @@ class Endpoint:
         self._callback: Callable[[Delivery], None] | None = None
         self.closed = False
 
-    def send(self, dst: Address, payload: Any):
-        """Transmit a datagram; returns immediately (fire and forget)."""
+    def send(self, dst: Address | Sequence[Address], payload: Any):
+        """Transmit a datagram to one address or to a group of them (one
+        frame, see :meth:`Network.send`); returns immediately."""
         self.network.send(self.address, dst, payload)
 
     def recv(self):
@@ -187,7 +199,8 @@ class Network:
         #: still shows up in a per-type breakdown.
         self.offered_bytes_by_type: dict[str, int] = {}
         #: Hooks ``fn(now, src, dst, kind, size)`` fired for every offered
-        #: frame, at the same site as the ``bytes_offered`` accounting.
+        #: frame (*dst* an ``Address``, or the sorted tuple of a group
+        #: frame), at the same site as the ``bytes_offered`` accounting.
         #: Observation only — the flight recorder in ``repro.obs`` registers
         #: here; empty by default, costing one truthiness check per send.
         self.on_frame: list = []
@@ -297,8 +310,15 @@ class Network:
 
     # -- datagram delivery --------------------------------------------------------
 
-    def send(self, src: Address, dst: Address, payload: Any) -> None:
+    def send(
+        self, src: Address, dst: Address | Sequence[Address], payload: Any
+    ) -> None:
         """Send one datagram from *src* to *dst*; drops are silent.
+
+        *dst* is one :class:`Address` or a group of them (any sequence;
+        :func:`~repro.net.address.canonical_group` sorts it). Either way
+        this is *one* transmission; the module docstring says what is
+        counted once per frame and what per receiver.
 
         The payload is encoded to wire bytes *here*: the exact frame length
         drives the link/contention models, and delivery decodes a fresh
@@ -311,6 +331,12 @@ class Network:
                 self.stats["dropped_paused"] += 1
                 return
             raise NodeDown(f"send from crashed node {src.node!r}")
+        if isinstance(dst, Address):
+            targets = (dst,)
+        else:
+            targets = dst = canonical_group(dst)
+            if not targets:
+                return
         self.stats["sent"] += 1
         frame = self.codec_for(src.node).encode(payload)
         size = len(frame) + DATAGRAM_OVERHEAD
@@ -319,68 +345,98 @@ class Network:
         self.offered_bytes_by_type[offered_kind] = (
             self.offered_bytes_by_type.get(offered_kind, 0) + size
         )
+        now = self.kernel.now
         if self.on_frame:
             for hook in self.on_frame:
-                hook(self.kernel.now, src, dst, offered_kind, size)
+                hook(now, src, dst, offered_kind, size)
 
-        if not self.node_is_up(dst.node):
-            if self._nodes_up.get(dst.node) and dst.node in self._paused:
-                self.stats["dropped_paused"] += 1
+        #: How long this frame queued for the wire; ``None`` until its first
+        #: off-node receiver survives the drop decisions and it occupies it.
+        wire_wait: float | None = None
+        for target in targets:
+            if not self.node_is_up(target.node):
+                self._count_dead(target.node)
+                continue
+            if not self.partitions.reachable(src.node, target.node):
+                self.stats["dropped_unreachable"] += 1
+                continue
+            if self._drop_filters and any(
+                predicate(src, target, payload)
+                for _token, predicate in sorted(self._drop_filters.items())
+            ):
+                self.stats["dropped_filtered"] += 1
+                continue
+            local = src.node == target.node
+            model = self.loopback if local else self.lan
+            if model.dropped(self._rng):
+                self.stats["dropped_loss"] += 1
+                continue
+
+            if local:
+                delay = model.delay(size, self._rng)
             else:
-                self.stats["dropped_down"] += 1
-            return
-        if not self.partitions.reachable(src.node, dst.node):
-            self.stats["dropped_unreachable"] += 1
-            return
-        if self._drop_filters:
-            for _token, predicate in sorted(self._drop_filters.items()):
-                if predicate(src, dst, payload):
-                    self.stats["dropped_filtered"] += 1
-                    return
+                if wire_wait is None:
+                    # The frame occupies the wire: once, however many
+                    # receivers hear it, and this one site feeds both the
+                    # ledger and the contention model.
+                    self.stats["bytes_wire"] += size
+                    self.wire_bytes_by_type[offered_kind] = (
+                        self.wire_bytes_by_type.get(offered_kind, 0) + size
+                    )
+                    wire_wait = 0.0
+                    if self.shared_medium:
+                        # Hub: wait for the wire, occupy it for the
+                        # serialisation time, then propagate. Contention
+                        # shows up as queueing delay.
+                        start = max(now, self._wire_free_at)
+                        self._wire_free_at = start + size / model.bandwidth
+                        wire_wait = start - now
+                # Propagation (and its jitter draw) is the receiver's own.
+                delay = wire_wait + model.delay(size, self._rng)
+            # Slow-node episodes: an overloaded host adds stack latency to
+            # every message it sends or receives.
+            delay += (self._slowdown.get(src.node, 0.0)
+                      + self._slowdown.get(target.node, 0.0))
 
-        local = src.node == dst.node
-        model = self.loopback if local else self.lan
-        if model.dropped(self._rng):
-            self.stats["dropped_loss"] += 1
-            return
-
-        now = self.kernel.now
-        if not local:
-            # The frame survived every drop decision: it occupies the wire.
-            self.stats["bytes_wire"] += size
-            self.wire_bytes_by_type[offered_kind] = (
-                self.wire_bytes_by_type.get(offered_kind, 0) + size
+            # The det_key tags the in-flight datagram for the determinism
+            # sanitizer: same-instant deliveries are distinguishable ties,
+            # not ambiguous ones — by (src, dst), and among same-pair
+            # datagrams by the per-pair send sequence (per-pair send order
+            # is part of the determinism contract). Only the sanitizer reads
+            # it, and a kernel has one from construction or never.
+            det_key = None
+            if self.kernel.sanitizer is not None:
+                seq = self._pair_seq.get((src, target), 0) + 1
+                self._pair_seq[(src, target)] = seq
+                det_key = (str(src), str(target), seq)
+            timer = self.kernel.timeout(delay, det_key=det_key)
+            timer.callbacks.append(
+                self._delivery(src, target, payload, frame, size, now)
             )
-        if local or not self.shared_medium:
-            delay = model.delay(size, self._rng)
-        else:
-            # Hub: wait for the wire, occupy it for the serialisation time,
-            # then propagate. Contention shows up as queueing delay.
-            serialisation = size / model.bandwidth
-            start = max(now, self._wire_free_at)
-            self._wire_free_at = start + serialisation
-            delay = (start - now) + model.delay(size, self._rng)
-        # Slow-node episodes: an overloaded host adds stack latency to every
-        # message it sends or receives.
-        delay += self._slowdown.get(src.node, 0.0) + self._slowdown.get(dst.node, 0.0)
 
-        sent_at = now
+    def _count_dead(self, node: str) -> None:
+        """Count a frame lost to *node* being blacked out or crashed."""
+        paused = self._nodes_up.get(node) and node in self._paused
+        self.stats["dropped_paused" if paused else "dropped_down"] += 1
+
+    def _delivery(self, src: Address, dst: Address, payload: Any, frame: bytes,
+                  size: int, sent_at: float):
+        """The delivery-time callback for one receiver's copy of a frame."""
+
         def deliver(_event) -> None:
             # Re-check at delivery time: the destination may have crashed or
             # become unreachable while the message was in flight.
             if not self.node_is_up(dst.node):
-                if self._nodes_up.get(dst.node) and dst.node in self._paused:
-                    self.stats["dropped_paused"] += 1
-                else:
-                    self.stats["dropped_down"] += 1
+                self._count_dead(dst.node)
                 return
             endpoint = self._endpoints.get(dst)
             if endpoint is None or endpoint.closed:
                 self.stats["dropped_unbound"] += 1
                 return
             # Decode a *fresh* object graph from the frame bytes — the
-            # receiver never sees the sender's objects, and a node with its
-            # own codec sees the frame through its own wire-module version.
+            # receiver never sees the sender's objects (nor another
+            # receiver's), and a node with its own codec sees the frame
+            # through its own wire-module version.
             fresh = self.codec_for(dst.node).decode(frame)
             sanitizer = self.kernel.sanitizer
             if sanitizer is not None:
@@ -393,16 +449,4 @@ class Network:
                 Delivery(src, dst, fresh, sent_at, self.kernel.now, size)
             )
 
-        # The det_key tags the in-flight datagram for the determinism
-        # sanitizer: same-instant deliveries are distinguishable ties, not
-        # ambiguous ones — by (src, dst), and among same-pair datagrams by
-        # the per-pair send sequence (per-pair send order is part of the
-        # determinism contract). Only the sanitizer reads it, and a kernel
-        # has one from construction or never.
-        det_key = None
-        if self.kernel.sanitizer is not None:
-            seq = self._pair_seq.get((src, dst), 0) + 1
-            self._pair_seq[(src, dst)] = seq
-            det_key = (str(src), str(dst), seq)
-        timer = self.kernel.timeout(delay, det_key=det_key)
-        timer.callbacks.append(deliver)
+        return deliver

@@ -20,7 +20,7 @@ Wire frames are the typed records of :mod:`repro.net.frames`
 from __future__ import annotations
 
 import itertools
-from typing import Any, Callable
+from typing import Any, Callable, Sequence
 
 from repro.net.address import Address, Delivery
 from repro.net.frames import AckFrame, DataFrame, RawFrame
@@ -118,11 +118,13 @@ class Transport:
         """Handler for frames that bypass the reliable layer (heartbeats)."""
         self._on_raw = callback
 
-    def send_raw(self, dst: Address, payload: Any) -> None:
+    def send_raw(self, dst: Address | Sequence[Address], payload: Any) -> None:
         """Fire-and-forget datagram: no sequencing, no retransmission.
 
         Used for traffic where timeliness beats reliability — a retransmitted
-        stale heartbeat would defeat the failure detector's purpose.
+        stale heartbeat would defeat the failure detector's purpose. *dst*
+        may be a group of addresses: the unreliable plane is link-level
+        multicast, one frame on the wire however many peers hear it.
         """
         if self._closed:
             raise NetworkError(f"transport at {self.address} is closed")

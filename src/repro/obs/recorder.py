@@ -40,6 +40,7 @@ import json
 from collections import deque
 from typing import TYPE_CHECKING
 
+from repro.net.address import dst_text
 from repro.obs.collector import attach_collector
 from repro.obs.export import dumps_record
 
@@ -120,14 +121,15 @@ class FlightRecorder:
 
     def on_frame(self, now: float, src, dst, kind: str, size: int) -> None:
         """Network ``on_frame`` hook: offered wire frames, recorded against
-        the *sending* node (that is where the causal story unfolds)."""
+        the *sending* node (that is where the causal story unfolds) — one
+        entry per frame, a group frame's ``dst`` naming its whole group."""
         self.observed += 1
         self._ring(src.node).append({
             "type": "frame",
             "time": now,
             "node": src.node,
             "src": str(src),
-            "dst": str(dst),
+            "dst": dst_text(dst),
             "kind": kind,
             "size": size,
         })

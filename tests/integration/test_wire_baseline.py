@@ -16,7 +16,12 @@ import os
 
 import pytest
 
-from repro.analysis.wiretrace import SCENARIOS, run_scenario
+from repro.analysis.wiretrace import (
+    SCENARIOS,
+    make_stack,
+    run_scenario,
+    spy_network,
+)
 
 _BASELINE = os.path.join(os.path.dirname(os.path.dirname(__file__)),
                          "data", "wire_baseline.json")
@@ -38,3 +43,18 @@ def test_shards1_wire_identical_to_presharding_baseline(scenario):
     assert fresh["now"] == pinned["now"]
     assert fresh["events"] == pinned["events"]
     assert fresh["digest"] == pinned["digest"]
+
+
+@pytest.mark.parametrize("scenario", sorted(SCENARIOS))
+def test_spy_records_every_frame_the_fabric_counts(scenario):
+    """The digest is a proof only while no class of frame can bypass the
+    spy: one line per ``Network.stats["sent"]`` — group frames (heartbeats,
+    probes) included, each as one line — from the moment it attaches."""
+    stack = make_stack(1)
+    network = stack.cluster.network
+    sent_at_boot = network.stats["sent"]
+    lines = spy_network(stack)
+    SCENARIOS[scenario](stack)
+    assert len(lines) == network.stats["sent"] - sent_at_boot
+    beacons = [line for line in lines if " RawFrame(payload=Heartbeat(" in line]
+    assert beacons[0].split(" ")[1:3] == ["head0:4413", "head1:4413,head2:4413"]

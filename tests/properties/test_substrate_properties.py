@@ -3,6 +3,10 @@
 * events fire in non-decreasing time order, ties in creation order;
 * the reliable transport delivers any message pattern, under any loss rate
   below 1, exactly once and in per-sender FIFO order;
+* a group send is observably the sorted loop of one-address sends it
+  replaced — same receivers, payloads, drop counters and RNG consumption;
+  same arrival times on a switch, none later on the hub (CI runs this one a
+  second time with ``REPRO_SANITIZE=1``);
 * the config parser round-trips arbitrary generated documents
   (render -> parse -> same values).
 """
@@ -11,9 +15,10 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.net import Address, Network, Transport
-from repro.net.link import LinkModel
+from repro.net.link import FAST_ETHERNET, LinkModel
 from repro.sim import Kernel
 from repro.util.config import parse_config
+from tests.integration.conftest import SANITIZE, assert_sanitizer_clean
 
 
 @settings(max_examples=100, deadline=None)
@@ -75,6 +80,83 @@ def test_transport_exactly_once_fifo_under_loss(messages, loss, seed):
         sender.send(Address("b", 1), message)
     kernel.run(until=60.0)
     assert received == messages
+
+
+_NODES = ("n0", "n1", "n2", "n3", "n4")
+_SENDER = Address("n0", 1)
+_ADDRESSES = [Address(node, port) for node in _NODES for port in (1, 2)]
+_FAULTS = ("up", "crashed", "paused", "cut", "filtered", "slow", "unbound")
+
+
+def _faulty_fabric(seed, shared, faults, loss):
+    """A fabric whose nodes n1..n4 are each in one of ``_FAULTS``; returns
+    it with the list every bound endpoint appends its deliveries to."""
+    kernel = Kernel(seed=seed, sanitize=SANITIZE)
+    net = Network(kernel, lan=FAST_ETHERNET.with_loss(loss), shared_medium=shared)
+    arrivals = []
+    for node, fault in zip(_NODES, ("up",) + tuple(faults)):
+        net.register_node(node)
+        if fault != "unbound":
+            for port in (1, 2):
+                net.bind(node, port).on_delivery(
+                    lambda d: arrivals.append((d.dst, d.delivered_at, d.payload)))
+        if fault == "crashed":
+            net.set_node_up(node, False)
+        elif fault == "paused":
+            net.pause_node(node)
+        elif fault == "cut":
+            net.partitions.cut_link("n0", node)
+        elif fault == "filtered":
+            net.add_drop_filter(lambda s, d, p, node=node: d.node == node)
+        elif fault == "slow":
+            net.set_node_slowdown(node, 0.01)
+    return kernel, net, arrivals
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**16),
+    shared=st.booleans(),
+    faults=st.tuples(*[st.sampled_from(_FAULTS)] * 4),
+    loss=st.sampled_from([0.0, 0.3]),
+    sends=st.lists(
+        st.tuples(st.lists(st.sampled_from(_ADDRESSES), unique=True, max_size=8),
+                  st.lists(st.integers(), max_size=4)),
+        min_size=1, max_size=4),
+    crash_in_flight=st.none() | st.sampled_from(_NODES[1:]),
+)
+def test_group_send_equals_sorted_unicast_loop(
+    seed, shared, faults, loss, sends, crash_in_flight
+):
+    runs = []
+    for grouped in (True, False):
+        kernel, net, arrivals = _faulty_fabric(seed, shared, faults, loss)
+        for group, payload in sends:
+            if grouped:
+                net.send(_SENDER, group, payload)
+            else:
+                for dst in sorted(group):
+                    net.send(_SENDER, dst, payload)
+        if crash_in_flight is not None:
+            net.set_node_up(crash_in_flight, False)
+        kernel.run()
+        assert_sanitizer_clean(kernel)
+        ledger = {k: v for k, v in net.stats.items()
+                  if k == "delivered" or k.startswith("dropped_")}
+        runs.append((sorted(arrivals), ledger, float(net._rng.random())))
+    (group_arrivals, group_ledger, group_rng), (loop_arrivals, loop_ledger, loop_rng) = runs
+    assert group_ledger == loop_ledger
+    assert group_rng == loop_rng  # the ``net`` stream was consumed identically
+    if not shared:
+        assert group_arrivals == loop_arrivals
+    else:
+        # The hub carries a group frame once, so nothing queues longer.
+        by_copy = lambda arrival: (arrival[0], arrival[2], arrival[1])
+        group_arrivals.sort(key=by_copy)
+        loop_arrivals.sort(key=by_copy)
+        assert [(d, p) for d, _t, p in group_arrivals] == [
+            (d, p) for d, _t, p in loop_arrivals]
+        assert all(g[1] <= l[1] for g, l in zip(group_arrivals, loop_arrivals))
 
 
 config_value = st.one_of(

@@ -1,5 +1,9 @@
 """Unit tests for GCS building blocks: config, view, delivery queue, detector."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
 from repro.gcs import GroupConfig, View
@@ -9,6 +13,31 @@ from repro.gcs.messages import AGREED, SAFE, DataMsg, MessageId
 from repro.net import Address, Network, Transport
 from repro.sim import Kernel
 from repro.util.errors import GroupCommError, MembershipError
+from tests.integration.conftest import SANITIZE, assert_sanitizer_clean
+
+_SRC = os.path.join(os.path.dirname(__file__), "..", "..", "src")
+
+#: One detector monitoring four peers handed over in scrambled order; prints
+#: ``<tick time> <dst exactly as the fabric's entry point received it>``.
+_BEACON_SCRIPT = """
+from repro.gcs.failure_detector import FailureDetector
+from repro.net import Address, Network, Transport
+from repro.sim import Kernel
+
+kernel = Kernel(seed=5)
+net = Network(kernel, shared_medium=False)
+for name in ("n1", "n2", "n3", "n4", "n5"):
+    net.register_node(name)
+inner = net.send
+def spy(src, dst, payload):
+    print(f"{kernel.now:.1f}", ",".join(map(str, dst)))
+    return inner(src, dst, payload)
+net.send = spy
+fd = FailureDetector(Transport(net.bind("n1", 9)),
+                     heartbeat_interval=0.1, suspect_timeout=0.35)
+fd.monitor([Address(n, 9) for n in ("n4", "n2", "n5", "n1", "n3")])
+kernel.run(until=0.55)
+"""
 
 
 def addr(i: int) -> Address:
@@ -287,22 +316,18 @@ class TestFailureDetector:
         """Regression (found by the determinism sanitizer): heartbeats used
         to go out in ``self._peers`` set-iteration order, so the wire order
         — and with it every downstream timestamp — depended on the process
-        hash seed. The loop must emit in sorted peer order."""
-        kernel = Kernel(seed=5)
-        net = Network(kernel, shared_medium=False)
-        for name in ("n1", "n2", "n3", "n4", "n5"):
-            net.register_node(name)
-        t1 = Transport(net.bind("n1", 9))
-        fd1 = FailureDetector(t1, heartbeat_interval=0.1, suspect_timeout=0.35)
-        sent: list[Address] = []
-        original = t1.send_raw
-        t1.send_raw = lambda dst, payload: (sent.append(dst), original(dst, payload))
-        fd1.monitor([Address(n, 9) for n in ("n4", "n2", "n5", "n1", "n3")])
-        kernel.run(until=0.55)
-        expected = [Address(n, 9) for n in ("n2", "n3", "n4", "n5")]
-        assert len(sent) >= 2 * len(expected)
-        rounds = [sent[i:i + 4] for i in range(0, len(sent) - 3, 4)]
-        assert all(r == expected for r in rounds), sent
+        hash seed. Each tick is one frame, and the group the detector hands
+        the fabric is the sorted peer set whatever the hash seed."""
+        expected = [
+            f"{0.1 * tick:.1f} n2:9,n3:9,n4:9,n5:9" for tick in range(1, 6)
+        ]
+        for hash_seed in ("1", "2"):
+            out = subprocess.run(
+                [sys.executable, "-c", _BEACON_SCRIPT],
+                env=dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=_SRC),
+                capture_output=True, text=True, check=True,
+            )
+            assert out.stdout.split("\n")[:-1] == expected, hash_seed
 
     def test_blackout_rearm_forgives_own_stale_silence(self):
         """Thawing must also reset the *local* last-heard clock: during the
@@ -315,3 +340,59 @@ class TestFailureDetector:
         net.resume_node("n1")
         kernel.run(until=2.65)  # less than suspect_timeout after thawing
         assert not fd1.is_suspected(Address("n2", 9))
+    # -- n members on the hub, one beacon frame per member per tick -----------
+
+    def make_group(self, n):
+        kernel = Kernel(seed=5, sanitize=SANITIZE)
+        net = Network(kernel)
+        members = [addr(i) for i in range(n)]
+        suspicions = []
+        for me in members:
+            net.register_node(me.node)
+            transport = Transport(net.bind(me.node, me.port))
+            fd = FailureDetector(
+                transport, heartbeat_interval=0.1, suspect_timeout=0.35,
+                on_suspect=lambda peer, me=me: suspicions.append(
+                    (kernel.now, me.node, peer.node)),
+            )
+            transport.on_raw(fd.handle_heartbeat)
+            fd.monitor(members)
+        return kernel, net, suspicions
+
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_crashed_peer_suspected_at_the_parent_instant(self, n):
+        """Detection timing is untouched by the group beacon: every survivor
+        suspects the crashed peer at the instant the per-peer loop did
+        (recorded from the commit before the group send: 1.4000000000000001
+        for every survivor at n = 3, 4 and 5)."""
+        kernel, net, suspicions = self.make_group(n)
+        kernel.run(until=1.03)
+        net.set_node_up("n0", False)
+        kernel.run(until=3.0)
+        assert suspicions == [
+            (1.4000000000000001, f"n{i}", "n0") for i in range(1, n)
+        ]
+        assert_sanitizer_clean(kernel)
+
+    def test_asymmetric_loss_is_seen_by_the_deaf_receiver_only(self):
+        """n0's beacon is one frame, but losing it is per receiver: n2 stops
+        hearing n0 and suspects it; n1 hears the same frames and does not."""
+        kernel, net, suspicions = self.make_group(3)
+        net.add_drop_filter(lambda s, d, p: s.node == "n0" and d.node == "n2")
+        kernel.run(until=3.0)
+        assert [(who, peer) for _t, who, peer in suspicions] == [("n2", "n0")]
+        assert net.stats["dropped_filtered"] > 0
+        assert_sanitizer_clean(kernel)
+
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_idle_beacon_bytes_are_linear_in_group_size(self, n):
+        """100 ticks of an idle group: n frames of 64 B per tick on the wire
+        (the per-peer loop cost n * (n - 1))."""
+        kernel, net, suspicions = self.make_group(n)
+        kernel.run(until=10.05)
+        assert net.wire_bytes_by_type == {"Heartbeat": n * 100 * 64}
+        assert net.stats["sent"] == n * 100
+        assert net.stats["delivered"] == n * (n - 1) * 100
+        assert suspicions == []
+        assert_sanitizer_clean(kernel)
+

@@ -586,6 +586,21 @@ class TestR5:
         )
         assert rules_of(findings) == ["R5"]
 
+    def test_fires_on_group_send(self):
+        """The group send added no verb: a beacon to a group is still
+        ``send`` / ``send_raw``, and an observer making one is flagged."""
+        findings = check_source(
+            src(
+                """
+                def hook(network, transport, src, peers, payload):
+                    network.send(src, tuple(sorted(peers)), payload)
+                    transport.send_raw(tuple(sorted(peers)), payload)
+                """
+            ),
+            path="obs/bad.py",
+        )
+        assert [(f.rule, f.line) for f in findings] == [("R5", 2), ("R5", 3)]
+
     def test_quiet_on_reads_and_own_state(self):
         findings = check_source(
             src(

@@ -8,6 +8,7 @@ from repro.net.link import FAST_ETHERNET, LOOPBACK
 from repro.net.network import DATAGRAM_OVERHEAD
 from repro.sim import Kernel
 from repro.util.errors import AddressInUse, NetworkError, NodeDown
+from tests.integration.conftest import SANITIZE, assert_sanitizer_clean
 
 
 @pytest.fixture
@@ -308,6 +309,164 @@ class TestNetwork:
         kernel.run()
         assert net.stats["bytes_delivered"] > 0
         assert net.stats["bytes_wire"] == 0  # loopback skips the hub
+
+
+class TestGroupSend:
+    """One frame addressed to a group is one transmission; everything that
+    belongs to a receiver stays per receiver. CI runs this class a second
+    time with ``REPRO_SANITIZE=1``."""
+
+    GROUP = (Address("b", 1), Address("c", 1), Address("d", 1))
+
+    def build(self, *, shared=True, lan=FAST_ETHERNET):
+        kernel = Kernel(seed=7, sanitize=SANITIZE)
+        net = Network(kernel, lan=lan, shared_medium=shared)
+        for name in ("a", "b", "c", "d"):
+            net.register_node(name)
+        src = net.bind("a", 1)
+        got = {}
+        for dst in self.GROUP:
+            net.bind(dst.node, dst.port).on_delivery(
+                lambda d, dst=dst: got.setdefault(dst, []).append(d))
+        return kernel, net, src, got
+
+    @pytest.mark.parametrize("shared", [True, False])
+    def test_encoded_offered_and_charged_once(self, shared):
+        kernel, net, src, got = self.build(shared=shared)
+        codec = WIRE.clone()
+        encodes = []
+        inner = codec.encode
+        codec.encode = lambda value: (encodes.append(value), inner(value))[1]
+        net.set_node_codec("a", codec)
+        frames = []
+        net.on_frame.append(lambda *args: frames.append(args))
+        # Any order, duplicates and all: the fabric canonicalises the group.
+        src.send([self.GROUP[2], self.GROUP[0], self.GROUP[1], self.GROUP[0]],
+                 "beacon")
+        size = len(WIRE.encode("beacon")) + DATAGRAM_OVERHEAD
+        assert encodes == ["beacon"]
+        assert frames == [(0.0, Address("a", 1), self.GROUP, "str", size)]
+        kernel.run()
+        assert net.stats["sent"] == 1
+        assert net.stats["bytes_offered"] == size
+        assert net.offered_bytes_by_type == {"str": size}
+        assert net.stats["bytes_wire"] == size
+        assert net.wire_bytes_by_type == {"str": size}
+        assert net.stats["delivered"] == 3
+        assert net.stats["bytes_delivered"] == 3 * size
+        assert sorted(got) == list(self.GROUP)
+        assert_sanitizer_clean(kernel)
+
+    def test_one_occupancy_of_the_shared_wire(self):
+        """The hub is busy for one serialisation time, not three: a frame
+        sent right behind a group frame queues behind exactly one."""
+        slow = LinkModel(base_latency=0.0001, bandwidth=1e4, jitter=0.0)
+        kernel, net, src, got = self.build(lan=slow)
+        src.send(self.GROUP, "x" * 100)
+        src.send(self.GROUP[0], "y")
+        kernel.run()
+        first, second = got[self.GROUP[0]]
+        assert second.latency == pytest.approx(
+            first.size / slow.bandwidth + slow.delay(second.size, None))
+        # ... and every receiver of the group frame heard it at once.
+        assert {d.delivered_at for ds in got.values() for d in ds[:1]} == {
+            first.delivered_at}
+        assert_sanitizer_clean(kernel)
+
+    def test_no_wire_charge_when_no_receiver_survives(self):
+        kernel, net, src, got = self.build()
+        net.partitions.set_partitions([["a"], ["b", "c", "d"]])
+        src.send(self.GROUP, "x")
+        kernel.run()
+        assert net.stats["sent"] == 1 and net.stats["bytes_offered"] > 0
+        assert net.stats["dropped_unreachable"] == 3
+        assert net.stats["bytes_wire"] == 0 and net.wire_bytes_by_type == {}
+        assert net._wire_free_at == 0.0
+        assert got == {}
+
+    def test_on_node_member_gets_loopback_and_no_wire_charge(self):
+        kernel, net, src, got = self.build()
+        local = Address("a", 2)
+        net.bind("a", 2).on_delivery(lambda d: got.setdefault(local, []).append(d))
+        src.send((local,), "x")
+        kernel.run()
+        assert net.stats["bytes_wire"] == 0  # every receiver is on-node
+        src.send(self.GROUP + (local,), "x")
+        kernel.run()
+        size = got[local][1].size
+        assert net.stats["bytes_wire"] == size  # once, for the off-node three
+        assert got[local][1].latency == pytest.approx(LOOPBACK.delay(size, None))
+        assert all(got[dst][0].latency > got[local][1].latency
+                   for dst in self.GROUP)
+        assert_sanitizer_clean(kernel)
+
+    @pytest.mark.parametrize("fault, counter", [
+        (lambda net: net.partitions.cut_link("a", "c"), "dropped_unreachable"),
+        (lambda net: net.pause_node("c"), "dropped_paused"),
+        (lambda net: net.set_node_up("c", False), "dropped_down"),
+        (lambda net: net.add_drop_filter(lambda s, d, p: d.node == "c"),
+         "dropped_filtered"),
+    ], ids=["partitioned", "paused", "crashed", "filtered"])
+    def test_a_faulty_receiver_loses_its_copy_alone(self, fault, counter):
+        kernel, net, src, got = self.build()
+        fault(net)
+        src.send(self.GROUP, "x")
+        kernel.run()
+        assert net.stats[counter] == 1
+        assert sum(v for k, v in net.stats.items() if k.startswith("dropped_")) == 1
+        assert sorted(got) == [self.GROUP[0], self.GROUP[2]]
+        assert net.stats["bytes_wire"] == got[self.GROUP[0]][0].size
+
+    def test_receiver_crashing_mid_flight_is_caught_at_delivery(self):
+        kernel, net, src, got = self.build()
+        src.send(self.GROUP, "x")
+        net.set_node_up("c", False)  # the frame is already on the wire
+        kernel.run()
+        assert net.stats["dropped_down"] == 1
+        assert sorted(got) == [self.GROUP[0], self.GROUP[2]]
+
+    def test_sender_faults_count_per_frame(self):
+        kernel, net, src, got = self.build()
+        net.pause_node("a")
+        src.send(self.GROUP, "x")
+        assert net.stats["dropped_paused"] == 1  # one frame, not three copies
+        assert net.stats["sent"] == 0
+        net.set_node_up("a", False)
+        with pytest.raises(NodeDown):
+            net.send(Address("a", 1), self.GROUP, "x")
+        kernel.run()
+        assert got == {}
+
+    def test_every_receiver_decodes_its_own_object(self):
+        """Zero jitter: all three deliveries pop at the same instant, and the
+        sanitizer must see three distinguishable ties and no aliasing."""
+        kernel, net, src, got = self.build(lan=FAST_ETHERNET.with_jitter(0.0))
+        payload = {"jobs": ["j1"]}
+        src.send(self.GROUP, payload)
+        kernel.run()
+        copies = [got[dst][0].payload for dst in self.GROUP]
+        assert copies == [payload] * 3
+        copies[0]["jobs"].append("evil")
+        assert copies[1] == copies[2] == payload == {"jobs": ["j1"]}
+        assert len({id(c) for c in copies} | {id(payload)}) == 4
+        assert len({got[dst][0].delivered_at for dst in self.GROUP}) == 1
+        assert_sanitizer_clean(kernel)
+
+    def test_empty_group_sends_and_charges_nothing(self):
+        kernel, net, src, got = self.build()
+        frames = []
+        net.on_frame.append(lambda *args: frames.append(args))
+        src.send((), "x")
+        kernel.run()
+        assert frames == [] and kernel.processed_events == 0
+        assert not any(net.stats.values())
+
+    def test_a_set_is_refused(self):
+        kernel, net, src, got = self.build()
+        for group in (set(self.GROUP), frozenset(self.GROUP)):
+            with pytest.raises(TypeError, match="hash"):
+                src.send(group, "x")
+        assert net.stats["sent"] == 0
 
 
 class TestWireIsolation:
