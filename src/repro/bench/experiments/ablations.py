@@ -85,8 +85,9 @@ def ordering_engine_latency(*, max_heads: int = 4, trials: int = 20) -> list[dic
     return rows
 
 
-def sequencer_batching(*, batch_delays=(0.0, 0.005, 0.02, 0.05), burst: int = 50) -> list[dict]:
+def sequencer_batching(*, batch_delays=(0.0, 0.005, 0.02, 0.05)) -> list[dict]:
     """ORDER batching delay vs. time to deliver a burst of multicasts."""
+    burst = 50
     rows = []
     for delay in batch_delays:
         config = replace(FAST_GROUP_CONFIG, sequencer_batch_delay=delay)
@@ -108,10 +109,10 @@ def sequencer_batching(*, batch_delays=(0.0, 0.005, 0.02, 0.05), burst: int = 50
     return rows
 
 
-def failure_detection_sweep(*, timeouts=(0.2, 0.5, 1.0, 2.0)) -> list[dict]:
+def failure_detection_sweep() -> list[dict]:
     """Suspect timeout vs. time from crash to the survivors' new view."""
     rows = []
-    for timeout in timeouts:
+    for timeout in (0.2, 0.5, 1.0, 2.0):
         config = GroupConfig(
             heartbeat_interval=timeout / 4,
             suspect_timeout=timeout,

@@ -105,19 +105,17 @@ def shard_scaling(
 
 def sequencer_kill(
     *, shards: int = 2, heads: int = 3, computes: int = 2, seed: int = 1,
-    think: float = 0.02, before_s: float = 1.0, dead_s: float = 0.3,
-    settle_s: float = 2.5, after_s: float = 1.0,
 ) -> dict:
     """Kill shard 1's sequencer under continuous per-shard load.
 
-    One submission stream per shard runs throughout. After *before_s* of
-    steady state, shard 1's GCS endpoint on its sequencer head is
-    blackholed — that shard's sequencer is dead, while the same head's
-    shard-0 member keeps participating. The *dead_s* window sits inside
-    the suspicion interval (no view change yet: shard 1 cannot order,
-    shard 0 must not care), then after *settle_s* of failover the
-    *after_s* window shows shard 1 committing again under its new
-    sequencer. Commit counts come from a surviving non-victim head.
+    One submission stream per shard runs throughout. After 1 s of steady
+    state, shard 1's GCS endpoint on its sequencer head is blackholed —
+    that shard's sequencer is dead, while the same head's shard-0 member
+    keeps participating. The 0.3 s window that follows sits inside the
+    suspicion interval (no view change yet: shard 1 cannot order, shard 0
+    must not care), then after 2.5 s of failover a last 1 s window shows
+    shard 1 committing again under its new sequencer. Commit counts come
+    from a surviving non-victim head.
     """
     cluster = Cluster(head_count=heads, compute_count=computes,
                       login_node=True, seed=seed)
@@ -150,7 +148,7 @@ def sequencer_kill(
             except NoActiveHeadError:
                 pass
             i += 1
-            yield kernel.timeout(think)
+            yield kernel.timeout(0.02)  # client think time
 
     for shard in range(shards):
         kernel.spawn(stream(shard), name=f"seqkill-stream-{shard}")
@@ -168,16 +166,16 @@ def sequencer_kill(
             "committed_per_s": [round(c / duration, 1) for c in committed],
         }
 
-    before = window(before_s)
+    before = window(1.0)
     token = cluster.network.add_drop_filter(
         lambda src, dst, payload: (
             victim in (src.node, dst.node)
             and JOSHUA_GCS_PORT + 1 in (src.port, dst.port)
         )
     )
-    sequencer_dead = window(dead_s)
-    cluster.run(until=kernel.now + settle_s)  # exclusion + new sequencer
-    after = window(after_s)
+    sequencer_dead = window(0.3)
+    cluster.run(until=kernel.now + 2.5)  # exclusion + new sequencer
+    after = window(1.0)
     cluster.network.remove_drop_filter(token)
 
     new_sequencer = observed.shards[1].group.engine.sequencer_of(

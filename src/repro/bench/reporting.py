@@ -80,16 +80,14 @@ def paper_vs_measured(
     rows: Sequence[dict],
     *,
     key: str,
-    paper: str = "paper",
-    measured: str = "measured",
     title: str = "",
 ) -> str:
-    """Render rows that carry both paper and measured values, adding a
-    ratio column so shape agreement is visible at a glance."""
+    """Render rows that carry both ``paper`` and ``measured`` values, adding
+    a ratio column so shape agreement is visible at a glance."""
     augmented = []
     for row in rows:
         new = dict(row)
-        p, m = row.get(paper), row.get(measured)
+        p, m = row.get("paper"), row.get("measured")
         if isinstance(p, (int, float)) and isinstance(m, (int, float)) and p:
             new["ratio"] = round(m / p, 2)
         augmented.append(new)

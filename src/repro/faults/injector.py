@@ -174,10 +174,10 @@ class FaultInjector:
 
     # -- end-of-run hygiene --------------------------------------------------
 
-    def heal_all(self, *, restart_nodes: bool = True) -> None:
+    def heal_all(self) -> None:
         """Revert every outstanding fault so the system can quiesce:
         baseline link model, no partitions, no freezes/slowdowns/filters,
-        and (optionally) every crashed node restarted."""
+        and every crashed node restarted."""
         self._loss = self._jitter = None
         self.network.lan = self._baseline_lan
         self.network.partitions.heal_partitions()
@@ -189,9 +189,8 @@ class FaultInjector:
             self.network.set_node_slowdown(name, 0.0)
         for token in list(self._filter_tokens):
             self._end_filter(token)
-        if restart_nodes:
-            for node in self.cluster.nodes:
-                if not node.is_up:
-                    node.restart()
-                    self._note(f"restart {node.name} (end-of-run)")
+        for node in self.cluster.nodes:
+            if not node.is_up:
+                node.restart()
+                self._note(f"restart {node.name} (end-of-run)")
         self._note("heal all")

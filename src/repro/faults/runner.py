@@ -44,6 +44,9 @@ CHAOS_GROUP = GroupConfig(
     gc_interval=2.0,
 )
 
+#: Calm after the last fault is healed, before the final invariant checks.
+QUIESCE_S = 15.0
+
 
 @dataclass
 class ChaosReport:
@@ -119,7 +122,6 @@ def run_chaos(
     duration: float = 30.0,
     ordering: str = "sequencer",
     intensity: int = 3,
-    quiesce: float = 15.0,
     queue_bound: int = 500,
     shards: int = 1,
     read_mix: float = 0.0,
@@ -131,7 +133,7 @@ def run_chaos(
     is replayable from the seed alone). The workload spreads *jobs*
     submissions over the first ~60 % of *duration* with walltimes short
     enough to finish during the run; after *duration* the injector heals
-    every outstanding fault and the system gets *quiesce* seconds of calm
+    every outstanding fault and the system gets ``QUIESCE_S`` seconds of calm
     before the final invariant checks.
 
     With ``read_mix`` > 0 a second workload runs alongside: gateway
@@ -255,7 +257,7 @@ def run_chaos(
     cluster.kernel.spawn(suite.sampler(1.0), name="invariant-sampler")
     cluster.run(until=2.0 + max(duration, schedule.horizon()))
     injector.heal_all()
-    cluster.run(until=cluster.kernel.now + quiesce)
+    cluster.run(until=cluster.kernel.now + QUIESCE_S)
     suite.final_check()
     for violation in suite.violations:
         cluster.kernel.log.error("chaos", str(violation), seed=seed,

@@ -223,6 +223,10 @@ class FaultSchedule:
         return cls.from_dict(json.loads(text))
 
 
+#: Longest head freeze :func:`random_schedule` draws (seconds).
+HEAD_FREEZE_MAX = 0.25
+
+
 def random_schedule(
     seed: int,
     *,
@@ -231,14 +235,13 @@ def random_schedule(
     duration: float = 30.0,
     intensity: int = 3,
     ordering: str = "sequencer",
-    head_freeze_max: float = 0.25,
 ) -> FaultSchedule:
     """Seeded random scenario for soak runs.
 
     The generator is careful about *survivability*, not gentleness: faults
     are drawn from the full menu, but each one is confined to its own time
     slot with its recovery inside the slot, at most one head is out at a
-    time, and head freezes stay under ``head_freeze_max`` (below the
+    time, and head freezes stay under ``HEAD_FREEZE_MAX`` (below the
     suspect timeout) so a blacked-out head is delayed, not excluded —
     application-level resync after a false exclusion is out of the paper's
     scope. The whole scenario is a pure function of *seed*.
@@ -280,7 +283,7 @@ def random_schedule(
             schedule.restore(end, heads[int(a)], heads[int(b)])
         elif kind == "head_freeze":
             victim = heads[int(rng.integers(len(heads)))]
-            dur = min(head_freeze_max, end - start)
+            dur = min(HEAD_FREEZE_MAX, end - start)
             schedule.freeze(start, victim, dur)
         elif kind == "compute_freeze":
             victim = computes[int(rng.integers(len(computes)))]

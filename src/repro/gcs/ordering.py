@@ -200,9 +200,11 @@ class TokenRingEngine(_EngineBase):
     holder is recovered by the view change itself.
     """
 
-    def __init__(self, kernel, owner, broadcast, send, *, idle_delay: float = 0.01):
+    #: Hold time of an idle token before it moves on (seconds).
+    idle_delay = 0.01
+
+    def __init__(self, kernel, owner, broadcast, send):
         super().__init__(kernel, owner, broadcast, send)
-        self.idle_delay = idle_delay
         self._pending: list[MessageId] = []
         self._generation = 0  # invalidates in-flight pass timers on view change
 

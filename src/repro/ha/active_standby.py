@@ -29,9 +29,10 @@ from repro.pbs.commands import PBSClient
 from repro.pbs.job import JobSpec, JobState
 from repro.pbs.mom import PBSMom
 from repro.pbs.server import PBS_MOM_PORT, PBS_SERVER_PORT
-from repro.pbs.service_times import ERA_2006, ServiceTimes
+from repro.pbs.service_times import ERA_2006
 from repro.pbs.stack import install_head_daemons
-from repro.pbs.wire import AdminServers, RpcTimeout, SchedPollReq, rpc_call
+from repro.pbs.wire import AdminServers, SchedPollReq
+from repro.rpc import RpcTimeout, call as rpc_call
 from repro.util.errors import PBSError
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -88,7 +89,6 @@ class FailoverMonitor(Daemon):
         probe_interval: float = 1.0,
         misses: int = 3,
         failover_delay: float = 4.0,
-        service_times: ServiceTimes = ERA_2006,
     ):
         super().__init__(node, "failover-monitor", 15011)
         self.primary = primary
@@ -97,7 +97,6 @@ class FailoverMonitor(Daemon):
         self.probe_interval = probe_interval
         self.misses = misses
         self.failover_delay = failover_delay
-        self.times = service_times
         self.failed_over = False
         self.failover_time: float | None = None
 
@@ -150,28 +149,23 @@ class ActiveStandbySystem:
         self,
         cluster: Cluster,
         *,
-        service_times: ServiceTimes = ERA_2006,
         checkpoint_interval: float = 5.0,
         probe_interval: float = 1.0,
         misses: int = 3,
         failover_delay: float = 4.0,
-        client_node: str = "login",
-        client_timeout: float = 2.0,
     ):
         if len(cluster.heads) < 2:
             raise PBSError("active/standby needs two head nodes")
         self.cluster = cluster
-        self.times = service_times
         self.primary = cluster.heads[0]
         self.standby = cluster.heads[1]
-        self.client_node = client_node if cluster.login else cluster.computes[0].name
-        self.client_timeout = client_timeout
+        self.client_node = "login" if cluster.login else cluster.computes[0].name
         mom_addresses = [Address(c.name, PBS_MOM_PORT) for c in cluster.computes]
         primary_address = Address(self.primary.name, PBS_SERVER_PORT)
 
         # Primary stack + checkpointing.
         install_head_daemons(
-            self.primary, moms=mom_addresses, service_times=service_times
+            self.primary, moms=mom_addresses, service_times=ERA_2006
         )
         shared = cluster.shared_storage
         self.primary.add_daemon(
@@ -180,7 +174,7 @@ class ActiveStandbySystem:
         )
         # Standby: cold daemons registered but not started, plus the monitor.
         install_head_daemons(
-            self.standby, moms=mom_addresses, service_times=service_times,
+            self.standby, moms=mom_addresses, service_times=ERA_2006,
             start=False,
         )
         self.standby.add_daemon(
@@ -194,7 +188,6 @@ class ActiveStandbySystem:
             probe_interval=probe_interval,
             misses=misses,
             failover_delay=failover_delay,
-            service_times=service_times,
         )
         self.monitor: FailoverMonitor = self.standby.add_daemon(
             "failover-monitor",
@@ -206,9 +199,7 @@ class ActiveStandbySystem:
         for compute in cluster.computes:
             compute.add_daemon(
                 "pbs_mom",
-                lambda n: PBSMom(
-                    n, servers=[primary_address], service_times=service_times
-                ),
+                lambda n: PBSMom(n, servers=[primary_address]),
             )
 
     # -- failback (extension) ------------------------------------------------
@@ -257,8 +248,7 @@ class ActiveStandbySystem:
             self.cluster.network,
             self.client_node,
             self.active_server_address(),
-            service_times=self.times,
-            timeout=self.client_timeout,
+            timeout=2.0,
             retries=0,
         )
 

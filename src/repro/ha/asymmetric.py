@@ -26,7 +26,7 @@ from repro.pbs.commands import PBSClient
 from repro.pbs.job import JobSpec, JobState
 from repro.pbs.mom import PBSMom
 from repro.pbs.server import PBS_MOM_PORT, PBS_SERVER_PORT
-from repro.pbs.service_times import ERA_2006, ServiceTimes
+from repro.pbs.service_times import ERA_2006
 from repro.pbs.stack import install_head_daemons
 from repro.util.errors import NoActiveHeadError, PBSError
 
@@ -38,22 +38,13 @@ class AsymmetricSystem:
 
     name = "asymmetric"
 
-    def __init__(
-        self,
-        cluster: Cluster,
-        *,
-        service_times: ServiceTimes = ERA_2006,
-        client_node: str = "login",
-        client_timeout: float = 2.0,
-    ):
+    def __init__(self, cluster: Cluster):
         if len(cluster.heads) < 2:
             raise PBSError("asymmetric active/active needs at least two heads")
         if len(cluster.computes) < len(cluster.heads):
             raise PBSError("need at least one compute node per head")
         self.cluster = cluster
-        self.times = service_times
-        self.client_node = client_node if cluster.login else cluster.computes[0].name
-        self.client_timeout = client_timeout
+        self.client_node = "login" if cluster.login else cluster.computes[0].name
         self._round_robin = 0
 
         # Partition compute nodes round-robin across heads.
@@ -66,7 +57,7 @@ class AsymmetricSystem:
             install_head_daemons(
                 head,
                 moms=self.partition[head.name],
-                service_times=service_times,
+                service_times=ERA_2006,
                 server_name=f"torque-{head.name}",
             )
         for index, compute in enumerate(cluster.computes):
@@ -74,9 +65,7 @@ class AsymmetricSystem:
             server_address = Address(owner.name, PBS_SERVER_PORT)
             compute.add_daemon(
                 "pbs_mom",
-                lambda n, sa=server_address: PBSMom(
-                    n, servers=[sa], service_times=service_times
-                ),
+                lambda n, sa=server_address: PBSMom(n, servers=[sa]),
             )
 
     # -- uniform HA-system interface ----------------------------------------------
@@ -97,8 +86,7 @@ class AsymmetricSystem:
             self.cluster.network,
             self.client_node,
             Address(head, PBS_SERVER_PORT),
-            service_times=self.times,
-            timeout=self.client_timeout,
+            timeout=2.0,
             retries=0,
         )
 

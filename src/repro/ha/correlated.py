@@ -104,10 +104,9 @@ def diminishing_returns(
     mttr_hours: float = 72.0,
     cc_mttf_hours: float = 50_000.0,
     cc_mttr_hours: float = 24.0,
-    threshold: float = 0.05,
 ) -> int:
     """Smallest head count where one more head improves correlated
-    availability by less than *threshold* (relative downtime reduction)."""
+    availability by less than 5 % (relative downtime reduction)."""
     previous = correlated_service_availability(
         1, mttf_hours=mttf_hours, mttr_hours=mttr_hours,
         cc_mttf_hours=cc_mttf_hours, cc_mttr_hours=cc_mttr_hours,
@@ -119,7 +118,7 @@ def diminishing_returns(
         )
         down_prev = 1.0 - previous
         down_now = 1.0 - current
-        if down_prev > 0 and (down_prev - down_now) / down_prev < threshold:
+        if down_prev > 0 and (down_prev - down_now) / down_prev < 0.05:
             return n - 1
         previous = current
     raise ReproError("no diminishing-returns point below 64 heads")  # pragma: no cover

@@ -30,14 +30,14 @@ class RASEvent:
 
 
 class RASCollector:
-    """Cluster-wide lifecycle recorder and metric calculator."""
+    """Head-node lifecycle recorder and metric calculator."""
 
-    def __init__(self, cluster: Cluster, *, roles: tuple[str, ...] = ("head",)):
+    def __init__(self, cluster: Cluster):
         self.cluster = cluster
         self.kernel = cluster.kernel
         self.started_at = cluster.kernel.now
         self.events: list[RASEvent] = []
-        self._nodes = [n for n in cluster.nodes if n.role in roles]
+        self._nodes = [n for n in cluster.nodes if n.role == "head"]
         for node in self._nodes:
             node.observe(self._on_lifecycle)
 

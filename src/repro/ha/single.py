@@ -15,7 +15,6 @@ from typing import Generator
 from repro.cluster.cluster import Cluster
 from repro.pbs.commands import PBSClient
 from repro.pbs.job import JobSpec, JobState
-from repro.pbs.service_times import ERA_2006, ServiceTimes
 from repro.pbs.stack import build_pbs_stack
 
 __all__ = ["SingleHeadSystem"]
@@ -26,23 +25,15 @@ class SingleHeadSystem:
 
     name = "single"
 
-    def __init__(
-        self,
-        cluster: Cluster,
-        *,
-        service_times: ServiceTimes = ERA_2006,
-        client_node: str = "login",
-        client_timeout: float = 2.0,
-    ):
+    def __init__(self, cluster: Cluster):
         self.cluster = cluster
-        self.stack = build_pbs_stack(cluster, service_times=service_times)
-        self.client_node = client_node if cluster.login else cluster.computes[0].name
+        self.stack = build_pbs_stack(cluster)
+        self.client_node = "login" if cluster.login else cluster.computes[0].name
         self._client = PBSClient(
             cluster.network,
             self.client_node,
             self.stack.server_address,
-            service_times=service_times,
-            timeout=client_timeout,
+            timeout=2.0,
             retries=0,
         )
 

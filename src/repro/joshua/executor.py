@@ -30,8 +30,8 @@ from repro.pbs.wire import (
     PurgeReq,
     StatReq,
     SubmitReq,
-    rpc_call,
 )
+from repro.rpc import call as rpc_call
 from repro.util.errors import PBSError
 
 if TYPE_CHECKING:  # pragma: no cover

@@ -12,8 +12,9 @@ protocol:
   evenly and a given client keeps talking to the same head — which is
   what makes the local read path (PROTOCOLS.md §12) effective: the head
   answering your ``jstat`` is the head that stamped your writes;
-* sessions default to ``track_writes=True`` and read-your-writes reads,
-  the contract the local read path was built for;
+* sessions track their writes (``track_writes=True``) and read in the
+  gateway's mode, read-your-writes by default — the contract the local
+  read path was built for;
 * when a session's calls fail over away from its pinned head, the gateway
   marks that head dead, re-pins every session assigned to it, and
   forgives the head after a grace period (crash-restarted heads return to
@@ -110,22 +111,17 @@ class JoshuaGateway:
         return live[zlib.crc32(client_id.encode()) % len(live)]
 
     def session(
-        self,
-        node: str,
-        client_id: str | None = None,
-        *,
-        consistency: str | None = None,
-        track_writes: bool = True,
+        self, node: str, client_id: str | None = None
     ) -> "GatewaySession":
         """Open a session for *client_id* (default: the node name) running
-        its commands on *node*."""
+        its commands on *node*, tracking its writes and reading in the
+        gateway's consistency mode."""
         client_id = client_id if client_id is not None else node
-        mode = consistency if consistency is not None else self.consistency
         head = self.assign(client_id)
         client = JoshuaClient(
             self.network, node, self.heads,
             service_times=self.times, timeout=self.timeout,
-            prefer=head, track_writes=track_writes, consistency=mode,
+            prefer=head, track_writes=True, consistency=self.consistency,
         )
         session = GatewaySession(self, node, client_id, head, client)
         self.sessions.append(session)

@@ -44,20 +44,19 @@ __all__ = ["install_jmutex"]
 #: import cycle; asserted equal in tests).
 _JOSHUA_PORT = 4412
 
+#: The Started/Done notifier sweeps the head list this many times, sleeping
+#: between sweeps (doubling from the first delay up to the cap, seconds).
+NOTIFY_PASSES = 6
+NOTIFY_BACKOFF = 0.25
+NOTIFY_BACKOFF_CAP = 2.0
 
-def install_jmutex(
-    mom: PBSMom,
-    *,
-    timeout: float = 2.0,
-    notify_passes: int = 6,
-    notify_backoff: float = 0.25,
-    notify_backoff_cap: float = 2.0,
-) -> None:
+
+def install_jmutex(mom: PBSMom, *, timeout: float = 2.0) -> None:
     """Attach the jmutex prologue hook and jdone epilogue to *mom*.
 
-    ``notify_passes`` bounds how many times the Started/Done notifier
+    ``NOTIFY_PASSES`` bounds how many times the Started/Done notifier
     sweeps the head list (with exponential backoff between sweeps, from
-    ``notify_backoff`` up to ``notify_backoff_cap``) before abandoning the
+    ``NOTIFY_BACKOFF`` up to ``NOTIFY_BACKOFF_CAP``) before abandoning the
     record and counting it in ``mom.stats["jnotify_abandoned"]``.
     """
 
@@ -88,8 +87,8 @@ def install_jmutex(
         """
 
         def notifier():
-            delay = notify_backoff
-            for sweep in range(notify_passes):
+            delay = NOTIFY_BACKOFF
+            for sweep in range(NOTIFY_PASSES):
                 try:
                     # One acceptance pass over the head list. Down heads are
                     # still attempted (skip_down=False): the mom has no
@@ -110,9 +109,9 @@ def install_jmutex(
                     return
                 except NoActiveHeadError:
                     pass
-                if sweep + 1 < notify_passes:
+                if sweep + 1 < NOTIFY_PASSES:
                     yield mom.kernel.timeout(delay)
-                    delay = min(delay * 2, notify_backoff_cap)
+                    delay = min(delay * 2, NOTIFY_BACKOFF_CAP)
             mom.stats["jnotify_abandoned"] = (
                 mom.stats.get("jnotify_abandoned", 0) + 1
             )

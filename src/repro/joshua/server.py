@@ -41,7 +41,7 @@ from typing import TYPE_CHECKING
 
 from repro.aa.engine import ReplicaDaemon
 from repro.gcs.config import GroupConfig
-from repro.joshua.config import ERA_2006_JOSHUA, JOSHUA_GROUP_CONFIG, JoshuaTimes
+from repro.joshua.config import ERA_2006_JOSHUA, JOSHUA_GROUP_CONFIG
 from repro.joshua.shard import ShardReplica
 from repro.joshua.wire import (
     Command,
@@ -92,8 +92,9 @@ class JoshuaServer(ReplicaDaemon):
         bootstrap group. Mutually exclusive with *contacts*.
     contacts:
         For a later-joining head: names of head nodes to join through.
-    group_config / times:
-        Protocol calibration. The config's ``group_id`` is overridden per
+    group_config:
+        Protocol calibration (the daemon's own CPU costs are the class
+        constant :attr:`times`). The config's ``group_id`` is overridden per
         shard (shard *k* runs with ``group_id=k`` on GCS port
         ``JOSHUA_GCS_PORT + k``).
     state_transfer:
@@ -104,6 +105,9 @@ class JoshuaServer(ReplicaDaemon):
         Number of independent ordering groups hosted on this head set.
     """
 
+    #: CPU costs of the daemon itself (the one calibration in use).
+    times = ERA_2006_JOSHUA
+
     def __init__(
         self,
         node: "Node",
@@ -111,7 +115,6 @@ class JoshuaServer(ReplicaDaemon):
         initial_heads: list[str] | None = None,
         contacts: list[str] | None = None,
         group_config: GroupConfig = JOSHUA_GROUP_CONFIG,
-        times: JoshuaTimes = ERA_2006_JOSHUA,
         state_transfer: str = "replay",
         moms: list[Address] | None = None,
         shards: int = 1,
@@ -125,8 +128,7 @@ class JoshuaServer(ReplicaDaemon):
             raise JoshuaError("shards must be >= 1")
         self.initial_heads = list(initial_heads or [])
         self.contacts = list(contacts or [])
-        self.times = times
-        self.reply_delay = times.cmd_reply
+        self.reply_delay = self.times.cmd_reply
         self.state_transfer = state_transfer
         self.moms = list(moms or [])
         self.local_pbs = Address(node.name, PBS_SERVER_PORT)

@@ -55,13 +55,12 @@ class TraceCollector:
         network: "Network",
         *,
         registry: MetricsRegistry | None = None,
-        event_limit: int = EVENT_LOG_LIMIT,
     ):
         self.network = network
         self.kernel = network.kernel
         self.registry = registry if registry is not None else MetricsRegistry()
         #: Flat, bounded, time-ordered event log.
-        self.events: deque[TraceEvent] = deque(maxlen=event_limit)
+        self.events: deque[TraceEvent] = deque(maxlen=EVENT_LOG_LIMIT)
         #: trace_id -> JobTrace, in first-seen order.
         self.jobs: dict[str, JobTrace] = {}
         #: job_id -> trace_id (filled by :meth:`job_alias`).
@@ -70,10 +69,9 @@ class TraceCollector:
         self._rpc_open: dict[int, list] = {}
         #: (daemon tag, request_id) -> dispatch start time.
         self._dispatch_open: dict[tuple, float] = {}
-        #: msg_id -> multicast-sent time (insertion-ordered, bounded).
+        #: msg_id -> [multicast-sent time, first ORDER assignment already
+        #: recorded] (insertion-ordered, bounded).
         self._mcast_sent: dict = {}
-        #: msg_ids whose first ORDER assignment was already recorded.
-        self._ordered_ids: set = set()
         #: Observers ``fn(event)`` invoked with every recorded
         #: :class:`TraceEvent` (the flight recorder registers here).
         self.on_event: list = []
@@ -155,7 +153,7 @@ class TraceCollector:
         # can coalesce the command into a later wire frame — so ordering/e2e
         # delay attribution is batching-independent by construction
         # (pinned by tests/unit/test_obs_batching_attribution.py).
-        self._mcast_sent[msg_id] = self.kernel.now
+        self._mcast_sent[msg_id] = [self.kernel.now, False]
         if len(self._mcast_sent) > MCAST_MAP_LIMIT:
             # Trim oldest half; insertion order == send order.
             for key in list(self._mcast_sent)[: MCAST_MAP_LIMIT // 2]:
@@ -182,13 +180,13 @@ class TraceCollector:
                     shard: int | None = None) -> None:
         labels = self._shard_labels(shard)
         self.registry.counter("gcs.order.assignments", node=node, **labels).inc()
-        if msg_id not in self._ordered_ids:
-            self._ordered_ids.add(msg_id)
-            sent = self._mcast_sent.get(msg_id)
-            if sent is not None:
-                self.registry.histogram(
-                    "gcs.ordering.delay_s", node=node, **labels
-                ).observe(self.kernel.now - sent)
+        entry = self._mcast_sent.get(msg_id)
+        if entry is not None and not entry[1]:
+            # A view change re-assigns the id; its delay counts once.
+            entry[1] = True
+            self.registry.histogram(
+                "gcs.ordering.delay_s", node=node, **labels
+            ).observe(self.kernel.now - entry[0])
         self.record("gcs.order", node, seq=seq, msg_id=str(msg_id), **labels)
 
     def gcs_delivered(self, node: str, msg, queue_stats: dict,
@@ -199,13 +197,13 @@ class TraceCollector:
         self.registry.gauge("gcs.delivery.backlog", node=node, **labels).set(
             queue_stats.get("payloads", 0)
         )
-        sent = self._mcast_sent.get(msg.msg_id)
-        if sent is not None and msg.sender.node == node:
+        entry = self._mcast_sent.get(msg.msg_id)
+        if entry is not None and msg.sender.node == node:
             # End-to-end ordering+stability overhead, measured at the sender
             # (the Transis share of a jsub's latency in Figure 10), timed
             # from the original multicast stamp (batching-independent).
             self.registry.histogram("gcs.e2e.delay_s", node=node,
-                                    **labels).observe(self.kernel.now - sent)
+                                    **labels).observe(self.kernel.now - entry[0])
         self.record("gcs.deliver", node, msg_id=str(msg.msg_id), seq=msg.seq,
                     view=msg.view_id, service=msg.service,
                     payload=type(msg.payload).__name__, sender=msg.sender.node,

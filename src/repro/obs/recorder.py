@@ -179,7 +179,6 @@ class FlightRecorder:
 def attach_recorder(
     network: "Network",
     *,
-    registry=None,
     ring_limit: int = RING_LIMIT,
     max_bundles: int = MAX_BUNDLES,
 ) -> FlightRecorder:
@@ -192,7 +191,7 @@ def attach_recorder(
     existing = recorder_of(network)
     if existing is not None:
         return existing
-    collector = attach_collector(network, registry=registry)
+    collector = attach_collector(network)
     recorder = FlightRecorder(
         network, ring_limit=ring_limit, max_bundles=max_bundles
     )

@@ -238,13 +238,7 @@ class TimeSeriesSampler:
 # -- attachment ------------------------------------------------------------
 
 
-def attach_timeseries(
-    network: "Network",
-    *,
-    registry=None,
-    window: float = WINDOW,
-    max_windows: int = MAX_WINDOWS,
-) -> TimeSeriesSampler:
+def attach_timeseries(network: "Network") -> TimeSeriesSampler:
     """Attach (or return the already-attached) time-series sampler.
 
     Ensures a collector is attached (the sampler reads its registry) and
@@ -253,10 +247,7 @@ def attach_timeseries(
     existing = timeseries_of(network)
     if existing is not None:
         return existing
-    collector = attach_collector(network, registry=registry)
-    sampler = TimeSeriesSampler(
-        collector.registry, window=window, max_windows=max_windows
-    )
+    sampler = TimeSeriesSampler(attach_collector(network).registry)
     network.kernel.on_advance.append(sampler.on_advance)
     network._obs_timeseries = sampler
     return sampler

@@ -27,8 +27,8 @@ from repro.pbs.wire import (
     SignalReq,
     StatReq,
     SubmitReq,
-    rpc_call,
 )
+from repro.rpc import call as rpc_call
 
 __all__ = ["PBSClient"]
 

@@ -69,6 +69,11 @@ class _RunningJob:
 class PBSMom(Daemon):
     """Execution daemon on one compute node."""
 
+    #: Seconds between obituary resends to a server that has not answered,
+    #: and how long before that server is given up on.
+    obit_retry_interval = 0.5
+    obit_give_up = 5.0
+
     def __init__(
         self,
         node: "Node",
@@ -76,22 +81,17 @@ class PBSMom(Daemon):
         servers: list[Address],
         port: int = 15002,
         service_times: ServiceTimes = ERA_2006,
-        prologue_hooks: list[PrologueHook] | None = None,
-        on_job_start: Callable[[JobStartReq], None] | None = None,
-        on_job_done: Callable[[JobObit], None] | None = None,
         legacy_obit_retry: bool = False,
-        obit_retry_interval: float = 0.5,
-        obit_give_up: float = 5.0,
     ):
         super().__init__(node, "pbs_mom", port)
         self.servers = list(servers)
         self.times = service_times
-        self.prologue_hooks = list(prologue_hooks or [])
-        self.on_job_start = on_job_start
-        self.on_job_done = on_job_done
+        #: Extension points the HA layers assign after construction
+        #: (``install_jmutex``, ``InvariantSuite``).
+        self.prologue_hooks: list[PrologueHook] = []
+        self.on_job_start: Callable[[JobStartReq], None] | None = None
+        self.on_job_done: Callable[[JobObit], None] | None = None
         self.legacy_obit_retry = legacy_obit_retry
-        self.obit_retry_interval = obit_retry_interval
-        self.obit_give_up = obit_give_up
         #: job_id -> running record (real executions only).
         self.active: dict[str, _RunningJob] = {}
         #: job_id -> servers whose attempts were emulated.

@@ -27,7 +27,8 @@ from typing import TYPE_CHECKING
 from repro.cluster.daemon import Daemon
 from repro.net.address import Address
 from repro.pbs.service_times import ERA_2006, ServiceTimes
-from repro.pbs.wire import RpcTimeout, RunJobReq, SchedPollReq, rpc_call
+from repro.pbs.wire import RunJobReq, SchedPollReq
+from repro.rpc import RpcTimeout, call as rpc_call
 from repro.util.errors import PBSError
 
 if TYPE_CHECKING:  # pragma: no cover

@@ -72,9 +72,8 @@ from repro.pbs.wire import (
     StatResp,
     SubmitReq,
     SubmitResp,
-    rpc_call,
 )
-from repro.rpc import ResponseCache, RpcDispatcher
+from repro.rpc import ResponseCache, RpcDispatcher, call as rpc_call
 from repro.util.errors import InvalidJobStateError, PBSError, UnknownJobError
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -103,9 +102,9 @@ class PBSServer(Daemon):
         replica construction painful.
     service_times:
         Calibrated processing costs.
-    requeue_on_recovery:
-        Jobs found RUNNING in the recovered queue are requeued (default,
-        the paper's restart semantics) instead of marked complete-lost.
+
+    Jobs found RUNNING in the recovered queue are requeued (the paper's
+    restart semantics).
     """
 
     def __init__(
@@ -116,13 +115,11 @@ class PBSServer(Daemon):
         server_name: str = "torque",
         port: int = PBS_SERVER_PORT,
         service_times: ServiceTimes = ERA_2006,
-        requeue_on_recovery: bool = True,
     ):
         super().__init__(node, "pbs_server", port)
         self.moms = list(moms)
         self.server_name = server_name
         self.times = service_times
-        self.requeue_on_recovery = requeue_on_recovery
         self.jobs = JobQueue()
         self.accounting = AccountingLog()
         self.next_seq = 1
@@ -213,26 +210,18 @@ class PBSServer(Daemon):
         records = [disk.read(key) for key in disk.keys(self._job_key(""))]
         for rank, job in sorted(records, key=lambda record: record[0]):
             if job.state in (JobState.RUNNING, JobState.EXITING):
-                if self.requeue_on_recovery:
-                    # Not Job.transition: EXITING -> QUEUED is no legal
-                    # *command* (a job being killed cannot be qrerun), but
-                    # the restart lost the kill in flight with everything
-                    # else volatile, and the application starts over.
-                    job = replace(
-                        job,
-                        state=JobState.QUEUED,
-                        start_time=None,
-                        exec_nodes=(),
-                        comment="requeued after server recovery",
-                    )
-                    self.stats["recovered"] += 1
-                else:
-                    job = job.transition(
-                        JobState.COMPLETE,
-                        end_time=self.kernel.now,
-                        exit_status=-1,
-                        comment="lost in server failure",
-                    )
+                # Not Job.transition: EXITING -> QUEUED is no legal
+                # *command* (a job being killed cannot be qrerun), but
+                # the restart lost the kill in flight with everything
+                # else volatile, and the application starts over.
+                job = replace(
+                    job,
+                    state=JobState.QUEUED,
+                    start_time=None,
+                    exec_nodes=(),
+                    comment="requeued after server recovery",
+                )
+                self.stats["recovered"] += 1
             self.jobs.add(job, rank)
 
     # -- observability -------------------------------------------------------

@@ -2,25 +2,17 @@
 
 All client↔server and server↔mom traffic rides in the typed
 :class:`~repro.rpc.wire.Request` / :class:`~repro.rpc.wire.Reply`
-envelope, carried by the shared :mod:`repro.rpc` substrate. :func:`rpc_call`
-and :class:`RpcTimeout` are kept here as thin aliases for backward
-compatibility — the implementation (ephemeral-port/request-id allocation,
-timeout/retry policy, per-simulation counters) lives in
-:mod:`repro.rpc.client`.
+envelope, carried by the shared :mod:`repro.rpc` substrate.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Generator
 
 from repro.net.address import Address
 from repro.net.codec import register_wire_types
-from repro.net.network import Network
 from repro.pbs.job import JobSpec
-from repro.rpc import call as _substrate_call
 from repro.rpc.client import register_error_response
-from repro.rpc.errors import RpcTimeout
 
 __all__ = [
     "SubmitReq", "SubmitResp",
@@ -34,7 +26,6 @@ __all__ = [
     "SchedPollReq", "SchedPollResp",
     "JobStartReq", "JobStartResp", "KillJobReq", "JobObit",
     "ErrorResp",
-    "rpc_call", "RpcTimeout",
 ]
 
 
@@ -255,25 +246,3 @@ register_wire_types(
     JobStartReq, JobStartResp, KillJobReq, JobObit,
     ErrorResp,
 )
-
-
-def rpc_call(
-    network: Network,
-    node: str,
-    server: Address,
-    payload: Any,
-    *,
-    timeout: float = 2.0,
-    retries: int = 0,
-) -> Generator:
-    """Coroutine: one request/response against *server* from *node*.
-
-    Backward-compatible alias for :func:`repro.rpc.call`. Yields simulation
-    events; returns the response payload. Raises :class:`RpcTimeout` after
-    ``1 + retries`` unanswered attempts and :class:`PBSError` if the server
-    answered with :class:`ErrorResp`.
-    """
-    response = yield from _substrate_call(
-        network, node, server, payload, timeout=timeout, retries=retries
-    )
-    return response

@@ -48,10 +48,12 @@ MDS_GCS_PORT = 3335
 class MetadataBackend:
     """BackendDriver over a MetadataStore."""
 
-    def __init__(self, kernel, *, stripe_width: int = 4, op_cost: float = 0.004):
+    #: Service time of one metadata operation (seconds).
+    op_cost = 0.004
+
+    def __init__(self, kernel, *, stripe_width: int = 4):
         self.kernel = kernel
         self.store = MetadataStore(stripe_width=stripe_width)
-        self.op_cost = op_cost
         self._logical_time = 0.0
 
     def execute(self, payload) -> Generator:

@@ -2,12 +2,11 @@
 
 :func:`call` is the one request/response primitive everything uses: bind an
 ephemeral port, send a :class:`~repro.rpc.wire.Request`, await the matching
-:class:`~repro.rpc.wire.Reply`, retry per the
-:class:`~repro.rpc.policy.RetryPolicy` (same request id — servers dedup or
-handlers are idempotent). :func:`failover_call` iterates :func:`call` over a
-replica list with the skip/retry/reject rules the exactly-once clients
-(JOSHUA commands, the generic active/active client, the jmutex notifiers)
-previously each hand-rolled.
+:class:`~repro.rpc.wire.Reply` until the per-attempt timeout, and retry
+immediately under the same request id (servers dedup or handlers are
+idempotent). :func:`failover_call` iterates :func:`call` over a replica list
+with the skip/retry/reject rules of the exactly-once clients (JOSHUA
+commands, the generic active/active client, the jmutex notifiers).
 """
 
 from __future__ import annotations
@@ -17,22 +16,11 @@ from typing import Any, Callable, Generator, Iterable, Sequence
 from repro.net.address import Address
 from repro.net.network import Network
 from repro.rpc.errors import RpcTimeout
-from repro.rpc.policy import DEFAULT_POLICY, RetryPolicy
 from repro.rpc.state import TimeoutRecord, rpc_state, run_hooks
 from repro.rpc.wire import Reply, Request
 from repro.util.errors import NoActiveHeadError, PBSError
 
-__all__ = ["call", "failover_call", "ErrorRelay"]
-
-
-class ErrorRelay:
-    """Marker protocol: response types whose ``kind``/``message`` should be
-    re-raised client-side as :class:`PBSError` instead of returned.
-
-    :class:`repro.pbs.wire.ErrorResp` is registered via
-    :func:`register_error_response`; the rpc layer itself defines no wire
-    types (they belong to the stacks above).
-    """
+__all__ = ["call", "failover_call", "register_error_response"]
 
 
 def register_error_response(cls: type) -> type:
@@ -53,28 +41,17 @@ def call(
     server: Address,
     payload: Any,
     *,
-    timeout: float | None = None,
-    retries: int | None = None,
-    policy: RetryPolicy | None = None,
+    timeout: float = 2.0,
+    retries: int = 0,
 ) -> Generator:
     """Coroutine: one request/response against *server* from *node*.
 
-    Yields simulation events; returns the response payload. Raises
-    :class:`RpcTimeout` after the policy's attempts are exhausted and
+    Yields simulation events; returns the response payload. Each of the
+    ``1 + retries`` attempts waits *timeout* seconds for the reply. Raises
+    :class:`RpcTimeout` once every attempt went unanswered and
     :class:`PBSError` if the server answered with an error-relay response.
-    ``timeout``/``retries`` are shorthand overrides of *policy* (default:
-    2 s, no retries — the historical ``rpc_call`` defaults).
     """
-    if policy is None:
-        policy = DEFAULT_POLICY
-    if timeout is not None or retries is not None:
-        policy = RetryPolicy(
-            timeout=policy.timeout if timeout is None else timeout,
-            retries=policy.retries if retries is None else retries,
-            backoff=policy.backoff,
-            backoff_factor=policy.backoff_factor,
-            backoff_cap=policy.backoff_cap,
-        )
+    attempts = 1 + retries
     kernel = network.kernel
     state = rpc_state(network)
     endpoint = network.bind(node, state.next_port())
@@ -83,14 +60,11 @@ def call(
         # One persistent receive event, re-armed after each delivery, so no
         # stale mailbox getter can swallow a response.
         recv_ev = endpoint.recv()
-        for attempt in range(1, policy.attempts + 1):
-            backoff = policy.delay_before(attempt)
-            if backoff > 0:
-                yield kernel.timeout(backoff)
+        for attempt in range(1, attempts + 1):
             run_hooks(state.on_request, node, server, request_id, payload,
                       attempt, log=kernel.log, where="rpc.client")
             endpoint.send(server, Request(request_id, payload))
-            deadline = kernel.timeout(policy.timeout)
+            deadline = kernel.timeout(timeout)
             while True:
                 yield kernel.any_of([recv_ev, deadline])
                 if recv_ev.processed:
@@ -111,15 +85,15 @@ def call(
                     break  # retry (same request id: server-side idempotent)
         record = TimeoutRecord(
             time=kernel.now, src=node, dst=server,
-            request_type=type(payload).__name__, attempts=policy.attempts,
+            request_type=type(payload).__name__, attempts=attempts,
         )
-        state.record_timeout(record)
+        state.timeouts.append(record)
         # Exhausted conversations report through the same hook path as
         # answered ones, with the TimeoutRecord as the response marker —
         # collectors therefore see every conversation exactly once.
         run_hooks(state.on_response, node, server, request_id, payload,
                   record, log=kernel.log, where="rpc.client")
-        raise RpcTimeout(server, type(payload).__name__, policy.attempts)
+        raise RpcTimeout(server, type(payload).__name__, attempts)
     finally:
         endpoint.close()
 
@@ -130,8 +104,7 @@ def failover_call(
     targets: Sequence[Address] | Iterable[Address],
     payload: Any,
     *,
-    policy: RetryPolicy | None = None,
-    timeout: float | None = None,
+    timeout: float = 2.0,
     skip_down: bool = True,
     retry_error: Callable[[PBSError], bool] | None = None,
     reject: Callable[[Any], bool] | None = None,
@@ -160,32 +133,22 @@ def failover_call(
     """
     last_error: Exception | None = None
     for target in targets:
-        if skip_down and not network.node_is_up(target.node):
-            if stats is not None:
-                stats["failovers"] = stats.get("failovers", 0) + 1
-            continue
-        try:
-            response = yield from call(
-                network, node, target, payload,
-                policy=policy, timeout=timeout,
-            )
-        except RpcTimeout as exc:
-            last_error = exc
-            if stats is not None:
-                stats["failovers"] = stats.get("failovers", 0) + 1
-            continue
-        except PBSError as exc:
-            if retry_error is not None and retry_error(exc):
+        if not skip_down or network.node_is_up(target.node):
+            try:
+                response = yield from call(
+                    network, node, target, payload, timeout=timeout
+                )
+            except RpcTimeout as exc:
                 last_error = exc
-                if stats is not None:
-                    stats["failovers"] = stats.get("failovers", 0) + 1
-                continue
-            raise
-        if reject is not None and reject(response):
-            if stats is not None:
-                stats["failovers"] = stats.get("failovers", 0) + 1
-            continue
-        return response
+            except PBSError as exc:
+                if retry_error is None or not retry_error(exc):
+                    raise
+                last_error = exc
+            else:
+                if reject is None or not reject(response):
+                    return response
+        if stats is not None:
+            stats["failovers"] = stats.get("failovers", 0) + 1
     if what is None:
         what = f"no target answered {type(payload).__name__}"
     raise NoActiveHeadError(f"{what}: {last_error}")

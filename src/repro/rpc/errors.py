@@ -1,9 +1,9 @@
 """RPC-layer errors.
 
-:class:`RpcTimeout` derives from :class:`~repro.util.errors.PBSError` for
-backward compatibility: every pre-substrate call site catches ``PBSError``
-(or ``RpcTimeout`` re-exported from :mod:`repro.pbs.wire`), and both keep
-working unchanged.
+:class:`RpcTimeout` derives from :class:`~repro.util.errors.PBSError` so a
+caller that treats any failed conversation alike catches one type: an
+unanswered request and a server-side error reply both surface as
+``PBSError``.
 """
 
 from __future__ import annotations
@@ -21,18 +21,11 @@ class RpcTimeout(PBSError):
     — chaos-run violation reports surface these fields verbatim.
     """
 
-    def __init__(self, dst=None, request_type: str | None = None,
-                 attempts: int | None = None, message: str | None = None):
-        if (request_type is None and attempts is None and message is None
-                and isinstance(dst, str)):
-            # Legacy calling convention: RpcTimeout("free-form message").
-            message, dst = dst, None
+    def __init__(self, dst, request_type: str, attempts: int):
         self.dst = dst
         self.request_type = request_type
         self.attempts = attempts
-        if message is None:
-            message = (
-                f"no response from {dst} for {request_type} "
-                f"after {attempts} attempt(s)"
-            )
-        super().__init__(message)
+        super().__init__(
+            f"no response from {dst} for {request_type} "
+            f"after {attempts} attempt(s)"
+        )

@@ -1,10 +1,10 @@
 """Server-side RPC dispatch: typed handler registry + request-id dedup.
 
-:class:`RpcDispatcher` factors out what every daemon's ``run`` loop used to
-hand-roll: recognise :class:`~repro.rpc.wire.Request` frames, spawn one handler
-process per request, charge a per-request-type service delay, convert
-domain exceptions to wire error responses, and (optionally) replay cached
-responses so client retries are idempotent.
+:class:`RpcDispatcher` is the server half of every daemon's ``run`` loop:
+recognise :class:`~repro.rpc.wire.Request` frames, spawn one handler process
+per request, charge a per-request-type service delay, convert domain
+exceptions to wire error responses, and (optionally) replay cached responses
+so client retries are idempotent.
 
 Handlers are registered per request *type*:
 
@@ -15,12 +15,11 @@ Handlers are registered per request *type*:
   the spawned handler process and may yield simulation events);
 * ``delay`` is a float or a ``callable(payload) -> float`` charged
   *before* the handler runs (the calibrated service time);
-* ``pre_dispatch`` / ``post_dispatch`` hook lists are per-dispatcher
-  attachment points; additionally every dispatcher fires the
-  *per-simulation* ``on_dispatch`` / ``on_dispatch_done`` hooks on
-  :class:`~repro.rpc.state.RpcState` — the server-side half of the
-  :mod:`repro.obs` tracing surface. All hooks are isolated: a raising
-  hook is logged, never propagated into the dispatch path.
+* every dispatcher fires the *per-simulation* ``on_dispatch`` /
+  ``on_dispatch_done`` hooks on :class:`~repro.rpc.state.RpcState` — the
+  server-side half of the :mod:`repro.obs` tracing surface. Hooks are
+  isolated: a raising hook is logged, never propagated into the dispatch
+  path.
 """
 
 from __future__ import annotations
@@ -32,12 +31,11 @@ from repro.net.address import Address
 from repro.rpc.state import rpc_state, run_hooks
 from repro.rpc.wire import Reply, Request
 
-__all__ = ["RpcDispatcher", "RequestHandler", "ResponseCache"]
+__all__ = ["RpcDispatcher", "ResponseCache"]
 
 _MISSING = object()
 
-#: Cache bounds matching the historical PBS-server dedup cache: trim the
-#: oldest half once the size crosses the limit.
+#: Dedup cache bounds: trim the oldest half once the size crosses the limit.
 CACHE_LIMIT = 4096
 CACHE_EVICT = 2048
 
@@ -45,9 +43,7 @@ CACHE_EVICT = 2048
 class ResponseCache:
     """Request-id → response dedup cache (client retries get a replay)."""
 
-    def __init__(self, limit: int = CACHE_LIMIT, evict: int = CACHE_EVICT):
-        self.limit = limit
-        self.evict = evict
+    def __init__(self) -> None:
         self._entries: dict[int, object] = {}
 
     def get(self, request_id: int):
@@ -55,28 +51,12 @@ class ResponseCache:
 
     def put(self, request_id: int, response) -> None:
         self._entries[request_id] = response
-        if len(self._entries) > self.limit:
-            for key in list(self._entries)[: self.evict]:
+        if len(self._entries) > CACHE_LIMIT:
+            for key in list(self._entries)[:CACHE_EVICT]:
                 del self._entries[key]
-
-    def __contains__(self, request_id: int) -> bool:
-        return request_id in self._entries
 
     def __len__(self) -> int:
         return len(self._entries)
-
-
-class RequestHandler:
-    """One registry entry: the handler callable + its service delay."""
-
-    __slots__ = ("fn", "delay")
-
-    def __init__(self, fn: Callable, delay: float | Callable[[Any], float] = 0.0):
-        self.fn = fn
-        self.delay = delay
-
-    def delay_for(self, payload) -> float:
-        return self.delay(payload) if callable(self.delay) else self.delay
 
 
 class RpcDispatcher:
@@ -111,12 +91,8 @@ class RpcDispatcher:
         self.cache = cache
         self.on_error = on_error
         self.fallback = fallback
-        self._handlers: dict[type, RequestHandler] = {}
-        #: Called as ``hook(src, request_id, payload)`` before the handler.
-        self.pre_dispatch: list[Callable] = []
-        #: Called as ``hook(src, request_id, payload, response)`` after the
-        #: reply (response is None for deferred replies).
-        self.post_dispatch: list[Callable] = []
+        #: request type -> (handler, service delay or callable(payload)).
+        self._handlers: dict[type, tuple[Callable, Any]] = {}
         self._state = rpc_state(daemon.node.network)
 
     def register(
@@ -127,9 +103,8 @@ class RpcDispatcher:
         delay: float | Callable[[Any], float] = 0.0,
     ) -> None:
         """Route requests of *req_type* (a type or tuple of types) to *fn*."""
-        entry = RequestHandler(fn, delay)
         for cls in req_type if isinstance(req_type, tuple) else (req_type,):
-            self._handlers[cls] = entry
+            self._handlers[cls] = (fn, delay)
 
     def handle_frame(self, src: Address, frame: Any) -> bool:
         """Dispatch *frame* if it is an RPC request; returns False otherwise
@@ -157,8 +132,6 @@ class RpcDispatcher:
             if cached is not _MISSING:
                 daemon.endpoint.send(src, Reply(request_id, cached))
                 return
-        run_hooks(self.pre_dispatch, src, request_id, payload,
-                  log=daemon.log, where=daemon.tag)
         run_hooks(self._state.on_dispatch, daemon, src, request_id, payload,
                   log=daemon.log, where=daemon.tag)
         entry = self._handlers.get(type(payload))
@@ -169,10 +142,12 @@ class RpcDispatcher:
                     if self.fallback is not None else None
                 )
             else:
-                delay = entry.delay_for(payload)
+                fn, delay = entry
+                if callable(delay):
+                    delay = delay(payload)
                 if delay:
                     yield daemon.kernel.timeout(delay)
-                result = entry.fn(src, request_id, payload)
+                result = fn(src, request_id, payload)
                 if inspect.isgenerator(result):
                     result = yield from result
                 response = result
@@ -182,7 +157,5 @@ class RpcDispatcher:
                 raise
         if response is not None:
             self.reply(src, request_id, response)
-        run_hooks(self.post_dispatch, src, request_id, payload, response,
-                  log=daemon.log, where=daemon.tag)
         run_hooks(self._state.on_dispatch_done, daemon, src, request_id,
                   payload, response, log=daemon.log, where=daemon.tag)

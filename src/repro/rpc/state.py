@@ -1,12 +1,10 @@
 """Per-simulation RPC state: id allocators, timeout log, dispatch hooks.
 
-Historically request ids, ephemeral ports and the various uuid/marker
-counters were module-level ``itertools.count`` globals, which made the
-*second* simulation in one interpreter see different wire frames (ids are
-part of the datagram, and the :mod:`repro.net.codec` encoding charges the
-shared medium by exact frame size) and therefore drift in timing. All of them
-now live on an :class:`RpcState` hung off the :class:`~repro.net.network.Network`
-— one per simulation — so back-to-back runs are bit-identical.
+Request ids, ephemeral ports and the uuid/marker counters of the stacks
+above live on an :class:`RpcState` hung off the
+:class:`~repro.net.network.Network` — one per simulation, never module
+state — so back-to-back runs in one interpreter are bit-identical (ids are
+part of the datagram, and the shared medium is charged by exact frame size).
 
 The state object also owns the observability surface of the substrate:
 
@@ -32,10 +30,8 @@ from repro.net.network import Network
 
 __all__ = ["RpcState", "TimeoutRecord", "rpc_state", "run_hooks"]
 
-#: First request id handed out in a fresh simulation (matches the historical
-#: module-level counter so traces are unchanged).
+#: First request id and first ephemeral client port of a fresh simulation.
 FIRST_REQUEST_ID = 1
-#: First ephemeral client port (matches the historical module-level counter).
 FIRST_EPHEMERAL_PORT = 30000
 #: How many exhausted-call records the timeout log retains.
 TIMEOUT_LOG_LIMIT = 256
@@ -99,9 +95,6 @@ class RpcState:
 
     def next_port(self) -> int:
         return self.next_id("port", FIRST_EPHEMERAL_PORT)
-
-    def record_timeout(self, record: TimeoutRecord) -> None:
-        self.timeouts.append(record)
 
 
 def run_hooks(hooks: list[Callable], *args, log=None, where: str = "rpc") -> None:

@@ -1,8 +1,7 @@
 """The RPC wire envelope: typed request/reply frames.
 
 Every conversation on the rpc substrate crosses the network as one of two
-record shapes (previously the ad-hoc tuples ``("RPC", id, payload)`` /
-``("RPC-R", id, payload)``):
+record shapes:
 
 ``Request``
     ``request_id`` is unique per simulation (allocated from

@@ -13,7 +13,7 @@ from repro.cluster import Cluster
 from repro.ha import ActiveStandbySystem, AsymmetricSystem, ServiceProbe, SingleHeadSystem
 from repro.pbs.job import JobSpec, JobState
 from repro.util.errors import NoActiveHeadError, PBSError
-from repro.pbs.wire import RpcTimeout
+from repro.rpc import RpcTimeout
 
 
 def make_cluster(heads, computes=2, seed=41):

@@ -150,7 +150,7 @@ class TestOutputDedup:
         """A client retry (same uuid) must not double-submit."""
         from repro.joshua.wire import JSubReq
         from repro.pbs.job import JobSpec
-        from repro.pbs.wire import rpc_call
+        from repro.rpc import call as rpc_call
         from repro.net.address import Address
 
         net = stack.cluster.network

@@ -84,7 +84,7 @@ class TestReplication:
         allocate twice."""
         from repro.aa.replicated import ReplRequest
         from repro.pvfs.wire import Create
-        from repro.pbs.wire import rpc_call
+        from repro.rpc import call as rpc_call
         cluster, mds, client = make_mds()
         request = ReplRequest("fixed-1", Create("/once.dat"))
 
@@ -163,7 +163,7 @@ class TestJoin:
         advance only the joiner's logical clock."""
         from repro.aa.replicated import ReplRequest
         from repro.pvfs.wire import Create
-        from repro.pbs.wire import rpc_call
+        from repro.rpc import call as rpc_call
         cluster, mds, client = make_mds(heads=2)
         request = ReplRequest("fixed-join", Create("/once.dat"))
         first = drive(cluster, rpc_call(

@@ -34,8 +34,8 @@ from repro.pbs.wire import (
     RerunReq,
     RunJobReq,
     SubmitReq,
-    rpc_call,
 )
+from repro.rpc import call as rpc_call
 from repro.util.errors import PBSError
 
 

@@ -84,7 +84,7 @@ def join(cluster, services, name, contacts):
 
 
 def ask(cluster, head, request):
-    from repro.pbs.wire import rpc_call
+    from repro.rpc import call as rpc_call
     return drive(cluster, rpc_call(
         cluster.network, "login", Address(head, 7000), request, timeout=3.0,
     ))
@@ -113,7 +113,7 @@ class TestReplicatedService:
         assert services["head1"].driver.value == 2
 
     def test_retry_same_uuid_cached(self):
-        from repro.pbs.wire import rpc_call
+        from repro.rpc import call as rpc_call
         cluster, services, client = deploy()
         request = ReplRequest("fixed", ("add", 10))
 

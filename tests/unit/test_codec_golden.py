@@ -16,11 +16,13 @@ Complements the three scenario digests of ``tests/data/wire_baseline.json``
 
 import importlib.util
 import json
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
 from repro.net.codec import WIRE, CodecError
+from repro.rpc.wire import Request
 
 REPO_ROOT = Path(__file__).parents[2]
 
@@ -71,3 +73,43 @@ def test_every_strict_prefix_raises_the_golden_codec_error(name):
                 want_offset, record, field, message), f"prefix of {cut} bytes"
             cut += 1
     assert cut == len(frame)  # the golden rows cover every strict prefix
+
+
+def _varint(value):
+    out = bytearray()
+    while value >= 0x80:
+        out.append((value & 0x7F) | 0x80)
+        value >>= 7
+    out.append(value)
+    return bytes(out)
+
+
+def _hostile_frames():
+    """One frame per length-prefixed shape, each declaring 2**62 items or
+    bytes and then carrying eight (``None`` values)."""
+    huge, tail = _varint(2 ** 62), bytes(8)
+    for name, tag in [("str", 0x05), ("bytes", 0x06), ("tuple", 0x07),
+                      ("list", 0x08), ("dict", 0x09)]:
+        yield name, bytes([tag]) + huge + tail
+    # A record header: a real Request frame up to its field count.
+    frame = WIRE.encode(Request(1, None))
+    header = 1 + 1 + frame[1] + 2  # tag, name length, name, fingerprint
+    assert frame[header] == 2      # Request's two fields
+    yield "record", frame[:header] + huge + tail
+
+
+@pytest.mark.parametrize("strict", [True, False])
+@pytest.mark.parametrize("name, frame", list(_hostile_frames()))
+def test_hostile_length_prefix_allocates_by_the_frame_not_the_prefix(
+        name, frame, strict):
+    """The decoder allocates per element actually present: what a declared
+    count or length can cost is bounded by the frame that carries it."""
+    tracemalloc.start()
+    try:
+        with pytest.raises(CodecError) as caught:
+            WIRE.decode(frame, strict=strict)
+        _size, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert 0 <= caught.value.offset <= len(frame)
+    assert peak < 64 * 1024

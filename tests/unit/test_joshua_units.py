@@ -146,7 +146,7 @@ class TestClientBehaviour:
         settle(stack, 0.5)
         from repro.joshua.wire import JSubReq
         from repro.net.address import Address
-        from repro.pbs.wire import rpc_call
+        from repro.rpc import call as rpc_call
         request = JSubReq("shared-uuid", JobSpec(name="c", walltime=600))
 
         def seq():

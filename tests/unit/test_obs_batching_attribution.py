@@ -11,8 +11,10 @@ delay must contain the window, and must strictly exceed the whole
 unbatched delay for the identical workload.
 """
 
+import repro.obs.collector as collector_module
 from repro.gcs import GroupConfig, GroupMember, boot_static_group
-from repro.net import Network
+from repro.gcs.messages import MessageId
+from repro.net import Address, Network
 from repro.obs.collector import attach_collector
 from repro.sim import Kernel
 
@@ -122,3 +124,42 @@ class TestBatchingAttribution:
         assert len(mcasts) == 3
         for span in mcasts:
             assert flush.time - span.time >= WINDOW - 1e-9
+
+
+class TestOrderedMarkIsBounded:
+    """The "first ORDER already seen" mark lives in the bounded multicast
+    map, so the always-on observer forgets an id's mark with its stamp."""
+
+    @staticmethod
+    def collector():
+        network = Network(Kernel(seed=1), shared_medium=False)
+        network.register_node("n0")
+        return attach_collector(network), Address("n0", GCS_PORT)
+
+    def test_collector_holds_at_most_the_limit_of_message_ids(self, monkeypatch):
+        limit = 16
+        monkeypatch.setattr(collector_module, "MCAST_MAP_LIMIT", limit)
+        collector, sender = self.collector()
+        for counter in range(10 * limit):
+            msg_id = MessageId(sender, counter)
+            collector.gcs_multicast("n0", msg_id, "agreed", "cmd")
+            collector.gcs_ordered("n0", counter, msg_id)
+        held = {
+            key
+            for container in vars(collector).values()
+            if isinstance(container, (dict, set))
+            for key in container if isinstance(key, MessageId)
+        }
+        assert 0 < len(held) <= limit
+        assert delays(collector, "gcs.ordering.delay_s").count == 10 * limit
+
+    def test_reassignment_after_a_view_change_counts_the_id_once(self):
+        collector, sender = self.collector()
+        msg_id = MessageId(sender, 0)
+        collector.gcs_multicast("n0", msg_id, "agreed", "cmd")
+        collector.gcs_ordered("n0", 0, msg_id)
+        collector.gcs_ordered("n0", 5, msg_id)  # the new view's sequencer
+        assert delays(collector, "gcs.ordering.delay_s").count == 1
+        # An id whose multicast was never observed records no delay.
+        collector.gcs_ordered("n0", 6, MessageId(sender, 1))
+        assert delays(collector, "gcs.ordering.delay_s").count == 1

@@ -6,7 +6,7 @@ from repro.cluster import Cluster
 from repro.net.address import Address
 from repro.pbs import JobSpec, JobState, PBSMom, build_pbs_stack
 from repro.pbs.server import PBS_MOM_PORT
-from repro.pbs.wire import RpcTimeout
+from repro.rpc import RpcTimeout, call as rpc_call
 from repro.util.errors import PBSError
 
 
@@ -280,7 +280,7 @@ class TestMomBehaviour:
         job_id = drive(stack, client.qsub(name="dup", walltime=50))
         cluster.run(until=2.0)
         mom = stack.moms[0] if stack.moms[0].active else stack.moms[1]
-        from repro.pbs.wire import JobStartReq, rpc_call
+        from repro.pbs.wire import JobStartReq
         record = next(iter(mom.active.values()))
 
         def dup_attempt():
@@ -321,7 +321,7 @@ class TestMomBehaviour:
         client = stack.client()
         job_id = drive(stack, client.qsub(name="short", walltime=0.5))
         cluster.run(until=0.3)  # first attempt is through; job is running
-        from repro.pbs.wire import JobStartReq, rpc_call
+        from repro.pbs.wire import JobStartReq
         record = mom.active[job_id]
 
         def dup_attempt():

@@ -177,12 +177,6 @@ class TestDispatchHooks:
         kernel, network, daemon = make_world()
         state = rpc_state(network)
         seen = []
-        daemon.rpc.pre_dispatch.append(
-            lambda *args: seen.append(("pre",) + args)
-        )
-        daemon.rpc.post_dispatch.append(
-            lambda *args: seen.append(("post",) + args)
-        )
         state.on_dispatch.append(
             lambda *args: seen.append(("dispatch",) + args)
         )
@@ -192,8 +186,8 @@ class TestDispatchHooks:
 
         run_call(kernel, network, daemon, Ping(5))
 
-        assert [entry[0] for entry in seen] == ["pre", "dispatch", "post", "done"]
-        _, dispatch, _, done = seen
+        assert [entry[0] for entry in seen] == ["dispatch", "done"]
+        dispatch, done = seen
         # on_dispatch(daemon, src, request_id, payload)
         assert dispatch[1] is daemon
         assert dispatch[2].node == "cli"
