@@ -48,9 +48,9 @@ from repro.gcs.messages import SAFE, DeliveredMessage
 from repro.gcs.view import View
 from repro.net.address import Address
 from repro.obs.collector import collector_of
-from repro.rpc import RpcDispatcher, RpcTimeout, call as rpc_call, rpc_state
+from repro.rpc import RpcDispatcher, failover_call, rpc_state
 from repro.sim.resources import Store
-from repro.util.errors import PBSError  # what rpc.call raises for an error reply
+from repro.util.errors import NoActiveHeadError
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.gcs.config import GroupConfig
@@ -474,23 +474,27 @@ class ReplicationEngine:
         view = self.group.view
         if view is None:
             return None
-        for member in sorted(view.members):
-            if member.node == self.node.name:
-                continue
-            try:
-                response = yield from rpc_call(
-                    self.node.network, self.node.name,
-                    Address(member.node, self.address.port),
-                    StateXferReq(uuid, self.address, self.index),
-                    timeout=self.group.config.flush_timeout,
-                )
-            except (RpcTimeout, PBSError):
-                continue
-            if isinstance(response, StateXferResp) and response.marker_uuid == uuid:
-                self.stats["state_transfers_pulled"] += 1
-                self.log.info(self.tag, f"pulled state for {uuid} from {member.node}")
-                return response
-        return None
+        try:
+            response = yield from failover_call(
+                self.node.network, self.node.name,
+                [
+                    Address(member.node, self.address.port)
+                    for member in sorted(view.members)
+                    if member.node != self.node.name
+                ],
+                StateXferReq(uuid, self.address, self.index),
+                timeout=self.group.config.flush_timeout,
+                skip_down=False,
+                retry_error=lambda exc: True,
+                reject=lambda r: not (
+                    isinstance(r, StateXferResp) and r.marker_uuid == uuid
+                ),
+            )
+        except NoActiveHeadError:
+            return None
+        self.stats["state_transfers_pulled"] += 1
+        self.log.info(self.tag, f"pulled state for {uuid}")
+        return response
 
     def _receive_state(self, marker: XferMarker):
         uuid = marker.marker_uuid
@@ -595,11 +599,11 @@ class ReplicaDaemon(Daemon):
         while True:
             delivery = yield self.endpoint.recv()
             frame = delivery.payload
-            if self.rpc.handle_frame(delivery.src, frame):
-                continue
             # The one non-RPC frame: a sponsor's fire-and-forget push.
             if isinstance(frame, XferPush) and 0 <= frame.shard < len(self.shards):
                 self.shards[frame.shard].handle_push(frame.response)
+            else:
+                self.rpc.handle_frame(delivery.src, frame)
 
     def _reply(self, dst: Address, request_id: int, response) -> None:
         self.rpc.reply(dst, request_id, response)

@@ -17,7 +17,11 @@ the rule demands:
 * every ``ErrorResp`` **kind string** a server emits must have a
   client-side consumer (a matching string literal somewhere outside the
   emitting call), or a reasoned entry in :data:`ERROR_KINDS_EXEMPT` —
-  catching error codes no client can ever branch on.
+  catching error codes no client can ever branch on;
+* **every datagram is a registered record** (PROTOCOLS.md §3): no
+  ``.send(dst, ("TAG", ...))`` tuple-tagged frame, and no
+  ``isinstance(…, Request)`` outside ``rpc/server.py`` — a daemon that
+  unwraps the envelope by hand is invisible to the checks above.
 
 Response types (``*Resp``) are produced by servers and consumed generically
 by :func:`repro.rpc.client.call`, so they need a constructor but not a
@@ -110,7 +114,7 @@ ERROR_KINDS_EXEMPT = {
     "bad-request": "malformed/unroutable request; a correct client never sees it",
     "bad-command": "unknown replicated command kind; a correct client never sees it",
     "retry": "consumed generically: the state-transfer puller moves on to the "
-             "next member on any PBSError (aa/engine.py)",
+             "next member on any relayed error (aa/engine.py)",
 }
 
 
@@ -155,6 +159,14 @@ def _type_names(node: ast.AST) -> list[str]:
     return []
 
 
+def _call_name(node: ast.Call) -> str | None:
+    """``f`` for a call ``f(...)`` or ``x.f(...)``."""
+    func = node.func
+    if isinstance(func, ast.Attribute):
+        return func.attr
+    return func.id if isinstance(func, ast.Name) else None
+
+
 def _handled_types(tree: ast.AST) -> set[str]:
     handled: set[str] = set()
     for node in ast.walk(tree):
@@ -166,12 +178,7 @@ def _handled_types(tree: ast.AST) -> set[str]:
                         n for n in _type_names(key) if n[:1].isupper()
                     )
         elif isinstance(node, ast.Call):
-            func = node.func
-            func_name = (
-                func.attr if isinstance(func, ast.Attribute)
-                else func.id if isinstance(func, ast.Name)
-                else None
-            )
+            func_name = _call_name(node)
             if func_name in _REGISTER_NAMES and node.args:
                 handled.update(_type_names(node.args[0]))
             elif func_name == "isinstance" and len(node.args) == 2:
@@ -231,12 +238,7 @@ def _registrations(tree: ast.Module) -> list[tuple[list[str], ast.AST]]:
     regs: list[tuple[list[str], ast.AST]] = []
     for node in ast.walk(tree):
         if isinstance(node, ast.Call):
-            func = node.func
-            func_name = (
-                func.attr if isinstance(func, ast.Attribute)
-                else func.id if isinstance(func, ast.Name)
-                else None
-            )
+            func_name = _call_name(node)
             if func_name in _REGISTER_NAMES and len(node.args) >= 2:
                 names = _type_names(node.args[0])
                 if names:
@@ -277,12 +279,7 @@ def _lambda_forwards_payload(handler: ast.AST, candidate: str) -> bool:
     payload = handler.args.args[-1].arg
     for node in ast.walk(handler.body):
         if isinstance(node, ast.Call):
-            func = node.func
-            name = (
-                func.attr if isinstance(func, ast.Attribute)
-                else func.id if isinstance(func, ast.Name)
-                else None
-            )
+            name = _call_name(node)
             if name == candidate:
                 return any(
                     isinstance(arg, ast.Name) and arg.id == payload
@@ -360,12 +357,7 @@ def _error_resp_kinds(tree: ast.AST) -> tuple[list[tuple[str, int]], set[int]]:
     emitting_nodes: set[int] = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Call):
-            func = node.func
-            name = (
-                func.attr if isinstance(func, ast.Attribute)
-                else func.id if isinstance(func, ast.Name)
-                else None
-            )
+            name = _call_name(node)
             if (
                 name == "ErrorResp"
                 and node.args
@@ -407,6 +399,43 @@ def _error_kind_findings(files: dict[str, ast.Module]) -> list[Finding]:
                 "analysis.protocol.ERROR_KINDS_EXEMPT with a reason)",
             )
         )
+    return findings
+
+
+# ---------------------------------------------------------------------------
+# R4 shape: every datagram is a registered record
+# ---------------------------------------------------------------------------
+
+
+def _untyped_frame_findings(files: dict[str, ast.Module]) -> list[Finding]:
+    findings: list[Finding] = []
+    for path, tree in sorted(files.items()):
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call) or len(node.args) < 2:
+                continue
+            name, frame = _call_name(node), node.args[1]
+            if (
+                name == "send"
+                and isinstance(frame, ast.Tuple)
+                and frame.elts
+                and isinstance(getattr(frame.elts[0], "value", None), str)
+            ):
+                message = (
+                    f"tuple-tagged frame ({frame.elts[0].value!r}, …): every datagram "
+                    "is a registered record — declare one (rpc.call it if it is a request)"
+                )
+            elif (
+                name == "isinstance"
+                and path != "rpc/server.py"
+                and "Request" in _type_names(frame)
+            ):
+                message = (
+                    "isinstance(…, Request) outside rpc/server.py — register a handler "
+                    "with an RpcDispatcher instead of unwrapping the envelope by hand"
+                )
+            else:
+                continue
+            findings.append(Finding("R4", path, node.lineno, node.col_offset, message))
     return findings
 
 
@@ -458,6 +487,7 @@ def rule_r4(files: dict[str, ast.Module]) -> list[Finding]:
                     )
                 )
     findings.extend(_error_kind_findings(files))
+    findings.extend(_untyped_frame_findings(files))
     return findings
 
 

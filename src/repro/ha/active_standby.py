@@ -31,7 +31,7 @@ from repro.pbs.mom import PBSMom
 from repro.pbs.server import PBS_MOM_PORT, PBS_SERVER_PORT
 from repro.pbs.service_times import ERA_2006
 from repro.pbs.stack import install_head_daemons
-from repro.pbs.wire import AdminServers, SchedPollReq
+from repro.pbs.wire import AdminPurge, AdminServers, SchedPollReq
 from repro.rpc import RpcTimeout, call as rpc_call
 from repro.util.errors import PBSError
 
@@ -131,7 +131,7 @@ class FailoverMonitor(Daemon):
             self.node.start_daemon("ckpt")
         # Orphaned applications restart: purge the moms, point them at us.
         for mom in self.moms:
-            self.endpoint.send(mom, ("ADMIN-PURGE",))
+            self.endpoint.send(mom, AdminPurge())
             self.endpoint.send(
                 mom, AdminServers((Address(self.node.name, PBS_SERVER_PORT),))
             )

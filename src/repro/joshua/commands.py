@@ -105,7 +105,7 @@ class JoshuaClient:
                 [Address(h, _JOSHUA_PORT) for h in self._ordered_heads()],
                 payload,
                 timeout=self.timeout,
-                retry_error=lambda exc: "joining" in str(exc),
+                retry_error=lambda exc: exc.kind == "joining",
                 stats=self.stats,
                 what=f"no active head answered {type(payload).__name__}",
             )

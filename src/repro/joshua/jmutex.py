@@ -83,7 +83,7 @@ def install_jmutex(mom: PBSMom, *, timeout: float = 2.0) -> None:
 
         One acceptance suffices — the accepting joshua multicasts the
         Started/Done record group-wide. The head list is re-read each pass
-        because ADMIN-SERVERS announcements may change it mid-retry.
+        because AdminServers announcements may change it mid-retry.
         """
 
         def notifier():

@@ -61,7 +61,7 @@ from repro.net.address import Address
 from repro.obs.collector import collector_of
 from repro.pbs.job import JobSpec
 from repro.pbs.server import PBS_SERVER_PORT
-from repro.pbs.wire import ErrorResp, StatReq
+from repro.pbs.wire import ErrorResp, StatReq, bad_request
 from repro.rpc import RpcDispatcher
 from repro.util.errors import JoshuaError, PBSError
 
@@ -233,10 +233,7 @@ class JoshuaServer(ReplicaDaemon):
         """Typed request routing with the calibrated receive delays."""
         t = self.times
 
-        def fallback(src, request_id, payload):
-            return ErrorResp("bad-request", str(type(payload)))
-
-        rpc = RpcDispatcher(self, fallback=fallback)
+        rpc = RpcDispatcher(self, fallback=bad_request)
         rpc.register((JSubReq, JDelReq, JStatReq), self._handle_command,
                      delay=t.cmd_receive)
         rpc.register(JMutexReq, self._handle_jmutex, delay=t.mutex_process)

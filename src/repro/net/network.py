@@ -80,8 +80,6 @@ def _payload_kind(payload: Any) -> str:
     inner = getattr(payload, "payload", None)
     if inner is not None:
         return type(inner).__name__
-    if isinstance(payload, tuple) and payload and isinstance(payload[0], str):
-        return payload[0]
     return type(payload).__name__
 
 

@@ -31,15 +31,16 @@ from repro.obs.collector import collector_of
 from repro.pbs.job import KILLED_EXIT_STATUS
 from repro.pbs.service_times import ERA_2006, ServiceTimes
 from repro.pbs.wire import (
+    AdminPurge,
     AdminServers,
     JobObit,
     JobStartReq,
     JobStartResp,
     KillJobReq,
     SimpleResp,
+    bad_request,
 )
-from repro.rpc import rpc_state
-from repro.rpc.wire import Reply, Request
+from repro.rpc import RpcDispatcher, RpcTimeout, call as rpc_call, rpc_state
 from repro.sim.process import Process
 from repro.util.errors import Interrupt
 
@@ -47,11 +48,6 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.cluster.node import Node
 
 __all__ = ["PBSMom", "PrologueHook"]
-
-#: Family name for per-obituary acknowledgement ports (allocated from the
-#: simulation-scoped counter state — see :func:`repro.rpc.rpc_state`).
-_OBIT_PORT_FAMILY = "obit-port"
-_OBIT_PORT_START = 16000
 
 #: A prologue hook: generator taking (mom, start request) and returning
 #: "run" or "emulate".
@@ -94,52 +90,41 @@ class PBSMom(Daemon):
         self.legacy_obit_retry = legacy_obit_retry
         #: job_id -> running record (real executions only).
         self.active: dict[str, _RunningJob] = {}
-        #: job_id -> servers whose attempts were emulated.
-        self.emulated: dict[str, set[Address]] = {}
         #: job_id -> obit, kept for late duplicate start attempts.
         self.finished: dict[str, JobObit] = {}
         self.stats = {"runs": 0, "emulations": 0, "rejections": 0, "kills": 0,
                       "obits_sent": 0, "obits_abandoned": 0}
+        self.rpc = RpcDispatcher(self, fallback=bad_request)
+        self.rpc.register(JobStartReq, self._handle_start)
+        self.rpc.register(KillJobReq, self._handle_kill)
 
     # -- main loop ----------------------------------------------------------
+
+    def on_start(self) -> None:
+        rpc_state(self.node.network).on_request.append(self._count_obit)
+
+    def on_stop(self, *, crashed: bool) -> None:
+        rpc_state(self.node.network).on_request.remove(self._count_obit)
+
+    def _count_obit(self, node, server, request_id, payload, attempt) -> None:
+        # on_request observer: only rpc.call knows when it puts a resend on the wire.
+        if type(payload) is JobObit and node == self.node.name:
+            self.stats["obits_sent"] += 1
 
     def run(self):
         while True:
             delivery = yield self.endpoint.recv()
             frame = delivery.payload
-            if isinstance(frame, Request):
-                request_id, payload = frame.request_id, frame.payload
-                if isinstance(payload, JobStartReq):
-                    self.spawn(
-                        self._handle_start(delivery.src, request_id, payload),
-                        name=f"{self.tag}-start-{payload.job_id}",
-                    )
-                elif isinstance(payload, KillJobReq):
-                    self._handle_kill(payload)
-                    self.endpoint.send(delivery.src, Reply(request_id, SimpleResp()))
-                else:
-                    self.endpoint.send(
-                        delivery.src, Reply(request_id, SimpleResp(False, "bad request"))
-                    )
-                continue
             if isinstance(frame, AdminServers):
-                # The HA layer announces the current set of head-node
-                # servers after a membership change; obituaries follow it.
                 self.servers = list(frame.servers)
-                continue
-            if not isinstance(frame, tuple) or not frame:
-                continue
-            if frame[0] == "ADMIN-PURGE":
-                # Failover managers abort orphaned jobs: the applications
-                # lost their parent server and must be restarted (the
-                # active/standby semantics the paper contrasts against).
+            elif isinstance(frame, AdminPurge):
                 for job_id, record in sorted(self.active.items()):
                     if record.process is not None:
                         record.process.interrupt("purged")
                     self.active.pop(job_id, None)
                     self.stats["kills"] += 1
-            # OBIT-ACK frames are consumed by the per-obit senders via
-            # endpoint callbacks; see _broadcast_obit.
+            else:
+                self.rpc.handle_frame(delivery.src, frame)
 
     # -- start attempts -----------------------------------------------------------
 
@@ -148,11 +133,7 @@ class PBSMom(Daemon):
         if req.job_id in self.finished:
             # Late attempt for a job that already ran to completion here:
             # report emulation and re-send the obit to the asking server.
-            self.stats["emulations"] += 1
-            self._reply_start(src, request_id, JobStartResp(True, "emulate", "already finished"))
-            if req.server is not None:
-                self._send_obit_to(req.server, self.finished[req.job_id])
-            return
+            return self._already_finished(req)
 
         decision = "run"
         for hook in self.prologue_hooks:
@@ -166,11 +147,7 @@ class PBSMom(Daemon):
             # attempt would slip past both the already-finished guard above
             # and the already-running guard below, and the job would really
             # execute a second time.
-            self.stats["emulations"] += 1
-            self._reply_start(src, request_id, JobStartResp(True, "emulate", "already finished"))
-            if req.server is not None:
-                self._send_obit_to(req.server, self.finished[req.job_id])
-            return
+            return self._already_finished(req)
 
         if decision == "run" and req.job_id in self.active:
             # Plain TORQUE (no jmutex): a duplicate start is an error.
@@ -178,23 +155,16 @@ class PBSMom(Daemon):
                 decision = "emulate"
             else:
                 self.stats["rejections"] += 1
-                self._reply_start(
-                    src, request_id, JobStartResp(False, "run", "job already running")
-                )
-                return
+                return JobStartResp(False, "run", "job already running")
 
         collector = collector_of(self.node.network)
         if decision == "emulate":
             self.stats["emulations"] += 1
-            self.emulated.setdefault(req.job_id, set())
-            if req.server is not None:
-                self.emulated[req.job_id].add(req.server)
             if collector is not None:
                 collector.job_event(self.node.name, "job.emulated",
                                     job_id=req.job_id,
                                     server=str(req.server))
-            self._reply_start(src, request_id, JobStartResp(True, "emulate"))
-            return
+            return JobStartResp(True, "emulate")
 
         # Actually execute.
         self.stats["runs"] += 1
@@ -205,14 +175,15 @@ class PBSMom(Daemon):
         self.active[req.job_id] = _RunningJob(req, process, self.kernel.now)
         if self.on_job_start is not None:
             self.on_job_start(req)
-        self._reply_start(src, request_id, JobStartResp(True, "run"))
+        return JobStartResp(True, "run")
 
-    def _reply_start(self, src: Address, request_id: int, response: JobStartResp) -> None:
-        if self.running and not self.endpoint.closed:
-            self.endpoint.send(src, Reply(request_id, response))
+    def _already_finished(self, req: JobStartReq) -> JobStartResp:
+        self.stats["emulations"] += 1
+        if req.server is not None:
+            self._send_obit(req.server, self.finished[req.job_id])
+        return JobStartResp(True, "emulate", "already finished")
 
     def _execute(self, req: JobStartReq):
-        record = None
         exit_status = req.spec.exit_status
         try:
             yield self.kernel.timeout(req.spec.walltime)
@@ -239,76 +210,53 @@ class PBSMom(Daemon):
                                 ran_s=round(obit.finished_at - obit.started_at, 6))
         if self.on_job_done is not None:
             self.on_job_done(obit)
-        self.spawn(self._broadcast_obit(obit), name=f"{self.tag}-obit-{req.job_id}")
+        yield from self._broadcast_obit(obit)
 
-    def _send_obit_to(self, server: Address, obit: JobObit) -> None:
-        """Re-deliver a finished job's obituary to one (late) server."""
-
-        def once():
-            yield from self._obit_loop(obit, {server})
-
-        self.spawn(once(), name=f"{self.tag}-reobit-{obit.job_id}")
-
-    def _handle_kill(self, req: KillJobReq) -> None:
+    def _handle_kill(self, src: Address, request_id: int, req: KillJobReq) -> SimpleResp:
         record = self.active.get(req.job_id)
-        if record is None or record.process is None:
-            return
-        if not record.killed:
+        if record is not None and record.process is not None and not record.killed:
             record.killed = True
             self.stats["kills"] += 1
             record.process.interrupt("killed")
+        return SimpleResp()
 
     # -- obituaries ------------------------------------------------------------------
 
     def _broadcast_obit(self, obit: JobObit):
-        """Send the obituary to every registered server until acknowledged.
+        """Tell every registered server, each in its own conversation.
 
-        Fixed behaviour: abandon a server after ``obit_give_up`` seconds.
-        Legacy (bug-compatible) behaviour: never abandon — and keep the job
-        in our running set while any server is unreached, exactly the
-        deficiency §5 describes.
+        Legacy (bug-compatible) behaviour: keep the job in our running set
+        while any server is unreached, exactly the deficiency §5 describes.
         """
+        deliveries = [self._send_obit(s, obit) for s in sorted(set(self.servers))]
         if self.legacy_obit_retry:
-            # Bug-compatible: the job lingers in our active set while any
-            # head node is unreached.
             self.active[obit.job_id] = _RunningJob(
                 JobStartReq(obit.job_id, None, obit.exec_nodes), None, obit.started_at
             )
-        try:
-            yield from self._obit_loop(obit, set(self.servers))
-        finally:
-            if self.legacy_obit_retry:
+            try:
+                yield self.kernel.all_of(deliveries)
+            finally:
                 self.active.pop(obit.job_id, None)
 
-    def _obit_loop(self, obit: JobObit, pending: set):
-        acked: set[Address] = set()
-
-        def on_ack(delivery):
-            frame = delivery.payload
-            if (
-                isinstance(frame, tuple)
-                and len(frame) == 2
-                and frame[0] == "OBIT-ACK"
-                and frame[1] == obit.job_id
-            ):
-                acked.add(delivery.src)
-
-        # Acks arrive on a dedicated per-obit endpoint so the daemon's main
-        # mailbox never has to demultiplex them.
-        port = rpc_state(self.node.network).next_id(
-            _OBIT_PORT_FAMILY, _OBIT_PORT_START
+    def _send_obit(self, server: Address, obit: JobObit) -> Process:
+        return self.spawn(
+            self._deliver_obit(server, obit),
+            name=f"{self.tag}-obit-{obit.job_id}-{server.node}",
         )
-        ack_endpoint = self.node.network.bind(self.node.name, port)
-        ack_endpoint.on_delivery(on_ack)
-        started = self.kernel.now
-        try:
-            while pending - acked:
-                for server in sorted(pending - acked):
-                    ack_endpoint.send(server, ("OBIT", obit))
-                    self.stats["obits_sent"] += 1
-                yield self.kernel.timeout(self.obit_retry_interval)
-                if not self.legacy_obit_retry and self.kernel.now - started > self.obit_give_up:
-                    self.stats["obits_abandoned"] += len(pending - acked)
-                    break
-        finally:
-            ack_endpoint.close()
+
+    def _deliver_obit(self, server: Address, obit: JobObit):
+        """One conversation with *server*: resent every ``obit_retry_interval``
+        until answered, abandoned (leaving a ``TimeoutRecord``) once the server
+        has been silent for ``obit_give_up`` — or, legacy, started over."""
+        while True:
+            try:
+                yield from rpc_call(
+                    self.node.network, self.node.name, server, obit,
+                    timeout=self.obit_retry_interval,
+                    retries=int(self.obit_give_up / self.obit_retry_interval),
+                )
+            except RpcTimeout:
+                if self.legacy_obit_retry:
+                    continue
+                self.stats["obits_abandoned"] += 1
+            return

@@ -72,6 +72,7 @@ from repro.pbs.wire import (
     StatResp,
     SubmitReq,
     SubmitResp,
+    bad_request,
 )
 from repro.rpc import ResponseCache, RpcDispatcher, call as rpc_call
 from repro.util.errors import InvalidJobStateError, PBSError, UnknownJobError
@@ -151,13 +152,8 @@ class PBSServer(Daemon):
                 return ErrorResp("pbs-error", str(exc))
             return None  # re-raise
 
-        def fallback(src, request_id, payload):
-            return ErrorResp(
-                "bad-request", f"unknown request {type(payload).__name__}"
-            )
-
         rpc = RpcDispatcher(
-            self, cache=ResponseCache(), on_error=on_error, fallback=fallback
+            self, cache=ResponseCache(), on_error=on_error, fallback=bad_request
         )
         reg = rpc.register
         reg(SubmitReq, lambda s, r, p: self._do_submit(p),
@@ -181,6 +177,7 @@ class PBSServer(Daemon):
         reg(SchedPollReq, lambda s, r, p: self._do_sched_poll(),
             delay=t.qstat_process)
         reg(RunJobReq, lambda s, r, p: self._do_run(p), delay=t.run_process)
+        reg(JobObit, lambda s, r, p: self._handle_obit(p))
         return rpc
 
     # -- persistence -------------------------------------------------------
@@ -240,13 +237,7 @@ class PBSServer(Daemon):
     def run(self):
         while True:
             delivery = yield self.endpoint.recv()
-            frame = delivery.payload
-            if self.rpc.handle_frame(delivery.src, frame):
-                continue
-            if not isinstance(frame, tuple) or not frame:
-                continue
-            if frame[0] == "OBIT" and isinstance(frame[1], JobObit):
-                self._handle_obit(delivery.src, frame[1])
+            self.rpc.handle_frame(delivery.src, delivery.payload)
 
     # -- command implementations ---------------------------------------------------
 
@@ -438,14 +429,13 @@ class PBSServer(Daemon):
 
     # -- obituaries -----------------------------------------------------------------
 
-    def _handle_obit(self, src: Address, obit: JobObit) -> None:
-        # Always acknowledge: the mom retries until we do.
-        self.endpoint.send(src, ("OBIT-ACK", obit.job_id))
+    def _handle_obit(self, obit: JobObit) -> SimpleResp:
+        # Every outcome is an answer: the mom resends until it has one.
         if obit.job_id not in self.jobs:
-            return  # e.g. obit for a job deleted from this replica
+            return SimpleResp()  # e.g. obit for a job deleted from this replica
         job = self.jobs.get(obit.job_id)
         if job.state is JobState.COMPLETE:
-            return  # duplicate obit
+            return SimpleResp()  # duplicate obit
         if job.state is JobState.QUEUED:
             # We never saw it start (recovered server): record the start so
             # state stays coherent, then complete it.
@@ -472,3 +462,4 @@ class PBSServer(Daemon):
         self._persist(job)
         self.stats["completed"] += 1
         self._notify("E", job)
+        return SimpleResp()

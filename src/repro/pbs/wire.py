@@ -20,12 +20,12 @@ __all__ = [
     "DeleteReq", "DeleteResp",
     "HoldReq", "ReleaseReq", "SignalReq", "RerunReq", "LoadStateReq", "PurgeReq",
     "CaptureReq", "CaptureResp",
-    "AdminServers",
+    "AdminServers", "AdminPurge",
     "SimpleResp",
     "RunJobReq", "RunJobResp",
     "SchedPollReq", "SchedPollResp",
     "JobStartReq", "JobStartResp", "KillJobReq", "JobObit",
-    "ErrorResp",
+    "ErrorResp", "bad_request",
 ]
 
 
@@ -150,6 +150,12 @@ class AdminServers:
 
 
 @dataclass(frozen=True)
+class AdminPurge:
+    """Failover manager -> mom: abort every running job (the applications
+    lost their parent server and restart: active/standby semantics)."""
+
+
+@dataclass(frozen=True)
 class SimpleResp:
     ok: bool = True
     detail: str = ""
@@ -161,6 +167,11 @@ class ErrorResp:
 
     kind: str
     message: str
+
+
+def bad_request(src, request_id, payload) -> ErrorResp:
+    """Dispatcher fallback: the answer to a request no handler is registered for."""
+    return ErrorResp("bad-request", f"unknown request {type(payload).__name__}")
 
 
 # -- scheduler <-> server ------------------------------------------------------
@@ -221,7 +232,7 @@ class KillJobReq:
 
 @dataclass(frozen=True)
 class JobObit:
-    """Mom -> every registered server: the job finished."""
+    """Mom -> every registered server (a request): the job finished."""
 
     job_id: str
     exit_status: int
@@ -239,7 +250,7 @@ register_wire_types(
     DeleteReq, DeleteResp,
     HoldReq, ReleaseReq, SignalReq, RerunReq, LoadStateReq, PurgeReq,
     CaptureReq, CaptureResp,
-    AdminServers,
+    AdminServers, AdminPurge,
     SimpleResp,
     RunJobReq, RunJobResp,
     SchedPollReq, SchedPollResp,

@@ -49,7 +49,8 @@ def call(
     Yields simulation events; returns the response payload. Each of the
     ``1 + retries`` attempts waits *timeout* seconds for the reply. Raises
     :class:`RpcTimeout` once every attempt went unanswered and
-    :class:`PBSError` if the server answered with an error-relay response.
+    :class:`PBSError` (carrying the relay's typed ``kind`` and ``message``)
+    if the server answered with an error-relay response.
     """
     attempts = 1 + retries
     kernel = network.kernel
@@ -76,9 +77,9 @@ def call(
                                   payload, response, log=kernel.log,
                                   where="rpc.client")
                         if getattr(response, "__rpc_error_relay__", False):
-                            raise PBSError(
-                                f"{response.kind}: {response.message}"
-                            )
+                            error = PBSError(f"{response.kind}: {response.message}")
+                            error.kind, error.message = response.kind, response.message
+                            raise error
                         return response
                     continue
                 if deadline.processed:
@@ -120,7 +121,7 @@ def failover_call(
       node's TCP stack produces);
     * :class:`RpcTimeout` always fails over to the next target;
     * other :class:`PBSError`\\ s fail over when ``retry_error(exc)`` is
-      true (e.g. a head answering "joining"), otherwise propagate;
+      true (e.g. a head answering ``kind == "joining"``), otherwise propagate;
     * a received response is retried on the next target when
       ``reject(response)`` is true (e.g. a result carrying a
       transient error marker) — otherwise it is returned.

@@ -106,16 +106,20 @@ class RpcDispatcher:
         for cls in req_type if isinstance(req_type, tuple) else (req_type,):
             self._handlers[cls] = (fn, delay)
 
-    def handle_frame(self, src: Address, frame: Any) -> bool:
-        """Dispatch *frame* if it is an RPC request; returns False otherwise
-        (the daemon's run loop handles its other frame kinds)."""
-        if not isinstance(frame, Request):
-            return False
-        self.daemon.spawn(
-            self._handle(src, frame.request_id, frame.payload),
-            name=f"{self.daemon.tag}-rpc{frame.request_id}",
-        )
-        return True
+    def handle_frame(self, src: Address, frame: Any) -> None:
+        """Dispatch *frame* if it is an RPC request. Anything else (the
+        daemon's run loop has already taken its own notification records)
+        is logged and dropped: malformed input must not kill the daemon."""
+        daemon = self.daemon
+        if isinstance(frame, Request):
+            daemon.spawn(
+                self._handle(src, frame.request_id, frame.payload),
+                name=f"{daemon.tag}-rpc{frame.request_id}",
+            )
+        else:
+            daemon.log.warning(
+                daemon.tag, f"dropped unknown frame {type(frame).__name__} from {src}"
+            )
 
     def reply(self, dst: Address, request_id: int, response) -> None:
         """Send (and, when a cache is configured, record) a response."""

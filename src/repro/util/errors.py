@@ -91,7 +91,15 @@ class NotInView(MembershipError):
 
 
 class PBSError(ReproError):
-    """Error reported by the PBS (TORQUE stand-in) job management stack."""
+    """Error reported by the PBS (TORQUE stand-in) job management stack.
+
+    Re-raised by :func:`repro.rpc.call` from a server's error relay, it
+    carries the relay's ``kind`` and ``message``: branch on ``kind``, never
+    on the text (a job id may spell any word).
+    """
+
+    kind: str | None = None
+    message: str | None = None
 
 
 class UnknownJobError(PBSError):

@@ -8,7 +8,11 @@ bug.
 
 import pytest
 
+from repro.net import Address
+from repro.obs import attach_collector
 from repro.pbs.job import JobState
+from repro.pbs.server import PBS_SERVER_PORT
+from repro.rpc import rpc_state
 
 from tests.integration.conftest import drive, make_stack, settle, total_runs
 
@@ -199,6 +203,60 @@ class TestMomBehaviourUnderHeadFailure:
         # The obit for head0 was eventually abandoned (fixed behaviour)
         # unless the coordinator's server-list update arrived first, in
         # which case the dead head was dropped from the obit set entirely.
+        assert stack.pbs("head1").jobs.get(job_id).state is JobState.COMPLETE
+
+    def test_obituary_is_one_observed_rpc_conversation_per_head(self, stack):
+        """The obituary rides repro.rpc, so the substrate's observers see
+        it: one client request and one server dispatch span per live head."""
+        collector = attach_collector(stack.cluster.network)
+        job_id = drive(stack, stack.client().jsub(name="seen", walltime=2.0))
+        stack.cluster.run(until=10.0)
+        requests = [
+            counter.value
+            for labels, counter in collector.registry.find("rpc.client.requests")
+            if labels["request"] == "JobObit"
+        ]
+        assert requests == [len(stack.head_names)]
+        dispatched = sorted(
+            event.fields["daemon"] for event in collector.events
+            if event.kind == "rpc.dispatch" and event.fields["request"] == "JobObit"
+        )
+        assert dispatched == [f"pbs_server@{head}" for head in stack.head_names]
+        moms = [stack.mom(c.name) for c in stack.cluster.computes]
+        assert sum(mom.stats["obits_sent"] for mom in moms) == len(stack.head_names)
+        assert sum(mom.stats["obits_abandoned"] for mom in moms) == 0
+        for head in stack.head_names:
+            assert stack.pbs(head).jobs.get(job_id).state is JobState.COMPLETE
+
+    def test_abandoned_obituary_leaves_a_timeout_record(self, stack):
+        """A head unreachable past ``obit_give_up``: that one conversation
+        is abandoned, counted, and named in the substrate's timeout log."""
+        network = stack.cluster.network
+        collector = attach_collector(network)
+        job_id = drive(stack, stack.client().jsub(name="lost", walltime=2.0))
+        settle(stack, 1.0)
+        mom = next(
+            stack.mom(c.name) for c in stack.cluster.computes if stack.mom(c.name).active
+        )
+        # A link cut, not a crash: head0 stays in the view, so no server-list
+        # update takes it out of the obituary set.
+        network.partitions.cut_link(mom.node.name, "head0")
+        stack.cluster.run(until=30.0)
+        records = [r for r in rpc_state(network).timeouts if r.request_type == "JobObit"]
+        assert [(r.src, r.dst) for r in records] == [
+            (mom.node.name, Address("head0", PBS_SERVER_PORT))
+        ]
+        resends = int(mom.obit_give_up / mom.obit_retry_interval)
+        assert records[0].attempts == 1 + resends
+        assert mom.stats["obits_abandoned"] == 1
+        assert mom.stats["obits_sent"] == 1 + (1 + resends)  # head1, then head0
+        assert job_id not in mom.active  # the fixed mom lets go of the job
+        timeouts = [
+            counter.value
+            for labels, counter in collector.registry.find("rpc.client.timeouts")
+            if labels["request"] == "JobObit"
+        ]
+        assert timeouts == [1]
         assert stack.pbs("head1").jobs.get(job_id).state is JobState.COMPLETE
 
     def test_legacy_mom_bug_keeps_job_running(self):

@@ -16,7 +16,7 @@ import pytest
 
 from repro.joshua.wire import JStatResp
 from repro.pbs.wire import StatResp
-from repro.util.errors import NoActiveHeadError
+from repro.util.errors import NoActiveHeadError, PBSError
 
 from tests.integration.conftest import drive, make_stack, settle
 
@@ -190,6 +190,28 @@ class TestGateway:
         for session in parked:
             assert session.head != victim
         assert gateway.stats["reassignments"] >= len(parked) - 1
+
+    @pytest.mark.parametrize("command", ["jdel", "jstat"])
+    def test_job_id_spelling_joining_is_a_terminal_error(self, command):
+        """Regression: failover is decided by the relayed error's typed
+        ``kind``, never its text. An unknown job id that *contains*
+        "joining" used to read as "head is joining": three failovers, a
+        NoActiveHeadError, and the gateway evicting a healthy head."""
+        stack = make_stack(heads=3)
+        gateway = stack.gateway(forgive_after=60.0)
+        sessions = [gateway.session("login", f"client{i}") for i in range(9)]
+        pinned = [s.head for s in sessions]
+        session = sessions[0]
+        with pytest.raises(PBSError, match="Unknown Job Id joining.joshua") as err:
+            drive(stack, getattr(session, command)("joining.joshua"))
+        assert not isinstance(err.value, NoActiveHeadError)
+        assert err.value.kind == "pbs-error"
+        assert "joining.joshua" in err.value.message
+        assert session.client.stats["failovers"] == 0
+        assert gateway.stats["failovers"] == 0
+        assert gateway.stats["reassignments"] == 0
+        assert sorted(gateway.live_heads()) == sorted(stack.head_names)
+        assert [s.head for s in sessions] == pinned
 
     def test_dead_head_forgiven_after_grace(self):
         stack = make_stack(heads=3)

@@ -1,0 +1,90 @@
+"""No datagram kills a daemon, and every request gets an answer.
+
+PROTOCOLS.md §3 states the invariant "every datagram is a registered
+record"; this is the robustness half of it. Anything the codec can encode
+— tuple-tagged leftovers like ``("OBIT",)``, bare strings, empty tuples,
+records sent without their envelope, ``Request``\\ s wrapping a record the
+receiving daemon never registered, an obituary for a job nobody knows — may
+arrive at the bound endpoint of ``pbs_server``, ``pbs_mom`` or ``joshua``.
+The daemon logs and drops what it cannot route, answers every ``Request``
+(the dispatcher's ``ErrorResp("bad-request", ...)`` fallback counts), and
+keeps running. CI runs this module a second time with ``REPRO_SANITIZE=1``.
+"""
+
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
+
+from repro.net import Address
+from repro.pbs.wire import (
+    AdminPurge,
+    AdminServers,
+    JobObit,
+    KillJobReq,
+    SchedPollReq,
+    SimpleResp,
+    StatReq,
+)
+from repro.rpc.wire import Reply, Request
+from tests.integration.conftest import SANITIZE, assert_sanitizer_clean, make_stack
+from tests.properties.test_codec_properties import value_trees
+
+#: daemon name -> (node, port) of the endpoint under fire.
+TARGETS = {
+    "pbs_server": ("head0", 15001),
+    "pbs_mom": ("compute0", 15002),
+    "joshua": ("head0", 4412),
+}
+
+#: Well-formed records; each is unregistered for at least one target (and
+#: harmless where it is registered: nothing here names a job that exists).
+RECORDS = [
+    StatReq(),
+    SchedPollReq(),
+    KillJobReq("404.nowhere"),
+    JobObit("404.nowhere", 0, ("compute0",), 0.0, 1.0),
+    AdminPurge(),
+    AdminServers(()),
+    Reply(7, SimpleResp()),
+]
+
+payloads = st.one_of(value_trees, st.sampled_from(RECORDS))
+#: (wrap in a Request?, payload)
+frames = st.tuples(st.booleans(), payloads)
+volleys = st.lists(
+    st.tuples(st.sampled_from(sorted(TARGETS)), frames), min_size=1, max_size=8
+)
+
+
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(volley=volleys)
+@example(volley=[("pbs_server", (False, ("OBIT",)))])  # IndexError at the parent
+@example(volley=[("pbs_mom", (False, ("ADMIN-PURGE",))), ("joshua", (False, ()))])
+@example(volley=[(name, (True, JobObit("404.nowhere", 0, (), 0.0, 1.0)))
+                 for name in sorted(TARGETS)])
+def test_no_frame_kills_a_daemon_and_every_request_is_answered(volley):
+    stack = make_stack(heads=2, computes=1, strict_errors=False, sanitize=SANITIZE)
+    cluster = stack.cluster
+    probe = cluster.network.bind("login", 40000)
+    answered = set()
+
+    def note_reply(delivery):
+        if isinstance(delivery.payload, Reply):
+            answered.add(delivery.payload.request_id)
+
+    probe.on_delivery(note_reply)
+    asked = set()
+    for index, (name, (wrap, payload)) in enumerate(volley):
+        if wrap:
+            # Far above the ids the stack's own conversations have used.
+            request_id = 10**6 + index
+            asked.add(request_id)
+            payload = Request(request_id, payload)
+        probe.send(Address(*TARGETS[name]), payload)
+    cluster.run(until=cluster.kernel.now + 2.0)
+
+    assert cluster.kernel.drain_crashes() == []
+    for name, (node, _port) in TARGETS.items():
+        assert cluster.node(node).daemon(name).running, name
+    assert answered == asked
+    assert_sanitizer_clean(cluster.kernel)

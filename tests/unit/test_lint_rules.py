@@ -451,6 +451,54 @@ class TestR4Shape:
         assert check_files({"joshua/server.py": emit}, rules=["R4"]) == []
 
 
+
+class TestR4TypedFrames:
+    """Every datagram is a registered record (PROTOCOLS.md §3)."""
+
+    def test_fires_on_tuple_tagged_send(self):
+        # The obituary as it was sent before it rode repro.rpc.
+        mom = src(
+            """
+            def obit_loop(ack_endpoint, server, obit):
+                ack_endpoint.send(server, ("OBIT", obit))
+            """
+        )
+        findings = check_files({"pbs/mom.py": mom}, rules=["R4"])
+        assert [f.line for f in findings] == [2]
+        assert "tuple-tagged frame ('OBIT', …)" in findings[0].message
+
+    def test_fires_on_hand_unwrapped_envelope(self):
+        mom = src(
+            """
+            def run(self, frame):
+                if isinstance(frame, Request):
+                    return frame.payload
+            """
+        )
+        findings = check_files({"pbs/mom.py": mom}, rules=["R4"])
+        assert len(findings) == 1
+        assert "isinstance(…, Request) outside rpc/server.py" in findings[0].message
+
+    def test_quiet_on_typed_notifications_and_the_dispatcher(self):
+        sender = src(
+            """
+            def failover(endpoint, mom, table):
+                endpoint.send(mom, AdminPurge())
+                table.send(("plain", "tuple"))
+            """
+        )
+        dispatcher = src(
+            """
+            def handle_frame(frame):
+                return isinstance(frame, Request)
+            """
+        )
+        findings = check_files(
+            {"ha/active_standby.py": sender, "rpc/server.py": dispatcher},
+            rules=["R4"],
+        )
+        assert findings == []
+
 # ---------------------------------------------------------------------------
 # R6 — codec coverage of the wire surface
 # ---------------------------------------------------------------------------
