@@ -38,6 +38,10 @@ class FailureDetector:
         The member's transport (heartbeats use its raw datagram path).
     heartbeat_interval / suspect_timeout:
         Timing; see :class:`~repro.gcs.config.GroupConfig`.
+    beacon:
+        ``callback() -> Heartbeat`` building each live tick's beacon, also
+        when there is no peer to send it to (the member piggybacks its last
+        stability ack on it, and repairs its own copy of that ack).
     on_suspect:
         ``callback(peer: Address)`` invoked once per new suspicion.
     """
@@ -48,12 +52,14 @@ class FailureDetector:
         *,
         heartbeat_interval: float,
         suspect_timeout: float,
+        beacon: Callable[[], Heartbeat],
         on_suspect: Callable[[Address], None] | None = None,
     ):
         self.transport = transport
         self.kernel = transport.kernel
         self.heartbeat_interval = heartbeat_interval
         self.suspect_timeout = suspect_timeout
+        self.beacon = beacon
         self.on_suspect = on_suspect
         self._peers: set[Address] = set()
         self._last_heard: dict[Address, float] = {}
@@ -109,9 +115,6 @@ class FailureDetector:
         if peer in self._peers:
             self._last_heard[peer] = self.kernel.now
 
-    def handle_heartbeat(self, src: Address, hb: Heartbeat) -> None:
-        self.heard_from(src)
-
     def stop(self) -> None:
         if not self._stopped:
             self._stopped = True
@@ -146,9 +149,12 @@ class FailureDetector:
             # sanitizer's digest diverges across PYTHONHASHSEED values
             # otherwise).
             peers = sorted(self._peers)
+            # Built every live tick, alone in the view or not: the member
+            # repairs its own copy of a lost stability ack as it builds it.
+            beacon = self.beacon()
             if peers:
                 # One beacon, one frame, every peer.
-                self.transport.send_raw(tuple(peers), Heartbeat(sent_at=now))
+                self.transport.send_raw(tuple(peers), beacon)
             for peer in peers:
                 if peer in self._suspected:
                     continue

@@ -133,6 +133,7 @@ class GroupMember:
             self.transport,
             heartbeat_interval=config.heartbeat_interval,
             suspect_timeout=config.suspect_timeout,
+            beacon=self._beacon,
             on_suspect=self._on_suspect,
         )
         self.queue = DeliveryQueue(self.address)
@@ -173,6 +174,18 @@ class GroupMember:
         #: Own multicasts not yet delivered: msg_id -> (service, payload).
         self._own_pending: dict[MessageId, tuple[str, Any]] = {}
         self._last_stable_sent = -1
+        #: What our last *sent* StableMsg carried; the beacon repeats it.
+        #: Not ``_last_stable_sent``: that is stamped when a deferred ack is
+        #: scheduled, and announcing it early would bypass the deferral.
+        self._stable_announced = -1
+        self._last_beacon: Heartbeat | None = None
+        #: View id -> member -> highest ``acked_through`` heard from it in
+        #: that view, taken on *arrival*. The beacon is checked against this
+        #: and not against the delivery queue (updated only after the CPU
+        #: slot), or every beacon that overtakes a queued StableMsg would
+        #: charge a second one. Keyed by view, never ordered across views:
+        #: a rejoin may land in a view numbered below the one it left.
+        self._stable_heard: dict[int, dict[Address, int]] = {}
 
         self.flush = FlushEngine(self)
         self.recovery = RecoveryTracker(self)
@@ -206,6 +219,8 @@ class GroupMember:
             "view_changes": 0,
             "flushes_started": 0,
             "rejoins": 0,
+            #: Acks recovered from a beacon (the StableMsg copy was lost).
+            "stable_repairs": 0,
         }
 
     # ------------------------------------------------------------------
@@ -375,7 +390,7 @@ class GroupMember:
                 self.config.stable_ack_slot * self.view.rank_of(self.address)
             )
         if delay <= 0:
-            self._bcast(StableMsg(self.view.view_id, ready))
+            self._send_stable(self.view, ready)
             return
         view = self.view
 
@@ -384,9 +399,31 @@ class GroupMember:
             if self.state == STOPPED or self.view is not view:
                 return
             # Ack whatever is contiguously ready *now* (may exceed `ready`).
-            self._bcast(StableMsg(view.view_id, self.queue.agreed_ready_through()))
+            self._send_stable(view, self.queue.agreed_ready_through())
 
         self.kernel.spawn(deferred(), name=f"gcs-stable@{self.address}")
+
+    def _send_stable(self, view: View, acked_through: int) -> None:
+        """One unreliable group frame to the whole view, ourselves included
+        (our copy takes its CPU slot like any peer's). A lost copy is
+        repaired by the next beacon, which repeats *acked_through*."""
+        self._stable_announced = acked_through
+        self.transport.send_raw(view.members, StableMsg(view.view_id, acked_through))
+
+    def _beacon(self) -> Heartbeat:
+        """This tick's beacon (the detector builds one every live tick,
+        peers or not). No beacon comes back to us, so the copy of our own
+        ack that the loopback lost (sent while our node was frozen) is
+        repaired here — once two ticks running announce the same ack: it
+        has then had a whole interval to loop back, where an ack sent
+        microseconds before this tick is still in flight."""
+        if self.view is None:
+            return Heartbeat(-1, -1)
+        beacon = Heartbeat(self.view.view_id, self._stable_announced)
+        if beacon == self._last_beacon:
+            self._repair_stable(self.address, beacon)
+        self._last_beacon = beacon
+        return beacon
 
     # ------------------------------------------------------------------
     # inbound dispatch
@@ -407,10 +444,30 @@ class GroupMember:
             self._on_protocol(src, msg)
 
     def _on_raw(self, src: Address, payload: Any) -> None:
-        if isinstance(payload, Heartbeat):
-            self.detector.handle_heartbeat(src, payload)
+        if isinstance(payload, StableMsg):
+            self._hear_stable(src, payload)
+        elif isinstance(payload, Heartbeat):
+            self.detector.heard_from(src)
+            # A beacon of another view is liveness only: never handled,
+            # never buffered.
+            if self.view is not None and payload.view_id == self.view.view_id:
+                self._repair_stable(src, payload)
         elif isinstance(payload, Probe):
             self.recovery.handle_probe(src, payload)
+
+    def _repair_stable(self, src: Address, beacon: Heartbeat) -> None:
+        """Acks are cumulative, so a beacon of our view announcing more than
+        we have heard from *src* in it stands in for the StableMsg that was
+        lost (-1, the peer has sent none in this view, never exceeds)."""
+        heard = self._stable_heard.get(beacon.view_id, {})
+        if beacon.acked_through > heard.get(src, -1):
+            self.stats["stable_repairs"] += 1
+            self._hear_stable(src, StableMsg(beacon.view_id, beacon.acked_through))
+
+    def _hear_stable(self, src: Address, stable: StableMsg) -> None:
+        heard = self._stable_heard.setdefault(stable.view_id, {})
+        heard[src] = max(heard.get(src, -1), stable.acked_through)
+        self._enqueue_protocol(src, stable)
 
     def _on_protocol(self, src: Address, msg: Any) -> None:
         if self.state == STOPPED:
@@ -515,7 +572,13 @@ class GroupMember:
             self.detector.forgive(member)
         self.flush.on_view_installed(view)
         self.state = NORMAL
-        self._last_stable_sent = -1
+        self._last_stable_sent = self._stable_announced = -1
+        self._last_beacon = None
+        # Keep what this view's members already said in it (acks that ran
+        # ahead of our NewView are buffered, and were heard); drop the rest.
+        self._stable_heard = {
+            view.view_id: self._stable_heard.get(view.view_id, {})
+        }
         self.recovery.future_first_seen = None
         self.stats["view_changes"] += 1
         collector = collector_of(self.network)
@@ -545,6 +608,17 @@ class GroupMember:
             self._on_protocol(src, msg)
         # Residual membership work (e.g. joiners queued during the change)?
         self.flush.maybe_initiate()
+
+    def dissolve_view(self) -> None:
+        """Leave the current view without installing another (the recovery
+        tracker then re-enters us as a fresh joiner). What was heard in the
+        old lineage goes with it: the view we join may reuse its numbers."""
+        self.state = JOINING
+        self.view = None
+        self.engine.stop()
+        self.flush.reset()
+        self._stable_heard.clear()
+        self.detector.monitor(())
 
     # ------------------------------------------------------------------
     # watchdog

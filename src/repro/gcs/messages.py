@@ -100,7 +100,8 @@ class OrderMsg:
 
 @dataclass(frozen=True)
 class StableMsg:
-    """Member acknowledgement used for SAFE delivery.
+    """Member acknowledgement used for SAFE delivery (sent unreliably, one
+    group frame to the view; the beacon repeats the last one).
 
     ``acked_through`` is cumulative: the sender has agreed-ready copies of
     every sequence number <= acked_through in this view.
@@ -112,9 +113,12 @@ class StableMsg:
 
 @dataclass(frozen=True)
 class Heartbeat:
-    """Liveness beacon (sent unreliably)."""
+    """Liveness beacon (sent unreliably), carrying what the sender's last
+    *sent* :class:`StableMsg` carried (``acked_through`` -1: none in this
+    view) — the repair channel for a lost stability ack."""
 
-    sent_at: float
+    view_id: int
+    acked_through: int
 
 
 @dataclass(frozen=True)

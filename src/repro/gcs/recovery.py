@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any
 
-from repro.gcs.lifecycle import JOINING, NORMAL
+from repro.gcs.lifecycle import NORMAL
 from repro.gcs.messages import JoinReq, Probe
 from repro.gcs.view import View
 from repro.net.address import Address
@@ -142,12 +142,8 @@ class RecoveryTracker:
         the rejoin); everything view-scoped is discarded.
         """
         m = self.m
-        m.state = JOINING
-        m.view = None
-        m.engine.stop()
-        m.flush.reset()
+        m.dissolve_view()
         self.future.clear()
         self.future_first_seen = None
-        m.detector.monitor(())
         self.join_contacts = [c for c in contacts if c != m.address]
         self.send_join_requests()

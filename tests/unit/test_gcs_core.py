@@ -9,8 +9,11 @@ import pytest
 from repro.gcs import GroupConfig, View
 from repro.gcs.delivery import DeliveryQueue
 from repro.gcs.failure_detector import FailureDetector
-from repro.gcs.messages import AGREED, SAFE, DataMsg, MessageId
+from repro.gcs.messages import AGREED, SAFE, DataMsg, Heartbeat, MessageId
 from repro.net import Address, Network, Transport
+from repro.net.codec import WIRE
+from repro.net.frames import RawFrame
+from repro.net.network import DATAGRAM_OVERHEAD
 from repro.sim import Kernel
 from repro.util.errors import GroupCommError, MembershipError
 from tests.integration.conftest import SANITIZE, assert_sanitizer_clean
@@ -21,6 +24,7 @@ _SRC = os.path.join(os.path.dirname(__file__), "..", "..", "src")
 #: ``<tick time> <dst exactly as the fabric's entry point received it>``.
 _BEACON_SCRIPT = """
 from repro.gcs.failure_detector import FailureDetector
+from repro.gcs.messages import Heartbeat
 from repro.net import Address, Network, Transport
 from repro.sim import Kernel
 
@@ -34,7 +38,8 @@ def spy(src, dst, payload):
     return inner(src, dst, payload)
 net.send = spy
 fd = FailureDetector(Transport(net.bind("n1", 9)),
-                     heartbeat_interval=0.1, suspect_timeout=0.35)
+                     heartbeat_interval=0.1, suspect_timeout=0.35,
+                     beacon=lambda: Heartbeat(1, -1))
 fd.monitor([Address(n, 9) for n in ("n4", "n2", "n5", "n1", "n3")])
 kernel.run(until=0.55)
 """
@@ -42,6 +47,11 @@ kernel.run(until=0.55)
 
 def addr(i: int) -> Address:
     return Address(f"n{i}", 9)
+
+
+def idle_beacon() -> Heartbeat:
+    """What a member with nothing acked in view 1 beacons."""
+    return Heartbeat(1, -1)
 
 
 class TestGroupConfig:
@@ -242,12 +252,13 @@ class TestFailureDetector:
         t2 = Transport(net.bind("n2", 9))
         suspects1 = []
         fd1 = FailureDetector(
-            t1, heartbeat_interval=0.1, suspect_timeout=0.35,
+            t1, heartbeat_interval=0.1, suspect_timeout=0.35, beacon=idle_beacon,
             on_suspect=suspects1.append,
         )
-        fd2 = FailureDetector(t2, heartbeat_interval=0.1, suspect_timeout=0.35)
-        t1.on_raw(lambda src, p: fd1.handle_heartbeat(src, p))
-        t2.on_raw(lambda src, p: fd2.handle_heartbeat(src, p))
+        fd2 = FailureDetector(
+            t2, heartbeat_interval=0.1, suspect_timeout=0.35, beacon=idle_beacon)
+        t1.on_raw(lambda src, p: fd1.heard_from(src))
+        t2.on_raw(lambda src, p: fd2.heard_from(src))
         fd1.monitor([Address("n1", 9), Address("n2", 9)])
         fd2.monitor([Address("n1", 9), Address("n2", 9)])
         return kernel, net, fd1, fd2, suspects1
@@ -352,10 +363,11 @@ class TestFailureDetector:
             transport = Transport(net.bind(me.node, me.port))
             fd = FailureDetector(
                 transport, heartbeat_interval=0.1, suspect_timeout=0.35,
+                beacon=idle_beacon,
                 on_suspect=lambda peer, me=me: suspicions.append(
                     (kernel.now, me.node, peer.node)),
             )
-            transport.on_raw(fd.handle_heartbeat)
+            transport.on_raw(lambda src, _hb, fd=fd: fd.heard_from(src))
             fd.monitor(members)
         return kernel, net, suspicions
 
@@ -386,11 +398,14 @@ class TestFailureDetector:
 
     @pytest.mark.parametrize("n", [3, 4, 5])
     def test_idle_beacon_bytes_are_linear_in_group_size(self, n):
-        """100 ticks of an idle group: n frames of 64 B per tick on the wire
-        (the per-peer loop cost n * (n - 1))."""
+        """100 ticks of an idle group: n beacon frames per tick on the wire
+        (the per-peer loop cost n * (n - 1)), each the pinned size of one
+        ``Heartbeat(view_id, acked_through)`` datagram."""
+        beacon_bytes = len(WIRE.encode(RawFrame(idle_beacon()))) + DATAGRAM_OVERHEAD
+        assert beacon_bytes == 59  # was 64 with the float ``sent_at``
         kernel, net, suspicions = self.make_group(n)
         kernel.run(until=10.05)
-        assert net.wire_bytes_by_type == {"Heartbeat": n * 100 * 64}
+        assert net.wire_bytes_by_type == {"Heartbeat": n * 100 * beacon_bytes}
         assert net.stats["sent"] == n * 100
         assert net.stats["delivered"] == n * (n - 1) * 100
         assert suspicions == []

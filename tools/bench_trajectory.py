@@ -118,7 +118,7 @@ def _representative_frames():
         3, tuple((i, MessageId(sender, i)) for i in range(8))
     ))
     frames.append(StableMsg(3, 8))
-    frames.append(Heartbeat(12.5))
+    frames.append(Heartbeat(3, 8))
     queue = JobQueue()
     for i in range(1, POLL_ROWS + 1):
         queue.add(Job(f"{i}.torque", JobSpec(name=f"job-{i:04d}", walltime=3600.0),

@@ -91,9 +91,9 @@ def corpus() -> list[tuple[str, object]]:
             3, ((mids[1], "safe", submit), (mids[2], "agreed", delete)))),
         ("order_msg", DataFrame(1, 9, OrderMsg(
             3, tuple((n, mid) for n, mid in enumerate(mids))))),
-        ("stable_msg", DataFrame(1, 10, StableMsg(3, 200))),
+        ("stable_msg", RawFrame(StableMsg(3, 200))),
         ("ack_frame", AckFrame(1, 10)),
-        ("heartbeat", RawFrame(Heartbeat(12.5))),
+        ("heartbeat", RawFrame(Heartbeat(3, 200))),
         ("record_elided_tail", JStatReq("c0ffee-03")),
         ("record_partly_elided_tail", JStatReq("c0ffee-04", None, "ryw")),
         ("record_full_tail", JStatReq("c0ffee-05", "7.torque", "ryw", ((0, 5),))),
