@@ -11,19 +11,15 @@ vs. on (``test_figure11_burst_batching``) and refreshes the checked-in
 per committed command and per-type wire byte breakdown.
 """
 
-import json
 import pathlib
 
-from repro.bench.experiments.throughput import (
-    PAPER_FIGURE11,
-    burst_batching_ablation,
-    figure11,
-)
+from repro.bench.experiments.throughput import PAPER_FIGURE11, figure11
 from repro.bench.reporting import format_table
+from repro.bench.snapshots import figure_snapshots, write_snapshots
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.report import rpc_latency_lines
 
-SNAPSHOT_PATH = pathlib.Path(__file__).resolve().parent.parent / "BENCH_fig11.json"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
 def test_figure11_throughput(benchmark, report, metrics_snapshot,
@@ -77,11 +73,10 @@ def test_figure11_burst_batching(benchmark, report):
     evidencing fewer/larger DATA frames, and refreshes the checked-in
     ``BENCH_fig11.json`` snapshot (deterministic: simulated figures only).
     """
-    result = benchmark.pedantic(
-        burst_batching_ablation,
-        kwargs={"heads": 3, "jobs": 50, "seed": 1},
-        rounds=1, iterations=1,
+    payloads = benchmark.pedantic(
+        figure_snapshots, args=("BENCH_fig11.json",), rounds=1, iterations=1,
     )
+    result = payloads["BENCH_fig11.json"]
     rows = [result["unbatched"], result["batched"]]
     columns = ["batching", "heads", "jobs", "elapsed_s",
                "events_per_sim_s", "bytes_wire", "bytes_wire_per_command"]
@@ -103,4 +98,4 @@ def test_figure11_burst_batching(benchmark, report):
     # Committed throughput did not regress: the burst finishes no slower.
     assert on["elapsed_s"] <= off["elapsed_s"] * 1.1
 
-    SNAPSHOT_PATH.write_text(json.dumps(result, indent=2, sort_keys=True) + "\n")
+    write_snapshots(ROOT, payloads)

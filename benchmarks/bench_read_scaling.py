@@ -12,15 +12,12 @@ checked-in ``BENCH_read_scaling.json`` snapshot (deterministic: simulated
 figures only).
 """
 
-import json
 import pathlib
 
-from repro.bench.experiments.read_scaling import read_scaling
 from repro.bench.reporting import format_table
+from repro.bench.snapshots import figure_snapshots, write_snapshots
 
-SNAPSHOT_PATH = (
-    pathlib.Path(__file__).resolve().parent.parent / "BENCH_read_scaling.json"
-)
+ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
 def test_read_scaling_qps(benchmark, report):
@@ -31,7 +28,11 @@ def test_read_scaling_qps(benchmark, report):
     mixed run commits writes within 10 % of its write-only baseline; no
     read fails outright.
     """
-    result = benchmark.pedantic(_scaling, rounds=1, iterations=1)
+    payloads = benchmark.pedantic(
+        figure_snapshots, args=("BENCH_read_scaling.json",),
+        rounds=1, iterations=1,
+    )
+    result = payloads["BENCH_read_scaling.json"]
     rows = result["rows"]
     columns = ["heads", "offered_read_per_s", "read_qps", "reads_local",
                "reads_fallback", "write_committed_per_s",
@@ -52,13 +53,4 @@ def test_read_scaling_qps(benchmark, report):
     qps = [row["read_qps"] for row in rows]
     assert qps == sorted(qps), qps
 
-    SNAPSHOT_PATH.write_text(
-        json.dumps(result, indent=2, sort_keys=True) + "\n"
-    )
-
-
-def _scaling() -> dict:
-    return read_scaling(
-        head_counts=(1, 2, 4), duration=10.0, read_rate=400.0,
-        write_rate=5.0, clients=100, consistency="ryw", seed=1,
-    )
+    write_snapshots(ROOT, payloads)

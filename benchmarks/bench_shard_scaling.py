@@ -10,15 +10,12 @@ stream undisturbed — and refreshes the checked-in
 only).
 """
 
-import json
 import pathlib
 
-from repro.bench.experiments.sharding import sequencer_kill, shard_scaling
 from repro.bench.reporting import format_table
+from repro.bench.snapshots import figure_snapshots, write_snapshots
 
-SNAPSHOT_PATH = (
-    pathlib.Path(__file__).resolve().parent.parent / "BENCH_shard_scaling.json"
-)
+ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
 def test_shard_scaling_throughput(benchmark, report):
@@ -28,9 +25,11 @@ def test_shard_scaling_throughput(benchmark, report):
     monotonically increasing in the shard count, and every burst commits
     every command with the load evenly striped across shards.
     """
-    result = benchmark.pedantic(
-        _scaling_and_kill, rounds=1, iterations=1,
+    payloads = benchmark.pedantic(
+        figure_snapshots, args=("BENCH_shard_scaling.json",),
+        rounds=1, iterations=1,
     )
+    result = payloads["BENCH_shard_scaling.json"]
     rows = result["scaling"]
     columns = ["shards", "heads", "jobs", "elapsed_s", "committed",
                "committed_per_s"]
@@ -67,13 +66,4 @@ def test_shard_scaling_throughput(benchmark, report):
     assert after["committed"][0] > 0 and after["committed"][1] > 0, after
     assert kill["new_shard1_sequencer"] != kill["victim_sequencer"]
 
-    SNAPSHOT_PATH.write_text(
-        json.dumps(result, indent=2, sort_keys=True) + "\n"
-    )
-
-
-def _scaling_and_kill() -> dict:
-    return {
-        "scaling": shard_scaling(shard_counts=(1, 2, 4), jobs=48, seed=1),
-        "sequencer_kill": sequencer_kill(shards=2, heads=3, seed=1),
-    }
+    write_snapshots(ROOT, payloads)

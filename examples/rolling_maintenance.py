@@ -50,14 +50,14 @@ def main() -> None:
         # Wait until the joiner is active (state transfer complete).
         while not stack.joshua(new_name).active:
             cluster.run(until=kernel.now + 1.0)
-        client.heads = list(stack.head_names)  # user learns the new fleet
+        client = stack.client(node="login")  # user learns the new fleet
         print(f"[t={kernel.now:6.1f}s] {new_name} active "
               f"(transfer mode: {stack.state_transfer}); retiring {old}")
         stack.joshua(old).leave()
         cluster.node(old).stop_daemon("pbs_server")
         cluster.node(old).stop_daemon("maui")
         stack.head_names.remove(old)
-        client.heads = list(stack.head_names)
+        client = stack.client(node="login")
         cluster.run(until=kernel.now + 5.0)
 
     stop["flag"] = True

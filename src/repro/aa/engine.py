@@ -20,7 +20,9 @@ module is that machinery, once, for every replicated service in the tree:
   replica (no local clocks, RNG draws or unordered iteration in anything
   that reaches state or results);
 * :class:`ReplicaDaemon` — the daemon shell: one client-facing endpoint and
-  typed RPC dispatcher in front of one engine per ordering shard.
+  typed RPC dispatcher in front of one engine per ordering shard. It
+  answers a joiner's :class:`StateXferReq` pull and owns the one refusal
+  (:attr:`ReplicaDaemon.JOINING`) every host gives while it cannot serve.
 
 JOSHUA (:mod:`repro.joshua`) is this engine with the PBS driver, plus the
 launch mutex and mom announcements it adds through the two subclass hooks
@@ -49,8 +51,9 @@ from repro.gcs.view import View
 from repro.net.address import Address
 from repro.obs.collector import collector_of
 from repro.rpc import RpcDispatcher, failover_call, rpc_state
+from repro.rpc.wire import ErrorResp, bad_request
 from repro.sim.resources import Store
-from repro.util.errors import NoActiveHeadError
+from repro.util.errors import JoshuaError, NoActiveHeadError
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.gcs.config import GroupConfig
@@ -81,18 +84,15 @@ class ReplicationEngine:
     host:
         The :class:`ReplicaDaemon` whose endpoint clients and joiners talk
         to; the engine learns its client-facing address, log identity,
-        reply path and reply cost from it.
+        founders/contacts, shard count, reply path and reply cost from it.
     driver:
         The :class:`EngineDriver` for the replicated service.
     group_config / gcs_port:
-        Group-communication tuning and the *base* GCS port: shard *k* of
-        *nshards* runs ``group_id=k`` on ``gcs_port + k``, so frames of
-        different shards can never cross-deliver.
-    founders / contacts:
-        Node names for static bootstrap vs. live join (exactly one is
-        non-empty).
-    index / nshards:
-        Which ordering shard of how many this engine is.
+        Group-communication tuning and the *base* GCS port: shard *k*
+        runs ``group_id=k`` on ``gcs_port + k``, so frames of different
+        shards can never cross-deliver.
+    index:
+        Which of the host's ordering shards this engine is.
     """
 
     def __init__(
@@ -101,19 +101,13 @@ class ReplicationEngine:
         driver: EngineDriver,
         group_config: "GroupConfig",
         gcs_port: int,
-        *,
-        founders: list[str],
-        contacts: list[str],
         index: int = 0,
-        nshards: int = 1,
     ):
         self.host = host
         self.driver = driver
         self.index = index
-        self.nshards = nshards
+        self.nshards = nshards = host.nshards
         self.gcs_port = gcs_port + index
-        self.founders = founders
-        self.contacts = contacts
         self.node = host.node
         self.kernel = host.kernel
         self.log = host.log
@@ -180,30 +174,40 @@ class ReplicationEngine:
         self._push_waiters: dict[str, object] = {}
         self._installed: set[str] = set()
         self._seen_rejoins = 0
-        #: Set when a partition re-merge demotes us: an *established* member
-        #: (no contacts) that must nevertheless pin a transfer marker.
+        #: The next view that contains us must pin a transfer marker: we
+        #: joined a running group, or a partition re-merge demoted us.
         self.needs_resync = False
 
         # Boot counter of this GCS address, on the disk that outlives us:
-        # the member numbers its multicasts apart from its predecessors'.
+        # the member numbers its multicasts apart from its predecessors',
+        # and start() tells a first boot from a return.
         boots_key = f"gcs.boots.{self.gcs_port}"
-        incarnation = self.node.disk.read(boots_key, 0)
-        self.node.disk.write(boots_key, incarnation + 1)
+        self.incarnation = self.node.disk.read(boots_key, 0)
+        self.node.disk.write(boots_key, self.incarnation + 1)
         self.group = GroupMember(
             self.node.network.bind(self.node.name, self.gcs_port),
             dataclasses.replace(group_config, group_id=index, shard_count=nshards),
             on_deliver=self._on_deliver,
             on_view=self._on_view,
-            incarnation=incarnation,
+            incarnation=self.incarnation,
         )
 
     def start(self) -> None:
-        """Boot or join this shard's group (from the daemon's on_start)."""
-        if self.founders:
-            self.group.boot([Address(n, self.gcs_port) for n in self.founders])
+        """Boot or join this shard's group (from the daemon's on_start).
+
+        Only the first incarnation of a founder boots the static view. A
+        later one (daemon restarted, node rebooted) returns to a group that
+        ran on without it: it joins and receives state transfer, it never
+        forms a group — a booted singleton would acknowledge writes the
+        resync that rescues it discards. Whole-group cold restart: redeploy.
+        """
+        host = self.host
+        if self.incarnation == 0 and host.founders:
+            self.group.boot([Address(n, self.gcs_port) for n in host.founders])
             self.active = True
-        else:
-            self.group.join([Address(n, self.gcs_port) for n in self.contacts])
+            return
+        self.needs_resync = True
+        self.group.join([Address(n, self.gcs_port) for n in host.contacts or host.founders])
 
     # ------------------------------------------------------------------
     # client command intake
@@ -211,20 +215,22 @@ class ReplicationEngine:
 
     @property
     def can_order(self) -> bool:
-        """Whether :meth:`submit` can take a command right now. False while
+        """Whether this replica can multicast right now. False while
         inactive (state transfer in progress) or mid-(re)join after an
-        exclusion: the host must send the client to another replica rather
-        than crash on the multicast."""
+        exclusion: the client must be sent to another replica rather than
+        the daemon crash on the multicast."""
         return self.active and self.group.can_multicast
 
     def submit(self, src: Address, request_id: int, command: Command,
                track: bool = False):
         """Dedup an incoming client command by uuid and multicast it once.
 
-        Returns the cached reply for an already-executed uuid, else ``None``
-        (the RPC stays open; :meth:`answer` replies after local execution).
-        *track* asks for the reply to carry its commit position. Callers
-        check :attr:`can_order` first."""
+        Returns the host's refusal while this replica cannot order, the
+        cached reply for an already-executed uuid, else ``None`` (the RPC
+        stays open; :meth:`answer` replies after local execution). *track*
+        asks for the reply to carry its commit position."""
+        if not self.can_order:
+            return self.host.JOINING
         uuid = command.uuid
         if uuid in self.results:
             return self._stamped(uuid, track)
@@ -256,7 +262,7 @@ class ReplicationEngine:
         result = self.results.get(uuid)
         if (
             not track
-            or getattr(result, "__rpc_error_relay__", False)
+            or isinstance(result, ErrorResp)
             or uuid not in self.results_seq
         ):
             return result
@@ -395,9 +401,8 @@ class ReplicationEngine:
                 self.active = False
                 self.syncing_marker = None
                 self.needs_resync = True
-        if self.syncing_marker is None and not self.active and (
-            self.contacts or self.needs_resync
-        ) and self.group.can_multicast:
+        if (self.syncing_marker is None and not self.active
+                and self.needs_resync and self.group.can_multicast):
             # First view containing us after a join: pin the transfer cut.
             self._pin_marker()
 
@@ -449,11 +454,6 @@ class ReplicationEngine:
         self.stats["state_transfers_served"] += 1
         if not self.host.endpoint.closed:
             self.host.endpoint.send(marker.joiner, XferPush(response, self.index))
-
-    def served(self, marker_uuid: str) -> StateXferResp | None:
-        """The capture for *marker_uuid*, if this member already served it
-        (backs the :class:`StateXferReq` pull path)."""
-        return self._served.get(marker_uuid)
 
     # -- joiner side ----------------------------------------------------------
 
@@ -544,13 +544,22 @@ class ReplicationEngine:
 class ReplicaDaemon(Daemon):
     """One client-facing endpoint in front of one engine per ordering shard.
 
-    Subclasses speak the service's client protocol: they build ``self.rpc``
-    (an :class:`~repro.rpc.RpcDispatcher` that routes at least
-    :class:`StateXferReq`) and ``self.shards`` in their constructor, check
-    :attr:`ReplicationEngine.can_order` and refuse in their own vocabulary,
-    and hand accepted requests to :meth:`ReplicationEngine.submit`.
+    Everything about hosting the engine that does not depend on the
+    replicated service: founders/contacts validation, one engine per shard
+    from the :meth:`make_engine` hook, the dispatcher with the
+    :class:`StateXferReq` pull already routed, the push frame, and the one
+    refusal. Subclasses register their client protocol on ``self.rpc`` and
+    hand requests to :meth:`ReplicationEngine.submit`.
+
+    *founders* are the node names of the static bootstrap group (this one
+    included), *contacts* those of members to join a running group through
+    — exactly one is given; whether a start then boots or joins is the
+    engine's decision (:meth:`ReplicationEngine.start`). *gcs_port* is the
+    base port of the *nshards* ordering groups.
     """
 
+    #: CPU cost of taking a request off the endpoint (the pull's delay).
+    receive_delay = 0.0
     #: CPU cost of relaying a command's output back after local execution;
     #: ``None`` charges nothing and schedules nothing (a 0 is still an event).
     reply_delay: float | None = None
@@ -560,8 +569,40 @@ class ReplicaDaemon(Daemon):
     #: the wire (the pinned baseline scenarios stay bit-identical).
     seq_tracking = False
 
-    rpc: RpcDispatcher
-    shards: list[ReplicationEngine]
+    #: The answer of a replica that cannot serve right now (joining,
+    #: resyncing, outside the view): the client core asks the next one.
+    #: The wording is JOSHUA's, whose frames are pinned.
+    JOINING = ErrorResp("joining", "head is joining; retry another")
+
+    def __init__(
+        self,
+        node,
+        name: str,
+        port: int,
+        gcs_port: int,
+        *,
+        founders: list[str] | None,
+        contacts: list[str] | None,
+        group_config: "GroupConfig",
+        nshards: int = 1,
+    ):
+        if (founders is None) == (contacts is None):
+            raise JoshuaError("exactly one of founders/contacts required")
+        if nshards < 1:
+            raise JoshuaError("shards must be >= 1")
+        super().__init__(node, name, port)
+        self.founders = list(founders or [])
+        self.contacts = list(contacts or [])
+        self.nshards = nshards
+        self.rpc = RpcDispatcher(self, fallback=bad_request)
+        self.rpc.register(StateXferReq, self._handle_xfer_req, delay=self.receive_delay)
+        self.shards: list[ReplicationEngine] = [
+            self.make_engine(k, group_config, gcs_port) for k in range(nshards)
+        ]
+
+    def make_engine(self, index: int, group_config, gcs_port: int):  # pragma: no cover
+        """Factory hook: the engine (with its driver) for shard *index*."""
+        raise NotImplementedError
 
     @property
     def active(self) -> bool:
@@ -580,7 +621,7 @@ class ReplicaDaemon(Daemon):
 
     def on_start(self) -> None:
         for engine in self.shards:
-            suffix = f"-s{engine.index}" if len(self.shards) > 1 else ""
+            suffix = f"-s{engine.index}" if self.nshards > 1 else ""
             self.spawn(engine.loop(), name=f"{self.tag}-executor{suffix}")
             engine.start()
 
@@ -600,10 +641,20 @@ class ReplicaDaemon(Daemon):
             delivery = yield self.endpoint.recv()
             frame = delivery.payload
             # The one non-RPC frame: a sponsor's fire-and-forget push.
-            if isinstance(frame, XferPush) and 0 <= frame.shard < len(self.shards):
+            if isinstance(frame, XferPush) and 0 <= frame.shard < self.nshards:
                 self.shards[frame.shard].handle_push(frame.response)
             else:
                 self.rpc.handle_frame(delivery.src, frame)
+
+    def _handle_xfer_req(self, src: Address, request_id: int, request: StateXferReq):
+        # State is normally *pushed* when the serial loop reaches the marker;
+        # a direct request means the joiner never heard that push (lost
+        # frame). Re-serve the capture if we have it; any other answer sends
+        # the joiner on to the next member, and past the last to a fresh cut.
+        if not 0 <= request.shard < self.nshards:
+            return ErrorResp("bad-request", f"no shard {request.shard}")
+        served = self.shards[request.shard]._served.get(request.marker_uuid)
+        return served or ErrorResp("retry", "marker not reached")
 
     def _reply(self, dst: Address, request_id: int, response) -> None:
         self.rpc.reply(dst, request_id, response)

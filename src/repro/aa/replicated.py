@@ -17,7 +17,8 @@ Everything else — SAFE-multicast ordering, serial execution, exactly-once
 output (UUID-keyed reply caching across client retries/failovers, carried
 to joiners), and the marker-cut join with its pull, recut and
 partition-merge resync paths — is the shared
-:class:`~repro.aa.engine.ReplicationEngine`, the same one JOSHUA
+:class:`~repro.aa.engine.ReplicationEngine` in its
+:class:`~repro.aa.engine.ReplicaDaemon` shell, the same pair JOSHUA
 (:mod:`repro.joshua`) runs with its PBS driver. The daemon here only
 speaks the generic client protocol and adapts the payload-level
 :class:`BackendDriver` to the engine's command-level seam.
@@ -28,11 +29,9 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Any, Generator, Protocol
 
 from repro.aa.engine import ReplicaDaemon, ReplicationEngine
-from repro.aa.wire import Command, ReplRequest, ReplResult, StateXferReq, StateXferResp
+from repro.aa.wire import Command, ReplRequest, ReplResult, StateXferResp
 from repro.gcs.config import GroupConfig
 from repro.net.address import Address
-from repro.rpc import RpcDispatcher
-from repro.util.errors import JoshuaError
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.cluster.node import Node
@@ -84,33 +83,22 @@ class ReplicatedService(ReplicaDaemon):
         contacts: list[str] | None = None,
         group_config: GroupConfig | None = None,
     ):
-        super().__init__(node, name, port)
-        if (initial_members is None) == (contacts is None):
-            raise JoshuaError("exactly one of initial_members/contacts required")
+        super().__init__(
+            node, name, port, gcs_port,
+            founders=initial_members, contacts=contacts,
+            group_config=group_config or GroupConfig(),
+        )
         self.driver = driver
-        self.shards = [ReplicationEngine(
-            self, self, group_config or GroupConfig(), gcs_port,
-            founders=list(initial_members or []), contacts=list(contacts or []),
-        )]
-        self.rpc = RpcDispatcher(self)
         self.rpc.register(ReplRequest, self._handle_request)
-        self.rpc.register(StateXferReq, self._handle_xfer_req)
+
+    def make_engine(self, index: int, group_config: GroupConfig, gcs_port: int):
+        return ReplicationEngine(self, self, group_config, gcs_port)
 
     # -- client protocol ------------------------------------------------------
 
     def _handle_request(self, src: Address, request_id: int, request: ReplRequest):
-        engine = self.shards[0]
-        if not engine.can_order:
-            return ReplResult(request.uuid, None, "joining")
-        return engine.submit(
+        return self.shards[0].submit(
             src, request_id, Command(request.uuid, "call", request.payload)
-        )
-
-    def _handle_xfer_req(self, src: Address, request_id: int, request: StateXferReq):
-        # A joiner that never heard our push pulls the capture; any other
-        # answer sends it on to the next member.
-        return self.shards[0].served(request.marker_uuid) or ReplResult(
-            request.marker_uuid, None, "retry"
         )
 
     # -- engine seam, adapted to the payload-level BackendDriver --------------

@@ -91,9 +91,7 @@ PROTOCOLS = (
     ProtocolSpec(
         name="aa",
         wire="aa/wire.py",
-        # The engine's records are dispatched by the engine itself and by
-        # every daemon that hosts it.
-        handler_prefixes=("aa/", "joshua/"),
+        handler_prefixes=("aa/",),
         exempt={
             "ReplResult": "response record (named before the *Resp "
                           "convention), consumed generically by rpc.call",

@@ -114,11 +114,6 @@ class DeliveryQueue:
         self._stable: dict[Address, int] = {}
         #: every msg_id this member has ever delivered (any view).
         self._delivered = DeliveredTracker()
-        #: messages delivered across *all* views — the cumulative position
-        #: the read path's sequence surface reports (the per-view cursor
-        #: resets at every view change, so it cannot serve as a monotonic
-        #: applied-progress number).
-        self.delivered_total = 0
 
     # -- view lifecycle ------------------------------------------------------
 
@@ -222,7 +217,6 @@ class DeliveryQueue:
             if msg_id in self._delivered:
                 continue  # duplicate across a view change
             self._delivered.add(msg_id)
-            self.delivered_total += 1
             out.append(
                 DeliveredMessage(
                     msg_id=msg_id,
@@ -275,17 +269,6 @@ class DeliveryQueue:
             "payloads": len(self._data),
             "orderings": len(self._order),
             "stable_through": self.stable_through(),
-        }
-
-    def seq_surface(self) -> dict:
-        """The per-group sequence surface the local read path consumes:
-        within-view cursor/stability plus the cumulative delivered count
-        that survives view changes."""
-        return {
-            "view_id": self.view.view_id if self.view is not None else -1,
-            "cursor": self._cursor,
-            "stable_through": self.stable_through(),
-            "delivered_total": self.delivered_total,
         }
 
     # -- flush support -----------------------------------------------------------

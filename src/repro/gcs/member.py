@@ -315,14 +315,6 @@ class GroupMember:
         primary-partition extension is enabled and we lost the majority)."""
         return self.view is not None and self.view.primary
 
-    def seq_surface(self) -> dict:
-        """The per-group sequence surface for the local read path: the
-        delivery queue's cumulative/within-view positions plus the ordering
-        engine's cumulative assignment count. Read-only."""
-        surface = self.queue.seq_surface()
-        surface["assigned_total"] = self.engine.assigned_total
-        return surface
-
     # ------------------------------------------------------------------
     # outbound helpers
     # ------------------------------------------------------------------

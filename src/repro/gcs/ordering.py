@@ -57,10 +57,6 @@ class _EngineBase:
         self.send = send
         self.view: View | None = None
         self.next_seq = 0
-        #: Cumulative assignments this engine has created across all views
-        #: (``next_seq`` resets per view); part of the sequence surface the
-        #: read path reports for staleness gauges.
-        self.assigned_total = 0
         #: Optional ``callable(seq, msg_id)`` invoked for each assignment
         #: this engine creates (observation only; wired by the owning
         #: member to the trace collector when one is attached).
@@ -149,7 +145,6 @@ class SequencerEngine(_EngineBase):
         self._assigned.add(msg_id)
         assignment = (self.next_seq, msg_id)
         self.next_seq += 1
-        self.assigned_total += 1
         self._observed(assignment[0], msg_id)
         if self.batch_delay <= 0:
             self.broadcast(OrderMsg(self.view.view_id, (assignment,)))
@@ -230,7 +225,6 @@ class TokenRingEngine(_EngineBase):
             assignments = tuple((seq + i, m) for i, m in enumerate(self._pending))
             seq += len(self._pending)
             self._pending = []
-            self.assigned_total += len(assignments)
             for assigned_seq, assigned_id in assignments:
                 self._observed(assigned_seq, assigned_id)
             self.broadcast(OrderMsg(self.view.view_id, assignments))

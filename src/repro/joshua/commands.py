@@ -16,23 +16,24 @@ Commands may run from any node — a head node, a compute node, or a login
 node (paper: "The JOSHUA control commands may be invoked on any of the
 active head nodes or from a separate login node").
 
-Failover rides on :func:`repro.rpc.failover_call`; command UUIDs come from
-the per-simulation allocator (:func:`repro.rpc.rpc_state`), so back-to-back
-simulations in one interpreter see identical uuid strings (which matter:
-they are on the wire and charged by size).
+Points 2–4 are the engine's client core
+(:class:`~repro.aa.client.ReplicatedClient`); what is JOSHUA's own here is
+the start-up cost, the ``job.*`` trace events and the commit-position stamp
+(:class:`~repro.joshua.wire.SeqStampedResp`) unwrapped for ``ryw`` reads.
 """
 
 from __future__ import annotations
 
 from typing import Generator
 
+from repro.aa.client import ReplicatedClient
 from repro.joshua.wire import JDelReq, JStatReq, JSubReq, SeqStampedResp
 from repro.net.address import Address
 from repro.net.network import Network
 from repro.obs.collector import collector_of
 from repro.pbs.job import JobSpec
 from repro.pbs.service_times import ERA_2006, ServiceTimes
-from repro.rpc import failover_call, rpc_state
+from repro.rpc import failover_call
 from repro.util.errors import NoActiveHeadError
 
 __all__ = ["JoshuaClient"]
@@ -40,8 +41,12 @@ __all__ = ["JoshuaClient"]
 _JOSHUA_PORT = 4412
 
 
-class JoshuaClient:
+class JoshuaClient(ReplicatedClient):
     """jsub/jdel/jstat runner on one node, aware of every head node."""
+
+    #: The family keeps its name: command uuids are on the wire, and the
+    #: pinned baselines carry them.
+    uuid_family = "joshua-uuid"
 
     def __init__(
         self,
@@ -55,14 +60,11 @@ class JoshuaClient:
         track_writes: bool = False,
         consistency: str = "ordered",
     ):
-        if not heads:
-            raise NoActiveHeadError("no head nodes configured")
-        self.network = network
-        self.node = node
-        self.heads = list(heads)
+        super().__init__(
+            network, node, [Address(h, _JOSHUA_PORT) for h in heads],
+            timeout=timeout, prefer=prefer,
+        )
         self.times = service_times
-        self.timeout = timeout
-        self.prefer = prefer
         #: Ask heads to stamp each write's commit position (PROTOCOLS.md
         #: §12) — the floors ``ryw`` reads later present. Off by default:
         #: an untracked client is wire-identical to the historical one.
@@ -75,17 +77,6 @@ class JoshuaClient:
         #: for local reads, a plain PBS ``StatResp`` for ordered ones) —
         #: read-path tests and the chaos invariants inspect its ``as_of``.
         self.last_stat_response = None
-        self.stats = {"failovers": 0}
-
-    def _uuid(self, kind: str) -> str:
-        return f"{kind}-{self.node}-{rpc_state(self.network).next_id('joshua-uuid')}"
-
-    def _ordered_heads(self) -> list[str]:
-        heads = list(self.heads)
-        if self.prefer in heads:
-            heads.remove(self.prefer)
-            heads.insert(0, self.prefer)
-        return heads
 
     def _call(self, payload) -> Generator:
         yield self.network.kernel.timeout(self.times.client_startup)
@@ -96,18 +87,9 @@ class JoshuaClient:
             # unique, already on the wire — tracing adds no wire bytes.
             collector.job_event(self.node, "job.sent", trace_id=uuid,
                                 command=uuid.split("-", 1)[0])
-        # Skipping a down head models the instant connection-refused a dead
-        # node's TCP stack (or ARP failure) produces, vs. a full RPC timeout;
-        # a head answering "joining" cannot order commands yet — move on.
         try:
-            response = yield from failover_call(
-                self.network, self.node,
-                [Address(h, _JOSHUA_PORT) for h in self._ordered_heads()],
-                payload,
-                timeout=self.timeout,
-                retry_error=lambda exc: exc.kind == "joining",
-                stats=self.stats,
-                what=f"no active head answered {type(payload).__name__}",
+            response = yield from self._failover(
+                payload, f"no active head answered {type(payload).__name__}"
             )
         except NoActiveHeadError:
             if collector is not None and uuid is not None:
@@ -182,7 +164,7 @@ class JoshuaClient:
         yield self.network.kernel.timeout(self.times.client_startup)
         response = yield from failover_call(
             self.network, self.node,
-            [Address(h, PBS_SERVER_PORT) for h in self._ordered_heads()],
+            [Address(r.node, PBS_SERVER_PORT) for r in self._targets()],
             SignalReq(job_id, signal),
             timeout=self.timeout,
             what="no head answered qsig",

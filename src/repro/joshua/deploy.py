@@ -89,7 +89,9 @@ class JoshuaStack:
         kwargs.setdefault("service_times", self.service_times)
         return JoshuaGateway(self.cluster.network, self.head_names, **kwargs)
 
-    def _install_head_daemons(self, node: Node, *, initial: bool, contacts: list[str]) -> None:
+    def _install_head_daemons(
+        self, node: Node, *, founders: list[str] | None, contacts: list[str] | None,
+    ) -> None:
         mom_addresses = self.mom_addresses
         install_head_daemons(
             node,
@@ -98,42 +100,17 @@ class JoshuaStack:
             server_name=REPLICA_SERVER_NAME,
             exclusive=self.exclusive,
         )
-        heads_at_creation = list(self.head_names)
-        config = self.group_config
-        mode = self.state_transfer
-        shards = self.shards
-        stack = self
-        # A joshua daemon must only *boot* the group on its very first
-        # start. Any later instantiation — the daemon was killed and
-        # restarted, or its node crashed and rebooted — is a fresh
-        # incarnation that must JOIN the existing group and receive state
-        # transfer, or it would resurrect a stale divergent replica (the
-        # paper's process-kill fault would otherwise split the brain).
-        # Full-cluster cold restart is an operator action: redeploy.
-        first_start = {"pending": initial}
-
-        def joshua_factory(n: Node) -> JoshuaServer:
-            if first_start["pending"]:
-                first_start["pending"] = False
-                return JoshuaServer(
-                    n,
-                    initial_heads=heads_at_creation,
-                    group_config=config,
-                    state_transfer=mode,
-                    moms=mom_addresses,
-                    shards=shards,
-                )
-            live = [h for h in stack.live_heads() if h != n.name]
-            return JoshuaServer(
-                n,
-                contacts=live or contacts or [h for h in heads_at_creation if h != n.name],
-                group_config=config,
-                state_transfer=mode,
-                moms=mom_addresses,
-                shards=shards,
-            )
-
-        node.add_daemon("joshua", joshua_factory)
+        # One constructor call for every incarnation: boot-vs-join is the
+        # engine's decision (ReplicationEngine.start, from its boot counter).
+        node.add_daemon("joshua", lambda n: JoshuaServer(
+            n,
+            initial_heads=founders,
+            contacts=contacts,
+            group_config=self.group_config,
+            state_transfer=self.state_transfer,
+            moms=mom_addresses,
+            shards=self.shards,
+        ))
 
     def add_head(self, name: str | None = None) -> Node:
         """Bring a brand-new head node into the running system (join +
@@ -146,7 +123,7 @@ class JoshuaStack:
         self.cluster.heads.append(node)
         self.cluster.register_node(node)
         self.head_names.append(name)
-        self._install_head_daemons(node, initial=False, contacts=contacts)
+        self._install_head_daemons(node, founders=None, contacts=contacts)
         return node
 
 
@@ -182,7 +159,9 @@ def build_joshua_stack(
     )
     server_addresses = [Address(h, PBS_SERVER_PORT) for h in stack.head_names]
     for head in cluster.heads:
-        stack._install_head_daemons(head, initial=True, contacts=[])
+        stack._install_head_daemons(
+            head, founders=list(stack.head_names), contacts=None
+        )
 
     def mom_factory(n: Node) -> PBSMom:
         mom = PBSMom(

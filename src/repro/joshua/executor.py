@@ -25,13 +25,13 @@ from repro.pbs.job import Job, JobSpec, JobState
 from repro.pbs.wire import (
     CaptureReq,
     DeleteReq,
-    ErrorResp,
     LoadStateReq,
     PurgeReq,
     StatReq,
     SubmitReq,
 )
 from repro.rpc import call as rpc_call
+from repro.rpc.wire import ErrorResp, relay_error
 from repro.util.errors import PBSError
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -91,9 +91,7 @@ class SerialExecutor:
 
     def submit(self, src: Address, request_id: int, payload):
         """Hand an incoming ``jsub``/``jdel``/``jstat`` to the engine as a
-        :class:`Command`, or refuse it while this replica cannot order."""
-        if not self.s.can_order:
-            return ErrorResp("joining", "head is joining; retry another")
+        :class:`Command`."""
         if isinstance(payload, JSubReq):
             command = Command(payload.uuid, "jsub", payload.spec)
         elif isinstance(payload, JDelReq):
@@ -124,7 +122,7 @@ class SerialExecutor:
                 return ErrorResp("bad-command", command.kind)
             result = yield from self.local_rpc(request)
         except PBSError as exc:
-            return ErrorResp("pbs-error", str(exc))
+            return relay_error(exc)
         job_id = getattr(result, "job_id", None)
         if command.kind == "jsub" and job_id is not None:
             collector = collector_of(self.s.node.network)

@@ -16,13 +16,14 @@ marker-cut join — driving the local PBS through a
 :class:`~repro.joshua.executor.SerialExecutor`, plus a
 :class:`~repro.joshua.mutex.MutexArbiter`; the façade owns the one
 client-facing endpoint and the typed RPC dispatcher (the
-:class:`~repro.aa.engine.ReplicaDaemon` shell), and routes each request to
-the owning shard:
+:class:`~repro.aa.engine.ReplicaDaemon` shell, which also answers
+state-transfer pulls and owns the "joining" refusal), and routes each
+request to the owning shard:
 
 * ``jsub`` — by PBS queue name (falling back to the job owner), hashed
   with CRC-32 so the mapping is stable across runs and processes;
 * anything keyed by job id (``jdel``, ``jstat <id>``, the jmutex/jdone
-  traffic, state-transfer pulls) — by the id stripe ``(seq-1) % nshards``
+  traffic) — by the id stripe ``(seq-1) % nshards``
   (see :mod:`repro.joshua.shard`);
 * ``jstat`` with no id — shard 0. The local PBS holds every shard's jobs,
   so the listing is complete; it is only *ordered* against shard 0's
@@ -55,14 +56,13 @@ from repro.joshua.wire import (
     JStatResp,
     JSubReq,
     Started,
-    StateXferReq,
 )
 from repro.net.address import Address
 from repro.obs.collector import collector_of
 from repro.pbs.job import JobSpec
 from repro.pbs.server import PBS_SERVER_PORT
-from repro.pbs.wire import ErrorResp, StatReq, bad_request
-from repro.rpc import RpcDispatcher
+from repro.pbs.wire import StatReq
+from repro.rpc.wire import ErrorResp, relay_error
 from repro.util.errors import JoshuaError, PBSError
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -107,6 +107,8 @@ class JoshuaServer(ReplicaDaemon):
 
     #: CPU costs of the daemon itself (the one calibration in use).
     times = ERA_2006_JOSHUA
+    receive_delay = times.cmd_receive
+    reply_delay = times.cmd_reply
 
     def __init__(
         self,
@@ -119,20 +121,16 @@ class JoshuaServer(ReplicaDaemon):
         moms: list[Address] | None = None,
         shards: int = 1,
     ):
-        super().__init__(node, REPLICA_SERVER_NAME, JOSHUA_PORT)
-        if (initial_heads is None) == (contacts is None):
-            raise JoshuaError("exactly one of initial_heads/contacts required")
         if state_transfer not in ("replay", "snapshot"):
             raise JoshuaError(f"unknown state_transfer mode {state_transfer!r}")
-        if shards < 1:
-            raise JoshuaError("shards must be >= 1")
-        self.initial_heads = list(initial_heads or [])
-        self.contacts = list(contacts or [])
-        self.reply_delay = self.times.cmd_reply
+        super().__init__(
+            node, REPLICA_SERVER_NAME, JOSHUA_PORT, JOSHUA_GCS_PORT,
+            founders=initial_heads, contacts=contacts,
+            group_config=group_config, nshards=shards,
+        )
         self.state_transfer = state_transfer
         self.moms = list(moms or [])
         self.local_pbs = Address(node.name, PBS_SERVER_PORT)
-        self.nshards = shards
 
         #: When the head is busy answering local reads until (simulation
         #: time): the daemon and its local PBS are single-threaded, so one
@@ -142,12 +140,15 @@ class JoshuaServer(ReplicaDaemon):
         #: ordered paths keep their historical timing untouched.
         self._read_busy_until = 0.0
 
-        #: One replica unit per shard, each with its own ordering group.
-        self.shards = [
-            ShardReplica(self, k, shards, group_config, JOSHUA_GCS_PORT)
-            for k in range(shards)
-        ]
-        self.rpc = self._build_dispatcher()
+        t = self.times
+        reg = self.rpc.register
+        reg((JSubReq, JDelReq, JStatReq), self._handle_command, delay=t.cmd_receive)
+        reg(JMutexReq, self._handle_jmutex, delay=t.mutex_process)
+        reg(JStartedReq, self._handle_started, delay=t.mutex_process)
+        reg(JDoneReq, self._handle_done, delay=t.mutex_process)
+
+    def make_engine(self, index: int, group_config: GroupConfig, gcs_port: int):
+        return ShardReplica(self, index, group_config, gcs_port)
 
     # -- merged read views ----------------------------------------------------
     #
@@ -229,19 +230,6 @@ class JoshuaServer(ReplicaDaemon):
     # client / mom RPC handling
     # ------------------------------------------------------------------
 
-    def _build_dispatcher(self) -> RpcDispatcher:
-        """Typed request routing with the calibrated receive delays."""
-        t = self.times
-
-        rpc = RpcDispatcher(self, fallback=bad_request)
-        rpc.register((JSubReq, JDelReq, JStatReq), self._handle_command,
-                     delay=t.cmd_receive)
-        rpc.register(JMutexReq, self._handle_jmutex, delay=t.mutex_process)
-        rpc.register(JStartedReq, self._handle_started, delay=t.mutex_process)
-        rpc.register(JDoneReq, self._handle_done, delay=t.mutex_process)
-        rpc.register(StateXferReq, self._handle_xfer_req, delay=t.cmd_receive)
-        return rpc
-
     def _handle_command(self, src: Address, request_id: int, payload):
         if isinstance(payload, JStatReq) and payload.consistency != "ordered":
             self.seq_tracking = True
@@ -275,7 +263,7 @@ class JoshuaServer(ReplicaDaemon):
             else [self.shard_for_job(req.job_id)]
         )
         if not all(replica.active for replica in gating):
-            return ErrorResp("joining", "head is joining; retry another")
+            return self.JOINING
         floors = dict(req.min_seq) if req.consistency == "ryw" else {}
         unmet = []
         for replica in gating:
@@ -307,7 +295,7 @@ class JoshuaServer(ReplicaDaemon):
                     )
             if not all(replica.active for replica in gating):
                 # Demoted (view change / resync) while we waited.
-                return ErrorResp("joining", "head is joining; retry another")
+                return self.JOINING
         # Reserve this head's serial read occupancy (floor-waiting above
         # costs none — a blocked read burns no CPU).
         start = max(self.kernel.now, self._read_busy_until)
@@ -317,7 +305,7 @@ class JoshuaServer(ReplicaDaemon):
         try:
             stat = yield from gating[0].driver.local_rpc(StatReq(req.job_id))
         except PBSError as exc:
-            result = ErrorResp("pbs-error", str(exc))
+            result = relay_error(exc)
         else:
             as_of = tuple(sorted(
                 (replica.index, replica.applied_seq)
@@ -383,16 +371,4 @@ class JoshuaServer(ReplicaDaemon):
             return JMutexResp("ok")
         # Refuse rather than ack-and-drop: the mom's notifier must
         # move on to a head that can actually record the event.
-        return ErrorResp("joining", "not in view")
-
-    def _handle_xfer_req(self, src: Address, request_id: int, payload: StateXferReq):
-        # State is normally *pushed* when the serial loop reaches the marker;
-        # a direct request means the joiner never heard that push (lost
-        # frame). Re-serve the capture if we have it, else tell the joiner
-        # to retry/recut.
-        if not 0 <= payload.shard < self.nshards:
-            return ErrorResp("bad-request", f"no shard {payload.shard}")
-        response = self.shards[payload.shard].served(payload.marker_uuid)
-        if response is not None:
-            return response
-        return ErrorResp("retry", "marker not reached")
+        return self.JOINING

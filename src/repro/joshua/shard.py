@@ -68,18 +68,13 @@ class ShardReplica(ReplicationEngine):
         self,
         server: "JoshuaServer",
         index: int,
-        nshards: int,
         group_config: "GroupConfig",
         gcs_base_port: int,
     ):
         #: jsub executions this shard has totally ordered — drives the
         #: striped force_job_id sequence (see :meth:`next_forced_job_id`).
         self.stripe_count = 0
-        super().__init__(
-            server, SerialExecutor(self), group_config, gcs_base_port,
-            founders=server.initial_heads, contacts=server.contacts,
-            index=index, nshards=nshards,
-        )
+        super().__init__(server, SerialExecutor(self), group_config, gcs_base_port, index)
         self.stats.update(claims=0, revocations=0)
         self.arbiter = MutexArbiter(self)
 

@@ -104,9 +104,8 @@ Registration is decentralised to respect the layering contract: each wire
 module calls :func:`register_wire_types` / :func:`register_wire_enum` on its
 own dataclasses at import time (``gcs/messages.py`` registers the GCS
 messages, ``pbs/wire.py`` the PBS requests, ...). The module-level ``WIRE``
-singleton is append-only and written only at import time — the same
-discipline as the ``__rpc_error_relay__`` class marker, so it stays safe for
-two simulations sharing one interpreter.
+singleton is append-only and written only at import time, so it stays safe
+for two simulations sharing one interpreter.
 """
 
 from __future__ import annotations

@@ -38,9 +38,9 @@ from repro.pbs.wire import (
     JobStartResp,
     KillJobReq,
     SimpleResp,
-    bad_request,
 )
 from repro.rpc import RpcDispatcher, RpcTimeout, call as rpc_call, rpc_state
+from repro.rpc.wire import bad_request
 from repro.sim.process import Process
 from repro.util.errors import Interrupt
 

@@ -53,7 +53,6 @@ from repro.pbs.wire import (
     CaptureResp,
     DeleteReq,
     DeleteResp,
-    ErrorResp,
     HoldReq,
     JobObit,
     JobStartReq,
@@ -72,9 +71,9 @@ from repro.pbs.wire import (
     StatResp,
     SubmitReq,
     SubmitResp,
-    bad_request,
 )
 from repro.rpc import ResponseCache, RpcDispatcher, call as rpc_call
+from repro.rpc.wire import ErrorResp, bad_request
 from repro.util.errors import InvalidJobStateError, PBSError, UnknownJobError
 
 if TYPE_CHECKING:  # pragma: no cover

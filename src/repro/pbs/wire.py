@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from repro.net.address import Address
 from repro.net.codec import register_wire_types
 from repro.pbs.job import JobSpec
-from repro.rpc.client import register_error_response
 
 __all__ = [
     "SubmitReq", "SubmitResp",
@@ -25,7 +24,6 @@ __all__ = [
     "RunJobReq", "RunJobResp",
     "SchedPollReq", "SchedPollResp",
     "JobStartReq", "JobStartResp", "KillJobReq", "JobObit",
-    "ErrorResp", "bad_request",
 ]
 
 
@@ -161,19 +159,6 @@ class SimpleResp:
     detail: str = ""
 
 
-@dataclass(frozen=True)
-class ErrorResp:
-    """Server-side error relayed to the client (re-raised as PBSError)."""
-
-    kind: str
-    message: str
-
-
-def bad_request(src, request_id, payload) -> ErrorResp:
-    """Dispatcher fallback: the answer to a request no handler is registered for."""
-    return ErrorResp("bad-request", f"unknown request {type(payload).__name__}")
-
-
 # -- scheduler <-> server ------------------------------------------------------
 
 
@@ -241,9 +226,6 @@ class JobObit:
     finished_at: float
 
 
-# Responses of this type are re-raised client-side as PBSError.
-register_error_response(ErrorResp)
-
 register_wire_types(
     SubmitReq, SubmitResp,
     StatReq, StatResp,
@@ -255,5 +237,4 @@ register_wire_types(
     RunJobReq, RunJobResp,
     SchedPollReq, SchedPollResp,
     JobStartReq, JobStartResp, KillJobReq, JobObit,
-    ErrorResp,
 )

@@ -33,7 +33,7 @@ class PVFSClient:
         replicas: list[Address],
         *,
         timeout: float = 3.0,
-        prefer: Address | None = None,
+        prefer: str | None = None,
     ):
         self._rc = ReplicatedClient(
             network, node, replicas, timeout=timeout, prefer=prefer

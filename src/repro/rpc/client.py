@@ -17,22 +17,10 @@ from repro.net.address import Address
 from repro.net.network import Network
 from repro.rpc.errors import RpcTimeout
 from repro.rpc.state import TimeoutRecord, rpc_state, run_hooks
-from repro.rpc.wire import Reply, Request
+from repro.rpc.wire import ErrorResp, Reply, Request
 from repro.util.errors import NoActiveHeadError, PBSError
 
-__all__ = ["call", "failover_call", "register_error_response"]
-
-
-def register_error_response(cls: type) -> type:
-    """Mark *cls* as a server-error relay (re-raised as PBSError).
-
-    The marker lives on the class itself rather than in a module-level
-    registry: module state would be shared across every simulation in one
-    interpreter (R2), while a class attribute is as immutable-after-import
-    as the wire type it annotates.
-    """
-    cls.__rpc_error_relay__ = True
-    return cls
+__all__ = ["call", "failover_call"]
 
 
 def call(
@@ -50,7 +38,7 @@ def call(
     ``1 + retries`` attempts waits *timeout* seconds for the reply. Raises
     :class:`RpcTimeout` once every attempt went unanswered and
     :class:`PBSError` (carrying the relay's typed ``kind`` and ``message``)
-    if the server answered with an error-relay response.
+    if the server answered with an :class:`~repro.rpc.wire.ErrorResp`.
     """
     attempts = 1 + retries
     kernel = network.kernel
@@ -76,7 +64,7 @@ def call(
                         run_hooks(state.on_response, node, server, request_id,
                                   payload, response, log=kernel.log,
                                   where="rpc.client")
-                        if getattr(response, "__rpc_error_relay__", False):
+                        if isinstance(response, ErrorResp):
                             error = PBSError(f"{response.kind}: {response.message}")
                             error.kind, error.message = response.kind, response.message
                             raise error
@@ -123,8 +111,8 @@ def failover_call(
     * other :class:`PBSError`\\ s fail over when ``retry_error(exc)`` is
       true (e.g. a head answering ``kind == "joining"``), otherwise propagate;
     * a received response is retried on the next target when
-      ``reject(response)`` is true (e.g. a result carrying a
-      transient error marker) — otherwise it is returned.
+      ``reject(response)`` is true (e.g. a state-transfer capture for
+      another marker) — otherwise it is returned.
 
     Every target passed over (skipped, timed out, retried or rejected)
     adds one to ``stats["failovers"]`` when *stats* is given.

@@ -9,8 +9,9 @@ record shapes:
     request dataclass the server's dispatcher routes on.
 ``Reply``
     Echoes the ``request_id`` so the client can match responses to calls;
-    ``payload`` is the response dataclass (possibly an error-relay response
-    re-raised client-side).
+    ``payload`` is the response dataclass — possibly an :class:`ErrorResp`,
+    the one error relay every layer above speaks, which
+    :func:`~repro.rpc.client.call` re-raises client-side.
 
 Declared here — not inline in client/server — so the rpc layer's wire
 surface is one importable module the codec registry and lint rules R4/R6
@@ -24,7 +25,7 @@ from typing import Any
 
 from repro.net.codec import register_wire_types
 
-__all__ = ["Request", "Reply"]
+__all__ = ["Request", "Reply", "ErrorResp", "bad_request", "relay_error"]
 
 
 @dataclass(frozen=True)
@@ -43,4 +44,26 @@ class Reply:
     payload: Any
 
 
-register_wire_types(Request, Reply)
+@dataclass(frozen=True)
+class ErrorResp:
+    """Server-side error relayed to the client (re-raised as PBSError)."""
+
+    kind: str
+    message: str
+
+
+def bad_request(src, request_id, payload) -> ErrorResp:
+    """Dispatcher fallback: the answer to a request no handler is registered for."""
+    return ErrorResp("bad-request", f"unknown request {type(payload).__name__}")
+
+
+def relay_error(exc) -> ErrorResp:
+    """Pass an error :func:`~repro.rpc.client.call` raised on to one's own
+    client: a relayed error keeps its kind and message, an unanswered
+    conversation (an ``RpcTimeout`` has no kind) becomes ``pbs-error``."""
+    if exc.kind is None:
+        return ErrorResp("pbs-error", str(exc))
+    return ErrorResp(exc.kind, exc.message)
+
+
+register_wire_types(Request, Reply, ErrorResp)

@@ -147,7 +147,7 @@ class TestLeave:
         # Re-register daemons fresh (old factories were for the founding
         # configuration).
         node._daemon_factories.clear()
-        stack._install_head_daemons(node, initial=False, contacts=contacts)
+        stack._install_head_daemons(node, founders=None, contacts=contacts)
         settle(stack, 8.0)
         assert stack.joshua("head0").active
         assert queue_snapshot(stack, "head0") == queue_snapshot(stack, "head1")
@@ -190,6 +190,44 @@ class TestAutomaticRejoin:
         assert job_id in stack.pbs("head0").jobs
 
 
+    def test_restarted_daemon_never_active_outside_the_survivors_view(self, stack):
+        """Boot-vs-join is the engine's decision from its boot counter (it
+        was a closure in the deployment code): sampled every 50 sim-ms, the
+        restarted daemon is never in service in a view without the
+        survivor, and a client preferring it loses no acknowledged jsub."""
+        client = stack.client(node="login", prefer="head0")
+        acknowledged = [drive(stack, client.jsub(name="seed", walltime=900))]
+        node = stack.cluster.node("head0")
+        node.stop_daemon("joshua")
+        settle(stack, 3.0)
+        acknowledged.append(drive(stack, client.jsub(name="while-down", walltime=900)))
+        submitting = {"on": True}
+
+        def submitter():
+            index = 0
+            while submitting["on"]:
+                job_id = yield from client.jsub(name=f"s{index}", walltime=900)
+                acknowledged.append(job_id)
+                index += 1
+
+        node.start_daemon("joshua")
+        process = stack.cluster.kernel.spawn(submitter())
+        for _ in range(60):
+            settle(stack, 0.05)
+            replica = stack.joshua("head0").shards[0]
+            if replica.active:
+                members = {member.node for member in replica.group.view.members}
+                assert "head1" in members
+        submitting["on"] = False
+        stack.cluster.run(until=process)
+        settle(stack, 1.0)
+        assert stack.joshua("head0").active
+        assert len(acknowledged) > 4
+        assert queue_snapshot(stack, "head0") == queue_snapshot(stack, "head1")
+        for head in stack.head_names:
+            assert set(acknowledged) <= {j.job_id for j in stack.pbs(head).jobs}
+
+
 class TestCrashedHeadRejoins:
     def test_crashed_head_rejoins_after_restart(self, stack):
         client = stack.client(node="login", prefer="head1")
@@ -199,7 +237,7 @@ class TestCrashedHeadRejoins:
         settle(stack, 4.0)
         node.restart(daemons=False)
         node._daemon_factories.clear()
-        stack._install_head_daemons(node, initial=False, contacts=["head1"])
+        stack._install_head_daemons(node, founders=None, contacts=["head1"])
         settle(stack, 10.0)
         assert stack.joshua("head0").active
         assert queue_snapshot(stack, "head0") == queue_snapshot(stack, "head1")

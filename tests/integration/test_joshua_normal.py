@@ -2,8 +2,10 @@
 
 import pytest
 
+from repro.cluster import Cluster
 from repro.pbs.job import JobState
-from repro.util.errors import NoActiveHeadError
+from repro.pbs.stack import build_pbs_stack
+from repro.util.errors import NoActiveHeadError, PBSError
 
 from tests.integration.conftest import drive, make_stack, settle, total_runs
 
@@ -84,6 +86,32 @@ class TestReplicatedSubmission:
         settle(stack, 1.0)
         for head in stack.head_names:
             assert stack.pbs(head).jobs.get(job_id).state is JobState.COMPLETE
+
+    def test_pbs_error_kind_relayed_as_through_plain_pbs(self, stack):
+        """A PBS failure reaches the JOSHUA client with the kind and text
+        plain PBS gives its own client, not flattened to ``pbs-error`` with
+        the real kind inside the text: deleting a finished job is
+        ``bad-state``, deleting an id no head knows is ``unknown-job``."""
+        def failure(run, command):
+            with pytest.raises(PBSError) as err:
+                run(command)
+            return err.value.kind, err.value.message
+
+        plain_cluster = Cluster(head_count=1, compute_count=2, login_node=True, seed=11)
+        plain = build_pbs_stack(plain_cluster, server_name="joshua")
+        qclient = plain.client(node="login")
+        def run_plain(command):
+            return plain_cluster.run(until=plain_cluster.kernel.spawn(command))
+        finished = run_plain(qclient.qsub(name="brief", walltime=1.0))
+        plain_cluster.run(until=20.0)
+
+        jclient = stack.client(node="login")
+        assert drive(stack, jclient.jsub(name="brief", walltime=1.0)) == finished
+        stack.cluster.run(until=20.0)
+        for job_id, kind in ((finished, "bad-state"), ("99.joshua", "unknown-job")):
+            relayed = failure(lambda c: drive(stack, c), jclient.jdel(job_id))
+            assert relayed == failure(run_plain, qclient.qdel(job_id))
+            assert relayed[0] == kind
 
     def test_commands_from_login_node(self, stack):
         job_id = drive(stack, stack.client(node="login").jsub(name="remote"))

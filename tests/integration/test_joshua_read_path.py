@@ -205,8 +205,8 @@ class TestGateway:
         with pytest.raises(PBSError, match="Unknown Job Id joining.joshua") as err:
             drive(stack, getattr(session, command)("joining.joshua"))
         assert not isinstance(err.value, NoActiveHeadError)
-        assert err.value.kind == "pbs-error"
-        assert "joining.joshua" in err.value.message
+        assert err.value.kind == "unknown-job"
+        assert err.value.message == "Unknown Job Id joining.joshua"
         assert session.client.stats["failovers"] == 0
         assert gateway.stats["failovers"] == 0
         assert gateway.stats["reassignments"] == 0

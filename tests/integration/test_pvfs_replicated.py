@@ -135,6 +135,53 @@ class TestFailures:
             drive(cluster, client.mkdir("/nope"))
 
 
+class TestRestart:
+    def test_restarted_replica_joins_and_never_forms_a_group(self):
+        """A crashed-and-restarted replica returns to the running group; it
+        must not re-run ``boot()`` on its founding list. It used to: the
+        "only the first incarnation boots" rule lived in JOSHUA's deployment
+        code, so a restarted MDS replica sat ``active`` in a singleton view
+        over an empty store, acknowledged writes there (SAFE delivery is
+        immediate in a view of one), and the resync that rescued it threw
+        them away."""
+        cluster, mds, _client = make_mds()
+        client = PVFSClient(
+            cluster.network, "login", mds.addresses(), prefer="head0"
+        )
+        drive(cluster, client.mkdir("/r"))
+        cluster.node("head0").crash()
+        cluster.run(until=cluster.kernel.now + 2.0)
+        drive(cluster, client.create("/r/while-down"))
+        acknowledged = ["while-down"]
+        writing = {"on": True}
+
+        def writer():
+            index = 0
+            while writing["on"]:
+                yield from client.create(f"/r/f{index}")
+                acknowledged.append(f"f{index}")
+                index += 1
+
+        cluster.node("head0").restart()
+        process = cluster.kernel.spawn(writer())
+        for _ in range(60):
+            cluster.run(until=cluster.kernel.now + 0.05)
+            engine = mds.replica("head0").shards[0]
+            if engine.active:
+                members = {member.node for member in engine.group.view.members}
+                assert {"head1", "head2"} <= members
+        writing["on"] = False
+        cluster.run(until=process)
+        cluster.run(until=cluster.kernel.now + 1.0)
+        assert mds.replica("head0").active
+        assert len(acknowledged) > 5
+        backends = [mds.backend(head) for head in mds.head_names]
+        for backend in backends:
+            assert sorted(backend.store.readdir("/r")) == sorted(acknowledged)
+            assert backend.store.snapshot() == backends[0].store.snapshot()
+            assert backend._logical_time == backends[0]._logical_time
+
+
 class TestJoin:
     def test_new_replica_receives_snapshot(self):
         cluster, mds, client = make_mds(heads=2)

@@ -1,5 +1,7 @@
 """Unit tests for the benchmark harness (workloads, metrics, reporting)."""
 
+from pathlib import Path
+
 import pytest
 
 from repro.bench import (
@@ -13,6 +15,7 @@ from repro.bench import (
 )
 from repro.bench.workloads import OpenLoopWorkload
 from repro.bench.reporting import bar_chart
+from repro.bench.snapshots import FIGURE_FILES, figure_snapshots, snapshot_text
 from repro.pbs.job import JobSpec
 from repro.util.errors import ReproError
 
@@ -233,6 +236,16 @@ class TestOpenLoopWorkload:
             OpenLoopWorkload(1, 1.0, burst_factor=0.5)
         with pytest.raises(ReproError):
             OpenLoopWorkload(1, 1.0, amplitude=1.0)
+
+
+class TestCommittedFigureFiles:
+    @pytest.mark.parametrize("name", sorted(FIGURE_FILES))
+    def test_regenerates_byte_identically(self, name):
+        """Every column is simulated time or a count: the committed file is
+        what this tree measures, to the byte, or it is stale (refresh it
+        with ``pytest benchmarks/ --benchmark-only``)."""
+        committed = (Path(__file__).resolve().parents[2] / name).read_text()
+        assert snapshot_text(figure_snapshots(name)[name]) == committed
 
 
 class TestExperimentSmoke:

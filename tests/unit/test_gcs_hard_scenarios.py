@@ -4,8 +4,9 @@ during view changes, joins racing crashes, flapping links."""
 import pytest
 
 from repro.gcs import GroupConfig
-from repro.gcs.messages import SAFE
+from repro.gcs.messages import SAFE, NewView
 
+from tests.integration.conftest import SANITIZE, assert_sanitizer_clean
 from tests.unit.test_gcs_member import FAST, Harness
 
 
@@ -139,3 +140,61 @@ class TestFlappingLink:
             if "steady state" in [m.payload for m in h.delivered[name]]
         ]
         assert len(deliverers) == 3
+
+
+class TestExclusionVerdict:
+    def test_member_that_missed_a_view_rejoins_through_future_traffic(self):
+        """``RecoveryTracker.future_stale`` -> ``rejoin_after_exclusion``:
+        the group moved on without a member that keeps hearing it.
+
+        A member the group *excluded* hears nothing of the new view — beacons
+        and multicasts go to the view's members — and comes back through
+        ``handle_probe`` once its own detector has made it a singleton. The
+        exclusion verdict is for the member the new view *contains* but
+        whose ``NewView`` never arrived: here an asymmetric filter eats
+        exactly the view frames on n2's inbound side while a fourth member
+        joins. n2 falls back to NORMAL in the old view, buffers the new
+        view's traffic for a flush timeout, and must rejoin through whoever
+        is talking — no probe involved, nothing delivered twice, the
+        survivors' order."""
+        h = Harness(3, seed=31, sanitize=SANITIZE)
+        h.boot()
+        for k in range(2):
+            h.members["n0"].multicast(f"before{k}")
+        h.run(until=0.5)
+        n2 = h.members["n2"]
+        token = h.net.add_drop_filter(
+            lambda src, dst, payload: dst.node == "n2"
+            and isinstance(getattr(payload, "payload", payload), NewView)
+        )
+        verdicts = []
+        rejoin = n2.recovery.rejoin_after_exclusion
+
+        def spy():
+            before = n2.stats["rejoins"]
+            rejoin()
+            verdicts.append(n2.stats["rejoins"] - before)
+            h.net.remove_drop_filter(token)  # the cable is back
+
+        n2.recovery.rejoin_after_exclusion = spy
+        joiner = h.add_node("n3")
+        joiner.join([h.addr("n0")])
+        h.run(until=1.0)
+        assert h.members["n0"].view.size == 4
+        assert n2.view.view_id == 1 and n2.state == "normal"
+        h.members["n1"].multicast("during-agreed")
+        h.members["n1"].multicast("during-safe", service=SAFE)
+        n2.multicast("from-the-straggler")
+        h.run(until=6.0)
+        # The one rejoin happened inside the exclusion verdict.
+        assert verdicts == [1]
+        assert n2.stats["rejoins"] == 1
+        views = {str(member.view) for member in h.members.values()}
+        assert len(views) == 1 and n2.view.size == 4
+        h.members["n1"].multicast("after")
+        h.run(until=8.0)
+        ids = h.delivered_ids("n2")
+        assert len(ids) == len(set(ids)) == 6
+        assert ids == h.delivered_ids("n0") == h.delivered_ids("n1")
+        assert h.delivered_ids("n3") == ids[-len(h.delivered_ids("n3")):]
+        assert_sanitizer_clean(h.kernel)

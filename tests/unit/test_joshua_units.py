@@ -124,14 +124,14 @@ class TestClientBehaviour:
         client = JoshuaClient(
             stack.cluster.network, "login", ["head0", "head1"], prefer="head1"
         )
-        assert client._ordered_heads() == ["head1", "head0"]
+        assert [r.node for r in client._targets()] == ["head1", "head0"]
 
     def test_unknown_prefer_ignored(self):
         stack = make_stack()
         client = JoshuaClient(
             stack.cluster.network, "login", ["head0", "head1"], prefer="head9"
         )
-        assert client._ordered_heads() == ["head0", "head1"]
+        assert [r.node for r in client._targets()] == ["head0", "head1"]
 
     def test_uuid_uniqueness(self):
         stack = make_stack()
