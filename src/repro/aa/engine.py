@@ -131,13 +131,12 @@ class ReplicationEngine:
         self.queue: Store = Store(self.kernel)
         #: uuid -> cached local result (output dedup across retries).
         self.results: dict[str, object] = {}
-        #: uuid -> applied_seq the command executed at on this replica
-        #: (only recorded while the counter is exact; feeds SeqStampedResp).
+        #: uuid -> applied_seq the command executed at on this replica since
+        #: its last installed capture (feeds SeqStampedResp).
         self.results_seq: dict[str, int] = {}
-        #: uuid -> [(client src, rpc id, stamp seq?)] awaiting the result.
+        #: uuid -> [(client src, rpc id, stamp seq?)], from the uuid's one
+        #: multicast until :meth:`answer`.
         self._pending_replies: dict[str, list[tuple[Address, int, bool]]] = {}
-        #: uuids this replica has multicast (avoid re-multicast on retry).
-        self._multicast_uuids: set[str] = set()
         #: Replicated command log (delivered order) — used by tests and the
         #: chaos invariants; state transfer captures the backend rather
         #: than replaying from time zero.
@@ -148,12 +147,12 @@ class ReplicationEngine:
         #: (dedup-skipped re-deliveries do not count, so every replica of a
         #: shard computes the identical sequence) — the staleness position
         #: the read path reports and the RYW catch-up gate waits on.
+        #: Every capture carries it, so it is exact on every active replica.
         self.applied_seq = 0
-        #: Whether ``applied_seq`` is exact (founders) or a floor (a joiner
-        #: whose sponsor did not transfer its counter). A floor counter can
-        #: serve eventual reads but must not stamp writes or satisfy RYW
-        #: floors — understating a client's floor would admit stale reads.
-        self.seq_exact = True
+        #: ``applied_seq`` at the cut of the last capture installed: the
+        #: stamp of a uuid known only from that capture's reply cache (it
+        #: overstates, which is safe for a read floor; understating is not).
+        self.cut_seq = 0
         #: Commands delivered by the group to this replica (applied or not)
         #: and commands its loop has drained — their difference is the
         #: read path's staleness-lag gauge (the local apply backlog).
@@ -167,12 +166,14 @@ class ReplicationEngine:
         #: While syncing: drop deliveries ordered before our own marker.
         self.syncing_marker: str | None = None
         self.marker_seen = False
-        self._responses: dict[str, StateXferResp] = {}
-        #: Sponsor side: captures we already served, kept so a joiner whose
-        #: pushed :class:`XferPush` frame was lost can pull them over RPC.
+        #: The capture for the *current* ``syncing_marker`` (last push wins;
+        #: empty whenever no cut is pinned or a fresh one is), and the event
+        #: :meth:`_receive_state` waits on for it.
+        self._response: StateXferResp | None = None
+        self._push_waiter = None
+        #: Sponsor side: joiner node (while in the view) -> the latest capture
+        #: served to it, for the RPC pull of a lost :class:`XferPush` frame.
         self._served: dict[str, StateXferResp] = {}
-        self._push_waiters: dict[str, object] = {}
-        self._installed: set[str] = set()
         self._seen_rejoins = 0
         #: The next view that contains us must pin a transfer marker: we
         #: joined a running group, or a partition re-merge demoted us.
@@ -234,10 +235,10 @@ class ReplicationEngine:
         uuid = command.uuid
         if uuid in self.results:
             return self._stamped(uuid, track)
-        self._pending_replies.setdefault(uuid, []).append((src, request_id, track))
-        if uuid in self._multicast_uuids:
+        waiting = self._pending_replies.setdefault(uuid, [])
+        waiting.append((src, request_id, track))
+        if len(waiting) > 1:
             return None  # already in flight; the delivery will answer
-        self._multicast_uuids.add(uuid)
         self.stats["commands"] += 1
         self._trace("job.received", uuid, command=command.kind)
         self.group.multicast(command, service=SAFE)
@@ -256,17 +257,14 @@ class ReplicationEngine:
     def _stamped(self, uuid: str, track: bool):
         """The cached reply for *uuid*, wrapped in a :class:`SeqStampedResp`
         when the writer asked for its commit position — never for an error
-        relay (it must reach the client unwrapped to re-raise) and never
-        from a floor counter (an understated stamp would admit stale RYW
-        reads later)."""
+        relay (it must reach the client unwrapped to re-raise). The stamp
+        is exact for a command applied here since the last install, that
+        install's cut for one that arrived in its reply cache."""
         result = self.results.get(uuid)
-        if (
-            not track
-            or isinstance(result, ErrorResp)
-            or uuid not in self.results_seq
-        ):
+        if not track or isinstance(result, ErrorResp):
             return result
-        return SeqStampedResp(result, self.index, self.results_seq[uuid])
+        seq = self.results_seq.get(uuid, self.cut_seq)
+        return SeqStampedResp(result, self.index, seq)
 
     # ------------------------------------------------------------------
     # serial apply loop
@@ -309,8 +307,7 @@ class ReplicationEngine:
         result = yield from self.driver.execute_command(command)
         self.results[uuid] = result
         self._set_applied(self.applied_seq + 1)
-        if self.seq_exact:
-            self.results_seq[uuid] = self.applied_seq
+        self.results_seq[uuid] = self.applied_seq
         self.stats["executed"] += 1
         self._trace("job.executed", uuid, command=command.kind,
                     result=type(result).__name__)
@@ -386,6 +383,9 @@ class ReplicationEngine:
     def _on_view(self, view: View) -> None:
         """View hook. Subclasses extend it for their own view-change work
         (call ``super()._on_view(view)`` first)."""
+        # A served capture is good only while its joiner stays in the view.
+        for gone in sorted(set(self._served) - {m.node for m in view.members}):
+            del self._served[gone]
         rejoins = self.group.stats.get("rejoins", 0)
         if rejoins > self._seen_rejoins:
             self._seen_rejoins = rejoins
@@ -434,23 +434,13 @@ class ReplicationEngine:
         if all(m.node == marker.joiner.node for m in view.members):
             return
         captured = yield from self.driver.capture_state(marker.marker_uuid)
-        # The applied counter at the marker cut, so the joiner's read path
-        # resumes with an exact staleness position. Only transferred once a
-        # read/tracked request has latched seq_tracking on this host (the
-        # field stays at its default — and off the wire — in deployments
-        # that never use the read path) and only from an exact counter (a
-        # floor would poison the joiner's RYW gate).
-        applied = (
-            self.applied_seq
-            if self.host.seq_tracking and self.seq_exact
-            else -1
-        )
+        # Plus the engine's own state at the cut: reply cache and position.
         response = dataclasses.replace(
             captured,
             results=tuple(sorted(self.results.items())),
-            applied_seq=applied,
+            applied_seq=self.applied_seq,
         )
-        self._served[marker.marker_uuid] = response
+        self._served[marker.joiner.node] = response
         self.stats["state_transfers_served"] += 1
         if not self.host.endpoint.closed:
             self.host.endpoint.send(marker.joiner, XferPush(response, self.index))
@@ -458,8 +448,10 @@ class ReplicationEngine:
     # -- joiner side ----------------------------------------------------------
 
     def handle_push(self, response: StateXferResp) -> None:
-        self._responses[response.marker_uuid] = response
-        waiter = self._push_waiters.pop(response.marker_uuid, None)
+        if response.marker_uuid != self.syncing_marker:
+            return  # an abandoned cut's capture, or one that came after install
+        self._response = response
+        waiter = self._push_waiter
         if waiter is not None and not waiter.triggered:
             waiter.succeed(response)
 
@@ -486,9 +478,7 @@ class ReplicationEngine:
                 timeout=self.group.config.flush_timeout,
                 skip_down=False,
                 retry_error=lambda exc: True,
-                reject=lambda r: not (
-                    isinstance(r, StateXferResp) and r.marker_uuid == uuid
-                ),
+                reject=lambda r: not isinstance(r, StateXferResp),
             )
         except NoActiveHeadError:
             return None
@@ -498,22 +488,21 @@ class ReplicationEngine:
 
     def _receive_state(self, marker: XferMarker):
         uuid = marker.marker_uuid
-        if uuid in self._installed or uuid != self.syncing_marker:
+        if uuid != self.syncing_marker:
             return  # stale marker; we moved on to a fresh cut
-        if uuid not in self._responses:
-            waiter = self.kernel.event()
-            self._push_waiters[uuid] = waiter
+        if self._response is None:
+            self._push_waiter = waiter = self.kernel.event()
             deadline = self.kernel.timeout(self.group.config.flush_timeout * 4)
             yield self.kernel.any_of([waiter, deadline])
+            self._push_waiter = None
             if not waiter.triggered:
-                self._push_waiters.pop(uuid, None)
                 # The push frame may simply have been lost while the
                 # sponsors captured fine: pull the state over RPC before
                 # paying for a fresh marker cut.
                 pulled = yield from self._pull_state(uuid)
                 if pulled is not None:
-                    self._responses[uuid] = pulled
-            if uuid not in self._responses:
+                    self._response = pulled
+            if self._response is None:
                 # Sponsor silent (likely died mid-capture): pin a fresh cut.
                 if not self.group.can_multicast:
                     # The group itself is mid-(re)join; a marker cannot be
@@ -523,19 +512,18 @@ class ReplicationEngine:
                     return
                 self._pin_marker()
                 return  # the fresh marker's delivery re-enters here
-        response = self._responses[uuid]
-        self._installed.add(uuid)
+        response = self._response
         yield from self.driver.install_state(response)
         for cached_uuid, cached in response.results:
             self.results.setdefault(cached_uuid, cached)
-        # Re-anchor the read path's applied position at the marker cut:
-        # post-marker commands execute after this method returns, so the
-        # sponsor's exact counter is exact here too. Without a transferred
-        # counter we restart at a floor — eventual reads stay safe, but RYW
-        # floors and write stamps are disabled until the replica re-founds.
-        self.seq_exact = response.applied_seq >= 0
-        self._set_applied(max(response.applied_seq, 0))
+        # Re-anchor at the marker cut: post-marker commands execute after
+        # this method returns, so the sponsor's counter is exact here too,
+        # and positions recorded before belong to the history it replaced.
+        self.results_seq.clear()
+        self.cut_seq = response.applied_seq
+        self._set_applied(response.applied_seq)
         self.syncing_marker = None
+        self._response = None
         self.needs_resync = False
         self.active = True
         self.log.info(self.tag, f"state transfer complete ({response.mode}), now active")
@@ -563,11 +551,6 @@ class ReplicaDaemon(Daemon):
     #: CPU cost of relaying a command's output back after local execution;
     #: ``None`` charges nothing and schedules nothing (a 0 is still an event).
     reply_delay: float | None = None
-    #: Latched the first time a client asks for commit positions or reads
-    #: locally. Gates the applied-counter transfer at a join, so
-    #: deployments that never use the read path never put the counter on
-    #: the wire (the pinned baseline scenarios stay bit-identical).
-    seq_tracking = False
 
     #: The answer of a replica that cannot serve right now (joining,
     #: resyncing, outside the view): the client core asks the next one.
@@ -653,8 +636,10 @@ class ReplicaDaemon(Daemon):
         # the joiner on to the next member, and past the last to a fresh cut.
         if not 0 <= request.shard < self.nshards:
             return ErrorResp("bad-request", f"no shard {request.shard}")
-        served = self.shards[request.shard]._served.get(request.marker_uuid)
-        return served or ErrorResp("retry", "marker not reached")
+        served = self.shards[request.shard]._served.get(request.joiner.node)
+        if served is not None and served.marker_uuid == request.marker_uuid:
+            return served
+        return ErrorResp("retry", "marker not reached")
 
     def _reply(self, dst: Address, request_id: int, response) -> None:
         self.rpc.reply(dst, request_id, response)

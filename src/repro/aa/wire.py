@@ -51,7 +51,8 @@ class ReplResult:
 class SeqStampedResp:
     """A write reply carrying its commit position: the wrapped result plus
     the (shard, applied_seq) the command executed at on the answering
-    replica. Only sent when the writer asked for it (``track_seq``)."""
+    replica (the cut of its capture, if it knows the command only from
+    one). Only sent when the writer asked for it (``track_seq``)."""
 
     result: Any
     shard: int
@@ -99,10 +100,9 @@ class StateXferResp:
     #: answered from cache instead of re-executing (and possibly
     #: re-launching) it.
     results: tuple = ()
-    #: The sponsor's exact applied-command counter at the marker cut, so
-    #: the joiner's read path resumes with an exact staleness position.
-    #: -1 (elided on the wire) when the sponsor is not tracking sequences —
-    #: the joiner then restarts with a floor counter (eventual reads only).
+    #: The sponsor's applied-command counter at the marker cut; the joiner
+    #: re-anchors on it. Every capture an engine serves carries one (>= 0);
+    #: the default is only what a record from before the field decodes to.
     applied_seq: int = -1
 
     __repr__ = elided_repr

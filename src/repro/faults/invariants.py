@@ -23,10 +23,11 @@ Checked invariants:
   present in the PBS queue of every *veteran* active head. Veterans are
   heads that neither crashed nor were ever excluded from a view: a
   restarted head carries only post-rejoin history under replay transfer,
-  and a head excluded by false suspicion re-merges without application
-  resync (its ``active`` flag never dropped) — both are legitimate holes
-  the paper's fail-stop model does not cover. Divergent job ids for one
-  command uuid are flagged too.
+  and so does a head excluded by false suspicion — both heal routes bump
+  its member's ``rejoins``, so the engine demotes it (``active`` drops)
+  and it resyncs through a marker like any joiner. Both are legitimate
+  holes the paper's fail-stop model does not cover. Divergent job ids
+  for one command uuid are flagged too.
 * **bounded delivery queue** — ``DeliveryQueue.payload_count()`` stays under
   a bound on every live head (GC liveness: stability-based garbage
   collection must keep protocol state finite; see the paper's Transis
@@ -37,6 +38,8 @@ Checked invariants:
   client presented (its own writes' commit positions — the staleness
   contract of PROTOCOLS.md §12), and successive local reads by one client
   against one head must never see a shard's position go backwards.
+* **tracked write stamped** — fed via :meth:`InvariantSuite.observe_write`:
+  every acknowledged ``track_seq`` write raises one of its client's floors.
 """
 
 from __future__ import annotations
@@ -89,7 +92,7 @@ class InvariantSuite:
         #: Heads that crashed at least once (excluded from the veteran check).
         self.restarted_heads: set[str] = set()
         #: Heads some view left out while they were up (false suspicion);
-        #: they re-merge without resync, so they leave the veteran set too.
+        #: they come back demoted and resync, so they leave the veteran set too.
         self.excluded_heads: set[str] = set()
         #: Live joshua daemons we tapped, by head (kept to read stats at crash).
         self._tapped_joshua: dict[str, "JoshuaServer"] = {}
@@ -210,6 +213,17 @@ class InvariantSuite:
                 "exactly-once-launch",
                 f"{job_id} has {self._in_flight[job_id]} concurrent real "
                 f"executions (latest on {compute})",
+            )
+
+    def observe_write(self, client: str, floors_before: dict, floors_after: dict):
+        """Check one acknowledged tracked write: a stamp is a commit
+        position and positions only grow, so an ack that raised no shard's
+        floor came back bare — and the ``ryw`` reads after it are ungated."""
+        if not any(s > floors_before.get(k, 0) for k, s in floors_after.items()):
+            self._violate(
+                "tracked-write-stamped",
+                f"{client}'s tracked write was acknowledged without raising "
+                f"a floor (still {sorted(floors_after.items())})",
             )
 
     def observe_read(self, client: str, floors: dict, response) -> None:

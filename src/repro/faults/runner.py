@@ -139,8 +139,9 @@ def run_chaos(
     With ``read_mix`` > 0 a second workload runs alongside: gateway
     sessions (:mod:`repro.joshua.gateway`) that submit tracked jobs and
     issue read-your-writes ``jstat`` queries, sized so reads make up
-    roughly that fraction of all client operations. Every completed read
-    is checked against the RYW/monotonic-reads invariants
+    roughly that fraction of all client operations. Each session's one
+    write must come back stamped (``InvariantSuite.observe_write``); every
+    completed read is checked against the RYW/monotonic-reads invariants
     (:meth:`~repro.faults.invariants.InvariantSuite.observe_read`); the
     write workload is untouched, so ``read_mix=0`` runs are byte-identical
     to the historical harness.
@@ -225,19 +226,26 @@ def run_chaos(
             gateway.session("login", f"reader{r}") for r in range(nreaders)
         ]
         window = 0.6 * duration
+        # Sessions whose one floor-establishing write was acknowledged.
+        wrote: set[str] = set()
         for i in range(reads):
             yield cluster.kernel.timeout(window / reads)
             session = sessions[i % nreaders]
             client = session.client
             try:
-                if not client.last_write_seq:
+                if session.client_id not in wrote:
                     # Establish this reader's floors first: a tracked
                     # write of its own is what makes RYW falsifiable.
                     walltime = float(rng.uniform(1.0, 3.0))
+                    floors = dict(client.last_write_seq)
                     yield from session.jsub(
                         name=f"chaos-reader{i}", walltime=walltime
                     )
                     submitted += 1
+                    wrote.add(session.client_id)
+                    suite.observe_write(
+                        session.client_id, floors, client.last_write_seq
+                    )
                 read_stats["issued"] += 1
                 yield from session.jstat()  # id-less: gates every shard
                 response = client.last_stat_response

@@ -232,10 +232,7 @@ class JoshuaServer(ReplicaDaemon):
 
     def _handle_command(self, src: Address, request_id: int, payload):
         if isinstance(payload, JStatReq) and payload.consistency != "ordered":
-            self.seq_tracking = True
             return self._read_locally(src, request_id, payload)
-        if getattr(payload, "track_seq", False):
-            self.seq_tracking = True
         replica = self._route_command(payload)
         return replica.driver.submit(src, request_id, payload)
 
@@ -268,12 +265,6 @@ class JoshuaServer(ReplicaDaemon):
         unmet = []
         for replica in gating:
             floor = floors.get(replica.index, 0)
-            if floor <= 0:
-                continue
-            if not replica.seq_exact:
-                # A floor counter cannot prove the client's write was
-                # applied here; only the ordered path can serialise it.
-                return self._read_fallback(src, request_id, req, floors, 0.0)
             if replica.applied_seq < floor:
                 unmet.append((floor, replica))
         if unmet:
@@ -307,10 +298,7 @@ class JoshuaServer(ReplicaDaemon):
         except PBSError as exc:
             result = relay_error(exc)
         else:
-            as_of = tuple(sorted(
-                (replica.index, replica.applied_seq)
-                for replica in gating if replica.seq_exact
-            ))
+            as_of = tuple(sorted((r.index, r.applied_seq) for r in gating))
             result = JStatResp(tuple(stat.rows), as_of, self.node.name)
         self._observe_read(req, "local", self.kernel.now - t0, gating)
         yield self.kernel.timeout(self.times.cmd_reply)
@@ -331,9 +319,7 @@ class JoshuaServer(ReplicaDaemon):
             best_lag = 0
             for candidate in self.shards:
                 floor = floors.get(candidate.index, 0)
-                lag = floor - (
-                    candidate.applied_seq if candidate.seq_exact else 0
-                )
+                lag = floor - candidate.applied_seq
                 if lag > best_lag:
                     best_lag, replica = lag, candidate
         self._observe_read(req, "fallback", waited, [replica])

@@ -91,7 +91,7 @@ class JStatResp:
     """A local-replica answer to a read-path ``jstat``.
 
     ``as_of_seq`` is the answering replica's applied position per shard
-    (sorted ``(shard, applied_seq)`` pairs, exact counters only) — the
+    (sorted ``(shard, applied_seq)`` pairs, every gated shard) — the
     staleness bound the client/invariants can check against their floors.
     Ordered-path queries keep answering with a plain PBS ``StatResp``; the
     response *type* is how a client distinguishes a local read from an

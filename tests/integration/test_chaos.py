@@ -247,6 +247,20 @@ class TestInvariantSuiteCatchesRealBreakage:
         assert any(v.invariant == "monotonic-reads" for v in suite.violations)
         assert suite.reads_observed == 2
 
+    def test_bare_tracked_ack_detected(self):
+        """Sanity: a tracked write whose acknowledgement raised none of the
+        client's floors came back unstamped."""
+        from repro.faults import InvariantSuite
+
+        stack = make_stack(heads=2, computes=1, seed=47)
+        suite = InvariantSuite(stack)
+        suite.observe_write("alice", {}, {0: 3})
+        suite.observe_write("alice", {0: 3}, {0: 3, 1: 1})
+        assert not suite.violations
+        suite.observe_write("alice", {0: 3, 1: 1}, {0: 3, 1: 1})
+        suite.observe_write("bob", {}, {})
+        assert [v.invariant for v in suite.violations] == ["tracked-write-stamped"] * 2
+
     def test_ordered_responses_ignored_by_read_checker(self):
         from repro.faults import InvariantSuite
         from repro.pbs.wire import StatResp

@@ -266,3 +266,40 @@ class TestStateTransferPull:
         assert joshua2.active
         assert joshua2.stats["state_transfers_pulled"] >= 1
         assert queue_snapshot(stack, "head2") == queue_snapshot(stack, "head0")
+
+
+class TestJoinBookkeepingIsBounded:
+    def test_join_leave_cycles_retain_one_capture_per_member(self, stack):
+        """Five heads join and leave in turn, every other one with its
+        pushes dropped so the RPC pull runs. A sponsor keeps the latest
+        capture per joiner *in the view* (all a pull can ask for), a joiner
+        keeps none once installed — not one whole capture, reply cache
+        included, per marker for the life of the process."""
+        client = stack.client(node="login")
+        drive(stack, client.jsub(name="pre", walltime=900))
+        network = stack.cluster.network
+        sponsors = [stack.joshua(h).shards[0] for h in ("head0", "head1")]
+        for cycle in range(5):
+            lose_push = cycle % 2 == 1
+            if lose_push:
+                token = network.add_drop_filter(
+                    lambda src, dst, payload: isinstance(payload, XferPush)
+                )
+            joiner = stack.add_head()
+            settle(stack, 15.0 if lose_push else 6.0)
+            if lose_push:
+                network.remove_drop_filter(token)
+            joined = stack.joshua(joiner.name).shards[0]
+            assert joined.active
+            assert joined.stats["state_transfers_pulled"] == int(lose_push)
+            assert queue_snapshot(stack, joiner.name) == queue_snapshot(stack, "head0")
+            for sponsor in sponsors:
+                assert len(sponsor._served) <= sponsor.group.view.size
+                assert [r.marker_uuid.split("-")[1] for r in sponsor._served.values()] == [joiner.name]
+            drive(stack, client.jsub(name=f"cycle{cycle}", walltime=900))
+            stack.joshua(joiner.name).leave()
+            settle(stack, 4.0)
+            for sponsor in sponsors:
+                assert sponsor.group.view.size == 2
+                assert not sponsor._served
+            assert joined._response is None and joined._push_waiter is None

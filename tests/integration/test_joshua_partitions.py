@@ -55,6 +55,34 @@ class TestPartitionHealing:
         assert job_id in stack.pbs("head1").jobs
 
 
+    def test_excluded_head_comes_back_through_a_marker(self):
+        """A head the others excluded while it stayed up does not just
+        re-merge: its member rejoins (``rejoins`` bumps), the engine
+        demotes it, and it resyncs from the survivors through a marker
+        like any joiner — dropping what it accepted on its own."""
+        cluster, stack = make_partitioned_stack()
+        settle(stack, 1.0)
+        cluster.network.partitions.cut_link("head2", "head0")
+        cluster.network.partitions.cut_link("head2", "head1")
+        settle(stack, 4.0)
+        majority = stack.client(node="login", prefer="head0")
+        job_id = drive(stack, majority.jsub(name="majority", walltime=600))
+        excluded, survivor = stack.joshua("head2"), stack.joshua("head0")
+        assert excluded.active and job_id not in stack.pbs("head2").jobs
+        served = survivor.stats["state_transfers_served"]
+        cluster.network.partitions.restore_link("head2", "head0")
+        cluster.network.partitions.restore_link("head2", "head1")
+        seen = set()
+        for _ in range(240):
+            settle(stack, 0.05)
+            seen.add(excluded.active)
+        assert seen == {False, True} and excluded.active
+        assert excluded.group.stats["rejoins"] == 1
+        assert survivor.stats["state_transfers_served"] == served + 1
+        assert job_id in stack.pbs("head2").jobs
+        assert excluded.shards[0].applied_seq == survivor.shards[0].applied_seq
+
+
 class TestPrimaryPartition:
     def test_minority_view_not_primary(self):
         cluster, stack = make_partitioned_stack(primary_partition=True)

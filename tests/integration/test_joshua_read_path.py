@@ -14,11 +14,19 @@ import zlib
 
 import pytest
 
-from repro.joshua.wire import JStatResp
+from repro.faults import run_chaos
+from repro.joshua.wire import JStatResp, JSubReq, SeqStampedResp
+from repro.pbs.job import JobSpec
 from repro.pbs.wire import StatResp
 from repro.util.errors import NoActiveHeadError, PBSError
 
-from tests.integration.conftest import drive, make_stack, settle
+from tests.integration.conftest import (
+    SANITIZE,
+    assert_sanitizer_clean,
+    drive,
+    make_stack,
+    settle,
+)
 
 
 class TestLocalReads:
@@ -144,6 +152,90 @@ class TestCrossShardReads:
         rows = drive(stack, client.jstat(a))
         assert [r["job_id"] for r in rows] == [a]
         assert isinstance(client.last_stat_response, JStatResp)
+
+
+class TestJoinerPosition:
+    """Replicas are identical at the marker cut — the applied position
+    included (PROTOCOLS.md §12.2): every active replica's position is
+    exact, and every tracked ack carries a stamp at or above the write's
+    commit position, whichever head answers and however it got there.
+    CI runs the first three a second time with ``REPRO_SANITIZE=1``."""
+
+    @pytest.fixture
+    def stack(self):
+        stack = make_stack(heads=3, sanitize=SANITIZE)
+        yield stack
+        assert_sanitizer_clean(stack.cluster.kernel)
+
+    @staticmethod
+    def _joined(stack, tracked_via=None):
+        """Three plain writes, optionally one tracked write through
+        *tracked_via*, then a fresh head joins. Returns its shard."""
+        client = stack.client(node="login")
+        for i in range(3):
+            drive(stack, client.jsub(name=f"pre{i}", walltime=900))
+        if tracked_via is not None:
+            tracked = stack.client(node="login", track_writes=True,
+                                   prefer=tracked_via)
+            drive(stack, tracked.jsub(name="tracked", walltime=900))
+        joiner = stack.add_head()
+        settle(stack, 5.0)
+        assert stack.joshua(joiner.name).active
+        return stack.joshua(joiner.name).shards[0]
+
+    @pytest.mark.parametrize("founder", ["head0", "head1", "head2"])
+    def test_joiner_position_equals_sponsors(self, stack, founder):
+        """Whichever founder took the only tracked request, the joiner
+        resumes at the sponsors' position (the transfer used to depend on
+        a per-host latch, and on whose push landed first)."""
+        joined = self._joined(stack, tracked_via=founder)
+        positions = {
+            head: stack.joshua(head).shards[0].applied_seq
+            for head in stack.head_names
+        }
+        assert set(positions.values()) == {4}, positions
+        assert joined.applied_seq == 4
+
+    def test_tracked_write_through_fresh_joiner_is_stamped(self, stack):
+        joined = self._joined(stack, tracked_via="head1")
+        client = stack.client(node="login", track_writes=True,
+                              consistency="ryw", prefer=joined.node.name)
+        drive(stack, client.jsub(name="via-joiner", walltime=900))
+        assert client.last_write_seq == {0: 5}
+        drive(stack, client.jstat())
+        response = client.last_stat_response
+        assert isinstance(response, JStatResp)
+        assert response.node == joined.node.name
+        assert dict(response.as_of_seq)[0] >= 5
+
+    def test_retried_tracked_uuid_stamped_from_transferred_cache(self, stack):
+        """A tracked uuid the joiner holds only in its transferred reply
+        cache is answered stamped — with the cut position, which is never
+        below the commit position the executing head stamped."""
+        request = JSubReq("jsub-login-retried", JobSpec(name="once", walltime=900), True)
+
+        def ask(head):
+            client = stack.client(node="login", prefer=head)
+            return drive(stack, client._failover(request, "no head answered"))
+
+        first = ask("head0")
+        assert isinstance(first, SeqStampedResp)
+        joined = self._joined(stack)
+        assert request.uuid in joined.results
+        assert request.uuid not in joined.results_seq
+        again = ask(joined.node.name)
+        assert isinstance(again, SeqStampedResp)
+        assert again.result == first.result
+        assert again.seq >= first.seq
+        assert ask("head0") == first  # the executing head still stamps exactly
+
+    def test_chaos_read_mix_sees_every_tracked_ack_stamped(self):
+        """Seed 5 restarts a head under the read workload: two of its four
+        tracked writes used to come back bare, and the workload hid it by
+        quietly submitting a twelfth job."""
+        report = run_chaos(seed=5, read_mix=0.5, jobs=8)
+        assert report.ok, [str(v) for v in report.violations]
+        assert report.jobs_submitted == 11  # 8 + one floor-setting write per reader
 
 
 class TestGateway:
