@@ -137,7 +137,10 @@ def failure_detection_sweep() -> list[dict]:
     return rows
 
 
-def stable_slot_sweep(*, slots=(0.0, 0.01, 0.029, 0.06), heads: int = 3) -> list[dict]:
+def stable_slot_sweep(
+    *, slots=(0.0, 0.01, JOSHUA_GROUP_CONFIG.stable_ack_slot, 0.06),
+    heads: int = 3,
+) -> list[dict]:
     """Deferred-ack slot vs. end-to-end jsub latency (Figure 10's knob)."""
     rows = []
     for slot in slots:

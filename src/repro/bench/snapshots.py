@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
+from repro.bench.experiments.head_scaling import head_scaling
 from repro.bench.experiments.read_scaling import read_scaling
 from repro.bench.experiments.sharding import sequencer_kill, shard_scaling
 from repro.bench.experiments.throughput import burst_batching_ablation
@@ -28,6 +29,10 @@ FIGURE_FILES = {
     "BENCH_read_scaling.json": lambda: read_scaling(
         head_counts=(1, 2, 4), duration=10.0, read_rate=400.0,
         write_rate=5.0, clients=100, consistency="ryw", seed=1,
+    ),
+    "BENCH_head_scaling.json": lambda: head_scaling(
+        figure10_heads=(1, 2, 3, 4, 6, 8, 12, 16), stress_heads=(2, 4, 8, 16),
+        seed=1, stress_seed=11,
     ),
 }
 

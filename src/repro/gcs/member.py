@@ -174,8 +174,9 @@ class GroupMember:
         #: Own multicasts not yet delivered: msg_id -> (service, payload).
         self._own_pending: dict[MessageId, tuple[str, Any]] = {}
         self._last_stable_sent = -1
-        #: What our last *sent* StableMsg carried; the beacon repeats it.
-        #: Not ``_last_stable_sent``: that is stamped when a deferred ack is
+        #: What our last *sent* StableMsg carried; the beacon repeats it and
+        #: a deferred ack must exceed it to be sent. Not
+        #: ``_last_stable_sent``: that is stamped when a deferred ack is
         #: scheduled, and announcing it early would bypass the deferral.
         self._stable_announced = -1
         self._last_beacon: Heartbeat | None = None
@@ -390,8 +391,12 @@ class GroupMember:
             yield self.kernel.timeout(delay)
             if self.state == STOPPED or self.view is not view:
                 return
-            # Ack whatever is contiguously ready *now* (may exceed `ready`).
-            self._send_stable(view, self.queue.agreed_ready_through())
+            # Ack whatever is contiguously ready *now* (may exceed `ready`),
+            # unless a later deferral already announced it: every member
+            # would pay a CPU slot to read a repeat.
+            now_ready = self.queue.agreed_ready_through()
+            if now_ready > self._stable_announced:
+                self._send_stable(view, now_ready)
 
         self.kernel.spawn(deferred(), name=f"gcs-stable@{self.address}")
 

@@ -33,7 +33,7 @@ _DEFAULTS = dict(
 )
 _JOSHUA = dict(
     _DEFAULTS, flush_timeout=1.5, retransmit_interval=0.10,
-    processing_delay=0.010, stable_ack_base=0.118, stable_ack_slot=0.029,
+    processing_delay=0.010, stable_ack_base=0.098, stable_ack_slot=0.040,
 )
 
 
@@ -67,7 +67,7 @@ class _Built(Exception):
      GroupConfig(
          heartbeat_interval=0.25, suspect_timeout=0.75, flush_timeout=1.5,
          retransmit_interval=0.10, ordering="token", processing_delay=0.010,
-         stable_ack_base=0.118, stable_ack_slot=0.029,
+         stable_ack_base=0.098, stable_ack_slot=0.040,
      )),
     (runner, "build_joshua_stack",
      lambda: runner.run_chaos(seed=0),
@@ -90,7 +90,7 @@ class _Built(Exception):
      GroupConfig(
          heartbeat_interval=0.25, suspect_timeout=0.75, flush_timeout=1.5,
          retransmit_interval=0.10, processing_delay=0.010,
-         stable_ack_base=0.118, stable_ack_slot=0.06,
+         stable_ack_base=0.098, stable_ack_slot=0.06,
      )),
     (ablations, "_multicast_latency",
      lambda: ablations.ordering_engine_latency(max_heads=1),
