@@ -25,7 +25,7 @@ from repro.bench.workloads import (
     TraceWorkload,
 )
 from repro.bench.metrics import LatencySample, LatencyStats, summarize
-from repro.bench.reporting import format_table, paper_vs_measured
+from repro.bench.reporting import format_table
 
 __all__ = [
     "BurstWorkload",
@@ -37,5 +37,4 @@ __all__ = [
     "LatencyStats",
     "summarize",
     "format_table",
-    "paper_vs_measured",
 ]

@@ -49,7 +49,6 @@ def measure_read_mix(
     write_rate: float = 3.0,
     clients: int = 100,
     consistency: str = "ryw",
-    arrival: str = "poisson",
     seed: int = 1,
     timeout: float = 60.0,
 ) -> dict:
@@ -72,7 +71,6 @@ def measure_read_mix(
     workload = OpenLoopWorkload(
         count=max(1, int(total_rate * duration)),
         rate=total_rate,
-        arrival=arrival,
         read_fraction=read_rate / total_rate,
         clients=clients,
         walltime_scale=_WALLTIME_SCALE,

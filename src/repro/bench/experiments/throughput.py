@@ -126,10 +126,7 @@ BATCHED_GROUP_CONFIG = dataclasses.replace(
     JOSHUA_GROUP_CONFIG,
     data_batch_delay=0.005,
     data_batch_min_delay=0.001,
-    data_batch_max_msgs=16,
-    data_batch_max_bytes=1200,
     sequencer_batch_delay=0.005,
-    sequencer_batch_max=16,
 )
 
 

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-__all__ = ["format_table", "paper_vs_measured", "bar_chart"]
+__all__ = ["format_table", "bar_chart"]
 
 
 def format_table(rows: Sequence[dict], columns: Sequence[str] | None = None, *, title: str = "") -> str:
@@ -74,22 +74,3 @@ def bar_chart(
             )
         lines.append("")
     return "\n".join(lines).rstrip()
-
-
-def paper_vs_measured(
-    rows: Sequence[dict],
-    *,
-    key: str,
-    title: str = "",
-) -> str:
-    """Render rows that carry both ``paper`` and ``measured`` values, adding
-    a ratio column so shape agreement is visible at a glance."""
-    augmented = []
-    for row in rows:
-        new = dict(row)
-        p, m = row.get("paper"), row.get("measured")
-        if isinstance(p, (int, float)) and isinstance(m, (int, float)) and p:
-            new["ratio"] = round(m / p, 2)
-        augmented.append(new)
-    columns = [key] + [c for c in augmented[0] if c != key]
-    return format_table(augmented, columns, title=title)

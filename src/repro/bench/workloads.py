@@ -18,11 +18,11 @@ next command only after the previous one returned, so offered load sags
 exactly when the system slows down — fine for a single interactive user,
 wrong for measuring capacity. :class:`OpenLoopWorkload` is the open-loop
 front-end (PROTOCOLS.md §12): it emits :class:`OpenLoopRequest` records at
-*absolute* times drawn from an arrival process (Poisson / bursty on-off /
-diurnal), attributed to a client population, with heavy-tailed job sizes
-and a configurable read fraction. The schedule never waits on the system
-under test — each request is issued at its appointed time on its owning
-client's session, concurrently with whatever is still in flight.
+*absolute* times drawn from a Poisson process, attributed to a client
+population, with heavy-tailed job sizes and a configurable read fraction.
+The schedule never waits on the system under test — each request is
+issued at its appointed time on its owning client's session, concurrently
+with whatever is still in flight.
 """
 
 from __future__ import annotations
@@ -43,6 +43,10 @@ __all__ = [
     "OpenLoopRequest",
     "OpenLoopWorkload",
 ]
+
+
+#: Lomax shape of :class:`OpenLoopWorkload`'s walltime tail.
+_WALLTIME_SHAPE = 1.5
 
 
 def _default_spec(index: int, walltime: float) -> JobSpec:
@@ -171,17 +175,9 @@ class OpenLoopRequest:
 class OpenLoopWorkload:
     """Open-loop request schedule over a client population.
 
-    Arrivals come from thinning a Poisson process at the shape's peak
-    rate, so all three shapes share one deterministic sampler:
-
-    * ``"poisson"`` — constant *rate* (memoryless steady state);
-    * ``"bursty"`` — on/off modulation: the first ``1/burst_factor`` of
-      every ``burst_period`` runs at ``burst_factor * rate``, the rest is
-      silent — same mean rate, arbitrarily spikier;
-    * ``"diurnal"`` — the sinusoidal day shape of
-      :class:`DiurnalWorkload`, starting at the trough.
-
-    Each arrival is a read (``jstat``) with probability ``read_fraction``,
+    Arrivals are a Poisson process at constant *rate* (memoryless steady
+    state; :class:`DiurnalWorkload` is the day-shaped stream). Each
+    arrival is a read (``jstat``) with probability ``read_fraction``,
     else a submission whose walltime is heavy-tailed Pareto
     (``scale * (1 + Lomax(shape))``, capped) — most jobs are small, a few
     are enormous, like real batch queues. Requests are attributed
@@ -192,73 +188,43 @@ class OpenLoopWorkload:
 
     count: int
     rate: float
-    arrival: str = "poisson"
     read_fraction: float = 0.0
     clients: int = 100
-    walltime_shape: float = 1.5
     walltime_scale: float = 10.0
     walltime_cap: float = 3600.0
-    burst_factor: float = 8.0
-    burst_period: float = 20.0
-    amplitude: float = 0.8
-    day_seconds: float = 86400.0
     seed: int = 0
 
     def __post_init__(self):
         if self.count < 1 or self.rate <= 0:
             raise ReproError("open-loop workload needs count >= 1 and rate > 0")
-        if self.arrival not in ("poisson", "bursty", "diurnal"):
-            raise ReproError(f"unknown arrival shape {self.arrival!r}")
         if not 0.0 <= self.read_fraction <= 1.0:
             raise ReproError("read_fraction must be in [0, 1]")
         if self.clients < 1:
             raise ReproError("need at least one client")
-        if self.walltime_shape <= 0 or self.walltime_scale <= 0:
-            raise ReproError("invalid walltime tail parameters")
-        if self.burst_factor < 1.0 or self.burst_period <= 0:
-            raise ReproError("invalid burst modulation")
-        if not 0.0 <= self.amplitude < 1.0:
-            raise ReproError("amplitude must be in [0, 1)")
-
-    def _peak_rate(self) -> float:
-        if self.arrival == "bursty":
-            return self.rate * self.burst_factor
-        if self.arrival == "diurnal":
-            return self.rate * (1.0 + self.amplitude)
-        return self.rate
-
-    def _rate_at(self, time: float) -> float:
-        if self.arrival == "bursty":
-            on = (time % self.burst_period) < self.burst_period / self.burst_factor
-            return self.rate * self.burst_factor if on else 0.0
-        if self.arrival == "diurnal":
-            phase = 2.0 * np.pi * time / self.day_seconds - np.pi / 2.0
-            return self.rate * (1.0 + self.amplitude * np.sin(phase))
-        return self.rate
+        if self.walltime_scale <= 0:
+            raise ReproError("walltime_scale must be positive")
 
     def __iter__(self) -> Iterator[OpenLoopRequest]:
         rng = np.random.default_rng(self.seed)
-        peak = self._peak_rate()
         time = 0.0
-        emitted = 0
-        while emitted < self.count:
-            time += float(rng.exponential(1.0 / peak))
-            if float(rng.random()) >= self._rate_at(time) / peak:  # thinning
-                continue
+        for index in range(self.count):
+            time += float(rng.exponential(1.0 / self.rate))
+            # Unused, but dropping this draw would shift every later one and
+            # with them the committed BENCH_read_scaling.json.
+            rng.random()
             client = int(rng.integers(self.clients))
             if float(rng.random()) < self.read_fraction:
                 yield OpenLoopRequest(time, client, "jstat")
             else:
                 walltime = min(
                     self.walltime_scale
-                    * (1.0 + float(rng.pareto(self.walltime_shape))),
+                    * (1.0 + float(rng.pareto(_WALLTIME_SHAPE))),
                     self.walltime_cap,
                 )
                 yield OpenLoopRequest(
                     time, client, "jsub",
-                    JobSpec(name=f"job{emitted:05d}", walltime=walltime),
+                    JobSpec(name=f"job{index:05d}", walltime=walltime),
                 )
-            emitted += 1
 
     def __len__(self) -> int:
         return self.count

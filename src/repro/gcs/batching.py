@@ -51,7 +51,13 @@ from repro.util.errors import GroupCommError
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.kernel import Kernel
 
-__all__ = ["DataBatcher"]
+__all__ = ["DATA_BATCH_MAX_BYTES", "DATA_BATCH_MAX_MSGS", "DataBatcher"]
+
+#: A group member's count budget: a DATA batch flushes at this many entries.
+DATA_BATCH_MAX_MSGS = 16
+#: A group member's byte budget: near the link MTU, so one batch is about
+#: one full frame.
+DATA_BATCH_MAX_BYTES = 1200
 
 
 class DataBatcher:

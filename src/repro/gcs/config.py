@@ -36,29 +36,22 @@ class GroupConfig:
         extension for split-brain experiments.
     sequencer_batch_delay:
         Seconds the sequencer waits to batch ORDER assignments (0 = order
-        immediately). Ablation knob for latency/throughput trade-offs.
-    sequencer_batch_max:
-        Size trigger for the ORDER batch: the sequencer flushes as soon as
-        a batch holds this many assignments instead of waiting out the full
-        ``sequencer_batch_delay`` (0 = timer only, the pre-R6 behaviour).
-        Only meaningful with a positive batch delay.
+        immediately). Ablation knob for latency/throughput trade-offs. A
+        batch also flushes early once it holds
+        :data:`~repro.gcs.ordering.SEQUENCER_BATCH_MAX` assignments.
     data_batch_delay:
         Upper bound (seconds) of the adaptive Nagle window the
         :class:`~repro.gcs.batching.DataBatcher` uses to coalesce a burst
         of outbound DATA multicasts into one
         :class:`~repro.gcs.messages.DataBatchMsg` wire frame. 0 (default)
         disables DATA batching entirely — every multicast is its own
-        DataMsg frame, byte-for-byte the historical wire traffic.
+        DataMsg frame, byte-for-byte the historical wire traffic. A batch
+        also flushes early on the count and byte budgets
+        :data:`~repro.gcs.batching.DATA_BATCH_MAX_MSGS` and
+        :data:`~repro.gcs.batching.DATA_BATCH_MAX_BYTES`.
     data_batch_min_delay:
         Floor the adaptive window tightens toward under low offered load
         (see ``DataBatcher``); must not exceed ``data_batch_delay``.
-    data_batch_max_msgs:
-        Count budget: a DATA batch flushes as soon as it holds this many
-        entries (>= 2 when batching is enabled).
-    data_batch_max_bytes:
-        Byte budget: a DATA batch flushes once its encoded entries reach
-        this many bytes (0 disables the byte trigger). Keeping this near
-        the link MTU keeps one batch ≈ one full frame.
     processing_delay:
         CPU time a member charges for each inbound protocol message, 0 to
         handle instantaneously. This models the group-communication stack's
@@ -90,11 +83,8 @@ class GroupConfig:
     ordering: str = "sequencer"
     primary_partition: bool = False
     sequencer_batch_delay: float = 0.0
-    sequencer_batch_max: int = 16
     data_batch_delay: float = 0.0
     data_batch_min_delay: float = 0.0
-    data_batch_max_msgs: int = 16
-    data_batch_max_bytes: int = 1200
     processing_delay: float = 0.0
     #: Deferred-acknowledgement model for SAFE stability: a member of rank r
     #: (r = 0 for the lowest-ranked) waits ``stable_ack_base + r *
@@ -130,20 +120,12 @@ class GroupConfig:
             raise GroupCommError(f"unknown ordering engine {self.ordering!r}")
         if self.sequencer_batch_delay < 0:
             raise GroupCommError("sequencer_batch_delay must be non-negative")
-        if self.sequencer_batch_max < 0:
-            raise GroupCommError("sequencer_batch_max must be non-negative")
         if self.data_batch_delay < 0:
             raise GroupCommError("data_batch_delay must be non-negative")
         if not 0 <= self.data_batch_min_delay <= max(self.data_batch_delay, 0):
             raise GroupCommError(
                 "need 0 <= data_batch_min_delay <= data_batch_delay"
             )
-        if self.data_batch_delay > 0 and self.data_batch_max_msgs < 2:
-            raise GroupCommError(
-                "data_batch_max_msgs < 2 cannot coalesce anything"
-            )
-        if self.data_batch_max_bytes < 0:
-            raise GroupCommError("data_batch_max_bytes must be non-negative")
         if self.processing_delay < 0:
             raise GroupCommError("processing_delay must be non-negative")
         if self.stable_ack_base < 0 or self.stable_ack_slot < 0:

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from typing import Any, Callable, Iterable
 
-from repro.gcs.batching import DataBatcher
+from repro.gcs.batching import DATA_BATCH_MAX_BYTES, DATA_BATCH_MAX_MSGS, DataBatcher
 from repro.gcs.config import GroupConfig
 from repro.gcs.delivery import DeliveryQueue
 from repro.gcs.failure_detector import FailureDetector
@@ -144,7 +144,6 @@ class GroupMember:
             self._bcast,
             self.transport.send,
             batch_delay=config.sequencer_batch_delay,
-            batch_max=config.sequencer_batch_max,
             rotation=config.group_id,
         )
         # Forward ordering assignments to an attached trace collector
@@ -163,8 +162,8 @@ class GroupMember:
                 self._bcast,
                 max_delay=config.data_batch_delay,
                 min_delay=config.data_batch_min_delay,
-                max_msgs=config.data_batch_max_msgs,
-                max_bytes=config.data_batch_max_bytes,
+                max_msgs=DATA_BATCH_MAX_MSGS,
+                max_bytes=DATA_BATCH_MAX_BYTES,
                 on_flush=self._batch_flushed,
             )
 

@@ -9,10 +9,10 @@ failed sequencer/token is the membership layer's job.
 **Sequencer** (default; paper-era systems like ISIS/Amoeba used this shape):
 the lowest-ranked view member assigns sequence numbers to every DATA it
 learns of, in arrival order, optionally batching assignments for
-``sequencer_batch_delay`` seconds (flushing early once ``batch_max``
-assignments accumulate, so a burst never waits out the full window). One
-broadcast per multicast; latency is one hop to the sequencer plus one
-ordering broadcast.
+``sequencer_batch_delay`` seconds (flushing early once
+:data:`SEQUENCER_BATCH_MAX` assignments accumulate, so a burst never waits
+out the full window). One broadcast per multicast; latency is one hop to
+the sequencer plus one ordering broadcast.
 
 **Token ring** (ablation; Totem/Transis lineage): a token carrying
 ``next_seq`` circulates the ring; the holder orders *its own* pending
@@ -33,7 +33,11 @@ from repro.net.address import Address
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.kernel import Kernel
 
-__all__ = ["SequencerEngine", "TokenRingEngine", "make_engine"]
+__all__ = ["SEQUENCER_BATCH_MAX", "SequencerEngine", "TokenRingEngine", "make_engine"]
+
+#: Size trigger of a batching sequencer in a group: an ORDER batch flushes
+#: once it holds this many assignments.
+SEQUENCER_BATCH_MAX = 16
 
 
 class _EngineBase:
@@ -260,7 +264,7 @@ class TokenRingEngine(_EngineBase):
 
 def make_engine(
     kind: str, kernel, owner, broadcast, send,
-    *, batch_delay: float = 0.0, batch_max: int = 0, rotation: int = 0,
+    *, batch_delay: float = 0.0, rotation: int = 0,
 ):
     """Factory selecting the ordering engine by config name.
 
@@ -272,7 +276,8 @@ def make_engine(
     if kind == "sequencer":
         return SequencerEngine(
             kernel, owner, broadcast, send,
-            batch_delay=batch_delay, batch_max=batch_max, rotation=rotation,
+            batch_delay=batch_delay, batch_max=SEQUENCER_BATCH_MAX,
+            rotation=rotation,
         )
     if kind == "token":
         return TokenRingEngine(kernel, owner, broadcast, send)

@@ -16,14 +16,12 @@ from repro.obs.collector import (
     TraceCollector,
     attach_collector,
     collector_of,
-    detach_collector,
 )
 from repro.obs.events import PHASE_EDGES, PHASE_ORDER, JobTrace, TraceEvent
 from repro.obs.export import (
     collector_records,
     merged_records,
     metric_records,
-    to_jsonl,
     write_jsonl,
 )
 from repro.obs.metrics import (
@@ -38,7 +36,6 @@ from repro.obs.metrics import (
 from repro.obs.recorder import (
     FlightRecorder,
     attach_recorder,
-    detach_recorder,
     read_bundle,
     recorder_of,
     timeline_lines,
@@ -46,7 +43,6 @@ from repro.obs.recorder import (
 )
 from repro.obs.report import (
     job_timeline_lines,
-    metrics_summary_lines,
     phase_breakdown_lines,
     rpc_latency_lines,
     shard_breakdown_lines,
@@ -55,7 +51,6 @@ from repro.obs.report import (
 from repro.obs.timeseries import (
     TimeSeriesSampler,
     attach_timeseries,
-    detach_timeseries,
     timeseries_of,
 )
 
@@ -63,7 +58,6 @@ __all__ = [
     "TraceCollector",
     "attach_collector",
     "collector_of",
-    "detach_collector",
     "TraceEvent",
     "JobTrace",
     "PHASE_EDGES",
@@ -74,7 +68,6 @@ __all__ = [
     "Histogram",
     "LATENCY_BUCKETS",
     "ATTEMPT_BUCKETS",
-    "to_jsonl",
     "merged_records",
     "metric_records",
     "collector_records",
@@ -82,19 +75,16 @@ __all__ = [
     "job_timeline_lines",
     "phase_breakdown_lines",
     "rpc_latency_lines",
-    "metrics_summary_lines",
     "wire_bytes_lines",
     "shard_breakdown_lines",
     "percentile_from_counts",
     "FlightRecorder",
     "attach_recorder",
     "recorder_of",
-    "detach_recorder",
     "timeline_lines",
     "write_bundle",
     "read_bundle",
     "TimeSeriesSampler",
     "attach_timeseries",
     "timeseries_of",
-    "detach_timeseries",
 ]

@@ -37,7 +37,7 @@ from repro.rpc.state import TimeoutRecord, rpc_state
 if TYPE_CHECKING:  # pragma: no cover
     from repro.net.network import Network
 
-__all__ = ["TraceCollector", "attach_collector", "collector_of", "detach_collector"]
+__all__ = ["TraceCollector", "attach_collector", "collector_of"]
 
 #: Bound on the flat event log (oldest events drop first). Job traces and
 #: metrics are aggregate state and not bounded by this.
@@ -350,20 +350,3 @@ def collector_of(network: "Network") -> TraceCollector | None:
     """The collector attached to *network*, or ``None`` (the common case —
     unobserved simulations pay one attribute read per hook site)."""
     return getattr(network, "_obs_collector", None)
-
-
-def detach_collector(network: "Network") -> None:
-    """Remove the attached collector and its RPC hook registrations."""
-    collector = collector_of(network)
-    if collector is None:
-        return
-    state = rpc_state(network)
-    for hooks, fn in (
-        (state.on_request, collector.rpc_request),
-        (state.on_response, collector.rpc_response),
-        (state.on_dispatch, collector.rpc_dispatch),
-        (state.on_dispatch_done, collector.rpc_dispatch_done),
-    ):
-        if fn in hooks:
-            hooks.remove(fn)
-    network._obs_collector = None

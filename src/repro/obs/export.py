@@ -24,7 +24,6 @@ if TYPE_CHECKING:  # pragma: no cover
 
 __all__ = [
     "dumps_record",
-    "to_jsonl",
     "merged_records",
     "metric_records",
     "collector_records",
@@ -35,12 +34,6 @@ __all__ = [
 def dumps_record(record: dict) -> str:
     """One JSONL line (non-native values degrade to their ``repr``)."""
     return json.dumps(record, sort_keys=True, default=repr)
-
-
-def to_jsonl(records: Iterable[dict]) -> str:
-    """Render *records* as a JSONL document (trailing newline included)."""
-    lines = [dumps_record(r) for r in records]
-    return "\n".join(lines) + ("\n" if lines else "")
 
 
 def merged_records(

@@ -10,9 +10,9 @@ enforced by ``tests/integration/test_obs_passive.py``).
 
 Histograms use fixed upper-bound buckets (Prometheus-style): observations
 land in the first bucket whose bound is >= the value, with an implicit
-+Inf overflow bucket. Quantiles reported by :meth:`Histogram.summary` are
-bucket-upper-bound estimates, which is exactly the fidelity a fixed-bucket
-histogram can honestly claim.
++Inf overflow bucket. Percentiles reported by :meth:`Histogram.summary` are
+interpolated inside the target bucket and clamped to the observed min/max
+(:func:`percentile_from_counts`).
 """
 
 from __future__ import annotations
@@ -54,11 +54,11 @@ def percentile_from_counts(
 
     This is the one shared implementation behind
     :meth:`Histogram.percentile` and the per-window percentiles of the
-    time-series sampler (which feeds it bucket-count *deltas*). Compared to
-    the bucket-upper-bound estimate of :meth:`Histogram.quantile` it
+    time-series sampler (which feeds it bucket-count *deltas*). It
     interpolates between the bucket's lower and upper bound by the rank's
     position within the bucket, clamped to the observed ``minimum`` /
-    ``maximum`` when known — a strictly better estimate from the same data.
+    ``maximum`` when known — strictly better than reporting the bucket's
+    upper bound, from the same data.
     """
     if count <= 0:
         return 0.0
@@ -150,23 +150,9 @@ class Histogram:
     def mean(self) -> float:
         return self.total / self.count if self.count else 0.0
 
-    def quantile(self, q: float) -> float:
-        """Bucket-upper-bound estimate of the *q* quantile (0 < q <= 1)."""
-        if not self.count:
-            return 0.0
-        target = q * self.count
-        cumulative = 0
-        for index, bound in enumerate(self.bounds):
-            cumulative += self.counts[index]
-            if cumulative >= target:
-                return bound
-        return self.max if self.max is not None else self.bounds[-1]
-
     def percentile(self, p: float) -> float:
         """The *p*-th percentile (``0 < p <= 100``), linearly interpolated
-        within the target bucket and clamped to the observed min/max —
-        strictly better than the upper-bound estimate of :meth:`quantile`
-        (which is retained for backward compatibility)."""
+        within the target bucket and clamped to the observed min/max."""
         return percentile_from_counts(
             self.bounds, self.counts, self.overflow, self.count, p,
             minimum=self.min, maximum=self.max,

@@ -52,7 +52,6 @@ __all__ = [
     "FlightRecorder",
     "attach_recorder",
     "recorder_of",
-    "detach_recorder",
     "timeline_lines",
     "write_bundle",
     "read_bundle",
@@ -208,24 +207,6 @@ def recorder_of(network: "Network") -> FlightRecorder | None:
     """The recorder attached to *network*, or ``None`` (the common case —
     unobserved simulations pay one attribute read per trigger site)."""
     return getattr(network, "_obs_recorder", None)
-
-
-def detach_recorder(network: "Network") -> None:
-    """Remove the attached recorder and its hook registrations."""
-    recorder = recorder_of(network)
-    if recorder is None:
-        return
-    from repro.obs.collector import collector_of
-
-    collector = collector_of(network)
-    if collector is not None and recorder.on_trace_event in collector.on_event:
-        collector.on_event.remove(recorder.on_trace_event)
-    if recorder.on_frame in network.on_frame:
-        network.on_frame.remove(recorder.on_frame)
-    sanitizer = network.kernel.sanitizer
-    if sanitizer is not None and sanitizer.on_finding == recorder.on_sanitizer_finding:
-        sanitizer.on_finding = None
-    network._obs_recorder = None
 
 
 # -- bundle rendering & I/O ------------------------------------------------

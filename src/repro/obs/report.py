@@ -21,7 +21,6 @@ __all__ = [
     "job_timeline_lines",
     "phase_breakdown_lines",
     "rpc_latency_lines",
-    "metrics_summary_lines",
     "wire_bytes_lines",
     "shard_breakdown_lines",
 ]
@@ -110,25 +109,6 @@ def rpc_latency_lines(registry: "MetricsRegistry") -> list[str]:
     return format_table(
         ["request", "calls", "retries", "timeouts", "mean", "p50", "p95", "max"], rows
     )
-
-
-def metrics_summary_lines(registry: "MetricsRegistry", prefix: str = "") -> list[str]:
-    """Compact one-line-per-series dump of every registered metric."""
-    lines = []
-    for record in registry.snapshot():
-        if prefix and not record["name"].startswith(prefix):
-            continue
-        labels = ",".join(f"{k}={v}" for k, v in sorted(record["labels"].items()))
-        name = f"{record['name']}{{{labels}}}" if labels else record["name"]
-        if record["type"] == "histogram":
-            value = (
-                f"count={record['count']} mean={record['mean']:.6f} "
-                f"p95={record['p95']:.6f} max={record['max']:.6f}"
-            )
-        else:
-            value = f"{record['value']}"
-        lines.append(f"  {name:<50} {value}")
-    return lines or ["  (no metrics recorded)"]
 
 
 def dict_by_label(pairs, label: str) -> dict:

@@ -40,7 +40,6 @@ __all__ = [
     "TimeSeriesSampler",
     "attach_timeseries",
     "timeseries_of",
-    "detach_timeseries",
 ]
 
 #: Default sampling window (simulated seconds).
@@ -256,13 +255,3 @@ def attach_timeseries(network: "Network") -> TimeSeriesSampler:
 def timeseries_of(network: "Network") -> TimeSeriesSampler | None:
     """The sampler attached to *network*, or ``None``."""
     return getattr(network, "_obs_timeseries", None)
-
-
-def detach_timeseries(network: "Network") -> None:
-    """Remove the attached sampler and its kernel hook registration."""
-    sampler = timeseries_of(network)
-    if sampler is None:
-        return
-    if sampler.on_advance in network.kernel.on_advance:
-        network.kernel.on_advance.remove(sampler.on_advance)
-    network._obs_timeseries = None

@@ -66,10 +66,6 @@ class AddressInUse(NetworkError):
     """Two daemons tried to bind the same (node, port) endpoint."""
 
 
-class NoRouteError(NetworkError):
-    """Destination endpoint does not exist or its node is down."""
-
-
 class ClusterError(ReproError):
     """Cluster construction or node lifecycle error."""
 

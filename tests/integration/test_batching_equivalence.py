@@ -37,12 +37,12 @@ FAST = dict(
 )
 
 UNBATCHED = GroupConfig(**FAST)
+#: The normal burst fills a batch to the count budget (DATA_BATCH_MAX_MSGS)
+#: inside one Nagle window, and its tail leaves on the timer.
 BATCHED = GroupConfig(
     **FAST,
     data_batch_delay=0.01,
     data_batch_min_delay=0.001,
-    data_batch_max_msgs=8,
-    data_batch_max_bytes=1200,
 )
 
 
@@ -112,16 +112,16 @@ def test_normal_burst_equivalent(seed):
         run.kernel.run(until=0.5)
 
         def driver(run=run):
-            for k in range(10):
+            for k in range(20):
                 run.members["n1"].multicast(("n1", k))
                 run.members["n2"].multicast(("n2", k))
-                if k % 3 == 2:
+                if k % 6 == 5:
                     yield run.kernel.timeout(0.004)
 
         run.kernel.spawn(driver())
         run.kernel.run(until=3.0)
         runs.append(run)
-    sent = [(s, k) for s in ("n1", "n2") for k in range(10)]
+    sent = [(s, k) for s in ("n1", "n2") for k in range(20)]
     assert_equivalent(runs, ["n0", "n1", "n2"], ["n1", "n2"], sent)
 
 

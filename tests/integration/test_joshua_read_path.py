@@ -15,6 +15,7 @@ import zlib
 import pytest
 
 from repro.faults import run_chaos
+from repro.joshua.shard import queue_for_shard
 from repro.joshua.wire import JStatResp, JSubReq, SeqStampedResp
 from repro.pbs.job import JobSpec
 from repro.pbs.wire import StatResp
@@ -137,6 +138,33 @@ class TestCrossShardReads:
         assert sorted(as_of) == [0, 1]  # both shards' positions reported
         for shard, floor in client.last_write_seq.items():
             assert as_of[shard] >= floor
+
+    @pytest.mark.parametrize("head", ["head0", "head1"])
+    def test_ordered_idless_read_lists_what_section_10_2_promises(self, head):
+        """The *ordered* id-less listing rides shard 0's stream only
+        (PROTOCOLS.md §10.2), so it lists an acknowledged shard-0 jsub
+        from whichever head answers — and, being one stat of that head's
+        local PBS, every shard-1 job the head has applied."""
+        stack = make_stack(heads=2, shards=2)
+        writer = stack.client(node="login")
+        shard0, shard1 = queue_for_shard(0, 2), queue_for_shard(1, 2)
+        for i in range(3):
+            drive(stack, writer.jsub(name=f"one{i}", walltime=300, queue=shard1))
+        # One more shard-1 write still in flight while the listing runs.
+        stack.cluster.kernel.spawn(
+            stack.client(node="login").jsub(name="late", walltime=300, queue=shard1))
+        acked = drive(stack, writer.jsub(name="zero", walltime=300, queue=shard0))
+        joshua = stack.joshua(head)
+        assert joshua.shard_for_job(acked).index == 0
+        applied = {job.job_id for job in stack.pbs(head).jobs
+                   if joshua.shard_for_job(job.job_id).index == 1}
+        assert len(applied) >= 3
+        reader = stack.client(node="login", prefer=head)  # ordered by default
+        listed = {row["job_id"] for row in drive(stack, reader.jstat())}
+        assert isinstance(reader.last_stat_response, StatResp)
+        assert reader.stats["failovers"] == 0  # *head* answered
+        assert acked in listed
+        assert applied <= listed
 
     def test_targeted_read_gates_only_owning_shard(self):
         """A jstat *with* an id gates on the owning shard alone: an

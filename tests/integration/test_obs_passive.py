@@ -124,8 +124,7 @@ class TestObservationIsPassive:
 
 
 class TestCollectorLifecycle:
-    def test_attach_is_idempotent_and_detach_reverses(self):
-        from repro.obs import collector_of, detach_collector
+    def test_attach_is_idempotent(self):
         from repro.rpc import rpc_state
 
         stack = make_stack(heads=2, computes=1, seed=5)
@@ -134,7 +133,4 @@ class TestCollectorLifecycle:
         assert attach_collector(network) is collector
         state = rpc_state(network)
         assert state.on_request.count(collector.rpc_request) == 1
-        detach_collector(network)
-        assert collector_of(network) is None
-        assert collector.rpc_request not in state.on_request
-        assert collector.rpc_dispatch not in state.on_dispatch
+        assert state.on_dispatch.count(collector.rpc_dispatch) == 1

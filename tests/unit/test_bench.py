@@ -10,7 +10,6 @@ from repro.bench import (
     PoissonWorkload,
     TraceWorkload,
     format_table,
-    paper_vs_measured,
     summarize,
 )
 from repro.bench.workloads import OpenLoopWorkload
@@ -114,16 +113,6 @@ class TestReporting:
         text = format_table([{"a": 1, "b": 2}], columns=["b"])
         assert "a" not in text.splitlines()[0]
 
-    def test_paper_vs_measured_ratio(self):
-        rows = [{"heads": 1, "paper": 100.0, "measured": 95.0}]
-        text = paper_vs_measured(rows, key="heads")
-        assert "0.95" in text
-
-    def test_paper_vs_measured_handles_missing(self):
-        rows = [{"heads": 1, "paper": None, "measured": 95.0}]
-        text = paper_vs_measured(rows, key="heads")
-        assert "ratio" not in text.splitlines()[0] or "None" in text
-
     def test_bar_chart_scales_to_peak(self):
         rows = [{"k": "a", "v": 50.0}, {"k": "b", "v": 100.0}]
         text = bar_chart(rows, label="k", series=["v"], width=10)
@@ -194,30 +183,6 @@ class TestOpenLoopWorkload:
         # Most jobs are small: the median sits far below the cap.
         assert sorted(walltimes)[len(walltimes) // 2] < 50.0
 
-    def test_bursty_same_mean_spikier_arrivals(self):
-        steady = list(OpenLoopWorkload(1000, 20.0, seed=7))
-        bursty = list(OpenLoopWorkload(
-            1000, 20.0, arrival="bursty", burst_factor=8.0,
-            burst_period=20.0, seed=7,
-        ))
-        # Same mean rate over the run...
-        assert bursty[-1].time == pytest.approx(steady[-1].time, rel=0.25)
-        # ...but arrivals land only in the on-window of each period.
-        for request in bursty:
-            assert (request.time % 20.0) < 20.0 / 8.0 + 1e-9
-
-    def test_diurnal_modulates_rate(self):
-        workload = OpenLoopWorkload(
-            2000, 1.0, arrival="diurnal", amplitude=0.8,
-            day_seconds=1000.0, seed=8,
-        )
-        requests = list(workload)
-        # The trough (start of day) sees far fewer arrivals than the peak.
-        day = 1000.0
-        trough = sum(1 for r in requests if (r.time % day) < day / 4)
-        peak = sum(1 for r in requests if day / 4 <= (r.time % day) < day / 2)
-        assert peak > 2 * trough
-
     def test_len(self):
         assert len(OpenLoopWorkload(42, 1.0)) == 42
 
@@ -227,15 +192,9 @@ class TestOpenLoopWorkload:
         with pytest.raises(ReproError):
             OpenLoopWorkload(1, 0.0)
         with pytest.raises(ReproError):
-            OpenLoopWorkload(1, 1.0, arrival="lumpy")
-        with pytest.raises(ReproError):
             OpenLoopWorkload(1, 1.0, read_fraction=1.5)
         with pytest.raises(ReproError):
             OpenLoopWorkload(1, 1.0, clients=0)
-        with pytest.raises(ReproError):
-            OpenLoopWorkload(1, 1.0, burst_factor=0.5)
-        with pytest.raises(ReproError):
-            OpenLoopWorkload(1, 1.0, amplitude=1.0)
 
 
 class TestCommittedFigureFiles:

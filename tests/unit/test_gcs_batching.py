@@ -333,7 +333,6 @@ class Harness:
 
 BATCHED = GroupConfig(
     **FAST, data_batch_delay=0.01, data_batch_min_delay=0.001,
-    data_batch_max_msgs=8,
 )
 
 
@@ -382,10 +381,7 @@ class TestMemberDataBatching:
         """The flush fix, DATA side: commands still sitting in the Nagle
         window when a member crashes elsewhere are drained into the flush
         and delivered exactly once — never silently dropped."""
-        config = GroupConfig(
-            **FAST, data_batch_delay=5.0, data_batch_max_msgs=64,
-            data_batch_max_bytes=0,
-        )
+        config = GroupConfig(**FAST, data_batch_delay=5.0)
         h = Harness(3, config, seed=7)
         h.kernel.run(until=0.5)
         # These sit in n1's batcher: the 5 s window dwarfs the run.

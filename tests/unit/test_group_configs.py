@@ -17,7 +17,9 @@ from repro.bench.experiments import ablations
 from repro.bench.experiments.throughput import BATCHED_GROUP_CONFIG
 from repro.faults import runner
 from repro.faults.runner import CHAOS_GROUP
+from repro.gcs.batching import DATA_BATCH_MAX_BYTES, DATA_BATCH_MAX_MSGS
 from repro.gcs.config import FAST_GROUP_CONFIG, GroupConfig
+from repro.gcs.ordering import SEQUENCER_BATCH_MAX
 from repro.joshua import trace
 from repro.joshua.config import JOSHUA_GROUP_CONFIG
 
@@ -25,9 +27,8 @@ _DEFAULTS = dict(
     group_id=0, shard_count=1,
     heartbeat_interval=0.25, suspect_timeout=0.75, flush_timeout=1.0,
     retransmit_interval=0.05, ordering="sequencer", primary_partition=False,
-    sequencer_batch_delay=0.0, sequencer_batch_max=16,
+    sequencer_batch_delay=0.0,
     data_batch_delay=0.0, data_batch_min_delay=0.0,
-    data_batch_max_msgs=16, data_batch_max_bytes=1200,
     processing_delay=0.0, stable_ack_base=0.0, stable_ack_slot=0.0,
     gc_interval=5.0,
 )
@@ -49,12 +50,16 @@ _JOSHUA = dict(
     )),
     (BATCHED_GROUP_CONFIG, dict(
         _JOSHUA, data_batch_delay=0.005, data_batch_min_delay=0.001,
-        data_batch_max_msgs=16, data_batch_max_bytes=1200,
-        sequencer_batch_delay=0.005, sequencer_batch_max=16,
+        sequencer_batch_delay=0.005,
     )),
 ], ids=["joshua", "fast", "chaos", "batched"])
 def test_named_config_field_values(config, fields):
     assert asdict(config) == fields
+
+
+def test_batch_budgets_keep_the_values_their_fields_held():
+    assert (DATA_BATCH_MAX_MSGS, DATA_BATCH_MAX_BYTES) == (16, 1200)
+    assert SEQUENCER_BATCH_MAX == 16
 
 
 class _Built(Exception):

@@ -32,11 +32,12 @@ FAST = dict(
 #: unambiguously separated.
 WINDOW = 0.2
 
+#: ``run_burst``'s few short commands stay far below the count and byte
+#: budgets (DATA_BATCH_MAX_MSGS / _BYTES), so only the timer flushes.
 BATCHED = GroupConfig(
     **FAST,
     data_batch_delay=WINDOW,
     data_batch_min_delay=WINDOW,  # adaptive shrink off: every flush waits
-    data_batch_max_msgs=64,       # only the timer flushes
 )
 UNBATCHED = GroupConfig(**FAST)
 

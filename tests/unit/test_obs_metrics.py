@@ -14,7 +14,7 @@ import json
 import pytest
 
 from repro.obs.events import PHASE_ORDER, JobTrace, TraceEvent
-from repro.obs.export import collector_records, dumps_record, merged_records, to_jsonl
+from repro.obs.export import collector_records, dumps_record, merged_records, write_jsonl
 from repro.obs.metrics import (
     ATTEMPT_BUCKETS,
     Counter,
@@ -25,7 +25,6 @@ from repro.obs.metrics import (
 from repro.obs.report import (
     format_table,
     job_timeline_lines,
-    metrics_summary_lines,
     phase_breakdown_lines,
     rpc_latency_lines,
 )
@@ -60,18 +59,19 @@ class TestHistogram:
         assert h.max == 5.0
         assert h.mean == pytest.approx((0.005 + 0.05 + 0.5 + 5.0) / 4)
 
-    def test_quantile_is_bucket_upper_bound_estimate(self):
+    def test_percentile_stays_inside_the_covering_bucket(self):
         h = Histogram(buckets=(0.01, 0.1, 1.0))
         for _ in range(9):
             h.observe(0.005)
         h.observe(0.5)
-        assert h.quantile(0.50) == 0.01
-        assert h.quantile(1.0) == 1.0
+        assert 0.005 <= h.percentile(50) <= 0.01
+        assert 0.1 < h.percentile(100) <= 0.5  # clamped to the observed max
 
     def test_quantile_of_all_overflow_falls_back_to_max(self):
         h = Histogram(buckets=(0.01,))
         h.observe(7.0)
-        assert h.quantile(0.95) == 7.0
+        h.observe(9.0)
+        assert h.percentile(1) == h.percentile(95) == 9.0
 
     def test_empty_histogram_summary_is_zeroes(self):
         s = Histogram().summary()
@@ -86,7 +86,6 @@ class TestHistogram:
             h.observe((i + 1) / 100.0)
         p50 = h.percentile(50)
         assert 0.4 <= p50 <= 0.6          # interpolated
-        assert h.quantile(0.50) == 1.0    # the old upper-bound estimate
 
     def test_percentile_is_clamped_to_observed_min_and_max(self):
         h = Histogram(buckets=(1.0,))
@@ -226,12 +225,14 @@ class TestExport:
         line = dumps_record({"time": 1.0, "value": Opaque()})
         assert json.loads(line)["value"] == "<opaque>"
 
-    def test_to_jsonl_one_object_per_line_with_trailing_newline(self):
-        text = to_jsonl([{"a": 1}, {"b": 2}])
-        lines = text.splitlines()
+    def test_write_jsonl_one_object_per_line_with_trailing_newline(self, tmp_path):
+        path = tmp_path / "records.jsonl"
+        assert write_jsonl(path, [{"a": 1}, {"b": 2}]) == 2
+        text = path.read_text()
         assert text.endswith("\n")
-        assert [json.loads(l) for l in lines] == [{"a": 1}, {"b": 2}]
-        assert to_jsonl([]) == ""
+        assert [json.loads(l) for l in text.splitlines()] == [{"a": 1}, {"b": 2}]
+        assert write_jsonl(path, []) == 0
+        assert path.read_text() == ""
 
     def test_merged_records_interleaves_spans_and_logs_by_time(self):
         logger = SimLogger(lambda: 0.0)
@@ -311,14 +312,6 @@ class TestReport:
         assert rpc_latency_lines(MetricsRegistry()) == [
             "  (no rpc conversations observed)"
         ]
-
-    def test_metrics_summary_prefix_filter(self):
-        registry = MetricsRegistry()
-        registry.counter("gcs.delivered", node="head0").inc()
-        registry.counter("rpc.client.requests", request="Ping").inc()
-        lines = metrics_summary_lines(registry, prefix="gcs.")
-        assert len(lines) == 1
-        assert "gcs.delivered{node=head0}" in lines[0]
 
 
 class TestSimLoggerExport:

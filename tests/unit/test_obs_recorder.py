@@ -12,12 +12,11 @@ trip behind ``repro postmortem``.
 import pytest
 
 from repro.net import Address, Network
-from repro.obs.collector import attach_collector, collector_of
+from repro.obs.collector import collector_of
 from repro.obs.events import TraceEvent
 from repro.obs.recorder import (
     FlightRecorder,
     attach_recorder,
-    detach_recorder,
     read_bundle,
     recorder_of,
     timeline_lines,
@@ -108,8 +107,6 @@ class TestTriggers:
         network.register_node("head0")
         recorder = attach_recorder(network)
         assert kernel.sanitizer.on_finding == recorder.on_sanitizer_finding
-        detach_recorder(network)
-        assert kernel.sanitizer.on_finding is None
 
     def test_per_reason_cap_keeps_first_and_counts_dropped(self):
         _, network = make_network()
@@ -167,17 +164,6 @@ class TestAttachment:
         collector.record("job.submit", "head0", job="1.head0")
         [record] = recorder.rings["head0"]
         assert record["kind"] == "job.submit"
-
-    def test_detach_reverses_every_hook(self):
-        _, network = make_network()
-        recorder = attach_recorder(network)
-        collector = attach_collector(network)
-        detach_recorder(network)
-        assert recorder_of(network) is None
-        assert recorder.on_trace_event not in collector.on_event
-        assert recorder.on_frame not in network.on_frame
-        collector.record("job.submit", "head0")
-        assert recorder.rings == {}
 
 
 class TestBundleIO:

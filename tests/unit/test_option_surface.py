@@ -1,25 +1,37 @@
-"""Ratchet on the option surface of ``src/repro``: nobody sets it, it goes.
+"""Ratchet on the surface of ``src/repro``: nothing only a test needs.
 
 Every independently settable value doubles the configurations the tests and
-the benchmark would have to cover, so a keyword-only parameter with a
-default earns its place only if *some* call site in the repository passes
-it. This reads the source with ``ast`` — nothing is imported or run — and
-fails on a parameter no call anywhere names, unless it is listed below with
-the reason it stays. A never-passed option becomes a module or class
-constant (or goes with the branch it guarded); it does not get an exemption.
+the benchmark would have to cover, and every definition is code a reader
+must get through. So three things earn their place only if the program
+itself uses them:
+
+* a keyword-only parameter with a default — *some* call site in the
+  repository passes it;
+* a top-level function or class — something outside ``tests/`` names it;
+* a :class:`~repro.gcs.config.GroupConfig` field — some non-test
+  ``GroupConfig(...)`` or ``replace(...)`` call sets it to a value other
+  than its default.
+
+This reads the source with ``ast`` — nothing is imported or run, and every
+file is parsed once — and fails on anything that breaks a rule, unless it
+is listed below with the reason it stays. A never-passed option or a
+single-valued field becomes a module or class constant (or goes with the
+branch it guarded); a definition nothing calls is deleted. None of them
+gets an exemption for that alone.
 """
 
 import ast
+from functools import cache
 from pathlib import Path
-
-import repro.pbs.wire
-import repro.rpc
+from types import SimpleNamespace
 
 ROOT = Path(__file__).resolve().parents[2]
+PACKAGE = ROOT / "src" / "repro"
 CALLER_TREES = ("src", "tests", "perf", "benchmarks", "examples", "tools")
+FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
 
 #: ``file::function(parameter)`` -> why it stays although nothing passes it.
-EXEMPT = {
+OPTION_EXEMPT = {
     "sim/kernel.py::_enqueue(priority)":
         "the heap key is (time, priority, sequence): the sanitizer reads it "
         "and ROADMAP's bounded schedule explorer replaces the tie-break "
@@ -29,50 +41,158 @@ EXEMPT = {
         "tests, in a PR whose floor allows it",
 }
 
+#: ``file::name`` -> why it stays although only tests name it.
+DEFINITION_EXEMPT = {
+    "analysis/runner.py::check_source":
+        "the lint tests' entry point for checking a source snippet",
+    "ha/correlated.py::monte_carlo_correlated":
+        "the reference implementation the closed-form tests compare against",
+    "ha/raslog.py::RASCollector":
+        "ROADMAP item 5 (Figure 12 measured on the stack) gives it a caller; "
+        "test_ha_raslog.py covers it",
+    "sim/resources.py::Resource":
+        "its test_sim_resources.py cases stay for now; it goes with them",
+    "util/config.py::parse_config":
+        "util/config.py goes whole with its tests, as in OPTION_EXEMPT",
+    "util/config.py::joshua_config_schema":
+        "util/config.py goes whole with its tests, as in OPTION_EXEMPT",
+    "util/records.py::from_wire":
+        "util/records.py, superseded by net.codec, goes whole with its "
+        "test_util_misc.py cases, which stay for now",
+}
 
+#: ``GroupConfig.field`` -> why it stays although no program sets it.
+FIELD_EXEMPT = {
+    "GroupConfig.primary_partition":
+        "the split-brain rule, exercised both ways by "
+        "test_joshua_partitions.py",
+}
+
+
+def _name_of(node):
+    """The identifier *node* refers to, if it is a reference at all."""
+    if isinstance(node, ast.Name):
+        return node.id
+    if isinstance(node, ast.Attribute):
+        return node.attr
+    if isinstance(node, ast.alias):
+        return node.name.rpartition(".")[2]
+    if isinstance(node, ast.Constant) and isinstance(node.value, str):
+        return node.value  # perf/layer_trace.py names what it wraps in strings
+    return None
+
+
+def _is_all(stmt) -> bool:
+    targets = getattr(stmt, "targets", None) or [getattr(stmt, "target", None)]
+    return any(isinstance(t, ast.Name) and t.id == "__all__" for t in targets)
+
+
+def _callee(call: ast.Call):
+    func = call.func
+    return func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+
+
+@cache
 def _scan():
-    """(declared options under src/repro as (name, label), every keyword
-    name some call passes) — one parse per file."""
-    declared, passed = [], set()
-    package = ROOT / "src" / "repro"
+    """Everything the three gates read, from one parse per file.
+
+    ``options``: (name, label) of each keyword-only option declared under
+    src/repro; ``passed``: every keyword name some call passes; ``definitions``:
+    (name, label) of each top-level def/class under src/repro; ``names``:
+    identifier -> labels of the definitions whose bodies name it (``None``
+    for code outside one), counting neither tests, ``__all__`` nor a package
+    ``__init__``'s imports; ``fields``: GroupConfig field -> its default;
+    ``settings``: (keyword, value) of every non-test GroupConfig/replace call.
+    """
+    scan = SimpleNamespace(options=[], passed=set(), definitions=[], names={},
+                           fields={}, settings=[])
     for tree_name in CALLER_TREES:
         for path in sorted((ROOT / tree_name).rglob("*.py")):
-            where = (path.relative_to(package).as_posix()
-                     if package in path.parents else None)
-            for node in ast.walk(ast.parse(path.read_text())):
-                if isinstance(node, ast.Call):
-                    passed.update(k.arg for k in node.keywords if k.arg)
-                elif where is not None and isinstance(
-                        node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                    declared += [
-                        (arg.arg, f"{where}::{node.name}({arg.arg})")
-                        for arg, default in zip(node.args.kwonlyargs,
-                                                node.args.kw_defaults)
-                        if default is not None
-                    ]
-    return declared, passed
+            where = (path.relative_to(PACKAGE).as_posix()
+                     if PACKAGE in path.parents else None)
+            reexports = path.name == "__init__.py"
+            for stmt in ast.parse(path.read_text()).body:
+                owner = None
+                if where is not None and isinstance(stmt, (*FUNCTIONS, ast.ClassDef)):
+                    owner = f"{where}::{stmt.name}"
+                    scan.definitions.append((stmt.name, owner))
+                if owner == "gcs/config.py::GroupConfig":
+                    scan.fields = {
+                        s.target.id: ast.dump(s.value) for s in stmt.body
+                        if isinstance(s, ast.AnnAssign) and s.value is not None
+                    }
+                counts = tree_name != "tests" and not _is_all(stmt) and not (
+                    reexports and isinstance(stmt, (ast.Import, ast.ImportFrom)))
+                for node in ast.walk(stmt):
+                    if isinstance(node, ast.Call):
+                        scan.passed.update(k.arg for k in node.keywords if k.arg)
+                        if tree_name != "tests" and _callee(node) in ("GroupConfig", "replace"):
+                            scan.settings += [(k.arg, ast.dump(k.value))
+                                              for k in node.keywords if k.arg]
+                    elif where is not None and isinstance(node, FUNCTIONS):
+                        scan.options += [
+                            (arg.arg, f"{where}::{node.name}({arg.arg})")
+                            for arg, default in zip(node.args.kwonlyargs,
+                                                    node.args.kw_defaults)
+                            if default is not None
+                        ]
+                    name = _name_of(node) if counts else None
+                    if name is not None:
+                        scan.names.setdefault(name, set()).add(owner)
+    return scan
+
+
+def _assert_exactly_exempt(flagged, exempt, cap, remedy):
+    unexplained = [label for label in flagged if label not in exempt]
+    assert not unexplained, (
+        f"{len(unexplained)} {remedy}:\n  " + "\n  ".join(unexplained)
+    )
+    assert len(exempt) <= cap
+    assert sorted(exempt) == flagged, "an exemption outlived its target"
 
 
 def test_every_keyword_option_is_passed_by_some_call_site():
-    declared, passed = _scan()
-    assert len(declared) > 100  # the scan found the package
-    never = sorted(label for name, label in declared if name not in passed)
-    unexplained = [label for label in never if label not in EXEMPT]
-    assert not unexplained, (
-        f"{len(unexplained)} option(s) no call site passes — make each a "
-        "constant or delete it:\n  " + "\n  ".join(unexplained)
+    scan = _scan()
+    assert len(scan.options) > 100  # the scan found the package
+    never = sorted(label for name, label in scan.options if name not in scan.passed)
+    _assert_exactly_exempt(
+        never, OPTION_EXEMPT, 5,
+        "option(s) no call site passes — make each a constant or delete it",
     )
-    assert len(EXEMPT) <= 5
-    assert sorted(EXEMPT) == never, "an exemption outlived its option"
+
+
+def test_every_definition_has_a_caller():
+    scan = _scan()
+    assert len(scan.definitions) > 300
+    # A definition's own body does not count as its caller.
+    uncalled = sorted(label for name, label in scan.definitions
+                      if not scan.names.get(name, set()) - {label})
+    _assert_exactly_exempt(
+        uncalled, DEFINITION_EXEMPT, 7,
+        "definition(s) only tests name — delete each with its tests",
+    )
+
+
+def test_every_group_config_field_is_set_to_a_non_default_value():
+    scan = _scan()
+    assert len(scan.fields) > 10
+    varied = {field for field, value in scan.settings
+              if field in scan.fields and value != scan.fields[field]}
+    single = sorted(f"GroupConfig.{field}" for field in scan.fields
+                    if field not in varied)
+    _assert_exactly_exempt(
+        single, FIELD_EXEMPT, 1,
+        "GroupConfig field(s) no program sets off the default — make each a "
+        "module constant where it is read",
+    )
 
 
 def test_rpc_substrate_has_one_call_signature_and_one_hook_surface():
-    assert not hasattr(repro.rpc, "RetryPolicy")
-    assert not hasattr(repro.rpc, "DEFAULT_POLICY")
-    assert not hasattr(repro.pbs.wire, "rpc_call")
-    assert not hasattr(repro.pbs.wire, "RpcTimeout")
-    assert not (ROOT / "src" / "repro" / "rpc" / "policy.py").exists()
-    # The two hook lists were instance attributes, so read the source.
-    server_source = (ROOT / "src" / "repro" / "rpc" / "server.py").read_text()
-    assert "pre_dispatch" not in server_source
-    assert "post_dispatch" not in server_source
+    rpc = PACKAGE / "rpc"
+    rpc_source = "\n".join(p.read_text() for p in sorted(rpc.glob("*.py")))
+    for retired in ("RetryPolicy", "DEFAULT_POLICY", "pre_dispatch", "post_dispatch"):
+        assert retired not in rpc_source
+    wire_source = (PACKAGE / "pbs" / "wire.py").read_text()
+    assert "rpc_call" not in wire_source
+    assert "RpcTimeout" not in wire_source
+    assert not (rpc / "policy.py").exists()
