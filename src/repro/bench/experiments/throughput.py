@@ -56,12 +56,8 @@ PAPER_FIGURE11 = {
 def measure_burst(
     system: str, heads: int, jobs: int, *, seed: int = 1,
     registry: MetricsRegistry | None = None,
-    wire_bytes: dict[str, int] | None = None,
 ) -> float:
-    """Simulated seconds to sequentially submit *jobs* jobs.
-
-    A *wire_bytes* dict accumulates the network's measured per-message-type
-    bytes-on-wire (``Network.wire_bytes_by_type``) across calls."""
+    """Simulated seconds to sequentially submit *jobs* jobs."""
     cluster = Cluster(head_count=heads, compute_count=2, seed=seed)
     if system == "TORQUE":
         stack = build_pbs_stack(cluster)
@@ -85,31 +81,22 @@ def measure_burst(
     start = kernel.now
     process = kernel.spawn(burst())
     cluster.run(until=process)
-    if wire_bytes is not None:
-        for kind in sorted(cluster.network.wire_bytes_by_type):
-            count = cluster.network.wire_bytes_by_type[kind]
-            wire_bytes[kind] = wire_bytes.get(kind, 0) + count
     return kernel.now - start
 
 
 def figure11(
     *, job_counts=(10, 50, 100), seed: int = 1,
     registry: MetricsRegistry | None = None,
-    wire_bytes: dict[str, int] | None = None,
 ) -> list[dict]:
     """Regenerate Figure 11; one row per (system, heads). A *registry*
-    accumulates RPC/GCS/job-phase metrics across every burst, and a
-    *wire_bytes* dict the measured per-message-type bytes-on-wire."""
+    accumulates RPC/GCS/job-phase metrics across every burst."""
     rows = []
     configs = [("TORQUE", 1), ("JOSHUA/TORQUE", 1), ("JOSHUA/TORQUE", 2),
                ("JOSHUA/TORQUE", 3), ("JOSHUA/TORQUE", 4)]
     for system, heads in configs:
         row: dict = {"system": system, "heads": heads}
         for jobs in job_counts:
-            measured = measure_burst(
-                system, heads, jobs, seed=seed, registry=registry,
-                wire_bytes=wire_bytes,
-            )
+            measured = measure_burst(system, heads, jobs, seed=seed, registry=registry)
             row[f"measured_{jobs}_s"] = round(measured, 2)
             paper = PAPER_FIGURE11[(system, heads)].get(jobs)
             if paper is not None:

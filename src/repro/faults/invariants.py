@@ -29,7 +29,7 @@ Checked invariants:
   holes the paper's fail-stop model does not cover. Divergent job ids
   for one command uuid are flagged too.
 * **bounded delivery queue** — ``DeliveryQueue.payload_count()`` stays under
-  a bound on every live head (GC liveness: stability-based garbage
+  ``QUEUE_BOUND`` on every live head (GC liveness: stability-based garbage
   collection must keep protocol state finite; see the paper's Transis
   crash post-mortem).
 * **read-your-writes / monotonic reads** — fed by the read workload via
@@ -60,6 +60,9 @@ if TYPE_CHECKING:  # pragma: no cover
 
 __all__ = ["Violation", "InvariantSuite"]
 
+#: Most protocol payloads a live head's delivery queue may hold.
+QUEUE_BOUND = 500
+
 
 @dataclass(frozen=True)
 class Violation:
@@ -76,10 +79,9 @@ class Violation:
 class InvariantSuite:
     """Attaches all checkers to a deployed :class:`JoshuaStack`."""
 
-    def __init__(self, stack: "JoshuaStack", *, queue_bound: int = 500):
+    def __init__(self, stack: "JoshuaStack"):
         self.stack = stack
         self.kernel = stack.cluster.kernel
-        self.queue_bound = queue_bound
         self.violations: list[Violation] = []
         #: (view_id, members) -> seq -> (msg_id, first head that delivered).
         self._order: dict[tuple, dict[int, tuple]] = {}
@@ -291,32 +293,32 @@ class InvariantSuite:
                     out[head] = joshua
         return out
 
-    def check_queue_bound(self) -> None:
+    def _check_delivery_queue(self) -> None:
         """GC liveness: protocol payload state stays bounded on live heads
         (checked per shard group — one shard's backlog must not hide
         behind its siblings' idle queues)."""
         for head, joshua in self._live_active_joshuas().items():
             for replica in joshua.shards:
                 count = replica.group.queue.payload_count()
-                if count > self.queue_bound:
+                if count > QUEUE_BOUND:
                     where = (
                         head if joshua.nshards == 1
                         else f"{head} shard {replica.index}"
                     )
                     self._violate(
                         "bounded-delivery-queue",
-                        f"{where} holds {count} payloads (> {self.queue_bound})",
+                        f"{where} holds {count} payloads (> {QUEUE_BOUND})",
                     )
 
     def sampler(self, interval: float = 1.0):
         """Kernel process: run the periodic checks every *interval* seconds."""
         while True:
             yield self.kernel.timeout(interval)
-            self.check_queue_bound()
+            self._check_delivery_queue()
 
     def final_check(self) -> list[Violation]:
         """End-of-run checks, after faults are healed and traffic quiesced."""
-        self.check_queue_bound()
+        self._check_delivery_queue()
         self._check_exactly_once_total()
         self._check_no_lost_commands()
         return self.violations

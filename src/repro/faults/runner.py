@@ -122,7 +122,6 @@ def run_chaos(
     duration: float = 30.0,
     ordering: str = "sequencer",
     intensity: int = 3,
-    queue_bound: int = 500,
     shards: int = 1,
     read_mix: float = 0.0,
     registry: MetricsRegistry | None = None,
@@ -172,7 +171,7 @@ def run_chaos(
     sampler = attach_timeseries(cluster.network)
     cluster.run(until=2.0)  # let the group form before faults begin
 
-    suite = InvariantSuite(stack, queue_bound=queue_bound).attach()
+    suite = InvariantSuite(stack).attach()
     if schedule is None:
         schedule = random_schedule(
             seed,

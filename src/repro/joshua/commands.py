@@ -27,7 +27,7 @@ from __future__ import annotations
 from typing import Generator
 
 from repro.aa.client import ReplicatedClient
-from repro.joshua.wire import JDelReq, JStatReq, JSubReq, SeqStampedResp
+from repro.joshua.wire import JOSHUA_PORT, JDelReq, JStatReq, JSubReq, SeqStampedResp
 from repro.net.address import Address
 from repro.net.network import Network
 from repro.obs.collector import collector_of
@@ -37,8 +37,6 @@ from repro.rpc import failover_call
 from repro.util.errors import NoActiveHeadError
 
 __all__ = ["JoshuaClient"]
-
-_JOSHUA_PORT = 4412
 
 
 class JoshuaClient(ReplicatedClient):
@@ -61,7 +59,7 @@ class JoshuaClient(ReplicatedClient):
         consistency: str = "ordered",
     ):
         super().__init__(
-            network, node, [Address(h, _JOSHUA_PORT) for h in heads],
+            network, node, [Address(h, JOSHUA_PORT) for h in heads],
             timeout=timeout, prefer=prefer,
         )
         self.times = service_times

@@ -144,11 +144,6 @@ class JoshuaGateway:
             if session.head == head:
                 self._repin(session)
 
-    def mark_live(self, head: str) -> None:
-        """Put *head* back in the rotation now (sessions stay where they
-        are — re-pinning is driven by failures, not recoveries)."""
-        self._dead.pop(head, None)
-
     def _repin(self, session: "GatewaySession") -> None:
         head = self.assign(session.client_id)
         if head == session.head:

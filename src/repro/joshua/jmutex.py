@@ -31,7 +31,7 @@ would leave the launch mutex unconfirmed or never released.
 
 from __future__ import annotations
 
-from repro.joshua.wire import JDoneReq, JMutexReq, JStartedReq
+from repro.joshua.wire import JOSHUA_PORT, JDoneReq, JMutexReq, JStartedReq
 from repro.net.address import Address
 from repro.pbs.mom import PBSMom
 from repro.pbs.wire import JobStartReq, JobObit
@@ -39,10 +39,6 @@ from repro.rpc import RpcTimeout, call as rpc_call, failover_call
 from repro.util.errors import NoActiveHeadError, PBSError
 
 __all__ = ["install_jmutex"]
-
-#: Must match repro.joshua.server.JOSHUA_PORT (redeclared to avoid an
-#: import cycle; asserted equal in tests).
-_JOSHUA_PORT = 4412
 
 #: The Started/Done notifier sweeps the head list this many times, sleeping
 #: between sweeps (doubling from the first delay up to the cap, seconds).
@@ -63,7 +59,7 @@ def install_jmutex(mom: PBSMom, *, timeout: float = 2.0) -> None:
     def jmutex_hook(mom_: PBSMom, req: JobStartReq):
         if req.server is None:
             return "run"  # not a server-driven attempt; nothing to arbitrate
-        joshua = Address(req.server.node, _JOSHUA_PORT)
+        joshua = Address(req.server.node, JOSHUA_PORT)
         try:
             response = yield from rpc_call(
                 mom_.node.network, mom_.node.name, joshua,
@@ -98,7 +94,7 @@ def install_jmutex(mom: PBSMom, *, timeout: float = 2.0) -> None:
                     # sweep must move on.
                     yield from failover_call(
                         mom.node.network, mom.node.name,
-                        [Address(head, _JOSHUA_PORT)
+                        [Address(head, JOSHUA_PORT)
                          for head in sorted({s.node for s in mom.servers})],
                         request,
                         timeout=timeout,

@@ -51,6 +51,7 @@ from repro.joshua.wire import (
     JDoneReq,
     JMutexReq,
     JMutexResp,
+    JOSHUA_PORT,
     JStartedReq,
     JStatReq,
     JStatResp,
@@ -71,7 +72,6 @@ if TYPE_CHECKING:  # pragma: no cover
 
 __all__ = ["JoshuaServer", "JOSHUA_PORT", "JOSHUA_GCS_PORT", "REPLICA_SERVER_NAME"]
 
-JOSHUA_PORT = 4412
 JOSHUA_GCS_PORT = 4413
 
 #: The daemon's name — and the one logical server name every replicated

@@ -29,11 +29,16 @@ from repro.net.codec import elided_repr, mark_wire_optional, register_wire_types
 from repro.pbs.job import JobSpec
 
 __all__ = [
+    "JOSHUA_PORT",
     "JSubReq", "JDelReq", "JStatReq", "JStatResp", "SeqStampedResp",
     "JMutexReq", "JMutexResp", "JStartedReq", "JDoneReq",
     "StateXferReq", "StateXferResp", "XferPush",
     "Command", "Claim", "Started", "Done", "XferMarker",
 ]
+
+#: Every head's joshua daemon: the client commands and the moms' launch-mutex
+#: and Started/Done records all arrive here.
+JOSHUA_PORT = 4412
 
 
 # -- client -> joshua server ---------------------------------------------------

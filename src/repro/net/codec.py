@@ -456,12 +456,6 @@ class Codec:
         """Registered record classes, sorted by wire name (for tests/CI)."""
         return [r.cls for _, r in sorted(self._records_by_name.items())]
 
-    def registered_enums(self) -> list[type]:
-        return [cls for _, cls in sorted(self._enums_by_name.items())]
-
-    def is_registered(self, cls: type) -> bool:
-        return cls in self._records_by_type or cls in self._enum_types
-
     def record_shapes(self) -> dict[str, dict[str, Any]]:
         """Wire name -> ``{"module", "fields", "defaults", "fingerprint"}``
         for every registered record — the runtime half of what the static

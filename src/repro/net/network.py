@@ -139,8 +139,6 @@ class Network:
     lan:
         Link model for off-node messages (default: the paper's Fast
         Ethernet).
-    loopback:
-        Link model for same-node messages.
     shared_medium:
         Serialise off-node transmissions through a single shared wire (hub
         behaviour). Switched behaviour (no cross-message contention) when
@@ -152,12 +150,10 @@ class Network:
         kernel: Kernel,
         *,
         lan: LinkModel = FAST_ETHERNET,
-        loopback: LinkModel = LOOPBACK,
         shared_medium: bool = True,
     ):
         self.kernel = kernel
         self.lan = lan
-        self.loopback = loopback
         self.shared_medium = shared_medium
         self.partitions = PartitionState()
         self._nodes_up: dict[str, bool] = {}
@@ -303,9 +299,6 @@ class Network:
     def _unbind(self, endpoint: Endpoint) -> None:
         self._endpoints.pop(endpoint.address, None)
 
-    def endpoint_at(self, address: Address) -> Endpoint | None:
-        return self._endpoints.get(address)
-
     # -- datagram delivery --------------------------------------------------------
 
     def send(
@@ -365,7 +358,7 @@ class Network:
                 self.stats["dropped_filtered"] += 1
                 continue
             local = src.node == target.node
-            model = self.loopback if local else self.lan
+            model = LOOPBACK if local else self.lan
             if model.dropped(self._rng):
                 self.stats["dropped_loss"] += 1
                 continue

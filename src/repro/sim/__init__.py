@@ -20,8 +20,8 @@ scratch; SimPy is not a dependency):
 * :class:`~repro.sim.process.Process` — a running generator; itself an event
   that triggers when the generator returns (so processes can wait on each
   other), interruptible via :meth:`~repro.sim.process.Process.interrupt`.
-* :class:`~repro.sim.resources.Store` / :class:`~repro.sim.resources.Resource`
-  — blocking queues and counted locks for daemon mailboxes and node CPUs.
+* :class:`~repro.sim.resources.Store` — the unbounded FIFO queue behind
+  daemon mailboxes, the engine's apply queue and a member's CPU queue.
 
 Example
 -------
@@ -40,7 +40,7 @@ Example
 from repro.sim.events import Event, Timeout, AnyOf, AllOf
 from repro.sim.kernel import Kernel
 from repro.sim.process import Process
-from repro.sim.resources import Store, Resource
+from repro.sim.resources import Store
 
 from repro.util.errors import Interrupt
 
@@ -52,6 +52,5 @@ __all__ = [
     "AllOf",
     "Process",
     "Store",
-    "Resource",
     "Interrupt",
 ]

@@ -45,7 +45,7 @@ class Event:
         self.kernel = kernel
         self.callbacks: list[Callable[["Event"], None]] = []
         #: Set when a waiting process was interrupted away from this event;
-        #: queue-like primitives (Store, Resource) skip cancelled waiters.
+        #: a :class:`~repro.sim.resources.Store` skips cancelled getters.
         self.cancelled = False
         #: Optional explicit tie-break annotation: schedulers that fan out
         #: several same-time events set this so the determinism sanitizer

@@ -27,6 +27,8 @@ __all__ = ["Kernel"]
 NORMAL = 1
 #: Priority used for urgent bookkeeping (none currently; reserved).
 URGENT = 0
+#: Lowest level the kernel-wide :class:`SimLogger` keeps.
+LOG_LEVEL = "WARNING"
 
 
 class Kernel:
@@ -42,8 +44,6 @@ class Kernel:
         unhandled exception that no other process observed. Turning this off
         is only sensible in fault-injection experiments that deliberately
         kill daemons mid-protocol.
-    log_level / log_echo:
-        Configuration for the kernel-wide :class:`SimLogger`.
     sanitize:
         Attach a :class:`~repro.sim.sanitizer.DeterminismSanitizer`
         (exposed as :attr:`sanitizer`): every pop feeds a cross-run order
@@ -57,8 +57,6 @@ class Kernel:
         *,
         seed: int = 0,
         strict_errors: bool = True,
-        log_level: str = "WARNING",
-        log_echo: bool = False,
         sanitize: bool = False,
     ):
         self._now = 0.0
@@ -66,7 +64,7 @@ class Kernel:
         self._sequence = 0
         self.strict_errors = strict_errors
         self.streams = RandomStreams(seed)
-        self.log = SimLogger(lambda: self._now, level=log_level, echo=log_echo)
+        self.log = SimLogger(lambda: self._now, level=LOG_LEVEL)
         self._crashed_processes: list[tuple[Process, BaseException]] = []
         self._processed_events = 0
         self.sanitizer: DeterminismSanitizer | None = (
@@ -94,10 +92,6 @@ class Kernel:
     def processed_events(self) -> int:
         """Total events processed so far (profiling/regression aid)."""
         return self._processed_events
-
-    @property
-    def queued_events(self) -> int:
-        return len(self._heap)
 
     # -- event construction -------------------------------------------------
 

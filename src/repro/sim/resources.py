@@ -1,14 +1,11 @@
-"""Blocking queues and counted locks for simulation processes.
+"""The blocking queue of simulation processes.
 
-:class:`Store` is an unbounded-or-bounded FIFO queue: daemons use one as
-their mailbox (``yield store.get()`` blocks the daemon until a message
-arrives). :class:`Resource` is a counted lock ("N slots"): compute-node CPUs
-and the exclusive-allocation policy of the Maui stand-in are modelled with
-it.
-
-Both hand out events in strict FIFO order, which keeps the simulation
-deterministic and models the fair queueing of the real daemons' socket
-accept loops well enough for this paper's experiments.
+:class:`Store` is an unbounded FIFO queue: daemons use one as their mailbox
+(``yield store.get()`` blocks the daemon until a message arrives), the
+replication engine as its apply queue and a group member as its modelled
+CPU queue. It hands items out in strict FIFO order, which keeps the
+simulation deterministic and models the fair queueing of the real daemons'
+socket accept loops well enough for this paper's experiments.
 """
 
 from __future__ import annotations
@@ -22,28 +19,16 @@ from repro.util.errors import SimulationError
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.kernel import Kernel
 
-__all__ = ["Store", "Resource"]
+__all__ = ["Store"]
 
 
 class Store:
-    """FIFO queue of items with blocking ``get`` and (optionally) ``put``.
+    """Unbounded FIFO queue of items with a blocking ``get``."""
 
-    Parameters
-    ----------
-    kernel:
-        Owning kernel.
-    capacity:
-        ``None`` for unbounded; otherwise ``put`` events block while full.
-    """
-
-    def __init__(self, kernel: "Kernel", capacity: int | None = None):
-        if capacity is not None and capacity <= 0:
-            raise SimulationError(f"capacity must be positive, got {capacity}")
+    def __init__(self, kernel: "Kernel"):
         self.kernel = kernel
-        self.capacity = capacity
         self._items: deque[Any] = deque()
         self._getters: deque[Event] = deque()
-        self._putters: deque[tuple[Event, Any]] = deque()
 
     def __len__(self) -> int:
         return len(self._items)
@@ -54,20 +39,13 @@ class Store:
         return list(self._items)
 
     def put(self, item: Any) -> Event:
-        """Event that succeeds once *item* is accepted into the store."""
+        """Enqueue *item*; the returned event has already succeeded."""
         event = Event(self.kernel)
-        if self.capacity is None or len(self._items) < self.capacity:
-            self._items.append(item)
-            event.succeed()
-            self._dispatch()
-        else:
-            self._putters.append((event, item))
+        event.succeed()
+        self.put_nowait(item)
         return event
 
     def put_nowait(self, item: Any) -> None:
-        """Non-blocking put; raises if the store is full."""
-        if self.capacity is not None and len(self._items) >= self.capacity:
-            raise SimulationError("store is full")
         self._items.append(item)
         self._dispatch()
 
@@ -82,17 +60,7 @@ class Store:
         """Non-blocking get; raises if empty."""
         if not self._items:
             raise SimulationError("store is empty")
-        item = self._items.popleft()
-        self._admit_putters()
-        return item
-
-    def _admit_putters(self) -> None:
-        while self._putters and (self.capacity is None or len(self._items) < self.capacity):
-            event, item = self._putters.popleft()
-            if event.triggered or event.cancelled:  # waiter gone
-                continue
-            self._items.append(item)
-            event.succeed()
+        return self._items.popleft()
 
     def _dispatch(self) -> None:
         while self._getters and self._items:
@@ -100,67 +68,10 @@ class Store:
             if getter.triggered or getter.cancelled:
                 continue
             getter.succeed(self._items.popleft())
-            self._admit_putters()
 
     def cancel_all(self, exception: BaseException) -> None:
-        """Fail every pending getter/putter — used when a daemon's node dies."""
+        """Fail every pending getter — used when a daemon's node dies."""
         for getter in list(self._getters):
             if not getter.triggered:
                 getter.fail(exception)
         self._getters.clear()
-        for event, _item in list(self._putters):
-            if not event.triggered:
-                event.fail(exception)
-        self._putters.clear()
-
-
-class Resource:
-    """A counted lock with FIFO granting.
-
-    ``yield resource.acquire()`` blocks until a slot is free; ``release()``
-    frees one. The token returned by ``acquire`` must be passed to
-    ``release`` — this catches double-release bugs in daemon code.
-    """
-
-    def __init__(self, kernel: "Kernel", slots: int = 1):
-        if slots <= 0:
-            raise SimulationError(f"slots must be positive, got {slots}")
-        self.kernel = kernel
-        self.slots = slots
-        self._in_use = 0
-        self._waiters: deque[Event] = deque()
-        self._next_token = 0
-        self._live_tokens: set[int] = set()
-
-    @property
-    def in_use(self) -> int:
-        return self._in_use
-
-    @property
-    def available(self) -> int:
-        return self.slots - self._in_use
-
-    def acquire(self) -> Event:
-        """Event that succeeds with an opaque token once a slot is granted."""
-        event = Event(self.kernel)
-        self._waiters.append(event)
-        self._grant()
-        return event
-
-    def release(self, token: int) -> None:
-        if token not in self._live_tokens:
-            raise SimulationError(f"release of unknown or already-released token {token}")
-        self._live_tokens.discard(token)
-        self._in_use -= 1
-        self._grant()
-
-    def _grant(self) -> None:
-        while self._waiters and self._in_use < self.slots:
-            waiter = self._waiters.popleft()
-            if waiter.triggered or waiter.cancelled:
-                continue
-            self._in_use += 1
-            token = self._next_token
-            self._next_token += 1
-            self._live_tokens.add(token)
-            waiter.succeed(token)

@@ -8,22 +8,16 @@ Contents
 --------
 :mod:`repro.util.errors`
     The exception hierarchy for the whole library.
-:mod:`repro.util.config`
-    A small configuration-file parser modelled after *libconfuse*, which the
-    original JOSHUA prototype used for ``joshua.conf``.
 :mod:`repro.util.rng`
     Named, seedable random-number streams so that independent subsystems
     (network jitter, failure injection, workloads) draw from independent
     deterministic streams.
 :mod:`repro.util.simlog`
     Logging helpers that stamp records with *simulated* time.
-:mod:`repro.util.records`
-    Lightweight helpers for serialising dataclass records.
 """
 
 from repro.util.errors import (
     ReproError,
-    ConfigError,
     SimulationError,
     NetworkError,
     ClusterError,
@@ -32,13 +26,11 @@ from repro.util.errors import (
     PBSError,
     JoshuaError,
 )
-from repro.util.config import ConfigSchema, ConfigSection, Option, parse_config
 from repro.util.rng import RandomStreams
 from repro.util.simlog import SimLogger, LogRecord
 
 __all__ = [
     "ReproError",
-    "ConfigError",
     "SimulationError",
     "NetworkError",
     "ClusterError",
@@ -46,10 +38,6 @@ __all__ = [
     "MembershipError",
     "PBSError",
     "JoshuaError",
-    "ConfigSchema",
-    "ConfigSection",
-    "Option",
-    "parse_config",
     "RandomStreams",
     "SimLogger",
     "LogRecord",

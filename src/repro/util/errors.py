@@ -17,21 +17,6 @@ class ReproError(Exception):
     """Base class of every exception raised by :mod:`repro`."""
 
 
-class ConfigError(ReproError):
-    """A configuration file or configuration value is invalid."""
-
-    def __init__(self, message: str, *, line: int | None = None, option: str | None = None):
-        self.line = line
-        self.option = option
-        where = []
-        if option is not None:
-            where.append(f"option {option!r}")
-        if line is not None:
-            where.append(f"line {line}")
-        suffix = f" ({', '.join(where)})" if where else ""
-        super().__init__(message + suffix)
-
-
 class SimulationError(ReproError):
     """The discrete-event simulation kernel was misused or is corrupt."""
 

@@ -4,13 +4,12 @@ Standard :mod:`logging` stamps wall-clock time, which is meaningless inside a
 discrete-event simulation: what matters is *when in simulated time* a daemon
 acted. :class:`SimLogger` timestamps records with a caller-supplied clock
 callable (usually ``kernel.now``) and keeps records in memory so tests can
-assert on them; it can also mirror to stderr for interactive debugging.
+assert on them.
 """
 
 from __future__ import annotations
 
 import json
-import sys
 from dataclasses import dataclass, field
 from typing import Callable, Iterable
 
@@ -57,8 +56,6 @@ class SimLogger:
         Zero-argument callable returning the current simulated time.
     level:
         Minimum level name to retain (``DEBUG``/``INFO``/``WARNING``/``ERROR``).
-    echo:
-        If true, every retained record is also printed to stderr.
     capacity:
         Maximum records kept; older records are dropped FIFO. ``None`` keeps
         everything (fine for tests, avoid in week-long availability runs).
@@ -69,14 +66,12 @@ class SimLogger:
         clock: Callable[[], float],
         *,
         level: str = "INFO",
-        echo: bool = False,
         capacity: int | None = 100_000,
     ):
         if level not in LEVELS:
             raise ValueError(f"unknown log level {level!r}; expected one of {sorted(LEVELS)}")
         self._clock = clock
         self._threshold = LEVELS[level]
-        self._echo = echo
         self._capacity = capacity
         self.records: list[LogRecord] = []
 
@@ -92,8 +87,6 @@ class SimLogger:
         self.records.append(record)
         if self._capacity is not None and len(self.records) > self._capacity:
             del self.records[: len(self.records) - self._capacity]
-        if self._echo:
-            print(record.format(), file=sys.stderr)
 
     def debug(self, source: str, message: str, **fields) -> None:
         self.log("DEBUG", source, message, **fields)

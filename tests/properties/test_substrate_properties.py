@@ -1,4 +1,4 @@
-"""Property-based tests of the substrates: DES kernel, transport, config.
+"""Property-based tests of the substrates: DES kernel and transport.
 
 * events fire in non-decreasing time order, ties in creation order;
 * the reliable transport delivers any message pattern, under any loss rate
@@ -6,9 +6,7 @@
 * a group send is observably the sorted loop of one-address sends it
   replaced — same receivers, payloads, drop counters and RNG consumption;
   same arrival times on a switch, none later on the hub (CI runs this one a
-  second time with ``REPRO_SANITIZE=1``);
-* the config parser round-trips arbitrary generated documents
-  (render -> parse -> same values).
+  second time with ``REPRO_SANITIZE=1``).
 """
 
 from hypothesis import HealthCheck, given, settings
@@ -17,7 +15,6 @@ from hypothesis import strategies as st
 from repro.net import Address, Network, Transport
 from repro.net.link import FAST_ETHERNET, LinkModel
 from repro.sim import Kernel
-from repro.util.config import parse_config
 from tests.integration.conftest import SANITIZE, assert_sanitizer_clean
 
 
@@ -158,46 +155,3 @@ def test_group_send_equals_sorted_unicast_loop(
             (d, p) for d, _t, p in loop_arrivals]
         assert all(g[1] <= l[1] for g, l in zip(group_arrivals, loop_arrivals))
 
-
-config_value = st.one_of(
-    st.integers(min_value=-10**6, max_value=10**6),
-    st.booleans(),
-    st.text(alphabet=st.characters(whitelist_categories=("Ll", "Lu", "Nd"), max_codepoint=127), max_size=12),
-)
-option_name = st.text(
-    alphabet="abcdefghijklmnopqrstuvwxyz", min_size=1, max_size=10
-)
-
-
-@settings(max_examples=100, deadline=None)
-@given(options=st.dictionaries(option_name, config_value, max_size=10))
-def test_config_render_parse_roundtrip(options):
-    def render(value) -> str:
-        if isinstance(value, bool):
-            return "true" if value else "false"
-        if isinstance(value, int):
-            return str(value)
-        return '"' + value.replace("\\", "\\\\").replace('"', '\\"') + '"'
-
-    text = "\n".join(f"{name} = {render(value)}" for name, value in options.items())
-    cfg = parse_config(text)
-    for name, value in options.items():
-        assert cfg[name] == value
-
-
-@settings(max_examples=60, deadline=None)
-@given(
-    items=st.lists(
-        st.one_of(st.integers(min_value=-1000, max_value=1000), st.booleans()),
-        max_size=8,
-    )
-)
-def test_config_list_roundtrip(items):
-    def render(value) -> str:
-        if isinstance(value, bool):
-            return "yes" if value else "no"
-        return str(value)
-
-    text = "xs = {" + ", ".join(render(item) for item in items) + "}"
-    cfg = parse_config(text)
-    assert cfg["xs"] == items

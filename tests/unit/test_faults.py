@@ -14,6 +14,12 @@ from repro.gcs.messages import TokenMsg
 from repro.net.address import Address
 from repro.net.frames import AckFrame, DataFrame
 from repro.util.errors import ClusterError
+from tests.unit.test_cluster import TickerDaemon
+
+
+@pytest.fixture
+def cluster():
+    return Cluster(head_count=2, compute_count=2, seed=3)
 
 
 class TestFaultEvent:
@@ -246,3 +252,55 @@ class TestFaultInjector:
         assert cluster.network.lan is injector._baseline_lan
         assert not cluster.network.node_is_paused("compute0")
         assert cluster.network.node_slowdown("head1") == 0.0
+
+
+class TestFailureSchedule:
+    def test_builder_and_sorting(self):
+        s = FaultSchedule().restart(5, "h").crash(1, "h").heal(3)
+        assert [e.kind for e in s.sorted_events()] == ["crash", "heal", "restart"]
+
+    def test_unknown_kind_rejected(self):
+        with pytest.raises(ClusterError):
+            FaultEvent(0, "explode")
+
+    def test_negative_time_rejected(self):
+        with pytest.raises(ClusterError):
+            FaultEvent(-1, "heal")
+
+    def test_schedule_executes(self, cluster):
+        injector = FaultInjector(cluster)
+        injector.apply(
+            FaultSchedule().crash(2.0, "head0").restart(5.0, "head0")
+        )
+        cluster.run(until=3.0)
+        assert not cluster.node("head0").is_up
+        cluster.run(until=6.0)
+        assert cluster.node("head0").is_up
+
+    def test_partition_events(self, cluster):
+        injector = FaultInjector(cluster)
+        injector.apply(
+            FaultSchedule()
+            .partition(1.0, [["head0"], ["head1", "compute0", "compute1"]])
+            .heal(2.0)
+        )
+        cluster.run(until=1.5)
+        assert not cluster.network.partitions.reachable("head0", "head1")
+        cluster.run(until=2.5)
+        assert cluster.network.partitions.reachable("head0", "head1")
+
+    def test_cut_restore_events(self, cluster):
+        injector = FaultInjector(cluster)
+        injector.apply(FaultSchedule().cut(1.0, "head0", "head1").restore(2.0, "head0", "head1"))
+        cluster.run(until=1.5)
+        assert not cluster.network.partitions.reachable("head0", "head1")
+        cluster.run(until=2.5)
+        assert cluster.network.partitions.reachable("head0", "head1")
+
+    def test_stop_daemon_event(self, cluster):
+        node = cluster.heads[0]
+        d = node.add_daemon("ticker", TickerDaemon)
+        injector = FaultInjector(cluster)
+        injector.apply(FaultSchedule().stop_daemon(2.5, "head0", "ticker"))
+        cluster.run(until=10)
+        assert d.ticks == 2

@@ -42,11 +42,12 @@ class TestConstruction:
         assert isinstance(ERA_2006_JOSHUA, JoshuaTimes)
 
     def test_jmutex_port_constant_in_sync(self):
-        from repro.joshua.jmutex import _JOSHUA_PORT
-        from repro.joshua.server import JOSHUA_PORT
-        assert _JOSHUA_PORT == JOSHUA_PORT
-        from repro.joshua.commands import _JOSHUA_PORT as client_port
-        assert client_port == JOSHUA_PORT
+        # One object, not equal copies: the client, the mom hook and the
+        # daemon all import the port from the wire module.
+        from repro.joshua import JOSHUA_PORT, commands, jmutex, server, wire
+        for module in (commands, jmutex, server):
+            assert module.JOSHUA_PORT is wire.JOSHUA_PORT
+        assert JOSHUA_PORT is wire.JOSHUA_PORT
 
 
 class TestRowConversion:

@@ -6,7 +6,8 @@ must get through. So three things earn their place only if the program
 itself uses them:
 
 * a keyword-only parameter with a default — *some* call site in the
-  repository passes it;
+  repository passes it (a function handing its own option on under the
+  same name, ``g(x=x)`` inside ``f(*, x=0)``, is no caller of either);
 * a top-level function or class — something outside ``tests/`` names it;
 * a :class:`~repro.gcs.config.GroupConfig` field — some non-test
   ``GroupConfig(...)`` or ``replace(...)`` call sets it to a value other
@@ -36,9 +37,6 @@ OPTION_EXEMPT = {
         "the heap key is (time, priority, sequence): the sanitizer reads it "
         "and ROADMAP's bounded schedule explorer replaces the tie-break "
         "inside it",
-    "util/config.py::add_section(titled)":
-        "floor-bound module: util/config.py goes whole, with its 50 floor "
-        "tests, in a PR whose floor allows it",
 }
 
 #: ``file::name`` -> why it stays although only tests name it.
@@ -50,15 +48,6 @@ DEFINITION_EXEMPT = {
     "ha/raslog.py::RASCollector":
         "ROADMAP item 5 (Figure 12 measured on the stack) gives it a caller; "
         "test_ha_raslog.py covers it",
-    "sim/resources.py::Resource":
-        "its test_sim_resources.py cases stay for now; it goes with them",
-    "util/config.py::parse_config":
-        "util/config.py goes whole with its tests, as in OPTION_EXEMPT",
-    "util/config.py::joshua_config_schema":
-        "util/config.py goes whole with its tests, as in OPTION_EXEMPT",
-    "util/records.py::from_wire":
-        "util/records.py, superseded by net.codec, goes whole with its "
-        "test_util_misc.py cases, which stay for now",
 }
 
 #: ``GroupConfig.field`` -> why it stays although no program sets it.
@@ -92,12 +81,40 @@ def _callee(call: ast.Call):
     return func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
 
 
+def _options_of(function):
+    return {arg.arg for arg, default in zip(function.args.kwonlyargs,
+                                            function.args.kw_defaults)
+            if default is not None}
+
+
+def _forwarders(stmt):
+    """id(call) -> the options of every function enclosing that call.
+
+    A call inside ``f(*, x=0)`` (or a closure in ``f``) that passes ``x=x``
+    only forwards ``f``'s own default: it is no caller of ``x``.
+    """
+    enclosing = {}
+    for node in ast.walk(stmt):
+        if isinstance(node, FUNCTIONS):
+            options = _options_of(node)
+            for call in ast.walk(node):
+                if isinstance(call, ast.Call):
+                    enclosing.setdefault(id(call), set()).update(options)
+    return enclosing
+
+
+def _passes(call: ast.Call, forwarded):
+    return (k.arg for k in call.keywords if k.arg and not (
+        k.arg in forwarded and isinstance(k.value, ast.Name) and k.value.id == k.arg))
+
+
 @cache
 def _scan():
     """Everything the three gates read, from one parse per file.
 
     ``options``: (name, label) of each keyword-only option declared under
-    src/repro; ``passed``: every keyword name some call passes; ``definitions``:
+    src/repro; ``passed``: every keyword name some call passes other than
+    by forwarding (:func:`_forwarders`); ``definitions``:
     (name, label) of each top-level def/class under src/repro; ``names``:
     identifier -> labels of the definitions whose bodies name it (``None``
     for code outside one), counting neither tests, ``__all__`` nor a package
@@ -123,19 +140,16 @@ def _scan():
                     }
                 counts = tree_name != "tests" and not _is_all(stmt) and not (
                     reexports and isinstance(stmt, (ast.Import, ast.ImportFrom)))
+                forwarders = _forwarders(stmt)
                 for node in ast.walk(stmt):
                     if isinstance(node, ast.Call):
-                        scan.passed.update(k.arg for k in node.keywords if k.arg)
+                        scan.passed.update(_passes(node, forwarders.get(id(node), ())))
                         if tree_name != "tests" and _callee(node) in ("GroupConfig", "replace"):
                             scan.settings += [(k.arg, ast.dump(k.value))
                                               for k in node.keywords if k.arg]
                     elif where is not None and isinstance(node, FUNCTIONS):
-                        scan.options += [
-                            (arg.arg, f"{where}::{node.name}({arg.arg})")
-                            for arg, default in zip(node.args.kwonlyargs,
-                                                    node.args.kw_defaults)
-                            if default is not None
-                        ]
+                        scan.options += [(name, f"{where}::{node.name}({name})")
+                                         for name in sorted(_options_of(node))]
                     name = _name_of(node) if counts else None
                     if name is not None:
                         scan.names.setdefault(name, set()).add(owner)
@@ -156,7 +170,7 @@ def test_every_keyword_option_is_passed_by_some_call_site():
     assert len(scan.options) > 100  # the scan found the package
     never = sorted(label for name, label in scan.options if name not in scan.passed)
     _assert_exactly_exempt(
-        never, OPTION_EXEMPT, 5,
+        never, OPTION_EXEMPT, 1,
         "option(s) no call site passes — make each a constant or delete it",
     )
 
@@ -168,7 +182,7 @@ def test_every_definition_has_a_caller():
     uncalled = sorted(label for name, label in scan.definitions
                       if not scan.names.get(name, set()) - {label})
     _assert_exactly_exempt(
-        uncalled, DEFINITION_EXEMPT, 7,
+        uncalled, DEFINITION_EXEMPT, 3,
         "definition(s) only tests name — delete each with its tests",
     )
 

@@ -1,8 +1,8 @@
-"""Unit tests for Store (mailboxes) and Resource (counted locks)."""
+"""Unit tests for Store (mailboxes, apply and CPU queues)."""
 
 import pytest
 
-from repro.sim import Kernel, Resource, Store
+from repro.sim import Kernel, Store
 from repro.util.errors import SimulationError
 
 
@@ -62,28 +62,6 @@ class TestStore:
         kernel.run()
         assert got == [("first", "a"), ("second", "b")]
 
-    def test_bounded_put_blocks(self, kernel):
-        store = Store(kernel, capacity=1)
-        timeline = []
-        def producer(k):
-            yield store.put("a")
-            timeline.append(("a", k.now))
-            yield store.put("b")
-            timeline.append(("b", k.now))
-        def consumer(k):
-            yield k.timeout(4)
-            store.get_nowait()
-        kernel.spawn(producer(kernel))
-        kernel.spawn(consumer(kernel))
-        kernel.run()
-        assert timeline == [("a", 0.0), ("b", 4.0)]
-
-    def test_put_nowait_full_raises(self, kernel):
-        store = Store(kernel, capacity=1)
-        store.put_nowait("x")
-        with pytest.raises(SimulationError, match="full"):
-            store.put_nowait("y")
-
     def test_get_nowait_empty_raises(self, kernel):
         with pytest.raises(SimulationError, match="empty"):
             Store(kernel).get_nowait()
@@ -94,10 +72,6 @@ class TestStore:
         store.put(2)
         assert len(store) == 2
         assert store.items == [1, 2]
-
-    def test_invalid_capacity(self, kernel):
-        with pytest.raises(SimulationError):
-            Store(kernel, capacity=0)
 
     def test_cancel_all_fails_waiters(self, kernel):
         store = Store(kernel)
@@ -137,60 +111,3 @@ class TestStore:
         kernel.run()
         assert got == ["item"]
 
-
-class TestResource:
-    def test_grants_up_to_slots(self, kernel):
-        res = Resource(kernel, slots=2)
-        grants = []
-        def worker(k, tag):
-            token = yield res.acquire()
-            grants.append((tag, k.now))
-            yield k.timeout(10)
-            res.release(token)
-        for tag in "abc":
-            kernel.spawn(worker(kernel, tag))
-        kernel.run()
-        assert grants == [("a", 0.0), ("b", 0.0), ("c", 10.0)]
-
-    def test_release_validates_token(self, kernel):
-        res = Resource(kernel)
-        with pytest.raises(SimulationError, match="unknown or already-released"):
-            res.release(99)
-
-    def test_double_release_rejected(self, kernel):
-        res = Resource(kernel)
-        tokens = []
-        def worker(k):
-            tokens.append((yield res.acquire()))
-        kernel.spawn(worker(kernel))
-        kernel.run()
-        res.release(tokens[0])
-        with pytest.raises(SimulationError):
-            res.release(tokens[0])
-
-    def test_counters(self, kernel):
-        res = Resource(kernel, slots=3)
-        def worker(k):
-            yield res.acquire()
-        kernel.spawn(worker(kernel))
-        kernel.run()
-        assert res.in_use == 1
-        assert res.available == 2
-
-    def test_invalid_slots(self, kernel):
-        with pytest.raises(SimulationError):
-            Resource(kernel, slots=0)
-
-    def test_fifo_granting(self, kernel):
-        res = Resource(kernel, slots=1)
-        order = []
-        def worker(k, tag, hold):
-            token = yield res.acquire()
-            order.append(tag)
-            yield k.timeout(hold)
-            res.release(token)
-        kernel.spawn(worker(kernel, "w1", 1))
-        kernel.spawn(worker(kernel, "w2", 1))
-        kernel.spawn(worker(kernel, "w3", 1))
-        kernel.run()
-        assert order == ["w1", "w2", "w3"]

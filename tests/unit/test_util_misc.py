@@ -1,11 +1,7 @@
-"""Unit tests for rng streams, sim logging and wire-record helpers."""
-
-import dataclasses
-import enum
+"""Unit tests for rng streams and sim logging."""
 
 import pytest
 
-from repro.util.records import from_wire, to_wire
 from repro.util.rng import RandomStreams
 from repro.util.simlog import LogRecord, SimLogger
 
@@ -107,53 +103,3 @@ class TestSimLogger:
         log.info("s", "two")
         assert log.dump().count("\n") == 1
 
-
-class Color(enum.Enum):
-    RED = "red"
-    BLUE = "blue"
-
-
-@dataclasses.dataclass
-class Point:
-    x: int
-    y: int
-
-
-@dataclasses.dataclass
-class Shape:
-    name: str
-    origin: Point
-    color: Color
-    tags: list
-
-
-class TestWireRecords:
-    def test_roundtrip_nested_dataclass(self):
-        shape = Shape("box", Point(1, 2), Color.RED, ["a", "b"])
-        wire = to_wire(shape)
-        assert wire["__type__"] == "Shape"
-        assert wire["origin"] == {"__type__": "Point", "x": 1, "y": 2}
-        assert wire["color"] == "red"
-        back = from_wire(wire, Shape)
-        assert back == shape
-
-    def test_scalars_pass_through(self):
-        assert to_wire(5) == 5
-        assert to_wire("s") == "s"
-        assert to_wire(None) is None
-        assert to_wire(True) is True
-
-    def test_containers(self):
-        assert to_wire({"k": [1, (2, 3)]}) == {"k": [1, (2, 3)]}
-
-    def test_unserialisable_rejected(self):
-        with pytest.raises(TypeError, match="cannot serialise"):
-            to_wire(object())
-
-    def test_from_wire_requires_dataclass(self):
-        with pytest.raises(TypeError):
-            from_wire({}, int)
-
-    def test_from_wire_requires_dict(self):
-        with pytest.raises(TypeError):
-            from_wire([1], Point)
