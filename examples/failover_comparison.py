@@ -17,14 +17,14 @@ repair; symmetric active/active loses nothing at all.
 Run:  python examples/failover_comparison.py
 """
 
-from repro.bench.experiments.models import MODELS, run_model
+from repro.bench.experiments.models import CRASH_AT, MODELS, RESTART_AT, run_model
 from repro.bench.reporting import format_table
 
 
 def main() -> None:
-    scenario = dict(jobs=15, rate=0.4, crash_at=20.0, restart_at=80.0, horizon=220.0)
+    scenario = dict(jobs=15, rate=0.4, horizon=220.0)
     print("scenario: Poisson submissions (15 jobs, ~1 every 2.5 s); "
-          "head0 crashes at t=20 s, repaired at t=80 s\n")
+          f"head0 crashes at t={CRASH_AT:g} s, repaired at t={RESTART_AT:g} s\n")
     rows = []
     for model in MODELS:
         report = run_model(model, **scenario)

@@ -51,8 +51,7 @@ def main() -> None:
         while not stack.joshua(new_name).active:
             cluster.run(until=kernel.now + 1.0)
         client = stack.client(node="login")  # user learns the new fleet
-        print(f"[t={kernel.now:6.1f}s] {new_name} active "
-              f"(transfer mode: {stack.state_transfer}); retiring {old}")
+        print(f"[t={kernel.now:6.1f}s] {new_name} active; retiring {old}")
         stack.joshua(old).leave()
         cluster.node(old).stop_daemon("pbs_server")
         cluster.node(old).stop_daemon("maui")

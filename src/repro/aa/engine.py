@@ -526,7 +526,7 @@ class ReplicationEngine:
         self._response = None
         self.needs_resync = False
         self.active = True
-        self.log.info(self.tag, f"state transfer complete ({response.mode}), now active")
+        self.log.info(self.tag, "state transfer complete, now active")
 
 
 class ReplicaDaemon(Daemon):

@@ -112,7 +112,7 @@ class ReplicatedService(ReplicaDaemon):
 
     def capture_state(self, marker_uuid: str):
         state = yield from self.driver.snapshot()
-        return StateXferResp(marker_uuid, "snapshot", (state,), 0, ())
+        return StateXferResp(marker_uuid, (state,), 0, ())
 
     def install_state(self, response: StateXferResp):
         yield from self.driver.restore(response.items[0])

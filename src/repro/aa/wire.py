@@ -78,22 +78,21 @@ class StateXferReq:
 class StateXferResp:
     """One replica's state as of a marker cut.
 
-    ``mode``/``items``/``next_seq``/``mutex``/``skipped`` belong to the
-    driver (JOSHUA's meaning is given below; a generic service ships its
-    snapshot as the single item of a ``"snapshot"`` capture); ``results``
-    and ``applied_seq`` are the engine's own state.
+    ``items``/``next_seq``/``mutex``/``skipped`` belong to the driver
+    (JOSHUA's meaning is given below; a generic service ships its snapshot
+    as the single item); ``results`` and ``applied_seq`` are the engine's
+    own state.
     """
 
     marker_uuid: str
-    mode: str  # "replay" | "snapshot"
-    #: replay: tuple of (kind, payload) commands to re-execute;
-    #: snapshot: tuple of Job records.
+    #: JOSHUA: tuple of ("submit", spec, job_id) commands to replay.
     items: tuple
+    #: JOSHUA: the shard's stripe count, its ordered job-id counter.
     next_seq: int
     #: job_id -> (winner head, started) launch-mutex entries.
     mutex: tuple
-    #: Job ids the sponsor could not transfer (held jobs in replay mode —
-    #: the paper's documented limitation).
+    #: Job ids the sponsor could not transfer (held jobs — the paper's
+    #: documented limitation of command replay).
     skipped: tuple = ()
     #: (uuid, cached response) pairs: the sponsor's command dedup cache, so
     #: a client retrying an already-executed command against the joiner is

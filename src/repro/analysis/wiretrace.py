@@ -53,10 +53,7 @@ def make_stack(shards: int = 1) -> JoshuaStack:
     cluster = Cluster(
         head_count=_HEADS, compute_count=_COMPUTES, seed=_SEED, login_node=True
     )
-    return build_joshua_stack(
-        cluster, group_config=FAST_GROUP_CONFIG, state_transfer="replay",
-        shards=shards,
-    )
+    return build_joshua_stack(cluster, group_config=FAST_GROUP_CONFIG, shards=shards)
 
 
 def _drive(stack: JoshuaStack, coroutine):

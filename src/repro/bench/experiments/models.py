@@ -32,6 +32,11 @@ __all__ = ["MODELS", "run_model", "compare_models"]
 
 MODELS = ("single", "active_standby", "asymmetric", "symmetric")
 
+#: The fault schedule every model runs under: head0 crashes at CRASH_AT and
+#: is repaired at RESTART_AT (simulated seconds).
+CRASH_AT = 20.0
+RESTART_AT = 80.0
+
 #: Group timings for the comparison (faster than the calibrated deployment
 #: config so suspicion/view change complete well inside the fault window).
 _COMPARE_GROUP = GroupConfig(
@@ -80,7 +85,7 @@ def _build(model: str, seed: int):
     if model == "active_standby":
         return cluster, ActiveStandbySystem(
             cluster, checkpoint_interval=5.0, probe_interval=0.5,
-            misses=3, failover_delay=4.0,
+            misses=3,
         )
     if model == "asymmetric":
         return cluster, AsymmetricSystem(cluster)
@@ -95,8 +100,6 @@ def run_model(
     seed: int = 101,
     jobs: int = 15,
     rate: float = 0.4,
-    crash_at: float = 20.0,
-    restart_at: float = 80.0,
     horizon: float = 220.0,
 ) -> WorkloadReport:
     """One model under the standard workload + fault schedule."""
@@ -119,9 +122,9 @@ def run_model(
     kernel.spawn(submitter(), name="workload")
 
     def fault_driver():
-        yield kernel.timeout(crash_at)
+        yield kernel.timeout(CRASH_AT)
         cluster.heads[0].crash()
-        yield kernel.timeout(restart_at - crash_at)
+        yield kernel.timeout(RESTART_AT - CRASH_AT)
         # Repair semantics differ: models whose head can simply reboot its
         # daemons do so; failover/replicated models get a bare repaired
         # node (re-integration is a separate, heavier operation measured

@@ -32,7 +32,7 @@ FIGURE_FILES = {
     ),
     "BENCH_head_scaling.json": lambda: head_scaling(
         figure10_heads=(1, 2, 3, 4, 6, 8, 12, 16), stress_heads=(2, 4, 8, 16),
-        seed=1, stress_seed=11,
+        seed=1,
     ),
 }
 

@@ -3,7 +3,7 @@
 One primary head serves; its server state is checkpointed to shared stable
 storage every ``checkpoint_interval``. A failover monitor on the standby
 head probes the primary and, after ``misses`` consecutive silent probes,
-waits the ``failover_delay`` (the 3-5 s warm-standby failover the related
+waits :data:`FAILOVER_DELAY` (the 3-5 s warm-standby failover the related
 work reports) and brings the service up on the standby from the **last
 checkpoint**:
 
@@ -43,6 +43,9 @@ __all__ = ["ActiveStandbySystem", "FailoverMonitor"]
 #: Key of the PBS server record, and prefix of every record the server
 #: persists (``pbs/server.py``: the server record plus one per job).
 _CKPT_KEY = "pbs.torque"
+
+#: Seconds from declaring the primary dead to starting the standby's stack.
+FAILOVER_DELAY = 4.0
 
 
 def _mirror_server_records(source, target) -> None:
@@ -88,7 +91,6 @@ class FailoverMonitor(Daemon):
         moms: list[Address],
         probe_interval: float = 1.0,
         misses: int = 3,
-        failover_delay: float = 4.0,
     ):
         super().__init__(node, "failover-monitor", 15011)
         self.primary = primary
@@ -96,7 +98,6 @@ class FailoverMonitor(Daemon):
         self.moms = moms
         self.probe_interval = probe_interval
         self.misses = misses
-        self.failover_delay = failover_delay
         self.failed_over = False
         self.failover_time: float | None = None
 
@@ -118,7 +119,7 @@ class FailoverMonitor(Daemon):
 
     def _failover(self):
         self.log.warning(self.tag, "primary silent; failing over")
-        yield self.kernel.timeout(self.failover_delay)
+        yield self.kernel.timeout(FAILOVER_DELAY)
         # Restore the last checkpoint onto the local disk so the server
         # recovers from it exactly as it would from its own crash.
         if _CKPT_KEY in self.shared:
@@ -152,7 +153,6 @@ class ActiveStandbySystem:
         checkpoint_interval: float = 5.0,
         probe_interval: float = 1.0,
         misses: int = 3,
-        failover_delay: float = 4.0,
     ):
         if len(cluster.heads) < 2:
             raise PBSError("active/standby needs two head nodes")
@@ -187,7 +187,6 @@ class ActiveStandbySystem:
             moms=mom_addresses,
             probe_interval=probe_interval,
             misses=misses,
-            failover_delay=failover_delay,
         )
         self.monitor: FailoverMonitor = self.standby.add_daemon(
             "failover-monitor",

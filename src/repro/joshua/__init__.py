@@ -19,11 +19,9 @@ Architecture (paper Figures 8-9), reproduced component for component:
   every head's scheduler independently dispatches it.
 * join/leave — a head node joins by entering the group and receiving state
   transfer; the paper's prototype transferred state by configuration-file
-  modification plus user-command replay, which cannot reproduce held jobs
-  (reproduced as ``state_transfer="replay"``, the default); the snapshot
-  mode the paper's future work points at is also implemented
-  (``state_transfer="snapshot"``). Leaving is handled as a forced failure,
-  exactly as in the paper.
+  modification plus user-command replay, which cannot reproduce held jobs;
+  both the replay and its limitation are reproduced. Leaving is handled as
+  a forced failure, exactly as in the paper.
 
 Deployment helper: :func:`~repro.joshua.deploy.build_joshua_stack`.
 """

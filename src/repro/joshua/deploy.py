@@ -43,7 +43,6 @@ class JoshuaStack:
     head_names: list[str]
     service_times: ServiceTimes
     group_config: GroupConfig
-    state_transfer: str
     #: Independent ordering groups hosted on the shared heads. Every head
     #: runs one replica unit per shard; :meth:`add_head` joins all of them.
     shards: int = 1
@@ -107,7 +106,6 @@ class JoshuaStack:
             initial_heads=founders,
             contacts=contacts,
             group_config=self.group_config,
-            state_transfer=self.state_transfer,
             moms=mom_addresses,
             shards=self.shards,
         ))
@@ -132,7 +130,6 @@ def build_joshua_stack(
     *,
     service_times: ServiceTimes = ERA_2006,
     group_config: GroupConfig = JOSHUA_GROUP_CONFIG,
-    state_transfer: str = "replay",
     shards: int = 1,
     legacy_obit_retry: bool = False,
     exclusive: bool = True,
@@ -152,7 +149,6 @@ def build_joshua_stack(
         head_names=[h.name for h in cluster.heads],
         service_times=service_times,
         group_config=group_config,
-        state_transfer=state_transfer,
         shards=shards,
         legacy_obit_retry=legacy_obit_retry,
         exclusive=exclusive,

@@ -30,9 +30,9 @@ request to the owning shard:
   command stream (cross-shard queries have no global order — the
   documented cost of sharding).
 
-With ``shards=1`` (default) the router degenerates to a pass-through and
-the daemon is wire-identical to the pre-sharding build
-(``tests/integration/test_wire_baseline.py`` pins that).
+With ``shards=1`` (default) every request routes to the one shard, the
+stripe of width 1 (``tests/integration/test_wire_baseline.py`` pins that
+deployment's wire traffic).
 """
 
 from __future__ import annotations
@@ -64,11 +64,10 @@ from repro.pbs.job import JobSpec
 from repro.pbs.server import PBS_SERVER_PORT
 from repro.pbs.wire import StatReq
 from repro.rpc.wire import ErrorResp, relay_error
-from repro.util.errors import JoshuaError, PBSError
+from repro.util.errors import PBSError
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.cluster.node import Node
-    from repro.joshua.mutex import _MutexEntry
 
 __all__ = ["JoshuaServer", "JOSHUA_PORT", "JOSHUA_GCS_PORT", "REPLICA_SERVER_NAME"]
 
@@ -97,8 +96,6 @@ class JoshuaServer(ReplicaDaemon):
         constant :attr:`times`). The config's ``group_id`` is overridden per
         shard (shard *k* runs with ``group_id=k`` on GCS port
         ``JOSHUA_GCS_PORT + k``).
-    state_transfer:
-        ``"replay"`` (paper-faithful) or ``"snapshot"`` (extension).
     moms:
         Mom addresses, for post-view-change server-list announcements.
     shards:
@@ -117,18 +114,14 @@ class JoshuaServer(ReplicaDaemon):
         initial_heads: list[str] | None = None,
         contacts: list[str] | None = None,
         group_config: GroupConfig = JOSHUA_GROUP_CONFIG,
-        state_transfer: str = "replay",
         moms: list[Address] | None = None,
         shards: int = 1,
     ):
-        if state_transfer not in ("replay", "snapshot"):
-            raise JoshuaError(f"unknown state_transfer mode {state_transfer!r}")
         super().__init__(
             node, REPLICA_SERVER_NAME, JOSHUA_PORT, JOSHUA_GCS_PORT,
             founders=initial_heads, contacts=contacts,
             group_config=group_config, nshards=shards,
         )
-        self.state_transfer = state_transfer
         self.moms = list(moms or [])
         self.local_pbs = Address(node.name, PBS_SERVER_PORT)
 
@@ -187,16 +180,6 @@ class JoshuaServer(ReplicaDaemon):
             log.extend(replica.command_log)
         return log
 
-    @property
-    def mutex(self) -> dict[str, _MutexEntry]:
-        """Launch mutual exclusion state: job_id -> entry."""
-        if self.nshards == 1:
-            return self.shards[0].arbiter.entries
-        merged: dict[str, _MutexEntry] = {}
-        for replica in self.shards:
-            merged.update(replica.arbiter.entries)
-        return merged
-
     # ------------------------------------------------------------------
     # request routing
     # ------------------------------------------------------------------
@@ -205,15 +188,11 @@ class JoshuaServer(ReplicaDaemon):
         """The shard owning *spec*'s namespace slice: CRC-32 of the PBS
         queue name (falling back to the owner for unqueued specs) — stable
         across runs, processes and hash seeds."""
-        if self.nshards == 1:
-            return self.shards[0]
         key = spec.queue or spec.owner
         return self.shards[zlib.crc32(key.encode()) % self.nshards]
 
     def shard_for_job(self, job_id: str) -> ShardReplica:
         """The shard owning *job_id*, from the id stripe ``(seq-1) % N``."""
-        if self.nshards == 1:
-            return self.shards[0]
         head = str(job_id).split(".", 1)[0]
         if not head.isdigit():
             return self.shards[0]

@@ -17,8 +17,9 @@ the job-id space is **striped**: shard *k* of *N* forces ids
 ``k+1, k+1+N, k+1+2N, …`` on its submissions, making ids globally unique,
 deterministic across that shard's replicas, and instantly attributable
 (``(seq-1) % N`` names the owning shard — the router's delete/stat/mutex
-key). With one shard the stripe is disabled and the local PBS assigns ids
-itself, byte-identical to the pre-sharding build.
+key). One shard is the stripe of width 1: ids ``1, 2, 3, …``, forced all
+the same, so a replica's ids follow from the total order alone and never
+from its local server's counter.
 """
 
 from __future__ import annotations
@@ -80,17 +81,14 @@ class ShardReplica(ReplicationEngine):
 
     # -- job-id striping ------------------------------------------------------
 
-    def next_forced_job_id(self) -> str | None:
-        """The next striped job id, or ``None`` when striping is off.
+    def next_forced_job_id(self) -> str:
+        """The next striped job id.
 
         Advances only on totally-ordered jsub executions, so every replica
-        of this shard computes the identical sequence. With one shard the
-        local PBS assigns ids itself — the pre-sharding wire behaviour.
-        The suffix is the daemon's name, which is also the logical server
-        name every replicated ``pbs_server`` runs under.
+        of this shard computes the identical sequence. The suffix is the
+        daemon's name, which is also the logical server name every
+        replicated ``pbs_server`` runs under.
         """
-        if self.nshards <= 1:
-            return None
         seq = self.index + 1 + self.stripe_count * self.nshards
         self.stripe_count += 1
         return f"{seq}.{self.host.name}"

@@ -131,7 +131,8 @@ class Job:
         return state
 
 
-# Job records ride inside LoadStateReq/StateXferResp (state transfer) and
-# JobSpec inside every submit; JobState members appear as Job fields.
+# JobSpec rides inside every submit and every replayed state-transfer item.
+# No frame carries a Job, but lint rule R6 requires every exported record of
+# a codec module to be registered; JobState members appear as Job fields.
 register_wire_types(JobSpec, Job)
 register_wire_enum(JobState)

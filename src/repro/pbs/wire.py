@@ -17,8 +17,7 @@ __all__ = [
     "SubmitReq", "SubmitResp",
     "StatReq", "StatResp",
     "DeleteReq", "DeleteResp",
-    "HoldReq", "ReleaseReq", "SignalReq", "RerunReq", "LoadStateReq", "PurgeReq",
-    "CaptureReq", "CaptureResp",
+    "HoldReq", "ReleaseReq", "SignalReq", "RerunReq", "PurgeReq",
     "AdminServers", "AdminPurge",
     "SimpleResp",
     "RunJobReq", "RunJobResp",
@@ -33,9 +32,10 @@ __all__ = [
 @dataclass(frozen=True)
 class SubmitReq:
     spec: JobSpec
-    #: Replay-mode state transfer forces the original job id so replicated
-    #: servers stay id-compatible (the stand-in for the prototype's
-    #: configuration-file surgery when cloning a TORQUE server).
+    #: JOSHUA forces every id — from the ordered stream on execution, the
+    #: original one on state-transfer replay — so replicated servers stay
+    #: id-compatible (the stand-in for the prototype's configuration-file
+    #: surgery when cloning a TORQUE server).
     force_job_id: str | None = None
 
 
@@ -91,52 +91,19 @@ class RerunReq:
 
 @dataclass(frozen=True)
 class PurgeReq:
-    """Admin wipe of job state (a rejoining replica discards its stale
-    recovered queue before state transfer — the 'configuration file
-    modification' half of the prototype's replica-cloning procedure).
+    """Admin wipe of one stripe of the job namespace (a rejoining replica
+    discards its stale recovered queue before state transfer — the
+    'configuration file modification' half of the prototype's
+    replica-cloning procedure).
 
-    With ``stride == 0`` (default) everything is wiped and the id counter
-    reset. A sharded replica unit resyncs only its own stripe of the job
-    namespace: ``stride = <shard count>, lane = <shard id>`` purges exactly
-    the jobs whose sequence number satisfies ``(seq - 1) % stride == lane``,
-    leaving the other shards' jobs and the id counter untouched.
+    ``stride = <shard count>, lane = <shard id>`` purges exactly the jobs
+    whose sequence number satisfies ``(seq - 1) % stride == lane``, leaving
+    the other shards' jobs and the id counter untouched; ``(1, 0)`` is
+    every job.
     """
 
-    stride: int = 0
-    lane: int = 0
-
-
-@dataclass(frozen=True)
-class LoadStateReq:
-    """Admin bulk-load of job state (snapshot state transfer — the
-    extension mode foreshadowed by the paper's 'unified and location
-    independent state description' future work).
-
-    ``merge=False`` (default) demands an empty server — the unsharded
-    clone-a-replica semantics. ``merge=True`` adds/overwrites only the
-    carried jobs and ratchets ``next_seq`` to the max, so one shard's
-    snapshot can land without clobbering the other shards' stripes.
-    """
-
-    jobs: tuple
-    next_seq: int
-    merge: bool = False
-
-
-@dataclass(frozen=True)
-class CaptureReq:
-    """HA layer -> its local server: the job table *and* the id counter, for
-    a state-transfer capture. The counter cannot be inferred from the rows:
-    a server that was itself cloned holds no record of the jobs that
-    finished before, yet must never hand their ids out again."""
-
-
-@dataclass(frozen=True)
-class CaptureResp:
-    #: qstat-style rows, submission order (as :class:`StatResp`).
-    rows: tuple
-    #: the sequence number the server's next self-assigned job id takes.
-    next_seq: int
+    stride: int
+    lane: int
 
 
 @dataclass(frozen=True)
@@ -230,8 +197,7 @@ register_wire_types(
     SubmitReq, SubmitResp,
     StatReq, StatResp,
     DeleteReq, DeleteResp,
-    HoldReq, ReleaseReq, SignalReq, RerunReq, LoadStateReq, PurgeReq,
-    CaptureReq, CaptureResp,
+    HoldReq, ReleaseReq, SignalReq, RerunReq, PurgeReq,
     AdminServers, AdminPurge,
     SimpleResp,
     RunJobReq, RunJobResp,

@@ -29,15 +29,10 @@ def assert_sanitizer_clean(kernel):
         assert kernel.sanitizer.aliasing == [], kernel.sanitizer.report()
 
 
-def make_stack(heads=2, computes=2, seed=11, state_transfer="replay", shards=1,
-               **cluster_kwargs):
+def make_stack(heads=2, computes=2, seed=11, shards=1, **cluster_kwargs):
     cluster = Cluster(head_count=heads, compute_count=computes, seed=seed,
                       login_node=True, **cluster_kwargs)
-    stack = build_joshua_stack(
-        cluster, group_config=FAST_GROUP, state_transfer=state_transfer,
-        shards=shards,
-    )
-    return stack
+    return build_joshua_stack(cluster, group_config=FAST_GROUP, shards=shards)
 
 
 def drive(stack, coroutine):

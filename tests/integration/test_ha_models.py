@@ -65,7 +65,7 @@ class TestActiveStandby:
         cluster = make_cluster(2, seed=seed)
         system = ActiveStandbySystem(
             cluster, checkpoint_interval=3.0, probe_interval=0.5,
-            misses=2, failover_delay=4.0,
+            misses=2,
         )
         return cluster, system
 

@@ -124,7 +124,8 @@ class TestLaunchMutexUnderFailure:
 
         # Whichever head won, the job should complete exactly once even if
         # that head dies mid-flight.
-        winner = stack.joshua("head1").mutex.get(job_id)
+        arbiter = stack.joshua("head1").shard_for_job(job_id).arbiter
+        winner = arbiter.entries.get(job_id)
         stack.cluster.run(until=60.0)
         assert stack.pbs("head1").jobs.get(job_id).state is JobState.COMPLETE
         assert total_runs(stack) == 1
@@ -140,7 +141,8 @@ class TestLaunchMutexUnderFailure:
         # Pretend head0 won the mutex but never launched (we fabricate the
         # entry on head1 and kill head0 before any real launch).
         joshua1 = stack.joshua("head1")
-        joshua1.mutex[job_id] = _MutexEntry("head0", started=False)
+        joshua1.shard_for_job(job_id).arbiter.entries[job_id] = _MutexEntry(
+            "head0", started=False)
         stack.cluster.node("head0").crash()
         stack.cluster.run(until=60.0)
         # head1 revoked and the job eventually ran and completed.
@@ -150,7 +152,8 @@ class TestLaunchMutexUnderFailure:
     def test_started_claim_not_revoked(self, stack):
         job_id = drive(stack, stack.client().jsub(name="running", walltime=8.0))
         settle(stack, 3.0)  # definitely started
-        entry = stack.joshua("head1").mutex.get(job_id)
+        arbiter = stack.joshua("head1").shard_for_job(job_id).arbiter
+        entry = arbiter.entries.get(job_id)
         assert entry is not None and entry.started
         stack.cluster.node("head0").crash()
         stack.cluster.run(until=60.0)
@@ -181,7 +184,8 @@ class TestNotifierRetry:
                 cluster.network.partitions.restore_link(compute.name, head)
         cluster.run(until=60.0)
         for head in stack.head_names:
-            assert job_id not in stack.joshua(head).mutex  # jdone released it
+            entries = stack.joshua(head).shard_for_job(job_id).arbiter.entries
+            assert job_id not in entries  # jdone released it
             assert stack.pbs(head).jobs.get(job_id).state is JobState.COMPLETE
         assert total_runs(stack) == 1
         abandoned = sum(

@@ -72,7 +72,7 @@ class TestJoin:
 
     def test_replay_mode_skips_held_jobs(self):
         """The paper's limitation: command replay cannot transfer holds."""
-        stack = make_stack(state_transfer="replay")
+        stack = make_stack()
         client = stack.client(node="login")
         drive(stack, client.jsub(name="blocker", walltime=900))
         held_id = drive(stack, client.jsub(name="held", walltime=900))
@@ -88,22 +88,6 @@ class TestJoin:
         settle(stack, 6.0)
         assert held_id not in stack.pbs("head2").jobs  # skipped
         assert "1.joshua" in stack.pbs("head2").jobs
-
-    def test_snapshot_mode_transfers_held_jobs(self):
-        stack = make_stack(state_transfer="snapshot")
-        client = stack.client(node="login")
-        drive(stack, client.jsub(name="blocker", walltime=900))
-        held_id = drive(stack, client.jsub(name="held", walltime=900))
-        from repro.pbs import PBSClient
-        for head in stack.head_names:
-            pbs_client = PBSClient(
-                stack.cluster.network, "login", stack.pbs(head).address
-            )
-            drive(stack, pbs_client.qhold(held_id))
-        stack.add_head("head2")
-        settle(stack, 6.0)
-        job = stack.pbs("head2").jobs.get(held_id)
-        assert job.state is JobState.HELD
 
     def test_job_ids_continue_correctly_after_join(self, stack):
         client = stack.client(node="login")

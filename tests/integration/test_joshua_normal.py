@@ -170,7 +170,8 @@ class TestExactlyOnceExecution:
         job_id = drive(stack, stack.client().jsub(name="rel", walltime=1.0))
         stack.cluster.run(until=30.0)
         for head in stack.head_names:
-            assert job_id not in stack.joshua(head).mutex
+            arbiter = stack.joshua(head).shard_for_job(job_id).arbiter
+            assert job_id not in arbiter.entries
 
 
 class TestOutputDedup:

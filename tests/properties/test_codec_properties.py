@@ -106,7 +106,7 @@ _BY_CLASS_NAME = {
     "MessageId": _MSG_ID,
     "JobSpec": _SPEC,
     "JobState": JobState.QUEUED,
-    "StateXferResp": StateXferResp("m", "replay", (), 1, ()),
+    "StateXferResp": StateXferResp("m", (), 1, ()),
 }
 
 #: Exemplars for scalar / union annotations.

@@ -139,7 +139,7 @@ def test_row_is_encoded_once_per_job_record_and_never_copied_with_it():
     assert "wire_row" not in vars(copy.deepcopy(job))  # Disk writes
     assert copy.deepcopy(job) == job and repr(copy.deepcopy(job)) == repr(job)
     assert "wire_row" not in repr(job)
-    # The record's own encoding (LoadStateReq / StateXferResp) is by field.
+    # The record's own encoding is by field.
     assert WIRE.decode(WIRE.encode(job)) == dataclasses.replace(job)
 
 

@@ -28,7 +28,6 @@ from repro.pbs.server import PBS_MOM_PORT, PBS_SERVER_PORT, PBSServer
 from repro.pbs.wire import (
     DeleteReq,
     HoldReq,
-    LoadStateReq,
     PurgeReq,
     ReleaseReq,
     RerunReq,
@@ -179,18 +178,6 @@ specs = st.builds(
     # Short jobs finish (obituaries); long ones stay RUNNING across crashes.
     walltime=st.sampled_from([0.3, 500.0]),
 )
-#: Simulated seconds after which no obituary is still on its way: a short
-#: job's run (0.3 s + mom start/finish) plus the mom's 5 s give-up window.
-#: Thirty steps of it stay well short of a long job's 500 s.
-QUIESCE = 6.0
-loaded_jobs = st.lists(
-    st.tuples(
-        st.integers(1, 30), specs,
-        st.sampled_from([JobState.QUEUED, JobState.HELD, JobState.RUNNING,
-                         JobState.EXITING, JobState.COMPLETE]),
-    ),
-    max_size=5, unique_by=lambda entry: entry[0],
-)
 
 
 def _requeued(job: Job) -> Job:
@@ -282,53 +269,11 @@ class RestartFromDisk(RuleBasedStateMachine):
     def let_obituaries_arrive(self, seconds):
         self.cluster.run(until=self.cluster.kernel.now + seconds)
 
-    # -- the state-transfer requests --------------------------------------------
+    # -- the state-transfer request ---------------------------------------------
 
-    @rule()
-    def purge_everything(self):
-        self.request(PurgeReq())
-        assert len(self.server.jobs) == 0 and self.server.next_seq == 1
-
-    @rule(stride=st.integers(2, 3), lane=st.integers(0, 2))
+    @rule(stride=st.integers(1, 3), lane=st.integers(0, 2))
     def purge_stripe(self, stride, lane):
         self.request(PurgeReq(stride, lane % stride))
-
-    def _snapshot(self, entries, next_seq) -> tuple[tuple, int]:
-        """Job records and id counter as a sponsor would send them (its
-        counter is always past every id it holds)."""
-        jobs = tuple(
-            Job(f"{seq}.torque", spec, state=state, submit_time=float(seq),
-                exec_nodes=COMPUTES[:spec.nodes]
-                if state in (JobState.RUNNING, JobState.EXITING) else ())
-            for seq, spec, state in entries
-        )
-        return jobs, max([next_seq] + [seq + 1 for seq, _, _ in entries])
-
-    @rule(entries=loaded_jobs, next_seq=st.integers(1, 50))
-    def load_snapshot(self, entries, next_seq):
-        """Unsharded snapshot transfer: wipe, then load into the empty
-        server (a non-empty one must refuse and change nothing)."""
-        jobs, next_seq = self._snapshot(entries, next_seq)
-        if len(self.server.jobs):
-            # The request takes simulated time, and an obituary already on
-            # its way (a short job ending, a kill in flight) may land inside
-            # it and move that job's state. Let every such obituary arrive
-            # first — a short job's whole run plus the mom's give-up window
-            # — so that any difference below is the refused load's doing.
-            self.cluster.run(until=self.cluster.kernel.now + QUIESCE)
-            before = self.server.jobs.snapshot()
-            assert self.request(LoadStateReq(jobs, next_seq)) is None
-            assert self.server.jobs.snapshot() == before
-        self.request(PurgeReq())
-        self.request(LoadStateReq(jobs, next_seq))
-        assert self.server.jobs.snapshot() == list(jobs)
-        assert self.server.next_seq == next_seq
-
-    @rule(entries=loaded_jobs, next_seq=st.integers(1, 50))
-    def load_merge(self, entries, next_seq):
-        """Sharded snapshot transfer: overwrite in place or append."""
-        jobs, next_seq = self._snapshot(entries, next_seq)
-        self.request(LoadStateReq(jobs, next_seq, merge=True))
 
     # -- the crash ---------------------------------------------------------------
 

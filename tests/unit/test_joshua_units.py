@@ -5,9 +5,9 @@ import pytest
 from repro.cluster import Cluster
 from repro.joshua import JoshuaServer, JoshuaClient
 from repro.joshua.config import ERA_2006_JOSHUA, JOSHUA_GROUP_CONFIG, JoshuaTimes
-from repro.joshua.executor import job_from_row, spec_from_row
+from repro.joshua.executor import spec_from_row
 from repro.joshua.mutex import _MutexEntry
-from repro.pbs.job import JobSpec, JobState
+from repro.pbs.job import JobSpec
 from repro.util.errors import JoshuaError, NoActiveHeadError
 
 from tests.integration.conftest import drive, make_stack, settle
@@ -30,11 +30,6 @@ class TestConstruction:
                 initial_heads=["head0"],
                 contacts=["head1"],
             )
-
-    def test_bad_state_transfer_mode(self):
-        node = self.make_node()
-        with pytest.raises(JoshuaError, match="state_transfer"):
-            JoshuaServer(node, initial_heads=["head0"], state_transfer="telepathy")
 
     def test_calibration_constants(self):
         assert JOSHUA_GROUP_CONFIG.processing_delay > 0
@@ -61,15 +56,6 @@ class TestRowConversion:
     def test_spec_from_row(self):
         spec = spec_from_row(self.row())
         assert spec == JobSpec(name="x", owner="u", nodes=1, walltime=60.0)
-
-    def test_job_from_row_states(self):
-        assert job_from_row(self.row("Q"), 7.0).state is JobState.QUEUED
-        assert job_from_row(self.row("H"), 7.0).state is JobState.HELD
-        assert job_from_row(self.row("W"), 7.0).state is JobState.WAITING
-        running = job_from_row(self.row("R", exec_nodes=["compute0"]), 7.0)
-        assert running.state is JobState.RUNNING
-        assert running.exec_nodes == ("compute0",)
-        assert running.start_time == running.submit_time == 7.0
 
 
 class TestMutexBookkeeping:
@@ -111,12 +97,14 @@ class TestMutexBookkeeping:
         stack = make_stack()
         settle(stack, 0.5)
         joshua = stack.joshua("head0")
-        joshua.mutex["9.joshua"] = _MutexEntry("head0", started=True)
+        joshua.shard_for_job("9.joshua").arbiter.entries["9.joshua"] = \
+            _MutexEntry("head0", started=True)
         from repro.joshua.wire import Done
         joshua.group.multicast(Done("9.joshua"))
         settle(stack, 1.0)
-        assert "9.joshua" not in joshua.mutex
-        assert "9.joshua" not in stack.joshua("head1").mutex
+        for head in ("head0", "head1"):
+            entries = stack.joshua(head).shard_for_job("9.joshua").arbiter.entries
+            assert "9.joshua" not in entries
 
 
 class TestClientBehaviour:

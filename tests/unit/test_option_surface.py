@@ -6,8 +6,10 @@ must get through. So three things earn their place only if the program
 itself uses them:
 
 * a keyword-only parameter with a default — *some* call site in the
-  repository passes it (a function handing its own option on under the
-  same name, ``g(x=x)`` inside ``f(*, x=0)``, is no caller of either);
+  repository passes it a value other than that default (a function handing
+  its own option on under the same name, ``g(x=x)`` inside ``f(*, x=0)``,
+  is no caller of either, and neither is a call passing ``x=0``, the
+  default's own literal);
 * a top-level function or class — something outside ``tests/`` names it;
 * a :class:`~repro.gcs.config.GroupConfig` field — some non-test
   ``GroupConfig(...)`` or ``replace(...)`` call sets it to a value other
@@ -82,9 +84,19 @@ def _callee(call: ast.Call):
 
 
 def _options_of(function):
-    return {arg.arg for arg, default in zip(function.args.kwonlyargs,
-                                            function.args.kw_defaults)
+    """option name -> its default expression."""
+    return {arg.arg: default for arg, default in zip(function.args.kwonlyargs,
+                                                     function.args.kw_defaults)
             if default is not None}
+
+
+def _literal(node):
+    """``ast.dump`` of *node* if it is a literal, else ``None``."""
+    try:
+        ast.literal_eval(node)
+    except (ValueError, TypeError, SyntaxError):
+        return None
+    return ast.dump(node)
 
 
 def _forwarders(stmt):
@@ -104,7 +116,9 @@ def _forwarders(stmt):
 
 
 def _passes(call: ast.Call, forwarded):
-    return (k.arg for k in call.keywords if k.arg and not (
+    """(keyword, literal or ``"*"`` for any other value) of every keyword
+    *call* passes other than by forwarding."""
+    return ((k.arg, _literal(k.value) or "*") for k in call.keywords if k.arg and not (
         k.arg in forwarded and isinstance(k.value, ast.Name) and k.value.id == k.arg))
 
 
@@ -112,16 +126,17 @@ def _passes(call: ast.Call, forwarded):
 def _scan():
     """Everything the three gates read, from one parse per file.
 
-    ``options``: (name, label) of each keyword-only option declared under
-    src/repro; ``passed``: every keyword name some call passes other than
-    by forwarding (:func:`_forwarders`); ``definitions``:
+    ``options``: (name, label, default literal or ``None``) of each
+    keyword-only option declared under src/repro; ``passed``: keyword name
+    -> the values some call passes it other than by forwarding
+    (:func:`_forwarders`, :func:`_passes`); ``definitions``:
     (name, label) of each top-level def/class under src/repro; ``names``:
     identifier -> labels of the definitions whose bodies name it (``None``
     for code outside one), counting neither tests, ``__all__`` nor a package
     ``__init__``'s imports; ``fields``: GroupConfig field -> its default;
     ``settings``: (keyword, value) of every non-test GroupConfig/replace call.
     """
-    scan = SimpleNamespace(options=[], passed=set(), definitions=[], names={},
+    scan = SimpleNamespace(options=[], passed={}, definitions=[], names={},
                            fields={}, settings=[])
     for tree_name in CALLER_TREES:
         for path in sorted((ROOT / tree_name).rglob("*.py")):
@@ -143,13 +158,15 @@ def _scan():
                 forwarders = _forwarders(stmt)
                 for node in ast.walk(stmt):
                     if isinstance(node, ast.Call):
-                        scan.passed.update(_passes(node, forwarders.get(id(node), ())))
+                        for keyword, value in _passes(node, forwarders.get(id(node), ())):
+                            scan.passed.setdefault(keyword, set()).add(value)
                         if tree_name != "tests" and _callee(node) in ("GroupConfig", "replace"):
                             scan.settings += [(k.arg, ast.dump(k.value))
                                               for k in node.keywords if k.arg]
                     elif where is not None and isinstance(node, FUNCTIONS):
-                        scan.options += [(name, f"{where}::{node.name}({name})")
-                                         for name in sorted(_options_of(node))]
+                        scan.options += [(name, f"{where}::{node.name}({name})",
+                                          _literal(default))
+                                         for name, default in sorted(_options_of(node).items())]
                     name = _name_of(node) if counts else None
                     if name is not None:
                         scan.names.setdefault(name, set()).add(owner)
@@ -168,10 +185,12 @@ def _assert_exactly_exempt(flagged, exempt, cap, remedy):
 def test_every_keyword_option_is_passed_by_some_call_site():
     scan = _scan()
     assert len(scan.options) > 100  # the scan found the package
-    never = sorted(label for name, label in scan.options if name not in scan.passed)
+    never = sorted(label for name, label, default in scan.options
+                   if not scan.passed.get(name, set()) - {default})
     _assert_exactly_exempt(
         never, OPTION_EXEMPT, 1,
-        "option(s) no call site passes — make each a constant or delete it",
+        "option(s) no call site passes anything but the default — make each "
+        "a constant or delete it",
     )
 
 

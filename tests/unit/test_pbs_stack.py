@@ -6,6 +6,7 @@ from repro.cluster import Cluster
 from repro.net.address import Address
 from repro.pbs import JobSpec, JobState, PBSMom, build_pbs_stack
 from repro.pbs.server import PBS_MOM_PORT
+from repro.pbs.wire import PurgeReq, SubmitReq
 from repro.rpc import RpcTimeout, call as rpc_call
 from repro.util.errors import PBSError
 
@@ -189,6 +190,35 @@ class TestDeleteHoldSignal:
         stack.cluster.run(until=stack.cluster.kernel.now + 1.0)
         with pytest.raises(PBSError):
             drive(stack, client.qsig(job_id))
+
+
+class TestAdminPurge:
+    def request(self, stack, payload):
+        return drive(stack, rpc_call(
+            stack.cluster.network, "compute0", stack.server_address, payload))
+
+    def test_purge_outside_the_stripe_space_is_refused(self, stack):
+        client = stack.client()
+        ids = [drive(stack, client.qsub(name=f"j{i}", walltime=500)) for i in range(3)]
+        server = stack.server
+        next_seq = server.next_seq
+        # A negative stride once fell through to the full wipe; a lane no
+        # job can be in once answered "purged 0 jobs".
+        for stride, lane in ((-1, 0), (2, 5)):
+            with pytest.raises(PBSError) as refused:
+                self.request(stack, PurgeReq(stride, lane))
+            assert refused.value.kind == "pbs-error"
+            assert [job.job_id for job in server.jobs] == ids
+            assert server.next_seq == next_seq
+        assert self.request(stack, SubmitReq(JobSpec(name="after"))).job_id == "4.torque"
+
+    def test_stride_one_purges_every_job_and_keeps_the_counter(self, stack):
+        client = stack.client()
+        for i in range(3):
+            drive(stack, client.qsub(name=f"j{i}", walltime=500))
+        assert self.request(stack, PurgeReq(1, 0)).detail == "purged 3 jobs"
+        assert len(stack.server.jobs) == 0
+        assert drive(stack, client.qsub(name="next")) == "4.torque"
 
 
 class TestCrashRecovery:

@@ -159,12 +159,16 @@ class TestStriping:
         assert seqs[1] == ["2.joshua", "5.joshua", "8.joshua"]
         assert seqs[2] == ["3.joshua", "6.joshua", "9.joshua"]
 
-    def test_single_shard_disables_striping(self):
+    def test_single_shard_is_the_stripe_of_width_one(self):
         stack = sharded_stack(1)
         stack.cluster.run(until=0.0)
         joshua = stack.joshua("head0")
-        assert joshua.shards[0].next_forced_job_id() is None
-        assert joshua.shards[0].stripe_count == 0
+        replica = joshua.shards[0]
+        ids = [replica.next_forced_job_id() for _ in range(3)]
+        assert ids == ["1.joshua", "2.joshua", "3.joshua"]
+        assert replica.stripe_count == 3
+        for job_id in ids + ["40.joshua", "bogus"]:
+            assert joshua.shard_for_job(job_id) is replica
 
     def test_forced_id_owns_its_routing_stripe(self):
         # Round trip: the id a shard forces must route back to that shard.
@@ -192,6 +196,5 @@ class TestFacadeCompat:
         stack = sharded_stack(1)
         stack.cluster.run(until=0.0)
         joshua = stack.joshua("head0")
-        assert joshua.mutex is joshua.shards[0].arbiter.entries
         assert joshua.results is joshua.shards[0].results
         assert joshua.command_log is joshua.shards[0].command_log

@@ -45,7 +45,7 @@ from repro.net.address import Address
 from repro.net.codec import WIRE, CodecError
 from repro.net.frames import AckFrame, DataFrame, RawFrame
 from repro.pbs.job import Job, JobSpec, JobState
-from repro.pbs.wire import LoadStateReq, SchedPollResp, StatResp
+from repro.pbs.wire import SchedPollResp, StatResp
 from repro.rpc.wire import Reply
 
 DEFAULT_OUT = os.path.join(
@@ -97,7 +97,7 @@ def corpus() -> list[tuple[str, object]]:
         ("record_elided_tail", JStatReq("c0ffee-03")),
         ("record_partly_elided_tail", JStatReq("c0ffee-04", None, "ryw")),
         ("record_full_tail", JStatReq("c0ffee-05", "7.torque", "ryw", ((0, 5),))),
-        ("record_with_enum_fields", LoadStateReq(tuple(jobs[1:]), 10, merge=True)),
+        ("record_with_enum_fields", tuple(jobs[1:])),
         ("ints", (0, -1, 1, 63, 64, -64, -65, 127, 128, 2**70, -(2**70))),
         ("floats", (0.0, -1.5, 1e300, float("inf"))),
         ("bools_and_none", (True, False, None)),
