@@ -76,9 +76,10 @@ declaration is not version skew.
 
 Same bytes, less work
 ---------------------
-Most encoded bytes are values sent before: every scheduler poll ships the
-whole job table, and a job's row changes only on a state transition. Two
-host-time devices exploit that; neither moves a byte of any frame.
+Many encoded bytes are values sent before: every qstat reply ships the
+rows of the jobs it names, and a job's row changes only on a state
+transition. Two host-time devices exploit that; neither moves a byte of
+any frame.
 
 * **Encode** — :class:`PlainFragment` holds the bytes of a builtins-only
   value, encoded once by its owner; the encoder splices them verbatim.

@@ -11,6 +11,10 @@ assigned once, when the job enters the queue — one more than the rank at
 the tail. Iteration order is ascending rank by construction, so a server
 that persists each job's rank beside the job can rebuild the queue in its
 pre-crash order from records that were written one at a time.
+
+``generation`` counts ``add`` and ``update`` calls, and each job keeps the
+count of its last one, so ``to_wire(since)`` is what a scheduler holding
+the table as of ``since`` is missing, removals aside.
 """
 
 from __future__ import annotations
@@ -30,6 +34,8 @@ class JobQueue:
     def __init__(self):
         self._jobs: dict[str, Job] = {}  # insertion-ordered
         self._ranks: dict[str, int] = {}  # same keys, same order
+        self._stamps: dict[str, int] = {}  # same keys: generation of last change
+        self.generation = 0
 
     def __len__(self) -> int:
         return len(self._jobs)
@@ -54,6 +60,11 @@ class JobQueue:
             )
         self._jobs[job.job_id] = job
         self._ranks[job.job_id] = rank
+        self._stamp(job.job_id)
+
+    def _stamp(self, job_id: str) -> None:
+        self.generation += 1
+        self._stamps[job_id] = self.generation
 
     def rank(self, job_id: str) -> int:
         """The queue rank *job_id* was given when it was added."""
@@ -72,11 +83,13 @@ class JobQueue:
         if job.job_id not in self._jobs:
             raise UnknownJobError(job.job_id)
         self._jobs[job.job_id] = job
+        self._stamp(job.job_id)
 
     def remove(self, job_id: str) -> Job:
         if job_id not in self._jobs:
             raise UnknownJobError(job_id)
         del self._ranks[job_id]
+        del self._stamps[job_id]
         return self._jobs.pop(job_id)
 
     def in_state(self, *states: JobState) -> list[Job]:
@@ -99,8 +112,10 @@ class JobQueue:
         """All jobs in submission order (jobs are immutable; safe to share)."""
         return list(self._jobs.values())
 
-    def to_wire(self) -> list[PlainFragment]:
-        """Every job's qstat row in submission order, pre-encoded (an
-        unchanged job costs one attribute read — ``Job.wire_row``)."""
+    def to_wire(self, since: int = 0) -> list[PlainFragment]:
+        """The qstat rows of the jobs changed after generation *since* (by
+        default every job) in submission order, pre-encoded (an unchanged
+        job costs one attribute read — ``Job.wire_row``)."""
+        stamps = self._stamps
         # repro-lint: ignore[R3] submission (insertion) order IS the FIFO queue semantics
-        return [j.wire_row for j in self._jobs.values()]
+        return [j.wire_row for job_id, j in self._jobs.items() if stamps[job_id] > since]

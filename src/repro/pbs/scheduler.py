@@ -17,7 +17,9 @@ jobs onto free nodes, still deterministically.
 
 The scheduler runs as its own daemon and talks to its server over the wire
 (Maui is a separate process speaking the PBS scheduler API), polling every
-``sched_poll_interval``.
+``sched_poll_interval``. It keeps its own copy of the server's live jobs
+(:class:`QueueView`) and each poll asks only for what changed since the
+last reply it applied (PROTOCOLS.md §3).
 """
 
 from __future__ import annotations
@@ -27,14 +29,14 @@ from typing import TYPE_CHECKING
 from repro.cluster.daemon import Daemon
 from repro.net.address import Address
 from repro.pbs.service_times import ERA_2006, ServiceTimes
-from repro.pbs.wire import RunJobReq, SchedPollReq
+from repro.pbs.wire import RunJobReq, SchedPollReq, SchedPollResp
 from repro.rpc import RpcTimeout, call as rpc_call
 from repro.util.errors import PBSError
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.cluster.node import Node
 
-__all__ = ["MauiScheduler", "fifo_decide"]
+__all__ = ["MauiScheduler", "QueueView", "fifo_decide"]
 
 
 def fifo_decide(rows: list[dict], node_free: list[tuple[str, bool]], *, exclusive: bool) -> tuple[str, tuple[str, ...]] | None:
@@ -59,6 +61,37 @@ def fifo_decide(rows: list[dict], node_free: list[tuple[str, bool]], *, exclusiv
     return None
 
 
+class QueueView:
+    """The scheduler's copy of its server's live jobs, in queue order.
+
+    A reply under another epoch (or epoch 0) replaces the copy. Otherwise
+    a row overwrites its job in place, a job not held is new and so ranks
+    past every job held, and a ``"C"`` row drops its job.
+    """
+
+    def __init__(self):
+        self.epoch = 0
+        self.generation = 0
+        self.jobs: dict[str, dict] = {}
+
+    def request(self) -> SchedPollReq:
+        return SchedPollReq(self.epoch, self.generation)
+
+    def apply(self, poll: SchedPollResp) -> None:
+        if poll.epoch != self.epoch or poll.epoch == 0:
+            self.jobs = {}
+        jobs = self.jobs
+        for row in poll.rows:
+            if row["state"] == "C":
+                jobs.pop(row["job_id"], None)
+            else:
+                jobs[row["job_id"]] = row
+        self.epoch, self.generation = poll.epoch, poll.generation
+
+    def rows(self) -> list[dict]:
+        return list(self.jobs.values())
+
+
 class MauiScheduler(Daemon):
     """Polling FIFO scheduler bound to one PBS server."""
 
@@ -76,6 +109,7 @@ class MauiScheduler(Daemon):
         self.times = service_times
         self.exclusive = exclusive
         self.stats = {"cycles": 0, "dispatches": 0, "dispatch_failures": 0}
+        self.view = QueueView()
 
     def run(self):
         while True:
@@ -83,14 +117,15 @@ class MauiScheduler(Daemon):
             self.stats["cycles"] += 1
             try:
                 poll = yield from rpc_call(
-                    self.node.network, self.node.name, self.server, SchedPollReq(),
-                    timeout=1.0,
+                    self.node.network, self.node.name, self.server,
+                    self.view.request(), timeout=1.0,
                 )
             except (RpcTimeout, PBSError):
                 continue  # server briefly unavailable; poll again
+            self.view.apply(poll)
             yield self.kernel.timeout(self.times.sched_cycle)
             decision = fifo_decide(
-                list(poll.rows), list(poll.node_free), exclusive=self.exclusive
+                self.view.rows(), list(poll.node_free), exclusive=self.exclusive
             )
             if decision is None:
                 continue

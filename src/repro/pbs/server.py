@@ -39,6 +39,7 @@ baseline checkpoints (:mod:`repro.ha.active_standby`).
 
 from __future__ import annotations
 
+import re
 from dataclasses import replace
 from typing import TYPE_CHECKING
 
@@ -69,7 +70,7 @@ from repro.pbs.wire import (
     SubmitReq,
     SubmitResp,
 )
-from repro.rpc import ResponseCache, RpcDispatcher, call as rpc_call
+from repro.rpc import ResponseCache, RpcDispatcher, call as rpc_call, rpc_state
 from repro.rpc.wire import ErrorResp, bad_request
 from repro.util.errors import InvalidJobStateError, PBSError, UnknownJobError
 
@@ -80,6 +81,10 @@ __all__ = ["PBSServer", "PBS_SERVER_PORT", "PBS_MOM_PORT"]
 
 PBS_SERVER_PORT = 15001
 PBS_MOM_PORT = 15002
+
+#: A forced job id a server accepts: a sequence number >= 1, written
+#: without sign or leading zero, a dot, and a non-empty suffix.
+_FORCED_ID = re.compile(r"[1-9][0-9]*\..+")
 
 
 class PBSServer(Daemon):
@@ -127,8 +132,15 @@ class PBSServer(Daemon):
         #: Observers of job lifecycle events: callback(event, job).
         self._observers = []
         self.stats = {"submitted": 0, "completed": 0, "deleted": 0, "recovered": 0}
+        #: Names this queue for the scheduler's incremental poll. A restart
+        #: starts the generation over and a purge removes jobs, which no
+        #: delta can say, so both take a new epoch.
+        self.epoch = self._new_epoch()
         self.rpc = self._build_dispatcher()
         self._recover()
+
+    def _new_epoch(self) -> int:
+        return rpc_state(self.node.network).next_id("pbs-epoch")
 
     def _build_dispatcher(self) -> RpcDispatcher:
         """Typed request routing with the calibrated per-request delays.
@@ -165,7 +177,7 @@ class PBSServer(Daemon):
         reg(RerunReq, lambda s, r, p: self._do_rerun(p),
             delay=t.qdel_process + t.disk_write)
         reg(PurgeReq, lambda s, r, p: self._do_purge(p), delay=t.disk_write)
-        reg(SchedPollReq, lambda s, r, p: self._do_sched_poll(),
+        reg(SchedPollReq, lambda s, r, p: self._do_sched_poll(p),
             delay=t.qstat_process)
         reg(RunJobReq, lambda s, r, p: self._do_run(p), delay=t.run_process)
         reg(JobObit, lambda s, r, p: self._handle_obit(p))
@@ -235,6 +247,12 @@ class PBSServer(Daemon):
     def _do_submit(self, req: SubmitReq) -> SubmitResp:
         if req.force_job_id is not None:
             job_id = req.force_job_id
+            # The id arrives from outside the node: refuse it before
+            # anything changes unless it is <seq >= 1>.<suffix> and new.
+            if not (isinstance(job_id, str) and _FORCED_ID.fullmatch(job_id)):
+                raise PBSError(f"forced job id {job_id!r} is not <seq>.<suffix>")
+            if job_id in self.jobs:
+                raise PBSError(f"job with requested id already exists: {job_id}")
             forced_seq = int(job_id.split(".", 1)[0])
             self.next_seq = max(self.next_seq, forced_seq + 1)
         else:
@@ -339,6 +357,7 @@ class PBSServer(Daemon):
             for node_name, owner in sorted(self.allocations.items()):
                 if owner == job_id:
                     self.allocations[node_name] = None
+        self.epoch = self._new_epoch()
         self._persist()
         return SimpleResp(detail=f"purged {len(doomed)} jobs")
 
@@ -348,11 +367,18 @@ class PBSServer(Daemon):
     #: fires.
     _do_load_state = _do_purge
 
-    def _do_sched_poll(self) -> SchedPollResp:
+    def _do_sched_poll(self, req: SchedPollReq) -> SchedPollResp:
+        # The fields come from outside the node: anything but this epoch
+        # and a non-negative int generation gets the full table.
+        since = req.since
+        if not (req.epoch == self.epoch and type(since) is int and since >= 0):
+            since = 0
         node_free = tuple(
             (name, allocated is None) for name, allocated in sorted(self.allocations.items())
         )
-        return SchedPollResp(tuple(self.jobs.to_wire()), node_free)
+        return SchedPollResp(
+            tuple(self.jobs.to_wire(since)), node_free, self.epoch, self.jobs.generation
+        )
 
     def _do_run(self, req: RunJobReq):
         job = self.jobs.get(req.job_id)

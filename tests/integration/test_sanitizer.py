@@ -154,12 +154,15 @@ class TestRealScenario:
         assert kernel.sanitizer.digest != 0
 
     def test_isolation_audit_passes_with_fragments_in_the_sent_payload(self):
-        """A poll reply is *sent* holding pre-encoded fragments — each the
-        same object in every reply until its job changes — and *arrives* as
-        plain rows, memo hits included: nothing of the sender's, and
-        nothing of an earlier delivery, may be in them."""
+        """Poll and qstat replies are *sent* holding pre-encoded fragments —
+        each the same object in every reply until its job changes — and
+        *arrive* as plain rows, memo hits included: nothing of the sender's,
+        and nothing of an earlier delivery, may be in them. A poll ships a
+        job's row when the job changes; every ordered ``jstat`` ships the
+        unchanged row again, from every head's ``StatResp``."""
         from repro.net.codec import PlainFragment
-        from repro.pbs.wire import SchedPollResp
+        from repro.pbs.server import PBS_SERVER_PORT
+        from repro.pbs.wire import SchedPollResp, StatResp
 
         cluster = Cluster(head_count=2, compute_count=2, seed=13,
                           login_node=True, sanitize=True)
@@ -168,9 +171,16 @@ class TestRealScenario:
         sent, delivered = [], []
         inner_send = network.send
 
+        def rows_from_pbs(src, frame):
+            """The reply in *frame* if a pbs_server sent rows in it."""
+            reply = getattr(frame, "payload", None)
+            if (src.port == PBS_SERVER_PORT
+                    and type(reply) in (SchedPollResp, StatResp) and reply.rows):
+                return reply
+            return None
+
         def spy(src, dst, payload):
-            reply = getattr(payload, "payload", None)
-            if isinstance(reply, SchedPollResp) and reply.rows:
+            if (reply := rows_from_pbs(src, payload)) is not None:
                 sent.append(reply)
             return inner_send(src, dst, payload)
 
@@ -178,8 +188,7 @@ class TestRealScenario:
         audit = cluster.kernel.sanitizer.check_payload_isolation
 
         def audit_spy(time, src, dst, was_sent, fresh):
-            reply = getattr(fresh, "payload", None)
-            if isinstance(reply, SchedPollResp) and reply.rows:
+            if (reply := rows_from_pbs(src, fresh)) is not None:
                 delivered.append(reply)
             return audit(time, src, dst, was_sent, fresh)
 
@@ -188,11 +197,17 @@ class TestRealScenario:
         process = cluster.kernel.spawn(client.jsub(name="held", walltime=900.0))
         cluster.run(until=process)
         cluster.run(until=3.0)
-        assert len(sent) > 10 and len(delivered) == len(sent)
+        for _ in range(4):
+            process = cluster.kernel.spawn(client.jstat())
+            cluster.run(until=process)
+        cluster.run(until=cluster.kernel.now + 0.5)
+        polls = [r for r in sent if type(r) is SchedPollResp]
+        stats = [r for r in sent if type(r) is StatResp]
+        assert len(polls) >= 4 and len(stats) == 8 and len(delivered) == len(sent)
         assert all(type(row) is PlainFragment for r in sent for row in r.rows)
         assert all(type(row) is dict for r in delivered for row in r.rows)
         # The unchanged row is one fragment, sent again and again...
-        assert len({id(r.rows[0]) for r in sent[-6:]}) <= 2  # one per head
+        assert len({id(r.rows[0]) for r in stats}) <= 2  # one per head
         # ...and every delivery of it is its own dict with its own list.
         rows = [r.rows[0] for r in delivered]
         assert len({id(row) for row in rows}) == len(rows)

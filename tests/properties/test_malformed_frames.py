@@ -15,6 +15,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro.net import Address
+from repro.pbs.job import JobSpec
 from repro.pbs.wire import (
     AdminPurge,
     AdminServers,
@@ -23,6 +24,7 @@ from repro.pbs.wire import (
     SchedPollReq,
     SimpleResp,
     StatReq,
+    SubmitReq,
 )
 from repro.rpc.wire import Reply, Request
 from tests.integration.conftest import SANITIZE, assert_sanitizer_clean, make_stack
@@ -35,11 +37,18 @@ TARGETS = {
     "joshua": ("head0", 4412),
 }
 
+#: The scheduler-poll epoch of the first ``pbs_server`` a fresh stack
+#: builds (head0's): a poll under it reaches the incremental branch.
+LIVE_EPOCH = 1
+
 #: Well-formed records; each is unregistered for at least one target (and
 #: harmless where it is registered: nothing here names a job that exists).
 RECORDS = [
     StatReq(),
     SchedPollReq(),
+    SchedPollReq("x", None),
+    SchedPollReq(LIVE_EPOCH, -5),
+    SubmitReq(JobSpec(), force_job_id="abc"),
     KillJobReq("404.nowhere"),
     JobObit("404.nowhere", 0, ("compute0",), 0.0, 1.0),
     AdminPurge(),
@@ -62,9 +71,13 @@ volleys = st.lists(
 @example(volley=[("pbs_mom", (False, ("ADMIN-PURGE",))), ("joshua", (False, ()))])
 @example(volley=[(name, (True, JobObit("404.nowhere", 0, (), 0.0, 1.0)))
                  for name in sorted(TARGETS)])
+@example(volley=[("pbs_server", (True, SubmitReq(JobSpec(), force_job_id="abc")))])
+@example(volley=[("pbs_server", (True, SchedPollReq(LIVE_EPOCH, -5))),
+                 ("pbs_server", (True, SchedPollReq("x", None)))])
 def test_no_frame_kills_a_daemon_and_every_request_is_answered(volley):
     stack = make_stack(heads=2, computes=1, strict_errors=False, sanitize=SANITIZE)
     cluster = stack.cluster
+    assert stack.pbs("head0").epoch == LIVE_EPOCH
     probe = cluster.network.bind("login", 40000)
     answered = set()
 

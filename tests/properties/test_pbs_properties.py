@@ -8,9 +8,13 @@
   jsub/jdel scripts — with and without a head crash mid-script;
 * a PBS server restarted from its per-job disk records at an arbitrary
   point of an arbitrary command history holds the pre-crash queue, in the
-  pre-crash order, with the pre-crash id counter.
+  pre-crash order, with the pre-crash id counter;
+* along the same histories, a scheduler's copy of the queue kept by
+  incremental polls — some of whose replies are lost — plus the next
+  poll's delta is the live part of the full table, in order.
 """
 
+import copy
 import dataclasses
 
 from hypothesis import HealthCheck, given, settings
@@ -21,9 +25,11 @@ import pytest
 
 from repro.cluster import Cluster
 from repro.net.address import Address
+from repro.net.codec import WIRE
 from repro.pbs.job import Job, JobSpec, JobState
 from repro.pbs.mom import PBSMom
 from repro.pbs.queue import JobQueue
+from repro.pbs.scheduler import QueueView, fifo_decide
 from repro.pbs.server import PBS_MOM_PORT, PBS_SERVER_PORT, PBSServer
 from repro.pbs.wire import (
     DeleteReq,
@@ -32,10 +38,12 @@ from repro.pbs.wire import (
     ReleaseReq,
     RerunReq,
     RunJobReq,
+    SchedPollReq,
     SubmitReq,
 )
 from repro.rpc import call as rpc_call
 from repro.util.errors import PBSError
+from tests.integration.conftest import SANITIZE, assert_sanitizer_clean
 
 
 TRANSITIONS = {
@@ -191,14 +199,21 @@ def _requeued(job: Job) -> Job:
     )
 
 
+def _over_the_wire(payload):
+    """*payload* as its receiver decodes it (pre-encoded rows become dicts)."""
+    return WIRE.decode(WIRE.encode(payload))
+
+
 class RestartFromDisk(RuleBasedStateMachine):
     """One head with a PBS server and two moms, no scheduler: the machine
     issues every mutating request itself, over the real RPC path, and may
-    crash and restart the head between any two of them."""
+    crash and restart the head between any two of them. It also plays
+    Maui's half of the poll: ``view`` is folded through the scheduler's own
+    :class:`QueueView` code."""
 
     def __init__(self):
         super().__init__()
-        self.cluster = Cluster(head_count=1, compute_count=2, seed=5)
+        self.cluster = Cluster(head_count=1, compute_count=2, seed=5, sanitize=SANITIZE)
         self.head = self.cluster.heads[0]
         self.address = Address(self.head.name, PBS_SERVER_PORT)
         moms = [Address(name, PBS_MOM_PORT) for name in COMPUTES]
@@ -208,6 +223,7 @@ class RestartFromDisk(RuleBasedStateMachine):
                 "pbs_mom", lambda node: PBSMom(node, servers=[self.address]))
         #: Ids a purge removed and nothing has re-added since.
         self.removed: set[str] = set()
+        self.view = QueueView()
 
     @property
     def server(self) -> PBSServer:
@@ -269,6 +285,16 @@ class RestartFromDisk(RuleBasedStateMachine):
     def let_obituaries_arrive(self, seconds):
         self.cluster.run(until=self.cluster.kernel.now + seconds)
 
+    # -- the scheduler's poll -----------------------------------------------------
+
+    @rule()
+    def poll(self):
+        self.view.apply(self.request(self.view.request()))
+
+    @rule()
+    def lose_poll_reply(self):
+        self.request(self.view.request())
+
     # -- the state-transfer request ---------------------------------------------
 
     @rule(stride=st.integers(1, 3), lane=st.integers(0, 2))
@@ -294,6 +320,24 @@ class RestartFromDisk(RuleBasedStateMachine):
         jobs = self.server.jobs
         ranks = [jobs.rank(job.job_id) for job in jobs]
         assert ranks == sorted(ranks) and len(set(ranks)) == len(ranks)
+
+    @invariant()
+    def held_rows_and_the_next_delta_are_the_table(self):
+        """Taken at one instant, no sim time passing: the view caught up by
+        the reply its next poll would get holds the non-"C" rows of a full
+        poll, in queue order, and FIFO decides the same on both."""
+        server = self.server
+        caught_up = copy.deepcopy(self.view)
+        caught_up.apply(_over_the_wire(server._do_sched_poll(self.view.request())))
+        full = _over_the_wire(server._do_sched_poll(SchedPollReq()))
+        assert caught_up.rows() == [row for row in full.rows if row["state"] != "C"]
+        node_free = list(full.node_free)
+        for exclusive in (True, False):
+            assert fifo_decide(caught_up.rows(), node_free, exclusive=exclusive) \
+                == fifo_decide(list(full.rows), node_free, exclusive=exclusive)
+
+    def teardown(self):
+        assert_sanitizer_clean(self.cluster.kernel)
 
 
 RestartFromDisk.TestCase.settings = settings(

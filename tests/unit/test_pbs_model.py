@@ -4,8 +4,9 @@ import pytest
 
 from repro.pbs import AccountingLog, Job, JobQueue, JobSpec, JobState
 from repro.pbs.job import KILLED_EXIT_STATUS
-from repro.pbs.scheduler import fifo_decide
+from repro.pbs.scheduler import QueueView, fifo_decide
 from repro.pbs.service_times import ERA_2006
+from repro.pbs.wire import SchedPollResp
 from repro.util.errors import PBSError, UnknownJobError
 
 
@@ -121,6 +122,45 @@ class TestJobQueue:
         q.update(q.get("1.t").transition(JobState.HELD))
         q.update(q.get("1.t").transition(JobState.QUEUED))
         assert q.first_eligible().job_id == "1.t"
+
+    def test_to_wire_since_is_the_jobs_changed_after_it_in_queue_order(self):
+        q = self.make_jobs()
+        assert q.generation == 3
+        q.update(q.get("3.t").transition(JobState.HELD))
+        q.update(q.get("1.t").transition(JobState.HELD))
+        assert q.generation == 5
+        rows = {job.job_id: job.wire_row for job in q}
+        assert q.to_wire(3) == [rows["1.t"], rows["3.t"]]
+        assert q.to_wire() == [rows["1.t"], rows["2.t"], rows["3.t"]]
+        assert q.to_wire(5) == []
+
+
+class TestQueueView:
+    def reply(self, epoch, generation, *rows):
+        return SchedPollResp(
+            tuple({"job_id": job_id, "state": state} for job_id, state in rows),
+            (), epoch, generation,
+        )
+
+    def test_a_delta_updates_in_place_appends_new_jobs_and_drops_complete_ones(self):
+        view = QueueView()
+        assert (view.request().epoch, view.request().since) == (0, 0)
+        view.apply(self.reply(7, 3, ("1.t", "Q"), ("2.t", "Q"), ("3.t", "C")))
+        view.apply(self.reply(7, 6, ("1.t", "R"), ("4.t", "Q")))
+        assert [(r["job_id"], r["state"]) for r in view.rows()] == [
+            ("1.t", "R"), ("2.t", "Q"), ("4.t", "Q")]
+        view.apply(self.reply(7, 7, ("2.t", "C")))
+        assert [r["job_id"] for r in view.rows()] == ["1.t", "4.t"]
+        assert (view.request().epoch, view.request().since) == (7, 7)
+
+    def test_another_epoch_or_epoch_zero_replaces_the_copy(self):
+        view = QueueView()
+        view.apply(self.reply(7, 3, ("1.t", "Q"), ("2.t", "Q")))
+        view.apply(self.reply(8, 1, ("2.t", "Q")))
+        assert [r["job_id"] for r in view.rows()] == ["2.t"]
+        view.apply(self.reply(0, 0, ("5.t", "Q")))
+        view.apply(self.reply(0, 0, ("6.t", "Q")))
+        assert [r["job_id"] for r in view.rows()] == ["6.t"]
 
 
 class TestAccountingLog:

@@ -9,6 +9,7 @@ from repro.pbs.server import PBS_MOM_PORT
 from repro.pbs.wire import PurgeReq, SubmitReq
 from repro.rpc import RpcTimeout, call as rpc_call
 from repro.util.errors import PBSError
+from tests.integration.conftest import SANITIZE, assert_sanitizer_clean
 
 
 @pytest.fixture
@@ -192,11 +193,28 @@ class TestDeleteHoldSignal:
             drive(stack, client.qsig(job_id))
 
 
-class TestAdminPurge:
-    def request(self, stack, payload):
-        return drive(stack, rpc_call(
-            stack.cluster.network, "compute0", stack.server_address, payload))
+def request(stack, payload):
+    """One request from compute0 straight to the server."""
+    return drive(stack, rpc_call(
+        stack.cluster.network, "compute0", stack.server_address, payload))
 
+
+class TestForcedJobId:
+    def test_duplicate_or_non_positive_forced_id_is_refused(self, stack):
+        """A forced id already queued was answered "unknown-job" after the
+        counter had moved; "0.x" and "-3.x" were accepted."""
+        assert request(stack, SubmitReq(JobSpec(), force_job_id="5.torque")).job_id == "5.torque"
+        server = stack.server
+        for forced in ("5.torque", "0.x", "-3.x", "abc", ".x", "05.torque", "7."):
+            with pytest.raises(PBSError) as refused:
+                request(stack, SubmitReq(JobSpec(), force_job_id=forced))
+            assert refused.value.kind == "pbs-error", forced
+            assert [job.job_id for job in server.jobs] == ["5.torque"]
+            assert server.next_seq == 6
+        assert request(stack, SubmitReq(JobSpec())).job_id == "6.torque"
+
+
+class TestAdminPurge:
     def test_purge_outside_the_stripe_space_is_refused(self, stack):
         client = stack.client()
         ids = [drive(stack, client.qsub(name=f"j{i}", walltime=500)) for i in range(3)]
@@ -206,17 +224,17 @@ class TestAdminPurge:
         # job can be in once answered "purged 0 jobs".
         for stride, lane in ((-1, 0), (2, 5)):
             with pytest.raises(PBSError) as refused:
-                self.request(stack, PurgeReq(stride, lane))
+                request(stack, PurgeReq(stride, lane))
             assert refused.value.kind == "pbs-error"
             assert [job.job_id for job in server.jobs] == ids
             assert server.next_seq == next_seq
-        assert self.request(stack, SubmitReq(JobSpec(name="after"))).job_id == "4.torque"
+        assert request(stack, SubmitReq(JobSpec(name="after"))).job_id == "4.torque"
 
     def test_stride_one_purges_every_job_and_keeps_the_counter(self, stack):
         client = stack.client()
         for i in range(3):
             drive(stack, client.qsub(name=f"j{i}", walltime=500))
-        assert self.request(stack, PurgeReq(1, 0)).detail == "purged 3 jobs"
+        assert request(stack, PurgeReq(1, 0)).detail == "purged 3 jobs"
         assert len(stack.server.jobs) == 0
         assert drive(stack, client.qsub(name="next")) == "4.torque"
 
@@ -300,6 +318,36 @@ class TestCrashRecovery:
         job_id = drive(stack, client.qsub(name="once", walltime=1.0))
         stack.cluster.run(until=10.0)
         assert stack.server.stats["completed"] == 1
+
+
+class TestSchedulerView:
+    def test_server_restarted_under_a_live_maui(self):
+        """Maui keeps its copy of the queue across a pbs_server restart. The
+        restarted server's mutation count starts over, so only its new
+        epoch makes Maui drop the copy and read the table again: keyed on
+        the count alone, Maui's next poll asks for the changes after a
+        count the new server reaches only with the job submitted after the
+        restart, and that job never starts."""
+        cluster = Cluster(head_count=1, compute_count=2, seed=21, sanitize=SANITIZE)
+        stack = build_pbs_stack(cluster)
+        client = stack.client()
+        runner = drive(stack, client.qsub(name="runner", walltime=3.0))
+        held = [drive(stack, client.qsub(name=f"h{i}", walltime=0.5)) for i in range(2)]
+        cluster.run(until=1.0)
+        maui = stack.head.daemon("maui")
+        assert list(maui.view.jobs) == [runner, *held]
+        assert maui.view.jobs[runner]["state"] == "R"
+        stack.head.stop_daemon("pbs_server")
+        cluster.run(until=1.5)  # Maui's poll in flight goes unanswered
+        server = stack.head.start_daemon("pbs_server")
+        behind = drive(stack, client.qsub(name="behind", walltime=0.5))
+        cluster.run(until=10.0)
+        log = [(r.event, r.job_id) for r in server.accounting.records]
+        assert [job for event, job in log if event == "S"] == [*held, behind]
+        assert log.index(("S", behind)) > log.index(("E", runner))
+        assert server.jobs.get(behind).state is JobState.COMPLETE
+        assert sum(mom.stats["runs"] for mom in stack.moms) == 4
+        assert_sanitizer_clean(cluster.kernel)
 
 
 class TestMomBehaviour:
