@@ -22,7 +22,7 @@ from repro.bench.reporting import format_table
 
 
 def main() -> None:
-    scenario = dict(jobs=15, rate=0.4, horizon=220.0)
+    scenario = dict(jobs=15, rate=0.4)
     print("scenario: Poisson submissions (15 jobs, ~1 every 2.5 s); "
           f"head0 crashes at t={CRASH_AT:g} s, repaired at t={RESTART_AT:g} s\n")
     rows = []

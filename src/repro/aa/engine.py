@@ -514,11 +514,11 @@ class ReplicationEngine:
                 return  # the fresh marker's delivery re-enters here
         response = self._response
         yield from self.driver.install_state(response)
-        for cached_uuid, cached in response.results:
-            self.results.setdefault(cached_uuid, cached)
         # Re-anchor at the marker cut: post-marker commands execute after
-        # this method returns, so the sponsor's counter is exact here too,
-        # and positions recorded before belong to the history it replaced.
+        # this method returns, so the sponsor's reply cache and counter are
+        # exact here too, and what was recorded before belongs to the
+        # history they replaced (a merge-demoted replica's own answers).
+        self.results = dict(response.results)
         self.results_seq.clear()
         self.cut_seq = response.applied_seq
         self._set_applied(response.applied_seq)

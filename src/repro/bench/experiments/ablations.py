@@ -37,6 +37,12 @@ __all__ = [
 
 GCS_PORT = 9
 
+#: The sweeps' points: group sizes of the ordering-engine comparison, ORDER
+#: batching delays, and deferred-ack slots (the calibrated one included).
+MAX_HEADS = 4
+BATCH_DELAYS = (0.0, 0.005, 0.02, 0.05)
+SLOTS = (0.0, 0.01, JOSHUA_GROUP_CONFIG.stable_ack_slot, 0.06)
+
 
 def _group(n: int, config: GroupConfig, seed: int = 1):
     kernel = Kernel(seed=seed)
@@ -72,10 +78,10 @@ def _multicast_latency(n: int, config: GroupConfig, *, service: str, trials: int
     return total / trials
 
 
-def ordering_engine_latency(*, max_heads: int = 4, trials: int = 20) -> list[dict]:
+def ordering_engine_latency(*, trials: int = 20) -> list[dict]:
     """Sequencer vs. token-ring AGREED delivery latency by group size."""
     rows = []
-    for heads in range(1, max_heads + 1):
+    for heads in range(1, MAX_HEADS + 1):
         row: dict = {"heads": heads}
         for engine in ("sequencer", "token"):
             config = replace(FAST_GROUP_CONFIG, ordering=engine)
@@ -85,11 +91,11 @@ def ordering_engine_latency(*, max_heads: int = 4, trials: int = 20) -> list[dic
     return rows
 
 
-def sequencer_batching(*, batch_delays=(0.0, 0.005, 0.02, 0.05)) -> list[dict]:
+def sequencer_batching() -> list[dict]:
     """ORDER batching delay vs. time to deliver a burst of multicasts."""
     burst = 50
     rows = []
-    for delay in batch_delays:
+    for delay in BATCH_DELAYS:
         config = replace(FAST_GROUP_CONFIG, sequencer_batch_delay=delay)
         kernel, _net, members, delivered = _group(3, config)
         kernel.run(until=0.5)
@@ -137,13 +143,10 @@ def failure_detection_sweep() -> list[dict]:
     return rows
 
 
-def stable_slot_sweep(
-    *, slots=(0.0, 0.01, JOSHUA_GROUP_CONFIG.stable_ack_slot, 0.06),
-    heads: int = 3,
-) -> list[dict]:
+def stable_slot_sweep(*, heads: int = 3) -> list[dict]:
     """Deferred-ack slot vs. end-to-end jsub latency (Figure 10's knob)."""
     rows = []
-    for slot in slots:
+    for slot in SLOTS:
         config = replace(JOSHUA_GROUP_CONFIG, stable_ack_slot=slot)
         cluster = Cluster(head_count=heads, compute_count=2, seed=1)
         stack = build_joshua_stack(cluster, group_config=config)

@@ -36,6 +36,8 @@ MODELS = ("single", "active_standby", "asymmetric", "symmetric")
 #: is repaired at RESTART_AT (simulated seconds).
 CRASH_AT = 20.0
 RESTART_AT = 80.0
+#: Simulated seconds each model runs for.
+HORIZON = 220.0
 
 #: Group timings for the comparison (faster than the calibrated deployment
 #: config so suspicion/view change complete well inside the fault window).
@@ -83,10 +85,7 @@ def _build(model: str, seed: int):
     if model == "single":
         return cluster, SingleHeadSystem(cluster)
     if model == "active_standby":
-        return cluster, ActiveStandbySystem(
-            cluster, checkpoint_interval=5.0, probe_interval=0.5,
-            misses=3,
-        )
+        return cluster, ActiveStandbySystem(cluster, probe_interval=0.5)
     if model == "asymmetric":
         return cluster, AsymmetricSystem(cluster)
     if model == "symmetric":
@@ -100,7 +99,6 @@ def run_model(
     seed: int = 101,
     jobs: int = 15,
     rate: float = 0.4,
-    horizon: float = 220.0,
 ) -> WorkloadReport:
     """One model under the standard workload + fault schedule."""
     cluster, system = _build(model, seed)
@@ -135,7 +133,7 @@ def run_model(
             cluster.heads[0].restart(daemons=False)
 
     kernel.spawn(fault_driver(), name="fault-driver")
-    cluster.run(until=horizon)
+    cluster.run(until=HORIZON)
 
     jobs_now = system.authoritative_jobs()
     completed = sum(

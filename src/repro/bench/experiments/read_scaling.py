@@ -39,6 +39,9 @@ __all__ = ["measure_read_mix", "read_scaling"]
 #: command plane, not the compute nodes).
 _WALLTIME_SCALE = 10_000.0
 
+#: Client sessions the gateway spreads the offered load over.
+CLIENTS = 100
+
 
 def measure_read_mix(
     *,
@@ -47,7 +50,6 @@ def measure_read_mix(
     duration: float = 10.0,
     read_rate: float = 400.0,
     write_rate: float = 3.0,
-    clients: int = 100,
     consistency: str = "ryw",
     seed: int = 1,
     timeout: float = 60.0,
@@ -72,7 +74,7 @@ def measure_read_mix(
         count=max(1, int(total_rate * duration)),
         rate=total_rate,
         read_fraction=read_rate / total_rate,
-        clients=clients,
+        clients=CLIENTS,
         walltime_scale=_WALLTIME_SCALE,
         walltime_cap=10 * _WALLTIME_SCALE,
         seed=seed,
@@ -119,7 +121,7 @@ def measure_read_mix(
     return {
         "heads": heads,
         "duration_s": duration,
-        "clients": clients,
+        "clients": CLIENTS,
         "consistency": consistency,
         "offered_read_per_s": round(offered["reads"] / duration, 2),
         "offered_write_per_s": round(offered["writes"] / duration, 2),
@@ -141,7 +143,6 @@ def read_scaling(
     duration: float = 10.0,
     read_rate: float = 400.0,
     write_rate: float = 3.0,
-    clients: int = 100,
     consistency: str = "ryw",
     seed: int = 1,
 ) -> dict:
@@ -151,13 +152,11 @@ def read_scaling(
     for heads in head_counts:
         mixed = measure_read_mix(
             heads=heads, duration=duration, read_rate=read_rate,
-            write_rate=write_rate, clients=clients,
-            consistency=consistency, seed=seed,
+            write_rate=write_rate, consistency=consistency, seed=seed,
         )
         baseline = measure_read_mix(
             heads=heads, duration=duration, read_rate=0.0,
-            write_rate=write_rate, clients=clients,
-            consistency=consistency, seed=seed,
+            write_rate=write_rate, consistency=consistency, seed=seed,
         )
         mixed["write_only_committed_per_s"] = baseline["write_committed_per_s"]
         base = baseline["write_committed_per_s"]

@@ -6,6 +6,9 @@ from typing import Sequence
 
 __all__ = ["format_table", "bar_chart"]
 
+#: Characters of the longest bar :func:`bar_chart` draws.
+BAR_WIDTH = 48
+
 
 def format_table(rows: Sequence[dict], columns: Sequence[str] | None = None, *, title: str = "") -> str:
     """Plain-text table; column order is given or taken from the first row."""
@@ -39,7 +42,6 @@ def bar_chart(
     *,
     label: str,
     series: Sequence[str],
-    width: int = 48,
     title: str = "",
 ) -> str:
     """Horizontal ASCII bars for one or more numeric *series* per row.
@@ -66,11 +68,11 @@ def bar_chart(
             value = row.get(s)
             if value is None:
                 continue
-            bar = "#" * max(1, round(width * float(value) / peak))
+            bar = "#" * max(1, round(BAR_WIDTH * float(value) / peak))
             head = str(row.get(label, "")) if index == 0 else ""
             lines.append(
                 f"{head:<{label_width}}  {s:<{series_width}} "
-                f"|{bar:<{width}}| {float(value):g}"
+                f"|{bar:<{BAR_WIDTH}}| {float(value):g}"
             )
         lines.append("")
     return "\n".join(lines).rstrip()

@@ -28,7 +28,7 @@ FIGURE_FILES = {
     },
     "BENCH_read_scaling.json": lambda: read_scaling(
         head_counts=(1, 2, 4), duration=10.0, read_rate=400.0,
-        write_rate=5.0, clients=100, consistency="ryw", seed=1,
+        write_rate=5.0, consistency="ryw", seed=1,
     ),
     "BENCH_head_scaling.json": lambda: head_scaling(
         figure10_heads=(1, 2, 3, 4, 6, 8, 12, 16), stress_heads=(2, 4, 8, 16),

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 from repro.cluster.node import Node
 from repro.cluster.storage import SharedStorage
-from repro.net.link import FAST_ETHERNET, LinkModel
 from repro.net.network import Network
 from repro.sim.kernel import Kernel
 from repro.util.errors import ClusterError
@@ -28,13 +27,10 @@ class Cluster:
         Also create a ``login`` node for running user commands off-head.
     seed:
         Master seed for all randomness in this cluster's kernel.
-    lan:
-        Off-node link model (the default reproduces the paper's Fast
-        Ethernet testbed).
     shared_medium:
         Hub-style wire contention (the paper used a hub).
-    strict_errors:
-        Forwarded to the kernel; disable only in deliberate kill tests.
+    sanitize:
+        Forwarded to the kernel's determinism sanitizer.
 
     Examples
     --------
@@ -50,17 +46,15 @@ class Cluster:
         compute_count: int = 2,
         login_node: bool = False,
         seed: int = 0,
-        lan: LinkModel = FAST_ETHERNET,
         shared_medium: bool = True,
-        strict_errors: bool = True,
         sanitize: bool = False,
     ):
         if head_count < 1:
             raise ClusterError("need at least one head node")
         if compute_count < 0:
             raise ClusterError("compute_count must be non-negative")
-        self.kernel = Kernel(seed=seed, strict_errors=strict_errors, sanitize=sanitize)
-        self.network = Network(self.kernel, lan=lan, shared_medium=shared_medium)
+        self.kernel = Kernel(seed=seed, sanitize=sanitize)
+        self.network = Network(self.kernel, shared_medium=shared_medium)
         self.heads: list[Node] = [
             Node(self.network, f"head{i}", role="head") for i in range(head_count)
         ]

@@ -28,12 +28,6 @@ class GroupConfig:
     ordering:
         ``"sequencer"`` (default) or ``"token"`` — the within-view total
         order engine (the token ring is the ablation alternative).
-    primary_partition:
-        If true, a view is only *primary* (allowed to deliver SAFE messages
-        and thus to win mutexes) when it contains a strict majority of the
-        previous primary view. The paper assumes fail-stop rather than
-        partition faults and ran without this rule; it is provided as an
-        extension for split-brain experiments.
     sequencer_batch_delay:
         Seconds the sequencer waits to batch ORDER assignments (0 = order
         immediately). Ablation knob for latency/throughput trade-offs. A
@@ -81,7 +75,6 @@ class GroupConfig:
     flush_timeout: float = 1.0
     retransmit_interval: float = 0.05
     ordering: str = "sequencer"
-    primary_partition: bool = False
     sequencer_batch_delay: float = 0.0
     data_batch_delay: float = 0.0
     data_batch_min_delay: float = 0.0

@@ -254,13 +254,7 @@ class FlushEngine:
             if mid in known
             and not (old_delivered and all(mid in d for d in old_delivered))
         )
-        primary = True
-        if m.config.primary_partition and m.view is not None:
-            survivors = set(flush.proposed) & old_members
-            primary = m.view.primary and len(survivors) * 2 > len(old_members)
-        new_view = NewView(
-            flush.epoch, flush.epoch[0], flush.proposed, closing, primary
-        )
+        new_view = NewView(flush.epoch, flush.epoch[0], flush.proposed, closing)
         m.kernel.log.info(
             f"gcs@{m.address}",
             f"installing view {flush.epoch[0]} members={flush.proposed} "
@@ -281,7 +275,7 @@ class FlushEngine:
         if m.address not in nv.members:
             return  # shouldn't happen (coordinator only sends to members)
         self.max_epoch = max(self.max_epoch or nv.epoch, nv.epoch)
-        view = View(nv.view_id, tuple(sorted(nv.members)), nv.primary)
+        view = View(nv.view_id, tuple(sorted(nv.members)))
         m.install_view(view, nv.closing)
 
     # -- lifecycle hooks -----------------------------------------------------

@@ -235,7 +235,7 @@ class GroupMember:
         members = tuple(sorted(set(initial_members)))
         if self.address not in members:
             raise GroupCommError("boot list must include this member")
-        self.install_view(View(1, members, True), closing=())
+        self.install_view(View(1, members), closing=())
 
     def join(self, contacts: Iterable[Address]) -> None:
         """Ask current members to merge us into the group."""
@@ -308,12 +308,6 @@ class GroupMember:
         is operating in a view or flushing into the next one — not idle,
         (re)joining after an exclusion, or stopped)."""
         return self.in_group and self.view is not None
-
-    @property
-    def is_primary(self) -> bool:
-        """Whether we are in a primary view (always true unless the
-        primary-partition extension is enabled and we lost the majority)."""
-        return self.view is not None and self.view.primary
 
     # ------------------------------------------------------------------
     # outbound helpers

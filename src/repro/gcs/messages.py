@@ -199,7 +199,6 @@ class NewView:
     #: must deliver (in list order) before installing the new view. Each
     #: entry carries full payload so members missing the DATA can recover.
     closing: tuple[tuple[MessageId, str, Any], ...]
-    primary: bool = True
 
 
 @dataclass(frozen=True)

@@ -16,14 +16,11 @@ class View:
 
     Views are totally ordered by :attr:`view_id`; every member that installs
     view *n* installed the same member list for *n* (agreement comes from the
-    flush protocol). ``primary`` is only meaningful when the primary-partition
-    extension is enabled; under the paper's fail-stop assumption every
-    installed view is primary.
+    flush protocol).
     """
 
     view_id: int
     members: tuple[Address, ...]
-    primary: bool = True
 
     def __post_init__(self):
         if self.view_id < 0:
@@ -36,9 +33,9 @@ class View:
             raise MembershipError("duplicate member in view")
 
     @staticmethod
-    def make(view_id: int, members, primary: bool = True) -> "View":
+    def make(view_id: int, members) -> "View":
         """Build a view, sorting/deduplicating the member list."""
-        return View(view_id, tuple(sorted(set(members))), primary)
+        return View(view_id, tuple(sorted(set(members))))
 
     @property
     def coordinator(self) -> Address:
@@ -61,5 +58,4 @@ class View:
 
     def __str__(self) -> str:
         tags = ",".join(str(m) for m in self.members)
-        kind = "" if self.primary else " non-primary"
-        return f"view#{self.view_id}{kind}[{tags}]"
+        return f"view#{self.view_id}[{tags}]"

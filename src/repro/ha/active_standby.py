@@ -82,6 +82,9 @@ class _CheckpointDaemon(Daemon):
 class FailoverMonitor(Daemon):
     """Runs on the standby; detects primary death and takes over."""
 
+    #: Consecutive silent probes that declare the primary dead.
+    misses = 3
+
     def __init__(
         self,
         node: "Node",
@@ -90,14 +93,12 @@ class FailoverMonitor(Daemon):
         shared,
         moms: list[Address],
         probe_interval: float = 1.0,
-        misses: int = 3,
     ):
         super().__init__(node, "failover-monitor", 15011)
         self.primary = primary
         self.shared = shared
         self.moms = moms
         self.probe_interval = probe_interval
-        self.misses = misses
         self.failed_over = False
         self.failover_time: float | None = None
 
@@ -146,14 +147,10 @@ class ActiveStandbySystem:
 
     name = "active_standby"
 
-    def __init__(
-        self,
-        cluster: Cluster,
-        *,
-        checkpoint_interval: float = 5.0,
-        probe_interval: float = 1.0,
-        misses: int = 3,
-    ):
+    #: Seconds between checkpoints of the primary's server records.
+    checkpoint_interval = 5.0
+
+    def __init__(self, cluster: Cluster, *, probe_interval: float = 1.0):
         if len(cluster.heads) < 2:
             raise PBSError("active/standby needs two head nodes")
         self.cluster = cluster
@@ -170,7 +167,7 @@ class ActiveStandbySystem:
         shared = cluster.shared_storage
         self.primary.add_daemon(
             "ckpt",
-            lambda n: _CheckpointDaemon(n, shared=shared, interval=checkpoint_interval),
+            lambda n: _CheckpointDaemon(n, shared=shared, interval=self.checkpoint_interval),
         )
         # Standby: cold daemons registered but not started, plus the monitor.
         install_head_daemons(
@@ -179,14 +176,13 @@ class ActiveStandbySystem:
         )
         self.standby.add_daemon(
             "ckpt",
-            lambda n: _CheckpointDaemon(n, shared=shared, interval=checkpoint_interval),
+            lambda n: _CheckpointDaemon(n, shared=shared, interval=self.checkpoint_interval),
             start=False,
         )
         self._monitor_params = dict(
             shared=shared,
             moms=mom_addresses,
             probe_interval=probe_interval,
-            misses=misses,
         )
         self.monitor: FailoverMonitor = self.standby.add_daemon(
             "failover-monitor",

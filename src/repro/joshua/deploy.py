@@ -46,7 +46,6 @@ class JoshuaStack:
     #: Independent ordering groups hosted on the shared heads. Every head
     #: runs one replica unit per shard; :meth:`add_head` joins all of them.
     shards: int = 1
-    legacy_obit_retry: bool = False
     #: Maui policy. True is the paper's configuration ("each job exclusive
     #: access to our test cluster"); False is the future-work mode it
     #: forecasts — safe here because strict head-of-queue FIFO keeps the
@@ -131,7 +130,6 @@ def build_joshua_stack(
     service_times: ServiceTimes = ERA_2006,
     group_config: GroupConfig = JOSHUA_GROUP_CONFIG,
     shards: int = 1,
-    legacy_obit_retry: bool = False,
     exclusive: bool = True,
 ) -> JoshuaStack:
     """Deploy JOSHUA across every head node of *cluster*.
@@ -150,7 +148,6 @@ def build_joshua_stack(
         service_times=service_times,
         group_config=group_config,
         shards=shards,
-        legacy_obit_retry=legacy_obit_retry,
         exclusive=exclusive,
     )
     server_addresses = [Address(h, PBS_SERVER_PORT) for h in stack.head_names]
@@ -161,10 +158,7 @@ def build_joshua_stack(
 
     def mom_factory(n: Node) -> PBSMom:
         mom = PBSMom(
-            n,
-            servers=list(server_addresses),
-            service_times=service_times,
-            legacy_obit_retry=legacy_obit_retry,
+            n, servers=list(server_addresses), service_times=service_times
         )
         install_jmutex(mom)
         return mom

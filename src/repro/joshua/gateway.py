@@ -55,10 +55,11 @@ class JoshuaGateway:
         Default read mode for sessions (``"ryw"`` — the gateway exists to
         make read-your-writes cheap; pass ``"ordered"`` to reproduce the
         historical behaviour exactly).
-    forgive_after:
-        Seconds a failed-over head stays out of the placement rotation
-        before it is retried (covers a crash + restart + rejoin).
     """
+
+    #: Seconds a failed-over head stays out of the placement rotation
+    #: before it is retried (covers a crash + restart + rejoin).
+    forgive_after = 10.0
 
     def __init__(
         self,
@@ -68,7 +69,6 @@ class JoshuaGateway:
         service_times: ServiceTimes = ERA_2006,
         timeout: float = 5.0,
         consistency: str = "ryw",
-        forgive_after: float = 10.0,
     ):
         if not heads:
             raise NoActiveHeadError("no head nodes configured")
@@ -77,7 +77,6 @@ class JoshuaGateway:
         self.times = service_times
         self.timeout = timeout
         self.consistency = consistency
-        self.forgive_after = forgive_after
         #: head -> simulation time it was marked dead.
         self._dead: dict[str, float] = {}
         self.sessions: list["GatewaySession"] = []

@@ -42,19 +42,15 @@ Schema evolution
 Each record frame carries a 2-byte :func:`schema_fingerprint` (a CRC of the
 record name and its field names, folded to 16 bits) plus the encoded field
 count — 3 bytes that let a receiver running a *different version* of a wire
-module detect the skew. Decode has two modes:
-
-* **tolerant** (the default): a frame with *more* fields than the local
-  declaration decodes positionally and skips the unknown trailing fields; a
-  frame with *fewer* fields fills the absent trailing fields from the local
-  declaration's defaults. Either way the sender's field prefix is trusted
-  positionally — which is exactly the evolution contract lint rule R7
-  enforces statically against ``WIRE_SCHEMA.lock`` (appends at the tail
-  only, never renames/reorders). A fingerprint mismatch at *equal* field
-  count (a rename or reorder — unalignable positionally) is always an
-  error.
-* **strict** (``Codec(strict=True)`` or ``decode(frame, strict=True)``):
-  any fingerprint or count mismatch is a :class:`CodecError`.
+module detect the skew. Decode tolerates it: a frame with *more* fields
+than the local declaration decodes positionally and skips the unknown
+trailing fields; a frame with *fewer* fields fills the absent trailing
+fields from the local declaration's defaults. Either way the sender's field
+prefix is trusted positionally — which is exactly the evolution contract
+lint rule R7 enforces statically against ``WIRE_SCHEMA.lock`` (appends at
+the tail only, never renames/reorders). A fingerprint mismatch at *equal*
+field count (a rename or reorder — unalignable positionally) is an error,
+and so is a shorter frame whose absent field declares no default.
 
 :meth:`Codec.clone` derives a per-node codec with individual records
 swapped for evolved versions — the rolling-upgrade harness used by the
@@ -71,8 +67,7 @@ never set its new fields therefore produces **byte-identical frames to the
 pre-extension declaration** — which is how a wire record can grow without
 perturbing pinned wire-digest baselines. The decoder recognises the prefix
 fingerprints of its own declaration and fills the elided tail from the
-defaults — even in strict mode, because a compact frame of the *same*
-declaration is not version skew.
+defaults.
 
 Same bytes, less work
 ---------------------
@@ -91,8 +86,8 @@ any frame.
   in the frame; a hit returns a freshly deserialised copy and skips the
   bytes. This is sound because the format is prefix-free — a complete
   encoding found at ``pos`` is exactly what the decoder would consume
-  there, and a plain dict's value depends on nothing else (no registry, no
-  ``strict`` flag) — and fresh because a hit shares no mutable object with
+  there, and a plain dict's value depends on nothing else (no registry)
+  — and fresh because a hit shares no mutable object with
   the memo or with any other result. The memo is a pure function of the
   frame bytes this codec has decoded: nothing passes from encoder to
   decoder, so truncated, corrupted and mixed-version frames miss, take the
@@ -272,7 +267,7 @@ class PlainFragment:
         return hash(self._wire)
 
     def __repr__(self) -> str:
-        return repr(Codec()._decode_value(self._wire, 0, True)[0])
+        return repr(Codec()._decode_value(self._wire, 0)[0])
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
@@ -371,12 +366,11 @@ class Codec:
     fresh objects — two calls never return the same container identity.
     """
 
-    def __init__(self, *, strict: bool = False) -> None:
+    def __init__(self) -> None:
         self._records_by_name: dict[str, _Record] = {}
         self._records_by_type: dict[type, _Record] = {}
         self._enums_by_name: dict[str, type] = {}
         self._enum_types: dict[type, str] = {}
-        self._strict = strict
         # Decode memo: complete encoding of a plain dict -> marshal snapshot
         # of its value, and first _MEMO_KEY bytes -> the lengths remembered.
         self._memo: dict[bytes, bytes] = {}
@@ -430,18 +424,13 @@ class Codec:
         self._enum_types[cls] = wire_name
         return cls
 
-    def clone(
-        self,
-        overrides: dict[str, type] | None = None,
-        *,
-        strict: bool | None = None,
-    ) -> Codec:
+    def clone(self, overrides: dict[str, type] | None = None) -> Codec:
         """A new codec with this one's registry, optionally with individual
         wire names rebound to evolved classes (*overrides* maps wire name ->
         class). The superseded class remains encodable under its old shape,
         so shared code constructing it still works — the rolling-upgrade
         harness for mixed-version groups (``Network.set_node_codec``)."""
-        other = Codec(strict=self._strict if strict is None else strict)
+        other = Codec()
         for wire_name, record in sorted(self._records_by_name.items()):
             other.register(record.cls, name=wire_name)
         for wire_name, cls in sorted(self._enums_by_name.items()):
@@ -581,20 +570,15 @@ class Codec:
 
     # -- decoding ---------------------------------------------------------------
 
-    def decode(self, frame: bytes, *, strict: bool | None = None) -> Any:
+    def decode(self, frame: bytes) -> Any:
         """Reconstruct a fresh value from a byte frame.
-
-        *strict* overrides this codec's schema-evolution tolerance for one
-        call (see the module docstring); the default is the codec's own
-        setting.
 
         Malformed input raises :class:`CodecError` and nothing else: what
         corrupt bytes provoke further down — a string that is not UTF-8, an
         unhashable dict key, an enum value or record arguments the class
         itself refuses — is converted here, at the one public entry."""
-        tolerant = not (self._strict if strict is None else strict)
         try:
-            value, pos = self._decode_value(frame, 0, tolerant)
+            value, pos = self._decode_value(frame, 0)
         except CodecError:
             raise
         except Exception as exc:
@@ -614,9 +598,7 @@ class Codec:
             raise _codec_error("truncated string", pos)
         return data[pos:end].decode("utf-8"), end
 
-    def _decode_value(
-        self, data: bytes, pos: int, tolerant: bool
-    ) -> tuple[Any, int]:
+    def _decode_value(self, data: bytes, pos: int) -> tuple[Any, int]:
         # Tags tested in the order the measured traffic has them (see
         # ``_encode_value``); a length or small int that fits one varint
         # byte is read in place, anything else (including "no byte there")
@@ -656,8 +638,8 @@ class Codec:
             decode = self._decode_value
             mapping = {}
             for _ in range(count):
-                key, pos = decode(data, pos, tolerant)
-                item, pos = decode(data, pos, tolerant)
+                key, pos = decode(data, pos)
+                item, pos = decode(data, pos)
                 mapping[key] = item
             if _MEMO_KEY <= pos - start <= _MEMO_MAX:
                 self._remember(data[start:pos], mapping)
@@ -672,7 +654,7 @@ class Codec:
             decode = self._decode_value
             items = []
             for _ in range(count):
-                item, pos = decode(data, pos, tolerant)
+                item, pos = decode(data, pos)
                 items.append(item)
             return (tuple(items) if tag == _T_TUPLE else items), pos
         if tag == _T_TRUE:
@@ -680,14 +662,14 @@ class Codec:
         if tag == _T_FALSE:
             return False, pos
         if tag == _T_RECORD:
-            return self._decode_record(data, pos, tolerant, start=pos - 1)
+            return self._decode_record(data, pos, start=pos - 1)
         if tag == _T_ENUM:
             start = pos - 1
             name, pos = self._decode_str(data, pos)
             cls = self._enums_by_name.get(name)
             if cls is None:
                 raise _codec_error(f"unknown wire enum {name!r}", start)
-            value, pos = self._decode_value(data, pos, tolerant)
+            value, pos = self._decode_value(data, pos)
             return cls(value), pos
         if tag == _T_BYTES:
             length, pos = _decode_varint(data, pos)
@@ -700,8 +682,8 @@ class Codec:
     def _remember(self, encoded: bytes, mapping: dict) -> None:
         """Memoise a freshly decoded dict under its complete encoding, if it
         is made only of builtins (``marshal`` refuses a record or an enum:
-        those decode through the registry and the ``tolerant`` flag, so
-        their value is not a function of the bytes alone)."""
+        those decode through the registry, so their value is not a function
+        of the bytes alone)."""
         try:
             snapshot = marshal.dumps(mapping)
         except ValueError:
@@ -720,7 +702,6 @@ class Codec:
         pos: int,
         fields: tuple[str, ...],
         name: str,
-        tolerant: bool,
     ) -> tuple[list[Any], int]:
         """Decode *fields* in order, annotating any failure with the
         innermost record/field it happened inside (satisfies "say where,
@@ -728,7 +709,7 @@ class Codec:
         values = []
         for field in fields:
             try:
-                value, pos = self._decode_value(data, pos, tolerant)
+                value, pos = self._decode_value(data, pos)
             except CodecError as exc:
                 _annotate(exc, name, field)
                 raise
@@ -736,7 +717,7 @@ class Codec:
         return values, pos
 
     def _decode_record(
-        self, data: bytes, pos: int, tolerant: bool, start: int
+        self, data: bytes, pos: int, start: int
     ) -> tuple[Any, int]:
         name, pos = self._decode_str(data, pos)
         record = self._records_by_name.get(name)
@@ -750,28 +731,23 @@ class Codec:
         pos += 2
         sent_count, pos = _decode_varint(data, pos)
         if sent_fp == record.fingerprint and sent_count == len(record.fields):
-            values, pos = self._decode_fields(
-                data, pos, record.fields, name, tolerant
-            )
+            values, pos = self._decode_fields(data, pos, record.fields, name)
             return record.cls(*values), pos
         if (
             record.min_fields <= sent_count < len(record.fields)
             and sent_fp == record.prefix_fingerprints.get(sent_count)
         ):
             # A compact frame of this very declaration: the sender elided a
-            # trailing run of wire-optional fields at their defaults. Not
-            # version skew, so accepted even in strict mode.
+            # trailing run of wire-optional fields at their defaults.
             values, pos = self._decode_fields(
-                data, pos, record.fields[:sent_count], name, tolerant
+                data, pos, record.fields[:sent_count], name
             )
             values.extend(
                 record.defaults[field]()
                 for field in record.fields[sent_count:]
             )
             return record.cls(*values), pos
-        return self._decode_evolved(
-            data, pos, record, sent_fp, sent_count, tolerant, start
-        )
+        return self._decode_evolved(data, pos, record, sent_fp, sent_count, start)
 
     def _decode_evolved(
         self,
@@ -780,24 +756,18 @@ class Codec:
         record: _Record,
         sent_fp: int,
         sent_count: int,
-        tolerant: bool,
         start: int,
     ) -> tuple[Any, int]:
         """A record frame whose schema fingerprint/field count differ from
         the local declaration — the sender runs another version of the wire
-        module. Tolerant mode applies the R7 evolution contract (trailing
-        appends only); strict mode and unalignable skews always raise."""
+        module. Applies the R7 evolution contract (trailing appends only);
+        an unalignable skew raises."""
         name = record.name
         local = len(record.fields)
         detail = (
             f"sender 0x{sent_fp:04X} with {sent_count} fields, "
             f"local 0x{record.fingerprint:04X} with {local} fields"
         )
-        if not tolerant:
-            raise _codec_error(
-                f"schema mismatch for record {name} in strict mode "
-                f"({detail})", start
-            )
         if sent_count == local:
             raise _codec_error(
                 f"schema mismatch for record {name} ({detail}): same field "
@@ -807,12 +777,10 @@ class Codec:
         if sent_count > local:
             # The sender is newer: take the local prefix positionally and
             # skip the unknown trailing fields.
-            values, pos = self._decode_fields(
-                data, pos, record.fields, name, tolerant
-            )
+            values, pos = self._decode_fields(data, pos, record.fields, name)
             for _ in range(sent_count - local):
                 try:
-                    _, pos = self._decode_value(data, pos, tolerant)
+                    _, pos = self._decode_value(data, pos)
                 except CodecError as exc:
                     _annotate(exc, name, "<unknown trailing field>")
                     raise
@@ -820,7 +788,7 @@ class Codec:
         # The sender is older: decode the common prefix, fill the absent
         # trailing fields from the local declaration's defaults.
         values, pos = self._decode_fields(
-            data, pos, record.fields[:sent_count], name, tolerant
+            data, pos, record.fields[:sent_count], name
         )
         for field in record.fields[sent_count:]:
             factory = record.defaults.get(field)

@@ -136,24 +136,18 @@ class Network:
     ----------
     kernel:
         Simulation kernel.
-    lan:
-        Link model for off-node messages (default: the paper's Fast
-        Ethernet).
     shared_medium:
         Serialise off-node transmissions through a single shared wire (hub
         behaviour). Switched behaviour (no cross-message contention) when
         false.
     """
 
-    def __init__(
-        self,
-        kernel: Kernel,
-        *,
-        lan: LinkModel = FAST_ETHERNET,
-        shared_medium: bool = True,
-    ):
+    def __init__(self, kernel: Kernel, *, shared_medium: bool = True):
         self.kernel = kernel
-        self.lan = lan
+        #: Link model for off-node messages, read at every send: the paper's
+        #: Fast Ethernet, swapped at run time by the fault injector's loss
+        #: bursts (and by tests that want another link).
+        self.lan: LinkModel = FAST_ETHERNET
         self.shared_medium = shared_medium
         self.partitions = PartitionState()
         self._nodes_up: dict[str, bool] = {}

@@ -72,19 +72,13 @@ def metric_records(registry) -> list[dict]:
 
 
 def collector_records(
-    collector: "TraceCollector",
-    logger: "SimLogger | None" = None,
-    *,
-    jobs: bool = True,
-    metrics: bool = True,
+    collector: "TraceCollector", logger: "SimLogger | None" = None
 ) -> list[dict]:
     """The full export of one observed run: merged span/log stream, then
     per-job trace summaries, then the metrics snapshot."""
     records = merged_records(collector, logger)
-    if jobs:
-        records.extend(t.to_dict() for t in collector.job_traces())
-    if metrics:
-        records.extend(metric_records(collector.registry))
+    records.extend(t.to_dict() for t in collector.job_traces())
+    records.extend(metric_records(collector.registry))
     return records
 
 

@@ -57,32 +57,24 @@ __all__ = [
     "read_bundle",
 ]
 
-#: Default per-node ring capacity (observations, spans + frames combined).
-RING_LIMIT = 512
-
-#: Default cap on retained bundles **per trigger reason**. The *first*
-#: failures of each kind are the interesting ones (later ones are usually
-#: cascade), and a per-reason cap keeps a flood of one trigger class (e.g.
-#: expected RPC timeouts while a head is down) from crowding out a rarer,
-#: more serious one (an invariant violation). Past the cap the recorder
-#: only counts what it dropped.
-MAX_BUNDLES = 8
-
-
 class FlightRecorder:
     """Bounded per-node observation rings with postmortem capture."""
 
-    def __init__(
-        self,
-        network: "Network",
-        *,
-        ring_limit: int = RING_LIMIT,
-        max_bundles: int = MAX_BUNDLES,
-    ):
+    #: Per-node ring capacity (observations, spans + frames combined), read
+    #: when a node's ring is created.
+    ring_limit = 512
+
+    #: Cap on retained bundles **per trigger reason**, read at every
+    #: capture. The *first* failures of each kind are the interesting ones
+    #: (later ones are usually cascade), and a per-reason cap keeps a flood
+    #: of one trigger class (e.g. expected RPC timeouts while a head is
+    #: down) from crowding out a rarer, more serious one (an invariant
+    #: violation). Past the cap the recorder only counts what it dropped.
+    max_bundles = 8
+
+    def __init__(self, network: "Network"):
         self.network = network
         self.kernel = network.kernel
-        self.ring_limit = ring_limit
-        self.max_bundles = max_bundles
         #: node name -> ring of record dicts (each shaped like an export
         #: record: ``type`` is ``"span"`` or ``"frame"``).
         self.rings: dict[str, deque] = {}
@@ -175,12 +167,7 @@ class FlightRecorder:
 # -- attachment ------------------------------------------------------------
 
 
-def attach_recorder(
-    network: "Network",
-    *,
-    ring_limit: int = RING_LIMIT,
-    max_bundles: int = MAX_BUNDLES,
-) -> FlightRecorder:
+def attach_recorder(network: "Network") -> FlightRecorder:
     """Attach (or return the already-attached) flight recorder.
 
     Ensures a collector is attached (the recorder rides its ``on_event``
@@ -191,9 +178,7 @@ def attach_recorder(
     if existing is not None:
         return existing
     collector = attach_collector(network)
-    recorder = FlightRecorder(
-        network, ring_limit=ring_limit, max_bundles=max_bundles
-    )
+    recorder = FlightRecorder(network)
     collector.on_event.append(recorder.on_trace_event)
     network.on_frame.append(recorder.on_frame)
     sanitizer = network.kernel.sanitizer

@@ -42,13 +42,6 @@ __all__ = [
     "timeseries_of",
 ]
 
-#: Default sampling window (simulated seconds).
-WINDOW = 1.0
-
-#: Default cap on closed windows kept (oldest samples drop first).
-MAX_WINDOWS = 10_000
-
-
 def _series_label(name: str, labels: dict) -> str:
     if not labels:
         return name
@@ -59,18 +52,15 @@ def _series_label(name: str, labels: dict) -> str:
 class TimeSeriesSampler:
     """Per-window samples of every series in one metrics registry."""
 
-    def __init__(
-        self,
-        registry: "MetricsRegistry",
-        *,
-        window: float = WINDOW,
-        max_windows: int = MAX_WINDOWS,
-    ):
-        if window <= 0:
-            raise ValueError("window must be positive")
+    #: Sampling window (simulated seconds), read at every tick.
+    window = 1.0
+
+    #: Cap on closed windows kept (oldest samples drop first), read at
+    #: every window close.
+    max_windows = 10_000
+
+    def __init__(self, registry: "MetricsRegistry"):
         self.registry = registry
-        self.window = window
-        self.max_windows = max_windows
         #: Closed-window samples, in time order. Each is a dict:
         #: ``{"type": "timeseries", "window_start", "window_end", "name",
         #: "labels", "metric", ...metric-specific values}``.

@@ -15,10 +15,11 @@ Reproduces the behaviours the paper's prototype leaned on:
   replication unsafe;
 * **the §5 obituary bug**: the paper found moms "did not simply ignore a
   failed head node, but rather kept the current job in running status until
-  it returned to service". ``legacy_obit_retry=True`` reproduces that: the
-  job stays in the mom's running set until *every* registered server has
-  acknowledged the obituary. The default (``False``) is the fixed behaviour
-  the TORQUE developers promised: give up on a server after a deadline.
+  it returned to service". A mom whose ``legacy_obit_retry`` is set
+  reproduces that: the job stays in its running set until *every*
+  registered server has acknowledged the obituary. The default (``False``)
+  is the fixed behaviour the TORQUE developers promised: give up on a
+  server after a deadline.
 """
 
 from __future__ import annotations
@@ -69,6 +70,8 @@ class PBSMom(Daemon):
     #: and how long before that server is given up on.
     obit_retry_interval = 0.5
     obit_give_up = 5.0
+    #: The §5 bug: retry an unanswered obituary forever, holding the job.
+    legacy_obit_retry = False
 
     def __init__(
         self,
@@ -77,7 +80,6 @@ class PBSMom(Daemon):
         servers: list[Address],
         port: int = 15002,
         service_times: ServiceTimes = ERA_2006,
-        legacy_obit_retry: bool = False,
     ):
         super().__init__(node, "pbs_mom", port)
         self.servers = list(servers)
@@ -87,7 +89,6 @@ class PBSMom(Daemon):
         self.prologue_hooks: list[PrologueHook] = []
         self.on_job_start: Callable[[JobStartReq], None] | None = None
         self.on_job_done: Callable[[JobObit], None] | None = None
-        self.legacy_obit_retry = legacy_obit_retry
         #: job_id -> running record (real executions only).
         self.active: dict[str, _RunningJob] = {}
         #: job_id -> obit, kept for late duplicate start attempts.

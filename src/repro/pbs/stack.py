@@ -94,7 +94,6 @@ def build_pbs_stack(
     service_times: ServiceTimes = ERA_2006,
     server_name: str = "torque",
     exclusive: bool = True,
-    legacy_obit_retry: bool = False,
 ) -> PBSStack:
     """Deploy server+scheduler on *head* and a mom on every compute node.
 
@@ -117,10 +116,7 @@ def build_pbs_stack(
         compute.add_daemon(
             "pbs_mom",
             lambda node: PBSMom(
-                node,
-                servers=[server_address],
-                service_times=service_times,
-                legacy_obit_retry=legacy_obit_retry,
+                node, servers=[server_address], service_times=service_times
             ),
         )
         for compute in cluster.computes

@@ -77,19 +77,18 @@ def _status_of(job: Job) -> int:
     return 0  # failed
 
 
-def export_swf(jobs: list[Job], *, origin: float | None = None, site: str = "repro-joshua") -> str:
+def export_swf(jobs: list[Job], *, site: str = "repro-joshua") -> str:
     """Render finished *jobs* as an SWF trace (submission order).
 
     Jobs that never reached COMPLETE are skipped — SWF records history,
-    not live state. ``origin`` rebases submit times (default: the first
-    submission becomes t=0).
+    not live state. Submit times are rebased so that the first submission
+    is t=0.
     """
     finished = sorted(
         (j for j in jobs if j.state is JobState.COMPLETE),
         key=lambda j: (j.submit_time, j.sequence),
     )
-    if origin is None:
-        origin = finished[0].submit_time if finished else 0.0
+    origin = finished[0].submit_time if finished else 0.0
     lines = [
         f"; SWF trace exported by {site}",
         "; Version: 2.2",
@@ -165,17 +164,9 @@ def parse_swf(text: str) -> list[SWFJob]:
     return records
 
 
-def workload_from_swf(
-    text: str,
-    *,
-    max_jobs: int | None = None,
-    max_nodes: int | None = None,
-    time_scale: float = 1.0,
-):
+def workload_from_swf(text: str, *, max_nodes: int | None = None):
     """Build a replayable :class:`~repro.bench.workloads.TraceWorkload`.
 
-    ``time_scale`` compresses (<1) or stretches (>1) submission times —
-    archived month-long traces replay in simulated minutes at 1/1000.
     Requested node counts are clamped to ``max_nodes`` (the simulated
     cluster is usually smaller than the traced one). Runtime uses the
     trace's *actual* run time when known, else the requested limit.
@@ -184,8 +175,6 @@ def workload_from_swf(
 
     entries = []
     for record in parse_swf(text):
-        if max_jobs is not None and len(entries) >= max_jobs:
-            break
         nodes = max(1, record.requested_procs)
         if max_nodes is not None:
             nodes = min(nodes, max_nodes)
@@ -194,12 +183,8 @@ def workload_from_swf(
             runtime = 60.0
         entries.append(
             (
-                record.submit_time * time_scale,
-                JobSpec(
-                    name=f"swf-{record.job_number}",
-                    nodes=nodes,
-                    walltime=runtime * time_scale,
-                ),
+                record.submit_time,
+                JobSpec(name=f"swf-{record.job_number}", nodes=nodes, walltime=runtime),
             )
         )
     return TraceWorkload(tuple(entries))

@@ -100,21 +100,14 @@ def split_path(path: str) -> list[str]:
 
 
 class MetadataStore:
-    """The MDS state and its operations.
-
-    Parameters
-    ----------
-    stripe_width:
-        Data-file handles allocated per created file (PVFS default: one
-        per I/O server).
-    """
+    """The MDS state and its operations."""
 
     ROOT_HANDLE = 1
+    #: Data-file handles allocated per created file (PVFS default: one per
+    #: I/O server).
+    stripe_width = 4
 
-    def __init__(self, *, stripe_width: int = 4):
-        if stripe_width < 1:
-            raise PVFSError("stripe_width must be positive")
-        self.stripe_width = stripe_width
+    def __init__(self):
         self._next_handle = self.ROOT_HANDLE + 1
         root = _Inode(self.ROOT_HANDLE, "dir", 0.0, 0.0)
         self._inodes: dict[int, _Inode] = {self.ROOT_HANDLE: root}
@@ -300,13 +293,11 @@ class MetadataStore:
         """Deep-copyable full state (for join-time transfer)."""
         return {
             "next_handle": self._next_handle,
-            "stripe_width": self.stripe_width,
             "op_count": self.op_count,
             "inodes": copy.deepcopy(self._inodes),
         }
 
     def restore(self, state: dict) -> None:
         self._next_handle = state["next_handle"]
-        self.stripe_width = state["stripe_width"]
         self.op_count = state["op_count"]
         self._inodes = copy.deepcopy(state["inodes"])

@@ -51,9 +51,9 @@ class MetadataBackend:
     #: Service time of one metadata operation (seconds).
     op_cost = 0.004
 
-    def __init__(self, kernel, *, stripe_width: int = 4):
+    def __init__(self, kernel):
         self.kernel = kernel
-        self.store = MetadataStore(stripe_width=stripe_width)
+        self.store = MetadataStore()
         self._logical_time = 0.0
 
     def execute(self, payload) -> Generator:
@@ -146,7 +146,6 @@ def build_replicated_mds(
     cluster: Cluster,
     *,
     group_config: GroupConfig | None = None,
-    stripe_width: int = 4,
 ) -> ReplicatedMDS:
     """Deploy one metadata replica on every head node of *cluster*."""
     config = group_config or FAST_GROUP_CONFIG
@@ -155,7 +154,7 @@ def build_replicated_mds(
     def factory(node: "Node") -> ReplicatedService:
         return ReplicatedService(
             node, "pvfs-mds",
-            MetadataBackend(node.kernel, stripe_width=stripe_width),
+            MetadataBackend(node.kernel),
             port=MDS_PORT, gcs_port=MDS_GCS_PORT,
             initial_members=head_names, group_config=config,
         )

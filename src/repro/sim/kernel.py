@@ -39,11 +39,6 @@ class Kernel:
     seed:
         Master seed for the :class:`~repro.util.rng.RandomStreams` family
         exposed as :attr:`streams`.
-    strict_errors:
-        If true (default), :meth:`run` raises when a process crashed with an
-        unhandled exception that no other process observed. Turning this off
-        is only sensible in fault-injection experiments that deliberately
-        kill daemons mid-protocol.
     sanitize:
         Attach a :class:`~repro.sim.sanitizer.DeterminismSanitizer`
         (exposed as :attr:`sanitizer`): every pop feeds a cross-run order
@@ -52,17 +47,10 @@ class Kernel:
         sanitized run is bit-identical to an unsanitized one.
     """
 
-    def __init__(
-        self,
-        *,
-        seed: int = 0,
-        strict_errors: bool = True,
-        sanitize: bool = False,
-    ):
+    def __init__(self, *, seed: int = 0, sanitize: bool = False):
         self._now = 0.0
         self._heap: list[tuple[float, int, int, Event]] = []
         self._sequence = 0
-        self.strict_errors = strict_errors
         self.streams = RandomStreams(seed)
         self.log = SimLogger(lambda: self._now, level=LOG_LEVEL)
         self._crashed_processes: list[tuple[Process, BaseException]] = []
@@ -203,7 +191,7 @@ class Kernel:
         return None
 
     def _check_crashes(self) -> None:
-        if self.strict_errors and self._crashed_processes:
+        if self._crashed_processes:
             process, exc = self._crashed_processes[0]
             raise SimulationError(
                 f"process {process.name!r} crashed at t={self._now}: {exc!r}"
@@ -211,14 +199,9 @@ class Kernel:
 
     def report_crash(self, process: Process, exc: BaseException) -> None:
         """Record the failure of a process nobody was waiting on, for
-        :meth:`run` to surface (``strict_errors``) or :meth:`drain_crashes`
-        to hand out, instead of it being dropped silently."""
+        :meth:`run` to raise as a :class:`SimulationError` instead of it
+        being dropped silently."""
         self._crashed_processes.append((process, exc))
-
-    def drain_crashes(self) -> list[tuple[Process, BaseException]]:
-        """Return and clear recorded unobserved process crashes."""
-        crashes, self._crashed_processes = self._crashed_processes, []
-        return crashes
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Kernel t={self._now} queued={len(self._heap)} processed={self._processed_events}>"

@@ -56,23 +56,16 @@ class SimLogger:
         Zero-argument callable returning the current simulated time.
     level:
         Minimum level name to retain (``DEBUG``/``INFO``/``WARNING``/``ERROR``).
-    capacity:
-        Maximum records kept; older records are dropped FIFO. ``None`` keeps
-        everything (fine for tests, avoid in week-long availability runs).
     """
 
-    def __init__(
-        self,
-        clock: Callable[[], float],
-        *,
-        level: str = "INFO",
-        capacity: int | None = 100_000,
-    ):
+    #: Maximum records kept; older records are dropped FIFO.
+    capacity = 100_000
+
+    def __init__(self, clock: Callable[[], float], *, level: str = "INFO"):
         if level not in LEVELS:
             raise ValueError(f"unknown log level {level!r}; expected one of {sorted(LEVELS)}")
         self._clock = clock
         self._threshold = LEVELS[level]
-        self._capacity = capacity
         self.records: list[LogRecord] = []
 
     def set_level(self, level: str) -> None:
@@ -85,8 +78,8 @@ class SimLogger:
             return
         record = LogRecord(self._clock(), level, source, message, fields)
         self.records.append(record)
-        if self._capacity is not None and len(self.records) > self._capacity:
-            del self.records[: len(self.records) - self._capacity]
+        if len(self.records) > self.capacity:
+            del self.records[: len(self.records) - self.capacity]
 
     def debug(self, source: str, message: str, **fields) -> None:
         self.log("DEBUG", source, message, **fields)
@@ -100,25 +93,9 @@ class SimLogger:
     def error(self, source: str, message: str, **fields) -> None:
         self.log("ERROR", source, message, **fields)
 
-    def select(
-        self,
-        *,
-        source: str | None = None,
-        level: str | None = None,
-        contains: str | None = None,
-    ) -> list[LogRecord]:
-        """Filter retained records; handy in tests."""
-
-        def keep(r: LogRecord) -> bool:
-            if source is not None and r.source != source:
-                return False
-            if level is not None and r.level != level:
-                return False
-            if contains is not None and contains not in r.message:
-                return False
-            return True
-
-        return [r for r in self.records if keep(r)]
+    def select(self, *, level: str | None = None) -> list[LogRecord]:
+        """Retained records, only those of *level* if one is given."""
+        return [r for r in self.records if level is None or r.level == level]
 
     def dump(self, records: Iterable[LogRecord] | None = None) -> str:
         """Render records (default: all) one per line."""

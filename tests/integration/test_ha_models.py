@@ -11,6 +11,7 @@ import pytest
 
 from repro.cluster import Cluster
 from repro.ha import ActiveStandbySystem, AsymmetricSystem, ServiceProbe, SingleHeadSystem
+from repro.ha.active_standby import FailoverMonitor
 from repro.pbs.job import JobSpec, JobState
 from repro.util.errors import NoActiveHeadError, PBSError
 from repro.rpc import RpcTimeout
@@ -61,12 +62,14 @@ class TestSingleHead:
 
 
 class TestActiveStandby:
+    @pytest.fixture(autouse=True)
+    def quicker_failover(self, monkeypatch):
+        monkeypatch.setattr(ActiveStandbySystem, "checkpoint_interval", 3.0)
+        monkeypatch.setattr(FailoverMonitor, "misses", 2)
+
     def make(self, seed=43):
         cluster = make_cluster(2, seed=seed)
-        system = ActiveStandbySystem(
-            cluster, checkpoint_interval=3.0, probe_interval=0.5,
-            misses=2,
-        )
+        system = ActiveStandbySystem(cluster, probe_interval=0.5)
         return cluster, system
 
     def test_failover_restores_service(self):

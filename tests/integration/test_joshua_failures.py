@@ -265,16 +265,16 @@ class TestMomBehaviourUnderHeadFailure:
 
     def test_legacy_mom_bug_keeps_job_running(self):
         """§5: moms 'kept the current job in running status until [the
-        failed head] returned to service'. Reproduced behind the
-        legacy_obit_retry flag."""
+        failed head] returned to service'. Reproduced by the moms'
+        legacy_obit_retry attribute."""
         from repro.cluster import Cluster
         from repro.joshua import build_joshua_stack
         from tests.integration.conftest import FAST_GROUP
 
         cluster = Cluster(head_count=2, compute_count=2, seed=31)
-        stack = build_joshua_stack(
-            cluster, group_config=FAST_GROUP, legacy_obit_retry=True
-        )
+        stack = build_joshua_stack(cluster, group_config=FAST_GROUP)
+        for compute in cluster.computes:
+            stack.mom(compute.name).legacy_obit_retry = True
         client = stack.client()
         job_id = drive(stack, client.jsub(name="stuck", walltime=2.0))
         settle(stack, 2.0)

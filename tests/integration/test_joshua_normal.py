@@ -87,6 +87,30 @@ class TestReplicatedSubmission:
         for head in stack.head_names:
             assert stack.pbs(head).jobs.get(job_id).state is JobState.COMPLETE
 
+    @pytest.mark.xfail(strict=True, reason=(
+        "ROADMAP item 12: a jdel while the launch waits on the mom (the "
+        "prologue's claim round) takes the queued-job path, so the "
+        "allocation is never freed and the launch is never killed"))
+    def test_jdel_right_after_jsub_frees_the_node(self):
+        """The server keeps a job QUEUED while it waits for the mom, and
+        under JOSHUA that wait includes the prologue's SAFE claim round. A
+        jdel acknowledged inside it completes the job, but the compute node
+        stays allocated, the mom keeps running the launch, and the next job
+        never starts. Waiting 0.05 s before the jdel avoids it."""
+        stack = make_stack(heads=2, computes=1, seed=11)
+        settle(stack, 1.0)
+        client = stack.client(node="login", prefer="head0")
+        victim = drive(stack, client.jsub(name="victim", walltime=600))
+        drive(stack, client.jdel(victim))
+        second = drive(stack, client.jsub(name="second", walltime=5))
+        settle(stack, 20.0)
+        for head in stack.head_names:
+            pbs = stack.pbs(head)
+            assert pbs.jobs.get(victim).state is JobState.COMPLETE
+            assert pbs.allocations["compute0"] != victim, head
+            assert pbs.jobs.get(second).state is not JobState.QUEUED, head
+        assert victim not in stack.mom("compute0").active
+
     def test_pbs_error_kind_relayed_as_through_plain_pbs(self, stack):
         """A PBS failure reaches the JOSHUA client with the kind and text
         plain PBS gives its own client, not flattened to ``pbs-error`` with

@@ -298,7 +298,8 @@ class TestGateway:
         gateway takes the head out of rotation and re-pins every session
         parked there."""
         stack = make_stack(heads=3)
-        gateway = stack.gateway(forgive_after=60.0)
+        gateway = stack.gateway()
+        gateway.forgive_after = 60.0
         sessions = [gateway.session("login", f"client{i}") for i in range(30)]
         victim = sessions[0].head
         parked = [s for s in sessions if s.head == victim]
@@ -318,7 +319,8 @@ class TestGateway:
         "joining" used to read as "head is joining": three failovers, a
         NoActiveHeadError, and the gateway evicting a healthy head."""
         stack = make_stack(heads=3)
-        gateway = stack.gateway(forgive_after=60.0)
+        gateway = stack.gateway()
+        gateway.forgive_after = 60.0
         sessions = [gateway.session("login", f"client{i}") for i in range(9)]
         pinned = [s.head for s in sessions]
         session = sessions[0]
@@ -335,7 +337,8 @@ class TestGateway:
 
     def test_dead_head_forgiven_after_grace(self):
         stack = make_stack(heads=3)
-        gateway = stack.gateway(forgive_after=5.0)
+        gateway = stack.gateway()
+        gateway.forgive_after = 5.0
         gateway.mark_dead("head1")
         assert "head1" not in gateway.live_heads()
         settle(stack, 6.0)
@@ -343,7 +346,8 @@ class TestGateway:
 
     def test_all_dead_degrades_to_full_rotation(self):
         stack = make_stack(heads=2)
-        gateway = stack.gateway(forgive_after=60.0)
+        gateway = stack.gateway()
+        gateway.forgive_after = 60.0
         gateway.mark_dead("head0")
         gateway.mark_dead("head1")
         assert sorted(gateway.live_heads()) == sorted(stack.head_names)

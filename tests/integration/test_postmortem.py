@@ -36,7 +36,8 @@ def run_planted_violation():
     attach_collector(network)
     # Generous rings: the interesting span history must survive the
     # steady-state heartbeat/poll chatter between fault and violation.
-    recorder = attach_recorder(network, ring_limit=4096)
+    recorder = attach_recorder(network)
+    recorder.ring_limit = 4096
     attach_timeseries(network)
     stack.cluster.run(until=2.0)
     suite = InvariantSuite(stack).attach()

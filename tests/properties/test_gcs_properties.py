@@ -39,7 +39,8 @@ FAST = GroupConfig(
 def build_group(n, seed, loss=0.0, ordering="sequencer"):
     kernel = Kernel(seed=seed)
     lan = FAST_ETHERNET.with_loss(loss) if loss else FAST_ETHERNET
-    net = Network(kernel, lan=lan, shared_medium=False)
+    net = Network(kernel, shared_medium=False)
+    net.lan = lan
     config = GroupConfig(
         heartbeat_interval=FAST.heartbeat_interval,
         suspect_timeout=FAST.suspect_timeout,

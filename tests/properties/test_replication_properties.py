@@ -30,7 +30,7 @@ op = st.one_of(
 @given(script=st.lists(op, max_size=30))
 def test_metadata_store_matches_flat_model(script):
     """Single-directory operations vs. a dict-of-kinds reference model."""
-    store = MetadataStore(stripe_width=1)
+    store = MetadataStore()
     model: dict[str, str] = {}
     for entry in script:
         kind, args = entry[0], entry[1:]

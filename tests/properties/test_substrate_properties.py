@@ -63,7 +63,8 @@ def test_run_until_is_a_clean_cut(delays, until):
 def test_transport_exactly_once_fifo_under_loss(messages, loss, seed):
     kernel = Kernel(seed=seed)
     lan = LinkModel(base_latency=0.001, bandwidth=1e8, loss=loss)
-    network = Network(kernel, lan=lan, shared_medium=False)
+    network = Network(kernel, shared_medium=False)
+    network.lan = lan
     network.register_node("a")
     network.register_node("b")
     sender = Transport(network.bind("a", 1), retransmit_interval=0.01)
@@ -89,7 +90,8 @@ def _faulty_fabric(seed, shared, faults, loss):
     """A fabric whose nodes n1..n4 are each in one of ``_FAULTS``; returns
     it with the list every bound endpoint appends its deliveries to."""
     kernel = Kernel(seed=seed, sanitize=SANITIZE)
-    net = Network(kernel, lan=FAST_ETHERNET.with_loss(loss), shared_medium=shared)
+    net = Network(kernel, shared_medium=shared)
+    net.lan = FAST_ETHERNET.with_loss(loss)
     arrivals = []
     for node, fault in zip(_NODES, ("up",) + tuple(faults)):
         net.register_node(node)

@@ -13,7 +13,7 @@ from repro.bench import (
     summarize,
 )
 from repro.bench.workloads import OpenLoopWorkload
-from repro.bench.reporting import bar_chart
+from repro.bench.reporting import BAR_WIDTH, bar_chart
 from repro.bench.snapshots import FIGURE_FILES, figure_snapshots, snapshot_text
 from repro.pbs.job import JobSpec
 from repro.util.errors import ReproError
@@ -115,16 +115,17 @@ class TestReporting:
 
     def test_bar_chart_scales_to_peak(self):
         rows = [{"k": "a", "v": 50.0}, {"k": "b", "v": 100.0}]
-        text = bar_chart(rows, label="k", series=["v"], width=10)
+        text = bar_chart(rows, label="k", series=["v"])
         lines = [l for l in text.splitlines() if "|" in l]
-        assert lines[0].count("#") == 5
-        assert lines[1].count("#") == 10
+        assert lines[0].count("#") == BAR_WIDTH // 2
+        assert lines[1].count("#") == BAR_WIDTH
 
     def test_bar_chart_multi_series_shared_scale(self):
         rows = [{"k": "x", "a": 25.0, "b": 100.0}]
-        text = bar_chart(rows, label="k", series=["a", "b"], width=20)
+        text = bar_chart(rows, label="k", series=["a", "b"])
         lines = [l for l in text.splitlines() if "|" in l]
-        assert lines[0].count("#") == 5 and lines[1].count("#") == 20
+        assert lines[0].count("#") == BAR_WIDTH // 4
+        assert lines[1].count("#") == BAR_WIDTH
 
     def test_bar_chart_skips_missing_values(self):
         rows = [{"k": "x", "a": 10.0, "b": None}]
@@ -136,7 +137,7 @@ class TestReporting:
 
     def test_bar_chart_minimum_one_hash(self):
         rows = [{"k": "tiny", "v": 0.001}, {"k": "huge", "v": 1000.0}]
-        text = bar_chart(rows, label="k", series=["v"], width=10)
+        text = bar_chart(rows, label="k", series=["v"])
         lines = [l for l in text.splitlines() if "|" in l]
         assert lines[0].count("#") >= 1
 
@@ -264,7 +265,7 @@ class TestExperimentSmoke:
         from repro.bench.experiments.read_scaling import read_scaling
         result = read_scaling(
             head_counts=(1, 2), duration=3.0, read_rate=300.0,
-            write_rate=3.0, clients=30, seed=1,
+            write_rate=3.0, seed=1,
         )
         by_heads = {row["heads"]: row for row in result["rows"]}
         assert result["read_qps_speedup"] >= 1.5, result
@@ -281,8 +282,9 @@ class TestExperimentSmoke:
         assert [r["nodes"] for r in rows] == [1, 2, 3, 4]
         assert rows[3]["downtime"] == "1s"
 
-    def test_model_comparison_single_model(self):
-        from repro.bench.experiments.models import run_model
-        report = run_model("symmetric", jobs=5, horizon=120.0)
+    def test_model_comparison_single_model(self, monkeypatch):
+        from repro.bench.experiments import models
+        monkeypatch.setattr(models, "HORIZON", 120.0)
+        report = models.run_model("symmetric", jobs=5)
         assert report.submitted == 5
         assert report.lost == 0

@@ -3,9 +3,9 @@ decode-error diagnostics (byte offset + in-progress record context).
 
 The runtime half of the R7 wire-schema contract: a receiver whose local
 declaration differs from the sender's by a *defaulted trailing append*
-decodes cleanly in either direction; every other skew — and any skew in
-strict mode — raises a :class:`CodecError` that says where in the frame
-and inside which record it failed.
+decodes cleanly in either direction; every other skew raises a
+:class:`CodecError` that says where in the frame and inside which record it
+failed.
 """
 
 from dataclasses import dataclass
@@ -56,8 +56,8 @@ def _old() -> Codec:
     return codec
 
 
-def _new(cls: type = NoteV2, *, strict: bool = False) -> Codec:
-    codec = Codec(strict=strict)
+def _new(cls: type = NoteV2) -> Codec:
+    codec = Codec()
     codec.register(cls, name="Note")
     return codec
 
@@ -82,7 +82,7 @@ class TestTolerantDecode:
 
     def test_same_count_fingerprint_mismatch_is_an_error(self):
         # A rename keeps the field count; positional alignment would
-        # silently misassign, so it must refuse even in tolerant mode.
+        # silently misassign, so it must refuse.
         frame = _old().encode(NoteV1("u1", "hi"))
         with pytest.raises(CodecError) as err:
             _new(NoteRenamed).decode(frame)
@@ -93,29 +93,6 @@ class TestTolerantDecode:
         assert _new().decode(frame) == [
             NoteV2("a", "x"), NoteV2("b", "y"),
         ]
-
-
-class TestStrictDecode:
-    def test_strict_codec_rejects_both_directions(self):
-        old_frame = _old().encode(NoteV1("u", "b"))
-        new_frame = _new().encode(NoteV2("u", "b", origin="o"))
-        with pytest.raises(CodecError, match="strict mode"):
-            _new(strict=True).decode(old_frame)
-        with pytest.raises(CodecError, match="strict mode"):
-            _old().decode(new_frame, strict=True)
-
-    def test_per_call_override_beats_codec_setting(self):
-        frame = _old().encode(NoteV1("u", "b"))
-        strict_codec = _new(strict=True)
-        assert strict_codec.decode(frame, strict=False) == NoteV2("u", "b")
-        tolerant_codec = _new()
-        with pytest.raises(CodecError, match="strict mode"):
-            tolerant_codec.decode(frame, strict=True)
-
-    def test_matching_schema_decodes_in_strict_mode(self):
-        codec = _new(strict=True)
-        note = NoteV2("u", "b", origin="o")
-        assert codec.decode(codec.encode(note)) == note
 
 
 class TestClone:
@@ -135,11 +112,6 @@ class TestClone:
         frame = evolved.encode(NoteV2("u", "b", origin="o"))
         got = evolved.decode(frame)
         assert isinstance(got, NoteV2) and got.origin == "o"
-
-    def test_clone_strict_flag(self):
-        strict = _old().clone(overrides={"Note": NoteV2}, strict=True)
-        with pytest.raises(CodecError, match="strict mode"):
-            strict.decode(_old().encode(NoteV1("u", "b")))
 
     def test_clone_without_overrides_round_trips(self):
         copy = _old().clone()
@@ -281,13 +253,3 @@ class TestPerNodeCodecs:
         net.set_node_codec("a", WIRE.clone(overrides={"EvoNote": EvoNoteV2}))
         got = self._exchange(kernel, net, EvoNoteV2("u1", "hi", origin="a"))
         assert got == EvoNoteV1("u1", "hi")
-
-    def test_strict_receiver_rejects_version_skew(self, kernel, net):
-        net.set_node_codec(
-            "b", WIRE.clone(overrides={"EvoNote": EvoNoteV2}, strict=True)
-        )
-        src = net.bind("a", 1)
-        net.bind("b", 1)
-        src.send(Address("b", 1), EvoNoteV1("u1", "hi"))
-        with pytest.raises(CodecError, match="strict mode"):
-            kernel.run()

@@ -25,7 +25,8 @@ class Harness:
         from repro.net.link import FAST_ETHERNET
         self.kernel = Kernel(seed=seed, sanitize=sanitize)
         lan = FAST_ETHERNET.with_loss(loss) if loss else FAST_ETHERNET
-        self.net = Network(self.kernel, lan=lan, shared_medium=False)
+        self.net = Network(self.kernel, shared_medium=False)
+        self.net.lan = lan
         self.members: dict[str, GroupMember] = {}
         self.delivered: dict[str, list] = {}
         self.views: dict[str, list] = {}
@@ -405,22 +406,6 @@ class TestPartitions:
         # After healing, the excluded side detects newer traffic and rejoins.
         sizes = {h.members[n].view.size for n in h.members}
         assert sizes == {3}
-
-    def test_primary_partition_rule(self):
-        config = GroupConfig(
-            heartbeat_interval=0.05,
-            suspect_timeout=0.16,
-            flush_timeout=0.3,
-            retransmit_interval=0.02,
-            primary_partition=True,
-        )
-        h = Harness(3, config=config, seed=4)
-        h.boot()
-        h.run(until=0.5)
-        h.net.partitions.set_partitions([["n0", "n1"], ["n2"]])
-        h.run(until=3.0)
-        assert h.members["n0"].is_primary  # 2 of 3: majority
-        assert not h.members["n2"].is_primary  # 1 of 3: minority
 
 
 class TestCompetingFlushes:

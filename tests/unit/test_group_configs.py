@@ -26,7 +26,7 @@ from repro.joshua.config import JOSHUA_GROUP_CONFIG
 _DEFAULTS = dict(
     group_id=0, shard_count=1,
     heartbeat_interval=0.25, suspect_timeout=0.75, flush_timeout=1.0,
-    retransmit_interval=0.05, ordering="sequencer", primary_partition=False,
+    retransmit_interval=0.05, ordering="sequencer",
     sequencer_batch_delay=0.0,
     data_batch_delay=0.0, data_batch_min_delay=0.0,
     processing_delay=0.0, stable_ack_base=0.0, stable_ack_slot=0.0,
@@ -66,16 +66,23 @@ class _Built(Exception):
     """Carries the configuration a scenario builder was about to deploy."""
 
 
+def _batching_at_20ms(monkeypatch):
+    # A non-default delay: FAST_GROUP_CONFIG's own 0.0 would pass even if
+    # the sweep stopped applying it.
+    monkeypatch.setattr(ablations, "BATCH_DELAYS", (0.02,))
+    ablations.sequencer_batching()
+
+
 @pytest.mark.parametrize("module, seam, build, literal", [
     (trace, "build_joshua_stack",
-     lambda: trace.run_traced_scenario(ordering="token"),
+     lambda _mp: trace.run_traced_scenario(ordering="token"),
      GroupConfig(
          heartbeat_interval=0.25, suspect_timeout=0.75, flush_timeout=1.5,
          retransmit_interval=0.10, ordering="token", processing_delay=0.010,
          stable_ack_base=0.098, stable_ack_slot=0.040,
      )),
     (runner, "build_joshua_stack",
-     lambda: runner.run_chaos(seed=0),
+     lambda _mp: runner.run_chaos(seed=0),
      GroupConfig(
          heartbeat_interval=0.1, suspect_timeout=0.6, flush_timeout=1.0,
          retransmit_interval=0.05, ordering="sequencer",
@@ -83,7 +90,7 @@ class _Built(Exception):
          data_batch_min_delay=0.001, gc_interval=2.0,
      )),
     (runner, "build_joshua_stack",
-     lambda: runner.run_chaos(seed=0, ordering="token"),
+     lambda _mp: runner.run_chaos(seed=0, ordering="token"),
      GroupConfig(
          heartbeat_interval=0.1, suspect_timeout=0.6, flush_timeout=1.0,
          retransmit_interval=0.05, ordering="token",
@@ -91,20 +98,20 @@ class _Built(Exception):
          data_batch_min_delay=0.001, gc_interval=2.0,
      )),
     (ablations, "build_joshua_stack",
-     lambda: ablations.stable_slot_sweep(slots=(0.06,)),
+     lambda _mp: ablations.stable_slot_sweep(),
      GroupConfig(
          heartbeat_interval=0.25, suspect_timeout=0.75, flush_timeout=1.5,
          retransmit_interval=0.10, processing_delay=0.010,
-         stable_ack_base=0.098, stable_ack_slot=0.06,
+         stable_ack_base=0.098, stable_ack_slot=0.0,
      )),
     (ablations, "_multicast_latency",
-     lambda: ablations.ordering_engine_latency(max_heads=1),
+     lambda _mp: ablations.ordering_engine_latency(),
      GroupConfig(
          heartbeat_interval=0.1, suspect_timeout=0.35, flush_timeout=0.8,
          retransmit_interval=0.05, ordering="sequencer",
      )),
     (ablations, "_group",
-     lambda: ablations.sequencer_batching(batch_delays=(0.02,)),
+     _batching_at_20ms,
      GroupConfig(
          heartbeat_interval=0.1, suspect_timeout=0.35, flush_timeout=0.8,
          retransmit_interval=0.05, sequencer_batch_delay=0.02,
@@ -118,5 +125,5 @@ def test_derived_config_equals_the_literal_it_replaced(
 
     monkeypatch.setattr(module, seam, stop)
     with pytest.raises(_Built) as built:
-        build()
+        build(monkeypatch)
     assert built.value.args[0] == literal

@@ -222,7 +222,8 @@ class TestNetwork:
         def elapsed(shared):
             k = Kernel(seed=1)
             slow_lan = LinkModel(base_latency=0.0001, bandwidth=1e5, jitter=0.0)
-            n = Network(k, lan=slow_lan, shared_medium=shared)
+            n = Network(k, shared_medium=shared)
+            n.lan = slow_lan
             n.register_node("a"); n.register_node("b")
             src = n.bind("a", 1)
             dst = n.bind("b", 1)
@@ -320,7 +321,8 @@ class TestGroupSend:
 
     def build(self, *, shared=True, lan=FAST_ETHERNET):
         kernel = Kernel(seed=7, sanitize=SANITIZE)
-        net = Network(kernel, lan=lan, shared_medium=shared)
+        net = Network(kernel, shared_medium=shared)
+        net.lan = lan
         for name in ("a", "b", "c", "d"):
             net.register_node(name)
         src = net.bind("a", 1)
@@ -577,7 +579,8 @@ class TestFaultPrimitives:
         def one_way(slow_node):
             k = Kernel(seed=3)
             lan = LinkModel(base_latency=0.001, bandwidth=1e9, jitter=0.0)
-            n = Network(k, lan=lan, shared_medium=False)
+            n = Network(k, shared_medium=False)
+            n.lan = lan
             n.register_node("a"); n.register_node("b")
             if slow_node:
                 n.set_node_slowdown(slow_node, 0.05)
@@ -630,7 +633,8 @@ class TestFaultPrimitives:
 class TestTransport:
     def make_pair(self, kernel, loss=0.0):
         lan = LinkModel(base_latency=0.001, bandwidth=1e8, jitter=0.0, loss=loss)
-        net = Network(kernel, lan=lan, shared_medium=False)
+        net = Network(kernel, shared_medium=False)
+        net.lan = lan
         net.register_node("a")
         net.register_node("b")
         ta = Transport(net.bind("a", 1), retransmit_interval=0.01)

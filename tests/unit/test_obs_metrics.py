@@ -267,8 +267,6 @@ class TestExport:
         records = collector_records(FakeCollector())
         assert [r["type"] for r in records] == ["span", "job", "metric"]
         assert records[2]["name"] == "gcs.delivered"
-        records = collector_records(FakeCollector(), jobs=False, metrics=False)
-        assert [r["type"] for r in records] == ["span"]
 
 
 class TestReport:

@@ -60,7 +60,8 @@ class TestRings:
 
     def test_ring_is_bounded_and_evicts_oldest(self):
         _, network = make_network()
-        recorder = attach_recorder(network, ring_limit=4)
+        recorder = attach_recorder(network)
+        recorder.ring_limit = 4
         for i in range(10):
             recorder.on_trace_event(span(time=float(i), seq=i))
         ring = recorder.rings["head0"]
@@ -110,7 +111,8 @@ class TestTriggers:
 
     def test_per_reason_cap_keeps_first_and_counts_dropped(self):
         _, network = make_network()
-        recorder = attach_recorder(network, max_bundles=2)
+        recorder = attach_recorder(network)
+        recorder.max_bundles = 2
         for i in range(5):
             recorder.capture("invariant:total-order", f"breach {i}")
         recorder.capture("rpc-exhausted", "different reason still captured")
@@ -122,7 +124,8 @@ class TestTriggers:
 
     def test_capture_returns_bundle_even_past_cap(self):
         _, network = make_network()
-        recorder = attach_recorder(network, max_bundles=1)
+        recorder = attach_recorder(network)
+        recorder.max_bundles = 1
         recorder.capture("x", "first")
         bundle = recorder.capture("x", "second")
         assert bundle["detail"] == "second"

@@ -19,9 +19,12 @@ from repro.obs.timeseries import (
 from repro.sim import Kernel
 
 
-def make_sampler(**kw):
+def make_sampler(**attributes):
     registry = MetricsRegistry()
-    return registry, TimeSeriesSampler(registry, **kw)
+    sampler = TimeSeriesSampler(registry)
+    for name, value in attributes.items():
+        setattr(sampler, name, value)
+    return registry, sampler
 
 
 class TestWindowing:

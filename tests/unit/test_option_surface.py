@@ -5,11 +5,12 @@ the benchmark would have to cover, and every definition is code a reader
 must get through. So three things earn their place only if the program
 itself uses them:
 
-* a keyword-only parameter with a default — *some* call site in the
-  repository passes it a value other than that default (a function handing
-  its own option on under the same name, ``g(x=x)`` inside ``f(*, x=0)``,
-  is no caller of either, and neither is a call passing ``x=0``, the
-  default's own literal);
+* a keyword-only parameter with a default — some call outside ``tests/``
+  passes it a value other than that default (a function handing its own
+  option on under the same name is no caller of either: ``g(x=x)`` inside
+  ``f(*, x=0)``, or any value built only from that option and ``self``,
+  such as ``x=self._x if x is None else x``; neither is a call passing
+  ``x=0``, the default's own literal);
 * a top-level function or class — something outside ``tests/`` names it;
 * a :class:`~repro.gcs.config.GroupConfig` field — some non-test
   ``GroupConfig(...)`` or ``replace(...)`` call sets it to a value other
@@ -30,7 +31,8 @@ from types import SimpleNamespace
 
 ROOT = Path(__file__).resolve().parents[2]
 PACKAGE = ROOT / "src" / "repro"
-CALLER_TREES = ("src", "tests", "perf", "benchmarks", "examples", "tools")
+#: Where a caller counts: everywhere but ``tests/``.
+CALLER_TREES = ("src", "perf", "benchmarks", "examples", "tools")
 FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
 
 #: ``file::function(parameter)`` -> why it stays although nothing passes it.
@@ -39,6 +41,11 @@ OPTION_EXEMPT = {
         "the heap key is (time, priority, sequence): the sanitizer reads it "
         "and ROADMAP's bounded schedule explorer replaces the tie-break "
         "inside it",
+    "sim/kernel.py::__init__(sanitize)":
+        "the determinism sanitizer is a verification instrument: tests and "
+        "CI's REPRO_SANITIZE=1 runs are its callers by design",
+    "cluster/cluster.py::__init__(sanitize)":
+        "forwards the kernel's sanitizer switch, for the same callers",
 }
 
 #: ``file::name`` -> why it stays although only tests name it.
@@ -53,11 +60,7 @@ DEFINITION_EXEMPT = {
 }
 
 #: ``GroupConfig.field`` -> why it stays although no program sets it.
-FIELD_EXEMPT = {
-    "GroupConfig.primary_partition":
-        "the split-brain rule, exercised both ways by "
-        "test_joshua_partitions.py",
-}
+FIELD_EXEMPT = {}
 
 
 def _name_of(node):
@@ -115,11 +118,21 @@ def _forwarders(stmt):
     return enclosing
 
 
+def _forwards(keyword: ast.keyword, forwarded) -> bool:
+    """Whether *keyword* only hands on the enclosing function's own option:
+    its value is built from nothing but that option and ``self``
+    (``x=x``, ``x=self._x if x is None else x``)."""
+    if keyword.arg not in forwarded:
+        return False
+    names = {n.id for n in ast.walk(keyword.value) if isinstance(n, ast.Name)}
+    return keyword.arg in names and names <= {keyword.arg, "self"}
+
+
 def _passes(call: ast.Call, forwarded):
     """(keyword, literal or ``"*"`` for any other value) of every keyword
     *call* passes other than by forwarding."""
-    return ((k.arg, _literal(k.value) or "*") for k in call.keywords if k.arg and not (
-        k.arg in forwarded and isinstance(k.value, ast.Name) and k.value.id == k.arg))
+    return ((k.arg, _literal(k.value) or "*") for k in call.keywords
+            if k.arg and not _forwards(k, forwarded))
 
 
 @cache
@@ -128,13 +141,14 @@ def _scan():
 
     ``options``: (name, label, default literal or ``None``) of each
     keyword-only option declared under src/repro; ``passed``: keyword name
-    -> the values some call passes it other than by forwarding
-    (:func:`_forwarders`, :func:`_passes`); ``definitions``:
+    -> the values some call outside ``tests/`` passes it other than by
+    forwarding (:func:`_forwarders`, :func:`_passes`); ``definitions``:
     (name, label) of each top-level def/class under src/repro; ``names``:
     identifier -> labels of the definitions whose bodies name it (``None``
-    for code outside one), counting neither tests, ``__all__`` nor a package
+    for code outside one), counting neither ``__all__`` nor a package
     ``__init__``'s imports; ``fields``: GroupConfig field -> its default;
-    ``settings``: (keyword, value) of every non-test GroupConfig/replace call.
+    ``settings``: (keyword, value) of every GroupConfig/replace call. No
+    file under ``tests/`` is read.
     """
     scan = SimpleNamespace(options=[], passed={}, definitions=[], names={},
                            fields={}, settings=[])
@@ -153,14 +167,14 @@ def _scan():
                         s.target.id: ast.dump(s.value) for s in stmt.body
                         if isinstance(s, ast.AnnAssign) and s.value is not None
                     }
-                counts = tree_name != "tests" and not _is_all(stmt) and not (
+                counts = not _is_all(stmt) and not (
                     reexports and isinstance(stmt, (ast.Import, ast.ImportFrom)))
                 forwarders = _forwarders(stmt)
                 for node in ast.walk(stmt):
                     if isinstance(node, ast.Call):
                         for keyword, value in _passes(node, forwarders.get(id(node), ())):
                             scan.passed.setdefault(keyword, set()).add(value)
-                        if tree_name != "tests" and _callee(node) in ("GroupConfig", "replace"):
+                        if _callee(node) in ("GroupConfig", "replace"):
                             scan.settings += [(k.arg, ast.dump(k.value))
                                               for k in node.keywords if k.arg]
                     elif where is not None and isinstance(node, FUNCTIONS):
@@ -188,9 +202,9 @@ def test_every_keyword_option_is_passed_by_some_call_site():
     never = sorted(label for name, label, default in scan.options
                    if not scan.passed.get(name, set()) - {default})
     _assert_exactly_exempt(
-        never, OPTION_EXEMPT, 1,
-        "option(s) no call site passes anything but the default — make each "
-        "a constant or delete it",
+        never, OPTION_EXEMPT, 3,
+        "option(s) no call outside tests/ passes anything but the default — "
+        "make each a constant or delete it",
     )
 
 
@@ -214,7 +228,7 @@ def test_every_group_config_field_is_set_to_a_non_default_value():
     single = sorted(f"GroupConfig.{field}" for field in scan.fields
                     if field not in varied)
     _assert_exactly_exempt(
-        single, FIELD_EXEMPT, 1,
+        single, FIELD_EXEMPT, 0,
         "GroupConfig field(s) no program sets off the default — make each a "
         "module constant where it is read",
     )

@@ -103,16 +103,17 @@ class TestWorkloadFromSWF:
         assert spec0.walltime == 3600.0
 
     def test_clamping_and_limits(self):
-        workload = workload_from_swf(SAMPLE, max_jobs=2, max_nodes=4)
+        workload = workload_from_swf(SAMPLE, max_nodes=4)
         entries = list(workload)
-        assert len(entries) == 2
+        assert len(entries) == 3
         assert all(spec.nodes <= 4 for _d, spec in entries)
 
     def test_time_scale(self):
-        workload = workload_from_swf(SAMPLE, time_scale=0.01)
+        # Submission times replay at the trace's own scale, in seconds.
+        workload = workload_from_swf(SAMPLE)
         entries = list(workload)
         total = sum(d for d, _s in entries)
-        assert total == pytest.approx(3.0)  # 300 s compressed to 3 s
+        assert total == pytest.approx(300.0)
 
     def test_requested_time_fallback(self):
         # Job 3 has run_time -1: falls back to its requested 3600 s.

@@ -17,7 +17,9 @@ from repro.pvfs.metadata import (
 
 @pytest.fixture
 def store():
-    return MetadataStore(stripe_width=2)
+    store = MetadataStore()
+    store.stripe_width = 2
+    return store
 
 
 class TestPaths:

@@ -255,17 +255,6 @@ class TestProcesses:
         kernel.run()
         assert caught == [True]
 
-    def test_non_strict_mode_records_crashes(self):
-        kernel = Kernel(strict_errors=False)
-        def proc(k):
-            yield k.timeout(1)
-            raise RuntimeError("boom")
-        kernel.spawn(proc(kernel))
-        kernel.run()
-        crashes = kernel.drain_crashes()
-        assert len(crashes) == 1
-        assert isinstance(crashes[0][1], RuntimeError)
-
     def test_is_alive(self, kernel):
         def proc(k):
             yield k.timeout(5)
