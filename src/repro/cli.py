@@ -327,6 +327,7 @@ def _cmd_chaos(args):
         shard_breakdown_lines,
         wire_bytes_lines,
     )
+    from repro.obs.timeseries import top_table
 
     lines = [r.summary() for r in reports]
     failed = [r for r in reports if not r.ok]
@@ -345,8 +346,7 @@ def _cmd_chaos(args):
         if report.timeseries:
             lines.append("")
             lines.append("busiest time series (per 1s window):")
-            lines.extend(timeseries_top_lines(report.timeseries,
-                                              shard=args.shard))
+            lines.extend(top_table(report.timeseries, shard=args.shard))
     for r in failed:
         lines.append("")
         lines.append(f"FAILED seed={r.seed} ordering={r.ordering} — replay with:")
@@ -399,17 +399,6 @@ def wire_bytes_tables(report) -> list[str]:
         offered_bytes_by_type = report.offered_bytes_by_type
 
     return wire_bytes_lines(_Ledgers)
-
-
-def timeseries_top_lines(samples, *, shard=None, limit: int = 12) -> list[str]:
-    """Render a ``repro top`` table from already-captured time-series
-    records (a :class:`ChaosReport` carries the samples, not the sampler)."""
-    from repro.obs.metrics import MetricsRegistry
-    from repro.obs.timeseries import TimeSeriesSampler
-
-    sampler = TimeSeriesSampler(MetricsRegistry())
-    sampler.samples = list(samples)
-    return sampler.top_lines(limit=limit, shard=shard)
 
 
 def _cmd_trace(args):

@@ -47,6 +47,35 @@ EVENT_LOG_LIMIT = 200_000
 MCAST_MAP_LIMIT = 50_000
 
 
+class _Series(dict):
+    """The series of one metric, memoised by label values.
+
+    Keyed by the value of each of *label_names* (a tuple, or the bare value
+    when there is one label), so a hook pays one dict lookup per
+    observation and the registry sorts a label set into its key once per
+    series. Series are still created on first use, so the registry ends up
+    holding exactly the series it would without the memo. A ``shard`` of
+    ``None`` is left out of the labels: single-group runs keep the
+    historical unlabelled series.
+    """
+
+    def __init__(self, make, name: str, *label_names: str, **options):
+        super().__init__()
+        self._make = make
+        self._name = name
+        self._label_names = label_names
+        self._options = options
+
+    def __missing__(self, key):
+        values = key if len(self._label_names) > 1 else (key,)
+        labels = {
+            label: value for label, value in zip(self._label_names, values)
+            if value is not None or label != "shard"
+        }
+        metric = self[key] = self._make(self._name, **self._options, **labels)
+        return metric
+
+
 class TraceCollector:
     """Span + metrics sink for one simulation."""
 
@@ -75,6 +104,46 @@ class TraceCollector:
         #: Observers ``fn(event)`` invoked with every recorded
         #: :class:`TraceEvent` (the flight recorder registers here).
         self.on_event: list = []
+        counter = self.registry.counter
+        gauge = self.registry.gauge
+        histogram = self.registry.histogram
+        self._requests = _Series(counter, "rpc.client.requests", "request")
+        self._retries = _Series(counter, "rpc.client.retries", "request")
+        self._timeouts = _Series(counter, "rpc.client.timeouts", "request")
+        self._latency = _Series(histogram, "rpc.client.latency_s", "request")
+        self._attempts = _Series(histogram, "rpc.client.attempts", "request",
+                                 buckets=ATTEMPT_BUCKETS)
+        self._dispatches = _Series(counter, "rpc.server.dispatch",
+                                   "daemon", "request")
+        self._handle_s = _Series(histogram, "rpc.server.handle_s",
+                                 "daemon", "request")
+        self._multicasts = _Series(counter, "gcs.multicasts",
+                                   "node", "service", "shard")
+        self._flushes = _Series(counter, "gcs.batch.flushes",
+                                "node", "reason", "shard")
+        self._batch_size = _Series(histogram, "gcs.batch.size", "node", "shard",
+                                   buckets=ATTEMPT_BUCKETS)
+        self._assignments = _Series(counter, "gcs.order.assignments",
+                                    "node", "shard")
+        self._ordering_delay = _Series(histogram, "gcs.ordering.delay_s",
+                                       "node", "shard")
+        self._delivered = _Series(counter, "gcs.delivered",
+                                  "node", "service", "shard")
+        self._backlog = _Series(gauge, "gcs.delivery.backlog", "node", "shard")
+        self._e2e_delay = _Series(histogram, "gcs.e2e.delay_s", "node", "shard")
+        self._fd = _Series(counter, "gcs.fd.transitions",
+                           "node", "transition", "shard")
+        self._installs = _Series(counter, "gcs.view.installs", "node", "shard")
+        self._view_size = _Series(gauge, "gcs.view.size", "node", "shard")
+        self._reads_local = _Series(counter, "joshua.read.local",
+                                    "node", "mode", "shard")
+        self._reads_fallback = _Series(counter, "joshua.read.ordered_fallback",
+                                       "node", "mode", "shard")
+        self._catchup_wait = _Series(histogram, "joshua.read.catchup_wait_s",
+                                     "node", "shard")
+        self._staleness = _Series(gauge, "joshua.read.staleness_lag",
+                                  "node", "shard")
+        self._phase = _Series(histogram, "job.phase_s", "phase")
 
     # -- event plumbing ------------------------------------------------------
 
@@ -95,23 +164,22 @@ class TraceCollector:
             self._rpc_open[request_id] = [self.kernel.now, attempt]
         else:
             entry[1] = attempt
-            self.registry.counter("rpc.client.retries", request=request_type).inc()
-        self.registry.counter("rpc.client.requests", request=request_type).inc()
+            self._retries[request_type].inc()
+        self._requests[request_type].inc()
         self.record("rpc.send", node, request=request_type,
                     dst=str(server), attempt=attempt, request_id=request_id)
 
     def rpc_response(self, node, server, request_id, payload, response) -> None:
         request_type = type(payload).__name__
-        started, attempts = self._rpc_open.pop(request_id, (self.kernel.now, 1))
-        latency = self.kernel.now - started
+        now = self.kernel.now
+        started, attempts = self._rpc_open.pop(request_id, (now, 1))
+        latency = now - started
         timed_out = isinstance(response, TimeoutRecord)
         outcome = "timeout" if timed_out else "ok"
-        self.registry.histogram("rpc.client.latency_s", request=request_type).observe(latency)
-        self.registry.histogram(
-            "rpc.client.attempts", request=request_type, buckets=ATTEMPT_BUCKETS
-        ).observe(float(attempts))
+        self._latency[request_type].observe(latency)
+        self._attempts[request_type].observe(float(attempts))
         if timed_out:
-            self.registry.counter("rpc.client.timeouts", request=request_type).inc()
+            self._timeouts[request_type].inc()
         self.record("rpc.call", node, request=request_type, dst=str(server),
                     latency_s=latency, attempts=attempts, outcome=outcome,
                     response=type(response).__name__)
@@ -119,22 +187,19 @@ class TraceCollector:
     # -- server-side dispatch hooks -----------------------------------------
 
     def rpc_dispatch(self, daemon, src, request_id, payload) -> None:
-        self._dispatch_open[(daemon.tag, request_id)] = self.kernel.now
-        self.registry.counter(
-            "rpc.server.dispatch",
-            daemon=daemon.name, request=type(payload).__name__,
-        ).inc()
+        tag = daemon.tag
+        self._dispatch_open[(tag, request_id)] = self.kernel.now
+        request_type = type(payload).__name__
+        self._dispatches[daemon.name, request_type].inc()
         self.record("rpc.dispatch", daemon.node.name,
-                    daemon=daemon.tag, request=type(payload).__name__,
+                    daemon=tag, request=request_type,
                     request_id=request_id, src=str(src))
 
     def rpc_dispatch_done(self, daemon, src, request_id, payload, response) -> None:
         started = self._dispatch_open.pop((daemon.tag, request_id), None)
         if started is not None:
-            self.registry.histogram(
-                "rpc.server.handle_s",
-                daemon=daemon.name, request=type(payload).__name__,
-            ).observe(self.kernel.now - started)
+            self._handle_s[daemon.name, type(payload).__name__].observe(
+                self.kernel.now - started)
 
     # -- GCS ordering pipeline ----------------------------------------------
     #
@@ -158,56 +223,44 @@ class TraceCollector:
             # Trim oldest half; insertion order == send order.
             for key in list(self._mcast_sent)[: MCAST_MAP_LIMIT // 2]:
                 del self._mcast_sent[key]
-        labels = self._shard_labels(shard)
-        self.registry.counter("gcs.multicasts", node=node, service=service,
-                              **labels).inc()
+        self._multicasts[node, service, shard].inc()
         self.record("gcs.mcast", node, msg_id=str(msg_id), service=service,
-                    payload=type(payload).__name__, **labels)
+                    payload=type(payload).__name__, **self._shard_labels(shard))
 
     def gcs_batch_flush(self, node: str, count: int, reason: str,
                         shard: int | None = None) -> None:
         """A :class:`~repro.gcs.batching.DataBatcher` flushed *count*
         coalesced multicasts (reason: count/bytes/timer/drain)."""
-        labels = self._shard_labels(shard)
-        self.registry.counter("gcs.batch.flushes", node=node, reason=reason,
-                              **labels).inc()
-        self.registry.histogram(
-            "gcs.batch.size", node=node, buckets=ATTEMPT_BUCKETS, **labels
-        ).observe(float(count))
-        self.record("gcs.batch", node, count=count, reason=reason, **labels)
+        self._flushes[node, reason, shard].inc()
+        self._batch_size[node, shard].observe(float(count))
+        self.record("gcs.batch", node, count=count, reason=reason,
+                    **self._shard_labels(shard))
 
     def gcs_ordered(self, node: str, seq: int, msg_id,
                     shard: int | None = None) -> None:
-        labels = self._shard_labels(shard)
-        self.registry.counter("gcs.order.assignments", node=node, **labels).inc()
+        self._assignments[node, shard].inc()
         entry = self._mcast_sent.get(msg_id)
         if entry is not None and not entry[1]:
             # A view change re-assigns the id; its delay counts once.
             entry[1] = True
-            self.registry.histogram(
-                "gcs.ordering.delay_s", node=node, **labels
-            ).observe(self.kernel.now - entry[0])
-        self.record("gcs.order", node, seq=seq, msg_id=str(msg_id), **labels)
+            self._ordering_delay[node, shard].observe(self.kernel.now - entry[0])
+        self.record("gcs.order", node, seq=seq, msg_id=str(msg_id),
+                    **self._shard_labels(shard))
 
     def gcs_delivered(self, node: str, msg, queue_stats: dict,
                       shard: int | None = None) -> None:
-        labels = self._shard_labels(shard)
-        self.registry.counter("gcs.delivered", node=node, service=msg.service,
-                              **labels).inc()
-        self.registry.gauge("gcs.delivery.backlog", node=node, **labels).set(
-            queue_stats.get("payloads", 0)
-        )
+        self._delivered[node, msg.service, shard].inc()
+        self._backlog[node, shard].set(queue_stats.get("payloads", 0))
         entry = self._mcast_sent.get(msg.msg_id)
         if entry is not None and msg.sender.node == node:
             # End-to-end ordering+stability overhead, measured at the sender
             # (the Transis share of a jsub's latency in Figure 10), timed
             # from the original multicast stamp (batching-independent).
-            self.registry.histogram("gcs.e2e.delay_s", node=node,
-                                    **labels).observe(self.kernel.now - entry[0])
+            self._e2e_delay[node, shard].observe(self.kernel.now - entry[0])
         self.record("gcs.deliver", node, msg_id=str(msg.msg_id), seq=msg.seq,
                     view=msg.view_id, service=msg.service,
                     payload=type(msg.payload).__name__, sender=msg.sender.node,
-                    **labels)
+                    **self._shard_labels(shard))
 
     # -- GCS lifecycle: failure detector & views -----------------------------
 
@@ -217,10 +270,8 @@ class TraceCollector:
 
         ``transition`` is one of ``suspect`` / ``forgive`` (per-*peer*) or
         ``dormant`` / ``rearm`` (detector-wide; *peer* is ``None``)."""
-        labels = self._shard_labels(shard)
-        self.registry.counter("gcs.fd.transitions", node=node,
-                              transition=transition, **labels).inc()
-        fields = dict(transition=transition, **labels)
+        self._fd[node, transition, shard].inc()
+        fields = dict(transition=transition, **self._shard_labels(shard))
         if peer is not None:
             fields["peer"] = peer
         self.record("gcs.fd", node, **fields)
@@ -230,11 +281,10 @@ class TraceCollector:
         """*node* installed view *view_id*; *sequencer* names the member
         that now orders this group's traffic (``None`` for token ordering),
         making sequencer handoffs visible in the trace."""
-        labels = self._shard_labels(shard)
-        self.registry.counter("gcs.view.installs", node=node, **labels).inc()
-        self.registry.gauge("gcs.view.size", node=node, **labels).set(len(members))
+        self._installs[node, shard].inc()
+        self._view_size[node, shard].set(len(members))
         self.record("gcs.view", node, view=view_id, members=list(members),
-                    sequencer=sequencer, **labels)
+                    sequencer=sequencer, **self._shard_labels(shard))
 
     # -- JOSHUA read path ----------------------------------------------------
 
@@ -249,20 +299,14 @@ class TraceCollector:
         before answering either way; ``lag`` is the local apply backlog
         (delivered-but-undrained commands) across the gating shards.
         """
-        labels = self._shard_labels(shard)
-        if outcome == "local":
-            self.registry.counter("joshua.read.local", node=node, mode=mode,
-                                  **labels).inc()
-        else:
-            self.registry.counter("joshua.read.ordered_fallback", node=node,
-                                  mode=mode, **labels).inc()
+        reads = self._reads_local if outcome == "local" else self._reads_fallback
+        reads[node, mode, shard].inc()
         if mode == "ryw":
-            self.registry.histogram("joshua.read.catchup_wait_s", node=node,
-                                    **labels).observe(wait_s)
-        self.registry.gauge("joshua.read.staleness_lag", node=node,
-                            **labels).set(float(lag))
+            self._catchup_wait[node, shard].observe(wait_s)
+        self._staleness[node, shard].set(float(lag))
         self.record("joshua.read", node, trace_id=trace_id, mode=mode,
-                    outcome=outcome, wait_s=wait_s, lag=lag, **labels)
+                    outcome=outcome, wait_s=wait_s, lag=lag,
+                    **self._shard_labels(shard))
 
     # -- job lifecycle -------------------------------------------------------
 
@@ -312,9 +356,7 @@ class TraceCollector:
                 continue
             start = trace.first(start_kind)
             if start is not None and end_time >= start.time:
-                self.registry.histogram("job.phase_s", phase=phase).observe(
-                    end_time - start.time
-                )
+                self._phase[phase].observe(end_time - start.time)
 
     # -- read side -----------------------------------------------------------
 

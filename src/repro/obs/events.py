@@ -21,20 +21,26 @@ Span kinds (see PROTOCOLS.md §7 for the full naming scheme):
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 __all__ = ["TraceEvent", "JobTrace", "PHASE_EDGES", "PHASE_ORDER"]
 
 
-@dataclass(frozen=True)
 class TraceEvent:
-    """One observation, stamped with simulated time."""
+    """One observation, stamped with simulated time.
 
-    time: float
-    kind: str
-    node: str
-    trace_id: str | None = None
-    fields: dict = field(default_factory=dict)
+    A slotted record, built once per span and never changed afterwards:
+    the collector's log, the job traces and the flight recorder's rings all
+    hold the same instance by reference.
+    """
+
+    __slots__ = ("time", "kind", "node", "trace_id", "fields")
+
+    def __init__(self, time: float, kind: str, node: str,
+                 trace_id: str | None = None, fields: dict | None = None):
+        self.time = time
+        self.kind = kind
+        self.node = node
+        self.trace_id = trace_id
+        self.fields = {} if fields is None else fields
 
     def to_dict(self) -> dict:
         """Machine-readable form, shape-compatible with

@@ -17,6 +17,7 @@ interpolated inside the target bucket and clamped to the observed min/max
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from typing import Iterable
 
 __all__ = [
@@ -140,11 +141,12 @@ class Histogram:
             self.min = value
         if self.max is None or value > self.max:
             self.max = value
-        for index, bound in enumerate(self.bounds):
-            if value <= bound:
-                self.counts[index] += 1
-                return
-        self.overflow += 1
+        # The first bound >= value, found by bisection.
+        index = bisect_left(self.bounds, value)
+        if index < len(self.counts):
+            self.counts[index] += 1
+        else:
+            self.overflow += 1
 
     @property
     def mean(self) -> float:

@@ -10,6 +10,12 @@ the failure itself. That is the debugging instrument the Microsoft Cluster
 Service retrospective credits for making regroup incidents tractable: a
 bounded, always-on event log per node.
 
+Rings hold what the hooks hand over — the immutable span itself, and a
+``(time, src, dst, kind, size)`` tuple per frame — so feeding them costs an
+append. An observation is formatted into its export record only when a
+capture first reads it (:meth:`FlightRecorder.ring_records`), in the shape
+rings of eagerly formatted dicts held.
+
 A **postmortem bundle** is a causally merged (time-sorted) snapshot of all
 rings plus the trigger that caused it. Bundles are captured automatically
 when
@@ -38,6 +44,7 @@ from __future__ import annotations
 
 import json
 from collections import deque
+from operator import itemgetter
 from typing import TYPE_CHECKING
 
 from repro.net.address import dst_text
@@ -75,8 +82,10 @@ class FlightRecorder:
     def __init__(self, network: "Network"):
         self.network = network
         self.kernel = network.kernel
-        #: node name -> ring of record dicts (each shaped like an export
-        #: record: ``type`` is ``"span"`` or ``"frame"``).
+        #: node name -> ring of observations: a :class:`TraceEvent`, a
+        #: ``(time, src, dst, kind, size)`` frame tuple, or the record of
+        #: either once a capture has read it. Read them as records through
+        #: :meth:`ring_records`.
         self.rings: dict[str, deque] = {}
         #: Captured bundles, oldest first, at most ``max_bundles`` per
         #: distinct trigger reason.
@@ -100,7 +109,7 @@ class FlightRecorder:
         """Collector ``on_event`` hook: every span lands in its node's ring;
         an exhausted RPC conversation additionally triggers a capture."""
         self.observed += 1
-        self._ring(event.node).append(event.to_dict())
+        self._ring(event.node).append(event)
         if event.kind == "rpc.call" and event.fields.get("outcome") == "timeout":
             fields = event.fields
             self.capture(
@@ -115,21 +124,36 @@ class FlightRecorder:
         the *sending* node (that is where the causal story unfolds) — one
         entry per frame, a group frame's ``dst`` naming its whole group."""
         self.observed += 1
-        self._ring(src.node).append({
-            "type": "frame",
-            "time": now,
-            "node": src.node,
-            "src": str(src),
-            "dst": dst_text(dst),
-            "kind": kind,
-            "size": size,
-        })
+        self._ring(src.node).append((now, src, dst, kind, size))
 
     def on_sanitizer_finding(self, finding) -> None:
         """Sanitizer ``on_finding`` hook: Ambiguity / AliasingViolation."""
         self.capture(
             f"sanitizer-{type(finding).__name__.lower()}", finding.describe()
         )
+
+    # -- read side -----------------------------------------------------------
+
+    def ring_records(self, node: str) -> list[dict]:
+        """*node*'s ring, oldest first, as export-shaped records (``type``
+        is ``"span"`` or ``"frame"``).
+
+        Each observation is formatted once: the first read puts its record
+        in the ring in its place, and later reads (the next capture) hand
+        out that same record.
+        """
+        ring = self.rings.get(node)
+        if ring is None:
+            return []
+        # A ring's frames come from a handful of addresses and groups.
+        texts: dict = {}
+        records = [
+            entry if type(entry) is dict else _record(entry, texts)
+            for entry in ring
+        ]
+        ring.clear()
+        ring.extend(records)
+        return records
 
     # -- capture -------------------------------------------------------------
 
@@ -142,10 +166,10 @@ class FlightRecorder:
         """
         records: list[dict] = []
         for node in sorted(self.rings):
-            records.extend(self.rings[node])
+            records.extend(self.ring_records(node))
         # Stable sort: same-time records keep per-node append order, nodes
         # interleave in sorted-name order — deterministic and readable.
-        records.sort(key=lambda r: r["time"])
+        records.sort(key=itemgetter("time"))
         bundle = {
             "type": "postmortem",
             "reason": reason,
@@ -162,6 +186,29 @@ class FlightRecorder:
         else:
             self.dropped_bundles += 1
         return bundle
+
+
+def _record(entry, texts: dict) -> dict:
+    """The export record of one ring observation (*texts* memoises the
+    spelling of addresses and groups across one read)."""
+    if type(entry) is not tuple:
+        return entry.to_dict()
+    time, src, dst, kind, size = entry
+    src_text = texts.get(src)
+    if src_text is None:
+        src_text = texts[src] = str(src)
+    dst_spelled = texts.get(dst)
+    if dst_spelled is None:
+        dst_spelled = texts[dst] = dst_text(dst)
+    return {
+        "type": "frame",
+        "time": time,
+        "node": src.node,
+        "src": src_text,
+        "dst": dst_spelled,
+        "kind": kind,
+        "size": size,
+    }
 
 
 # -- attachment ------------------------------------------------------------

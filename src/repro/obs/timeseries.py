@@ -26,6 +26,8 @@ attached to bit-identical wire traces.
 
 from __future__ import annotations
 
+from collections import deque
+from operator import attrgetter
 from typing import TYPE_CHECKING
 
 from repro.obs.collector import attach_collector
@@ -40,6 +42,7 @@ __all__ = [
     "TimeSeriesSampler",
     "attach_timeseries",
     "timeseries_of",
+    "top_table",
 ]
 
 def _series_label(name: str, labels: dict) -> str:
@@ -49,37 +52,67 @@ def _series_label(name: str, labels: dict) -> str:
     return f"{name}{{{inner}}}"
 
 
+#: A window closes once ``now / window`` passes the next whole number. The
+#: fast path compares ``now`` against a boundary moved down by this relative
+#: margin, so float rounding in ``(index + 1) * window`` can only make it
+#: check the division early, never miss a close.
+_BOUNDARY_MARGIN = 1e-9
+
+#: What a window close compares per series to see whether it changed: a
+#: counter's or gauge's value, a histogram's observation count.
+_MARK = {
+    Counter: attrgetter("value"),
+    Gauge: attrgetter("value"),
+    Histogram: attrgetter("count"),
+}
+#: A series' mark before its first close. A gauge's compares unequal to
+#: any value, so its first close always samples it.
+_START = {Counter: 0, Gauge: None, Histogram: 0}
+
+
 class TimeSeriesSampler:
     """Per-window samples of every series in one metrics registry."""
 
-    #: Sampling window (simulated seconds), read at every tick.
+    #: Sampling window (simulated seconds), read at every window close.
     window = 1.0
 
-    #: Cap on closed windows kept (oldest samples drop first), read at
-    #: every window close.
-    max_windows = 10_000
+    #: Cap on samples kept — one per series per window it changed in
+    #: (oldest shed first), read at every window close.
+    max_samples = 10_000
 
     def __init__(self, registry: "MetricsRegistry"):
         self.registry = registry
-        #: Closed-window samples, in time order. Each is a dict:
-        #: ``{"type": "timeseries", "window_start", "window_end", "name",
-        #: "labels", "metric", ...metric-specific values}``.
-        self.samples: list[dict] = []
-        #: Samples shed past :attr:`max_windows` (oldest-first eviction).
+        #: Closed-window samples, in time order, held compact: ``(window
+        #: index, registry key, kind, *values)``; :meth:`records` formats
+        #: them. Values are ``(delta,)`` for a counter, ``(value,)`` for a
+        #: gauge and ``(bounds, state before, state after, max)`` for a
+        #: histogram, a state being ``(counts, overflow, count, total)``.
+        self.samples: deque[tuple] = deque()
+        #: Samples shed past :attr:`max_samples` (oldest-first eviction).
         self.dropped_samples = 0
         #: Index of the window currently being accumulated.
         self._window_index = 0
-        #: Per-series cumulative state at the last window close.
-        self._counter_last: dict[tuple, int] = {}
-        self._hist_last: dict[tuple, tuple] = {}
-        self._gauge_last: dict[tuple, float] = {}
+        #: ``now`` at which the accumulating window may have ended (0.0:
+        #: check at the first tick, whatever the window length).
+        self._next_close = 0.0
+        #: ``(key, metric, mark getter)`` per registry series, sorted by
+        #: key; rebuilt only when the registry has grown.
+        self._series: list[tuple] = []
+        #: Each series' mark at the last close, in ``_series`` order.
+        self._marks: list = []
+        #: Histogram key -> its state at its last sample.
+        self._states: dict[tuple, tuple] = {}
 
     # -- feed side (kernel on_advance hook) ---------------------------------
 
     def on_advance(self, now: float) -> None:
-        index = int(now / self.window)
-        if index > self._window_index:
-            self._close_through(index)
+        if now >= self._next_close:
+            index = int(now / self.window)
+            if index > self._window_index:
+                self._close_through(index)
+            self._next_close = (
+                (self._window_index + 1) * self.window * (1 - _BOUNDARY_MARGIN)
+            )
 
     def _close_through(self, index: int) -> None:
         """Close the accumulating window (empty intermediate windows produce
@@ -93,84 +126,92 @@ class TimeSeriesSampler:
         repeated close with no new activity emits nothing."""
         self._sample(self._window_index)
 
+    def _track(self) -> None:
+        """Re-read the registry's series (it only ever grows)."""
+        metrics = self.registry._metrics
+        marks = {key: mark for (key, _, _), mark in zip(self._series, self._marks)}
+        self._series = [
+            (key, metrics[key], _MARK[type(metrics[key])])
+            for key in sorted(metrics)
+        ]
+        self._marks = [
+            marks.get(key, _START[type(metric)])
+            for key, metric, _ in self._series
+        ]
+
     def _sample(self, index: int) -> None:
+        if len(self.registry._metrics) != len(self._series):
+            self._track()
+        series, last = self._series, self._marks
+        marks = [mark(metric) for _, metric, mark in series]
+        changed = [
+            position
+            for position, (now, before) in enumerate(zip(marks, last))
+            if now != before
+        ]
+        samples = self.samples
+        for position in changed:
+            key, metric, _ = series[position]
+            if type(metric) is Counter:
+                samples.append((index, key, "counter",
+                                marks[position] - last[position]))
+            elif type(metric) is Gauge:
+                samples.append((index, key, "gauge", marks[position]))
+            else:
+                before = self._states.get(key) or (
+                    (0,) * len(metric.bounds), 0, 0, 0.0)
+                after = self._states[key] = (
+                    tuple(metric.counts), metric.overflow, metric.count,
+                    metric.total,
+                )
+                samples.append((index, key, "histogram", metric.bounds,
+                                before, after, metric.max))
+        self._marks = marks
+        excess = len(samples) - self.max_samples
+        if excess > 0:
+            for _ in range(excess):
+                samples.popleft()
+            self.dropped_samples += excess
+
+    # -- read side -----------------------------------------------------------
+
+    def _record(self, sample: tuple) -> dict:
+        index, (name, labels), kind, *values = sample
         start = index * self.window
         end = start + self.window
-        for key in sorted(self.registry._metrics, key=lambda k: (k[0], k[1])):
-            metric = self.registry._metrics[key]
-            name, labels = key[0], dict(key[1])
-            if isinstance(metric, Counter):
-                last = self._counter_last.get(key, 0)
-                delta = metric.value - last
-                if delta == 0:
-                    continue
-                self._counter_last[key] = metric.value
-                self._emit(start, end, name, labels, "counter",
-                           value=delta, rate=delta / self.window)
-            elif isinstance(metric, Gauge):
-                last = self._gauge_last.get(key)
-                if last is not None and last == metric.value:
-                    continue
-                self._gauge_last[key] = metric.value
-                self._emit(start, end, name, labels, "gauge",
-                           value=metric.value)
-            elif isinstance(metric, Histogram):
-                prev = self._hist_last.get(
-                    key, ((0,) * len(metric.bounds), 0, 0, 0.0)
-                )
-                prev_counts, prev_overflow, prev_count, prev_total = prev
-                dcount = metric.count - prev_count
-                if dcount == 0:
-                    continue
-                dcounts = tuple(
-                    c - p for c, p in zip(metric.counts, prev_counts)
-                )
-                doverflow = metric.overflow - prev_overflow
-                dtotal = metric.total - prev_total
-                self._hist_last[key] = (
-                    tuple(metric.counts), metric.overflow,
-                    metric.count, metric.total,
-                )
-                self._emit(
-                    start, end, name, labels, "histogram",
-                    count=dcount,
-                    mean=dtotal / dcount,
-                    p50=percentile_from_counts(
-                        metric.bounds, dcounts, doverflow, dcount, 50,
-                        maximum=metric.max,
-                    ),
-                    p95=percentile_from_counts(
-                        metric.bounds, dcounts, doverflow, dcount, 95,
-                        maximum=metric.max,
-                    ),
-                    p99=percentile_from_counts(
-                        metric.bounds, dcounts, doverflow, dcount, 99,
-                        maximum=metric.max,
-                    ),
-                )
-
-    def _emit(self, start, end, name, labels, metric_kind, **values) -> None:
-        if len(self.samples) >= self.max_windows:
-            del self.samples[0]
-            self.dropped_samples += 1
-        self.samples.append({
+        record = {
             "type": "timeseries",
             "time": end,
             "window_start": start,
             "window_end": end,
             "name": name,
-            "labels": labels,
-            "metric": metric_kind,
-            **values,
-        })
-
-    # -- read side -----------------------------------------------------------
+            "labels": dict(labels),
+            "metric": kind,
+        }
+        if kind == "counter":
+            [delta] = values
+            record.update(value=delta, rate=delta / self.window)
+        elif kind == "gauge":
+            record["value"] = values[0]
+        else:
+            bounds, before, after, maximum = values
+            counts0, overflow0, count0, total0 = before
+            counts, overflow, count, total = after
+            dcounts = [c - p for c, p in zip(counts, counts0)]
+            dcount = count - count0
+            record["count"] = dcount
+            record["mean"] = (total - total0) / dcount
+            for p in (50, 95, 99):
+                record[f"p{p}"] = percentile_from_counts(
+                    bounds, dcounts, overflow - overflow0, dcount, p,
+                    maximum=maximum)
+        return record
 
     def records(self) -> list[dict]:
         """JSONL-ready records (``type="timeseries"``), closing the
         in-progress window first."""
         self.finish()
-        return list(self.samples)
+        return [self._record(sample) for sample in self.samples]
 
     def top_lines(
         self,
@@ -183,45 +224,58 @@ class TimeSeriesSampler:
         with total / peak-window / last-window activity. With *shard*,
         only series carrying that ``shard=`` label are shown (the CLI
         ``--shard`` filter)."""
-        self.finish()
-        agg: dict[str, dict] = {}
-        for sample in self.samples:
-            if shard is not None and sample["labels"].get("shard") != shard:
-                continue
-            series = _series_label(sample["name"], sample["labels"])
-            entry = agg.get(series)
-            if entry is None:
-                entry = agg[series] = {
-                    "series": series, "metric": sample["metric"],
-                    "windows": 0, "total": 0.0, "peak": 0.0, "last": 0.0,
-                    "p99": 0.0,
-                }
-            entry["windows"] += 1
-            weight = sample.get("value", sample.get("count", 0.0))
-            entry["total"] += weight
-            entry["peak"] = max(entry["peak"], weight)
-            entry["last"] = weight
-            if "p99" in sample:
-                entry["p99"] = max(entry["p99"], sample["p99"])
-        if not agg:
-            return [indent + "(no time-series samples)"]
-        busiest = sorted(
-            agg.values(), key=lambda e: (-e["total"], e["series"])
-        )[:limit]
-        rows = []
-        for entry in busiest:
-            p99 = f"{entry['p99'] * 1000.0:.1f}ms" if entry["p99"] else "-"
-            rows.append([
-                entry["series"], entry["metric"], str(entry["windows"]),
-                f"{entry['total']:g}", f"{entry['peak']:g}",
-                f"{entry['last']:g}", p99,
-            ])
-        return format_table(
-            ["series", "kind", "windows", "total", "peak/w", "last/w",
-             "max p99"],
-            rows,
-            indent=indent,
-        )
+        return top_table(self.records(), limit=limit, indent=indent,
+                         shard=shard)
+
+
+def top_table(
+    records: list[dict],
+    *,
+    limit: int = 12,
+    indent: str = "  ",
+    shard: int | None = None,
+) -> list[str]:
+    """The :meth:`TimeSeriesSampler.top_lines` table of already-formatted
+    ``type="timeseries"`` records (a chaos report carries the records, not
+    the sampler)."""
+    agg: dict[str, dict] = {}
+    for sample in records:
+        if shard is not None and sample["labels"].get("shard") != shard:
+            continue
+        series = _series_label(sample["name"], sample["labels"])
+        entry = agg.get(series)
+        if entry is None:
+            entry = agg[series] = {
+                "series": series, "metric": sample["metric"],
+                "windows": 0, "total": 0.0, "peak": 0.0, "last": 0.0,
+                "p99": 0.0,
+            }
+        entry["windows"] += 1
+        weight = sample.get("value", sample.get("count", 0.0))
+        entry["total"] += weight
+        entry["peak"] = max(entry["peak"], weight)
+        entry["last"] = weight
+        if "p99" in sample:
+            entry["p99"] = max(entry["p99"], sample["p99"])
+    if not agg:
+        return [indent + "(no time-series samples)"]
+    busiest = sorted(
+        agg.values(), key=lambda e: (-e["total"], e["series"])
+    )[:limit]
+    rows = []
+    for entry in busiest:
+        p99 = f"{entry['p99'] * 1000.0:.1f}ms" if entry["p99"] else "-"
+        rows.append([
+            entry["series"], entry["metric"], str(entry["windows"]),
+            f"{entry['total']:g}", f"{entry['peak']:g}",
+            f"{entry['last']:g}", p99,
+        ])
+    return format_table(
+        ["series", "kind", "windows", "total", "peak/w", "last/w",
+         "max p99"],
+        rows,
+        indent=indent,
+    )
 
 
 # -- attachment ------------------------------------------------------------

@@ -157,11 +157,26 @@ class _Condition(Event):
         if not self.events:
             self.succeed(self._collect())
             return
+        # Subscribe to every pending child before feeding the processed
+        # ones, so a decision made here finds each pending child holding
+        # exactly one callback of ours to take back.
+        on_child = self._on_child
         for ev in self.events:
-            if ev.processed:
-                self._on_child(ev)
-            else:
-                ev.callbacks.append(self._on_child)
+            if ev._state != PROCESSED:
+                ev.callbacks.append(on_child)
+        for ev in self.events:
+            if ev._state == PROCESSED:
+                on_child(ev)
+
+    def _decide(self, ok: bool, value: Any) -> None:
+        super()._decide(ok, value)
+        # Decided: let go of the children still pending. Otherwise a loser
+        # (an answered call's deadline) keeps this condition, and every
+        # child value it holds, alive until it fires.
+        on_child = self._on_child
+        for ev in self.events:
+            if ev._state != PROCESSED:
+                ev.callbacks.remove(on_child)
 
     def _collect(self) -> dict[Event, Any]:
         return {ev: ev.value for ev in self.events if ev.processed and ev.ok}

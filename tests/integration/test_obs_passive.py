@@ -91,7 +91,7 @@ class TestObservationIsPassive:
         assert collector.registry.find("gcs.multicasts")
         # ...the recorder's rings hold spans AND wire frames per node...
         assert recorder.observed > 0
-        head_rings = [recorder.rings.get(f"head{i}", ()) for i in range(3)]
+        head_rings = [recorder.ring_records(f"head{i}") for i in range(3)]
         assert all(head_rings)
         assert any(r["type"] == "frame"
                    for ring in head_rings for r in ring)
@@ -106,11 +106,11 @@ class TestObservationIsPassive:
             assert collector.registry.find("joshua.read.staleness_lag")
             # ...and the time-series sampler windows them automatically.
             assert any(
-                s["name"].startswith("joshua.read") for s in sampler.samples
+                s["name"].startswith("joshua.read") for s in sampler.records()
             )
         if scenario.startswith("sharded"):
             assert {0, 1} <= {
-                s["labels"].get("shard") for s in sampler.samples
+                s["labels"].get("shard") for s in sampler.records()
             }
             assert collector.registry.find("gcs.fd.transitions")
 

@@ -45,7 +45,7 @@ class TestRings:
         recorder.on_trace_event(span(node="head0"))
         recorder.on_trace_event(span(node="head1", kind="job.run"))
         assert sorted(recorder.rings) == ["head0", "head1"]
-        assert recorder.rings["head0"][0]["kind"] == "job.submit"
+        assert recorder.ring_records("head0")[0]["kind"] == "job.submit"
         assert recorder.observed == 2
 
     def test_frames_recorded_against_the_sender(self):
@@ -53,7 +53,7 @@ class TestRings:
         recorder = attach_recorder(network)
         recorder.on_frame(2.5, Address("head0", 9), Address("head1", 9),
                           "DataMsg", 120)
-        [record] = recorder.rings["head0"]
+        [record] = recorder.ring_records("head0")
         assert record["type"] == "frame"
         assert record["kind"] == "DataMsg" and record["size"] == 120
         assert record["dst"] == "head1:9"
@@ -64,7 +64,7 @@ class TestRings:
         recorder.ring_limit = 4
         for i in range(10):
             recorder.on_trace_event(span(time=float(i), seq=i))
-        ring = recorder.rings["head0"]
+        ring = recorder.ring_records("head0")
         assert len(ring) == 4
         assert [r["fields"]["seq"] for r in ring] == [6, 7, 8, 9]
         assert recorder.observed == 10  # eviction never decrements
@@ -77,7 +77,7 @@ class TestRings:
         network.bind("head1", 9)
         network.send(src, dst, ("ping", 1))
         kernel.run(until=1.0)
-        assert any(r["type"] == "frame" for r in recorder.rings["head0"])
+        assert any(r["type"] == "frame" for r in recorder.ring_records("head0"))
 
 
 class TestTriggers:
@@ -165,7 +165,7 @@ class TestAttachment:
         recorder = attach_recorder(network)
         collector = collector_of(network)
         collector.record("job.submit", "head0", job="1.head0")
-        [record] = recorder.rings["head0"]
+        [record] = recorder.ring_records("head0")
         assert record["kind"] == "job.submit"
 
 

@@ -95,7 +95,7 @@ class TestWindowing:
         assert records[0]["rate"] == 2.0  # 1 increment / 0.5 s
 
     def test_eviction_counts_dropped_samples(self):
-        registry, sampler = make_sampler(max_windows=2)
+        registry, sampler = make_sampler(max_samples=2)
         counter = registry.counter("c")
         for window in range(4):
             counter.inc()
@@ -103,7 +103,7 @@ class TestWindowing:
         assert len(sampler.samples) == 2
         assert sampler.dropped_samples == 2
         # survivors are the newest windows
-        assert sampler.samples[-1]["window_end"] == 4.0
+        assert sampler.records()[-1]["window_end"] == 4.0
 
 
 class TestTopTable:

@@ -18,6 +18,8 @@ These tests pin that contract with a minimal echo daemon on a two-node
 fabric, independent of any protocol stack above rpc.
 """
 
+import gc
+import weakref
 from dataclasses import dataclass
 
 import pytest
@@ -171,6 +173,29 @@ class TestClientHooks:
                   if r.source == "rpc.client"]
         assert len(errors) == 2
         assert all("observer hook" in r.message for r in errors)
+
+
+class TestAnsweredCall:
+    def test_reply_is_released_while_the_deadline_is_still_queued(self):
+        """The attempt's deadline outlives the answer by most of a minute;
+        the decided wait must not keep the reply (and the delivery around
+        it) alive until the deadline pops."""
+        kernel, network, daemon = make_world()
+        replies = []
+
+        def conversation():
+            response = yield from call(
+                network, "cli", daemon.address, Ping(3), timeout=60.0
+            )
+            replies.append(weakref.ref(response))
+
+        kernel.run(until=kernel.spawn(conversation(), name="test-call"))
+        answered_at = kernel.now
+        gc.collect()
+        assert replies[0]() is None
+        # The deadline was still queued: running on pops it a minute later.
+        kernel.run()
+        assert kernel.now == pytest.approx(answered_at + 60.0, abs=0.01)
 
 
 class TestDispatchHooks:
