@@ -16,11 +16,12 @@ pre-sharding build; the regression test regenerates them with ``shards=1``
 and compares, proving the router/replica split is invisible on the wire
 when there is only one shard (the PR-2 decomposition-proof style).
 
-The scenario code and the ``Network.send`` spy live here and nowhere else:
-the capture tool (``tools/capture_wire_baseline.py``), the baseline test and
-the observer-passivity test (``tests/integration/test_obs_passive.py``) all
-drive :func:`make_stack` / :func:`spy_network` / :data:`SCENARIOS` /
-:func:`trace_record`, so they can never drift apart.
+The scenario code and the wire spy (a ``Network.on_frame`` hook) live here
+and nowhere else: the capture tool (``tools/capture_wire_baseline.py``), the
+baseline test and the observer-passivity test
+(``tests/integration/test_obs_passive.py``) all drive :func:`make_stack` /
+:func:`spy_network` / :data:`SCENARIOS` / :func:`trace_record`, so they can
+never drift apart.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from repro.cluster.cluster import Cluster
 from repro.gcs.config import FAST_GROUP_CONFIG
 from repro.joshua.deploy import JoshuaStack, build_joshua_stack
 from repro.net.address import dst_text
-from repro.net.codec import encoded_size
+from repro.net.network import DATAGRAM_OVERHEAD
 
 __all__ = [
     "SCENARIOS",
@@ -62,21 +63,17 @@ def _drive(stack: JoshuaStack, coroutine):
 
 
 def spy_network(stack: JoshuaStack) -> list[str]:
-    """Record every frame crossing :meth:`Network.send` — the fabric's one
+    """Record every frame :meth:`Network.send` offers — the fabric's one
     entry point, group frames included — as a canonical line."""
     lines: list[str] = []
-    network = stack.cluster.network
-    inner = network.send
-    kernel = stack.cluster.kernel
 
-    def spy(src, dst, payload):
+    def spy(now, src, dst, kind, size, payload):
         lines.append(
-            f"{kernel.now:.9f} {src} {dst_text(dst)} "
-            f"{encoded_size(payload)} {payload!r}"
+            f"{now:.9f} {src} {dst_text(dst)} "
+            f"{size - DATAGRAM_OVERHEAD} {payload!r}"
         )
-        return inner(src, dst, payload)
 
-    network.send = spy
+    stack.cluster.network.on_frame.append(spy)
     return lines
 
 

@@ -322,31 +322,15 @@ def _cmd_chaos(args):
         # a usage error, not a crash.
         return f"error: {exc}", 2
 
-    from repro.obs.report import (
-        rpc_latency_lines,
-        shard_breakdown_lines,
-        wire_bytes_lines,
-    )
-    from repro.obs.timeseries import top_table
-
     lines = [r.summary() for r in reports]
     failed = [r for r in reports if not r.ok]
     if args.chaos_command == "run":
         report = reports[0]
-        lines.append("")
-        lines.append("rpc conversations (per request type):")
-        lines.extend(rpc_latency_lines(report.registry))
-        if report.shards > 1 or args.shard is not None:
-            lines.append("")
-            lines.append("per-shard ordering pipeline:")
-            lines.extend(shard_breakdown_lines(report.registry, args.shard))
-        lines.append("")
-        lines.append("wire bytes by message type:")
-        lines.extend(wire_bytes_tables(report))
-        if report.timeseries:
-            lines.append("")
-            lines.append("busiest time series (per 1s window):")
-            lines.extend(top_table(report.timeseries, shard=args.shard))
+        lines.extend(_observed_lines(
+            report.registry, report.wire_bytes_by_type,
+            report.offered_bytes_by_type, report.timeseries,
+            rpc=True, shards=report.shards, shard=args.shard,
+        ))
     for r in failed:
         lines.append("")
         lines.append(f"FAILED seed={r.seed} ordering={r.ordering} — replay with:")
@@ -388,30 +372,38 @@ def _write_postmortems(report, directory) -> list[str]:
     return paths
 
 
-def wire_bytes_tables(report) -> list[str]:
-    """The wire/offered byte table from a :class:`ChaosReport`'s captured
-    ledgers (same shape as :func:`repro.obs.report.wire_bytes_lines`, which
-    reads a live network)."""
-    from repro.obs.report import wire_bytes_lines
+def _observed_lines(registry, wire: dict, offered: dict, series: list, *,
+                    rpc: bool, shards: int, shard: int | None) -> list[str]:
+    """The observer sections ``repro trace`` and ``repro chaos run`` share:
+    the rpc conversations (with *rpc*), the per-shard ordering pipeline (a
+    sharded run, or a ``--shard`` filter), the wire byte ledgers and, when
+    there are any *series* records, the busiest time series."""
+    from repro.obs.report import (
+        rpc_latency_lines,
+        shard_breakdown_lines,
+        wire_bytes_lines,
+    )
+    from repro.obs.timeseries import top_table
 
-    class _Ledgers:
-        wire_bytes_by_type = report.wire_bytes_by_type
-        offered_bytes_by_type = report.offered_bytes_by_type
-
-    return wire_bytes_lines(_Ledgers)
+    lines = []
+    if rpc:
+        lines += ["", "rpc conversations (per request type):"]
+        lines += rpc_latency_lines(registry)
+    if shards > 1 or shard is not None:
+        lines += ["", "per-shard ordering pipeline:"]
+        lines += shard_breakdown_lines(registry, shard)
+    lines += ["", "wire bytes by message type:"]
+    lines += wire_bytes_lines(wire, offered)
+    if series:
+        lines += ["", "busiest time series (per 1s window):"]
+        lines += top_table(series, shard=shard)
+    return lines
 
 
 def _cmd_trace(args):
     from repro.joshua.trace import run_traced_scenario
     from repro.obs.export import collector_records, write_jsonl
-    from repro.obs.report import (
-        job_timeline_lines,
-        phase_breakdown_lines,
-        rpc_latency_lines,
-        shard_breakdown_lines,
-        wire_bytes_lines,
-    )
-    from repro.obs.timeseries import timeseries_of
+    from repro.obs.report import job_timeline_lines, phase_breakdown_lines
 
     run = run_traced_scenario(
         seed=args.seed, heads=args.heads, computes=args.computes,
@@ -428,26 +420,15 @@ def _cmd_trace(args):
     lines.append("")
     lines.append("per-phase latency breakdown (Figure 10 decomposition):")
     lines.extend(phase_breakdown_lines(run.registry))
-    if args.rpc:
-        lines.append("")
-        lines.append("rpc conversations (per request type):")
-        lines.extend(rpc_latency_lines(run.registry))
-    if run.shards > 1 or args.shard is not None:
-        lines.append("")
-        lines.append("per-shard ordering pipeline:")
-        lines.extend(shard_breakdown_lines(run.registry, args.shard))
-    lines.append("")
-    lines.append("wire bytes by message type:")
-    lines.extend(wire_bytes_lines(run.network))
-    sampler = timeseries_of(run.network)
-    if sampler is not None:
-        lines.append("")
-        lines.append("busiest time series (per 1s window):")
-        lines.extend(sampler.top_lines(shard=args.shard))
+    series = run.collector.sampler.records()
+    lines.extend(_observed_lines(
+        run.registry, run.network.wire_bytes_by_type,
+        run.network.offered_bytes_by_type, series,
+        rpc=args.rpc, shards=run.shards, shard=args.shard,
+    ))
     if args.jsonl:
         records = collector_records(run.collector, run.cluster.kernel.log)
-        if sampler is not None:
-            records.extend(sampler.records())
+        records.extend(series)
         count = write_jsonl(args.jsonl, records)
         lines.append("")
         lines.append(f"wrote {count} records to {args.jsonl}")

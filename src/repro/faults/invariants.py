@@ -49,7 +49,7 @@ from typing import TYPE_CHECKING
 
 from repro.gcs.messages import DeliveredMessage
 from repro.joshua.wire import JStatResp
-from repro.obs.recorder import recorder_of
+from repro.obs.collector import collector_of
 from repro.pbs.job import JobState
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -277,9 +277,9 @@ class InvariantSuite:
         # With a flight recorder attached, every violation snapshots the
         # per-node rings into a postmortem bundle — the causal record of
         # the seconds leading up to the breach.
-        recorder = recorder_of(self.stack.cluster.network)
-        if recorder is not None:
-            recorder.capture(f"invariant:{invariant}", detail)
+        collector = collector_of(self.stack.cluster.network)
+        if collector is not None and collector.recorder is not None:
+            collector.recorder.capture(f"invariant:{invariant}", detail)
 
     # -- periodic / final checks ---------------------------------------------
 

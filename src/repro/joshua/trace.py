@@ -70,7 +70,8 @@ def run_traced_scenario(
     timelines do not overlap and the per-phase breakdown is clean. With
     ``shards > 1`` the submissions round-robin across every shard's queue
     namespace and GCS spans/metrics carry ``shard=`` labels. The flight
-    recorder and time-series sampler are always attached (passive).
+    recorder and time-series sampler are always attached (passive), as
+    ``run.collector.recorder`` and ``run.collector.sampler``.
     """
     group = replace(JOSHUA_GROUP_CONFIG, ordering=ordering)
     cluster = Cluster(

@@ -186,11 +186,13 @@ class Network:
         #: ``bytes_offered`` includes but ``wire_bytes_by_type`` never sees)
         #: still shows up in a per-type breakdown.
         self.offered_bytes_by_type: dict[str, int] = {}
-        #: Hooks ``fn(now, src, dst, kind, size)`` fired for every offered
-        #: frame (*dst* an ``Address``, or the sorted tuple of a group
-        #: frame), at the same site as the ``bytes_offered`` accounting.
-        #: Observation only — the flight recorder in ``repro.obs`` registers
-        #: here; empty by default, costing one truthiness check per send.
+        #: Hooks ``fn(now, src, dst, kind, size, payload)`` fired for every
+        #: offered frame (*dst* an ``Address``, or the sorted tuple of a
+        #: group frame), at the same site as the ``bytes_offered``
+        #: accounting. Observation only — the flight recorder in
+        #: ``repro.obs`` and the wire spy in ``repro.analysis.wiretrace``
+        #: register here; empty by default, costing one truthiness check
+        #: per send.
         self.on_frame: list = []
 
     # -- node lifecycle ------------------------------------------------------
@@ -333,7 +335,7 @@ class Network:
         now = self.kernel.now
         if self.on_frame:
             for hook in self.on_frame:
-                hook(now, src, dst, offered_kind, size)
+                hook(now, src, dst, offered_kind, size, payload)
 
         #: How long this frame queued for the wire; ``None`` until its first
         #: off-node receiver survives the drop decisions and it occupies it.

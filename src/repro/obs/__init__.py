@@ -37,7 +37,6 @@ from repro.obs.recorder import (
     FlightRecorder,
     attach_recorder,
     read_bundle,
-    recorder_of,
     timeline_lines,
     write_bundle,
 )
@@ -51,7 +50,6 @@ from repro.obs.report import (
 from repro.obs.timeseries import (
     TimeSeriesSampler,
     attach_timeseries,
-    timeseries_of,
 )
 
 __all__ = [
@@ -80,11 +78,9 @@ __all__ = [
     "percentile_from_counts",
     "FlightRecorder",
     "attach_recorder",
-    "recorder_of",
     "timeline_lines",
     "write_bundle",
     "read_bundle",
     "TimeSeriesSampler",
     "attach_timeseries",
-    "timeseries_of",
 ]

@@ -101,9 +101,11 @@ class TraceCollector:
         #: msg_id -> [multicast-sent time, first ORDER assignment already
         #: recorded] (insertion-ordered, bounded).
         self._mcast_sent: dict = {}
-        #: Observers ``fn(event)`` invoked with every recorded
-        #: :class:`TraceEvent` (the flight recorder registers here).
-        self.on_event: list = []
+        #: The flight recorder and time-series sampler, once attached
+        #: (:func:`~repro.obs.recorder.attach_recorder`,
+        #: :func:`~repro.obs.timeseries.attach_timeseries`).
+        self.recorder = None
+        self.sampler = None
         counter = self.registry.counter
         gauge = self.registry.gauge
         histogram = self.registry.histogram
@@ -150,9 +152,8 @@ class TraceCollector:
     def record(self, kind: str, node: str, trace_id: str | None = None, **fields) -> TraceEvent:
         event = TraceEvent(self.kernel.now, kind, node, trace_id, fields)
         self.events.append(event)
-        if self.on_event:
-            for hook in self.on_event:
-                hook(event)
+        if self.recorder is not None:
+            self.recorder.on_trace_event(event)
         return event
 
     # -- client-side RPC hooks ----------------------------------------------
@@ -373,7 +374,8 @@ def attach_collector(
     """Attach (or return the already-attached) collector for *network*.
 
     Registers the RPC hook methods and publishes the collector where the
-    GCS / PBS / JOSHUA call sites look it up (:func:`collector_of`).
+    GCS / PBS / JOSHUA call sites look it up (:func:`collector_of`) — the
+    one observer handle a network carries.
     """
     existing = collector_of(network)
     if existing is not None:

@@ -21,7 +21,8 @@ rings plus the trigger that caused it. Bundles are captured automatically
 when
 
 * an :class:`~repro.faults.invariants.InvariantSuite` check fails (the
-  suite calls :func:`recorder_of` at its violation site),
+  suite reaches the recorder through its network's collector at its
+  violation site),
 * the determinism sanitizer records an
   :class:`~repro.sim.sanitizer.Ambiguity` or
   :class:`~repro.sim.sanitizer.AliasingViolation` (via the sanitizer's
@@ -58,7 +59,6 @@ if TYPE_CHECKING:  # pragma: no cover
 __all__ = [
     "FlightRecorder",
     "attach_recorder",
-    "recorder_of",
     "timeline_lines",
     "write_bundle",
     "read_bundle",
@@ -106,8 +106,8 @@ class FlightRecorder:
         return ring
 
     def on_trace_event(self, event: "TraceEvent") -> None:
-        """Collector ``on_event`` hook: every span lands in its node's ring;
-        an exhausted RPC conversation additionally triggers a capture."""
+        """Every span the collector records lands in its node's ring; an
+        exhausted RPC conversation additionally triggers a capture."""
         self.observed += 1
         self._ring(event.node).append(event)
         if event.kind == "rpc.call" and event.fields.get("outcome") == "timeout":
@@ -119,7 +119,8 @@ class FlightRecorder:
                 f"{fields.get('attempts')} attempt(s)",
             )
 
-    def on_frame(self, now: float, src, dst, kind: str, size: int) -> None:
+    def on_frame(self, now: float, src, dst, kind: str, size: int,
+                 payload) -> None:
         """Network ``on_frame`` hook: offered wire frames, recorded against
         the *sending* node (that is where the causal story unfolds) — one
         entry per frame, a group frame's ``dst`` naming its whole group."""
@@ -217,28 +218,20 @@ def _record(entry, texts: dict) -> dict:
 def attach_recorder(network: "Network") -> FlightRecorder:
     """Attach (or return the already-attached) flight recorder.
 
-    Ensures a collector is attached (the recorder rides its ``on_event``
-    stream), registers the network frame hook, and — when the kernel runs
-    with ``sanitize=True`` — the sanitizer finding hook.
+    Ensures a collector is attached and hangs the recorder on it as
+    ``collector.recorder`` (the collector hands it every span it records),
+    registers the network frame hook, and — when the kernel runs with
+    ``sanitize=True`` — the sanitizer finding hook.
     """
-    existing = recorder_of(network)
-    if existing is not None:
-        return existing
     collector = attach_collector(network)
-    recorder = FlightRecorder(network)
-    collector.on_event.append(recorder.on_trace_event)
+    if collector.recorder is not None:
+        return collector.recorder
+    recorder = collector.recorder = FlightRecorder(network)
     network.on_frame.append(recorder.on_frame)
     sanitizer = network.kernel.sanitizer
     if sanitizer is not None:
         sanitizer.on_finding = recorder.on_sanitizer_finding
-    network._obs_recorder = recorder
     return recorder
-
-
-def recorder_of(network: "Network") -> FlightRecorder | None:
-    """The recorder attached to *network*, or ``None`` (the common case —
-    unobserved simulations pay one attribute read per trigger site)."""
-    return getattr(network, "_obs_recorder", None)
 
 
 # -- bundle rendering & I/O ------------------------------------------------
@@ -295,14 +288,26 @@ def write_bundle(bundle: dict, path) -> int:
 
 
 def read_bundle(path) -> dict:
-    """Re-assemble a bundle written by :func:`write_bundle`."""
+    """Re-assemble a bundle written by :func:`write_bundle`; a line that is
+    not a JSON object raises ``ValueError`` naming the file and the line."""
     with open(path) as fh:
-        lines = [line for line in fh.read().splitlines() if line.strip()]
+        lines = [
+            (number, line)
+            for number, line in enumerate(fh.read().splitlines(), 1)
+            if line.strip()
+        ]
     if not lines:
         raise ValueError(f"empty postmortem bundle: {path}")
-    header = json.loads(lines[0])
+    header, *records = (_object(path, *line) for line in lines)
     if header.get("type") != "postmortem":
         raise ValueError(f"not a postmortem bundle (header type "
                          f"{header.get('type')!r}): {path}")
-    header["records"] = [json.loads(line) for line in lines[1:]]
+    header["records"] = records
     return header
+
+
+def _object(path, number: int, line: str) -> dict:
+    record = json.loads(line)
+    if type(record) is not dict:
+        raise ValueError(f"not a JSON object on line {number}: {path}")
+    return record

@@ -116,12 +116,11 @@ def dict_by_label(pairs, label: str) -> dict:
     return {labels.get(label): metric for labels, metric in pairs}
 
 
-def wire_bytes_lines(network) -> list[str]:
+def wire_bytes_lines(wire: dict, offered: dict) -> list[str]:
     """Per-message-type byte ledger tables: bytes that occupied the wire
-    (off-node, post-drop) next to bytes offered to the fabric (pre-drop),
-    sorted by wire share."""
-    wire = network.wire_bytes_by_type
-    offered = network.offered_bytes_by_type
+    (off-node, post-drop; a network's ``wire_bytes_by_type``) next to bytes
+    offered to the fabric (pre-drop; its ``offered_bytes_by_type``), sorted
+    by wire share."""
     if not wire and not offered:
         return ["  (no wire traffic observed)"]
     total_wire = sum(wire.values()) or 1

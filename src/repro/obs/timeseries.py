@@ -14,9 +14,9 @@ closes the window and records, for every active series in the registry,
 
 Series keep their registry labels, so per-head (``node=``) and per-shard
 (``shard=``) resolution falls out for free. Read-side surfaces:
-:meth:`top_lines` is the ``repro top``-style end-of-run table, and
-:meth:`records` yields ``type="timeseries"`` JSONL records for the
-``--jsonl`` exports.
+:meth:`~TimeSeriesSampler.records` yields ``type="timeseries"`` JSONL
+records for the ``--jsonl`` exports, and :func:`top_table` renders them as
+the ``repro top``-style end-of-run table.
 
 **Passivity.** Sampling is plain arithmetic over plain containers on an
 existing hook; no events are scheduled, no RNG drawn, no wire bytes added.
@@ -41,7 +41,6 @@ if TYPE_CHECKING:  # pragma: no cover
 __all__ = [
     "TimeSeriesSampler",
     "attach_timeseries",
-    "timeseries_of",
     "top_table",
 ]
 
@@ -213,20 +212,6 @@ class TimeSeriesSampler:
         self.finish()
         return [self._record(sample) for sample in self.samples]
 
-    def top_lines(
-        self,
-        *,
-        limit: int = 12,
-        indent: str = "  ",
-        shard: int | None = None,
-    ) -> list[str]:
-        """A ``repro top``-style table: the busiest series, one row each,
-        with total / peak-window / last-window activity. With *shard*,
-        only series carrying that ``shard=`` label are shown (the CLI
-        ``--shard`` filter)."""
-        return top_table(self.records(), limit=limit, indent=indent,
-                         shard=shard)
-
 
 def top_table(
     records: list[dict],
@@ -235,9 +220,10 @@ def top_table(
     indent: str = "  ",
     shard: int | None = None,
 ) -> list[str]:
-    """The :meth:`TimeSeriesSampler.top_lines` table of already-formatted
-    ``type="timeseries"`` records (a chaos report carries the records, not
-    the sampler)."""
+    """A ``repro top``-style table of ``type="timeseries"`` records: the
+    busiest series, one row each, with total / peak-window / last-window
+    activity. With *shard*, only series carrying that ``shard=`` label are
+    shown (the CLI ``--shard`` filter)."""
     agg: dict[str, dict] = {}
     for sample in records:
         if shard is not None and sample["labels"].get("shard") != shard:
@@ -284,18 +270,13 @@ def top_table(
 def attach_timeseries(network: "Network") -> TimeSeriesSampler:
     """Attach (or return the already-attached) time-series sampler.
 
-    Ensures a collector is attached (the sampler reads its registry) and
-    registers the kernel tick hook.
+    Ensures a collector is attached and hangs the sampler on it as
+    ``collector.sampler`` (the sampler reads its registry), and registers
+    the kernel tick hook.
     """
-    existing = timeseries_of(network)
-    if existing is not None:
-        return existing
-    sampler = TimeSeriesSampler(attach_collector(network).registry)
+    collector = attach_collector(network)
+    if collector.sampler is not None:
+        return collector.sampler
+    sampler = collector.sampler = TimeSeriesSampler(collector.registry)
     network.kernel.on_advance.append(sampler.on_advance)
-    network._obs_timeseries = sampler
     return sampler
-
-
-def timeseries_of(network: "Network") -> TimeSeriesSampler | None:
-    """The sampler attached to *network*, or ``None``."""
-    return getattr(network, "_obs_timeseries", None)

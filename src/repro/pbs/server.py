@@ -129,8 +129,6 @@ class PBSServer(Daemon):
         self.allocations: dict[str, str | None] = {
             mom.node: None for mom in self.moms
         }
-        #: Observers of job lifecycle events: callback(event, job).
-        self._observers = []
         self.stats = {"submitted": 0, "completed": 0, "deleted": 0, "recovered": 0}
         #: Names this queue for the scheduler's incremental poll. A restart
         #: starts the generation over and a purge removes jobs, which no
@@ -224,16 +222,10 @@ class PBSServer(Daemon):
                 self.stats["recovered"] += 1
             self.jobs.add(job, rank)
 
-    # -- observability -------------------------------------------------------
-
-    def observe(self, callback) -> None:
-        """Register ``callback(event: str, job: Job)`` for Q/S/E/D events."""
-        self._observers.append(callback)
+    # -- accounting ----------------------------------------------------------
 
     def _notify(self, event: str, job: Job) -> None:
         self.accounting.record(self.kernel.now, event, job.job_id)
-        for observer in list(self._observers):
-            observer(event, job)
 
     # -- main loop --------------------------------------------------------------
 

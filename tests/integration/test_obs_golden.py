@@ -9,7 +9,7 @@ they hold the read-side formatting to exactly the bytes the eager one wrote:
   snapshot of ``metric_records``) followed by ``TimeSeriesSampler.records()``;
 * a ``write_bundle`` of every bundle the run captured plus one forced
   ``FlightRecorder.capture`` at its end;
-* the ``top_lines()`` table.
+* the ``top_table`` of ``TimeSeriesSampler.records()``.
 
 Two fixed-seed chaos runs are pinned: one ordering group with a read mix
 (unlabelled series, the read path, timed-out conversations) and two ordering
@@ -22,8 +22,8 @@ import pytest
 
 from repro.faults import runner
 from repro.obs.export import collector_records, dumps_record
-from repro.obs.recorder import recorder_of, write_bundle
-from repro.obs.timeseries import timeseries_of
+from repro.obs.recorder import write_bundle
+from repro.obs.timeseries import top_table
 
 RUNS = {
     "one-group": dict(seed=1, jobs=12, duration=25.0, read_mix=0.5),
@@ -64,11 +64,10 @@ def observed(request, tmp_path_factory):
         report = runner.run_chaos(**RUNS[request.param])
     assert report.ok
     [collector] = collectors
-    network = collector.network
-    sampler = timeseries_of(network)
+    sampler = collector.sampler
     records = collector_records(collector) + sampler.records()
 
-    recorder = recorder_of(network)
+    recorder = collector.recorder
     bundles = list(report.postmortems)
     bundles.append(recorder.capture("golden", "forced at the end of the run"))
     directory = tmp_path_factory.mktemp(request.param)
@@ -81,7 +80,7 @@ def observed(request, tmp_path_factory):
     return request.param, {
         "records": _sha("".join(dumps_record(r) + "\n" for r in records)),
         "bundles": _sha("".join(written)),
-        "top": _sha("\n".join(sampler.top_lines())),
+        "top": _sha("\n".join(top_table(sampler.records()))),
     }
 
 

@@ -224,3 +224,16 @@ class TestCommands:
         bogus.write_text('{"type": "span"}\n')
         assert main(["postmortem", str(bogus)]) == 2
         assert "error:" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("text, line", [
+        ("[1, 2]\n", 1),
+        ('{"type": "postmortem"}\n\n[3]\n', 3),
+    ], ids=["array-header", "array-record"])
+    def test_postmortem_rejects_a_line_that_is_not_an_object(
+            self, tmp_path, capsys, text, line):
+        bogus = tmp_path / "bundle.jsonl"
+        bogus.write_text(text)
+        assert main(["postmortem", str(bogus)]) == 2
+        out = capsys.readouterr().out
+        assert out.startswith("error:")
+        assert f"line {line}" in out and str(bogus) in out

@@ -347,7 +347,9 @@ class TestGroupSend:
                  "beacon")
         size = len(WIRE.encode("beacon")) + DATAGRAM_OVERHEAD
         assert encodes == ["beacon"]
-        assert frames == [(0.0, Address("a", 1), self.GROUP, "str", size)]
+        assert frames == [
+            (0.0, Address("a", 1), self.GROUP, "str", size, "beacon")
+        ]
         kernel.run()
         assert net.stats["sent"] == 1
         assert net.stats["bytes_offered"] == size

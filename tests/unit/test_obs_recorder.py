@@ -3,10 +3,10 @@
 Unit layer only — the postmortem contents of a real faulted run are held
 by ``tests/integration/test_postmortem.py``; here every piece is driven
 directly: ring bounding and eviction, the three capture triggers (invariant
-violations plug in via :func:`recorder_of`, sanitizer findings via
-``on_finding``, exhausted RPC conversations via the span stream), the
-per-reason bundle cap, causal merging, and the JSONL write/read round
-trip behind ``repro postmortem``.
+violations reach it through ``collector_of(network).recorder``, sanitizer
+findings via ``on_finding``, exhausted RPC conversations via the span
+stream), the per-reason bundle cap, causal merging, and the JSONL
+write/read round trip behind ``repro postmortem``.
 """
 
 import pytest
@@ -18,7 +18,6 @@ from repro.obs.recorder import (
     FlightRecorder,
     attach_recorder,
     read_bundle,
-    recorder_of,
     timeline_lines,
     write_bundle,
 )
@@ -52,7 +51,7 @@ class TestRings:
         _, network = make_network()
         recorder = attach_recorder(network)
         recorder.on_frame(2.5, Address("head0", 9), Address("head1", 9),
-                          "DataMsg", 120)
+                          "DataMsg", 120, None)
         [record] = recorder.ring_records("head0")
         assert record["type"] == "frame"
         assert record["kind"] == "DataMsg" and record["size"] == 120
@@ -158,7 +157,8 @@ class TestAttachment:
         _, network = make_network()
         recorder = attach_recorder(network)
         assert attach_recorder(network) is recorder
-        assert recorder_of(network) is recorder
+        assert collector_of(network).recorder is recorder
+        assert network.on_frame == [recorder.on_frame]
 
     def test_recorder_rides_the_collector_event_stream(self):
         _, network = make_network()
@@ -175,7 +175,7 @@ class TestBundleIO:
         recorder = attach_recorder(network)
         recorder.on_trace_event(span(time=1.0, trace_id="job-1", queue="workq"))
         recorder.on_frame(1.5, Address("head0", 9), Address("head1", 9),
-                          "DataMsg", 99)
+                          "DataMsg", 99, None)
         return recorder.capture("invariant:total-order", "head1 diverged")
 
     def test_write_read_round_trip(self, tmp_path):

@@ -5,18 +5,12 @@ from repro.obs.metrics import MetricsRegistry
 from repro.obs.report import shard_breakdown_lines, wire_bytes_lines
 
 
-class FakeNetwork:
-    def __init__(self, wire, offered):
-        self.wire_bytes_by_type = wire
-        self.offered_bytes_by_type = offered
-
-
 class TestWireBytesLines:
     def test_sorted_by_wire_share_with_total(self):
-        lines = wire_bytes_lines(FakeNetwork(
+        lines = wire_bytes_lines(
             {"DataMsg": 300, "Heartbeat": 700},
             {"DataMsg": 450, "Heartbeat": 700, "SchedPollReq": 5000},
-        ))
+        )
         text = "\n".join(lines)
         assert text.index("Heartbeat") < text.index("DataMsg")
         # loopback/dropped-only traffic still appears, with 0 wire bytes
@@ -25,7 +19,7 @@ class TestWireBytesLines:
         assert lines[-1].strip().startswith("TOTAL")
 
     def test_empty_ledgers(self):
-        assert wire_bytes_lines(FakeNetwork({}, {})) == [
+        assert wire_bytes_lines({}, {}) == [
             "  (no wire traffic observed)"
         ]
 

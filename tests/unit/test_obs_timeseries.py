@@ -9,13 +9,9 @@ on a real kernel.
 """
 
 from repro.net import Network
-from repro.obs.collector import attach_collector
+from repro.obs.collector import attach_collector, collector_of
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.timeseries import (
-    TimeSeriesSampler,
-    attach_timeseries,
-    timeseries_of,
-)
+from repro.obs.timeseries import TimeSeriesSampler, attach_timeseries, top_table
 from repro.sim import Kernel
 
 
@@ -118,7 +114,7 @@ class TestTopTable:
     def test_busiest_series_first_with_labels(self):
         registry, sampler = make_sampler()
         self.fill(sampler, registry)
-        lines = sampler.top_lines()
+        lines = top_table(sampler.records())
         text = "\n".join(lines)
         assert "busy{node=head0,shard=0}" in text
         assert text.index("busy{") < text.index("quiet{")
@@ -126,12 +122,12 @@ class TestTopTable:
     def test_shard_filter(self):
         registry, sampler = make_sampler()
         self.fill(sampler, registry)
-        text = "\n".join(sampler.top_lines(shard=1))
+        text = "\n".join(top_table(sampler.records(), shard=1))
         assert "quiet" in text and "busy" not in text
 
     def test_empty_sampler_renders_placeholder(self):
         _, sampler = make_sampler()
-        assert sampler.top_lines() == ["  (no time-series samples)"]
+        assert top_table(sampler.records()) == ["  (no time-series samples)"]
 
 
 class TestAttachment:
@@ -161,5 +157,5 @@ class TestAttachment:
         kernel, network = self.make_network()
         sampler = attach_timeseries(network)
         assert attach_timeseries(network) is sampler
-        assert timeseries_of(network) is sampler
+        assert collector_of(network).sampler is sampler
         assert kernel.on_advance.count(sampler.on_advance) == 1
