@@ -73,11 +73,18 @@ Same bytes, less work
 ---------------------
 Many encoded bytes are values sent before: every qstat reply ships the
 rows of the jobs it names, and a job's row changes only on a state
-transition. Two host-time devices exploit that; neither moves a byte of
-any frame.
+transition. Three host-time devices exploit that and the fixed shape of
+every record; none moves a byte of any frame.
 
 * **Encode** — :class:`PlainFragment` holds the bytes of a builtins-only
   value, encoded once by its owner; the encoder splices them verbatim.
+* **Records** — each registered record carries, for every field count it
+  can send, its complete head bytes (tag, name, fingerprint, count), and
+  one getter returning all its field values at once; the encoder appends
+  the head and iterates the values. The decoder finds the record by the
+  raw bytes of its name and, when the frame's header equals the local
+  declaration's, decodes the fields in one loop; any other header takes
+  the fingerprint, prefix and evolved paths below.
 * **Decode** — each :class:`Codec` keeps a bounded memo of the plain dicts
   it has decoded: complete encoding -> ``marshal`` snapshot of the value,
   indexed by the encoding's first ``_MEMO_KEY`` bytes -> the lengths
@@ -109,6 +116,7 @@ from __future__ import annotations
 import dataclasses
 import enum
 import marshal
+import operator
 import struct
 import zlib
 from typing import Any
@@ -274,9 +282,11 @@ class PlainFragment:
 class _Record:
     """One registered record class: wire name, field order, and the
     schema-evolution metadata (fingerprint, precomputed frame header,
-    zero-arg default factories for tolerant decode). Records with a
+    zero-arg default factories for tolerant decode), plus what the encoder
+    needs per frame: the complete head for every sendable field count and
+    one getter for all field values. Records with a
     :func:`mark_wire_optional` tail additionally carry the per-prefix
-    headers/fingerprints the elision paths use."""
+    fingerprints the elision paths use."""
 
     name: str
     cls: type
@@ -286,7 +296,8 @@ class _Record:
     defaults: dict[str, Any]      # field name -> zero-arg factory
     min_fields: int               # shortest sendable prefix length
     optional_defaults: tuple[Any, ...]   # default values, fields[min_fields:]
-    prefix_headers: tuple[bytes, ...]    # header per count k - min_fields
+    heads: tuple[bytes, ...]      # tag + name + header, per count k - min_fields
+    getter: Any                   # value -> tuple of every field value
     prefix_fingerprints: dict[int, int]  # sendable count k -> fingerprint
 
 
@@ -324,6 +335,27 @@ def _record_header(fingerprint: int, count: int) -> bytes:
     return bytes(header)
 
 
+def _record_head(wire_name: str, fingerprint: int, count: int) -> bytes:
+    """Everything a record frame holds before its first field."""
+    raw = wire_name.encode("utf-8")
+    head = bytearray((_T_RECORD,))
+    _encode_varint(len(raw), head)
+    return bytes(head + raw) + _record_header(fingerprint, count)
+
+
+def _record_getter(cls: type, fields: tuple[str, ...]) -> Any:
+    """A one-call getter of every field value, as a tuple in declaration
+    order (a NamedTuple already is one)."""
+    if issubclass(cls, tuple):
+        return tuple
+    if len(fields) > 1:
+        return operator.attrgetter(*fields)
+    if fields:
+        only = operator.attrgetter(fields[0])
+        return lambda value: (only(value),)
+    return lambda value: ()
+
+
 def _make_record(wire_name: str, cls: type) -> _Record:
     fields = _record_fields(cls)
     fingerprint = schema_fingerprint(wire_name, fields)
@@ -343,8 +375,8 @@ def _make_record(wire_name: str, cls: type) -> _Record:
             )
     min_fields = len(fields) - len(optional)
     optional_defaults = tuple(defaults[f]() for f in optional)
-    prefix_headers = tuple(
-        _record_header(schema_fingerprint(wire_name, fields[:k]), k)
+    heads = tuple(
+        _record_head(wire_name, schema_fingerprint(wire_name, fields[:k]), k)
         for k in range(min_fields, len(fields) + 1)
     )
     prefix_fingerprints = {
@@ -352,8 +384,9 @@ def _make_record(wire_name: str, cls: type) -> _Record:
         for k in range(min_fields, len(fields))
     }
     return _Record(
-        wire_name, cls, fields, fingerprint, prefix_headers[-1],
-        defaults, min_fields, optional_defaults, prefix_headers,
+        wire_name, cls, fields, fingerprint,
+        _record_header(fingerprint, len(fields)), defaults, min_fields,
+        optional_defaults, heads, _record_getter(cls, fields),
         prefix_fingerprints,
     )
 
@@ -369,6 +402,8 @@ class Codec:
     def __init__(self) -> None:
         self._records_by_name: dict[str, _Record] = {}
         self._records_by_type: dict[type, _Record] = {}
+        # The decoder's view of _records_by_name: UTF-8 name -> record.
+        self._records_by_raw: dict[bytes, _Record] = {}
         self._enums_by_name: dict[str, type] = {}
         self._enum_types: dict[type, str] = {}
         # Decode memo: complete encoding of a plain dict -> marshal snapshot
@@ -402,6 +437,7 @@ class Codec:
                 )
         record = _make_record(wire_name, cls)
         self._records_by_name[wire_name] = record
+        self._records_by_raw[wire_name.encode("utf-8")] = record
         self._records_by_type[cls] = record
         return cls
 
@@ -531,24 +567,25 @@ class Codec:
         elif cls is bool:
             out.append(_T_TRUE if value else _T_FALSE)
         elif (record := self._records_by_type.get(cls)) is not None:
-            out.append(_T_RECORD)
-            self._encode_str(record.name, out)
-            send = len(record.fields)
-            if record.min_fields < send:
+            values = record.getter(value)
+            send = len(values)
+            floor = record.min_fields
+            if floor < send:
                 # Elide the longest trailing run of wire-optional fields
                 # still holding their declared defaults (type-exact compare:
                 # ``False == 0`` must not elide an int against a bool).
-                while send > record.min_fields:
-                    default = record.optional_defaults[send - 1 - record.min_fields]
-                    held = getattr(value, record.fields[send - 1])
+                while send > floor:
+                    default = record.optional_defaults[send - 1 - floor]
+                    held = values[send - 1]
                     if type(held) is type(default) and held == default:
                         send -= 1
                     else:
                         break
-            out += record.prefix_headers[send - record.min_fields]
+                values = values[:send]
+            out += record.heads[send - floor]
             encode = self._encode_value
-            for field in record.fields[:send]:
-                encode(getattr(value, field), out)
+            for item in values:
+                encode(item, out)
         elif (enum_name := self._enum_types.get(cls)) is not None:
             out.append(_T_ENUM)
             self._encode_str(enum_name, out)
@@ -662,7 +699,7 @@ class Codec:
         if tag == _T_FALSE:
             return False, pos
         if tag == _T_RECORD:
-            return self._decode_record(data, pos, start=pos - 1)
+            return self._decode_record(data, pos, pos - 1)
         if tag == _T_ENUM:
             start = pos - 1
             name, pos = self._decode_str(data, pos)
@@ -719,10 +756,36 @@ class Codec:
     def _decode_record(
         self, data: bytes, pos: int, start: int
     ) -> tuple[Any, int]:
-        name, pos = self._decode_str(data, pos)
-        record = self._records_by_name.get(name)
+        size = len(data)
+        if pos < size and (length := data[pos]) < 0x80:
+            pos += 1
+        else:
+            length, pos = _decode_varint(data, pos)
+        end = pos + length
+        if end > size:
+            raise _codec_error("truncated string", pos)
+        record = self._records_by_raw.get(data[pos:end])
         if record is None:
+            # Not a registered name's UTF-8: a bad encoding raises here,
+            # anything else is an unknown record.
+            name = data[pos:end].decode("utf-8")
             raise _codec_error(f"unknown wire record {name!r}", start)
+        pos = end
+        name = record.name
+        header = record.header
+        if data.startswith(header, pos):
+            # The local declaration's own header: every field, in order.
+            pos += len(header)
+            decode = self._decode_value
+            values = []
+            for field in record.fields:
+                try:
+                    value, pos = decode(data, pos)
+                except CodecError as exc:
+                    _annotate(exc, name, field)
+                    raise
+                values.append(value)
+            return record.cls(*values), pos
         if pos + 2 > len(data):
             raise _codec_error(
                 f"truncated schema fingerprint of record {name}", pos
@@ -806,7 +869,9 @@ class Codec:
     def self_check(self) -> None:
         """Cheap structural audit of the registry (run by the CI smoke):
         every registered record must still construct from positional fields,
-        and names must round-trip through the name table."""
+        and names must round-trip through the name tables."""
+        if len(self._records_by_raw) != len(self._records_by_name):
+            raise CodecError("raw-name table out of sync")
         # repro-lint: ignore[R3] pure audit — raises on the first inconsistency regardless of visit order, no wire or protocol effect
         for record in self._records_by_name.values():
             if _record_fields(record.cls) != record.fields:
@@ -815,6 +880,11 @@ class Codec:
                 )
             if self._records_by_type.get(record.cls) is not record:
                 raise CodecError(f"{record.name}: type table out of sync")
+            if self._records_by_raw.get(record.name.encode("utf-8")) is not record:
+                raise CodecError(f"{record.name}: raw-name table out of sync")
+            if record.heads[-1] != _record_head(
+                    record.name, record.fingerprint, len(record.fields)):
+                raise CodecError(f"{record.name}: record head out of sync")
             if schema_fingerprint(record.name, record.fields) != record.fingerprint:
                 raise CodecError(
                     f"{record.name}: schema fingerprint out of sync"

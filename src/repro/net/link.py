@@ -21,8 +21,7 @@ for reproducing Figure 10.
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import numpy as np
+from typing import Callable
 
 __all__ = ["LinkModel", "FAST_ETHERNET", "LOOPBACK"]
 
@@ -56,16 +55,18 @@ class LinkModel:
         if not 0.0 <= self.loss < 1.0:
             raise ValueError("loss must be a probability < 1")
 
-    def delay(self, size: int, rng: np.random.Generator) -> float:
-        """One-way delay for a *size*-byte message."""
+    def delay(self, size: int, draw: Callable[[], float]) -> float:
+        """One-way delay for a *size*-byte message; *draw* returns the next
+        uniform double in [0, 1) of the caller's stream."""
         delay = self.base_latency + size / self.bandwidth
         if self.jitter > 0:
-            delay += float(rng.uniform(0.0, self.jitter))
+            # ``Generator.uniform(0.0, jitter)`` computes 0.0 + jitter * u.
+            delay += self.jitter * draw()
         return delay
 
-    def dropped(self, rng: np.random.Generator) -> bool:
+    def dropped(self, draw: Callable[[], float]) -> bool:
         """Whether this transmission is lost."""
-        return self.loss > 0 and float(rng.random()) < self.loss
+        return self.loss > 0 and draw() < self.loss
 
     def with_loss(self, loss: float) -> "LinkModel":
         """Copy of this model with a different loss probability."""

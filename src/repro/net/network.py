@@ -55,7 +55,11 @@ and the delivered object graphs.
 
 from __future__ import annotations
 
+from functools import partial
+from itertools import chain
 from typing import Any, Callable, Sequence
+
+import numpy as np
 
 from repro.net.address import Address, Delivery, canonical_group
 from repro.net.codec import WIRE, Codec
@@ -69,6 +73,17 @@ __all__ = ["Endpoint", "Network", "DATAGRAM_OVERHEAD"]
 
 #: Fixed per-datagram header charge (IP + UDP), added to every encoded frame.
 DATAGRAM_OVERHEAD = 28
+#: Doubles the fabric takes from its random stream at a time.
+DRAW_BLOCK = 256
+
+
+def _block_draws(rng: np.random.Generator) -> Callable[[], float]:
+    """A zero-argument draw over *rng*: each call returns the next double
+    of ``rng.random(DRAW_BLOCK)`` blocks, fetched one block at a time as
+    the previous runs out — bit for bit what a ``rng.random()`` per call
+    returns (both read the generator's doubles in order)."""
+    blocks = iter(lambda: rng.random(DRAW_BLOCK).tolist(), None)
+    return partial(next, chain.from_iterable(blocks))
 
 
 def _payload_kind(payload: Any) -> str:
@@ -162,7 +177,10 @@ class Network:
         #: codec — typically ``WIRE.clone(overrides=...)`` carrying an
         #: evolved wire record. Unbound nodes use the shared ``WIRE``.
         self._node_codecs: dict[str, Codec] = {}
-        self._rng = kernel.streams.get("net")
+        #: Next uniform double in [0, 1) of the ``net`` stream (loss and
+        #: jitter), read from blocks of DRAW_BLOCK: the same values in the
+        #: same order as one ``Generator.random()`` call each.
+        self._draw: Callable[[], float] = _block_draws(kernel.streams.get("net"))
         #: Simulated time at which the shared wire next becomes free.
         self._wire_free_at = 0.0
         # Delivery statistics (observability for tests and benches). Byte
@@ -311,62 +329,78 @@ class Network:
         drives the link/contention models, and delivery decodes a fresh
         object — the sender's object reference never leaves its node.
         """
-        if not self.node_is_up(src.node):
-            if self._nodes_up.get(src.node) and src.node in self._paused:
+        nodes_up = self._nodes_up
+        paused = self._paused
+        node = src.node
+        if not nodes_up.get(node) or node in paused:
+            if node not in nodes_up:
+                raise NetworkError(f"unknown node {node!r}")
+            if nodes_up[node]:
                 # Blacked-out NIC: the sending process is alive but its
                 # packets never reach the wire; swallow rather than raise.
                 self.stats["dropped_paused"] += 1
                 return
-            raise NodeDown(f"send from crashed node {src.node!r}")
+            raise NodeDown(f"send from crashed node {node!r}")
         if isinstance(dst, Address):
             targets = (dst,)
         else:
             targets = dst = canonical_group(dst)
             if not targets:
                 return
-        self.stats["sent"] += 1
-        frame = self.codec_for(src.node).encode(payload)
+        # Every receiver must be known before the frame is offered: a bad
+        # address sends nothing to anyone and counts nothing.
+        for target in targets:
+            if target.node not in nodes_up:
+                raise NetworkError(f"unknown node {target.node!r}")
+        stats = self.stats
+        stats["sent"] += 1
+        frame = self._node_codecs.get(node, WIRE).encode(payload)
         size = len(frame) + DATAGRAM_OVERHEAD
-        self.stats["bytes_offered"] += size
+        stats["bytes_offered"] += size
         offered_kind = _payload_kind(payload)
         self.offered_bytes_by_type[offered_kind] = (
             self.offered_bytes_by_type.get(offered_kind, 0) + size
         )
-        now = self.kernel.now
+        kernel = self.kernel
+        now = kernel.now
         if self.on_frame:
             for hook in self.on_frame:
                 hook(now, src, dst, offered_kind, size, payload)
 
+        draw = self._draw
+        reachable = self.partitions.reachable
+        slowdown = self._slowdown
         #: How long this frame queued for the wire; ``None`` until its first
         #: off-node receiver survives the drop decisions and it occupies it.
         wire_wait: float | None = None
         for target in targets:
-            if not self.node_is_up(target.node):
-                self._count_dead(target.node)
+            peer = target.node
+            if not nodes_up[peer] or peer in paused:
+                self._count_dead(peer)
                 continue
-            if not self.partitions.reachable(src.node, target.node):
-                self.stats["dropped_unreachable"] += 1
+            if not reachable(node, peer):
+                stats["dropped_unreachable"] += 1
                 continue
             if self._drop_filters and any(
                 predicate(src, target, payload)
                 for _token, predicate in sorted(self._drop_filters.items())
             ):
-                self.stats["dropped_filtered"] += 1
+                stats["dropped_filtered"] += 1
                 continue
-            local = src.node == target.node
+            local = node == peer
             model = LOOPBACK if local else self.lan
-            if model.dropped(self._rng):
-                self.stats["dropped_loss"] += 1
+            if model.dropped(draw):
+                stats["dropped_loss"] += 1
                 continue
 
             if local:
-                delay = model.delay(size, self._rng)
+                delay = model.delay(size, draw)
             else:
                 if wire_wait is None:
                     # The frame occupies the wire: once, however many
                     # receivers hear it, and this one site feeds both the
                     # ledger and the contention model.
-                    self.stats["bytes_wire"] += size
+                    stats["bytes_wire"] += size
                     self.wire_bytes_by_type[offered_kind] = (
                         self.wire_bytes_by_type.get(offered_kind, 0) + size
                     )
@@ -379,11 +413,11 @@ class Network:
                         self._wire_free_at = start + size / model.bandwidth
                         wire_wait = start - now
                 # Propagation (and its jitter draw) is the receiver's own.
-                delay = wire_wait + model.delay(size, self._rng)
-            # Slow-node episodes: an overloaded host adds stack latency to
-            # every message it sends or receives.
-            delay += (self._slowdown.get(src.node, 0.0)
-                      + self._slowdown.get(target.node, 0.0))
+                delay = wire_wait + model.delay(size, draw)
+            if slowdown:
+                # Slow-node episodes: an overloaded host adds stack latency
+                # to every message it sends or receives.
+                delay += slowdown.get(node, 0.0) + slowdown.get(peer, 0.0)
 
             # The det_key tags the in-flight datagram for the determinism
             # sanitizer: same-instant deliveries are distinguishable ties,
@@ -392,11 +426,11 @@ class Network:
             # is part of the determinism contract). Only the sanitizer reads
             # it, and a kernel has one from construction or never.
             det_key = None
-            if self.kernel.sanitizer is not None:
+            if kernel.sanitizer is not None:
                 seq = self._pair_seq.get((src, target), 0) + 1
                 self._pair_seq[(src, target)] = seq
                 det_key = (str(src), str(target), seq)
-            timer = self.kernel.timeout(delay, det_key=det_key)
+            timer = kernel.timeout(delay, det_key=det_key)
             timer.callbacks.append(
                 self._delivery(src, target, payload, frame, size, now)
             )
@@ -413,8 +447,9 @@ class Network:
         def deliver(_event) -> None:
             # Re-check at delivery time: the destination may have crashed or
             # become unreachable while the message was in flight.
-            if not self.node_is_up(dst.node):
-                self._count_dead(dst.node)
+            node = dst.node
+            if not self._nodes_up[node] or node in self._paused:
+                self._count_dead(node)
                 return
             endpoint = self._endpoints.get(dst)
             if endpoint is None or endpoint.closed:
@@ -424,16 +459,17 @@ class Network:
             # receiver never sees the sender's objects (nor another
             # receiver's), and a node with its own codec sees the frame
             # through its own wire-module version.
-            fresh = self.codec_for(dst.node).decode(frame)
-            sanitizer = self.kernel.sanitizer
-            if sanitizer is not None:
-                sanitizer.check_payload_isolation(
-                    self.kernel.now, src, dst, payload, fresh
+            fresh = self._node_codecs.get(node, WIRE).decode(frame)
+            kernel = self.kernel
+            if kernel.sanitizer is not None:
+                kernel.sanitizer.check_payload_isolation(
+                    kernel.now, src, dst, payload, fresh
                 )
-            self.stats["delivered"] += 1
-            self.stats["bytes_delivered"] += size
+            stats = self.stats
+            stats["delivered"] += 1
+            stats["bytes_delivered"] += size
             endpoint._deliver(
-                Delivery(src, dst, fresh, sent_at, self.kernel.now, size)
+                Delivery(src, dst, fresh, sent_at, kernel.now, size)
             )
 
         return deliver

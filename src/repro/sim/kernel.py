@@ -11,10 +11,10 @@ Time is a ``float`` in **seconds** throughout the library.
 
 from __future__ import annotations
 
-import heapq
+from heapq import heappop, heappush
 from typing import Any, Generator
 
-from repro.sim.events import AllOf, AnyOf, Event, Timeout
+from repro.sim.events import PROCESSED, AllOf, AnyOf, Event, Timeout
 from repro.sim.process import Process
 from repro.sim.sanitizer import DeterminismSanitizer
 from repro.util.errors import SimulationError
@@ -54,7 +54,6 @@ class Kernel:
         self.streams = RandomStreams(seed)
         self.log = SimLogger(lambda: self._now, level=LOG_LEVEL)
         self._crashed_processes: list[tuple[Process, BaseException]] = []
-        self._processed_events = 0
         self.sanitizer: DeterminismSanitizer | None = (
             DeterminismSanitizer() if sanitize else None
         )
@@ -78,8 +77,9 @@ class Kernel:
 
     @property
     def processed_events(self) -> int:
-        """Total events processed so far (profiling/regression aid)."""
-        return self._processed_events
+        """Total events processed so far (profiling/regression aid): every
+        event is enqueued once and leaves the heap only to be processed."""
+        return self._sequence - len(self._heap)
 
     # -- event construction -------------------------------------------------
 
@@ -117,23 +117,23 @@ class Kernel:
             self._enqueue_meta[id(event)] = self.sanitizer.capture(
                 active.name if active is not None else None
             )
-        heapq.heappush(self._heap, (self._now + delay, priority, self._sequence, event))
+        heappush(self._heap, (self._now + delay, priority, self._sequence, event))
 
     # -- main loop ----------------------------------------------------------
 
     def step(self) -> None:
         """Process exactly one event, advancing the clock to it."""
-        if not self._heap:
+        heap = self._heap
+        if not heap:
             raise SimulationError("step() on an empty event queue")
-        time, priority, _seq, event = heapq.heappop(self._heap)
-        if time < self._now:  # pragma: no cover - heap invariant
+        time, priority, _seq, event = heappop(heap)
+        if time > self._now:
+            self._now = time
+            if self.on_advance:
+                for hook in self.on_advance:
+                    hook(time)
+        elif time < self._now:  # pragma: no cover - heap invariant
             raise SimulationError(f"time ran backwards: {time} < {self._now}")
-        advanced = time > self._now
-        self._now = time
-        self._processed_events += 1
-        if advanced and self.on_advance:
-            for hook in self.on_advance:
-                hook(time)
         if self.sanitizer is not None:
             meta = self._enqueue_meta.pop(id(event), None)
             self.sanitizer.observe_pop(time, priority, event, meta)
@@ -163,19 +163,25 @@ class Kernel:
             if stop_time < self._now:
                 raise SimulationError(f"until={stop_time} is in the past (now={self._now})")
 
-        while self._heap:
-            if stop_event is not None and stop_event.processed:
+        # One step() per event: perf/layer_trace.py times each as a span.
+        heap = self._heap
+        step = self.step
+        crashed = self._crashed_processes
+        while heap:
+            if stop_event is not None and stop_event._state == PROCESSED:
                 break
-            if stop_time is not None and self._heap[0][0] > stop_time:
+            if stop_time is not None and heap[0][0] > stop_time:
                 break
-            self.step()
-            if stop_event is not None:
-                # A failure of the awaited process is observed by this very
-                # run() call — it is re-raised below, not an orphan crash.
-                self._crashed_processes = [
-                    entry for entry in self._crashed_processes if entry[0] is not stop_event
-                ]
-            self._check_crashes()
+            step()
+            if crashed:
+                if stop_event is not None:
+                    # A failure of the awaited process is observed by this
+                    # very run() call — it is re-raised below, not an
+                    # orphan crash.
+                    crashed[:] = [
+                        entry for entry in crashed if entry[0] is not stop_event
+                    ]
+                self._check_crashes()
 
         if stop_time is not None and self._now < stop_time:
             self._now = stop_time
@@ -204,4 +210,4 @@ class Kernel:
         self._crashed_processes.append((process, exc))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<Kernel t={self._now} queued={len(self._heap)} processed={self._processed_events}>"
+        return f"<Kernel t={self._now} queued={len(self._heap)} processed={self.processed_events}>"

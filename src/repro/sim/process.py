@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any, Generator
 
-from repro.sim.events import Event
+from repro.sim.events import PENDING, PROCESSED, Event
 from repro.util.errors import Interrupt, ProcessDied, SimulationError
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -87,22 +87,23 @@ class Process(Event):
     # -- kernel plumbing --------------------------------------------------
 
     def _resume(self, event: Event) -> None:
-        if self.triggered:
+        if self._state != PENDING:
             return
         self._waiting_on = None
         # Attribute everything the generator schedules during this resumption
         # to this process (the determinism sanitizer reads _active_process).
-        previous_active = self.kernel._active_process
-        self.kernel._active_process = self
+        kernel = self.kernel
+        previous_active = kernel._active_process
+        kernel._active_process = self
         try:
             try:
                 if self._interrupts:
                     exc = self._interrupts.pop(0)
                     target = self.generator.throw(exc)
-                elif event.ok:
-                    target = self.generator.send(event.value)
+                elif event._ok:
+                    target = self.generator.send(event._value)
                 else:
-                    value = event.value
+                    value = event._value
                     if isinstance(event, Process) and not isinstance(value, BaseException):
                         value = ProcessDied(event, value)  # pragma: no cover - safety net
                     target = self.generator.throw(value)
@@ -119,23 +120,23 @@ class Process(Event):
                 if not self.callbacks:
                     # Nobody is waiting on this process: remember the crash so
                     # Kernel.run() can surface it instead of silently dropping it.
-                    self.kernel.report_crash(self, exc)
+                    kernel.report_crash(self, exc)
                 return
             if not isinstance(target, Event):
                 exc = SimulationError(f"process {self.name} yielded non-event {target!r}")
                 self.fail(exc)
                 if not self.callbacks:
-                    self.kernel.report_crash(self, exc)
+                    kernel.report_crash(self, exc)
                 return
-            if target.kernel is not self.kernel:
+            if target.kernel is not kernel:
                 exc = SimulationError("process yielded an event from a different kernel")
                 self.fail(exc)
                 if not self.callbacks:
-                    self.kernel.report_crash(self, exc)
+                    kernel.report_crash(self, exc)
                 return
-            if target.processed:
+            if target._state == PROCESSED:
                 # Already settled: resume immediately via a zero-delay event.
-                wake = Event(self.kernel)
+                wake = Event(kernel)
                 wake.callbacks.append(lambda _ev: self._resume(target))
                 wake.succeed()
                 self._waiting_on = None
@@ -143,7 +144,7 @@ class Process(Event):
                 target.callbacks.append(self._resume)
                 self._waiting_on = target
         finally:
-            self.kernel._active_process = previous_active
+            kernel._active_process = previous_active
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         status = "alive" if self.is_alive else self.state

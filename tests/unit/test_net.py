@@ -5,7 +5,7 @@ import pytest
 from repro.net import Address, LinkModel, Network, PartitionState, Transport
 from repro.net.codec import WIRE
 from repro.net.link import FAST_ETHERNET, LOOPBACK
-from repro.net.network import DATAGRAM_OVERHEAD
+from repro.net.network import DATAGRAM_OVERHEAD, DRAW_BLOCK, _block_draws
 from repro.sim import Kernel
 from repro.util.errors import AddressInUse, NetworkError, NodeDown
 from tests.integration.conftest import SANITIZE, assert_sanitizer_clean
@@ -28,24 +28,24 @@ class TestLinkModel:
     def test_delay_includes_serialisation(self):
         model = LinkModel(base_latency=0.001, bandwidth=1000, jitter=0.0)
         rng = Kernel().streams.get("x")
-        assert model.delay(500, rng) == pytest.approx(0.001 + 0.5)
+        assert model.delay(500, rng.random) == pytest.approx(0.001 + 0.5)
 
     def test_jitter_bounded(self):
         model = LinkModel(base_latency=0.0, bandwidth=1e9, jitter=0.01)
         rng = Kernel().streams.get("x")
-        delays = [model.delay(0, rng) for _ in range(200)]
+        delays = [model.delay(0, rng.random) for _ in range(200)]
         assert all(0.0 <= d <= 0.01 for d in delays)
         assert max(delays) > 0.0
 
     def test_loss_probability(self):
         model = LinkModel(loss=0.5)
         rng = Kernel().streams.get("x")
-        drops = sum(model.dropped(rng) for _ in range(2000))
+        drops = sum(model.dropped(rng.random) for _ in range(2000))
         assert 800 < drops < 1200
 
     def test_zero_loss_never_drops(self):
         rng = Kernel().streams.get("x")
-        assert not any(FAST_ETHERNET.dropped(rng) for _ in range(100))
+        assert not any(FAST_ETHERNET.dropped(rng.random) for _ in range(100))
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -62,7 +62,43 @@ class TestLinkModel:
 
     def test_loopback_faster_than_lan(self):
         rng = Kernel().streams.get("x")
-        assert LOOPBACK.delay(100, rng) < FAST_ETHERNET.delay(100, rng)
+        assert LOOPBACK.delay(100, rng.random) < FAST_ETHERNET.delay(100, rng.random)
+
+
+class TestBlockDraws:
+    """The fabric reads its ``net`` stream in blocks of DRAW_BLOCK doubles;
+    every loss decision and jitter draw must equal the scalar draw it
+    replaced, bit for bit, across block boundaries."""
+
+    @staticmethod
+    def scalar_delay(model, size, rng):
+        delay = model.base_latency + size / model.bandwidth
+        if model.jitter > 0:
+            delay += float(rng.uniform(0.0, model.jitter))
+        return delay
+
+    def test_block_draws_reproduce_scalar_loss_and_jitter(self):
+        scalar = Kernel(seed=7).streams.get("net")
+        draw = _block_draws(Kernel(seed=7).streams.get("net"))
+        # FAST_ETHERNET's jitter, then the fault injector's jitter-burst
+        # range (0.001, 0.01), swapped every 97 frames so each swap lands
+        # at a different offset within a block.
+        jitters = [FAST_ETHERNET.jitter, 0.001, 0.0037, 0.01]
+        frames = kept = 0
+        while frames < 3 * DRAW_BLOCK:
+            model = FAST_ETHERNET.with_jitter(
+                jitters[frames // 97 % len(jitters)]).with_loss(0.3)
+            size = 60 + frames
+            lost = float(scalar.random()) < model.loss
+            assert model.dropped(draw) is lost
+            if not lost:
+                assert model.delay(size, draw) == self.scalar_delay(
+                    model, size, scalar)
+                kept += 1
+            frames += 1
+        assert frames > kept > 0
+        # Both sides took the same number of draws.
+        assert draw() == float(scalar.random())
 
 
 class TestPartitionState:
@@ -463,6 +499,17 @@ class TestGroupSend:
         src.send((), "x")
         kernel.run()
         assert frames == [] and kernel.processed_events == 0
+        assert not any(net.stats.values())
+
+    def test_a_group_naming_an_unknown_node_sends_nothing(self):
+        kernel, net, src, got = self.build()
+        frames = []
+        net.on_frame.append(lambda *args: frames.append(args))
+        with pytest.raises(NetworkError, match="unknown node 'zz'"):
+            src.send([self.GROUP[0], Address("zz", 1)], "hi")
+        kernel.run()
+        assert got == {} and frames == []
+        assert kernel.processed_events == 0
         assert not any(net.stats.values())
 
     def test_a_set_is_refused(self):
