@@ -1,20 +1,28 @@
-"""Outbound DATA coalescing: the Nagle-style adaptive batcher.
+"""Outbound coalescing: one Nagle-style batcher for DATA and ORDER frames.
 
 A head submitting a burst of commands pays the fixed per-frame overhead
 (+28B datagram header plus the record framing) once per command on the
-unbatched DATA path. :class:`DataBatcher` sits between
-:meth:`~repro.gcs.member.GroupMember.multicast` and the wire and coalesces
-a burst into one :class:`~repro.gcs.messages.DataBatchMsg` frame.
+unbatched DATA path, and a sequencer once per assignment on the ORDER
+path. A :class:`Coalescer` sits between the producer and the wire and
+turns a burst into one frame made by its *frame builder*,
+``build(view_id, entries)``. :class:`DataBatcher` is the DATA one: a
+single entry is sent as a plain :class:`~repro.gcs.messages.DataMsg`
+(under low offered load the wire traffic is frame-identical to an
+unbatched run), more as a :class:`~repro.gcs.messages.DataBatchMsg`. The
+sequencer's ORDER batch is a plain :class:`Coalescer` at a fixed window
+building :class:`~repro.gcs.messages.OrderMsg` frames
+(:class:`~repro.gcs.ordering.SequencerEngine`).
 
 Flush rules (whichever fires first):
 
 * **count budget** — the batch reaches ``max_msgs`` entries;
-* **byte budget** — the encoded payload bytes reach ``max_bytes``
-  (measured with the real codec, so the budget tracks actual frame cost);
+* **byte budget** — the encoded entry bytes reach ``max_bytes``
+  (measured with the real codec, and only when a budget is set);
 * **timer** — ``delay`` seconds after the batch's *first* entry (a Nagle
   window: later entries ride the same deadline, they never extend it).
 
-The timer is **adaptive** between ``min_delay`` and ``max_delay``:
+The timer is **adaptive** between ``min_delay`` and ``max_delay``
+(``min_delay == max_delay`` fixes it):
 
 * a budget-triggered flush means offered load fills batches faster than
   the timer — widen the window (double, capped at ``max_delay``) so the
@@ -25,25 +33,21 @@ The timer is **adaptive** between ``min_delay`` and ``max_delay``:
   happening;
 * a timer flush with several entries keeps the current window.
 
-A batch with exactly one entry is sent as a plain
-:class:`~repro.gcs.messages.DataMsg` — under low offered load the wire
-traffic is frame-identical to an unbatched run.
-
-View-change semantics: :meth:`start_view` / :meth:`stop` *discard* pending
-entries without sending — by then the old view's frame could no longer be
-delivered (receivers gate on view id). That is safe because the owning
-member re-multicasts its undelivered commands in the new view from
-``_own_pending``; additionally the member drains the batcher **before**
-contributing to a flush (see ``GroupMember.flush_outbound``), so in the
-common case the entries cross the wire in the old view and ride the
-closing list instead of being resubmitted.
+View-change semantics: :meth:`~Coalescer.start_view` / :meth:`~Coalescer.stop`
+*discard* pending entries without sending — by then the old view's frame
+could no longer be delivered (receivers gate on view id). That is safe
+because the owning member re-multicasts its undelivered commands in the
+new view from ``_own_pending``; additionally the member drains both
+coalescers **before** contributing to a flush (see
+``GroupMember.flush_outbound``), so in the common case the entries cross
+the wire in the old view and ride the closing list.
 """
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any, Callable
 
-from repro.gcs.messages import DataBatchMsg, DataMsg, MessageId
+from repro.gcs.messages import DataBatchMsg, DataMsg
 from repro.gcs.view import View
 from repro.net.codec import encoded_size
 from repro.util.errors import GroupCommError
@@ -51,7 +55,7 @@ from repro.util.errors import GroupCommError
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.kernel import Kernel
 
-__all__ = ["DATA_BATCH_MAX_BYTES", "DATA_BATCH_MAX_MSGS", "DataBatcher"]
+__all__ = ["DATA_BATCH_MAX_BYTES", "DATA_BATCH_MAX_MSGS", "Coalescer", "DataBatcher"]
 
 #: A group member's count budget: a DATA batch flushes at this many entries.
 DATA_BATCH_MAX_MSGS = 16
@@ -60,16 +64,21 @@ DATA_BATCH_MAX_MSGS = 16
 DATA_BATCH_MAX_BYTES = 1200
 
 
-class DataBatcher:
-    """Coalesces one member's outbound DATA multicasts into batch frames.
+class Coalescer:
+    """Coalesces one producer's outbound entries into frames.
 
     Parameters
     ----------
     kernel:
         Simulation kernel (timer source).
     broadcast:
-        ``callable(msg)`` sending a protocol message to every view member
+        ``callable(frame)`` sending a protocol message to every view member
         (the owning member's ``_bcast``).
+    build:
+        The frame builder, ``callable(view_id, entries) -> frame``.
+    name:
+        Name of the flush-timer process (one per frame kind: the
+        sanitizer tells same-instant timers apart by it).
     max_delay:
         Upper bound of the adaptive Nagle window (seconds, > 0).
     min_delay:
@@ -90,6 +99,8 @@ class DataBatcher:
         self,
         kernel: "Kernel",
         broadcast: Callable[[object], None],
+        build: Callable[[int, tuple], object],
+        name: str,
         *,
         max_delay: float,
         min_delay: float = 0.0,
@@ -98,7 +109,7 @@ class DataBatcher:
         on_flush: Callable[[int, str], None] | None = None,
     ):
         if max_delay <= 0:
-            raise GroupCommError("DataBatcher needs a positive max_delay")
+            raise GroupCommError(f"{type(self).__name__} needs a positive max_delay")
         if not 0 <= min_delay <= max_delay:
             raise GroupCommError("need 0 <= min_delay <= max_delay")
         if max_msgs < 2:
@@ -107,6 +118,8 @@ class DataBatcher:
             raise GroupCommError("max_bytes must be non-negative")
         self.kernel = kernel
         self.broadcast = broadcast
+        self.build = build
+        self.name = name
         self.max_delay = max_delay
         self.min_delay = min_delay
         self.max_msgs = max_msgs
@@ -115,7 +128,7 @@ class DataBatcher:
         self.view: View | None = None
         #: Current adaptive Nagle window (seconds).
         self.delay = max_delay
-        self._entries: list[tuple[MessageId, str, Any]] = []
+        self._entries: list[Any] = []
         self._entry_bytes = 0
         self._flusher = None
         self._generation = 0  # invalidates in-flight timers on flush/view change
@@ -126,20 +139,13 @@ class DataBatcher:
     # -- view lifecycle ----------------------------------------------------
 
     def start_view(self, view: View) -> None:
-        """Cut over to *view*, discarding any undrained batch (the member
-        re-multicasts undelivered commands in the new view)."""
+        """Cut over to *view*, discarding any undrained batch."""
         self.view = view
-        self._generation += 1
-        self._entries.clear()
-        self._entry_bytes = 0
-        self._flusher = None
+        self._reset_batch()
 
     def stop(self) -> None:
         self.view = None
-        self._generation += 1
-        self._entries.clear()
-        self._entry_bytes = 0
-        self._flusher = None
+        self._reset_batch()
 
     # -- submit / flush ----------------------------------------------------
 
@@ -147,13 +153,15 @@ class DataBatcher:
         """Entries currently buffered (observability/test aid)."""
         return len(self._entries)
 
-    def submit(self, msg_id: MessageId, service: str, payload: Any) -> None:
-        """Buffer one outbound multicast; flush when a budget fills."""
+    def submit(self, *entry: Any) -> None:
+        """Buffer one outbound entry (the tuple of the arguments); flush
+        when a budget fills."""
         if self.view is None:
-            raise GroupCommError("DataBatcher.submit with no view")
+            raise GroupCommError(f"{type(self).__name__}.submit with no view")
         self.stats["submitted"] += 1
-        self._entries.append((msg_id, service, payload))
-        self._entry_bytes += encoded_size((msg_id, service, payload))
+        self._entries.append(entry)
+        if self.max_bytes:
+            self._entry_bytes += encoded_size(entry)
         if len(self._entries) >= self.max_msgs:
             self._grow_window()
             self._flush("count")
@@ -162,16 +170,12 @@ class DataBatcher:
             self._flush("bytes")
         elif self._flusher is None or not self._flusher.is_alive:
             self._flusher = self.kernel.spawn(
-                self._flush_later(self._generation), name="gcs-batch-flush"
+                self._flush_later(self._generation), name=self.name
             )
 
-    def drain(self) -> tuple[tuple[MessageId, str, Any], ...]:
-        """Remove and return every buffered entry without broadcasting.
-
-        Used by the member's view-change flush path, which wants to apply
-        the entries to its own queue synchronously *and* broadcast them —
-        see ``GroupMember.flush_outbound``.
-        """
+    def drain(self) -> tuple:
+        """Remove and return every buffered entry without broadcasting
+        (``GroupMember.flush_outbound`` builds, applies and sends them)."""
         if not self._entries:
             return ()
         entries = tuple(self._entries)
@@ -184,29 +188,26 @@ class DataBatcher:
     def _reset_batch(self) -> None:
         self._entries.clear()
         self._entry_bytes = 0
-        self._generation += 1  # a timer armed for this batch must not fire
+        # A timer armed for this batch must not fire, and dropping it lets
+        # the next submit arm a fresh one (a live stale timer would
+        # suppress re-arming and strand the next batch).
+        self._generation += 1
         self._flusher = None
 
     def _flush(self, reason: str) -> None:
         entries = tuple(self._entries)
         self._reset_batch()
         self.stats[f"flushes_{reason}"] += 1
-        if len(entries) == 1:
-            # No amortization to be had: send the plain DATA frame so low
-            # offered load is wire-identical to an unbatched run.
-            msg_id, service, payload = entries[0]
-            self.stats["single_frames"] += 1
-            self.broadcast(DataMsg(msg_id, self.view.view_id, service, payload))
-        else:
-            self.stats["batched_frames"] += 1
-            self.broadcast(DataBatchMsg(self.view.view_id, entries))
+        self.stats["single_frames" if len(entries) == 1 else "batched_frames"] += 1
+        self.broadcast(self.build(self.view.view_id, entries))
         if self.on_flush is not None:
             self.on_flush(len(entries), reason)
 
     def _flush_later(self, generation: int):
         yield self.kernel.timeout(self.delay)
         # Generation — not view id — guards the timer: a flush/drain/view
-        # change while we slept already disposed of this batch.
+        # change while we slept already disposed of this batch, and after a
+        # stop()/rejoin the numeric view id can repeat.
         if self._generation != generation or self.view is None or not self._entries:
             return
         if len(self._entries) == 1:
@@ -221,3 +222,20 @@ class DataBatcher:
 
     def _shrink_window(self) -> None:
         self.delay = max(self.min_delay, self.delay / 2)
+
+
+def _data_frame(view_id: int, entries: tuple) -> DataMsg | DataBatchMsg:
+    if len(entries) == 1:
+        msg_id, service, payload = entries[0]
+        return DataMsg(msg_id, view_id, service, payload)
+    return DataBatchMsg(view_id, entries)
+
+
+class DataBatcher(Coalescer):
+    """Coalesces one member's outbound DATA multicasts, entries
+    ``(msg_id, service, payload)``, into DATA frames (see the module
+    docstring); the trace layer sums its :attr:`stats`."""
+
+    def __init__(self, kernel: "Kernel", broadcast: Callable[[object], None],
+                 **budgets: Any):
+        super().__init__(kernel, broadcast, _data_frame, "gcs-batch-flush", **budgets)

@@ -331,7 +331,9 @@ class GroupMember:
         into our own queue, synchronously.
 
         Called by the flush engine the moment we agree to a membership
-        change, **before** :meth:`DeliveryQueue.flush_report` is taken:
+        change, **before** :meth:`DeliveryQueue.flush_report` is taken. Both
+        coalescers are drained in turn, DATA first, each batch built into
+        a frame by its own builder:
 
         * a pending DATA batch still inside the :class:`DataBatcher` Nagle
           window is broadcast and self-applied, so those commands appear in
@@ -348,22 +350,11 @@ class GroupMember:
         """
         if self.view is None:
             return
-        if self.batcher is not None:
-            entries = self.batcher.drain()
-            if len(entries) == 1:
-                msg_id, service, payload = entries[0]
-                data = DataMsg(msg_id, self.view.view_id, service, payload)
-                self._bcast(data)
-                self._handle_data(self.address, data)
-            elif entries:
-                batch = DataBatchMsg(self.view.view_id, entries)
-                self._bcast(batch)
-                self._handle_data_batch(self.address, batch)
-        pending = self.engine.drain_pending()
-        if pending:
-            order = OrderMsg(self.view.view_id, pending)
-            self._bcast(order)
-            self._handle_order(self.address, order)
+        for coalescer in (self.batcher, self.engine.batcher):
+            if coalescer is not None and (entries := coalescer.drain()):
+                frame = coalescer.build(self.view.view_id, entries)
+                self._bcast(frame)
+                self._dispatch[type(frame)](self.address, frame)
 
     def _broadcast_stable(self) -> None:
         ready = self.queue.agreed_ready_through()

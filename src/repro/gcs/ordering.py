@@ -11,8 +11,11 @@ the lowest-ranked view member assigns sequence numbers to every DATA it
 learns of, in arrival order, optionally batching assignments for
 ``sequencer_batch_delay`` seconds (flushing early once
 :data:`SEQUENCER_BATCH_MAX` assignments accumulate, so a burst never waits
-out the full window). One broadcast per multicast; latency is one hop to
-the sequencer plus one ordering broadcast.
+out the full window). The batch is the DATA path's
+:class:`~repro.gcs.batching.Coalescer` at a fixed window with
+:class:`~repro.gcs.messages.OrderMsg` as its frame builder. One broadcast
+per multicast; latency is one hop to the sequencer plus one ordering
+broadcast.
 
 **Token ring** (ablation; Totem/Transis lineage): a token carrying
 ``next_seq`` circulates the ring; the holder orders *its own* pending
@@ -26,6 +29,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Callable
 
+from repro.gcs.batching import Coalescer
 from repro.gcs.messages import MessageId, OrderMsg, TokenMsg
 from repro.gcs.view import View
 from repro.net.address import Address
@@ -46,7 +50,13 @@ class _EngineBase:
     ``broadcast(msg)`` sends a protocol message to every view member
     (including ourselves); ``send(dst, msg)`` is point-to-point. Both are
     provided by the owning :class:`~repro.gcs.member.GroupMember`.
+    ``batcher`` is the engine's outbound ORDER coalescer, if it has one:
+    it starts and stops with the view, and the member drains it as it
+    enters a membership flush, so assignments already made (they advanced
+    ``next_seq``) ride the flush report instead of being dropped.
     """
+
+    batcher: Coalescer | None = None
 
     def __init__(
         self,
@@ -73,9 +83,13 @@ class _EngineBase:
     def start_view(self, view: View, next_seq: int) -> None:
         self.view = view
         self.next_seq = next_seq
+        if self.batcher is not None:
+            self.batcher.start_view(view)
 
     def stop(self) -> None:
         self.view = None
+        if self.batcher is not None:
+            self.batcher.stop()
 
     # Hooks a concrete engine may implement:
     def on_data(self, msg_id: MessageId, *, own: bool) -> None:
@@ -83,17 +97,6 @@ class _EngineBase:
 
     def on_token(self, src: Address, token: TokenMsg) -> None:
         """Token engine only."""
-
-    def drain_pending(self) -> tuple[tuple[int, MessageId], ...]:
-        """Remove and return assignments buffered but not yet broadcast.
-
-        Called by the member as it enters a membership flush, so that
-        assignments the sequencer already observed (they advanced
-        ``next_seq``) make it into the flush report instead of being
-        silently dropped by the view change. Engines without an outbound
-        buffer return ``()``.
-        """
-        return ()
 
 
 class SequencerEngine(_EngineBase):
@@ -109,19 +112,20 @@ class SequencerEngine(_EngineBase):
 
     def __init__(
         self, kernel, owner, broadcast, send,
-        *, batch_delay: float = 0.0, batch_max: int = 0, rotation: int = 0,
+        *, batch_delay: float = 0.0, rotation: int = 0,
     ):
         super().__init__(kernel, owner, broadcast, send)
         self.rotation = rotation
-        self.batch_delay = batch_delay
-        #: Size trigger: flush as soon as a batch holds this many
-        #: assignments instead of waiting out the full batch_delay
-        #: (0 = timer only).
-        self.batch_max = batch_max
         self._assigned: set[MessageId] = set()
-        self._batch: list[tuple[int, MessageId]] = []
-        self._flusher = None
-        self._generation = 0  # invalidates in-flight flush timers on view change
+        if batch_delay > 0:
+            # A fixed window (min = max), flushed early once it holds
+            # SEQUENCER_BATCH_MAX assignments: a burst no longer waits out
+            # the window once its amortization is already maximal.
+            self.batcher = Coalescer(
+                kernel, broadcast, OrderMsg, "gcs-order-flush",
+                max_delay=batch_delay, min_delay=batch_delay,
+                max_msgs=SEQUENCER_BATCH_MAX,
+            )
 
     def sequencer_of(self, view: View) -> Address:
         return view.members[self.rotation % view.size]
@@ -132,63 +136,19 @@ class SequencerEngine(_EngineBase):
 
     def start_view(self, view: View, next_seq: int) -> None:
         super().start_view(view, next_seq)
-        self._generation += 1
         self._assigned.clear()
-        self._batch.clear()
-        self._flusher = None
-
-    def stop(self) -> None:
-        super().stop()
-        self._generation += 1
-        self._batch.clear()
-        self._flusher = None
 
     def on_data(self, msg_id: MessageId, *, own: bool) -> None:
         if not self.is_sequencer or msg_id in self._assigned:
             return
         self._assigned.add(msg_id)
-        assignment = (self.next_seq, msg_id)
+        seq = self.next_seq
         self.next_seq += 1
-        self._observed(assignment[0], msg_id)
-        if self.batch_delay <= 0:
-            self.broadcast(OrderMsg(self.view.view_id, (assignment,)))
-            return
-        self._batch.append(assignment)
-        if self.batch_max and len(self._batch) >= self.batch_max:
-            # Size-triggered flush: a burst no longer waits out the full
-            # batch window once the batch is as large as it is allowed to
-            # get — the amortization is already maximal.
-            self._flush_now()
-        elif self._flusher is None or not self._flusher.is_alive:
-            self._flusher = self.kernel.spawn(self._flush_later(self._generation))
-
-    def drain_pending(self) -> tuple[tuple[int, MessageId], ...]:
-        if not self._batch:
-            return ()
-        batch, self._batch = tuple(self._batch), []
-        self._generation += 1  # a timer armed for this batch must not fire
-        self._flusher = None
-        return batch
-
-    def _flush_now(self) -> None:
-        batch, self._batch = self._batch, []
-        # Bumping the generation (and dropping the flusher reference) kills
-        # the timer that was armed for this batch *and* lets the next
-        # on_data arm a fresh one — without this, a still-alive stale timer
-        # would suppress re-arming and strand the next batch unbounded.
-        self._generation += 1
-        self._flusher = None
-        self.broadcast(OrderMsg(self.view.view_id, tuple(batch)))
-
-    def _flush_later(self, generation: int):
-        yield self.kernel.timeout(self.batch_delay)
-        # The generation check — not just a view-id comparison — kills a
-        # flusher spawned before a stop()/rejoin, where the numeric view id
-        # can repeat and would let a stale timer race the new view's batch.
-        if self._generation != generation or self.view is None or not self._batch:
-            return
-        batch, self._batch = self._batch, []
-        self.broadcast(OrderMsg(self.view.view_id, tuple(batch)))
+        self._observed(seq, msg_id)
+        if self.batcher is not None:
+            self.batcher.submit(seq, msg_id)
+        else:
+            self.broadcast(OrderMsg(self.view.view_id, ((seq, msg_id),)))
 
 
 class TokenRingEngine(_EngineBase):
@@ -276,8 +236,7 @@ def make_engine(
     if kind == "sequencer":
         return SequencerEngine(
             kernel, owner, broadcast, send,
-            batch_delay=batch_delay, batch_max=SEQUENCER_BATCH_MAX,
-            rotation=rotation,
+            batch_delay=batch_delay, rotation=rotation,
         )
     if kind == "token":
         return TokenRingEngine(kernel, owner, broadcast, send)

@@ -210,6 +210,9 @@ class JoshuaServer(ReplicaDaemon):
     # ------------------------------------------------------------------
 
     def _handle_command(self, src: Address, request_id: int, payload):
+        refusal = _refusal(payload)
+        if refusal is not None:
+            return ErrorResp("bad-request", refusal)
         if isinstance(payload, JStatReq) and payload.consistency != "ordered":
             return self._read_locally(src, request_id, payload)
         replica = self._route_command(payload)
@@ -337,3 +340,25 @@ class JoshuaServer(ReplicaDaemon):
         # Refuse rather than ack-and-drop: the mom's notifier must
         # move on to a head that can actually record the event.
         return self.JOINING
+
+
+def _refusal(payload) -> str | None:
+    """Why a client command cannot be routed, or ``None``. The front door
+    checks the three fields routing, the reply cache and the read path
+    trust: outside input gets ``bad-request`` instead of crashing the
+    daemon, and a command without its own uuid never shares another's
+    cached reply."""
+    name = type(payload).__name__
+    if type(payload.uuid) is not str or not payload.uuid:
+        return f"{name} needs a non-empty uuid string"
+    if isinstance(payload, JSubReq) and not (
+            isinstance(payload.spec, JobSpec)
+            and type(payload.spec.queue or payload.spec.owner) is str):
+        return f"{name} needs a JobSpec with a queue or owner"
+    if isinstance(payload, JStatReq) and not (
+            type(payload.min_seq) is tuple and all(
+                type(pair) is tuple and len(pair) == 2
+                and all(type(part) is int for part in pair)
+                for pair in payload.min_seq)):
+        return f"{name} min_seq must be (shard, seq) integer pairs"
+    return None

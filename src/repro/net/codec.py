@@ -65,8 +65,9 @@ its declared default, the encoder omits that run and emits the fingerprint
 and count of the remaining *prefix* declaration instead. A record that has
 never set its new fields therefore produces **byte-identical frames to the
 pre-extension declaration** — which is how a wire record can grow without
-perturbing pinned wire-digest baselines. The decoder recognises the prefix
-fingerprints of its own declaration and fills the elided tail from the
+perturbing pinned wire-digest baselines. The rule lives in one function,
+which the encoder and :func:`elided_repr` share; the decoder recognises
+each prefix by its shape (below) and fills the elided tail from the
 defaults.
 
 Same bytes, less work
@@ -81,10 +82,14 @@ every record; none moves a byte of any frame.
 * **Records** — each registered record carries, for every field count it
   can send, its complete head bytes (tag, name, fingerprint, count), and
   one getter returning all its field values at once; the encoder appends
-  the head and iterates the values. The decoder finds the record by the
-  raw bytes of its name and, when the frame's header equals the local
-  declaration's, decodes the fields in one loop; any other header takes
-  the fingerprint, prefix and evolved paths below.
+  the head and iterates the values. It also keeps one table of those
+  *shapes* — the full declaration first, then each wire-optional prefix:
+  the header bytes (fingerprint, count), the fields sent and the default
+  factories of the elided tail. The decoder finds the record by the raw
+  bytes of its name, matches the frame's header against the shapes and
+  decodes the fields in one loop; any other header — another version's
+  shape, or a count spelled in a longer varint — takes the one tolerant
+  path of "Schema evolution" above.
 * **Decode** — each :class:`Codec` keeps a bounded memo of the plain dicts
   it has decoded: complete encoding -> ``marshal`` snapshot of the value,
   indexed by the encoding's first ``_MEMO_KEY`` bytes -> the lengths
@@ -281,24 +286,24 @@ class PlainFragment:
 @dataclasses.dataclass(frozen=True, eq=False)
 class _Record:
     """One registered record class: wire name, field order, and the
-    schema-evolution metadata (fingerprint, precomputed frame header,
-    zero-arg default factories for tolerant decode), plus what the encoder
-    needs per frame: the complete head for every sendable field count and
-    one getter for all field values. Records with a
-    :func:`mark_wire_optional` tail additionally carry the per-prefix
-    fingerprints the elision paths use."""
+    schema-evolution metadata (fingerprint, zero-arg default factories for
+    tolerant decode), plus, for every field count it can send (one per
+    :func:`mark_wire_optional` prefix), the complete head the encoder
+    appends and the shape the decoder matches; and one getter for all
+    field values."""
 
     name: str
     cls: type
     fields: tuple[str, ...]
     fingerprint: int
-    header: bytes                 # fingerprint (>H) + varint field count
     defaults: dict[str, Any]      # field name -> zero-arg factory
     min_fields: int               # shortest sendable prefix length
     optional_defaults: tuple[Any, ...]   # default values, fields[min_fields:]
     heads: tuple[bytes, ...]      # tag + name + header, per count k - min_fields
     getter: Any                   # value -> tuple of every field value
-    prefix_fingerprints: dict[int, int]  # sendable count k -> fingerprint
+    # (header: fingerprint (>H) + varint count, fields sent, default
+    # factories of the elided tail), full declaration first, then shorter
+    shapes: tuple[tuple[bytes, tuple[str, ...], tuple[Any, ...]], ...]
 
 
 def _record_fields(cls: type) -> tuple[str, ...]:
@@ -379,16 +384,32 @@ def _make_record(wire_name: str, cls: type) -> _Record:
         _record_head(wire_name, schema_fingerprint(wire_name, fields[:k]), k)
         for k in range(min_fields, len(fields) + 1)
     )
-    prefix_fingerprints = {
-        k: schema_fingerprint(wire_name, fields[:k])
-        for k in range(min_fields, len(fields))
-    }
-    return _Record(
-        wire_name, cls, fields, fingerprint,
-        _record_header(fingerprint, len(fields)), defaults, min_fields,
-        optional_defaults, heads, _record_getter(cls, fields),
-        prefix_fingerprints,
+    shapes = tuple(
+        (_record_header(schema_fingerprint(wire_name, fields[:k]), k),
+         fields[:k], tuple(defaults[f] for f in fields[k:]))
+        for k in range(len(fields), min_fields - 1, -1)
     )
+    return _Record(
+        wire_name, cls, fields, fingerprint, defaults, min_fields,
+        optional_defaults, heads, _record_getter(cls, fields), shapes,
+    )
+
+
+def _sent_count(record: _Record, values: tuple) -> int:
+    """How many leading *values* a frame of *record* carries: all but the
+    longest trailing run of wire-optional fields still holding their
+    declared defaults (type-exact compare: ``False == 0`` must not elide an
+    int against a bool)."""
+    send = len(values)
+    floor = record.min_fields
+    while send > floor:
+        default = record.optional_defaults[send - 1 - floor]
+        held = values[send - 1]
+        if type(held) is type(default) and held == default:
+            send -= 1
+        else:
+            break
+    return send
 
 
 class Codec:
@@ -568,21 +589,12 @@ class Codec:
             out.append(_T_TRUE if value else _T_FALSE)
         elif (record := self._records_by_type.get(cls)) is not None:
             values = record.getter(value)
-            send = len(values)
-            floor = record.min_fields
-            if floor < send:
-                # Elide the longest trailing run of wire-optional fields
-                # still holding their declared defaults (type-exact compare:
-                # ``False == 0`` must not elide an int against a bool).
-                while send > floor:
-                    default = record.optional_defaults[send - 1 - floor]
-                    held = values[send - 1]
-                    if type(held) is type(default) and held == default:
-                        send -= 1
-                    else:
-                        break
+            if record.optional_defaults:
+                send = _sent_count(record, values)
                 values = values[:send]
-            out += record.heads[send - floor]
+                out += record.heads[send - record.min_fields]
+            else:
+                out += record.heads[0]
             encode = self._encode_value
             for item in values:
                 encode(item, out)
@@ -772,74 +784,50 @@ class Codec:
             raise _codec_error(f"unknown wire record {name!r}", start)
         pos = end
         name = record.name
-        header = record.header
-        if data.startswith(header, pos):
-            # The local declaration's own header: every field, in order.
-            pos += len(header)
-            decode = self._decode_value
-            values = []
-            for field in record.fields:
-                try:
-                    value, pos = decode(data, pos)
-                except CodecError as exc:
-                    _annotate(exc, name, field)
-                    raise
-                values.append(value)
-            return record.cls(*values), pos
+        decode = self._decode_value
+        for header, fields, tail in record.shapes:
+            if data.startswith(header, pos):
+                # One of the local declaration's own shapes.
+                pos += len(header)
+                values = []
+                for field in fields:
+                    try:
+                        value, pos = decode(data, pos)
+                    except CodecError as exc:
+                        _annotate(exc, name, field)
+                        raise
+                    values.append(value)
+                if tail:
+                    values.extend(factory() for factory in tail)
+                return record.cls(*values), pos
+        return self._decode_tolerant(data, pos, record, start)
+
+    def _decode_tolerant(
+        self, data: bytes, pos: int, record: _Record, start: int
+    ) -> tuple[Any, int]:
+        """A record frame matching none of the local declaration's shapes:
+        the sender runs another version of the wire module, or spelled the
+        count in a longer varint. Applies the R7 evolution contract
+        (trailing appends only); an unalignable skew raises."""
+        name = record.name
         if pos + 2 > len(data):
             raise _codec_error(
                 f"truncated schema fingerprint of record {name}", pos
             )
         sent_fp = (data[pos] << 8) | data[pos + 1]
-        pos += 2
-        sent_count, pos = _decode_varint(data, pos)
-        if sent_fp == record.fingerprint and sent_count == len(record.fields):
-            values, pos = self._decode_fields(data, pos, record.fields, name)
-            return record.cls(*values), pos
-        if (
-            record.min_fields <= sent_count < len(record.fields)
-            and sent_fp == record.prefix_fingerprints.get(sent_count)
-        ):
-            # A compact frame of this very declaration: the sender elided a
-            # trailing run of wire-optional fields at their defaults.
-            values, pos = self._decode_fields(
-                data, pos, record.fields[:sent_count], name
-            )
-            values.extend(
-                record.defaults[field]()
-                for field in record.fields[sent_count:]
-            )
-            return record.cls(*values), pos
-        return self._decode_evolved(data, pos, record, sent_fp, sent_count, start)
-
-    def _decode_evolved(
-        self,
-        data: bytes,
-        pos: int,
-        record: _Record,
-        sent_fp: int,
-        sent_count: int,
-        start: int,
-    ) -> tuple[Any, int]:
-        """A record frame whose schema fingerprint/field count differ from
-        the local declaration — the sender runs another version of the wire
-        module. Applies the R7 evolution contract (trailing appends only);
-        an unalignable skew raises."""
-        name = record.name
+        sent_count, pos = _decode_varint(data, pos + 2)
         local = len(record.fields)
-        detail = (
-            f"sender 0x{sent_fp:04X} with {sent_count} fields, "
-            f"local 0x{record.fingerprint:04X} with {local} fields"
-        )
-        if sent_count == local:
+        if sent_count == local and sent_fp != record.fingerprint:
             raise _codec_error(
-                f"schema mismatch for record {name} ({detail}): same field "
-                "count but different fingerprint — a renamed or reordered "
-                "field cannot be aligned positionally", start
+                f"schema mismatch for record {name} (sender 0x{sent_fp:04X} "
+                f"with {sent_count} fields, local 0x{record.fingerprint:04X} "
+                f"with {local} fields): same field count but different "
+                "fingerprint — a renamed or reordered field cannot be "
+                "aligned positionally", start
             )
-        if sent_count > local:
-            # The sender is newer: take the local prefix positionally and
-            # skip the unknown trailing fields.
+        if sent_count >= local:
+            # The local declaration, or a newer sender: take the local
+            # fields positionally and skip the unknown trailing ones.
             values, pos = self._decode_fields(data, pos, record.fields, name)
             for _ in range(sent_count - local):
                 try:
@@ -895,12 +883,16 @@ class Codec:
                     f"{record.name}: wire-optional tail changed after "
                     "registration"
                 )
-            # repro-lint: ignore[R3] audit only — order-independent raise
-            for k, fp in record.prefix_fingerprints.items():
-                if schema_fingerprint(record.name, record.fields[:k]) != fp:
-                    raise CodecError(
-                        f"{record.name}: prefix fingerprint table out of sync"
-                    )
+            # One shape per sendable count, full declaration first: its
+            # header ends the head sent at that count, its tail is filled.
+            expected = [
+                (_record_header(schema_fingerprint(record.name, record.fields[:k]), k),
+                 record.fields[:k], len(record.fields) - k)
+                for k in range(len(record.fields), record.min_fields - 1, -1)
+            ]
+            if [(h, sent, len(t)) for h, sent, t in record.shapes] != expected or not all(
+                    head.endswith(h) for head, (h, _, _) in zip(record.heads[::-1], record.shapes)):
+                raise CodecError(f"{record.name}: shape table out of sync")
 
 
 #: The process-wide registry. Append-only, written only at import time by the
@@ -953,20 +945,11 @@ def elided_repr(value: Any) -> str:
             __repr__ = elided_repr
     """
     cls = type(value)
-    fields = _record_fields(cls)
-    optional = tuple(getattr(cls, "__wire_optional__", ()))
-    defaults = _record_defaults(cls)
-    show = len(fields)
-    floor = len(fields) - len(optional)
-    while show > floor:
-        default = defaults[fields[show - 1]]()
-        held = getattr(value, fields[show - 1])
-        if type(held) is type(default) and held == default:
-            show -= 1
-        else:
-            break
+    record = WIRE._records_by_type.get(cls) or _make_record(cls.__name__, cls)
+    values = record.getter(value)
     body = ", ".join(
-        f"{field}={getattr(value, field)!r}" for field in fields[:show]
+        f"{field}={held!r}"
+        for field, held in zip(record.fields, values[:_sent_count(record, values)])
     )
     return f"{cls.__qualname__}({body})"
 

@@ -226,3 +226,61 @@ class TestOutputDedup:
         joshua = stack.joshua("head0")
         cached = [v for v in joshua.results.values()]
         assert any(getattr(v, "job_id", None) == job_id for v in cached)
+
+
+class TestFrontDoor:
+    """Outside input at JOSHUA's port is refused with ``bad-request``,
+    never crashes the daemon, and leaves the service taking jobs."""
+
+    @staticmethod
+    def ask(stack, payload):
+        from repro.joshua.wire import JOSHUA_PORT
+        from repro.net.address import Address
+        from repro.rpc import call as rpc_call
+
+        net = stack.cluster.network
+        return drive(stack, rpc_call(net, "login", Address("head0", JOSHUA_PORT),
+                                     payload))
+
+    def assert_refused(self, stack, payload):
+        with pytest.raises(PBSError) as info:
+            self.ask(stack, payload)
+        assert info.value.kind == "bad-request"
+
+    def assert_still_serving(self, stack):
+        client = stack.client()
+        job_id = drive(stack, client.jsub(name="after", walltime=900))
+        settle(stack, 1.0)
+        for head in stack.head_names:
+            assert job_id in stack.pbs(head).jobs
+
+    @pytest.mark.parametrize("spec", [None, "spec"], ids=["none", "str"])
+    def test_jsub_without_a_job_spec_is_refused(self, spec):
+        from repro.joshua.wire import JSubReq
+
+        stack = make_stack(heads=2, seed=5)
+        self.assert_refused(stack, JSubReq("front-door-1", spec))
+        self.assert_still_serving(stack)
+
+    @pytest.mark.parametrize("min_seq", [((0, "x"),), ((0,),), (("a", 1, 2),)],
+                             ids=["str-seq", "single", "triple"])
+    def test_ryw_stat_with_malformed_floors_is_refused(self, min_seq):
+        from repro.joshua.wire import JStatReq
+
+        stack = make_stack(heads=2, seed=5)
+        self.assert_refused(stack, JStatReq("front-door-2", None, "ryw", min_seq))
+        self.assert_still_serving(stack)
+
+    def test_jsub_without_a_uuid_is_refused_not_cached(self):
+        """Two uuid-less jsubs once shared one reply-cache entry: both were
+        acknowledged as the same job id, and only the first was queued."""
+        from repro.joshua.wire import JSubReq
+        from repro.pbs.job import JobSpec
+
+        stack = make_stack(heads=2, seed=5)
+        for name in ("first", "second"):
+            self.assert_refused(stack, JSubReq(None, JobSpec(name=name, walltime=900)))
+        settle(stack, 1.0)
+        for head in stack.head_names:
+            assert not stack.pbs(head).jobs
+        self.assert_still_serving(stack)

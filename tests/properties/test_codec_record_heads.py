@@ -1,13 +1,14 @@
 """Record frames on the codec's prebuilt-head path.
 
 Each registered record carries the complete head of every frame it can
-send (tag, name, fingerprint, field count) and one getter for its field
-values; decode finds the record by the raw bytes of its name and takes a
-one-loop path when the frame's header is the local declaration's own.
-These tests pin what that path must not change: the bytes of every head,
-the frames that leave it for the fingerprint, prefix and evolved paths,
-and the errors of names that are not there. CI's codec round-trip smoke
-runs this module.
+send (tag, name, fingerprint, field count), one getter for its field
+values and one table of its shapes (full declaration, then each
+wire-optional prefix); decode finds the record by the raw bytes of its
+name and takes a one-loop path when the frame's header is one of its
+shapes. These tests pin what that path must not change: the bytes of
+every head, the frames that leave it for the one tolerant path, the
+errors of names that are not there, and that ``elided_repr`` prints what
+the encoder sends. CI's codec round-trip smoke runs this module.
 """
 
 import dataclasses
@@ -19,10 +20,13 @@ from repro.net.codec import (
     WIRE,
     Codec,
     CodecError,
+    elided_repr,
     mark_wire_optional,
     schema_fingerprint,
 )
-from repro.pbs.wire import AdminPurge, StatReq
+from repro.aa.wire import StateXferResp
+from repro.joshua.wire import JDelReq, JStatReq, JSubReq
+from repro.pbs.wire import AdminPurge, SchedPollReq, SchedPollResp, StatReq
 from repro.pvfs.wire import StatFs
 
 
@@ -143,6 +147,19 @@ class TestOffThePrebuiltHeader:
         padded = frame[:len(head) - 1] + b"\x82\x00" + frame[len(head):]
         assert codec.decode(padded) == Two(1, 2)
 
+    @pytest.mark.parametrize("value, sent", [
+        (Opt(1), 1), (Opt(1, 2), 2), (Opt(1, 0, 3), 3)],
+        ids=["prefix-1", "prefix-2", "prefix-3"])
+    def test_non_canonical_prefix_count_decodes_like_the_canonical_frame(
+            self, codec, value, sent):
+        frame = codec.encode(value)
+        head = _head("Opt", ("a", "b", "c", "d")[:sent])
+        assert frame.startswith(head) and frame[len(head) - 1] == sent
+        # The same count as a two-byte varint matches no shape's header.
+        padded = (frame[:len(head) - 1] + bytes([0x80 | sent, 0x00])
+                  + frame[len(head):])
+        assert codec.decode(padded) == codec.decode(frame) == value
+
     def test_non_canonical_name_length_decodes(self, codec):
         frame = codec.encode(One(5))
         padded = frame[:1] + bytes([frame[1] | 0x80, 0x00]) + frame[2:]
@@ -204,6 +221,41 @@ class TestCloneOverrides:
         evolved.self_check()
 
 
+#: Every registered record with a wire-optional tail.
+WIRE_OPTIONAL = (JSubReq, JDelReq, JStatReq, SchedPollReq, SchedPollResp,
+                 StateXferResp)
+
+
+def _non_default(default):
+    return "set" if default != "set" else "other"
+
+
+class TestElidedRepr:
+    def test_every_wire_optional_record_is_covered(self):
+        assert set(WIRE_OPTIONAL) == {
+            cls for cls in WIRE.registered_records()
+            if getattr(cls, "__wire_optional__", ())}
+
+    @pytest.mark.parametrize("cls", WIRE_OPTIONAL,
+                             ids=lambda cls: cls.__name__)
+    def test_repr_shows_exactly_the_fields_the_encoder_sends(self, cls):
+        fields = tuple(f.name for f in dataclasses.fields(cls))
+        optional = cls.__wire_optional__
+        floor = len(fields) - len(optional)
+        defaults = {f.name: f.default for f in dataclasses.fields(cls)}
+        for sent in range(floor, len(fields) + 1):
+            # Required fields hold strings; the last sent optional field
+            # holds a non-default value, every later one its default.
+            values = {name: f"v{i}" for i, name in enumerate(fields[:floor])}
+            if sent > floor:
+                values[fields[sent - 1]] = _non_default(defaults[fields[sent - 1]])
+            value = cls(**values)
+            assert WIRE.encode(value).startswith(_head(cls.__name__, fields[:sent]))
+            shown = elided_repr(value)
+            assert shown == "{}({})".format(cls.__qualname__, ", ".join(
+                f"{name}={getattr(value, name)!r}" for name in fields[:sent]))
+
+
 class TestSelfCheck:
     def test_wire_and_its_clone_pass(self):
         WIRE.self_check()
@@ -226,4 +278,27 @@ class TestSelfCheck:
         codec._records_by_type[Two] = codec._records_by_name["Two"]
         codec._records_by_raw[b"Two"] = codec._records_by_name["Two"]
         with pytest.raises(CodecError, match="Two: record head out of sync"):
+            codec.self_check()
+
+    def test_a_corrupted_shape_is_caught(self, codec):
+        record = codec._records_by_name["Opt"]
+        header, sent, tail = record.shapes[1]
+        corrupt = (header, sent, tail[1:])  # one default factory lost
+        codec._records_by_name["Opt"] = dataclasses.replace(
+            record, shapes=(record.shapes[0], corrupt, *record.shapes[2:]))
+        codec._records_by_type[Opt] = codec._records_by_name["Opt"]
+        codec._records_by_raw[b"Opt"] = codec._records_by_name["Opt"]
+        with pytest.raises(CodecError, match="Opt: shape table out of sync"):
+            codec.self_check()
+
+    def test_a_shape_whose_header_is_not_its_heads_is_caught(self, codec):
+        record = codec._records_by_name["Opt"]
+        # Swap the headers of two prefixes: each names the other's count.
+        (h1, s1, t1), (h2, s2, t2) = record.shapes[1:3]
+        codec._records_by_name["Opt"] = dataclasses.replace(
+            record, shapes=(record.shapes[0], (h2, s1, t1), (h1, s2, t2),
+                            *record.shapes[3:]))
+        codec._records_by_type[Opt] = codec._records_by_name["Opt"]
+        codec._records_by_raw[b"Opt"] = codec._records_by_name["Opt"]
+        with pytest.raises(CodecError, match="Opt: shape table out of sync"):
             codec.self_check()

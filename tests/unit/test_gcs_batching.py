@@ -1,28 +1,34 @@
-"""Tests for the batched DATA path and the view-change flush fixes.
+"""Tests for the batched DATA and ORDER paths and the view-change flush fixes.
 
-Three layers:
+Four layers:
 
 * :class:`~repro.gcs.batching.DataBatcher` in isolation — budgets, the
-  adaptive Nagle window, drain, view-change discard;
-* :class:`~repro.gcs.ordering.SequencerEngine` size trigger and
-  ``drain_pending`` — including the stale-flusher hazard the size trigger
-  would have introduced without the generation bump;
+  adaptive Nagle window, view-change discard;
+* the timer rules the DATA batcher and the sequencer's ORDER batch share
+  through one :class:`~repro.gcs.batching.Coalescer`, each test run with
+  both frame builders — including the stale-flusher hazard a count flush
+  would introduce without the generation bump;
+* :class:`~repro.gcs.ordering.SequencerEngine`'s ORDER coalescer — the
+  size trigger at ``SEQUENCER_BATCH_MAX`` and the fixed window;
 * :class:`~repro.gcs.member.GroupMember` end-to-end — batches unpack into
-  the identical per-command delivery stream, and the membership flush
-  recuts outbound buffers (the "silent batch-drop on view change" fix):
-  killing the sequencer mid-batch-window loses nothing and double-sequences
-  nothing.
+  the identical per-command delivery stream, the membership flush recuts
+  outbound buffers (the "silent batch-drop on view change" fix): killing
+  the sequencer mid-batch-window loses nothing and double-sequences
+  nothing, and only DATA flushes reach the trace collector.
 """
 
 import pytest
 
+from types import SimpleNamespace
+
 from repro.gcs import GroupConfig, GroupMember, boot_static_group
-from repro.gcs.batching import DataBatcher
+from repro.gcs.batching import DATA_BATCH_MAX_MSGS, DataBatcher
 from repro.gcs.messages import DataBatchMsg, DataMsg, MessageId, OrderMsg
-from repro.gcs.ordering import SequencerEngine
+from repro.gcs.ordering import SEQUENCER_BATCH_MAX, SequencerEngine
 from repro.gcs.view import View
 from repro.net import Address, Network
 from repro.net.codec import encoded_size
+from repro.obs.collector import attach_collector
 from repro.sim import Kernel
 from repro.util.errors import GroupCommError
 
@@ -116,17 +122,6 @@ class TestDataBatcher:
         [frame] = cap.broadcasts
         assert isinstance(frame, DataBatchMsg) and len(frame.entries) == 2
 
-    def test_later_entries_ride_first_entry_deadline(self):
-        """Nagle semantics: the window opens at the first entry and later
-        submissions never extend it."""
-        kernel, cap, batcher = self.make(max_delay=0.02)
-        batcher.submit(mid(1, 0), "agreed", "a")
-        kernel.run(until=0.015)
-        batcher.submit(mid(1, 1), "agreed", "b")
-        kernel.run(until=0.021)  # 0.02 after the FIRST entry
-        [frame] = cap.broadcasts
-        assert len(frame.entries) == 2
-
     def test_window_shrinks_on_lonely_timer_flush(self):
         kernel, cap, batcher = self.make(max_delay=0.02, min_delay=0.002)
         assert batcher.delay == 0.02
@@ -158,17 +153,6 @@ class TestDataBatcher:
         batcher.submit(mid(1, 1), "agreed", "b")
         kernel.run(until=0.05)
         assert batcher.delay == 0.02
-
-    def test_drain_returns_entries_without_broadcasting(self):
-        kernel, cap, batcher = self.make()
-        batcher.submit(mid(1, 0), "agreed", "a")
-        batcher.submit(mid(1, 1), "agreed", "b")
-        entries = batcher.drain()
-        assert [e[0] for e in entries] == [mid(1, 0), mid(1, 1)]
-        assert cap.broadcasts == []
-        assert batcher.pending() == 0
-        kernel.run(until=0.05)
-        assert cap.broadcasts == []  # the armed timer was invalidated
 
     def test_view_change_discards_pending_and_kills_timer(self):
         kernel, cap, batcher = self.make()
@@ -209,80 +193,148 @@ class TestDataBatcher:
         assert flushed == [(2, "count"), (1, "drain")]
 
 
-class TestSequencerSizeTrigger:
-    def make(self, batch_delay=0.02, batch_max=3):
-        kernel = Kernel()
-        cap = Capture()
-        engine = SequencerEngine(
-            kernel, addr(1), cap, lambda dst, msg: None,
-            batch_delay=batch_delay, batch_max=batch_max,
-        )
-        engine.start_view(View.make(1, [addr(1), addr(2), addr(3)]), 0)
-        return kernel, cap, engine
+def frame_ids(frame):
+    """The message ids a DATA or ORDER frame carries, in order."""
+    if isinstance(frame, DataMsg):
+        return [frame.msg_id]
+    if isinstance(frame, DataBatchMsg):
+        return [entry[0] for entry in frame.entries]
+    return [msg_id for _seq, msg_id in frame.assignments]
 
-    def test_full_batch_flushes_without_waiting(self):
-        kernel, cap, engine = self.make(batch_max=3)
-        for c in range(3):
+
+#: Both frame kinds' count budgets are 16, so every shared rule below runs
+#: on the budgets the program uses.
+BUDGET = DATA_BATCH_MAX_MSGS
+assert SEQUENCER_BATCH_MAX == BUDGET
+
+
+@pytest.fixture(params=["data", "order"])
+def coalescing(request):
+    """A coalescer with a 20 ms window in view 1, fed one message id per
+    ``submit(c)``: a member's DataBatcher, or a sequencer's ORDER batch
+    (ids ``mid(2, c)`` arriving as DATA from a peer)."""
+    kernel = Kernel()
+    cap = Capture()
+    view = View.make(1, [addr(1), addr(2), addr(3)])
+    if request.param == "data":
+        coalescer = DataBatcher(kernel, cap, max_delay=0.02, max_msgs=BUDGET)
+        coalescer.start_view(view)
+
+        def submit(c):
+            coalescer.submit(mid(2, c), "agreed", f"m{c}")
+    else:
+        engine = SequencerEngine(kernel, addr(1), cap, lambda dst, msg: None,
+                                 batch_delay=0.02)
+        engine.start_view(view, 0)
+        coalescer = engine.batcher
+
+        def submit(c):
             engine.on_data(mid(2, c), own=False)
-        [order] = cap.broadcasts  # flushed at submit time, t=0
-        assert order.assignments == ((0, mid(2, 0)), (1, mid(2, 1)), (2, mid(2, 2)))
+    return SimpleNamespace(kernel=kernel, cap=cap, coalescer=coalescer,
+                           submit=submit)
 
-    def test_timer_rearms_after_size_flush(self):
-        """Regression guard for the hazard the size trigger introduces: the
-        timer armed for the first batch must not survive a size flush alive,
+
+class TestSharedCoalescerRules:
+    """One timer discipline for both outbound frame kinds."""
+
+    def test_timer_rearms_after_count_flush(self, coalescing):
+        """Regression guard for the hazard a count flush introduces: the
+        timer armed for the first batch must not survive the flush alive,
         or (``_flusher.is_alive`` being the re-arm condition) the *next*
         batch would never get a timer and could wait forever."""
-        kernel, cap, engine = self.make(batch_delay=0.02, batch_max=2)
-        engine.on_data(mid(2, 0), own=False)  # arms timer
-        engine.on_data(mid(2, 1), own=False)  # size flush at t=0
-        assert len(cap.broadcasts) == 1
-        engine.on_data(mid(2, 2), own=False)  # must arm a FRESH timer
+        kernel, cap, submit = coalescing.kernel, coalescing.cap, coalescing.submit
+        for c in range(BUDGET):  # the first arms a timer, the last flushes
+            submit(c)
+        [frame] = cap.broadcasts  # flushed at submit time, t=0
+        assert frame_ids(frame) == [mid(2, c) for c in range(BUDGET)]
+        submit(BUDGET)  # must arm a FRESH timer
         kernel.run(until=0.05)
         assert len(cap.broadcasts) == 2
-        assert cap.broadcasts[1].assignments == ((2, mid(2, 2)),)
+        assert frame_ids(cap.broadcasts[1]) == [mid(2, BUDGET)]
 
-    def test_stale_timer_after_size_flush_never_fires_early(self):
-        kernel, cap, engine = self.make(batch_delay=0.02, batch_max=2)
-        engine.on_data(mid(2, 0), own=False)
+    def test_stale_timer_never_fires_early(self, coalescing):
+        """The timer armed before a count flush never flushes the batch
+        that follows it ahead of that batch's own deadline."""
+        kernel, cap, submit = coalescing.kernel, coalescing.cap, coalescing.submit
+        submit(0)
         kernel.run(until=0.01)
-        engine.on_data(mid(2, 1), own=False)  # size flush at t=0.01
-        engine.on_data(mid(2, 2), own=False)  # new batch, timer due 0.03
+        for c in range(1, BUDGET):
+            submit(c)  # count flush at t=0.01
+        submit(BUDGET)  # new batch, timer due 0.03
         kernel.run(until=0.025)  # old timer's deadline (0.02) passes
         assert len(cap.broadcasts) == 1  # new batch still held
         kernel.run(until=0.04)
         assert len(cap.broadcasts) == 2
 
-    def test_entries_during_window_share_one_deadline(self):
-        """Satellite audit pin: while a flusher is alive, later on_data
-        calls do not arm a second timer; everything accumulated flushes at
-        the first entry's deadline, and the next entry after that flush
-        opens a fresh window."""
-        kernel, cap, engine = self.make(batch_delay=0.02, batch_max=0)
-        engine.on_data(mid(2, 0), own=False)
+    def test_window_has_one_deadline(self, coalescing):
+        """Nagle semantics: the window opens at the first entry, later
+        entries never arm a second timer or extend it, and the next entry
+        after that flush opens a fresh window."""
+        kernel, cap, submit = coalescing.kernel, coalescing.cap, coalescing.submit
+        submit(0)
         kernel.run(until=0.01)
-        engine.on_data(mid(2, 1), own=False)
-        kernel.run(until=0.021)
-        [order] = cap.broadcasts
-        assert order.assignments == ((0, mid(2, 0)), (1, mid(2, 1)))
-        engine.on_data(mid(2, 2), own=False)
+        submit(1)
+        kernel.run(until=0.021)  # 0.02 after the FIRST entry
+        [frame] = cap.broadcasts
+        assert frame_ids(frame) == [mid(2, 0), mid(2, 1)]
+        submit(2)
         kernel.run(until=0.03)
         assert len(cap.broadcasts) == 1  # new window: due at ~0.041
         kernel.run(until=0.05)
-        assert cap.broadcasts[1].assignments == ((2, mid(2, 2)),)
+        assert frame_ids(cap.broadcasts[1]) == [mid(2, 2)]
 
-    def test_drain_pending_returns_batch_and_cancels_timer(self):
-        kernel, cap, engine = self.make(batch_delay=0.02, batch_max=0)
-        engine.on_data(mid(2, 0), own=False)
-        engine.on_data(mid(2, 1), own=False)
-        assert engine.drain_pending() == ((0, mid(2, 0)), (1, mid(2, 1)))
-        assert engine.drain_pending() == ()
+    def test_drain_cancels_the_timer(self, coalescing):
+        kernel, cap, submit = coalescing.kernel, coalescing.cap, coalescing.submit
+        coalescer = coalescing.coalescer
+        submit(0)
+        submit(1)
+        entries = coalescer.drain()
+        assert frame_ids(coalescer.build(1, entries)) == [mid(2, 0), mid(2, 1)]
+        assert coalescer.drain() == ()
+        assert coalescer.pending() == 0
         kernel.run(until=0.05)
-        assert cap.broadcasts == []  # drained batch is the caller's problem
+        assert cap.broadcasts == []  # the drained batch is the caller's
 
-    def test_drain_pending_empty_without_batching(self):
-        kernel, cap, engine = self.make(batch_delay=0.0)
+
+class TestSequencerSizeTrigger:
+    def make(self, batch_delay=0.02):
+        kernel = Kernel()
+        cap = Capture()
+        engine = SequencerEngine(
+            kernel, addr(1), cap, lambda dst, msg: None, batch_delay=batch_delay,
+        )
+        engine.start_view(View.make(1, [addr(1), addr(2), addr(3)]), 0)
+        return kernel, cap, engine
+
+    def test_full_batch_flushes_without_waiting(self):
+        kernel, cap, engine = self.make()
+        for c in range(SEQUENCER_BATCH_MAX):
+            engine.on_data(mid(2, c), own=False)
+        [order] = cap.broadcasts  # flushed at submit time, t=0
+        assert isinstance(order, OrderMsg)
+        assert order.assignments == tuple(
+            (c, mid(2, c)) for c in range(SEQUENCER_BATCH_MAX))
+
+    def test_order_window_is_fixed(self):
+        """A lonely timer flush does not tighten the ORDER window and a
+        count flush does not widen it: the sequencer waits exactly
+        ``sequencer_batch_delay``."""
+        kernel, cap, engine = self.make(batch_delay=0.02)
         engine.on_data(mid(2, 0), own=False)
-        assert engine.drain_pending() == ()
+        kernel.run(until=0.05)  # single-entry timer flush
+        for c in range(1, SEQUENCER_BATCH_MAX + 1):
+            engine.on_data(mid(2, c), own=False)  # count flush
+        assert len(cap.broadcasts) == 2
+        assert engine.batcher.delay == 0.02
+        assert engine.batcher.on_flush is None
+        assert not isinstance(engine.batcher, DataBatcher)
+
+    def test_no_order_coalescer_without_batching(self):
+        kernel, cap, engine = self.make(batch_delay=0.0)
+        assert engine.batcher is None
+        engine.on_data(mid(2, 0), own=False)
+        [order] = cap.broadcasts  # one ORDER frame per assignment, at once
+        assert order.assignments == ((0, mid(2, 0)),)
 
 
 # ---------------------------------------------------------------------------
@@ -411,7 +463,7 @@ class TestSequencerBatchDropRegression:
         # 0.5 s ORDER batch window, assignments made but never broadcast.
         h.kernel.run(until=0.6)
         seq_engine = h.members["n0"].engine
-        assert len(seq_engine._batch) == 4  # the bug's precondition
+        assert seq_engine.batcher.pending() == 4  # the bug's precondition
         h.crash("n0")
         h.kernel.run(until=6.0)
         for name in ("n1", "n2"):
@@ -430,9 +482,40 @@ class TestSequencerBatchDropRegression:
         for k in range(4):
             h.members["n2"].multicast(f"m{k}")
         h.kernel.run(until=0.6)
-        assert len(h.members["n0"].engine._batch) == 4
+        assert h.members["n0"].engine.batcher.pending() == 4
         h.crash("n2")  # sequencer n0 survives; the sender dies
         h.kernel.run(until=6.0)
         for name in ("n0", "n1"):
             assert h.payloads(name) == [f"m{k}" for k in range(4)]
         h.assert_total_order(["n0", "n1"])
+
+
+class TestOnlyDataFlushesAreObserved:
+    def test_order_coalescer_reports_nothing_to_the_collector(self):
+        """With both batching knobs on, the sequencer's ORDER coalescer
+        flushes too, but ``gcs.batch.*`` counts only DATA flushes."""
+        config = GroupConfig(
+            **FAST, data_batch_delay=0.01, data_batch_min_delay=0.001,
+            sequencer_batch_delay=0.01,
+        )
+        h = Harness(3, config, seed=5)
+        collector = attach_collector(h.net)
+        h.kernel.run(until=0.5)
+        for k in range(12):
+            h.members["n1"].multicast(f"m{k}")
+        h.kernel.run(until=2.0)
+        for name in h.members:
+            assert h.payloads(name) == [f"m{k}" for k in range(12)]
+        order = h.members["n0"].engine.batcher  # n0 is the sequencer
+        assert order.on_flush is None
+        assert order.stats["flushes_timer"] + order.stats["flushes_count"] > 0
+        data_flushes = sum(
+            count for m in h.members.values()
+            for key, count in m.batcher.stats.items()
+            if key.startswith("flushes_")
+        )
+        observed = sum(counter.value for _labels, counter
+                       in collector.registry.find("gcs.batch.flushes"))
+        assert observed == data_flushes > 0
+        batch_nodes = {e.node for e in collector.events if e.kind == "gcs.batch"}
+        assert batch_nodes == {"n1"}  # the sender; never the sequencer n0
