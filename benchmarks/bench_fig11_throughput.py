@@ -22,14 +22,10 @@ from repro.obs.report import rpc_latency_lines
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
-def test_figure11_throughput(benchmark, report, metrics_snapshot,
-                             wire_bytes_snapshot):
+def test_figure11_throughput(benchmark, report, metrics_snapshot):
     registry = MetricsRegistry()
-    wire_bytes: dict[str, int] = {}
     rows = benchmark.pedantic(
-        figure11,
-        kwargs={"registry": registry, "wire_bytes": wire_bytes},
-        rounds=1, iterations=1,
+        figure11, kwargs={"registry": registry}, rounds=1, iterations=1,
     )
     columns = ["system", "heads"] + [
         c for c in rows[0] if c.startswith(("measured", "paper"))
@@ -39,8 +35,6 @@ def test_figure11_throughput(benchmark, report, metrics_snapshot,
     print("rpc conversations (per request type, all bursts pooled):")
     print("\n".join(rpc_latency_lines(registry)))
     metrics_snapshot(benchmark, registry)
-    wire_bytes_snapshot(benchmark, wire_bytes)
-    assert wire_bytes, "no frames crossed the wire?"
 
     by_config = {(r["system"], r["heads"]): r for r in rows}
     # Linear in batch size: 100 jobs ~ 10x the 10-job time (sequential client).

@@ -45,23 +45,3 @@ def snapshot_metrics(benchmark, registry, *, prefix: str = "") -> None:
 @pytest.fixture
 def metrics_snapshot():
     return snapshot_metrics
-
-
-def snapshot_wire_bytes(benchmark, by_type: dict) -> None:
-    """Attach measured per-message-type bytes-on-wire to the benchmark.
-
-    *by_type* is a ``Network.wire_bytes_by_type`` dict (or an accumulation
-    of several): payload kind -> exact encoded bytes that occupied the
-    shared medium, datagram overhead included. These are measured from the
-    codec's frames, not estimated, so ``--benchmark-json`` exports carry
-    the real wire cost behind every figure.
-    """
-    benchmark.extra_info["wire_bytes_by_type"] = {
-        kind: by_type[kind] for kind in sorted(by_type)
-    }
-    benchmark.extra_info["wire_bytes_total"] = sum(by_type.values())
-
-
-@pytest.fixture
-def wire_bytes_snapshot():
-    return snapshot_wire_bytes

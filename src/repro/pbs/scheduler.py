@@ -45,17 +45,15 @@ def fifo_decide(rows: list[dict], node_free: list[tuple[str, bool]], *, exclusiv
     Exposed as a function so tests (and the replicated-state argument) can
     check determinism directly: same inputs, same decision, no hidden state.
     """
-    running = [r for r in rows if r["state"] in ("R", "E")]
-    if exclusive and running:
-        return None
-    free_nodes = [name for name, free in node_free if free]
-    candidates = [r for r in rows if r["state"] == "Q"]
-    if not candidates:
+    if exclusive and any(r["state"] in ("R", "E") for r in rows):
         return None
     # Strict FIFO: only the head of the queue is considered. A large job
     # that does not fit blocks everything behind it — no backfill, which is
     # part of what keeps replicated schedulers deterministic.
-    row = candidates[0]
+    row = next((r for r in rows if r["state"] == "Q"), None)
+    if row is None:
+        return None
+    free_nodes = [name for name, free in node_free if free]
     if row["nodes"] <= len(free_nodes):
         return row["job_id"], tuple(sorted(free_nodes)[: row["nodes"]])
     return None

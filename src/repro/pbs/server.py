@@ -237,6 +237,10 @@ class PBSServer(Daemon):
     # -- command implementations ---------------------------------------------------
 
     def _do_submit(self, req: SubmitReq) -> SubmitResp:
+        # The spec arrives from outside the node too: a job is built only
+        # from a JobSpec (which validated itself when it was decoded).
+        if not isinstance(req.spec, JobSpec):
+            raise PBSError(f"job spec {req.spec!r} is not a JobSpec")
         if req.force_job_id is not None:
             job_id = req.force_job_id
             # The id arrives from outside the node: refuse it before
@@ -373,6 +377,11 @@ class PBSServer(Daemon):
         )
 
     def _do_run(self, req: RunJobReq):
+        nodes = req.exec_nodes
+        if not (type(nodes) is tuple and nodes
+                and all(type(name) is str for name in nodes)):
+            return RunJobResp(False, f"exec nodes {nodes!r} are not a "
+                                     "non-empty tuple of node names")
         job = self.jobs.get(req.job_id)
         if job.state is not JobState.QUEUED:
             return RunJobResp(False, f"job state is {job.state.value}")

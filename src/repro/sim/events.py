@@ -127,13 +127,17 @@ class Timeout(Event):
                  *, det_key: Any = None):
         if delay < 0:
             raise SimulationError(f"negative timeout delay {delay}")
-        super().__init__(kernel)
-        self.delay = delay
+        # Event.__init__'s slots, written here already triggered: one
+        # Timeout is built per scheduled delay, so the call is worth saving.
+        self.kernel = kernel
+        self.callbacks = []
+        self.cancelled = False
         self.det_key = det_key
+        self._state = TRIGGERED
         self._ok = True
         self._value = value
-        self._state = TRIGGERED
-        kernel._enqueue(self, delay=delay)
+        self.delay = delay
+        kernel._enqueue(self, delay)
 
     def succeed(self, value: Any = None) -> "Event":  # pragma: no cover - guard
         raise SimulationError("a Timeout triggers itself; do not call succeed()")

@@ -48,11 +48,12 @@ class Kernel:
     """
 
     def __init__(self, *, seed: int = 0, sanitize: bool = False):
-        self._now = 0.0
+        #: Current simulated time in seconds. Only the kernel writes it.
+        self.now = 0.0
         self._heap: list[tuple[float, int, int, Event]] = []
         self._sequence = 0
         self.streams = RandomStreams(seed)
-        self.log = SimLogger(lambda: self._now, level=LOG_LEVEL)
+        self.log = SimLogger(lambda: self.now, level=LOG_LEVEL)
         self._crashed_processes: list[tuple[Process, BaseException]] = []
         self.sanitizer: DeterminismSanitizer | None = (
             DeterminismSanitizer() if sanitize else None
@@ -62,18 +63,13 @@ class Kernel:
         self._active_process: Process | None = None
         self._enqueue_meta: dict[int, object] = {}
         #: Hooks ``fn(now)`` invoked whenever the clock advances to a new
-        #: time (observation only — fired after ``_now`` is updated, before
+        #: time (observation only — fired after ``now`` is updated, before
         #: the event at that time is processed). The time-series sampler in
         #: ``repro.obs`` registers here; empty by default, costing one
         #: truthiness check per step.
         self.on_advance: list = []
 
     # -- clock & stats ----------------------------------------------------
-
-    @property
-    def now(self) -> float:
-        """Current simulated time in seconds."""
-        return self._now
 
     @property
     def processed_events(self) -> int:
@@ -108,7 +104,7 @@ class Kernel:
 
     # -- scheduling (internal) ---------------------------------------------
 
-    def _enqueue(self, event: Event, *, delay: float = 0.0, priority: int = NORMAL) -> None:
+    def _enqueue(self, event: Event, delay: float = 0.0, *, priority: int = NORMAL) -> None:
         if delay < 0:
             raise SimulationError(f"cannot schedule into the past (delay={delay})")
         self._sequence += 1
@@ -117,7 +113,7 @@ class Kernel:
             self._enqueue_meta[id(event)] = self.sanitizer.capture(
                 active.name if active is not None else None
             )
-        heappush(self._heap, (self._now + delay, priority, self._sequence, event))
+        heappush(self._heap, (self.now + delay, priority, self._sequence, event))
 
     # -- main loop ----------------------------------------------------------
 
@@ -127,13 +123,13 @@ class Kernel:
         if not heap:
             raise SimulationError("step() on an empty event queue")
         time, priority, _seq, event = heappop(heap)
-        if time > self._now:
-            self._now = time
+        if time > self.now:
+            self.now = time
             if self.on_advance:
                 for hook in self.on_advance:
                     hook(time)
-        elif time < self._now:  # pragma: no cover - heap invariant
-            raise SimulationError(f"time ran backwards: {time} < {self._now}")
+        elif time < self.now:  # pragma: no cover - heap invariant
+            raise SimulationError(f"time ran backwards: {time} < {self.now}")
         if self.sanitizer is not None:
             meta = self._enqueue_meta.pop(id(event), None)
             self.sanitizer.observe_pop(time, priority, event, meta)
@@ -160,8 +156,8 @@ class Kernel:
             stop_event = until
         elif until is not None:
             stop_time = float(until)
-            if stop_time < self._now:
-                raise SimulationError(f"until={stop_time} is in the past (now={self._now})")
+            if stop_time < self.now:
+                raise SimulationError(f"until={stop_time} is in the past (now={self.now})")
 
         # One step() per event: perf/layer_trace.py times each as a span.
         heap = self._heap
@@ -183,8 +179,8 @@ class Kernel:
                     ]
                 self._check_crashes()
 
-        if stop_time is not None and self._now < stop_time:
-            self._now = stop_time
+        if stop_time is not None and self.now < stop_time:
+            self.now = stop_time
         if self.sanitizer is not None:
             self.sanitizer.finish()
         self._check_crashes()
@@ -200,7 +196,7 @@ class Kernel:
         if self._crashed_processes:
             process, exc = self._crashed_processes[0]
             raise SimulationError(
-                f"process {process.name!r} crashed at t={self._now}: {exc!r}"
+                f"process {process.name!r} crashed at t={self.now}: {exc!r}"
             ) from exc
 
     def report_crash(self, process: Process, exc: BaseException) -> None:
@@ -210,4 +206,4 @@ class Kernel:
         self._crashed_processes.append((process, exc))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<Kernel t={self._now} queued={len(self._heap)} processed={self.processed_events}>"
+        return f"<Kernel t={self.now} queued={len(self._heap)} processed={self.processed_events}>"

@@ -345,3 +345,78 @@ RestartFromDisk.TestCase.settings = settings(
     suppress_health_check=[HealthCheck.too_slow],
 )
 TestRestartFromDisk = RestartFromDisk.TestCase
+
+
+# -- the poll's shortcuts equal the full scans they replace ----------------------
+
+
+def _full_scan_to_wire(queue: JobQueue, since: int) -> list:
+    """``JobQueue.to_wire`` as one scan of the whole table: every job, in
+    submission order, whose last change is after *since*."""
+    return [
+        job.wire_row for job in queue
+        if queue._stamps[job.job_id] > since
+    ]
+
+
+queue_edit = st.one_of(
+    st.tuples(st.just("add"), st.integers(0, 7)),
+    st.tuples(st.just("update"), st.integers(0, 7)),
+    st.tuples(st.just("remove"), st.integers(0, 7)),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(edits=st.lists(queue_edit, max_size=40))
+def test_delta_to_wire_equals_the_full_scan(edits):
+    queue = JobQueue()
+    added = 0
+    for kind, key in edits:
+        job_id = f"{key}.t"
+        if kind == "add":
+            if job_id not in queue:
+                added += 1
+                queue.add(Job(job_id, JobSpec(name=f"n{added}")))
+        elif job_id in queue:
+            if kind == "update":
+                job = queue.get(job_id)
+                queue.update(dataclasses.replace(job, comment=f"{job.comment}+"))
+            else:
+                queue.remove(job_id)
+        for since in range(queue.generation + 2):
+            assert queue.to_wire(since) == _full_scan_to_wire(queue, since), since
+
+
+def _listing_fifo_decide(rows, node_free, *, exclusive):
+    """``fifo_decide`` as it was first written: two full lists, then the
+    head of the queued one."""
+    running = [r for r in rows if r["state"] in ("R", "E")]
+    if exclusive and running:
+        return None
+    free_nodes = [name for name, free in node_free if free]
+    candidates = [r for r in rows if r["state"] == "Q"]
+    if not candidates:
+        return None
+    row = candidates[0]
+    if row["nodes"] <= len(free_nodes):
+        return row["job_id"], tuple(sorted(free_nodes)[: row["nodes"]])
+    return None
+
+
+poll_rows = st.lists(
+    st.tuples(st.sampled_from("QRHEWC"), st.integers(1, 4)), max_size=10
+).map(lambda rows: [
+    {"job_id": f"{index}.t", "state": state, "nodes": nodes}
+    for index, (state, nodes) in enumerate(rows)
+])
+node_frees = st.lists(
+    st.tuples(st.sampled_from(["n0", "n1", "n2", "n3"]), st.booleans()),
+    max_size=4, unique_by=lambda pair: pair[0],
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(rows=poll_rows, node_free=node_frees, exclusive=st.booleans())
+def test_fifo_decide_equals_the_listing_reference(rows, node_free, exclusive):
+    assert fifo_decide(rows, node_free, exclusive=exclusive) \
+        == _listing_fifo_decide(rows, node_free, exclusive=exclusive)

@@ -235,6 +235,33 @@ class TestStorage:
         first["jobs"].append(99)
         assert disk.read("k") == {"jobs": [1]}
 
+    @pytest.mark.parametrize("store", [Disk, SharedStorage])
+    def test_snapshot_isolates_like_a_deep_copy(self, store):
+        """A stored value is a snapshot: mutating the written object does
+        not reach it, and each read is a fresh object graph equal to what
+        a deep copy of the value at write time would have been."""
+        import copy
+
+        from repro.pbs.job import Job, JobSpec
+
+        disk = store("n")
+        shared = ["x"]
+        value = {"jobs": [Job("1.t", JobSpec(name="a"))], "a": shared, "b": shared,
+                 "next": 3}
+        expected = copy.deepcopy(value)
+        disk.write("k", value)
+        value["jobs"].append(Job("2.t", JobSpec()))
+        value["next"] = 4
+        shared.append("y")
+        first, second = disk.read("k"), disk.read("k")
+        assert first == second == expected
+        assert first is not second and first["jobs"] is not second["jobs"]
+        assert first["jobs"][0] is not second["jobs"][0]
+        # Aliasing inside one value survives, as deepcopy keeps it.
+        assert first["a"] is first["b"] and first["a"] is not second["a"]
+        first["a"].append("z")
+        assert disk.read("k") == expected
+
     def test_read_default_and_delete(self):
         disk = Disk("n")
         assert disk.read("missing", 42) == 42

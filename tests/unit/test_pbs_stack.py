@@ -5,8 +5,8 @@ import pytest
 from repro.cluster import Cluster
 from repro.net.address import Address
 from repro.pbs import JobSpec, JobState, PBSMom, build_pbs_stack
-from repro.pbs.server import PBS_MOM_PORT
-from repro.pbs.wire import PurgeReq, SubmitReq
+from repro.pbs.server import PBS_MOM_PORT, PBS_SERVER_PORT, PBSServer
+from repro.pbs.wire import PurgeReq, RunJobReq, SubmitReq
 from repro.rpc import RpcTimeout, call as rpc_call
 from repro.util.errors import PBSError
 from tests.integration.conftest import SANITIZE, assert_sanitizer_clean
@@ -212,6 +212,61 @@ class TestForcedJobId:
             assert [job.job_id for job in server.jobs] == ["5.torque"]
             assert server.next_seq == 6
         assert request(stack, SubmitReq(JobSpec())).job_id == "6.torque"
+
+
+class TestFrontDoor:
+    """Malformed requests sent straight to pbs_server's port are refused
+    before anything changes; each of these once crashed the server process
+    (and with it the run) or, for a string, ran the job on its letters."""
+
+    @pytest.fixture
+    def door(self):
+        # Server and moms only: no Maui racing the test's own RunJobReq.
+        cluster = Cluster(head_count=1, compute_count=2, seed=3, login_node=True)
+        head = cluster.heads[0]
+        address = Address(head.name, PBS_SERVER_PORT)
+        moms = [Address(c.name, PBS_MOM_PORT) for c in cluster.computes]
+        head.add_daemon("pbs_server", lambda node: PBSServer(node, moms=moms))
+        for compute in cluster.computes:
+            compute.add_daemon(
+                "pbs_mom", lambda node: PBSMom(node, servers=[address]))
+
+        def call(payload):
+            process = cluster.kernel.spawn(rpc_call(
+                cluster.network, "login", address, payload))
+            return cluster.run(until=process)
+
+        assert call(SubmitReq(JobSpec(name="good"))).job_id == "1.torque"
+        return cluster, head, call
+
+    @pytest.mark.parametrize("spec", [None, "spec"], ids=["none", "str"])
+    def test_submit_without_a_job_spec_is_refused(self, door, spec):
+        cluster, head, call = door
+        server = head.daemon("pbs_server")
+        with pytest.raises(PBSError) as refused:
+            call(SubmitReq(spec))
+        assert refused.value.kind == "pbs-error"
+        assert [job.job_id for job in server.jobs] == ["1.torque"]
+        assert server.next_seq == 2
+        assert call(SubmitReq(JobSpec(name="after"))).job_id == "2.torque"
+        assert call(RunJobReq("1.torque", ("compute0",))).ok
+
+    @pytest.mark.parametrize(
+        "exec_nodes", [None, (), (["compute0"],), "compute0"],
+        ids=["none", "empty", "list-inside", "str"],
+    )
+    def test_run_without_a_tuple_of_node_names_is_refused(self, door, exec_nodes):
+        cluster, head, call = door
+        server = head.daemon("pbs_server")
+        response = call(RunJobReq("1.torque", exec_nodes))
+        assert not response.ok
+        assert "exec nodes" in response.detail
+        assert server.jobs.get("1.torque").state is JobState.QUEUED
+        assert set(server.allocations.values()) == {None}
+        assert call(SubmitReq(JobSpec(name="after"))).job_id == "2.torque"
+        started = call(RunJobReq("1.torque", ("compute0",)))
+        assert started.ok
+        assert server.jobs.get("1.torque").state is JobState.RUNNING
 
 
 class TestAdminPurge:
