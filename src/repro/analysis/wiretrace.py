@@ -12,13 +12,13 @@ to one canonical line::
 The sha256 over those lines is the scenario's **wire digest**: two builds
 with the same digest sent byte-for-byte identical traffic at identical
 times. ``tests/data/wire_baseline.json`` pins the digests of the
-pre-sharding build; the regression test regenerates them with ``shards=1``
-and compares, proving the router/replica split is invisible on the wire
-when there is only one shard (the PR-2 decomposition-proof style).
+pre-sharding build; the golden check (``tools/golden.py``) regenerates them
+with one shard and compares, proving the router/replica split is invisible
+on the wire when there is only one shard.
 
 The scenario code and the wire spy (a ``Network.on_frame`` hook) live here
-and nowhere else: the capture tool (``tools/capture_wire_baseline.py``), the
-baseline test and the observer-passivity test
+and nowhere else: the golden registry, the baseline test and the
+observer-passivity test
 (``tests/integration/test_obs_passive.py``) all drive :func:`make_stack` /
 :func:`spy_network` / :data:`SCENARIOS` / :func:`trace_record`, so they can
 never drift apart.
@@ -40,7 +40,6 @@ __all__ = [
     "spy_network",
     "trace_record",
     "run_scenario",
-    "scenario_digests",
 ]
 
 _SEED = 11
@@ -139,13 +138,9 @@ def trace_record(stack: JoshuaStack, lines: list[str]) -> dict:
     }
 
 
-def run_scenario(name: str, *, shards: int = 1) -> dict:
-    """One scenario's :func:`trace_record` on a fresh stack."""
-    stack = make_stack(shards)
+def run_scenario(name: str) -> dict:
+    """One scenario's :func:`trace_record` on a fresh one-shard stack."""
+    stack = make_stack()
     lines = spy_network(stack)
     SCENARIOS[name](stack)
     return trace_record(stack, lines)
-
-
-def scenario_digests(*, shards: int = 1) -> dict:
-    return {name: run_scenario(name, shards=shards) for name in SCENARIOS}

@@ -2,9 +2,10 @@
 
 Each experiment module builds the system under test, drives a workload,
 and returns structured rows directly comparable to the paper's figures.
-The ``benchmarks/`` pytest-benchmark suite wraps these (timing the
-simulation itself) and prints paper-vs-measured tables; EXPERIMENTS.md
-records the comparison.
+``python -m repro figure10`` (and the other figure commands) print them,
+``tools/golden.py`` pins the committed ones byte for byte and
+``tests/integration/test_figure_claims.py`` asserts their claims;
+EXPERIMENTS.md records the comparison.
 
 Experiment index
 ----------------

@@ -50,20 +50,23 @@ def figure12(*, mttf_hours: float = 5000.0, mttr_hours: float = 72.0) -> list[di
     return rows
 
 
+#: Head counts the Monte-Carlo cross-check covers: 4 heads have ~1 s/year
+#: of downtime, which would need geological horizons to estimate.
+MONTE_CARLO_NODES = 3
+
+
 def figure12_empirical(
     *,
-    max_nodes: int = 3,
     mttf_hours: float = 5000.0,
     mttr_hours: float = 72.0,
     horizon_years: float = 3000.0,
     seed: int = 0,
 ) -> list[dict]:
-    """Monte-Carlo cross-check (nodes >= 4 produce ~1 s/year downtimes
-    that would need geological horizons; capped at *max_nodes*)."""
-    analytic = {row["nodes"]: row for row in figure12_table(max_nodes,
+    """Monte-Carlo cross-check for 1 to :data:`MONTE_CARLO_NODES` heads."""
+    analytic = {row["nodes"]: row for row in figure12_table(MONTE_CARLO_NODES,
                 mttf_hours=mttf_hours, mttr_hours=mttr_hours)}
     rows = []
-    for nodes in range(1, max_nodes + 1):
+    for nodes in range(1, MONTE_CARLO_NODES + 1):
         result = monte_carlo_availability(
             nodes,
             mttf_hours=mttf_hours,

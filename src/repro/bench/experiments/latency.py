@@ -23,8 +23,6 @@ from __future__ import annotations
 from repro.bench.metrics import LatencySample, summarize
 from repro.cluster.cluster import Cluster
 from repro.joshua.deploy import build_joshua_stack
-from repro.obs.collector import attach_collector
-from repro.obs.metrics import MetricsRegistry
 from repro.pbs.stack import build_pbs_stack
 
 __all__ = ["PAPER_FIGURE10", "measure_torque_latency", "measure_joshua_latency", "figure10"]
@@ -39,16 +37,10 @@ PAPER_FIGURE10 = {
 }
 
 
-def measure_torque_latency(
-    *, trials: int = 10, seed: int = 1, registry: MetricsRegistry | None = None
-) -> float:
+def measure_torque_latency(*, trials: int = 10, seed: int = 1) -> float:
     """Mean plain-TORQUE qsub latency (seconds, simulated)."""
     cluster = Cluster(head_count=1, compute_count=2, seed=seed)
     stack = build_pbs_stack(cluster)
-    if registry is not None:
-        # Passive (see test_obs_passive): the measured numbers are
-        # bit-identical with or without the collector attached.
-        attach_collector(cluster.network, registry=registry)
     client = stack.client()  # on the head node, like the paper
     kernel = cluster.kernel
     samples = []
@@ -60,15 +52,10 @@ def measure_torque_latency(
     return summarize(samples).mean
 
 
-def measure_joshua_latency(
-    heads: int, *, trials: int = 10, seed: int = 1,
-    registry: MetricsRegistry | None = None,
-) -> float:
+def measure_joshua_latency(heads: int, *, trials: int = 10, seed: int = 1) -> float:
     """Mean jsub latency with *heads* active head nodes (seconds)."""
     cluster = Cluster(head_count=heads, compute_count=2, seed=seed)
     stack = build_joshua_stack(cluster)
-    if registry is not None:
-        attach_collector(cluster.network, registry=registry)
     cluster.run(until=1.0)  # let heartbeats settle
     client = stack.client(node="head0", prefer="head0")
     kernel = cluster.kernel
@@ -81,27 +68,12 @@ def measure_joshua_latency(
     return summarize(samples).mean
 
 
-def figure10(
-    *, trials: int = 10, seed: int = 1, registry: MetricsRegistry | None = None
-) -> list[dict]:
-    """Regenerate Figure 10; returns one row per system configuration.
-
-    With a *registry*, every trial's RPC conversations, GCS ordering delays
-    and job phases accumulate into it across all configurations (the
-    per-phase decomposition behind the headline latency numbers).
-    """
-    rows = []
-    torque_ms = measure_torque_latency(
-        trials=trials, seed=seed, registry=registry
-    ) * 1000
-    rows.append(_row("TORQUE", 1, torque_ms, torque_ms))
-    joshua_baseline = None
+def figure10(*, trials: int = 10, seed: int = 1) -> list[dict]:
+    """Regenerate Figure 10; returns one row per system configuration."""
+    torque_ms = measure_torque_latency(trials=trials, seed=seed) * 1000
+    rows = [_row("TORQUE", 1, torque_ms, torque_ms)]
     for heads in (1, 2, 3, 4):
-        measured_ms = measure_joshua_latency(
-            heads, trials=trials, seed=seed, registry=registry
-        ) * 1000
-        if joshua_baseline is None:
-            joshua_baseline = measured_ms
+        measured_ms = measure_joshua_latency(heads, trials=trials, seed=seed) * 1000
         rows.append(_row("JOSHUA/TORQUE", heads, measured_ms, torque_ms))
     return rows
 

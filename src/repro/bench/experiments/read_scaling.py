@@ -17,7 +17,8 @@ closed-loop driver would hide. A :class:`~repro.joshua.gateway
 hash, so the read population spreads across every head while each client
 keeps read-your-writes affinity with the head that stamped its writes.
 
-Two claims, asserted by ``benchmarks/bench_read_scaling.py``:
+Two claims, asserted over the committed ``BENCH_read_scaling.json`` by
+``tests/integration/test_figure_claims.py``:
 
 * aggregate completed read QPS at 4 heads is at least twice the 1-head
   figure under the identical offered load;

@@ -21,8 +21,8 @@ cost:
   commit stream must not stall; the victim shard must resume under its
   new sequencer.
 
-``benchmarks/bench_shard_scaling.py`` snapshots both results to
-``BENCH_shard_scaling.json``.
+Both results are committed as ``BENCH_shard_scaling.json`` (a golden entry
+of ``tools/golden.py``).
 """
 
 from __future__ import annotations
@@ -33,8 +33,6 @@ from repro.joshua.config import JOSHUA_GROUP_CONFIG
 from repro.joshua.deploy import build_joshua_stack
 from repro.joshua.server import JOSHUA_GCS_PORT
 from repro.joshua.shard import queue_for_shard
-from repro.obs.collector import attach_collector
-from repro.obs.metrics import MetricsRegistry
 from repro.util.errors import NoActiveHeadError
 
 __all__ = ["measure_shard_burst", "shard_scaling", "sequencer_kill"]
@@ -42,7 +40,7 @@ __all__ = ["measure_shard_burst", "shard_scaling", "sequencer_kill"]
 
 def measure_shard_burst(
     shards: int, *, heads: int = 4, computes: int = 2, jobs: int = 48,
-    seed: int = 1, registry: MetricsRegistry | None = None,
+    seed: int = 1,
 ) -> dict:
     """One concurrent burst of *jobs* jsubs, round-robined across every
     shard's queue namespace, against a *shards*-way sharded stack.
@@ -57,8 +55,6 @@ def measure_shard_burst(
         cluster, group_config=JOSHUA_GROUP_CONFIG, shards=shards
     )
     client = stack.client(node="head0", prefer="head0")
-    if registry is not None:
-        attach_collector(cluster.network, registry=registry)
     cluster.run(until=1.0)
     kernel = cluster.kernel
     joshua = stack.joshua("head0")
@@ -93,12 +89,10 @@ def measure_shard_burst(
 def shard_scaling(
     shard_counts=(1, 2, 4), *, heads: int = 4, computes: int = 2,
     jobs: int = 48, seed: int = 1,
-    registry: MetricsRegistry | None = None,
 ) -> list[dict]:
     """One :func:`measure_shard_burst` row per shard count, same burst."""
     return [
-        measure_shard_burst(n, heads=heads, computes=computes, jobs=jobs,
-                            seed=seed, registry=registry)
+        measure_shard_burst(n, heads=heads, computes=computes, jobs=jobs, seed=seed)
         for n in shard_counts
     ]
 

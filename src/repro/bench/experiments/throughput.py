@@ -30,8 +30,6 @@ from repro.bench.workloads import BurstWorkload
 from repro.cluster.cluster import Cluster
 from repro.joshua.config import JOSHUA_GROUP_CONFIG
 from repro.joshua.deploy import build_joshua_stack
-from repro.obs.collector import attach_collector
-from repro.obs.metrics import MetricsRegistry
 from repro.pbs.stack import build_pbs_stack
 
 __all__ = [
@@ -53,10 +51,7 @@ PAPER_FIGURE11 = {
 }
 
 
-def measure_burst(
-    system: str, heads: int, jobs: int, *, seed: int = 1,
-    registry: MetricsRegistry | None = None,
-) -> float:
+def measure_burst(system: str, heads: int, jobs: int, *, seed: int = 1) -> float:
     """Simulated seconds to sequentially submit *jobs* jobs."""
     cluster = Cluster(head_count=heads, compute_count=2, seed=seed)
     if system == "TORQUE":
@@ -66,9 +61,6 @@ def measure_burst(
         stack = build_joshua_stack(cluster)
         client = stack.client(node="head0", prefer="head0")
         submit = client.jsub
-    if registry is not None:
-        # Passive observation — burst timings are unchanged by attaching.
-        attach_collector(cluster.network, registry=registry)
     cluster.run(until=1.0)
     kernel = cluster.kernel
 
@@ -84,19 +76,15 @@ def measure_burst(
     return kernel.now - start
 
 
-def figure11(
-    *, job_counts=(10, 50, 100), seed: int = 1,
-    registry: MetricsRegistry | None = None,
-) -> list[dict]:
-    """Regenerate Figure 11; one row per (system, heads). A *registry*
-    accumulates RPC/GCS/job-phase metrics across every burst."""
+def figure11(*, job_counts=(10, 50, 100), seed: int = 1) -> list[dict]:
+    """Regenerate Figure 11; one row per (system, heads)."""
     rows = []
     configs = [("TORQUE", 1), ("JOSHUA/TORQUE", 1), ("JOSHUA/TORQUE", 2),
                ("JOSHUA/TORQUE", 3), ("JOSHUA/TORQUE", 4)]
     for system, heads in configs:
         row: dict = {"system": system, "heads": heads}
         for jobs in job_counts:
-            measured = measure_burst(system, heads, jobs, seed=seed, registry=registry)
+            measured = measure_burst(system, heads, jobs, seed=seed)
             row[f"measured_{jobs}_s"] = round(measured, 2)
             paper = PAPER_FIGURE11[(system, heads)].get(jobs)
             if paper is not None:
@@ -119,7 +107,6 @@ BATCHED_GROUP_CONFIG = dataclasses.replace(
 
 def measure_offered_burst(
     heads: int, jobs: int, *, seed: int = 1, batching: bool = False,
-    registry: MetricsRegistry | None = None,
 ) -> dict:
     """Burst offered load: *jobs* concurrent jsubs against *heads* heads.
 
@@ -141,8 +128,6 @@ def measure_offered_burst(
     cluster = Cluster(head_count=heads, compute_count=2, seed=seed)
     stack = build_joshua_stack(cluster, group_config=config)
     client = stack.client(node="head0", prefer="head0")
-    if registry is not None:
-        attach_collector(cluster.network, registry=registry)
     cluster.run(until=1.0)
     kernel = cluster.kernel
     network = cluster.network
@@ -176,22 +161,15 @@ def measure_offered_burst(
     }
 
 
-def burst_batching_ablation(
-    *, heads: int = 3, jobs: int = 50, seed: int = 1,
-    registry: MetricsRegistry | None = None,
-) -> dict:
+def burst_batching_ablation(*, heads: int = 3, jobs: int = 50, seed: int = 1) -> dict:
     """The batching ablation: identical burst, pipeline off vs. on.
 
     Returns ``{"unbatched": row, "batched": row, "reduction_pct": float}``
     where *reduction_pct* is the drop in ``bytes_wire_per_command`` the
     batched pipeline buys at this offered load.
     """
-    unbatched = measure_offered_burst(
-        heads, jobs, seed=seed, batching=False, registry=registry
-    )
-    batched = measure_offered_burst(
-        heads, jobs, seed=seed, batching=True, registry=registry
-    )
+    unbatched = measure_offered_burst(heads, jobs, seed=seed, batching=False)
+    batched = measure_offered_burst(heads, jobs, seed=seed, batching=True)
     reduction = 1 - batched["bytes_wire_per_command"] / unbatched["bytes_wire_per_command"]
     return {
         "unbatched": unbatched,

@@ -109,8 +109,8 @@ class DiurnalWorkload:
     """A day-shaped submission pattern: a sinusoidal rate peaking mid-day.
 
     What a production head node actually sees — quiet nights, busy
-    afternoons — used by the endurance bench that replays the paper's
-    multi-day stress scenario. The rate at time *t* (seconds) is::
+    afternoons — used by the endurance experiment that replays the paper's
+    multi-day stress scenario, and by the trace replay. The rate at time *t* (seconds) is::
 
         rate(t) = base_rate * (1 + amplitude * sin(2*pi*t/day - pi/2))
 

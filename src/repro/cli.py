@@ -224,10 +224,8 @@ def _cmd_figure12(args) -> str:
     )]
     if args.empirical:
         out.append(format_table(
-            figure12_empirical(
-                max_nodes=3, mttf_hours=args.mttf, mttr_hours=args.mttr,
-                horizon_years=args.years,
-            ),
+            figure12_empirical(mttf_hours=args.mttf, mttr_hours=args.mttr,
+                               horizon_years=args.years),
             title=f"Monte-Carlo cross-check ({args.years:.0f} simulated years)",
         ))
     return "\n\n".join(out)

@@ -7,7 +7,7 @@ startup cost — the fork/exec/parse/connect time that dominated a 2006 qsub
 invocation — then performs one RPC against the server.
 
 :class:`PBSClient` binds the commands to a node and a server address; it is
-what the examples, the benchmarks, and JOSHUA's baseline comparisons use to
+what the examples, the experiments, and JOSHUA's baseline comparisons use to
 play "the user".
 """
 

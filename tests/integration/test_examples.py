@@ -2,8 +2,9 @@
 
 Each example script asserts its own claims internally (exactly-once,
 consistency, zero loss); these tests execute them end to end. The two
-heaviest (failover_comparison, high_throughput_biology) are exercised by
-the equivalent benchmarks instead.
+heaviest are exercised through the experiments they demonstrate instead
+(``test_figure_claims.py``: failover_comparison by the HA-model ranking,
+high_throughput_biology by Figure 11).
 """
 
 import runpy

@@ -2,40 +2,30 @@
 
 The router/replica split (PROTOCOLS.md §10) must be invisible when there is
 only one shard: every frame, at every timestamp, byte for byte. The pinned
-digests in ``tests/data/wire_baseline.json`` were captured from the
-pre-sharding build (``tools/capture_wire_baseline.py``); regenerating them
-here through the refactored stack proves preservation on all three baseline
-scenarios — normal operation, membership churn, and partition + heal.
+digests in ``tests/data/wire_baseline.json`` were first captured from the
+pre-sharding build; regenerating them through the refactored stack proves
+preservation on all three baseline scenarios — normal operation, membership
+churn, and partition + heal.
 
-A legitimate wire-protocol change must recapture the baseline in the same
-commit (see the capture tool's docstring).
+The file is the ``wire_baseline`` entry of ``tools/golden.py``: a
+legitimate wire-protocol change runs ``python tools/golden.py update
+wire_baseline`` in the same commit. Per scenario, the test below reads the
+entry's run (made once per session) and compares the coarse counters
+before the digest, to say where to look.
 """
 
 import json
-import os
 
 import pytest
 
-from repro.analysis.wiretrace import (
-    SCENARIOS,
-    make_stack,
-    run_scenario,
-    spy_network,
-)
-
-_BASELINE = os.path.join(os.path.dirname(os.path.dirname(__file__)),
-                         "data", "wire_baseline.json")
-
-
-def _pinned():
-    with open(_BASELINE) as f:
-        return json.load(f)
+import golden
+from repro.analysis.wiretrace import SCENARIOS, make_stack, spy_network
 
 
 @pytest.mark.parametrize("scenario", sorted(SCENARIOS))
 def test_shards1_wire_identical_to_presharding_baseline(scenario):
-    pinned = _pinned()[scenario]
-    fresh = run_scenario(scenario, shards=1)
+    pinned = golden.committed("wire_baseline")[scenario]
+    fresh = json.loads(golden.produce("wire_baseline"))[scenario]
     # Compare the coarse counters first: on a digest mismatch they say
     # where to look (frame count, clock, event count) before bisecting.
     assert fresh["frames"] == pinned["frames"]

@@ -13,15 +13,13 @@ wire and to every receiver:
 """
 
 import dataclasses
-import importlib.util
-import json
 import random
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import golden
 from repro.net.codec import (
     _MEMO_CAP,
     _MEMO_KEY,
@@ -35,16 +33,8 @@ from repro.pbs.queue import JobQueue
 from repro.pbs.wire import SchedPollResp, StatResp
 from repro.rpc.wire import Reply
 
-REPO_ROOT = Path(__file__).parents[2]
-
-_spec = importlib.util.spec_from_file_location(
-    "capture_codec_golden", REPO_ROOT / "tools" / "capture_codec_golden.py"
-)
-golden_tool = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(golden_tool)
-
-with open(REPO_ROOT / "tests" / "data" / "codec_golden.json") as _fh:
-    GOLDEN = {f["name"]: bytes.fromhex(f["hex"]) for f in json.load(_fh)["frames"]}
+GOLDEN = {f["name"]: bytes.fromhex(f["hex"])
+          for f in golden.committed("codec_golden")["frames"]}
 
 
 # ---------------------------------------------------------------------------
@@ -120,7 +110,7 @@ def test_replies_built_from_fragments_are_byte_identical(jobs):
 
 
 def test_golden_poll_and_stat_frames_reproduced_from_fragments():
-    jobs = golden_tool._jobs()
+    jobs = golden._jobs()
     fragments = tuple(_queue(jobs).to_wire())
     poll = Reply(41, SchedPollResp(
         fragments, (("compute0", True), ("compute1", False))))
@@ -132,7 +122,7 @@ def test_golden_poll_and_stat_frames_reproduced_from_fragments():
 def test_row_is_encoded_once_per_job_record_and_never_copied_with_it():
     import copy
 
-    job = golden_tool._jobs()[1]
+    job = golden._jobs()[1]
     assert job.wire_row is job.wire_row
     running = dataclasses.replace(job, comment="changed")
     assert running.wire_row != job.wire_row  # a new record, a new row
@@ -160,7 +150,7 @@ def test_fragment_refuses_anything_but_builtins(value):
 
 
 def test_fragment_is_an_immutable_value_with_the_values_repr():
-    row = golden_tool._jobs()[2].stat_row()
+    row = golden._jobs()[2].stat_row()
     one, two = PlainFragment(row), PlainFragment(dict(row))
     assert one == two and hash(one) == hash(two) and one is not two
     assert one != PlainFragment({**row, "comment": "other"})
@@ -253,7 +243,7 @@ def test_warm_codec_answers_damaged_frames_like_a_cold_one(name):
 def _job8_rows():
     """Two rows of one job whose encodings share their first ``_MEMO_KEY``
     bytes (``job_id`` leads the row) and differ in length."""
-    running = golden_tool._jobs()[1]
+    running = golden._jobs()[1]
     queued = dataclasses.replace(
         running, state=JobState.QUEUED, exec_nodes=(), comment="")
     long, short = WIRE.encode(running.stat_row()), WIRE.encode(queued.stat_row())
@@ -340,7 +330,7 @@ def test_memo_hits_share_nothing_mutable():
 
 def test_memo_clears_at_its_cap():
     codec = Codec()
-    template = golden_tool._jobs()[0].stat_row()
+    template = golden._jobs()[0].stat_row()
     frames = [
         codec.encode({**template, "job_id": f"{n}.torque"}) for n in range(10_000)
     ]

@@ -1,7 +1,5 @@
 """Unit tests for the benchmark harness (workloads, metrics, reporting)."""
 
-from pathlib import Path
-
 import pytest
 
 from repro.bench import (
@@ -14,7 +12,6 @@ from repro.bench import (
 )
 from repro.bench.workloads import OpenLoopWorkload
 from repro.bench.reporting import BAR_WIDTH, bar_chart
-from repro.bench.snapshots import FIGURE_FILES, figure_snapshots, snapshot_text
 from repro.pbs.job import JobSpec
 from repro.util.errors import ReproError
 
@@ -198,19 +195,9 @@ class TestOpenLoopWorkload:
             OpenLoopWorkload(1, 1.0, clients=0)
 
 
-class TestCommittedFigureFiles:
-    @pytest.mark.parametrize("name", sorted(FIGURE_FILES))
-    def test_regenerates_byte_identically(self, name):
-        """Every column is simulated time or a count: the committed file is
-        what this tree measures, to the byte, or it is stale (refresh it
-        with ``pytest benchmarks/ --benchmark-only``)."""
-        committed = (Path(__file__).resolve().parents[2] / name).read_text()
-        assert snapshot_text(figure_snapshots(name)[name]) == committed
-
-
 class TestExperimentSmoke:
-    """Fast sanity runs of the experiment drivers (full runs live in
-    benchmarks/)."""
+    """Fast sanity runs of the experiment drivers (the full-scale runs'
+    claims are asserted in ``test_figure_claims.py``)."""
 
     def test_figure10_single_point(self):
         from repro.bench.experiments.latency import measure_torque_latency

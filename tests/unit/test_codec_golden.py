@@ -1,8 +1,8 @@
 """Frame-level byte and error identity of the codec against golden frames.
 
-``tests/data/codec_golden.json`` was captured (``tools/capture_codec_golden
-.py``) on the commit *before* the codec's generic path was reshaped around
-the measured traffic. The codec must still
+``tests/data/codec_golden.json`` (the ``codec_golden`` entry of
+``tools/golden.py``) was first captured on the commit *before* the codec's
+generic path was reshaped around the measured traffic. The codec must still
 
 * encode every value of the fixed corpus to exactly the recorded bytes,
 * decode every recorded frame back to the corpus value, and
@@ -14,33 +14,21 @@ Complements the three scenario digests of ``tests/data/wire_baseline.json``
 (which say *that* a byte moved) by saying *which* frame and *which* error.
 """
 
-import importlib.util
-import json
 import tracemalloc
-from pathlib import Path
 
 import pytest
 
+import golden
 from repro.net.codec import WIRE, CodecError
 from repro.rpc.wire import Request
 
-REPO_ROOT = Path(__file__).parents[2]
-
-spec = importlib.util.spec_from_file_location(
-    "capture_codec_golden", REPO_ROOT / "tools" / "capture_codec_golden.py"
-)
-golden_tool = importlib.util.module_from_spec(spec)
-spec.loader.exec_module(golden_tool)
-
-with open(REPO_ROOT / "tests" / "data" / "codec_golden.json") as fh:
-    GOLDEN = json.load(fh)
-
-CORPUS = dict(golden_tool.corpus())
+GOLDEN = golden.committed("codec_golden")
+CORPUS = dict(golden.corpus())
 FRAMES = {frame["name"]: frame for frame in GOLDEN["frames"]}
 
 
 def test_golden_file_covers_exactly_the_corpus():
-    assert list(FRAMES) == [name for name, _ in golden_tool.corpus()]
+    assert list(FRAMES) == [name for name, _ in golden.corpus()]
 
 
 @pytest.mark.parametrize("name", sorted(CORPUS))

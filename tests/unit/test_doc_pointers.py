@@ -18,7 +18,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[2]
 EXEMPT = {"PAPER.md", "PAPERS.md", "SNIPPETS.md", "CHANGES.md", "ROADMAP.md",
           "ISSUE.md", "perf/README.md"}
-SKIP_DIRS = {".git", ".pytest_cache", ".hypothesis", ".benchmarks"}
+SKIP_DIRS = {".git", ".pytest_cache", ".hypothesis"}
 
 BACKTICKED = re.compile(r"`([^`\n]+)`")
 DOTTED = re.compile(r"(?<![\w./])repro(?:\.[A-Za-z_]\w*)+")

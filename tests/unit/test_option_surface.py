@@ -32,7 +32,7 @@ from types import SimpleNamespace
 ROOT = Path(__file__).resolve().parents[2]
 PACKAGE = ROOT / "src" / "repro"
 #: Where a caller counts: everywhere but ``tests/``.
-CALLER_TREES = ("src", "perf", "benchmarks", "examples", "tools")
+CALLER_TREES = ("src", "perf", "examples", "tools")
 FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
 
 #: ``file::function(parameter)`` -> why it stays although nothing passes it.
