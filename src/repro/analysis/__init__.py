@@ -25,15 +25,18 @@ Rule      Contract
           message types).
 ``R5``    Observability hooks are passive: ``repro.obs`` may not call
           mutating methods on the network, transport, or kernel.
-``R6``    Codec coverage: every exported record of a declared wire module
-          is registered with the codec, carries no set-typed fields, and
-          has a globally unique wire name.
-``R7``    Wire-schema stability: the schema extracted from the wire
-          modules' AST must match the committed ``WIRE_SCHEMA.lock``;
-          every delta is classified (wire-compatible / decode-compatible /
-          breaking) and fails the lint until reviewed and accepted via
+``R7``    Wire-schema stability: the schema read from the codec's registry
+          (in a fresh interpreter that imports the whole package) must
+          match the committed ``WIRE_SCHEMA.lock``; every delta is
+          classified (wire-compatible / decode-compatible / breaking) and
+          fails the lint until reviewed and accepted via
           ``repro schema update``.
 ========  =====================================================================
+
+The numbers skip ``R6``: codec coverage (every exported record of a wire
+module registered, none set-typed, every wire name unique) is the codec's
+registration contract (:mod:`repro.net.codec`), enforced when the module
+is imported, so a violation fails R7's derivation.
 
 Deliberate exemptions are annotated in-line::
 
@@ -53,12 +56,7 @@ from repro.analysis.runner import (
     list_ignores,
     run_lint,
 )
-from repro.analysis.schema import (
-    SchemaDelta,
-    diff_schemas,
-    extract_from_root,
-    extract_schema,
-)
+from repro.analysis.schema import SchemaDelta, diff_schemas
 
 __all__ = [
     "ALL_RULES",
@@ -67,8 +65,6 @@ __all__ = [
     "check_files",
     "check_source",
     "diff_schemas",
-    "extract_from_root",
-    "extract_schema",
     "list_ignores",
     "run_lint",
 ]

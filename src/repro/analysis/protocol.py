@@ -1,4 +1,4 @@
-"""R4/R6: protocol completeness, handler shape, and codec coverage.
+"""R4: protocol completeness and handler shape.
 
 **R4 — protocol completeness and shape.** For every wire-message dataclass
 the rule demands:
@@ -29,40 +29,20 @@ registered handler. Types that are not wire messages at all (delivery
 records, identifier tuples) are exempted in :data:`PROTOCOLS` with the
 reason recorded next to the exemption.
 
-**R6 — codec coverage.** Every wire dataclass must have a registered,
-round-trippable codec entry. For each module listed in
-:data:`CODEC_MODULES`, every exported dataclass / NamedTuple / Enum must
-
-* appear in a ``register_wire_types`` / ``register_wire_enum`` call in its
-  own module (so importing the wire module is sufficient to decode its
-  frames), with enums going through ``register_wire_enum``;
-* carry no ``set``/``frozenset`` fields (the codec rejects unordered
-  containers — iteration order would leak host randomisation onto the
-  wire);
-* have a class name that is unique across all wire modules (the wire tag
-  is the class name; a collision would make frames ambiguous).
-
-Local-only records that must *never* be encoded are exempted per module
-with the reason recorded next to the exemption.
+Codec coverage — every exported record of a wire module registered, none
+set-typed, every wire name unique — is no lint rule: the codec enforces it
+when the module is imported (the registration contract in
+:mod:`repro.net.codec`), and rule R7 reads the resulting registry.
 """
 
 from __future__ import annotations
 
 import ast
-import re
 from dataclasses import dataclass, field
 
 from repro.analysis.findings import Finding
 
-__all__ = [
-    "CODEC_MODULES",
-    "CodecSpec",
-    "ERROR_KINDS_EXEMPT",
-    "PROTOCOLS",
-    "ProtocolSpec",
-    "rule_r4",
-    "rule_r6",
-]
+__all__ = ["ERROR_KINDS_EXEMPT", "PROTOCOLS", "ProtocolSpec", "rule_r4"]
 
 
 @dataclass(frozen=True)
@@ -486,187 +466,4 @@ def rule_r4(files: dict[str, ast.Module]) -> list[Finding]:
                 )
     findings.extend(_error_kind_findings(files))
     findings.extend(_untyped_frame_findings(files))
-    return findings
-
-
-# ---------------------------------------------------------------------------
-# R6 — codec coverage of the wire surface
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class CodecSpec:
-    """One module whose exported record types cross the simulated wire."""
-
-    wire: str  # repro-relative path
-    #: class name -> why no codec registration is required (local-only).
-    exempt: dict[str, str] = field(default_factory=dict)
-
-
-CODEC_MODULES = (
-    CodecSpec(
-        "net/address.py",
-        exempt={
-            "Delivery": "local mailbox record handed to the receiving "
-                        "endpoint; built after decode, never itself encoded",
-        },
-    ),
-    CodecSpec("net/frames.py"),
-    CodecSpec("rpc/wire.py"),
-    CodecSpec(
-        "gcs/messages.py",
-        exempt={
-            "DeliveredMessage": "local delivery record handed to services, "
-                                "never on the wire",
-        },
-    ),
-    CodecSpec("aa/wire.py"),
-    CodecSpec("pbs/wire.py"),
-    CodecSpec("pbs/job.py"),
-    CodecSpec("joshua/wire.py"),
-    CodecSpec("pvfs/wire.py"),
-    CodecSpec("pvfs/metadata.py"),
-)
-
-_RECORD_REGISTER = "register_wire_types"
-_ENUM_REGISTER = "register_wire_enum"
-_SET_ANNOTATION = re.compile(r"\b(set|Set|frozenset|FrozenSet)\b")
-
-
-def _registered_names(tree: ast.Module) -> tuple[set[str], set[str]]:
-    """Names passed to ``register_wire_types`` / ``register_wire_enum``
-    (or direct ``WIRE.register`` / ``WIRE.register_enum`` calls)."""
-    records: set[str] = set()
-    enums: set[str] = set()
-    for node in ast.walk(tree):
-        if not isinstance(node, ast.Call):
-            continue
-        func = node.func
-        if isinstance(func, ast.Name):
-            name = func.id
-        elif (
-            isinstance(func, ast.Attribute)
-            and isinstance(func.value, ast.Name)
-            and func.value.id == "WIRE"
-        ):
-            name = {"register": _RECORD_REGISTER,
-                    "register_enum": _ENUM_REGISTER}.get(func.attr, "")
-        else:
-            continue
-        target = (
-            records if name == _RECORD_REGISTER
-            else enums if name == _ENUM_REGISTER
-            else None
-        )
-        if target is not None:
-            for arg in node.args:
-                target.update(_type_names(arg))
-    return records, enums
-
-
-def _is_dataclass(node: ast.ClassDef) -> bool:
-    for deco in node.decorator_list:
-        target = deco.func if isinstance(deco, ast.Call) else deco
-        name = (
-            target.attr if isinstance(target, ast.Attribute)
-            else target.id if isinstance(target, ast.Name)
-            else None
-        )
-        if name == "dataclass":
-            return True
-    return False
-
-
-def _base_names(node: ast.ClassDef) -> set[str]:
-    names: set[str] = set()
-    for base in node.bases:
-        if isinstance(base, ast.Name):
-            names.add(base.id)
-        elif isinstance(base, ast.Attribute):
-            names.add(base.attr)
-    return names
-
-
-def _record_kind(node: ast.ClassDef) -> str | None:
-    """``"record"``/``"enum"`` for codec-relevant classes, else ``None``
-    (service classes, exceptions and other plain classes are not wire
-    records and need no codec entry)."""
-    bases = _base_names(node)
-    if bases & {"Enum", "IntEnum", "StrEnum", "Flag", "IntFlag"}:
-        return "enum"
-    if _is_dataclass(node) or "NamedTuple" in bases:
-        return "record"
-    return None
-
-
-def _set_fields(node: ast.ClassDef) -> list[tuple[str, int]]:
-    hits: list[tuple[str, int]] = []
-    for stmt in node.body:
-        if (
-            isinstance(stmt, ast.AnnAssign)
-            and isinstance(stmt.target, ast.Name)
-            and _SET_ANNOTATION.search(ast.unparse(stmt.annotation))
-        ):
-            hits.append((stmt.target.id, stmt.lineno))
-    return hits
-
-
-def rule_r6(files: dict[str, ast.Module]) -> list[Finding]:
-    """*files* maps repro-relative paths to parsed modules."""
-    findings: list[Finding] = []
-    seen_names: dict[str, str] = {}  # wire class name -> defining module
-    for spec in CODEC_MODULES:
-        tree = files.get(spec.wire)
-        if tree is None:
-            continue
-        exported = _wire_classes(tree)
-        records, enums = _registered_names(tree)
-        for node in tree.body:
-            if not isinstance(node, ast.ClassDef) or node.name not in exported:
-                continue
-            if node.name in spec.exempt:
-                continue
-            kind = _record_kind(node)
-            if kind is None:
-                continue
-            first = seen_names.setdefault(node.name, spec.wire)
-            if first != spec.wire:
-                findings.append(
-                    Finding(
-                        "R6",
-                        spec.wire,
-                        node.lineno,
-                        0,
-                        f"wire type {node.name} collides with {first} — the "
-                        "codec tags frames by class name, so wire names must "
-                        "be unique across wire modules",
-                    )
-                )
-            expected = enums if kind == "enum" else records
-            register_fn = _ENUM_REGISTER if kind == "enum" else _RECORD_REGISTER
-            if node.name not in expected:
-                findings.append(
-                    Finding(
-                        "R6",
-                        spec.wire,
-                        node.lineno,
-                        0,
-                        f"wire type {node.name} has no codec entry — add it "
-                        f"to a {register_fn}(...) call in this module (or "
-                        "exempt it in analysis.protocol.CODEC_MODULES with "
-                        "a reason)",
-                    )
-                )
-            for field_name, lineno in _set_fields(node):
-                findings.append(
-                    Finding(
-                        "R6",
-                        spec.wire,
-                        lineno,
-                        0,
-                        f"wire type {node.name} field {field_name} is "
-                        "set-typed — the codec rejects unordered containers; "
-                        "use a sorted tuple",
-                    )
-                )
     return findings

@@ -7,21 +7,16 @@ from pathlib import Path
 
 from repro.analysis.findings import Finding
 from repro.analysis.ignores import IgnoreDirective, parse_ignores
-from repro.analysis.protocol import rule_r4, rule_r6
+from repro.analysis.protocol import rule_r4
 from repro.analysis.rules import PER_FILE_RULES
-from repro.analysis.schema import LOCKFILE_NAME, load_lockfile, rule_r7
+from repro.analysis.schema import LOCKFILE_NAME, derive, load_lockfile, rule_r7
+from repro.util.errors import ReproError
 
 __all__ = [
     "ALL_RULES", "check_files", "check_source", "list_ignores", "run_lint",
 ]
 
-ALL_RULES = ("R1", "R2", "R3", "R4", "R5", "R6", "R7")
-
-#: Sentinel distinguishing "no lockfile" (None) from "R7 not requested".
-#: ``check_files`` only runs R7 when a caller (``run_lint``) explicitly
-#: provides the lockfile context — snippet-level ``check_source`` calls
-#: have no lockfile to diff against and must not emit missing-lock noise.
-_LOCK_UNSET = object()
+ALL_RULES = ("R1", "R2", "R3", "R4", "R5", "R7")
 
 
 def _default_root() -> Path:
@@ -41,13 +36,11 @@ def check_source(
     return check_files({path: source}, rules=rules)
 
 
-def check_files(
-    files: dict[str, str], rules=None, *, schema_lock=_LOCK_UNSET
-) -> list[Finding]:
+def check_files(files: dict[str, str], rules=None) -> list[Finding]:
     """Lint *files* (repro-relative path -> source) with the given rules.
 
-    *schema_lock* is the parsed ``WIRE_SCHEMA.lock`` mapping (or ``None``
-    if the lockfile is missing); R7 only runs when it is provided."""
+    R7 reads a package's registry, not sources, so only :func:`run_lint`
+    runs it."""
     active = frozenset(rules if rules is not None else ALL_RULES)
     full_run = active >= frozenset(ALL_RULES)
     findings: list[Finding] = []
@@ -72,10 +65,6 @@ def check_files(
                 raw.extend(rule(tree, path))
     if "R4" in active:
         raw.extend(rule_r4(trees))
-    if "R6" in active:
-        raw.extend(rule_r6(trees))
-    if "R7" in active and schema_lock is not _LOCK_UNSET:
-        raw.extend(rule_r7(trees, schema_lock))
 
     for finding in raw:
         ignores = ignore_sets.get(finding.path)
@@ -86,8 +75,12 @@ def check_files(
         findings.extend(ignores.problems)
         if full_run:
             findings.extend(ignores.unused(active, path))
-    findings.sort(key=lambda f: (f.path, f.line, f.col, f.rule))
+    findings.sort(key=_location)
     return findings
+
+
+def _location(finding: Finding) -> tuple:
+    return (finding.path, finding.line, finding.col, finding.rule)
 
 
 def _tree_sources(base: Path) -> dict[str, str]:
@@ -103,12 +96,24 @@ def _tree_sources(base: Path) -> dict[str, str]:
 def run_lint(root: str | Path | None = None, rules=None) -> list[Finding]:
     """Lint every ``.py`` file under *root* (default: the repro package).
 
-    R7 diffs the extracted wire schema against ``<root>/WIRE_SCHEMA.lock``
-    (a missing lockfile is itself a finding)."""
+    R7 diffs the schema derived from the registry of the package at *root*
+    against ``<root>/WIRE_SCHEMA.lock``; a missing lockfile, or a registry
+    that cannot be derived, is itself a finding. An R7 finding has no
+    in-line exemption: a wire change is accepted with ``repro schema
+    update``."""
     base = Path(root) if root is not None else _default_root()
     files = _tree_sources(base)
-    schema_lock = load_lockfile(base / LOCKFILE_NAME)
-    return check_files(files, rules=rules, schema_lock=schema_lock)
+    findings = check_files(files, rules=rules)
+    if rules is None or "R7" in rules:
+        try:
+            current = derive(base)
+        except ReproError as exc:
+            findings.append(Finding("R7", LOCKFILE_NAME, 1, 0, str(exc)))
+        else:
+            lock = load_lockfile(base / LOCKFILE_NAME)
+            findings.extend(rule_r7(current, lock, files))
+        findings.sort(key=_location)
+    return findings
 
 
 def list_ignores(

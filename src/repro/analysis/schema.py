@@ -1,21 +1,26 @@
-"""R7: wire-schema extraction, the committed lockfile, and delta classes.
+"""R7: the wire schema, the committed lockfile, and delta classes.
 
 The codec (:mod:`repro.net.codec`) makes every wire record self-describing
 *per frame*, but nothing pinned the **schema itself** — a field rename or
 reorder silently changed what old traces and mixed-version peers decode.
-This module closes that gap statically:
+This module closes that gap:
 
-* :func:`extract_schema` walks the AST of every module in
-  :data:`~repro.analysis.protocol.CODEC_MODULES` (R6's list — the single
-  source of truth for "what is a wire module") and derives the canonical
-  schema: per-record field names, order, type annotations and defaults,
-  plus enum member values, plus the same 16-bit
-  :func:`~repro.net.codec.schema_fingerprint` the codec stamps on frames.
+* The schema is read from the codec's registry, which already holds every
+  fact: :meth:`~repro.net.codec.Codec.schema` renders per-record field
+  names, order, type annotations and defaults, enum member values, and the
+  16-bit :func:`~repro.net.codec.schema_fingerprint` the codec stamps on
+  frames. :func:`registry_schema` imports every module of the package
+  first, so every wire module has registered, and runs
+  :meth:`~repro.net.codec.Codec.self_check` (the registration contract).
+  ``repro schema extract`` prints it.
+* :func:`derive` runs ``python -m repro schema extract`` in a fresh
+  interpreter with the package root's parent on ``PYTHONPATH``: one path
+  for the installed package and a fixture copy alike, and one that never
+  sees a record the calling process registered.
 * The schema is committed as ``src/repro/WIRE_SCHEMA.lock`` (JSON, sorted
   keys, no line numbers — so unrelated edits never churn it).
-* Rule **R7** diffs the working tree's extracted schema against the
-  lockfile and reports every delta as a finding, classified by
-  :func:`diff_schemas`:
+* Rule **R7** diffs the derived schema against the lockfile and reports
+  every delta as a finding, classified by :func:`diff_schemas`:
 
   ==================  ======================================================
   severity            meaning
@@ -41,38 +46,39 @@ renders the classification (exit 1 on breaking deltas) for CI and review.
 
 from __future__ import annotations
 
-import ast
 import dataclasses
+import hashlib
+import importlib
 import json
+import os
+import pkgutil
+import re
+import subprocess
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 
+import repro
 from repro.analysis.findings import Finding
-from repro.analysis.protocol import (
-    CODEC_MODULES,
-    _base_names,
-    _registered_names,
-)
-from repro.net.codec import schema_fingerprint
+from repro.net.codec import WIRE
+from repro.util.errors import ReproError
 
 __all__ = [
     "BREAKING",
     "COMPATIBLE",
     "DECODE_COMPATIBLE",
     "LOCKFILE_NAME",
-    "SCHEMA_VERSION",
     "SchemaDelta",
+    "derive",
     "diff_schemas",
-    "extract_from_root",
-    "extract_schema",
     "load_lockfile",
     "lockfile_path",
+    "registry_schema",
     "render_deltas",
     "rule_r7",
     "write_lockfile",
 ]
 
-SCHEMA_VERSION = 1
 LOCKFILE_NAME = "WIRE_SCHEMA.lock"
 
 COMPATIBLE = "compatible"
@@ -101,112 +107,8 @@ class SchemaDelta:
 
 
 # ---------------------------------------------------------------------------
-# extraction
+# derivation
 # ---------------------------------------------------------------------------
-
-
-def _is_field_call_without_default(node: ast.expr) -> bool:
-    """``field(...)`` pseudo-defaults only count when they carry a
-    ``default=`` / ``default_factory=`` keyword (``field(init=False)``
-    alone declares no fill value)."""
-    if not isinstance(node, ast.Call):
-        return False
-    func = node.func
-    name = (
-        func.attr if isinstance(func, ast.Attribute)
-        else func.id if isinstance(func, ast.Name)
-        else None
-    )
-    if name != "field":
-        return False
-    return not any(
-        kw.arg in ("default", "default_factory") for kw in node.keywords
-    )
-
-
-def _class_fields(node: ast.ClassDef) -> list[dict]:
-    """Declared fields of a dataclass/NamedTuple body, in order: name,
-    unparsed annotation, unparsed default (``None`` = no default).
-    ``ClassVar`` annotations and plain assignments are not fields."""
-    fields: list[dict] = []
-    for stmt in node.body:
-        if not (
-            isinstance(stmt, ast.AnnAssign)
-            and isinstance(stmt.target, ast.Name)
-        ):
-            continue
-        annotation = ast.unparse(stmt.annotation)
-        if annotation.startswith(("ClassVar", "typing.ClassVar")):
-            continue
-        default = None
-        if stmt.value is not None and not _is_field_call_without_default(
-            stmt.value
-        ):
-            default = ast.unparse(stmt.value)
-        fields.append(
-            {"name": stmt.target.id, "type": annotation, "default": default}
-        )
-    return fields
-
-
-def _enum_members(node: ast.ClassDef) -> dict[str, str]:
-    """Member name -> unparsed value expression (order-insensitive: enum
-    members are looked up by value at decode, never positionally)."""
-    members: dict[str, str] = {}
-    for stmt in node.body:
-        if not isinstance(stmt, ast.Assign):
-            continue
-        for target in stmt.targets:
-            if isinstance(target, ast.Name) and not target.id.startswith("_"):
-                members[target.id] = ast.unparse(stmt.value)
-    return members
-
-
-def extract_schema(
-    files: dict[str, ast.Module],
-) -> tuple[dict, dict[str, tuple[str, int]]]:
-    """Extract the canonical wire schema from parsed modules.
-
-    *files* maps repro-relative paths to parsed ASTs (any superset of the
-    wire modules — non-wire paths are ignored). Returns ``(schema,
-    locations)``: the JSON-ready schema mapping and, separately, each
-    record/enum's ``(path, lineno)`` for anchoring findings — line numbers
-    deliberately never enter the schema, so unrelated edits to a wire
-    module do not churn the lockfile."""
-    records: dict[str, dict] = {}
-    enums: dict[str, dict] = {}
-    locations: dict[str, tuple[str, int]] = {}
-    for spec in CODEC_MODULES:
-        tree = files.get(spec.wire)
-        if tree is None:
-            continue
-        reg_records, reg_enums = _registered_names(tree)
-        for node in tree.body:
-            if not isinstance(node, ast.ClassDef):
-                continue
-            if node.name in reg_enums:
-                enums[node.name] = {
-                    "module": spec.wire,
-                    "members": _enum_members(node),
-                }
-                locations[node.name] = (spec.wire, node.lineno)
-            elif node.name in reg_records:
-                fields = _class_fields(node)
-                records[node.name] = {
-                    "module": spec.wire,
-                    "kind": (
-                        "namedtuple"
-                        if "NamedTuple" in _base_names(node)
-                        else "dataclass"
-                    ),
-                    "fingerprint": schema_fingerprint(
-                        node.name, tuple(f["name"] for f in fields)
-                    ),
-                    "fields": fields,
-                }
-                locations[node.name] = (spec.wire, node.lineno)
-    schema = {"version": SCHEMA_VERSION, "records": records, "enums": enums}
-    return schema, locations
 
 
 def _package_root() -> Path:
@@ -214,20 +116,46 @@ def _package_root() -> Path:
     return Path(__file__).resolve().parent.parent
 
 
-def extract_from_root(
-    root: str | Path | None = None,
-) -> tuple[dict, dict[str, tuple[str, int]]]:
-    """:func:`extract_schema` over the wire modules under *root* (default:
-    the installed repro package — same default as ``run_lint``)."""
-    base = Path(root) if root is not None else _package_root()
-    files: dict[str, ast.Module] = {}
-    for spec in CODEC_MODULES:
-        path = base / spec.wire
-        if path.exists():
-            files[spec.wire] = ast.parse(
-                path.read_text(encoding="utf-8"), filename=str(path)
-            )
-    return extract_schema(files)
+def registry_schema() -> dict:
+    """The schema of every record this interpreter's package registers:
+    imports each of its modules (all but ``__main__``), audits the registry
+    and renders it."""
+    for module in pkgutil.walk_packages(repro.__path__, "repro."):
+        if not module.name.endswith(".__main__"):
+            importlib.import_module(module.name)
+    WIRE.self_check()
+    return WIRE.schema()
+
+
+#: Digest of a package's sources -> what ``repro schema extract`` printed
+#: for it (the schema is a function of the sources alone).
+_DERIVED: dict[str, str] = {}
+
+
+def derive(root: str | Path | None = None) -> dict:
+    """The schema ``python -m repro schema extract`` prints for the package
+    at *root* (default: this one), run in a fresh interpreter with *root*'s
+    parent on ``PYTHONPATH``, once per distinct set of sources. Raises
+    :class:`ReproError` carrying the interpreter's last error line when the
+    registry cannot be derived — a set-typed field, a wire-name collision
+    or an exported record its module never registered."""
+    base = (Path(root) if root is not None else _package_root()).resolve()
+    digest = hashlib.sha256()
+    for path in sorted(base.rglob("*.py")):
+        digest.update(path.relative_to(base).as_posix().encode() + b"\0")
+        digest.update(path.read_bytes())
+    key = digest.hexdigest()
+    if key not in _DERIVED:
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro", "schema", "extract"],
+            cwd=base.parent, env={**os.environ, "PYTHONPATH": str(base.parent)},
+            capture_output=True, text=True, check=False,
+        )
+        if proc.returncode != 0:
+            error = proc.stderr.strip().splitlines() or [f"exit {proc.returncode}"]
+            raise ReproError(f"`repro schema extract` failed: {error[-1]}")
+        _DERIVED[key] = proc.stdout
+    return json.loads(_DERIVED[key])
 
 
 # ---------------------------------------------------------------------------
@@ -422,7 +350,7 @@ def _diff_enum(name: str, old: dict, new: dict) -> list[SchemaDelta]:
 
 def diff_schemas(locked: dict, current: dict) -> list[SchemaDelta]:
     """Classified deltas from *locked* (the committed schema) to *current*
-    (the working tree's extraction). Empty list = lockfile is up to date."""
+    (the working tree's derived schema). Empty list = lockfile is up to date."""
     deltas: list[SchemaDelta] = []
     if locked.get("version") != current.get("version"):
         deltas.append(SchemaDelta(
@@ -485,32 +413,36 @@ def render_deltas(deltas: list[SchemaDelta], *, jsonl: bool = False) -> str:
 # ---------------------------------------------------------------------------
 
 
+def _class_line(source: str, name: str) -> int:
+    """The line of ``class <name>`` in *source* (1 if it has none: the
+    record was removed)."""
+    match = re.search(rf"^class {name}\b", source, re.MULTILINE)
+    return source.count("\n", 0, match.start()) + 1 if match else 1
+
+
 def rule_r7(
-    files: dict[str, ast.Module], schema_lock: dict | None
+    current: dict, schema_lock: dict | None, files: dict[str, str]
 ) -> list[Finding]:
-    """*files* maps repro-relative paths to parsed modules; *schema_lock*
-    is the parsed lockfile (``None`` = missing). Every delta is a finding
-    — the lockfile must track the working tree exactly, or later diffs
-    would classify against a stale base."""
-    current, locations = extract_schema(files)
+    """*current* is the derived schema, *schema_lock* the parsed lockfile
+    (``None`` = missing), *files* the linted sources (repro-relative path ->
+    text) a finding is anchored in, at its record's ``class`` line. Every
+    delta is a finding — the lockfile must track the working tree exactly,
+    or later diffs would classify against a stale base."""
     if not current["records"] and not current["enums"]:
-        return []  # no wire module among the linted files
+        return []  # nothing registers a wire record
     if schema_lock is None:
-        wire = next(
-            spec.wire for spec in CODEC_MODULES if spec.wire in files
-        )
         return [Finding(
-            "R7", wire, 1, 0,
+            "R7", LOCKFILE_NAME, 1, 0,
             f"no {LOCKFILE_NAME} found — generate it with "
             "`repro schema update` and commit it",
         )]
-    findings: list[Finding] = []
-    for delta in diff_schemas(schema_lock, current):
-        path, line = locations.get(delta.name, (delta.module, 1))
-        findings.append(Finding(
-            "R7", path, line, 0,
+    return [
+        Finding(
+            "R7", delta.module,
+            _class_line(files.get(delta.module, ""), delta.name), 0,
             f"wire schema drift [{delta.severity}] {delta.kind}: "
             f"{delta.name} — {delta.detail}; review the change and run "
             "`repro schema update` to accept it",
-        ))
-    return findings
+        )
+        for delta in diff_schemas(schema_lock, current)
+    ]

@@ -25,7 +25,6 @@ from repro.bench.workloads import (
     PoissonWorkload,
     TraceWorkload,
 )
-from repro.bench.metrics import LatencySample, LatencyStats, summarize
 from repro.bench.reporting import format_table
 
 __all__ = [
@@ -34,8 +33,5 @@ __all__ = [
     "OpenLoopWorkload",
     "PoissonWorkload",
     "TraceWorkload",
-    "LatencySample",
-    "LatencyStats",
-    "summarize",
     "format_table",
 ]

@@ -143,12 +143,13 @@ def failure_detection_sweep() -> list[dict]:
     return rows
 
 
-def stable_slot_sweep(*, heads: int = 3) -> list[dict]:
-    """Deferred-ack slot vs. end-to-end jsub latency (Figure 10's knob)."""
+def stable_slot_sweep() -> list[dict]:
+    """Deferred-ack slot vs. end-to-end jsub latency (Figure 10's knob), on
+    three heads."""
     rows = []
     for slot in SLOTS:
         config = replace(JOSHUA_GROUP_CONFIG, stable_ack_slot=slot)
-        cluster = Cluster(head_count=heads, compute_count=2, seed=1)
+        cluster = Cluster(head_count=3, compute_count=2, seed=1)
         stack = build_joshua_stack(cluster, group_config=config)
         cluster.run(until=1.0)
         client = stack.client(node="head0", prefer="head0")

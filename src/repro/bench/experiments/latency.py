@@ -20,7 +20,6 @@ overhead to on-node communication).
 
 from __future__ import annotations
 
-from repro.bench.metrics import LatencySample, summarize
 from repro.cluster.cluster import Cluster
 from repro.joshua.deploy import build_joshua_stack
 from repro.pbs.stack import build_pbs_stack
@@ -43,13 +42,13 @@ def measure_torque_latency(*, trials: int = 10, seed: int = 1) -> float:
     stack = build_pbs_stack(cluster)
     client = stack.client()  # on the head node, like the paper
     kernel = cluster.kernel
-    samples = []
+    latencies = []
     for index in range(trials):
         start = kernel.now
         process = kernel.spawn(client.qsub(name=f"lat{index}", walltime=10_000.0))
         cluster.run(until=process)
-        samples.append(LatencySample(start, kernel.now))
-    return summarize(samples).mean
+        latencies.append(kernel.now - start)
+    return sum(latencies) / len(latencies)
 
 
 def measure_joshua_latency(heads: int, *, trials: int = 10, seed: int = 1) -> float:
@@ -59,13 +58,13 @@ def measure_joshua_latency(heads: int, *, trials: int = 10, seed: int = 1) -> fl
     cluster.run(until=1.0)  # let heartbeats settle
     client = stack.client(node="head0", prefer="head0")
     kernel = cluster.kernel
-    samples = []
+    latencies = []
     for index in range(trials):
         start = kernel.now
         process = kernel.spawn(client.jsub(name=f"lat{index}", walltime=10_000.0))
         cluster.run(until=process)
-        samples.append(LatencySample(start, kernel.now))
-    return summarize(samples).mean
+        latencies.append(kernel.now - start)
+    return sum(latencies) / len(latencies)
 
 
 def figure10(*, trials: int = 10, seed: int = 1) -> list[dict]:

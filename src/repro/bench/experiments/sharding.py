@@ -37,10 +37,12 @@ from repro.util.errors import NoActiveHeadError
 
 __all__ = ["measure_shard_burst", "shard_scaling", "sequencer_kill"]
 
+#: Compute nodes behind every run here.
+COMPUTES = 2
+
 
 def measure_shard_burst(
-    shards: int, *, heads: int = 4, computes: int = 2, jobs: int = 48,
-    seed: int = 1,
+    shards: int, *, heads: int = 4, jobs: int = 48, seed: int = 1,
 ) -> dict:
     """One concurrent burst of *jobs* jsubs, round-robined across every
     shard's queue namespace, against a *shards*-way sharded stack.
@@ -50,7 +52,7 @@ def measure_shard_burst(
         {"shards", "heads", "jobs", "elapsed_s", "committed",
          "committed_per_s", "per_shard_committed"}
     """
-    cluster = Cluster(head_count=heads, compute_count=computes, seed=seed)
+    cluster = Cluster(head_count=heads, compute_count=COMPUTES, seed=seed)
     stack = build_joshua_stack(
         cluster, group_config=JOSHUA_GROUP_CONFIG, shards=shards
     )
@@ -87,18 +89,14 @@ def measure_shard_burst(
 
 
 def shard_scaling(
-    shard_counts=(1, 2, 4), *, heads: int = 4, computes: int = 2,
-    jobs: int = 48, seed: int = 1,
+    shard_counts=(1, 2, 4), *, jobs: int = 48, seed: int = 1,
 ) -> list[dict]:
     """One :func:`measure_shard_burst` row per shard count, same burst."""
-    return [
-        measure_shard_burst(n, heads=heads, computes=computes, jobs=jobs, seed=seed)
-        for n in shard_counts
-    ]
+    return [measure_shard_burst(n, jobs=jobs, seed=seed) for n in shard_counts]
 
 
 def sequencer_kill(
-    *, shards: int = 2, heads: int = 3, computes: int = 2, seed: int = 1,
+    *, shards: int = 2, heads: int = 3, seed: int = 1,
 ) -> dict:
     """Kill shard 1's sequencer under continuous per-shard load.
 
@@ -111,7 +109,7 @@ def sequencer_kill(
     shard 1 committing again under its new sequencer. Commit counts come
     from a surviving non-victim head.
     """
-    cluster = Cluster(head_count=heads, compute_count=computes,
+    cluster = Cluster(head_count=heads, compute_count=COMPUTES,
                       login_node=True, seed=seed)
     # Fast group timings (unlike the scaling burst's paper-calibrated
     # JOSHUA_GROUP_CONFIG): failure detection and the resulting view change

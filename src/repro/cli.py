@@ -13,7 +13,8 @@
     python -m repro trace [--seed S] [--jobs N] [--jsonl FILE]
     python -m repro postmortem BUNDLE [--limit N]
     python -m repro lint  [--rule RN ...] [--jsonl] [--ignores]
-    python -m repro schema {extract,update,diff} [--root DIR] [--jsonl]
+    python -m repro schema extract
+    python -m repro schema {update,diff} [--root DIR] [--jsonl]
 
 Every command prints the same tables the benchmark suite produces; all
 runs are deterministic given ``--seed``. The chaos commands exit non-zero
@@ -24,10 +25,10 @@ per-phase latency breakdown; ``--jsonl`` exports the merged span/log/
 metric/time-series stream for offline analysis. ``postmortem`` renders a
 flight-recorder bundle (the JSONL files a failed ``chaos run`` writes) as
 a human-readable merged timeline. ``schema`` manages the committed wire
-schema (``WIRE_SCHEMA.lock``): ``extract`` prints the working tree's
-schema, ``update`` regenerates the lockfile (the reviewed acceptance step
-for any wire change rule R7 flags), and ``diff`` renders the classified
-deltas (exit 1 when any is breaking).
+schema (``WIRE_SCHEMA.lock``): ``extract`` prints the schema read from
+the codec's registry, ``update`` regenerates the lockfile (the reviewed
+acceptance step for any wire change rule R7 flags), and ``diff`` renders
+the classified deltas (exit 1 when any is breaking).
 """
 
 from __future__ import annotations
@@ -154,11 +155,11 @@ def build_parser() -> argparse.ArgumentParser:
                                  "the trigger; default: all)")
 
     lint = sub.add_parser(
-        "lint", help="determinism & protocol static analysis (rules R1–R7)"
+        "lint", help="determinism & protocol static analysis (rules R1–R5, R7)"
     )
     lint.add_argument(
         "--rule", action="append",
-        choices=["R1", "R2", "R3", "R4", "R5", "R6", "R7"],
+        choices=["R1", "R2", "R3", "R4", "R5", "R7"],
         metavar="RN", help="run only these rules (repeatable; default: all)",
     )
     lint.add_argument("--jsonl", action="store_true",
@@ -175,8 +176,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="wire-schema lockfile: extract / update / diff (rule R7)",
     )
     schema_sub = schema.add_subparsers(dest="schema_command", required=True)
-    schema_extract = schema_sub.add_parser(
-        "extract", help="print the schema extracted from the working tree")
+    schema_sub.add_parser(
+        "extract", help="print the schema read from the codec's registry")
     schema_update = schema_sub.add_parser(
         "update", help="regenerate WIRE_SCHEMA.lock from the working tree "
                        "(the reviewed acceptance step for R7 findings)")
@@ -184,7 +185,7 @@ def build_parser() -> argparse.ArgumentParser:
         "diff", help="classified deltas vs the lockfile (exit 1 on breaking)")
     schema_diff.add_argument("--jsonl", action="store_true",
                              help="one JSON object per delta instead of text")
-    for sub_cmd in (schema_extract, schema_update, schema_diff):
+    for sub_cmd in (schema_update, schema_diff):
         sub_cmd.add_argument(
             "--root", metavar="DIR",
             help="package root (default: the installed repro package)")
@@ -466,7 +467,7 @@ def _cmd_lint(args):
         lines = [f.to_json() for f in findings]
     else:
         lines = [f.render() for f in findings]
-        which = ", ".join(args.rule) if args.rule else "R1–R7"
+        which = ", ".join(args.rule) if args.rule else "R1–R5, R7"
         lines.append(
             f"{len(findings)} finding(s) ({which})"
             + ("" if findings else " — determinism/protocol contract holds")
@@ -478,14 +479,18 @@ def _cmd_schema(args):
     import json
 
     from repro.analysis import schema as schema_mod
+    from repro.util.errors import ReproError
 
-    current, _ = schema_mod.extract_from_root(args.root)
+    if args.schema_command == "extract":
+        return json.dumps(schema_mod.registry_schema(), indent=1, sort_keys=True), 0
+    try:
+        current = schema_mod.derive(args.root)
+    except ReproError as exc:
+        return f"error: {exc}", 1
     lock_path = schema_mod.lockfile_path(args.root)
     counts = (
         f"{len(current['records'])} records, {len(current['enums'])} enums"
     )
-    if args.schema_command == "extract":
-        return json.dumps(current, indent=1, sort_keys=True), 0
     if args.schema_command == "update":
         schema_mod.write_lockfile(current, lock_path)
         return f"wrote {lock_path} ({counts})", 0

@@ -216,6 +216,8 @@ class TokenMsg:
 class DeliveredMessage:
     """What the application's ``on_deliver`` callback receives."""
 
+    __wire_local__ = "local delivery record handed to services, never on the wire"
+
     msg_id: MessageId
     sender: Address
     payload: Any
@@ -231,8 +233,6 @@ class DeliveredMessage:
     transitional: bool = False
 
 
-# Everything above except DeliveredMessage crosses the wire; DeliveredMessage
-# is the *local* record handed to the application's on_deliver callback.
 register_wire_types(
     MessageId, DataMsg, DataBatchMsg, OrderMsg, StableMsg, Heartbeat, Probe,
     JoinReq, LeaveReq, FlushReq, FlushOk, NewView, TokenMsg,

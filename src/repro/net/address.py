@@ -49,6 +49,11 @@ class Delivery(NamedTuple):
     """A message as handed to the receiving endpoint's mailbox (one is
     built per delivered frame, so a tuple rather than a dataclass)."""
 
+    __wire_local__ = (
+        "local mailbox record handed to the receiving endpoint; built "
+        "after decode, never itself encoded"
+    )
+
     src: Address
     dst: Address
     payload: Any
@@ -65,6 +70,5 @@ class Delivery(NamedTuple):
         return self.delivered_at - self.sent_at
 
 
-# Addresses ride inside many wire records (membership lists, job routing);
-# Delivery itself is the local mailbox wrapper and never crosses the wire.
+# Addresses ride inside many wire records (membership lists, job routing).
 register_wire_types(Address)

@@ -34,8 +34,8 @@ Records are tagged by **class name** (stable across processes and import
 orders, unlike a numeric id assigned at registration time); the registry
 rejects duplicate names. Sets and unregistered classes are *encode errors*:
 sets would smuggle hash order onto the wire, and an unregistered dataclass
-is a wire type the protocol layer forgot to declare (lint rule R6 enforces
-the declaration statically).
+is a wire type the protocol layer forgot to declare. Both also fail at
+import (the registration contract below).
 
 Schema evolution
 ----------------
@@ -120,15 +120,34 @@ own dataclasses at import time (``gcs/messages.py`` registers the GCS
 messages, ``pbs/wire.py`` the PBS requests, ...). The module-level ``WIRE``
 singleton is append-only and written only at import time, so it stays safe
 for two simulations sharing one interpreter.
+
+The registry is also the wire schema: :meth:`Codec.schema` renders it in
+the format of the committed ``WIRE_SCHEMA.lock``, which lint rule R7 diffs
+against (:mod:`repro.analysis.schema`).
+
+Registration contract
+---------------------
+Enforced when a wire module is imported, so a violation never reaches a
+frame:
+
+* a record is a dataclass or a NamedTuple (an ``Enum`` goes through
+  :func:`register_wire_enum`), and no field is ``set``/``frozenset``-typed;
+* a wire name belongs to one class;
+* every dataclass, NamedTuple or Enum a registering module exports in
+  ``__all__`` is registered (:meth:`Codec.self_check`), unless the class
+  says why it never crosses the wire in a ``__wire_local__`` string.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import enum
+import inspect
 import marshal
 import operator
+import re
 import struct
+import sys
 import zlib
 from functools import partial
 from typing import Any
@@ -139,6 +158,7 @@ __all__ = [
     "Codec",
     "CodecError",
     "PlainFragment",
+    "SCHEMA_VERSION",
     "WIRE",
     "register_wire_types",
     "register_wire_enum",
@@ -242,13 +262,12 @@ def _unzigzag(value: int) -> int:
 def schema_fingerprint(name: str, fields: tuple[str, ...]) -> int:
     """16-bit schema fingerprint of a record: CRC-32 of the wire name and
     field names (declaration order), folded to 16 bits. Carried in every
-    record frame (2 bytes) so a receiver can detect version skew; the
-    static extractor (``repro.analysis.schema``) computes the identical
-    value from the AST, which is what the lockfile completeness test pins.
+    record frame (2 bytes) so a receiver can detect version skew, and
+    recorded per record in ``WIRE_SCHEMA.lock``.
 
     Field *names* only — a type-annotation change is invisible at runtime
-    (the codec is self-describing per value) and is gated statically by
-    lint rule R7 instead."""
+    (the codec is self-describing per value) and is gated by lint rule R7
+    instead, over the annotations :meth:`Codec.schema` records."""
     crc = zlib.crc32(",".join((name, *fields)).encode("utf-8"))
     return (crc ^ (crc >> 16)) & 0xFFFF
 
@@ -340,6 +359,56 @@ def _record_defaults(cls: type) -> dict[str, Any]:
         for field_name, default in sorted(cls._field_defaults.items()):
             factories[field_name] = lambda default=default: default
     return factories
+
+
+#: Version of the format :meth:`Codec.schema` renders (``WIRE_SCHEMA.lock``).
+SCHEMA_VERSION = 1
+
+_SET_ANNOTATION = re.compile(r"\b(set|Set|frozenset|FrozenSet)\b")
+
+
+def _annotation_text(annotation: Any) -> str:
+    """An annotation as its source text: with ``from __future__ import
+    annotations`` a dataclass keeps the string and a NamedTuple wraps it in
+    a ``ForwardRef``."""
+    text = getattr(annotation, "__forward_arg__", annotation)
+    return text if isinstance(text, str) else inspect.formatannotation(text)
+
+
+def _record_annotations(cls: type) -> dict[str, str]:
+    """Field name -> annotation source text, inherited fields included."""
+    if dataclasses.is_dataclass(cls):
+        return {f.name: _annotation_text(f.type) for f in dataclasses.fields(cls)}
+    return {name: _annotation_text(cls.__annotations__[name]) for name in cls._fields}
+
+
+def _value_text(value: Any) -> str:
+    if isinstance(value, enum.Enum):
+        return f"{type(value).__name__}.{value.name}"
+    return repr(value)
+
+
+def _default_texts(cls: type) -> dict[str, str]:
+    """Field name -> its declared default as the lockfile records it: the
+    value's ``repr``, ``Type.MEMBER`` for an enum member, and
+    ``field(default_factory=<qualname>)`` for a factory."""
+    if not dataclasses.is_dataclass(cls):
+        return {name: _value_text(v) for name, v in sorted(cls._field_defaults.items())}
+    texts: dict[str, str] = {}
+    for f in dataclasses.fields(cls):
+        if f.default is not dataclasses.MISSING:
+            texts[f.name] = _value_text(f.default)
+        elif f.default_factory is not dataclasses.MISSING:
+            texts[f.name] = (
+                f"field(default_factory={f.default_factory.__qualname__})"
+            )
+    return texts
+
+
+def _module_path(cls: type) -> str:
+    """The defining module as a path below its top-level package
+    (``repro.gcs.messages`` -> ``gcs/messages.py``)."""
+    return cls.__module__.split(".", 1)[-1].replace(".", "/") + ".py"
 
 
 def _record_header(fingerprint: int, count: int) -> bytes:
@@ -498,9 +567,11 @@ class Codec:
     ) -> type:
         """Register a dataclass or NamedTuple as a wire record.
 
-        Idempotent for the same class; a *different* class under an already-
-        taken name is an error (names are the wire tag and must be unique)
-        unless *replace* is set — then the new class takes over the name for
+        A ``set``/``frozenset``-annotated field is an error (its iteration
+        order would leak host randomisation onto the wire). Idempotent for
+        the same class; a *different* class under an already-taken name is
+        an error (names are the wire tag and must be unique) unless
+        *replace* is set — then the new class takes over the name for
         decode and the superseded class stays registered for encode only
         (under its own, older shape), which is how :meth:`clone` models a
         node whose wire module evolved while shared protocol code still
@@ -516,6 +587,15 @@ class Codec:
                     f"{existing.cls.__module__}.{existing.cls.__qualname__}"
                 )
         record = _make_record(wire_name, cls)
+        annotations = _record_annotations(cls)
+        set_typed = [
+            f for f in record.fields if _SET_ANNOTATION.search(annotations[f])
+        ]
+        if set_typed:
+            raise CodecError(
+                f"{wire_name}: set-typed field(s) {set_typed} — the codec "
+                "rejects unordered containers; use a sorted tuple"
+            )
         self._records_by_name[wire_name] = record
         self._records_by_raw[wire_name.encode("utf-8")] = record
         self._records_by_type[cls] = record
@@ -562,30 +642,36 @@ class Codec:
         """Registered record classes, sorted by wire name (for tests/CI)."""
         return [r.cls for _, r in sorted(self._records_by_name.items())]
 
-    def record_shapes(self) -> dict[str, dict[str, Any]]:
-        """Wire name -> ``{"module", "fields", "defaults", "fingerprint"}``
-        for every registered record — the runtime half of what the static
-        schema extractor derives from the AST (the lockfile completeness
-        test asserts the two agree)."""
-        return {
-            wire_name: {
-                "module": record.cls.__module__,
-                "fields": list(record.fields),
-                "defaults": sorted(record.defaults),
+    def schema(self) -> dict[str, Any]:
+        """The registry as ``WIRE_SCHEMA.lock`` records it: per record its
+        module (:func:`_module_path`), kind, fingerprint and fields (name,
+        annotation text, default text or ``None``), per enum its module and
+        member values (``repr``). Line numbers stay out, so an unrelated
+        edit to a wire module never churns the lockfile."""
+        records = {}
+        for wire_name, record in sorted(self._records_by_name.items()):
+            cls = record.cls
+            types, defaults = _record_annotations(cls), _default_texts(cls)
+            records[wire_name] = {
+                "module": _module_path(cls),
+                "kind": "namedtuple" if issubclass(cls, tuple) else "dataclass",
                 "fingerprint": record.fingerprint,
+                "fields": [
+                    {"name": f, "type": types[f], "default": defaults.get(f)}
+                    for f in record.fields
+                ],
             }
-            for wire_name, record in sorted(self._records_by_name.items())
-        }
-
-    def enum_shapes(self) -> dict[str, dict[str, Any]]:
-        """Wire name -> ``{"module", "members"}`` for registered enums."""
-        return {
+        enums = {
             wire_name: {
-                "module": cls.__module__,
-                "members": {member.name: member.value for member in cls},
+                "module": _module_path(cls),
+                "members": {
+                    name: repr(member.value)
+                    for name, member in sorted(cls.__members__.items())
+                },
             }
             for wire_name, cls in sorted(self._enums_by_name.items())
         }
+        return {"version": SCHEMA_VERSION, "records": records, "enums": enums}
 
     # -- encoding ---------------------------------------------------------------
 
@@ -914,11 +1000,34 @@ class Codec:
     # -- diagnostics ------------------------------------------------------------
 
     def self_check(self) -> None:
-        """Cheap structural audit of the registry (run by the CI smoke):
-        every registered record must still construct from positional fields,
-        and names must round-trip through the name tables."""
+        """Cheap structural audit of the registry (run by the CI smoke and
+        before the schema is derived): every registered record must still
+        construct from positional fields, names must round-trip through the
+        name tables, and every dataclass, NamedTuple or Enum a registering
+        module exports in ``__all__`` must be registered — or say in a
+        ``__wire_local__`` string why it never crosses the wire."""
         if len(self._records_by_raw) != len(self._records_by_name):
             raise CodecError("raw-name table out of sync")
+        registered = set(self._records_by_type) | set(self._enum_types)
+        for module_name in sorted({cls.__module__ for cls in registered}):
+            module = sys.modules.get(module_name)
+            for name in getattr(module, "__all__", ()):
+                cls = getattr(module, name, None)
+                if (
+                    isinstance(cls, type)
+                    and cls.__module__ == module_name
+                    and cls not in registered
+                    and "__wire_local__" not in vars(cls)
+                    # a dataclass, NamedTuple or Enum declares a shape a
+                    # frame could carry; exceptions and services do not
+                    and (dataclasses.is_dataclass(cls)
+                         or issubclass(cls, (enum.Enum, tuple)))
+                ):
+                    raise CodecError(
+                        f"{module_name}.{name} is exported by a wire module "
+                        "but has no codec entry — register it there (or say "
+                        "why it never crosses the wire in __wire_local__)"
+                    )
         # repro-lint: ignore[R3] pure audit — raises on the first inconsistency regardless of visit order, no wire or protocol effect
         for record in self._records_by_name.values():
             if _record_fields(record.cls) != record.fields:

@@ -132,7 +132,7 @@ class Job:
 
 
 # JobSpec rides inside every submit and every replayed state-transfer item.
-# No frame carries a Job, but lint rule R6 requires every exported record of
-# a codec module to be registered; JobState members appear as Job fields.
+# No frame carries a Job, but the codec requires every exported record of a
+# registering module to be registered; JobState members appear as Job fields.
 register_wire_types(JobSpec, Job)
 register_wire_enum(JobState)

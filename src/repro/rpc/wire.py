@@ -14,7 +14,7 @@ record shapes:
     :func:`~repro.rpc.client.call` re-raises client-side.
 
 Declared here — not inline in client/server — so the rpc layer's wire
-surface is one importable module the codec registry and lint rules R4/R6
+surface is one importable module the codec registry and lint rules R4/R7
 can audit like any other protocol layer.
 """
 

@@ -1,14 +1,12 @@
-"""Unit tests for the benchmark harness (workloads, metrics, reporting)."""
+"""Unit tests for the benchmark harness (workloads, reporting, experiment smoke)."""
 
 import pytest
 
 from repro.bench import (
     BurstWorkload,
-    LatencySample,
     PoissonWorkload,
     TraceWorkload,
     format_table,
-    summarize,
 )
 from repro.bench.workloads import OpenLoopWorkload
 from repro.bench.reporting import BAR_WIDTH, bar_chart
@@ -71,28 +69,6 @@ class TestTraceWorkload:
 
     def test_len(self):
         assert len(TraceWorkload(())) == 0
-
-
-class TestMetrics:
-    def test_summary_statistics(self):
-        samples = [LatencySample(0.0, 0.1), LatencySample(1.0, 1.3), LatencySample(2.0, 2.2)]
-        stats = summarize(samples)
-        assert stats.count == 3
-        assert stats.mean == pytest.approx(0.2)
-        assert stats.median == pytest.approx(0.2)
-        assert stats.minimum == pytest.approx(0.1)
-        assert stats.maximum == pytest.approx(0.3)
-
-    def test_as_dict_milliseconds(self):
-        stats = summarize([LatencySample(0.0, 0.098)])
-        assert stats.as_dict()["mean_ms"] == 98.0
-
-    def test_empty_rejected(self):
-        with pytest.raises(ReproError):
-            summarize([])
-
-    def test_latency_property(self):
-        assert LatencySample(1.0, 1.5).latency == pytest.approx(0.5)
 
 
 class TestReporting:

@@ -1,9 +1,17 @@
 """Each analysis rule fires on a planted violation and stays quiet on the
 matching clean idiom; the ignore mechanism is reasoned and rule-scoped."""
 
+import enum
+import sys
 import textwrap
+import types
+from dataclasses import dataclass
+from typing import NamedTuple
+
+import pytest
 
 from repro.analysis import check_files, check_source
+from repro.net.codec import Codec, CodecError
 
 
 def rules_of(findings):
@@ -500,120 +508,108 @@ class TestR4TypedFrames:
         assert findings == []
 
 # ---------------------------------------------------------------------------
-# R6 — codec coverage of the wire surface
+# R6 — codec coverage: the codec's registration contract, checked at import
 # ---------------------------------------------------------------------------
 
 
+def _wire_module(monkeypatch, *classes):
+    """An importable module ``wire_fixture`` defining and exporting *classes*."""
+    module = types.ModuleType("wire_fixture")
+    for cls in classes:
+        cls.__module__ = module.__name__
+        setattr(module, cls.__name__, cls)
+    module.__all__ = [cls.__name__ for cls in classes]
+    monkeypatch.setitem(sys.modules, module.__name__, module)
+    return module
+
+
+def _ping():
+    """A new record class named ``Ping`` on every call."""
+
+    @dataclass(frozen=True)
+    class Ping:
+        n: int
+
+    return Ping
+
+
 class TestR6:
-    def test_fires_on_unregistered_wire_dataclass(self):
-        wire = src(
-            """
-            from dataclasses import dataclass
+    """Codec coverage is no lint rule: a fresh :class:`Codec` refuses each
+    violation when a wire module registers (or :meth:`Codec.self_check`
+    audits it), so R7's derivation fails on it."""
 
-            __all__ = ["Ping"]
+    def test_fires_on_unregistered_wire_dataclass(self, monkeypatch):
+        @dataclass(frozen=True)
+        class Pong:
+            n: int
 
-            @dataclass(frozen=True)
-            class Ping:
-                n: int
-            """
-        )
-        findings = check_files({"pvfs/wire.py": wire}, rules=["R6"])
-        assert len(findings) == 1
-        assert "Ping has no codec entry" in findings[0].message
+        ping = _ping()
+        _wire_module(monkeypatch, ping, Pong)
+        codec = Codec()
+        codec.register(ping)
+        with pytest.raises(CodecError, match=r"wire_fixture\.Pong .*no codec entry"):
+            codec.self_check()
 
-    def test_quiet_when_registered(self):
-        wire = src(
-            """
-            from dataclasses import dataclass
+    def test_quiet_when_registered(self, monkeypatch):
+        @dataclass(frozen=True)
+        class Local:
+            __wire_local__ = "handed to the caller after decode, never encoded"
+            n: int
 
-            from repro.net.codec import register_wire_types
+        ping = _ping()
+        _wire_module(monkeypatch, ping, Local)
+        codec = Codec()
+        codec.register(ping)
+        codec.self_check()
 
-            __all__ = ["Ping"]
+    def test_plain_classes_need_no_codec(self, monkeypatch):
+        class PVFSError(Exception):
+            pass
 
-            @dataclass(frozen=True)
-            class Ping:
-                n: int
+        class Store:
+            def get(self):
+                return None
 
-            register_wire_types(Ping)
-            """
-        )
-        assert check_files({"pvfs/wire.py": wire}, rules=["R6"]) == []
+        ping = _ping()
+        _wire_module(monkeypatch, ping, PVFSError, Store)
+        codec = Codec()
+        codec.register(ping)
+        codec.self_check()
 
-    def test_plain_classes_need_no_codec(self):
-        wire = src(
-            """
-            __all__ = ["PVFSError", "Store"]
+    def test_enum_must_use_enum_registration(self, monkeypatch):
+        class State(enum.Enum):
+            A = "a"
 
-            class PVFSError(Exception):
-                pass
-
-            class Store:
-                def get(self):
-                    return None
-            """
-        )
-        assert check_files({"pvfs/wire.py": wire}, rules=["R6"]) == []
-
-    def test_enum_must_use_enum_registration(self):
-        wire = src(
-            """
-            import enum
-
-            from repro.net.codec import register_wire_types
-
-            __all__ = ["State"]
-
-            class State(enum.Enum):
-                A = "a"
-
-            register_wire_types(State)
-            """
-        )
-        findings = check_files({"pbs/job.py": wire}, rules=["R6"])
-        assert len(findings) == 1
-        assert "register_wire_enum" in findings[0].message
+        ping = _ping()
+        _wire_module(monkeypatch, ping, State)
+        codec = Codec()
+        codec.register(ping)
+        with pytest.raises(CodecError, match="neither a dataclass nor a NamedTuple"):
+            codec.register(State)
+        with pytest.raises(CodecError, match=r"wire_fixture\.State "):
+            codec.self_check()
+        codec.register_enum(State)
+        codec.self_check()
 
     def test_set_typed_field_fires(self):
-        wire = src(
-            """
-            from dataclasses import dataclass
+        @dataclass(frozen=True)
+        class Bag:
+            items: frozenset[str]
 
-            from repro.net.codec import register_wire_types
+        class Tagged(NamedTuple):
+            tags: tuple[set[int], ...]
 
-            __all__ = ["Bag"]
-
-            @dataclass(frozen=True)
-            class Bag:
-                items: frozenset[str]
-
-            register_wire_types(Bag)
-            """
-        )
-        findings = check_files({"pvfs/wire.py": wire}, rules=["R6"])
-        assert len(findings) == 1
-        assert "set-typed" in findings[0].message
+        codec = Codec()
+        for record in (Bag, Tagged):
+            with pytest.raises(CodecError, match="set-typed"):
+                codec.register(record)
+        assert codec.registered_records() == []
 
     def test_name_collision_across_wire_modules_fires(self):
-        wire = src(
-            """
-            from dataclasses import dataclass
-
-            from repro.net.codec import register_wire_types
-
-            __all__ = ["Ping"]
-
-            @dataclass(frozen=True)
-            class Ping:
-                n: int
-
-            register_wire_types(Ping)
-            """
-        )
-        findings = check_files(
-            {"pvfs/wire.py": wire, "joshua/wire.py": wire}, rules=["R6"]
-        )
-        assert len(findings) == 1
-        assert "collides" in findings[0].message
+        codec = Codec()
+        codec.register(_ping())
+        with pytest.raises(CodecError, match="'Ping' already registered"):
+            codec.register(_ping())
 
 
 # ---------------------------------------------------------------------------

@@ -1,14 +1,18 @@
-"""Schema extraction and R7 delta classification, on golden fixtures.
+"""The registry-derived schema and R7 delta classification, on golden fixtures.
 
-A synthetic wire-module pair (base + evolved variants) exercises every R7
-delta class — compatible append, deprecated trailing field, removed field,
-reorder, rename, type change, enum member add/remove/value change — plus
-the lockfile round-trip/stability property (extract -> write -> load ->
-diff == empty).
+A base set of records (plus evolved variants of them) registered on a
+fresh :class:`~repro.net.codec.Codec` exercises every R7 delta class —
+compatible append, deprecated trailing field, removed field, reorder,
+rename, type change, enum member add/remove/value change — plus the
+lockfile round-trip/stability property (derive -> write -> load -> diff ==
+empty).
 """
 
-import ast
-import textwrap
+from __future__ import annotations
+
+import enum
+from dataclasses import dataclass, field
+from typing import ClassVar, NamedTuple
 
 from repro.analysis import check_files
 from repro.analysis.schema import (
@@ -16,60 +20,60 @@ from repro.analysis.schema import (
     COMPATIBLE,
     DECODE_COMPATIBLE,
     diff_schemas,
-    extract_schema,
     load_lockfile,
     render_deltas,
     rule_r7,
     write_lockfile,
 )
-from repro.net.codec import schema_fingerprint
+from repro.net.codec import Codec, schema_fingerprint
 
-#: The golden base: one registered record of each kind plus an enum, in a
-#: module path R6/R7 recognise as a wire module (pvfs/wire.py is in
-#: CODEC_MODULES). Local helpers and unregistered classes must be ignored.
-BASE = textwrap.dedent(
-    """
-    from dataclasses import dataclass, field
-    from enum import Enum
-    from typing import Any, ClassVar, NamedTuple
-
-    from repro.net.codec import register_wire_enum, register_wire_types
-
-    __all__ = ["Color", "OpenReq", "SeekReq"]
-
-    class Color(Enum):
-        RED = "r"
-        BLUE = "b"
-
-    @dataclass(frozen=True)
-    class OpenReq:
-        path: str
-        mode: str = "r"
-        _LEGAL: ClassVar[tuple] = ()
-
-    class SeekReq(NamedTuple):
-        fd: int
-        offset: int = 0
-
-    @dataclass(frozen=True)
-    class NotOnTheWire:
-        x: int
-
-    register_wire_types(OpenReq, SeekReq)
-    register_wire_enum(Color)
-    """
-)
+#: Where the codec places this module's records (its path below ``tests``).
+MODULE = "unit/test_schema_extract.py"
 
 
-def _schema(source: str, path: str = "pvfs/wire.py"):
-    schema, locations = extract_schema({path: ast.parse(source)})
-    return schema, locations
+# The golden base: two records of each kind plus an enum. NotOnTheWire is
+# never registered and must not appear.
+class Color(enum.Enum):
+    RED = "r"
+    BLUE = "b"
 
 
-def _deltas(new_source: str):
-    locked, _ = _schema(BASE)
-    current, _ = _schema(new_source)
-    return diff_schemas(locked, current)
+@dataclass(frozen=True)
+class OpenReq:
+    path: str
+    mode: str = "r"
+    _LEGAL: ClassVar[tuple] = ()
+
+
+class SeekReq(NamedTuple):
+    fd: int
+    offset: int = 0
+
+
+@dataclass(frozen=True)
+class NotOnTheWire:
+    x: int
+
+
+BASE = (Color, OpenReq, SeekReq)
+
+
+def _schema(*classes: type) -> dict:
+    """The schema of a fresh codec holding the base records, each replaced
+    by the same-named class in *classes* (extra names are added)."""
+    by_name = {cls.__name__: cls for cls in BASE}
+    by_name.update({cls.__name__: cls for cls in classes})
+    codec = Codec()
+    for cls in by_name.values():
+        if issubclass(cls, enum.Enum):
+            codec.register_enum(cls)
+        else:
+            codec.register(cls)
+    return codec.schema()
+
+
+def _deltas(*evolved: type):
+    return diff_schemas(_schema(), _schema(*evolved))
 
 
 def _only(deltas, severity, kind):
@@ -80,135 +84,207 @@ def _only(deltas, severity, kind):
 
 class TestExtraction:
     def test_registered_types_only_with_fields_defaults_and_fingerprints(self):
-        schema, locations = _schema(BASE)
+        schema = _schema()
         assert sorted(schema["records"]) == ["OpenReq", "SeekReq"]
         assert sorted(schema["enums"]) == ["Color"]
         open_req = schema["records"]["OpenReq"]
         # ClassVar is not a field; defaults are recorded as source text.
-        assert [f["name"] for f in open_req["fields"]] == ["path", "mode"]
-        assert open_req["fields"][0]["default"] is None
-        assert open_req["fields"][1]["default"] == "'r'"
+        assert open_req["fields"] == [
+            {"name": "path", "type": "str", "default": None},
+            {"name": "mode", "type": "str", "default": "'r'"},
+        ]
         assert open_req["kind"] == "dataclass"
         assert open_req["fingerprint"] == schema_fingerprint(
             "OpenReq", ("path", "mode")
         )
         assert schema["records"]["SeekReq"]["kind"] == "namedtuple"
-        assert schema["enums"]["Color"]["members"] == {
-            "RED": "'r'", "BLUE": "'b'",
+        assert schema["records"]["SeekReq"]["fields"][1] == {
+            "name": "offset", "type": "int", "default": "0",
         }
-        # Locations are kept out of the schema (no churn on unrelated
-        # edits) but available for finding anchors.
-        assert locations["OpenReq"][0] == "pvfs/wire.py"
-        assert locations["OpenReq"][1] > 0
+        assert schema["enums"]["Color"] == {
+            "module": MODULE, "members": {"RED": "'r'", "BLUE": "'b'"},
+        }
+        # The module is a path; line numbers are kept out of the schema (no
+        # churn on unrelated edits).
+        assert open_req["module"] == MODULE
+        assert set(open_req) == {"module", "kind", "fingerprint", "fields"}
 
     def test_field_call_without_default_is_not_a_default(self):
-        source = BASE.replace(
-            'mode: str = "r"', "mode: str = field(repr=False)"
-        )
-        schema, _ = _schema(source)
-        assert schema["records"]["OpenReq"]["fields"][1]["default"] is None
+        @dataclass(frozen=True)
+        class OpenReq:
+            path: str
+            mode: str = field(repr=False)
+
+        fields = _schema(OpenReq)["records"]["OpenReq"]["fields"]
+        assert fields[1]["default"] is None
 
     def test_field_call_with_default_factory_is_a_default(self):
-        source = BASE.replace(
-            'mode: str = "r"', "mode: dict = field(default_factory=dict)"
-        )
-        schema, _ = _schema(source)
-        field = schema["records"]["OpenReq"]["fields"][1]
-        assert field["default"] == "field(default_factory=dict)"
+        @dataclass(frozen=True)
+        class OpenReq:
+            path: str
+            mode: dict = field(default_factory=dict)
+
+        fields = _schema(OpenReq)["records"]["OpenReq"]["fields"]
+        assert fields[1]["default"] == "field(default_factory=dict)"
+
+    def test_enum_default_renders_as_type_and_member(self):
+        @dataclass(frozen=True)
+        class OpenReq:
+            path: str
+            mode: Color = Color.RED
+
+        fields = _schema(OpenReq)["records"]["OpenReq"]["fields"]
+        assert fields[1] == {"name": "mode", "type": "Color", "default": "Color.RED"}
 
     def test_non_wire_modules_are_ignored(self):
-        schema, _ = _schema(BASE, path="pvfs/service.py")
-        assert schema["records"] == {} and schema["enums"] == {}
+        # Only what a codec registers is schema: an empty registry has
+        # none, and an unregistered record never shows up.
+        assert Codec().schema()["records"] == {}
+        assert "NotOnTheWire" not in _schema()["records"]
+
+    def test_dataclass_subclass_is_locked_with_inherited_fields(self):
+        @dataclass(frozen=True)
+        class ReopenReq(OpenReq):
+            flags: int = 0
+
+        record = _schema(ReopenReq)["records"]["ReopenReq"]
+        assert [f["name"] for f in record["fields"]] == ["path", "mode", "flags"]
+        assert record["fields"][1]["default"] == "'r'"
+        assert record["fingerprint"] == schema_fingerprint(
+            "ReopenReq", ("path", "mode", "flags")
+        )
 
 
 class TestDeltaClassification:
     def test_identical_schemas_have_no_deltas(self):
-        assert _deltas(BASE) == []
+        assert _deltas() == []
 
     def test_defaulted_trailing_append_is_compatible(self):
-        deltas = _deltas(BASE.replace(
-            'mode: str = "r"', 'mode: str = "r"\n    flags: int = 0'
-        ))
-        (delta,) = _only(deltas, COMPATIBLE, "field-appended")
+        @dataclass(frozen=True)
+        class OpenReq:
+            path: str
+            mode: str = "r"
+            flags: int = 0
+
+        (delta,) = _only(_deltas(OpenReq), COMPATIBLE, "field-appended")
         assert "flags" in delta.detail and delta.name == "OpenReq"
 
     def test_undefaulted_trailing_append_is_breaking(self):
-        deltas = _deltas(BASE.replace(
-            'mode: str = "r"', 'mode: str = "r"\n    flags: int'
-        ))
-        _only(deltas, BREAKING, "field-appended-without-default")
+        @dataclass(frozen=True)
+        class OpenReq:
+            path: str
+            mode: str = "r"
+            flags: int = field(kw_only=True)
+
+        _only(_deltas(OpenReq), BREAKING, "field-appended-without-default")
 
     def test_deprecated_defaulted_trailing_field_is_decode_compatible(self):
-        deltas = _deltas(BASE.replace('\n    mode: str = "r"', ""))
-        (delta,) = _only(deltas, DECODE_COMPATIBLE, "field-deprecated")
+        @dataclass(frozen=True)
+        class OpenReq:
+            path: str
+
+        (delta,) = _only(
+            _deltas(OpenReq), DECODE_COMPATIBLE, "field-deprecated"
+        )
         assert "'mode'" in delta.detail
 
     def test_removed_undefaulted_trailing_field_is_breaking(self):
         # The locked declaration had no default for the trailing field, so
         # old receivers have nothing to fill it from.
-        locked, _ = _schema(BASE.replace("offset: int = 0", "offset: int"))
-        current, _ = _schema(BASE.replace("\n    offset: int = 0", ""))
-        deltas = diff_schemas(locked, current)
+        class LockedSeekReq(NamedTuple):
+            fd: int
+            offset: int
+
+        class SeekReq(NamedTuple):
+            fd: int
+
+        LockedSeekReq.__name__ = "SeekReq"
+        deltas = diff_schemas(_schema(LockedSeekReq), _schema(SeekReq))
         (delta,) = _only(deltas, BREAKING, "field-removed")
         assert delta.name == "SeekReq"
 
     def test_reorder_is_breaking(self):
-        deltas = _deltas(BASE.replace(
-            'path: str\n    mode: str = "r"',
-            'mode: str\n    path: str = "p"',
-        ))
-        _only(deltas, BREAKING, "fields-reordered")
+        @dataclass(frozen=True)
+        class OpenReq:
+            mode: str
+            path: str = "p"
+
+        _only(_deltas(OpenReq), BREAKING, "fields-reordered")
 
     def test_rename_is_breaking(self):
-        deltas = _deltas(BASE.replace("path: str", "file_path: str"))
-        (delta,) = _only(deltas, BREAKING, "field-renamed")
+        @dataclass(frozen=True)
+        class OpenReq:
+            file_path: str
+            mode: str = "r"
+
+        (delta,) = _only(_deltas(OpenReq), BREAKING, "field-renamed")
         assert "'path'" in delta.detail and "'file_path'" in delta.detail
 
     def test_type_change_is_breaking(self):
-        deltas = _deltas(BASE.replace("fd: int", "fd: str"))
-        (delta,) = _only(deltas, BREAKING, "field-type-changed")
+        class SeekReq(NamedTuple):
+            fd: str
+            offset: int = 0
+
+        (delta,) = _only(_deltas(SeekReq), BREAKING, "field-type-changed")
         assert delta.name == "SeekReq"
 
     def test_default_value_change_is_decode_compatible(self):
-        deltas = _deltas(BASE.replace('mode: str = "r"', 'mode: str = "rw"'))
-        _only(deltas, DECODE_COMPATIBLE, "field-default-changed")
+        @dataclass(frozen=True)
+        class OpenReq:
+            path: str
+            mode: str = "rw"
+
+        _only(_deltas(OpenReq), DECODE_COMPATIBLE, "field-default-changed")
 
     def test_record_added_is_compatible_and_removed_is_breaking(self):
-        added = BASE.replace(
-            "register_wire_types(OpenReq, SeekReq)",
-            "@dataclass(frozen=True)\n"
-            "class CloseReq:\n"
-            "    fd: int\n"
-            "register_wire_types(OpenReq, SeekReq, CloseReq)",
-        )
-        _only(_deltas(added), COMPATIBLE, "record-added")
-        locked, _ = _schema(added)
-        current, _ = _schema(BASE)
-        _only(diff_schemas(locked, current), BREAKING, "record-removed")
+        @dataclass(frozen=True)
+        class CloseReq:
+            fd: int
+
+        _only(_deltas(CloseReq), COMPATIBLE, "record-added")
+        removed = diff_schemas(_schema(CloseReq), _schema())
+        _only(removed, BREAKING, "record-removed")
 
     def test_enum_member_add_remove_and_value_change(self):
-        _only(_deltas(BASE.replace(
-            'BLUE = "b"', 'BLUE = "b"\n    GREEN = "g"'
-        )), COMPATIBLE, "enum-member-added")
-        _only(_deltas(BASE.replace('\n    BLUE = "b"', "")),
-              BREAKING, "enum-member-removed")
-        _only(_deltas(BASE.replace('BLUE = "b"', 'BLUE = "x"')),
-              BREAKING, "enum-member-value-changed")
+        class Added(enum.Enum):
+            RED = "r"
+            BLUE = "b"
+            GREEN = "g"
+
+        class Removed(enum.Enum):
+            RED = "r"
+
+        class Changed(enum.Enum):
+            RED = "r"
+            BLUE = "x"
+
+        for evolved in (Added, Removed, Changed):
+            evolved.__name__ = "Color"
+        _only(_deltas(Added), COMPATIBLE, "enum-member-added")
+        _only(_deltas(Removed), BREAKING, "enum-member-removed")
+        _only(_deltas(Changed), BREAKING, "enum-member-value-changed")
 
     def test_render_orders_breaking_first(self):
-        deltas = _deltas(BASE.replace(
-            'path: str\n    mode: str = "r"',
-            'mode: str\n    path: str = "p"',
-        ) + "\n")
+        @dataclass(frozen=True)
+        class OpenReq:
+            mode: str
+            path: str = "p"
+
+        @dataclass(frozen=True)
+        class CloseReq:
+            fd: int
+
+        deltas = _deltas(OpenReq, CloseReq)
         text = render_deltas(deltas)
         assert text.splitlines()[0].startswith(f"[{BREAKING}]")
+        assert text.splitlines()[-1].startswith(f"[{COMPATIBLE}]")
         jsonl = render_deltas(deltas, jsonl=True)
         assert '"severity"' in jsonl
 
 
 class TestLockfileRoundTrip:
     def test_extract_write_load_diff_is_stable(self, tmp_path):
-        schema, _ = _schema(BASE)
+        schema = _schema()
         path = tmp_path / "WIRE_SCHEMA.lock"
         write_lockfile(schema, path)
         loaded = load_lockfile(path)
@@ -225,35 +301,31 @@ class TestLockfileRoundTrip:
 
 class TestRuleR7:
     def test_clean_when_lock_matches(self):
-        schema, _ = _schema(BASE)
-        assert rule_r7({"pvfs/wire.py": ast.parse(BASE)}, schema) == []
+        assert rule_r7(_schema(), _schema(), {}) == []
 
     def test_missing_lockfile_is_a_finding(self):
-        findings = rule_r7({"pvfs/wire.py": ast.parse(BASE)}, None)
+        findings = rule_r7(_schema(), None, {})
         assert len(findings) == 1
         assert findings[0].rule == "R7"
         assert "repro schema update" in findings[0].message
 
     def test_no_wire_modules_no_findings_even_without_lock(self):
-        assert rule_r7({"pvfs/service.py": ast.parse("x = 1\n")}, None) == []
+        assert rule_r7(Codec().schema(), None, {}) == []
 
     def test_findings_anchor_to_the_drifted_class(self):
-        locked, _ = _schema(BASE)
-        drifted = BASE.replace("path: str", "file_path: str")
-        findings = rule_r7({"pvfs/wire.py": ast.parse(drifted)}, locked)
-        (finding,) = findings
-        assert finding.path == "pvfs/wire.py"
-        assert finding.line == ast.parse(drifted).body[6].lineno or finding.line > 0
+        @dataclass(frozen=True)
+        class OpenReq:
+            file_path: str
+            mode: str = "r"
+
+        source = "import x\n\n\n@dataclass\nclass OpenReq:\n    file_path: str\n"
+        (finding,) = rule_r7(_schema(OpenReq), _schema(), {MODULE: source})
+        assert (finding.path, finding.line) == (MODULE, 5)
         assert "[breaking]" in finding.message
         assert "repro schema update" in finding.message
 
     def test_check_files_runs_r7_only_with_lock_context(self):
-        # Without schema_lock, check_files must not emit R7 noise (the
-        # snippet-level API has no lockfile to diff against).
-        assert check_files({"pvfs/wire.py": BASE}, rules=["R7"]) == []
-        locked, _ = _schema(BASE)
-        drifted = BASE.replace("path: str", "renamed: str")
-        findings = check_files(
-            {"pvfs/wire.py": drifted}, rules=["R7"], schema_lock=locked
-        )
-        assert [f.rule for f in findings] == ["R7"]
+        # R7 reads a registry, not sources: the snippet-level API never
+        # runs it, only run_lint (which has a package and its lockfile).
+        source = "from dataclasses import dataclass\n\nclass Ping:\n    n: int\n"
+        assert check_files({"pvfs/wire.py": source}, rules=["R7"]) == []

@@ -1,12 +1,12 @@
 """The committed ``WIRE_SCHEMA.lock``: completeness and the R7 gate.
 
-* the lockfile covers every record/enum the runtime registry knows, with
-  field lists and fingerprints that match the live classes exactly (the
-  static extraction and the runtime codec agree);
+* the lockfile is what the registry derives, and every enum the package
+  registers in this interpreter is locked;
 * the shipped tree is R7-clean;
 * a planted breaking change (field removal in a fixture copy of
   ``gcs/messages.py``) fails ``repro lint`` and ``repro schema diff``, and
-  both pass again after ``repro schema update`` — the acceptance workflow.
+  both pass again after ``repro schema update`` — the acceptance workflow;
+* a record a wire module exports but never registers fails ``repro lint``.
 """
 
 import shutil
@@ -24,11 +24,7 @@ import repro.pvfs.metadata  # noqa: F401
 import repro.pvfs.wire  # noqa: F401
 import repro.rpc.wire  # noqa: F401
 from repro.analysis import run_lint
-from repro.analysis.schema import (
-    extract_from_root,
-    load_lockfile,
-    lockfile_path,
-)
+from repro.analysis.schema import derive, load_lockfile, lockfile_path
 from repro.cli import main
 from repro.net.codec import WIRE
 
@@ -39,48 +35,22 @@ class TestLockfileCompleteness:
     def test_lockfile_exists_and_matches_extraction(self):
         locked = load_lockfile(lockfile_path())
         assert locked is not None, "WIRE_SCHEMA.lock must be committed"
-        current, _ = extract_from_root()
-        assert locked == current, (
+        assert locked == derive(), (
             "WIRE_SCHEMA.lock is stale — run `repro schema update`"
         )
 
-    def test_every_runtime_record_is_locked_with_matching_shape(self):
-        locked = load_lockfile(lockfile_path())
-        # The registry is shared per interpreter and other *test* modules
-        # may register payload types; the completeness claim is about the
-        # package's own wire surface.
-        runtime = {
-            name: shape
-            for name, shape in WIRE.record_shapes().items()
-            if shape["module"].startswith("repro.")
-        }
-        assert len(runtime) > 60
-        for name, shape in runtime.items():
-            assert name in locked["records"], f"{name} missing from lockfile"
-            entry = locked["records"][name]
-            assert [f["name"] for f in entry["fields"]] == shape["fields"], name
-            # Static AST fingerprint == runtime registration fingerprint.
-            assert entry["fingerprint"] == shape["fingerprint"], name
-            # A field the runtime can fill must be defaulted in the lock
-            # and vice versa (the decode-tolerance promise is honest).
-            locked_defaults = sorted(
-                f["name"] for f in entry["fields"] if f["default"] is not None
-            )
-            assert locked_defaults == shape["defaults"], name
-
     def test_every_runtime_enum_is_locked(self):
         locked = load_lockfile(lockfile_path())
-        runtime = {
-            name: shape
-            for name, shape in WIRE.enum_shapes().items()
-            if shape["module"].startswith("repro.")
-        }
+        # The registry is shared per interpreter and other *test* modules
+        # may register types; the claim is about the package's own enums.
+        derived = WIRE.schema()["enums"]
+        runtime = [
+            name for name, cls in sorted(WIRE._enums_by_name.items())
+            if cls.__module__.startswith("repro.")
+        ]
         assert runtime, "no registered wire enums?"
-        for name, shape in runtime.items():
-            assert name in locked["enums"], f"{name} missing from lockfile"
-            assert set(locked["enums"][name]["members"]) == set(
-                shape["members"]
-            ), name
+        for name in runtime:
+            assert locked["enums"][name] == derived[name], name
 
     def test_shipped_tree_is_r7_clean(self):
         assert run_lint(rules=["R7"]) == []
@@ -128,6 +98,24 @@ class TestPlantedBreakingChange:
         assert main(["schema", "diff", "--root", str(planted)]) == 0
         out = capsys.readouterr().out
         assert "lockfile matches the working tree" in out
+
+
+class TestRegistrationContract:
+    def test_exported_unregistered_record_fails_lint(self, tmp_path, capsys):
+        root = tmp_path / "repro"
+        shutil.copytree(
+            _PACKAGE, root, ignore=shutil.ignore_patterns("__pycache__")
+        )
+        wire = root / "pvfs" / "wire.py"
+        wire.write_text(
+            wire.read_text(encoding="utf-8")
+            + "\n\n@dataclass(frozen=True)\nclass Orphan:\n    n: int\n\n\n"
+            "__all__ = [*__all__, \"Orphan\"]\n",
+            encoding="utf-8",
+        )
+        assert main(["lint", "--rule", "R7", "--root", str(root)]) == 1
+        out = capsys.readouterr().out
+        assert "repro.pvfs.wire.Orphan" in out and "no codec entry" in out
 
 
 class TestSchemaCli:
