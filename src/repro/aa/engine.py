@@ -483,7 +483,6 @@ class ReplicationEngine:
         except NoActiveHeadError:
             return None
         self.stats["state_transfers_pulled"] += 1
-        self.log.info(self.tag, f"pulled state for {uuid}")
         return response
 
     def _receive_state(self, marker: XferMarker):
@@ -526,7 +525,6 @@ class ReplicationEngine:
         self._response = None
         self.needs_resync = False
         self.active = True
-        self.log.info(self.tag, "state transfer complete, now active")
 
 
 class ReplicaDaemon(Daemon):

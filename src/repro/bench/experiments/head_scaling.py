@@ -20,18 +20,22 @@ from repro.joshua.deploy import build_joshua_stack
 
 __all__ = ["stress_probe", "head_scaling"]
 
-#: The stress probe: this many sequential short jobs, then an idle drain.
+#: The stress probe: this many sequential short jobs, then an idle drain,
+#: under its own seed.
 STRESS_JOBS = 40
 STRESS_WALLTIME = 0.5
 STRESS_DRAIN = 20.0
+STRESS_SEED = 11
+#: The Figure 10 runs' seed.
+SEED = 1
 
 
-def stress_probe(heads: int, *, seed: int = 11) -> dict:
+def stress_probe(heads: int) -> dict:
     """:data:`STRESS_JOBS` sequential ``jsub`` from the login node against
     *heads* heads (default stack: unbatched, one shard), then
     :data:`STRESS_DRAIN` idle sim-seconds."""
     cluster = Cluster(head_count=heads, compute_count=2, login_node=True,
-                      seed=seed)
+                      seed=STRESS_SEED)
     stack = build_joshua_stack(cluster)
     kernel = cluster.kernel
     cluster.run(until=2.0)
@@ -56,14 +60,13 @@ def stress_probe(heads: int, *, seed: int = 11) -> dict:
     }
 
 
-def head_scaling(*, figure10_heads, stress_heads, seed: int = 1) -> dict:
+def head_scaling(*, figure10_heads, stress_heads) -> dict:
     """Both tables, one row per head count; a Figure 10 row carries the
-    paper's value where the paper has one. *seed* is the Figure 10 runs';
-    the stress probe keeps its own."""
+    paper's value where the paper has one."""
     figure10 = []
     for heads in figure10_heads:
         row = {"heads": heads,
-               "measured_ms": round(1000 * measure_joshua_latency(heads, seed=seed), 1)}
+               "measured_ms": round(1000 * measure_joshua_latency(heads, seed=SEED), 1)}
         paper = PAPER_FIGURE10.get(("JOSHUA/TORQUE", heads))
         if paper is not None:
             row["paper_ms"] = paper

@@ -43,42 +43,36 @@ _WALLTIME_SCALE = 10_000.0
 #: Client sessions the gateway spreads the offered load over.
 CLIENTS = 100
 
+#: Sim-seconds of offered load per run, the offered read rate (reads/s) and
+#: the seed of every run.
+DURATION = 10.0
+READ_RATE = 400.0
+SEED = 1
 
-def measure_read_mix(
-    *,
-    heads: int,
-    computes: int = 1,
-    duration: float = 10.0,
-    read_rate: float = 400.0,
-    write_rate: float = 3.0,
-    consistency: str = "ryw",
-    seed: int = 1,
-    timeout: float = 60.0,
-) -> dict:
+
+def measure_read_mix(*, heads: int, read_rate: float, write_rate: float) -> dict:
     """One open-loop run: *read_rate* reads/s + *write_rate* writes/s
-    offered for *duration* seconds against a *heads*-head stack.
+    offered for :data:`DURATION` seconds against a *heads*-head stack.
 
     Reads target the issuing client's most recent job (id-less until it
     has one). Returns completed-read QPS, the local/fallback/failed read
     split, and committed submissions/sec observed on head0.
     """
-    cluster = Cluster(
-        head_count=heads, compute_count=computes, login_node=True, seed=seed
-    )
+    cluster = Cluster(head_count=heads, compute_count=1, login_node=True, seed=SEED)
     kernel = cluster.kernel
     stack = build_joshua_stack(cluster)
-    gateway = stack.gateway(timeout=timeout, consistency=consistency)
+    gateway = stack.gateway(timeout=60.0)
     cluster.run(until=1.5)
 
     total_rate = read_rate + write_rate
     workload = OpenLoopWorkload(
-        count=max(1, int(total_rate * duration)),
+        count=max(1, int(total_rate * DURATION)),
         rate=total_rate,
         read_fraction=read_rate / total_rate,
         clients=CLIENTS,
         walltime_scale=_WALLTIME_SCALE,
         walltime_cap=10 * _WALLTIME_SCALE,
-        seed=seed,
+        seed=SEED,
     )
 
     t0 = kernel.now
@@ -113,7 +107,7 @@ def measure_read_mix(
     for index, request in enumerate(workload):
         offered["reads" if request.kind == "jstat" else "writes"] += 1
         kernel.spawn(issue(request), name=f"openloop-{index}")
-    cluster.run(until=t0 + duration)
+    cluster.run(until=t0 + DURATION)
 
     observer = stack.joshua("head0")
     committed_writes = sum(
@@ -121,44 +115,30 @@ def measure_read_mix(
     )
     return {
         "heads": heads,
-        "duration_s": duration,
+        "duration_s": DURATION,
         "clients": CLIENTS,
-        "consistency": consistency,
-        "offered_read_per_s": round(offered["reads"] / duration, 2),
-        "offered_write_per_s": round(offered["writes"] / duration, 2),
+        "consistency": "ryw",
+        "offered_read_per_s": round(offered["reads"] / DURATION, 2),
+        "offered_write_per_s": round(offered["writes"] / DURATION, 2),
         "reads_completed": done["reads"],
-        "read_qps": round(done["reads"] / duration, 2),
+        "read_qps": round(done["reads"] / DURATION, 2),
         "reads_local": gateway.stats["reads_local"],
         "reads_fallback": gateway.stats["reads_fallback"],
         "reads_failed": done["failed"],
         "writes_acked": done["writes"],
         "write_committed": committed_writes,
-        "write_committed_per_s": round(committed_writes / duration, 2),
+        "write_committed_per_s": round(committed_writes / DURATION, 2),
         "gateway_sessions": gateway.stats["sessions"],
     }
 
 
-def read_scaling(
-    head_counts=(1, 2, 4),
-    *,
-    duration: float = 10.0,
-    read_rate: float = 400.0,
-    write_rate: float = 3.0,
-    consistency: str = "ryw",
-    seed: int = 1,
-) -> dict:
+def read_scaling(head_counts=(1, 2, 4), *, write_rate: float = 3.0) -> dict:
     """The identical offered mix at each head count, plus a write-only
     baseline per head count for the does-not-steal-writes comparison."""
     rows = []
     for heads in head_counts:
-        mixed = measure_read_mix(
-            heads=heads, duration=duration, read_rate=read_rate,
-            write_rate=write_rate, consistency=consistency, seed=seed,
-        )
-        baseline = measure_read_mix(
-            heads=heads, duration=duration, read_rate=0.0,
-            write_rate=write_rate, consistency=consistency, seed=seed,
-        )
+        mixed = measure_read_mix(heads=heads, read_rate=READ_RATE, write_rate=write_rate)
+        baseline = measure_read_mix(heads=heads, read_rate=0.0, write_rate=write_rate)
         mixed["write_only_committed_per_s"] = baseline["write_committed_per_s"]
         base = baseline["write_committed_per_s"]
         mixed["write_ratio"] = round(
@@ -172,5 +152,5 @@ def read_scaling(
     return {
         "rows": rows,
         "read_qps_speedup": round(speedup, 2),
-        "offered": {"read_per_s": read_rate, "write_per_s": write_rate},
+        "offered": {"read_per_s": READ_RATE, "write_per_s": write_rate},
     }

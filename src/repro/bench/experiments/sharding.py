@@ -37,22 +37,30 @@ from repro.util.errors import NoActiveHeadError
 
 __all__ = ["measure_shard_burst", "shard_scaling", "sequencer_kill"]
 
-#: Compute nodes behind every run here.
+#: Compute nodes behind every run here, and the seed of every run.
 COMPUTES = 2
+SEED = 1
+#: The scaling burst: this many concurrent jsubs against this many heads.
+BURST_HEADS = 4
+BURST_JOBS = 48
+#: The sequencer-kill run: shard 1 of this many loses its sequencer, on
+#: this many heads.
+KILL_SHARDS = 2
+KILL_HEADS = 3
 
 
-def measure_shard_burst(
-    shards: int, *, heads: int = 4, jobs: int = 48, seed: int = 1,
-) -> dict:
-    """One concurrent burst of *jobs* jsubs, round-robined across every
-    shard's queue namespace, against a *shards*-way sharded stack.
+def measure_shard_burst(shards: int) -> dict:
+    """One concurrent burst of :data:`BURST_JOBS` jsubs, round-robined
+    across every shard's queue namespace, against a *shards*-way sharded
+    stack of :data:`BURST_HEADS` heads.
 
     Returns the aggregate committed-commands/sec on the client's head::
 
         {"shards", "heads", "jobs", "elapsed_s", "committed",
          "committed_per_s", "per_shard_committed"}
     """
-    cluster = Cluster(head_count=heads, compute_count=COMPUTES, seed=seed)
+    heads, jobs = BURST_HEADS, BURST_JOBS
+    cluster = Cluster(head_count=heads, compute_count=COMPUTES, seed=SEED)
     stack = build_joshua_stack(
         cluster, group_config=JOSHUA_GROUP_CONFIG, shards=shards
     )
@@ -88,16 +96,12 @@ def measure_shard_burst(
     }
 
 
-def shard_scaling(
-    shard_counts=(1, 2, 4), *, jobs: int = 48, seed: int = 1,
-) -> list[dict]:
+def shard_scaling(shard_counts=(1, 2, 4)) -> list[dict]:
     """One :func:`measure_shard_burst` row per shard count, same burst."""
-    return [measure_shard_burst(n, jobs=jobs, seed=seed) for n in shard_counts]
+    return [measure_shard_burst(n) for n in shard_counts]
 
 
-def sequencer_kill(
-    *, shards: int = 2, heads: int = 3, seed: int = 1,
-) -> dict:
+def sequencer_kill() -> dict:
     """Kill shard 1's sequencer under continuous per-shard load.
 
     One submission stream per shard runs throughout. After 1 s of steady
@@ -109,8 +113,9 @@ def sequencer_kill(
     shard 1 committing again under its new sequencer. Commit counts come
     from a surviving non-victim head.
     """
+    shards, heads = KILL_SHARDS, KILL_HEADS
     cluster = Cluster(head_count=heads, compute_count=COMPUTES,
-                      login_node=True, seed=seed)
+                      login_node=True, seed=SEED)
     # Fast group timings (unlike the scaling burst's paper-calibrated
     # JOSHUA_GROUP_CONFIG): failure detection and the resulting view change
     # must complete inside a short measured window.

@@ -105,10 +105,14 @@ BATCHED_GROUP_CONFIG = dataclasses.replace(
 )
 
 
-def measure_offered_burst(
-    heads: int, jobs: int, *, seed: int = 1, batching: bool = False,
-) -> dict:
-    """Burst offered load: *jobs* concurrent jsubs against *heads* heads.
+#: The ablation's burst: this many concurrent jsubs against this many heads.
+ABLATION_HEADS = 3
+ABLATION_JOBS = 50
+
+
+def measure_offered_burst(*, batching: bool) -> dict:
+    """Burst offered load: :data:`ABLATION_JOBS` concurrent jsubs against
+    :data:`ABLATION_HEADS` heads.
 
     Unlike :func:`measure_burst` (sequential client, ≤ 1 outstanding
     command — a regime batching cannot improve by construction), every
@@ -125,7 +129,8 @@ def measure_offered_burst(
     regression fails the run rather than skewing it.
     """
     config = BATCHED_GROUP_CONFIG if batching else JOSHUA_GROUP_CONFIG
-    cluster = Cluster(head_count=heads, compute_count=2, seed=seed)
+    heads, jobs = ABLATION_HEADS, ABLATION_JOBS
+    cluster = Cluster(head_count=heads, compute_count=2, seed=1)
     stack = build_joshua_stack(cluster, group_config=config)
     client = stack.client(node="head0", prefer="head0")
     cluster.run(until=1.0)
@@ -161,15 +166,15 @@ def measure_offered_burst(
     }
 
 
-def burst_batching_ablation(*, heads: int = 3, jobs: int = 50, seed: int = 1) -> dict:
+def burst_batching_ablation() -> dict:
     """The batching ablation: identical burst, pipeline off vs. on.
 
     Returns ``{"unbatched": row, "batched": row, "reduction_pct": float}``
     where *reduction_pct* is the drop in ``bytes_wire_per_command`` the
     batched pipeline buys at this offered load.
     """
-    unbatched = measure_offered_burst(heads, jobs, seed=seed, batching=False)
-    batched = measure_offered_burst(heads, jobs, seed=seed, batching=True)
+    unbatched = measure_offered_burst(batching=False)
+    batched = measure_offered_burst(batching=True)
     reduction = 1 - batched["bytes_wire_per_command"] / unbatched["bytes_wire_per_command"]
     return {
         "unbatched": unbatched,

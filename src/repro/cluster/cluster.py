@@ -27,8 +27,6 @@ class Cluster:
         Also create a ``login`` node for running user commands off-head.
     seed:
         Master seed for all randomness in this cluster's kernel.
-    shared_medium:
-        Hub-style wire contention (the paper used a hub).
     sanitize:
         Forwarded to the kernel's determinism sanitizer.
 
@@ -46,7 +44,6 @@ class Cluster:
         compute_count: int = 2,
         login_node: bool = False,
         seed: int = 0,
-        shared_medium: bool = True,
         sanitize: bool = False,
     ):
         if head_count < 1:
@@ -54,7 +51,7 @@ class Cluster:
         if compute_count < 0:
             raise ClusterError("compute_count must be non-negative")
         self.kernel = Kernel(seed=seed, sanitize=sanitize)
-        self.network = Network(self.kernel, shared_medium=shared_medium)
+        self.network = Network(self.kernel)
         self.heads: list[Node] = [
             Node(self.network, f"head{i}", role="head") for i in range(head_count)
         ]

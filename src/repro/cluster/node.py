@@ -137,7 +137,6 @@ class Node:
             raise ClusterError(f"node {self.name} is already up")
         self.state = NodeState.UP
         self.network.set_node_up(self.name, True)
-        self.kernel.log.info(self.name, "node restarted")
         if daemons:
             for name in self._daemon_factories:
                 self.start_daemon(name)

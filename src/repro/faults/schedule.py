@@ -215,8 +215,8 @@ class FaultSchedule:
     def from_dict(cls, data: dict) -> "FaultSchedule":
         return cls([FaultEvent.from_dict(e) for e in data.get("events", [])])
 
-    def to_json(self, *, indent: int | None = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent)
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict(), indent=2)
 
     @classmethod
     def from_json(cls, text: str) -> "FaultSchedule":

@@ -160,9 +160,6 @@ class FailureDetector:
                     continue
                 if now - self._last_heard.get(peer, now) > self.suspect_timeout:
                     self._suspected.add(peer)
-                    self.kernel.log.info(
-                        f"fd@{self.transport.address}", f"suspecting {peer}"
-                    )
                     self._observe("suspect", peer)
                     if self.on_suspect is not None:
                         self.on_suspect(peer)

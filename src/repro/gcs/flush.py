@@ -158,9 +158,6 @@ class FlushEngine:
         m.state = FLUSHING
         self.entered_at = m.kernel.now
         m.stats["flushes_started"] += 1
-        m.kernel.log.info(
-            f"gcs@{m.address}", f"flush epoch={epoch} proposed={proposed_tuple}"
-        )
         req = FlushReq(epoch, proposed_tuple)
         for member in proposed_tuple:
             if member == m.address:
@@ -255,11 +252,6 @@ class FlushEngine:
             and not (old_delivered and all(mid in d for d in old_delivered))
         )
         new_view = NewView(flush.epoch, flush.epoch[0], flush.proposed, closing)
-        m.kernel.log.info(
-            f"gcs@{m.address}",
-            f"installing view {flush.epoch[0]} members={flush.proposed} "
-            f"closing={len(closing)}",
-        )
         for member in flush.proposed:
             if member == m.address:
                 self.on_new_view(m.address, new_view)

@@ -55,7 +55,6 @@ class JoshuaClient(ReplicatedClient):
         service_times: ServiceTimes = ERA_2006,
         timeout: float = 5.0,
         prefer: str | None = None,
-        track_writes: bool = False,
         consistency: str = "ordered",
     ):
         super().__init__(
@@ -63,12 +62,12 @@ class JoshuaClient(ReplicatedClient):
             timeout=timeout, prefer=prefer,
         )
         self.times = service_times
-        #: Ask heads to stamp each write's commit position (PROTOCOLS.md
-        #: §12) — the floors ``ryw`` reads later present. Off by default:
-        #: an untracked client is wire-identical to the historical one.
-        self.track_writes = track_writes
-        #: Default ``jstat`` consistency mode (overridable per call).
+        #: The read mode of :meth:`jstat` (``"ordered"`` or ``"ryw"``).
         self.consistency = consistency
+        #: Under ``ryw`` heads stamp each write's commit position
+        #: (PROTOCOLS.md §12): the floors later reads present. An
+        #: ``ordered`` client is wire-identical to the historical one.
+        self.track_writes = consistency == "ryw"
         #: shard id -> highest commit position of this client's own writes.
         self.last_write_seq: dict[int, int] = {}
         #: The raw response of the most recent ``jstat`` (a ``JStatResp``
@@ -117,31 +116,24 @@ class JoshuaClient(ReplicatedClient):
         )
         return response.job_id
 
-    def jstat(
-        self, job_id: str | None = None, *, consistency: str | None = None,
-    ) -> Generator:
+    def jstat(self, job_id: str | None = None) -> Generator:
         """Status query; rows from the answering head.
 
-        ``consistency`` (default: the client's configured mode):
+        In the client's ``consistency`` mode:
 
         * ``"ordered"`` — through the ordered command stream, serialised
           against every committed write (the historical behaviour, wire-
           identical to the pre-read-path client);
-        * ``"eventual"`` — answered immediately from the receiving head's
-          local replica, however stale it happens to be;
-        * ``"ryw"`` — like eventual, but the request carries this client's
-          per-shard write floors; the head defers (bounded) until its
-          replica has applied them, falling back to ordered on timeout.
+        * ``"ryw"`` — answered from the receiving head's local replica; the
+          request carries this client's per-shard write floors and the head
+          defers (bounded) until its replica has applied them, falling back
+          to ordered on timeout.
         """
-        mode = consistency if consistency is not None else self.consistency
-        if mode == "ordered":
+        if self.consistency == "ordered":
             request = JStatReq(self._uuid("jstat"), job_id)
         else:
-            floors = (
-                tuple(sorted(self.last_write_seq.items()))
-                if mode == "ryw" else ()
-            )
-            request = JStatReq(self._uuid("jstat"), job_id, mode, floors)
+            floors = tuple(sorted(self.last_write_seq.items()))
+            request = JStatReq(self._uuid("jstat"), job_id, self.consistency, floors)
         response = yield from self._call(request)
         self.last_stat_response = response
         return list(response.rows)

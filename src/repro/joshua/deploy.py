@@ -46,12 +46,6 @@ class JoshuaStack:
     #: Independent ordering groups hosted on the shared heads. Every head
     #: runs one replica unit per shard; :meth:`add_head` joins all of them.
     shards: int = 1
-    #: Maui policy. True is the paper's configuration ("each job exclusive
-    #: access to our test cluster"); False is the future-work mode it
-    #: forecasts — safe here because strict head-of-queue FIFO keeps the
-    #: replicated schedulers' decisions convergent and the launch mutex
-    #: arbitrates any transient divergence.
-    exclusive: bool = True
 
     @property
     def mom_addresses(self) -> list[Address]:
@@ -96,7 +90,6 @@ class JoshuaStack:
             moms=mom_addresses,
             service_times=self.service_times,
             server_name=REPLICA_SERVER_NAME,
-            exclusive=self.exclusive,
         )
         # One constructor call for every incarnation: boot-vs-join is the
         # engine's decision (ReplicationEngine.start, from its boot counter).
@@ -130,7 +123,6 @@ def build_joshua_stack(
     service_times: ServiceTimes = ERA_2006,
     group_config: GroupConfig = JOSHUA_GROUP_CONFIG,
     shards: int = 1,
-    exclusive: bool = True,
 ) -> JoshuaStack:
     """Deploy JOSHUA across every head node of *cluster*.
 
@@ -148,7 +140,6 @@ def build_joshua_stack(
         service_times=service_times,
         group_config=group_config,
         shards=shards,
-        exclusive=exclusive,
     )
     server_addresses = [Address(h, PBS_SERVER_PORT) for h in stack.head_names]
     for head in cluster.heads:

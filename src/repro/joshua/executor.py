@@ -43,14 +43,17 @@ def spec_from_row(row: dict) -> JobSpec:
 class SerialExecutor:
     """Executes one replica's ordered commands against its local PBS."""
 
+    #: Seconds per attempt of a request to the local PBS server.
+    LOCAL_TIMEOUT = 3.0
+
     def __init__(self, replica: "ShardReplica"):
         self.s = replica
 
-    def local_rpc(self, payload, *, timeout: float = 3.0, retries: int = 2):
+    def local_rpc(self, payload, *, retries: int = 2):
         s = self.s
         response = yield from rpc_call(
             s.node.network, s.node.name, s.host.local_pbs, payload,
-            timeout=timeout, retries=retries,
+            timeout=self.LOCAL_TIMEOUT, retries=retries,
         )
         return response
 

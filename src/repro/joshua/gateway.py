@@ -12,9 +12,9 @@ protocol:
   evenly and a given client keeps talking to the same head — which is
   what makes the local read path (PROTOCOLS.md §12) effective: the head
   answering your ``jstat`` is the head that stamped your writes;
-* sessions track their writes (``track_writes=True``) and read in the
-  gateway's mode, read-your-writes by default — the contract the local
-  read path was built for;
+* sessions read in the gateway's mode, read-your-writes by default (and
+  so track their writes) — the contract the local read path was built
+  for;
 * when a session's calls fail over away from its pinned head, the gateway
   marks that head dead, re-pins every session assigned to it, and
   forgives the head after a grace period (crash-restarted heads return to
@@ -113,14 +113,14 @@ class JoshuaGateway:
         self, node: str, client_id: str | None = None
     ) -> "GatewaySession":
         """Open a session for *client_id* (default: the node name) running
-        its commands on *node*, tracking its writes and reading in the
-        gateway's consistency mode."""
+        its commands on *node*, reading in the gateway's consistency
+        mode."""
         client_id = client_id if client_id is not None else node
         head = self.assign(client_id)
         client = JoshuaClient(
             self.network, node, self.heads,
             service_times=self.times, timeout=self.timeout,
-            prefer=head, track_writes=True, consistency=self.consistency,
+            prefer=head, consistency=self.consistency,
         )
         session = GatewaySession(self, node, client_id, head, client)
         self.sessions.append(session)
@@ -194,13 +194,9 @@ class GatewaySession:
         result = yield from self._watched(self.client.jdel(job_id))
         return result
 
-    def jstat(
-        self, job_id: str | None = None, *, consistency: str | None = None,
-    ) -> Generator:
+    def jstat(self, job_id: str | None = None) -> Generator:
         self.gateway.stats["reads"] += 1
-        rows = yield from self._watched(
-            self.client.jstat(job_id, consistency=consistency)
-        )
+        rows = yield from self._watched(self.client.jstat(job_id))
         if isinstance(self.client.last_stat_response, JStatResp):
             self.gateway.stats["reads_local"] += 1
         else:

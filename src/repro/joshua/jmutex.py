@@ -45,9 +45,12 @@ __all__ = ["install_jmutex"]
 NOTIFY_PASSES = 6
 NOTIFY_BACKOFF = 0.25
 NOTIFY_BACKOFF_CAP = 2.0
+#: Seconds per attempt of the prologue's launch-decision request and of each
+#: Started/Done notification.
+JMUTEX_TIMEOUT = 2.0
 
 
-def install_jmutex(mom: PBSMom, *, timeout: float = 2.0) -> None:
+def install_jmutex(mom: PBSMom) -> None:
     """Attach the jmutex prologue hook and jdone epilogue to *mom*.
 
     ``NOTIFY_PASSES`` bounds how many times the Started/Done notifier
@@ -64,7 +67,7 @@ def install_jmutex(mom: PBSMom, *, timeout: float = 2.0) -> None:
             response = yield from rpc_call(
                 mom_.node.network, mom_.node.name, joshua,
                 JMutexReq(req.job_id, req.server.node),
-                timeout=timeout,
+                timeout=JMUTEX_TIMEOUT,
             )
             return response.decision
         except (RpcTimeout, PBSError):
@@ -97,7 +100,7 @@ def install_jmutex(mom: PBSMom, *, timeout: float = 2.0) -> None:
                         [Address(head, JOSHUA_PORT)
                          for head in sorted({s.node for s in mom.servers})],
                         request,
-                        timeout=timeout,
+                        timeout=JMUTEX_TIMEOUT,
                         skip_down=False,
                         retry_error=lambda exc: True,
                         reject=lambda r: getattr(r, "decision", None) != "ok",

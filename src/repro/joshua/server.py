@@ -223,17 +223,17 @@ class JoshuaServer(ReplicaDaemon):
     # ------------------------------------------------------------------
 
     def _read_locally(self, src: Address, request_id: int, req: JStatReq):
-        """Answer a read-path ``jstat`` from the local PBS replica.
+        """Answer a read-path (``ryw``) ``jstat`` from the local PBS replica.
 
-        ``eventual`` answers immediately; ``ryw`` first waits (bounded by
-        ``times.read_catchup_timeout``) for every gated shard's applied
-        position to reach the client's floor, then falls back to the
-        ordered path. An id-less query gates on — and reports — **every**
-        shard's position: all replicas on a head apply to the same local
-        PBS, so one local stat *is* the per-shard fan-out, merged.
+        It first waits (bounded by ``times.read_catchup_timeout``) for every
+        gated shard's applied position to reach the client's floor, then
+        falls back to the ordered path. An id-less query gates on — and
+        reports — **every** shard's position: all replicas on a head apply
+        to the same local PBS, so one local stat *is* the per-shard
+        fan-out, merged.
         """
         t0 = self.kernel.now
-        if req.consistency not in ("eventual", "ryw"):
+        if req.consistency != "ryw":
             return ErrorResp(
                 "bad-request", f"unknown consistency {req.consistency!r}"
             )
@@ -243,7 +243,7 @@ class JoshuaServer(ReplicaDaemon):
         )
         if not all(replica.active for replica in gating):
             return self.JOINING
-        floors = dict(req.min_seq) if req.consistency == "ryw" else {}
+        floors = dict(req.min_seq)
         unmet = []
         for replica in gating:
             floor = floors.get(replica.index, 0)

@@ -52,6 +52,10 @@ class TraceRun:
         return self.cluster.network
 
 
+#: Sim-seconds each traced job runs.
+WALLTIME = 1.0
+
+
 def run_traced_scenario(
     *,
     seed: int = 7,
@@ -59,9 +63,7 @@ def run_traced_scenario(
     computes: int = 2,
     jobs: int = 3,
     ordering: str = "sequencer",
-    walltime: float = 1.0,
     shards: int = 1,
-    registry: MetricsRegistry | None = None,
 ) -> TraceRun:
     """Run the observed scenario to completion; deterministic given *seed*.
 
@@ -78,7 +80,7 @@ def run_traced_scenario(
         head_count=heads, compute_count=computes, login_node=True, seed=seed
     )
     stack = build_joshua_stack(cluster, group_config=group, shards=shards)
-    collector = attach_collector(cluster.network, registry=registry)
+    collector = attach_collector(cluster.network)
     attach_recorder(cluster.network)
     attach_timeseries(cluster.network)
     run = TraceRun(
@@ -97,7 +99,7 @@ def run_traced_scenario(
             )
             try:
                 job_id = yield from client.jsub(
-                    name=f"trace-{i}", walltime=walltime, **extra
+                    name=f"trace-{i}", walltime=WALLTIME, **extra
                 )
                 run.submitted.append(job_id)
             except NoActiveHeadError:  # pragma: no cover - no faults here
@@ -106,5 +108,5 @@ def run_traced_scenario(
     cluster.kernel.spawn(workload(), name="trace-workload")
     # Serial execution on an exclusive cluster: generous fixed horizon so
     # every job's obit lands before the run ends.
-    cluster.run(until=2.0 + jobs * (walltime + 5.0) + 10.0)
+    cluster.run(until=2.0 + jobs * (WALLTIME + 5.0) + 10.0)
     return run

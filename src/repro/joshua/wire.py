@@ -77,10 +77,10 @@ class JStatReq:
 
     With ``consistency="ordered"`` (the legacy default) the query rides the
     totally ordered stream exactly like a write, so every user sees a queue
-    consistent with the command order. ``"eventual"`` and ``"ryw"`` answer
-    from the receiving head's local replica without entering the ordered
-    stream; ``min_seq`` carries the client's read-your-writes floors as
-    sorted ``(shard, applied_seq)`` pairs.
+    consistent with the command order. ``"ryw"`` answers from the receiving
+    head's local replica without entering the ordered stream; ``min_seq``
+    carries the client's read-your-writes floors as sorted
+    ``(shard, applied_seq)`` pairs.
     """
 
     uuid: str

@@ -293,7 +293,7 @@ class TraceCollector:
                     wait_s: float, lag: int, shard: int | None = None) -> None:
         """A head answered (or punted) a non-ordered ``jstat``.
 
-        ``mode`` is the requested consistency (``eventual`` / ``ryw``);
+        ``mode`` is the requested consistency (``ryw``);
         ``outcome`` is ``local`` (answered from the local replica) or
         ``fallback`` (deferred past the catch-up deadline and re-routed
         through the ordered stream); ``wait_s`` is the catch-up wait spent
@@ -302,8 +302,7 @@ class TraceCollector:
         """
         reads = self._reads_local if outcome == "local" else self._reads_fallback
         reads[node, mode, shard].inc()
-        if mode == "ryw":
-            self._catchup_wait[node, shard].observe(wait_s)
+        self._catchup_wait[node, shard].observe(wait_s)
         self._staleness[node, shard].set(float(lag))
         self.record("joshua.read", node, trace_id=trace_id, mode=mode,
                     outcome=outcome, wait_s=wait_s, lag=lag,

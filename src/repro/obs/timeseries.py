@@ -213,17 +213,15 @@ class TimeSeriesSampler:
         return [self._record(sample) for sample in self.samples]
 
 
-def top_table(
-    records: list[dict],
-    *,
-    limit: int = 12,
-    indent: str = "  ",
-    shard: int | None = None,
-) -> list[str]:
+#: Rows :func:`top_table` shows.
+TOP_ROWS = 12
+
+
+def top_table(records: list[dict], *, shard: int | None = None) -> list[str]:
     """A ``repro top``-style table of ``type="timeseries"`` records: the
-    busiest series, one row each, with total / peak-window / last-window
-    activity. With *shard*, only series carrying that ``shard=`` label are
-    shown (the CLI ``--shard`` filter)."""
+    :data:`TOP_ROWS` busiest series, one row each, with total / peak-window
+    / last-window activity. With *shard*, only series carrying that
+    ``shard=`` label are shown (the CLI ``--shard`` filter)."""
     agg: dict[str, dict] = {}
     for sample in records:
         if shard is not None and sample["labels"].get("shard") != shard:
@@ -244,10 +242,10 @@ def top_table(
         if "p99" in sample:
             entry["p99"] = max(entry["p99"], sample["p99"])
     if not agg:
-        return [indent + "(no time-series samples)"]
+        return ["  (no time-series samples)"]
     busiest = sorted(
         agg.values(), key=lambda e: (-e["total"], e["series"])
-    )[:limit]
+    )[:TOP_ROWS]
     rows = []
     for entry in busiest:
         p99 = f"{entry['p99'] * 1000.0:.1f}ms" if entry["p99"] else "-"
@@ -260,7 +258,7 @@ def top_table(
         ["series", "kind", "windows", "total", "peak/w", "last/w",
          "max p99"],
         rows,
-        indent=indent,
+        indent="  ",
     )
 
 

@@ -82,7 +82,7 @@ class JobQueue:
     def get(self, job_id: str) -> Job:
         try:
             return self._jobs[job_id]
-        except KeyError:
+        except (KeyError, TypeError):  # TypeError: an unhashable id off the wire
             raise UnknownJobError(job_id) from None
 
     def update(self, job: Job) -> None:

@@ -11,9 +11,7 @@ Configured exactly as the paper configured Maui for the prototype (§4):
 
 Determinism is the load-bearing property: every replicated server must make
 identical scheduling decisions from identical queues, otherwise the
-replicas' states diverge. The ``exclusive`` flag can be turned off (an
-extension the paper mentions lifting in the future); allocation then packs
-jobs onto free nodes, still deterministically.
+replicas' states diverge.
 
 The scheduler runs as its own daemon and talks to its server over the wire
 (Maui is a separate process speaking the PBS scheduler API), polling every
@@ -39,14 +37,14 @@ if TYPE_CHECKING:  # pragma: no cover
 __all__ = ["MauiScheduler", "QueueView", "fifo_decide"]
 
 
-def fifo_decide(rows: list[dict], node_free: list[tuple[str, bool]], *, exclusive: bool) -> tuple[str, tuple[str, ...]] | None:
+def fifo_decide(rows: list[dict], node_free: list[tuple[str, bool]]) -> tuple[str, tuple[str, ...]] | None:
     """Pure scheduling decision: which job to start where, or ``None``.
 
     Exposed as a function so tests (and the replicated-state argument) can
     check determinism directly: same inputs, same decision, no hidden state.
     """
-    if exclusive and any(r["state"] in ("R", "E") for r in rows):
-        return None
+    if any(r["state"] in ("R", "E") for r in rows):
+        return None  # exclusive access: one job on the cluster at a time
     # Strict FIFO: only the head of the queue is considered. A large job
     # that does not fit blocks everything behind it — no backfill, which is
     # part of what keeps replicated schedulers deterministic.
@@ -100,12 +98,10 @@ class MauiScheduler(Daemon):
         server: Address,
         port: int = 15004,
         service_times: ServiceTimes = ERA_2006,
-        exclusive: bool = True,
     ):
         super().__init__(node, "maui", port)
         self.server = server
         self.times = service_times
-        self.exclusive = exclusive
         self.stats = {"cycles": 0, "dispatches": 0, "dispatch_failures": 0}
         self.view = QueueView()
 
@@ -122,9 +118,7 @@ class MauiScheduler(Daemon):
                 continue  # server briefly unavailable; poll again
             self.view.apply(poll)
             yield self.kernel.timeout(self.times.sched_cycle)
-            decision = fifo_decide(
-                self.view.rows(), list(poll.node_free), exclusive=self.exclusive
-            )
+            decision = fifo_decide(self.view.rows(), list(poll.node_free))
             if decision is None:
                 continue
             job_id, exec_nodes = decision

@@ -21,6 +21,9 @@ from repro.pbs.service_times import ERA_2006, ServiceTimes
 
 __all__ = ["PBSStack", "build_pbs_stack", "install_head_daemons"]
 
+#: The server name of :func:`build_pbs_stack` (its job ids read ``N.torque``).
+SERVER_NAME = "torque"
+
 
 @dataclass
 class PBSStack:
@@ -53,7 +56,6 @@ def install_head_daemons(
     moms: list[Address],
     service_times: ServiceTimes,
     server_name: str = "torque",
-    exclusive: bool = True,
     start: bool = True,
 ) -> tuple[PBSServer, MauiScheduler]:
     """Register ``pbs_server`` then ``maui`` on *head* — the pair every
@@ -80,28 +82,21 @@ def install_head_daemons(
             node,
             server=server_address,
             service_times=service_times,
-            exclusive=exclusive,
         ),
         start=start,
     )
     return server, scheduler
 
 
-def build_pbs_stack(
-    cluster: Cluster,
-    *,
-    head: Node | None = None,
-    service_times: ServiceTimes = ERA_2006,
-    server_name: str = "torque",
-    exclusive: bool = True,
-) -> PBSStack:
-    """Deploy server+scheduler on *head* and a mom on every compute node.
+def build_pbs_stack(cluster: Cluster, *, service_times: ServiceTimes = ERA_2006) -> PBSStack:
+    """Deploy server+scheduler on the first head and a mom on every compute
+    node.
 
     Daemon factories are registered on the nodes, so a node crash/restart
     cycle automatically rebuilds fresh daemon instances (with the server
     recovering its queue from disk).
     """
-    head = head or cluster.heads[0]
+    head = cluster.heads[0]
     mom_addresses = [Address(c.name, PBS_MOM_PORT) for c in cluster.computes]
     server_address = Address(head.name, PBS_SERVER_PORT)
 
@@ -109,8 +104,7 @@ def build_pbs_stack(
         head,
         moms=mom_addresses,
         service_times=service_times,
-        server_name=server_name,
-        exclusive=exclusive,
+        server_name=SERVER_NAME,
     )
     moms = [
         compute.add_daemon(

@@ -77,7 +77,11 @@ def _status_of(job: Job) -> int:
     return 0  # failed
 
 
-def export_swf(jobs: list[Job], *, site: str = "repro-joshua") -> str:
+#: The site name an exported trace's header carries.
+SITE = "repro-joshua"
+
+
+def export_swf(jobs: list[Job]) -> str:
     """Render finished *jobs* as an SWF trace (submission order).
 
     Jobs that never reached COMPLETE are skipped — SWF records history,
@@ -90,9 +94,9 @@ def export_swf(jobs: list[Job], *, site: str = "repro-joshua") -> str:
     )
     origin = finished[0].submit_time if finished else 0.0
     lines = [
-        f"; SWF trace exported by {site}",
+        f"; SWF trace exported by {SITE}",
         "; Version: 2.2",
-        f"; Computer: simulated Beowulf cluster ({site})",
+        f"; Computer: simulated Beowulf cluster ({SITE})",
         "; Acknowledge: JOSHUA reproduction (IEEE CLUSTER 2006)",
         f"; MaxJobs: {len(finished)}",
     ]

@@ -31,13 +31,8 @@ class PVFSClient:
         network: Network,
         node: str,
         replicas: list[Address],
-        *,
-        timeout: float = 3.0,
-        prefer: str | None = None,
     ):
-        self._rc = ReplicatedClient(
-            network, node, replicas, timeout=timeout, prefer=prefer
-        )
+        self._rc = ReplicatedClient(network, node, replicas)
 
     @property
     def stats(self) -> dict:

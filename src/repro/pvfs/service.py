@@ -19,7 +19,7 @@ from typing import TYPE_CHECKING, Generator
 
 from repro.aa.replicated import ReplicatedService
 from repro.cluster.cluster import Cluster
-from repro.gcs.config import FAST_GROUP_CONFIG, GroupConfig
+from repro.gcs.config import FAST_GROUP_CONFIG
 from repro.net.address import Address
 from repro.pvfs.metadata import MetadataStore
 from repro.pvfs.wire import (
@@ -101,7 +101,6 @@ class ReplicatedMDS:
 
     cluster: Cluster
     head_names: list[str]
-    group_config: GroupConfig
 
     def replica(self, head: str) -> ReplicatedService:
         return self.cluster.node(head).daemon("pvfs-mds")  # type: ignore[return-value]
@@ -129,26 +128,20 @@ class ReplicatedMDS:
         node = Node(self.cluster.network, name, role="head")
         self.cluster.heads.append(node)
         self.head_names.append(name)
-        config = self.group_config
 
         def factory(n: "Node") -> ReplicatedService:
             return ReplicatedService(
                 n, "pvfs-mds", MetadataBackend(n.kernel),
                 port=MDS_PORT, gcs_port=MDS_GCS_PORT,
-                contacts=contacts, group_config=config,
+                contacts=contacts, group_config=FAST_GROUP_CONFIG,
             )
 
         node.add_daemon("pvfs-mds", factory)
         return node
 
 
-def build_replicated_mds(
-    cluster: Cluster,
-    *,
-    group_config: GroupConfig | None = None,
-) -> ReplicatedMDS:
+def build_replicated_mds(cluster: Cluster) -> ReplicatedMDS:
     """Deploy one metadata replica on every head node of *cluster*."""
-    config = group_config or FAST_GROUP_CONFIG
     head_names = [h.name for h in cluster.heads]
 
     def factory(node: "Node") -> ReplicatedService:
@@ -156,9 +149,9 @@ def build_replicated_mds(
             node, "pvfs-mds",
             MetadataBackend(node.kernel),
             port=MDS_PORT, gcs_port=MDS_GCS_PORT,
-            initial_members=head_names, group_config=config,
+            initial_members=head_names, group_config=FAST_GROUP_CONFIG,
         )
 
     for head in cluster.heads:
         head.add_daemon("pvfs-mds", factory)
-    return ReplicatedMDS(cluster, head_names, config)
+    return ReplicatedMDS(cluster, head_names)

@@ -27,8 +27,6 @@ __all__ = ["Kernel"]
 NORMAL = 1
 #: Priority used for urgent bookkeeping (none currently; reserved).
 URGENT = 0
-#: Lowest level the kernel-wide :class:`SimLogger` keeps.
-LOG_LEVEL = "WARNING"
 
 
 class Kernel:
@@ -53,7 +51,7 @@ class Kernel:
         self._heap: list[tuple[float, int, int, Event]] = []
         self._sequence = 0
         self.streams = RandomStreams(seed)
-        self.log = SimLogger(lambda: self.now, level=LOG_LEVEL)
+        self.log = SimLogger(lambda: self.now)
         self._crashed_processes: list[tuple[Process, BaseException]] = []
         self.sanitizer: DeterminismSanitizer | None = (
             DeterminismSanitizer() if sanitize else None

@@ -9,13 +9,10 @@ assert on them.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import Callable, Iterable
 
-__all__ = ["LogRecord", "SimLogger", "LEVELS"]
-
-LEVELS = {"DEBUG": 10, "INFO": 20, "WARNING": 30, "ERROR": 40}
+__all__ = ["LogRecord", "SimLogger"]
 
 
 @dataclass(frozen=True)
@@ -48,44 +45,26 @@ class LogRecord:
 
 
 class SimLogger:
-    """In-memory logger driven by a simulated clock.
+    """In-memory warning/error log driven by a simulated clock.
 
     Parameters
     ----------
     clock:
         Zero-argument callable returning the current simulated time.
-    level:
-        Minimum level name to retain (``DEBUG``/``INFO``/``WARNING``/``ERROR``).
     """
 
     #: Maximum records kept; older records are dropped FIFO.
     capacity = 100_000
 
-    def __init__(self, clock: Callable[[], float], *, level: str = "INFO"):
-        if level not in LEVELS:
-            raise ValueError(f"unknown log level {level!r}; expected one of {sorted(LEVELS)}")
+    def __init__(self, clock: Callable[[], float]):
         self._clock = clock
-        self._threshold = LEVELS[level]
         self.records: list[LogRecord] = []
 
-    def set_level(self, level: str) -> None:
-        if level not in LEVELS:
-            raise ValueError(f"unknown log level {level!r}")
-        self._threshold = LEVELS[level]
-
     def log(self, level: str, source: str, message: str, **fields) -> None:
-        if LEVELS.get(level, 0) < self._threshold:
-            return
         record = LogRecord(self._clock(), level, source, message, fields)
         self.records.append(record)
         if len(self.records) > self.capacity:
             del self.records[: len(self.records) - self.capacity]
-
-    def debug(self, source: str, message: str, **fields) -> None:
-        self.log("DEBUG", source, message, **fields)
-
-    def info(self, source: str, message: str, **fields) -> None:
-        self.log("INFO", source, message, **fields)
 
     def warning(self, source: str, message: str, **fields) -> None:
         self.log("WARNING", source, message, **fields)
@@ -93,25 +72,6 @@ class SimLogger:
     def error(self, source: str, message: str, **fields) -> None:
         self.log("ERROR", source, message, **fields)
 
-    def select(self, *, level: str | None = None) -> list[LogRecord]:
-        """Retained records, only those of *level* if one is given."""
-        return [r for r in self.records if level is None or r.level == level]
-
-    def dump(self, records: Iterable[LogRecord] | None = None) -> str:
-        """Render records (default: all) one per line."""
-        return "\n".join(r.format() for r in (self.records if records is None else records))
-
     def to_dicts(self, records: Iterable[LogRecord] | None = None) -> list[dict]:
         """Structured export of *records* (default: all retained)."""
         return [r.to_dict() for r in (self.records if records is None else records)]
-
-    def to_jsonl(self, records: Iterable[LogRecord] | None = None) -> str:
-        """Records as JSONL, one JSON object per line (trailing newline).
-
-        Non-JSON-native field values degrade to their ``repr`` — an export
-        must never fail because a caller logged an address or a message id.
-        """
-        lines = [
-            json.dumps(d, sort_keys=True, default=repr) for d in self.to_dicts(records)
-        ]
-        return "\n".join(lines) + ("\n" if lines else "")

@@ -4,6 +4,7 @@ import pytest
 
 from repro.cluster import Cluster
 from repro.pbs.job import JobState
+from repro.pbs import stack as pbs_stack
 from repro.pbs.stack import build_pbs_stack
 from repro.util.errors import NoActiveHeadError, PBSError
 
@@ -111,7 +112,7 @@ class TestReplicatedSubmission:
             assert pbs.jobs.get(second).state is not JobState.QUEUED, head
         assert victim not in stack.mom("compute0").active
 
-    def test_pbs_error_kind_relayed_as_through_plain_pbs(self, stack):
+    def test_pbs_error_kind_relayed_as_through_plain_pbs(self, stack, monkeypatch):
         """A PBS failure reaches the JOSHUA client with the kind and text
         plain PBS gives its own client, not flattened to ``pbs-error`` with
         the real kind inside the text: deleting a finished job is
@@ -122,7 +123,8 @@ class TestReplicatedSubmission:
             return err.value.kind, err.value.message
 
         plain_cluster = Cluster(head_count=1, compute_count=2, login_node=True, seed=11)
-        plain = build_pbs_stack(plain_cluster, server_name="joshua")
+        monkeypatch.setattr(pbs_stack, "SERVER_NAME", "joshua")
+        plain = build_pbs_stack(plain_cluster)
         qclient = plain.client(node="login")
         def run_plain(command):
             return plain_cluster.run(until=plain_cluster.kernel.spawn(command))
@@ -269,6 +271,37 @@ class TestFrontDoor:
 
         stack = make_stack(heads=2, seed=5)
         self.assert_refused(stack, JStatReq("front-door-2", None, "ryw", min_seq))
+        self.assert_still_serving(stack)
+
+    @pytest.mark.parametrize("request_", [
+        *[("pbs", kind) for kind in ("DeleteReq", "StatReq", "HoldReq",
+                                     "ReleaseReq", "RerunReq", "SignalReq")],
+        ("joshua", "JDelReq"), ("joshua", "JStatReq"), ("joshua", "ryw"),
+    ], ids=lambda request: request[1])
+    def test_unhashable_job_id_is_an_unknown_job(self, request_):
+        """A job id that is a list, not a string, once raised ``TypeError``
+        in ``JobQueue.get`` and crashed ``pbs_server`` (on the ordered path,
+        every head's): each head's PBS, and JOSHUA's ordered and local read
+        paths, answer ``unknown-job`` instead."""
+        from repro.joshua import wire as joshua_wire
+        from repro.net.address import Address
+        from repro.pbs import wire as pbs_wire
+        from repro.pbs.server import PBS_SERVER_PORT
+        from repro.rpc import call as rpc_call
+
+        stack = make_stack(heads=2, seed=5)
+        daemon, kind = request_
+        if daemon == "pbs":
+            record = getattr(pbs_wire, kind)(["x"])
+            with pytest.raises(PBSError) as info:
+                drive(stack, rpc_call(stack.cluster.network, "login",
+                                      Address("head0", PBS_SERVER_PORT), record))
+        else:
+            record = (joshua_wire.JStatReq("front-door-3", ["x"], "ryw") if kind == "ryw"
+                      else getattr(joshua_wire, kind)("front-door-3", ["x"]))
+            with pytest.raises(PBSError) as info:
+                self.ask(stack, record)
+        assert info.value.kind == "unknown-job"
         self.assert_still_serving(stack)
 
     def test_jsub_without_a_uuid_is_refused_not_cached(self):

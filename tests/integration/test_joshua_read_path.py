@@ -1,11 +1,10 @@
 """The split command plane: local-replica reads and the client gateway.
 
 The write path is untouched — these tests pin the *read* path contract
-(PROTOCOLS.md §12): ``eventual`` answers from the receiving head's local
-PBS replica immediately, ``ryw`` defers until the head's applied sequence
-reaches the client's write floors (falling back to the ordered stream
-after ``read_catchup_timeout``), and ``ordered`` stays the wire-identical
-legacy route. The response *type* is the observable: a local read returns
+(PROTOCOLS.md §12): ``ryw`` answers from the receiving head's local PBS
+replica once the head's applied sequence reaches the client's write floors
+(falling back to the ordered stream after ``read_catchup_timeout``), and
+``ordered`` stays the wire-identical legacy route. The response *type* is the observable: a local read returns
 a :class:`JStatResp` (with per-shard ``as_of_seq``), an ordered read — a
 plain PBS :class:`StatResp`.
 """
@@ -31,16 +30,6 @@ from tests.integration.conftest import (
 
 
 class TestLocalReads:
-    def test_eventual_read_answers_locally(self):
-        stack = make_stack(heads=2)
-        client = stack.client(node="login", consistency="eventual")
-        job_id = drive(stack, client.jsub(name="seen", walltime=300))
-        settle(stack, 1.0)
-        rows = drive(stack, client.jstat())
-        assert [r["job_id"] for r in rows] == [job_id]
-        assert isinstance(client.last_stat_response, JStatResp)
-        assert client.last_stat_response.node in stack.head_names
-
     def test_ordered_read_keeps_legacy_response_type(self):
         stack = make_stack(heads=2)
         client = stack.client(node="login")  # consistency="ordered" default
@@ -53,8 +42,7 @@ class TestLocalReads:
         """Submit-then-jstat from a tracked client: the local answer's
         ``as_of_seq`` must cover the write's commit position."""
         stack = make_stack(heads=2)
-        client = stack.client(node="login", track_writes=True,
-                              consistency="ryw")
+        client = stack.client(node="login", consistency="ryw")
         job_id = drive(stack, client.jsub(name="mine", walltime=300))
         assert client.last_write_seq, "write was not seq-stamped"
         floor = client.last_write_seq[0]
@@ -70,8 +58,7 @@ class TestLocalReads:
         a local answer, not a fallback."""
         stack = make_stack(heads=2)
         kernel = stack.cluster.kernel
-        client = stack.client(node="login", track_writes=True,
-                              consistency="ryw")
+        client = stack.client(node="login", consistency="ryw")
         drive(stack, client.jsub(name="first", walltime=300))
         settle(stack, 1.0)
         applied = stack.joshua("head0").shards[0].applied_seq
@@ -93,8 +80,7 @@ class TestLocalReads:
         stream — the reply is the legacy ``StatResp``, after the wait."""
         stack = make_stack(heads=2)
         kernel = stack.cluster.kernel
-        client = stack.client(node="login", track_writes=True,
-                              consistency="ryw")
+        client = stack.client(node="login", consistency="ryw")
         drive(stack, client.jsub(name="only", walltime=300))
         settle(stack, 1.0)
         client.last_write_seq[0] = 10_000  # unreachable floor
@@ -105,15 +91,6 @@ class TestLocalReads:
         assert isinstance(client.last_stat_response, StatResp)
         assert len(rows) == 1  # the ordered detour still answers correctly
 
-    def test_per_call_consistency_override(self):
-        stack = make_stack(heads=2)
-        client = stack.client(node="login")  # ordered by default
-        drive(stack, client.jsub(name="x", walltime=300))
-        drive(stack, client.jstat(consistency="eventual"))
-        assert isinstance(client.last_stat_response, JStatResp)
-        drive(stack, client.jstat())
-        assert isinstance(client.last_stat_response, StatResp)
-
 
 class TestCrossShardReads:
     """The ROADMAP gap: an *ordered* id-less jstat serialises only against
@@ -123,8 +100,7 @@ class TestCrossShardReads:
 
     def test_idless_read_covers_both_shards(self):
         stack = make_stack(heads=2, shards=2)
-        client = stack.client(node="login", track_writes=True,
-                              consistency="ryw")
+        client = stack.client(node="login", consistency="ryw")
         # "batch" hashes to shard 0, "workq" to shard 1.
         assert zlib.crc32(b"batch") % 2 == 0 and zlib.crc32(b"workq") % 2 == 1
         a = drive(stack, client.jsub(name="a", walltime=300, queue="batch"))
@@ -170,8 +146,7 @@ class TestCrossShardReads:
         """A jstat *with* an id gates on the owning shard alone: an
         unreachable floor on the other shard must not stall or fall back."""
         stack = make_stack(heads=2, shards=2)
-        client = stack.client(node="login", track_writes=True,
-                              consistency="ryw")
+        client = stack.client(node="login", consistency="ryw")
         a = drive(stack, client.jsub(name="a", walltime=300, queue="batch"))
         settle(stack, 1.0)
         owner = stack.joshua("head0").shard_for_job(a).index
@@ -203,7 +178,7 @@ class TestJoinerPosition:
         for i in range(3):
             drive(stack, client.jsub(name=f"pre{i}", walltime=900))
         if tracked_via is not None:
-            tracked = stack.client(node="login", track_writes=True,
+            tracked = stack.client(node="login", consistency="ryw",
                                    prefer=tracked_via)
             drive(stack, tracked.jsub(name="tracked", walltime=900))
         joiner = stack.add_head()
@@ -226,8 +201,7 @@ class TestJoinerPosition:
 
     def test_tracked_write_through_fresh_joiner_is_stamped(self, stack):
         joined = self._joined(stack, tracked_via="head1")
-        client = stack.client(node="login", track_writes=True,
-                              consistency="ryw", prefer=joined.node.name)
+        client = stack.client(node="login", consistency="ryw", prefer=joined.node.name)
         drive(stack, client.jsub(name="via-joiner", walltime=900))
         assert client.last_write_seq == {0: 5}
         drive(stack, client.jstat())

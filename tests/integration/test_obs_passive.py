@@ -33,7 +33,7 @@ PINNED = json.loads(
 
 def _scenario_read_heavy(stack):
     """The split command plane under load: gateway sessions submit then
-    hammer the local read path (ryw and eventual), including a fallback
+    hammer the local read path (ryw), including a fallback
     (an unreachable floor) — so ``joshua.read.*`` spans, metrics and the
     catch-up/fallback branches are all on the observed path."""
     gateway = stack.gateway()
@@ -43,7 +43,6 @@ def _scenario_read_heavy(stack):
     for session in sessions:
         for _ in range(3):
             drive(stack, session.jstat())
-        drive(stack, session.jstat(consistency="eventual"))
     # One read that cannot be served locally in time: ordered fallback.
     sessions[0].client.last_write_seq[0] = 10_000
     drive(stack, sessions[0].jstat())

@@ -145,9 +145,7 @@ class TestRestart:
         immediate in a view of one), and the resync that rescued it threw
         them away."""
         cluster, mds, _client = make_mds()
-        client = PVFSClient(
-            cluster.network, "login", mds.addresses(), prefer="head0"
-        )
+        client = PVFSClient(cluster.network, "login", mds.addresses())  # head0 first
         drive(cluster, client.mkdir("/r"))
         cluster.node("head0").crash()
         cluster.run(until=cluster.kernel.now + 2.0)

@@ -332,9 +332,8 @@ class RestartFromDisk(RuleBasedStateMachine):
         full = _over_the_wire(server._do_sched_poll(SchedPollReq()))
         assert caught_up.rows() == [row for row in full.rows if row["state"] != "C"]
         node_free = list(full.node_free)
-        for exclusive in (True, False):
-            assert fifo_decide(caught_up.rows(), node_free, exclusive=exclusive) \
-                == fifo_decide(list(full.rows), node_free, exclusive=exclusive)
+        assert fifo_decide(caught_up.rows(), node_free) \
+            == fifo_decide(list(full.rows), node_free)
 
     def teardown(self):
         assert_sanitizer_clean(self.cluster.kernel)
@@ -387,11 +386,11 @@ def test_delta_to_wire_equals_the_full_scan(edits):
             assert queue.to_wire(since) == _full_scan_to_wire(queue, since), since
 
 
-def _listing_fifo_decide(rows, node_free, *, exclusive):
+def _listing_fifo_decide(rows, node_free):
     """``fifo_decide`` as it was first written: two full lists, then the
     head of the queued one."""
     running = [r for r in rows if r["state"] in ("R", "E")]
-    if exclusive and running:
+    if running:
         return None
     free_nodes = [name for name, free in node_free if free]
     candidates = [r for r in rows if r["state"] == "Q"]
@@ -416,7 +415,6 @@ node_frees = st.lists(
 
 
 @settings(max_examples=300, deadline=None)
-@given(rows=poll_rows, node_free=node_frees, exclusive=st.booleans())
-def test_fifo_decide_equals_the_listing_reference(rows, node_free, exclusive):
-    assert fifo_decide(rows, node_free, exclusive=exclusive) \
-        == _listing_fifo_decide(rows, node_free, exclusive=exclusive)
+@given(rows=poll_rows, node_free=node_frees)
+def test_fifo_decide_equals_the_listing_reference(rows, node_free):
+    assert fifo_decide(rows, node_free) == _listing_fifo_decide(rows, node_free)

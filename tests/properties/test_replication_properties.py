@@ -98,7 +98,7 @@ mds_op = st.one_of(
 def test_replicas_never_diverge_under_failure(script, crash_point, seed):
     cluster = Cluster(head_count=3, compute_count=0, login_node=True, seed=seed)
     mds = build_replicated_mds(cluster)
-    client = PVFSClient(cluster.network, "login", mds.addresses(), timeout=2.0)
+    client = PVFSClient(cluster.network, "login", mds.addresses())
     kernel = cluster.kernel
 
     def driver():

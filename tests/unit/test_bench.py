@@ -1,7 +1,10 @@
 """Unit tests for the benchmark harness (workloads, reporting, experiment smoke)."""
 
+import json
+
 import pytest
 
+import golden
 from repro.bench import (
     BurstWorkload,
     PoissonWorkload,
@@ -172,7 +175,8 @@ class TestOpenLoopWorkload:
 
 
 class TestExperimentSmoke:
-    """Fast sanity runs of the experiment drivers (the full-scale runs'
+    """Sanity checks of the experiment drivers: fast runs, and the golden
+    entries' own runs, produced from this tree (the committed payloads'
     claims are asserted in ``test_figure_claims.py``)."""
 
     def test_figure10_single_point(self):
@@ -186,33 +190,28 @@ class TestExperimentSmoke:
         assert 0.8 <= elapsed <= 1.3
 
     def test_figure11_burst_batching_reduced_scale(self):
-        """CI smoke for the batching ablation at reduced scale. Every
-        DataBatchMsg that crosses the wire is codec-decoded at delivery,
-        so a batch encode/decode regression *fails this run* instead of
-        silently skewing the full bench."""
-        from repro.bench.experiments.throughput import burst_batching_ablation
-        result = burst_batching_ablation(heads=3, jobs=12, seed=1)
+        """The batching ablation's run (``BENCH_fig11``, produced once per
+        process). Every DataBatchMsg that crosses the wire is codec-decoded
+        at delivery, so a batch encode/decode regression *fails this run*
+        instead of silently skewing the figure."""
+        result = json.loads(golden.produce("BENCH_fig11"))
         batched = result["batched"]["wire_bytes_by_type"]
         assert batched.get("DataBatchMsg", 0) > 0  # burst actually coalesced
         assert result["reduction_pct"] > 0
-        # All 12 commands committed in both arms (delivery completed).
-        assert result["unbatched"]["jobs"] == result["batched"]["jobs"] == 12
+        # All 50 commands committed in both arms (delivery completed).
+        assert result["unbatched"]["jobs"] == result["batched"]["jobs"] == 50
 
     def test_shard_scaling_reduced_scale(self):
-        """CI smoke for the sharding extension: a small burst still shows
-        2 shards out-committing 1, and the sequencer-kill run still shows
+        """The sharding extension's run (``BENCH_shard_scaling``): the burst
+        shows 2 shards out-committing 1, and the sequencer-kill run shows
         the undisturbed shard committing while the victim shard stalls."""
-        from repro.bench.experiments.sharding import (
-            measure_shard_burst,
-            sequencer_kill,
-        )
-        one = measure_shard_burst(1, heads=3, jobs=12, seed=1)
-        two = measure_shard_burst(2, heads=3, jobs=12, seed=1)
-        assert one["committed"] == two["committed"] == 12
+        result = json.loads(golden.produce("BENCH_shard_scaling"))
+        one, two = result["scaling"][:2]
+        assert one["committed"] == two["committed"] == 48
         assert two["committed_per_s"] > one["committed_per_s"]
-        assert two["per_shard_committed"] == [6, 6]
+        assert two["per_shard_committed"] == [24, 24]
 
-        kill = sequencer_kill(shards=2, heads=3, seed=1)
+        kill = result["sequencer_kill"]
         windows = kill["windows"]
         assert windows["sequencer_dead"]["committed"][1] == 0
         assert windows["sequencer_dead"]["committed"][0] > 0
@@ -220,16 +219,11 @@ class TestExperimentSmoke:
         assert kill["new_shard1_sequencer"] != kill["victim_sequencer"]
 
     def test_read_scaling_reduced_scale(self):
-        """CI smoke for the read-path extension: at reduced scale the
-        saturated local-read QPS still doubles from 1 to 2 heads, every
+        """The read-path extension's run (``BENCH_read_scaling``): the
+        saturated local-read QPS at least doubles from 1 to 2 heads, every
         read completes, and reads are answered locally (not via the
-        ordered fallback). The write-within-10% claim needs the full
-        bench's sample size and is asserted only there."""
-        from repro.bench.experiments.read_scaling import read_scaling
-        result = read_scaling(
-            head_counts=(1, 2), duration=3.0, read_rate=300.0,
-            write_rate=3.0, seed=1,
-        )
+        ordered fallback)."""
+        result = json.loads(golden.produce("BENCH_read_scaling"))
         by_heads = {row["heads"]: row for row in result["rows"]}
         assert result["read_qps_speedup"] >= 1.5, result
         assert by_heads[2]["read_qps"] > by_heads[1]["read_qps"], result

@@ -239,7 +239,7 @@ class TestExport:
         clock = [0.0]
         logger._clock = lambda: clock[0]
         clock[0] = 0.05
-        logger.info("gcs", "view installed")
+        logger.warning("gcs", "view installed")
 
         class FakeCollector:
             events = [
@@ -320,9 +320,8 @@ class TestSimLoggerExport:
             def __repr__(self):
                 return "head0:15001"
 
-        logger.info("rpc", "sent", dst=Addr())
-        text = logger.to_jsonl()
-        record = json.loads(text.splitlines()[0])
+        logger.warning("rpc", "sent", dst=Addr())
+        record = json.loads(dumps_record(logger.to_dicts()[0]))
         assert record["type"] == "log"
         assert record["time"] == 1.25
         assert record["fields"]["dst"] == "head0:15001"

@@ -6,11 +6,21 @@ must get through. So three things earn their place only if the program
 itself uses them:
 
 * a keyword-only parameter with a default — some call outside ``tests/``
-  passes it a value other than that default (a function handing its own
-  option on under the same name is no caller of either: ``g(x=x)`` inside
-  ``f(*, x=0)``, or any value built only from that option and ``self``,
-  such as ``x=self._x if x is None else x``; neither is a call passing
-  ``x=0``, the default's own literal);
+  that can reach its function passes it a value other than that default.
+  A call reaches what its callee names, once an import alias is removed
+  (``call as rpc_call``): a plain name the module-level functions and
+  classes of that name, an attribute every function or method of that
+  name, a class its ``__init__`` (or its nearest base's), ``super().m``
+  the bases' ``m``. A function handing on what it was given carries its
+  own callers' values: ``g(x=x)`` inside ``f(*, x=0)`` passes ``g`` every
+  value that reaches ``f``'s ``x`` and ``f``'s default; a value built only
+  from one option and ``self`` (``x=self._x if x is None else x``) passes
+  another value only when that option gets one; ``g(**kwargs)`` passes on
+  every keyword that reaches ``f``'s own ``**kwargs``. A ``**mapping`` that
+  is not the caller's own ``**kwargs``, and a key ``kwargs.setdefault``
+  adds, pass a value other than any default. Values compare as literals or
+  by an UPPER_CASE constant's name; anything else differs from every
+  default;
 * a top-level function or class — something outside ``tests/`` names it;
 * a :class:`~repro.gcs.config.GroupConfig` field — some non-test
   ``GroupConfig(...)`` or ``replace(...)`` call sets it to a value other
@@ -34,18 +44,34 @@ PACKAGE = ROOT / "src" / "repro"
 #: Where a caller counts: everywhere but ``tests/``.
 CALLER_TREES = ("src", "perf", "examples", "tools")
 FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
+#: A value the gate cannot tell apart from any other.
+ANY = "*"
 
 #: ``file::function(parameter)`` -> why it stays although nothing passes it.
 OPTION_EXEMPT = {
-    "sim/kernel.py::_enqueue(priority)":
+    "sim/kernel.py::Kernel._enqueue(priority)":
         "the heap key is (time, priority, sequence): the sanitizer reads it "
         "and ROADMAP's bounded schedule explorer replaces the tie-break "
         "inside it",
-    "sim/kernel.py::__init__(sanitize)":
+    "sim/kernel.py::Kernel.__init__(sanitize)":
         "the determinism sanitizer is a verification instrument: tests and "
         "CI's REPRO_SANITIZE=1 runs are its callers by design",
-    "cluster/cluster.py::__init__(sanitize)":
+    "cluster/cluster.py::Cluster.__init__(sanitize)":
         "forwards the kernel's sanitizer switch, for the same callers",
+    **{f"pbs/{module}.py::{daemon}.__init__(port)":
+       "a daemon's port is a deployment address"
+       for module, daemon in (("mom", "PBSMom"), ("scheduler", "MauiScheduler"),
+                              ("server", "PBSServer"))},
+    **{f"ha/correlated.py::monte_carlo_correlated({parameter})":
+       "the reference implementation the closed-form tests compare against"
+       for parameter in ("mttf_hours", "mttr_hours", "cc_mttf_hours",
+                         "cc_mttr_hours", "horizon_years", "seed")},
+    "ha/raslog.py::RASCollector.node_downtime(until)":
+        "RASCollector stays for ROADMAP item 5 (see DEFINITION_EXEMPT)",
+    "joshua/gateway.py::JoshuaGateway.__init__(consistency)":
+        "perf/workloads.py, the benchmark, passes it by name, and perf/ "
+        "changes only in a benchmark change: it goes with the next one "
+        "(ROADMAP item 15)",
 }
 
 #: ``file::name`` -> why it stays although only tests name it.
@@ -86,78 +112,244 @@ def _callee(call: ast.Call):
     return func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
 
 
-def _options_of(function):
-    """option name -> its default expression."""
-    return {arg.arg: default for arg, default in zip(function.args.kwonlyargs,
-                                                     function.args.kw_defaults)
-            if default is not None}
-
-
-def _literal(node):
-    """``ast.dump`` of *node* if it is a literal, else ``None``."""
+def _value(node):
+    """What a passed value or a default compares by: the ``ast.dump`` of a
+    literal, the name of an UPPER_CASE constant however it is reached
+    (``ERA_2006``, ``service_times.ERA_2006``), else :data:`ANY`."""
     try:
         ast.literal_eval(node)
+        return ast.dump(node)
     except (ValueError, TypeError, SyntaxError):
+        pass
+    name = _name_of(node) if isinstance(node, (ast.Name, ast.Attribute)) else None
+    return name if name and name.isupper() else ANY
+
+
+class _Function:
+    """One def in a caller tree: its options and the values that reach them."""
+
+    def __init__(self, node, label, owner):
+        args = node.args
+        self.label, self.owner = label, owner
+        #: option -> the value of its default
+        self.defaults = {arg.arg: _value(default) for arg, default
+                         in zip(args.kwonlyargs, args.kw_defaults)
+                         if default is not None}
+        self.params = {a.arg for a in (*args.posonlyargs, *args.args, *args.kwonlyargs)}
+        self.kwargs = args.kwarg.arg if args.kwarg else None
+        #: option -> every value some call passes it
+        self.reached = {option: set() for option in self.defaults}
+        #: keyword -> the values some call passes into ``**kwargs``
+        self.extra = {}
+        #: whether ``**kwargs`` is kept for a call the gate cannot follow:
+        #: what reaches it then counts for every option of the keyword's name
+        self.keeps = self.kwargs is not None and _keeps(node, self.kwargs)
+
+    def give(self, key, values) -> bool:
+        """Pass *values* under the keyword *key* (:data:`ANY`: under every
+        keyword); whether anything new arrived."""
+        if key == ANY:
+            slots = list(self.reached.values())
+            if self.kwargs:
+                slots.append(self.extra.setdefault(ANY, set()))
+            values = {ANY}
+        elif key in self.reached:
+            slots = [self.reached[key]]
+        elif self.kwargs and key not in self.params:
+            slots = [self.extra.setdefault(key, set())]
+        else:
+            return False
+        grew = [slot for slot in slots if not values <= slot]
+        for slot in grew:
+            slot |= values
+        return bool(grew)
+
+    def varied(self, option) -> bool:
+        """Whether some value other than *option*'s default reaches it."""
+        default = self.defaults[option]
+        return any(v == ANY or v != default for v in self.reached[option])
+
+
+def _keeps(function, kwargs) -> bool:
+    """Whether *function* keeps its ``**kwargs`` dict on an attribute for a
+    later call (``self._options = options``) that the gate cannot follow."""
+    return any(isinstance(node, ast.Assign) and isinstance(node.value, ast.Name)
+               and node.value.id == kwargs
+               and any(isinstance(t, ast.Attribute) for t in node.targets)
+               for node in ast.walk(function))
+
+
+class _Class:
+    def __init__(self, name, bases):
+        self.name, self.bases, self.methods = name, bases, {}
+
+
+class _Calls:
+    """Every def, class and call of the caller trees, and what reaches where."""
+
+    def __init__(self):
+        self.functions = {}  # name -> [_Function]
+        self.classes = {}  # name -> [_Class]
+        self.calls = []  # (call, enclosing _Functions, enclosing _Class, aliases)
+
+    def collect(self, tree, where, aliases, prefix="", stack=(), cls=None, owner=None):
+        """Record the defs, classes and calls under *tree*; *stack* holds the
+        enclosing functions, *cls* the class whose method encloses them and
+        *owner* the class whose body *tree* is."""
+        for node in ast.iter_child_nodes(tree):
+            if isinstance(node, ast.ClassDef):
+                inner = _Class(node.name, [_name_of(b) for b in node.bases])
+                self.classes.setdefault(node.name, []).append(inner)
+                self.collect(node, where, aliases, f"{prefix}{node.name}.", stack, cls, inner)
+            elif isinstance(node, FUNCTIONS):
+                fn = _Function(node, f"{where}::{prefix}{node.name}", owner)
+                self.functions.setdefault(node.name, []).append(fn)
+                if owner is not None:
+                    owner.methods[node.name] = fn
+                self.collect(node, where, aliases, f"{prefix}{node.name}.",
+                             (*stack, fn), owner or cls)
+            else:
+                if isinstance(node, ast.Call):
+                    self.calls.append((node, stack, cls, aliases))
+                self.collect(node, where, aliases, prefix, stack, cls)
+
+    def method(self, class_name, name, seen=()):
+        """The functions ``class_name.name`` resolves to, through the bases."""
+        found = []
+        for cls in self.classes.get(class_name, ()):
+            if name in cls.methods:
+                found.append(cls.methods[name])
+            elif class_name not in seen:
+                for base in cls.bases:
+                    found += self.method(base, name, (*seen, class_name))
+        return found
+
+    def targets(self, call, cls, aliases):
+        """Every function *call* can reach."""
+        func = call.func
+        if isinstance(func, ast.Attribute):
+            if isinstance(func.value, ast.Call) and _callee(func.value) == "super":
+                return [m for base in (cls.bases if cls else ())
+                        for m in self.method(base, func.attr)]
+            if func.attr == "__init__" and isinstance(func.value, ast.Name):
+                return self.method(func.value.id, "__init__")
+            name = func.attr
+            functions = self.functions.get(name, [])
+        elif isinstance(func, ast.Name):
+            name = aliases.get(func.id, func.id)
+            if name == "cls" and cls is not None:
+                name = cls.name
+            functions = [f for f in self.functions.get(name, []) if f.owner is None]
+        else:
+            return []
+        return functions + self.method(name, "__init__")
+
+    def plan(self):
+        """(targets, sources) per call: each source a zero-argument function
+        returning the (keyword, values) pairs it passes at that moment."""
+        plans = []
+        for call, stack, cls, aliases in self.calls:
+            setdefault = _kwargs_setdefault(call, stack)
+            if setdefault is not None:
+                plans.append(([setdefault[0]], [lambda key=setdefault[1]: [(key, {ANY})]]))
+            targets = self.targets(call, cls, aliases)
+            if targets:
+                plans.append((targets, [_source(k, stack) for k in call.keywords]))
+        return plans
+
+    def propagate(self):
+        plans = self.plan()
+        every = [fn for functions in self.functions.values() for fn in functions]
+        by_option = {}
+        for fn in every:
+            for option in fn.defaults:
+                by_option.setdefault(option, []).append(fn)
+        kept = [fn for fn in every if fn.keeps]
+        grew = True
+        while grew:
+            grew = False
+            for targets, sources in plans:
+                for source in sources:
+                    for key, values in source():
+                        for target in targets:
+                            grew |= target.give(key, values)
+            for fn in kept:
+                for key, values in list(fn.extra.items()):
+                    for target in by_option.get(key, ()):
+                        grew |= target.give(key, values)
+
+
+def _innermost(stack, holds):
+    return next((fn for fn in reversed(stack) if holds(fn)), None)
+
+
+def _kwargs_setdefault(call, stack):
+    """(function, key) if *call* is ``kwargs.setdefault("key", ...)`` on the
+    enclosing function's own ``**kwargs``."""
+    func = call.func
+    if not (isinstance(func, ast.Attribute) and func.attr == "setdefault"
+            and isinstance(func.value, ast.Name) and call.args
+            and isinstance(call.args[0], ast.Constant)):
         return None
-    return ast.dump(node)
+    owner = _innermost(stack, lambda fn: fn.kwargs == func.value.id)
+    return None if owner is None else (owner, call.args[0].value)
 
 
-def _forwarders(stmt):
-    """id(call) -> the options of every function enclosing that call.
-
-    A call inside ``f(*, x=0)`` (or a closure in ``f``) that passes ``x=x``
-    only forwards ``f``'s own default: it is no caller of ``x``.
-    """
-    enclosing = {}
-    for node in ast.walk(stmt):
-        if isinstance(node, FUNCTIONS):
-            options = _options_of(node)
-            for call in ast.walk(node):
-                if isinstance(call, ast.Call):
-                    enclosing.setdefault(id(call), set()).update(options)
-    return enclosing
-
-
-def _forwards(keyword: ast.keyword, forwarded) -> bool:
-    """Whether *keyword* only hands on the enclosing function's own option:
-    its value is built from nothing but that option and ``self``
-    (``x=x``, ``x=self._x if x is None else x``)."""
-    if keyword.arg not in forwarded:
-        return False
+def _source(keyword, stack):
+    """What *keyword* passes, as a function of what reaches its enclosing
+    functions (the sources of :meth:`_Calls.plan`)."""
+    if keyword.arg is None:
+        name = getattr(keyword.value, "id", None)
+        owner = _innermost(stack, lambda fn: fn.kwargs is not None and fn.kwargs == name)
+        if owner is None:
+            return lambda: [(ANY, {ANY})]
+        return lambda: [(key, set(values)) for key, values in owner.extra.items()]
     names = {n.id for n in ast.walk(keyword.value) if isinstance(n, ast.Name)}
-    return keyword.arg in names and names <= {keyword.arg, "self"}
+    options = names - {"self"}
+    if len(options) == 1:
+        (option,) = options
+        owner = _innermost(stack, lambda fn: option in fn.params)
+        if owner is not None and option in owner.defaults:
+            if isinstance(keyword.value, ast.Name):
+                return lambda: [(keyword.arg, owner.reached[option] | {owner.defaults[option]})]
+            return lambda: [(keyword.arg, {ANY} if owner.varied(option) else set())]
+    values = {_value(keyword.value)}
+    return lambda: [(keyword.arg, values)]
 
 
-def _passes(call: ast.Call, forwarded):
-    """(keyword, literal or ``"*"`` for any other value) of every keyword
-    *call* passes other than by forwarding."""
-    return ((k.arg, _literal(k.value) or "*") for k in call.keywords
-            if k.arg and not _forwards(k, forwarded))
+def _aliases(tree):
+    """local name -> imported name, for every ``import ... as`` of *tree*."""
+    return {alias.asname: alias.name.rpartition(".")[2]
+            for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))
+            for alias in node.names if alias.asname}
 
 
 @cache
 def _scan():
     """Everything the three gates read, from one parse per file.
 
-    ``options``: (name, label, default literal or ``None``) of each
-    keyword-only option declared under src/repro; ``passed``: keyword name
-    -> the values some call outside ``tests/`` passes it other than by
-    forwarding (:func:`_forwarders`, :func:`_passes`); ``definitions``:
-    (name, label) of each top-level def/class under src/repro; ``names``:
-    identifier -> labels of the definitions whose bodies name it (``None``
-    for code outside one), counting neither ``__all__`` nor a package
-    ``__init__``'s imports; ``fields``: GroupConfig field -> its default;
-    ``settings``: (keyword, value) of every GroupConfig/replace call. No
-    file under ``tests/`` is read.
+    ``options``: (function, option, label) of each keyword-only option
+    declared under src/repro, the function's ``reached`` filled by
+    :meth:`_Calls.propagate`; ``definitions``: (name, label) of each
+    top-level def/class under src/repro; ``names``: identifier -> labels of
+    the definitions whose bodies name it (``None`` for code outside one),
+    counting neither ``__all__`` nor a package ``__init__``'s imports;
+    ``fields``: GroupConfig field -> its default; ``settings``: (keyword,
+    value) of every GroupConfig/replace call. No file under ``tests/`` is
+    read.
     """
-    scan = SimpleNamespace(options=[], passed={}, definitions=[], names={},
-                           fields={}, settings=[])
+    scan = SimpleNamespace(options=[], definitions=[], names={}, fields={}, settings=[])
+    calls, modules = _Calls(), set()
     for tree_name in CALLER_TREES:
         for path in sorted((ROOT / tree_name).rglob("*.py")):
             where = (path.relative_to(PACKAGE).as_posix()
                      if PACKAGE in path.parents else None)
             reexports = path.name == "__init__.py"
-            for stmt in ast.parse(path.read_text()).body:
+            if where is not None:
+                modules.add(where)
+            tree = ast.parse(path.read_text())
+            calls.collect(tree, where or path.relative_to(ROOT).as_posix(), _aliases(tree))
+            for stmt in tree.body:
                 owner = None
                 if where is not None and isinstance(stmt, (*FUNCTIONS, ast.ClassDef)):
                     owner = f"{where}::{stmt.name}"
@@ -169,21 +361,18 @@ def _scan():
                     }
                 counts = not _is_all(stmt) and not (
                     reexports and isinstance(stmt, (ast.Import, ast.ImportFrom)))
-                forwarders = _forwarders(stmt)
                 for node in ast.walk(stmt):
-                    if isinstance(node, ast.Call):
-                        for keyword, value in _passes(node, forwarders.get(id(node), ())):
-                            scan.passed.setdefault(keyword, set()).add(value)
-                        if _callee(node) in ("GroupConfig", "replace"):
-                            scan.settings += [(k.arg, ast.dump(k.value))
-                                              for k in node.keywords if k.arg]
-                    elif where is not None and isinstance(node, FUNCTIONS):
-                        scan.options += [(name, f"{where}::{node.name}({name})",
-                                          _literal(default))
-                                         for name, default in sorted(_options_of(node).items())]
+                    if isinstance(node, ast.Call) and _callee(node) in ("GroupConfig", "replace"):
+                        scan.settings += [(k.arg, ast.dump(k.value))
+                                          for k in node.keywords if k.arg]
                     name = _name_of(node) if counts else None
                     if name is not None:
                         scan.names.setdefault(name, set()).add(owner)
+    calls.propagate()
+    scan.options = [(fn, option, f"{fn.label}({option})")
+                    for functions in calls.functions.values() for fn in functions
+                    if fn.label.partition("::")[0] in modules
+                    for option in sorted(fn.defaults)]
     return scan
 
 
@@ -199,10 +388,9 @@ def _assert_exactly_exempt(flagged, exempt, cap, remedy):
 def test_every_keyword_option_is_passed_by_some_call_site():
     scan = _scan()
     assert len(scan.options) > 100  # the scan found the package
-    never = sorted(label for name, label, default in scan.options
-                   if not scan.passed.get(name, set()) - {default})
+    never = sorted(label for fn, option, label in scan.options if not fn.varied(option))
     _assert_exactly_exempt(
-        never, OPTION_EXEMPT, 3,
+        never, OPTION_EXEMPT, 14,
         "option(s) no call outside tests/ passes anything but the default — "
         "make each a constant or delete it",
     )

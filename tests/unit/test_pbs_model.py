@@ -199,38 +199,29 @@ class TestFifoDecide:
         return [(n, True) for n in names]
 
     def test_picks_oldest_queued(self):
-        decision = fifo_decide(
-            self.rows("Q", "Q"), self.free("c0", "c1"), exclusive=True
-        )
+        decision = fifo_decide(self.rows("Q", "Q"), self.free("c0", "c1"))
         assert decision == ("1.t", ("c0",))
 
     def test_exclusive_blocks_when_running(self):
         rows = self.rows("R", "Q")
-        assert fifo_decide(rows, self.free("c0", "c1"), exclusive=True) is None
-
-    def test_non_exclusive_backfills(self):
-        rows = self.rows("R", "Q")
-        decision = fifo_decide(rows, [("c0", False), ("c1", True)], exclusive=False)
-        assert decision == ("2.t", ("c1",))
+        assert fifo_decide(rows, self.free("c0", "c1")) is None
 
     def test_insufficient_nodes(self):
         rows = self.rows("Q", nodes=3)
-        assert fifo_decide(rows, self.free("c0", "c1"), exclusive=True) is None
+        assert fifo_decide(rows, self.free("c0", "c1")) is None
 
     def test_multi_node_allocation_deterministic(self):
         rows = self.rows("Q", nodes=2)
-        decision = fifo_decide(rows, self.free("c1", "c0"), exclusive=True)
+        decision = fifo_decide(rows, self.free("c1", "c0"))
         assert decision == ("1.t", ("c0", "c1"))
 
     def test_empty_queue(self):
-        assert fifo_decide([], self.free("c0"), exclusive=True) is None
+        assert fifo_decide([], self.free("c0")) is None
 
     def test_determinism_same_inputs_same_output(self):
         rows = self.rows("Q", "Q", "Q")
         free = self.free("c0", "c1")
-        assert fifo_decide(rows, free, exclusive=True) == fifo_decide(
-            rows, free, exclusive=True
-        )
+        assert fifo_decide(rows, free) == fifo_decide(rows, free)
 
     def test_fifo_does_not_skip_big_job(self):
         """Strict FIFO: a large job at the head blocks smaller later ones
@@ -239,7 +230,7 @@ class TestFifoDecide:
             {"job_id": "1.t", "state": "Q", "nodes": 3},
             {"job_id": "2.t", "state": "Q", "nodes": 1},
         ]
-        assert fifo_decide(rows, self.free("c0", "c1"), exclusive=True) is None
+        assert fifo_decide(rows, self.free("c0", "c1")) is None
 
 
 class TestServiceTimes:

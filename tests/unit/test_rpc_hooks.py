@@ -169,8 +169,8 @@ class TestClientHooks:
         result = run_call(kernel, network, daemon, Ping(3))
 
         assert result == Pong(3)  # the conversation is untouched
-        errors = [r for r in kernel.log.select(level="ERROR")
-                  if r.source == "rpc.client"]
+        errors = [r for r in kernel.log.records
+                  if r.level == "ERROR" and r.source == "rpc.client"]
         assert len(errors) == 2
         assert all("observer hook" in r.message for r in errors)
 
@@ -257,8 +257,8 @@ class TestDispatchHooks:
         result = run_call(kernel, network, daemon, Ping(9))
 
         assert result == Pong(9)
-        errors = [r for r in kernel.log.select(level="ERROR")
-                  if r.source == daemon.tag]
+        errors = [r for r in kernel.log.records
+                  if r.level == "ERROR" and r.source == daemon.tag]
         assert len(errors) == 1
         assert "observer hook" in errors[0].message
 

@@ -48,57 +48,23 @@ class TestRandomStreams:
 
 
 class TestSimLogger:
-    def make(self, **kw):
+    def make(self):
         self.t = 0.0
-        return SimLogger(lambda: self.t, **kw)
+        return SimLogger(lambda: self.t)
 
     def test_records_stamped_with_clock(self):
         log = self.make()
         self.t = 12.5
-        log.info("src", "hello")
+        log.warning("src", "hello")
         assert log.records[0].time == 12.5
-
-    def test_level_filtering(self):
-        log = self.make(level="WARNING")
-        log.info("src", "dropped")
-        log.warning("src", "kept")
-        assert [r.message for r in log.records] == ["kept"]
-
-    def test_set_level(self):
-        log = self.make(level="ERROR")
-        log.set_level("DEBUG")
-        log.debug("src", "now visible")
-        assert len(log.records) == 1
-
-    def test_bad_level_rejected(self):
-        with pytest.raises(ValueError):
-            self.make(level="LOUD")
-        log = self.make()
-        with pytest.raises(ValueError):
-            log.set_level("LOUD")
 
     def test_capacity_drops_oldest(self):
         log = self.make()
         log.capacity = 3
         for i in range(5):
-            log.info("src", f"m{i}")
+            log.warning("src", f"m{i}")
         assert [r.message for r in log.records] == ["m2", "m3", "m4"]
 
-    def test_select_by_level(self):
-        log = self.make(level="DEBUG")
-        log.info("a", "xx hit")
-        log.info("b", "xx hit")
-        log.error("a", "miss")
-        assert len(log.select()) == 3
-        assert [r.message for r in log.select(level="ERROR")] == ["miss"]
-
     def test_format_includes_fields(self):
-        rec = LogRecord(1.0, "INFO", "src", "msg", {"k": 3})
+        rec = LogRecord(1.0, "WARNING", "src", "msg", {"k": 3})
         assert "k=3" in rec.format()
-
-    def test_dump_joins_lines(self):
-        log = self.make()
-        log.info("s", "one")
-        log.info("s", "two")
-        assert log.dump().count("\n") == 1
-

@@ -293,19 +293,15 @@ GOLDEN = {
         {name: run_scenario(name) for name in SCENARIOS}, indent=1),
     "tests/data/codec_golden.json": _codec_golden,
     "tests/data/golden_digests.json": _golden_digests,
-    "BENCH_fig11.json": lambda: _json(
-        burst_batching_ablation(heads=3, jobs=50, seed=1)),
+    "BENCH_fig11.json": lambda: _json(burst_batching_ablation()),
     "BENCH_shard_scaling.json": lambda: _json({
-        "scaling": shard_scaling(shard_counts=(1, 2, 4), jobs=48, seed=1),
-        "sequencer_kill": sequencer_kill(shards=2, heads=3, seed=1),
+        "scaling": shard_scaling(shard_counts=(1, 2, 4)),
+        "sequencer_kill": sequencer_kill(),
     }),
     "BENCH_read_scaling.json": lambda: _json(read_scaling(
-        head_counts=(1, 2, 4), duration=10.0, read_rate=400.0,
-        write_rate=5.0, consistency="ryw", seed=1,
-    )),
+        head_counts=(1, 2, 4), write_rate=5.0)),
     "BENCH_head_scaling.json": lambda: _json(head_scaling(
         figure10_heads=(1, 2, 3, 4, 6, 8, 12, 16), stress_heads=(2, 4, 8, 16),
-        seed=1,
     )),
     "tests/data/chaos_soak.json": lambda: _json(
         {"argv": SOAK, **_cli_digests(SOAK)}),
