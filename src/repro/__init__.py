@@ -25,6 +25,19 @@ Sub-packages
 ``repro.cli``      ``python -m repro`` experiment runner
 """
 
+# Each wire module registers its records on the shared codec when imported.
+# Importing them all here makes the registry, and so the schema digest a
+# joining head presents (PROTOCOLS.md §11.3), the whole package's in every
+# process, whichever parts of it that process uses.
+import repro.aa.wire  # noqa: E402,F401
+import repro.gcs.messages  # noqa: E402,F401
+import repro.joshua.wire  # noqa: E402,F401
+import repro.net.frames  # noqa: E402,F401
+import repro.pbs.wire  # noqa: E402,F401
+import repro.pvfs.metadata  # noqa: E402,F401
+import repro.pvfs.wire  # noqa: E402,F401
+import repro.rpc.wire  # noqa: E402,F401
+
 __version__ = "1.0.0"
 
 __all__ = ["__version__"]

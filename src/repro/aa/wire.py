@@ -9,9 +9,9 @@ frames, and the commit-position stamp. JOSHUA's protocol is these plus its
 own client and launch-mutex records (:mod:`repro.joshua.wire` re-exports
 them, so a JOSHUA frame is still looked up in one place).
 
-The codec tags frames by class name, so the records kept their names, field
-lists and wire-optional tails when they moved here from ``joshua/wire.py``:
-frames are byte-identical (``tests/data/wire_baseline.json`` pins that).
+The codec tags frames by class name, so the records kept their names and
+field lists when they moved here from ``joshua/wire.py``: frames are
+byte-identical (``tests/data/wire_baseline.json`` pins that).
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from typing import Any
 
 from repro.net.address import Address
-from repro.net.codec import elided_repr, mark_wire_optional, register_wire_types
+from repro.net.codec import register_wire_types
 
 __all__ = [
     "ReplRequest", "ReplResult", "SeqStampedResp",
@@ -74,7 +74,7 @@ class StateXferReq:
     shard: int = 0
 
 
-@dataclass(frozen=True, repr=False)
+@dataclass(frozen=True)
 class StateXferResp:
     """One replica's state as of a marker cut.
 
@@ -101,10 +101,8 @@ class StateXferResp:
     results: tuple = ()
     #: The sponsor's applied-command counter at the marker cut; the joiner
     #: re-anchors on it. Every capture an engine serves carries one (>= 0);
-    #: the default is only what a record from before the field decodes to.
+    #: the default marks a capture the engine has not stamped yet.
     applied_seq: int = -1
-
-    __repr__ = elided_repr
 
 
 @dataclass(frozen=True)
@@ -140,8 +138,6 @@ class XferMarker:
     marker_uuid: str
     joiner: Address
 
-
-mark_wire_optional(StateXferResp, "applied_seq")
 
 register_wire_types(
     ReplRequest, ReplResult, SeqStampedResp,

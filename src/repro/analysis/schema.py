@@ -1,16 +1,15 @@
-"""R7: the wire schema, the committed lockfile, and delta classes.
+"""R7: the wire schema and the committed lockfile.
 
-The codec (:mod:`repro.net.codec`) makes every wire record self-describing
-*per frame*, but nothing pinned the **schema itself** — a field rename or
-reorder silently changed what old traces and mixed-version peers decode.
-This module closes that gap:
+A group runs one wire schema (PROTOCOLS.md §11): a joiner presents the
+digest of its registry and a member refuses one that differs, so a frame
+carries no version information. What a reviewer needs is to see every
+change to that schema, and this module shows it:
 
 * The schema is read from the codec's registry, which already holds every
   fact: :meth:`~repro.net.codec.Codec.schema` renders per-record field
-  names, order, type annotations and defaults, enum member values, and the
-  16-bit :func:`~repro.net.codec.schema_fingerprint` the codec stamps on
-  frames. :func:`registry_schema` imports every module of the package
-  first, so every wire module has registered, and runs
+  names, order, type annotations and defaults, and enum member values.
+  :func:`registry_schema` imports every module of the package first, so
+  every wire module has registered, and runs
   :meth:`~repro.net.codec.Codec.self_check` (the registration contract).
   ``repro schema extract`` prints it.
 * :func:`derive` runs ``python -m repro schema extract`` in a fresh
@@ -19,29 +18,16 @@ This module closes that gap:
   sees a record the calling process registered.
 * The schema is committed as ``src/repro/WIRE_SCHEMA.lock`` (JSON, sorted
   keys, no line numbers — so unrelated edits never churn it).
-* Rule **R7** diffs the derived schema against the lockfile and reports
-  every delta as a finding, classified by :func:`diff_schemas`:
+* Rule **R7**: the lock equals the registry. :func:`diff_schemas` lists
+  every delta between them — a record or enum added or removed or moved, a
+  field list changed, a field's annotation or default changed, an enum
+  member added, removed or renumbered — and each is a finding.
 
-  ==================  ======================================================
-  severity            meaning
-  ==================  ======================================================
-  *compatible*        wire-compatible: new record/enum, new enum member,
-                      new **defaulted trailing** field — old and new nodes
-                      interoperate in tolerant decode.
-  *decode-compatible* tolerated by decode but semantically visible: a
-                      trailing field deprecated (dropped) while its old
-                      default is still recorded, or a default's value
-                      changed (fills differ across versions).
-  *breaking*          removed/renamed/reordered field, annotation change,
-                      removed enum member or changed member value —
-                      positional decode cannot align, or old frames
-                      change meaning.
-  ==================  ======================================================
-
-Any drift fails ``repro lint`` until the lockfile is regenerated with
-``repro schema update`` — so every wire-schema change is a reviewed,
-classified event in the diff of the lockfile itself. ``repro schema diff``
-renders the classification (exit 1 on breaking deltas) for CI and review.
+Every delta is a coordinated upgrade: the heads of a group change schema
+together. ``repro lint`` fails until the lockfile is regenerated with
+``repro schema update``, so each wire change is a reviewed event in the
+diff of the lockfile itself; ``repro schema diff`` lists the deltas and
+exits 1 on any of them.
 """
 
 from __future__ import annotations
@@ -64,9 +50,6 @@ from repro.net.codec import WIRE
 from repro.util.errors import ReproError
 
 __all__ = [
-    "BREAKING",
-    "COMPATIBLE",
-    "DECODE_COMPATIBLE",
     "LOCKFILE_NAME",
     "SchemaDelta",
     "derive",
@@ -81,26 +64,18 @@ __all__ = [
 
 LOCKFILE_NAME = "WIRE_SCHEMA.lock"
 
-COMPATIBLE = "compatible"
-DECODE_COMPATIBLE = "decode-compatible"
-BREAKING = "breaking"
-
 
 @dataclass(frozen=True)
 class SchemaDelta:
-    """One classified difference between the lockfile and the working tree."""
+    """One difference between the lockfile and the working tree."""
 
-    severity: str  # COMPATIBLE | DECODE_COMPATIBLE | BREAKING
-    kind: str      # e.g. "field-appended", "fields-reordered"
+    kind: str      # e.g. "fields-changed", "record-added"
     name: str      # record/enum wire name
     module: str    # repro-relative wire module path
     detail: str
 
     def render(self) -> str:
-        return (
-            f"[{self.severity}] {self.name} ({self.module}): "
-            f"{self.kind} — {self.detail}"
-        )
+        return f"{self.name} ({self.module}): {self.kind} — {self.detail}"
 
     def to_json(self) -> dict:
         return dataclasses.asdict(self)
@@ -183,49 +158,14 @@ def write_lockfile(schema: dict, path: str | Path) -> None:
 
 
 # ---------------------------------------------------------------------------
-# diff + classification
+# diff
 # ---------------------------------------------------------------------------
 
 
-def _diff_common_fields(
-    name: str, module: str, old_fields: list[dict], new_fields: list[dict]
-) -> list[SchemaDelta]:
-    """Deltas between same-named, same-position field runs: annotation and
-    default changes."""
-    deltas: list[SchemaDelta] = []
-    for old_f, new_f in zip(old_fields, new_fields):
-        field_name = new_f["name"]
-        if old_f.get("type") != new_f.get("type"):
-            deltas.append(SchemaDelta(
-                BREAKING, "field-type-changed", name, module,
-                f"field {field_name!r} annotation changed "
-                f"{old_f.get('type')!r} -> {new_f.get('type')!r} — old "
-                "frames decode the old payload shape into the new "
-                "expectation",
-            ))
-        old_default, new_default = old_f.get("default"), new_f.get("default")
-        if old_default == new_default:
-            continue
-        if new_default is None:
-            deltas.append(SchemaDelta(
-                BREAKING, "field-default-removed", name, module,
-                f"field {field_name!r} lost its default {old_default!r} — "
-                "frames from senders that predate the field can no longer "
-                "be filled",
-            ))
-        elif old_default is None:
-            deltas.append(SchemaDelta(
-                COMPATIBLE, "field-default-added", name, module,
-                f"field {field_name!r} gained default {new_default}",
-            ))
-        else:
-            deltas.append(SchemaDelta(
-                DECODE_COMPATIBLE, "field-default-changed", name, module,
-                f"field {field_name!r} default changed {old_default!r} -> "
-                f"{new_default!r} — fills for old frames differ across "
-                "versions",
-            ))
-    return deltas
+def _field_text(field: dict) -> str:
+    default = field.get("default")
+    text = f"{field['name']}: {field.get('type')}"
+    return text if default is None else f"{text} = {default}"
 
 
 def _diff_record(name: str, old: dict, new: dict) -> list[SchemaDelta]:
@@ -233,87 +173,25 @@ def _diff_record(name: str, old: dict, new: dict) -> list[SchemaDelta]:
     module = new["module"]
     if old.get("module") != new.get("module"):
         deltas.append(SchemaDelta(
-            COMPATIBLE, "record-moved", name, module,
-            f"moved from {old.get('module')} (wire frames are unchanged)",
-        ))
+            "record-moved", name, module, f"moved from {old.get('module')}"))
     if old.get("kind") != new.get("kind"):
         deltas.append(SchemaDelta(
-            COMPATIBLE, "record-kind-changed", name, module,
-            f"{old.get('kind')} -> {new.get('kind')} (wire frames are "
-            "unchanged)",
-        ))
+            "record-kind-changed", name, module,
+            f"{old.get('kind')} -> {new.get('kind')}"))
     old_fields, new_fields = old["fields"], new["fields"]
-    old_names = [f["name"] for f in old_fields]
-    new_names = [f["name"] for f in new_fields]
-    if old_names == new_names:
-        deltas.extend(_diff_common_fields(name, module, old_fields, new_fields))
-    elif (
-        len(new_names) > len(old_names)
-        and new_names[: len(old_names)] == old_names
-    ):
-        for field in new_fields[len(old_names):]:
-            if field["default"] is None:
-                deltas.append(SchemaDelta(
-                    BREAKING, "field-appended-without-default", name, module,
-                    f"new trailing field {field['name']!r} has no default — "
-                    "an old sender's frames cannot be filled",
-                ))
-            else:
-                deltas.append(SchemaDelta(
-                    COMPATIBLE, "field-appended", name, module,
-                    f"new defaulted trailing field {field['name']!r} "
-                    f"(default {field['default']})",
-                ))
-        deltas.extend(_diff_common_fields(
-            name, module, old_fields, new_fields[: len(old_fields)]
-        ))
-    elif (
-        len(old_names) > len(new_names)
-        and old_names[: len(new_names)] == new_names
-    ):
-        for field in old_fields[len(new_names):]:
-            if field["default"] is None:
-                deltas.append(SchemaDelta(
-                    BREAKING, "field-removed", name, module,
-                    f"trailing field {field['name']!r} removed and the old "
-                    "declaration had no default — old receivers cannot "
-                    "fill it",
-                ))
-            else:
-                deltas.append(SchemaDelta(
-                    DECODE_COMPATIBLE, "field-deprecated", name, module,
-                    f"trailing field {field['name']!r} dropped; old "
-                    "receivers fill it from its recorded default "
-                    f"{field['default']}",
-                ))
-        deltas.extend(_diff_common_fields(
-            name, module, old_fields[: len(new_fields)], new_fields
-        ))
-    elif sorted(old_names) == sorted(new_names):
+    if [f["name"] for f in old_fields] != [f["name"] for f in new_fields]:
         deltas.append(SchemaDelta(
-            BREAKING, "fields-reordered", name, module,
-            f"field order changed {old_names} -> {new_names} — positional "
-            "decode cannot align",
-        ))
-    elif len(old_names) == len(new_names):
-        renamed = ", ".join(
-            f"{o!r} -> {n!r}"
-            for o, n in zip(old_names, new_names)
-            if o != n
-        )
-        deltas.append(SchemaDelta(
-            BREAKING, "field-renamed", name, module,
-            f"renamed {renamed} — positional decode would silently rebind "
-            "the payload",
-        ))
-    else:
-        removed = sorted(set(old_names) - set(new_names))
-        added = sorted(set(new_names) - set(old_names))
-        deltas.append(SchemaDelta(
-            BREAKING, "fields-changed", name, module,
-            f"non-trailing field change (removed {removed}, added {added}) "
-            "— only trailing appends/deprecations are evolvable",
-        ))
+            "fields-changed", name, module,
+            f"({', '.join(map(_field_text, old_fields))}) -> "
+            f"({', '.join(map(_field_text, new_fields))})"))
+        return deltas
+    for old_f, new_f in zip(old_fields, new_fields):
+        for key in ("type", "default"):
+            if old_f.get(key) != new_f.get(key):
+                deltas.append(SchemaDelta(
+                    f"field-{key}-changed", name, module,
+                    f"field {new_f['name']!r} {key} {old_f.get(key)!r} -> "
+                    f"{new_f.get(key)!r}"))
     return deltas
 
 
@@ -322,90 +200,64 @@ def _diff_enum(name: str, old: dict, new: dict) -> list[SchemaDelta]:
     module = new["module"]
     if old.get("module") != new.get("module"):
         deltas.append(SchemaDelta(
-            COMPATIBLE, "enum-moved", name, module,
-            f"moved from {old.get('module')} (wire frames are unchanged)",
-        ))
+            "enum-moved", name, module, f"moved from {old.get('module')}"))
     old_members, new_members = old["members"], new["members"]
     for member in sorted(old_members.keys() | new_members.keys()):
         if member not in old_members:
             deltas.append(SchemaDelta(
-                COMPATIBLE, "enum-member-added", name, module,
-                f"new member {member} = {new_members[member]}",
-            ))
+                "enum-member-added", name, module,
+                f"new member {member} = {new_members[member]}"))
         elif member not in new_members:
             deltas.append(SchemaDelta(
-                BREAKING, "enum-member-removed", name, module,
-                f"member {member} removed — frames carrying its value no "
-                "longer decode",
-            ))
+                "enum-member-removed", name, module, f"member {member} removed"))
         elif old_members[member] != new_members[member]:
             deltas.append(SchemaDelta(
-                BREAKING, "enum-member-value-changed", name, module,
-                f"member {member} value changed {old_members[member]} -> "
-                f"{new_members[member]} — old frames decode to the wrong "
-                "member or fail",
-            ))
+                "enum-member-value-changed", name, module,
+                f"member {member} value {old_members[member]} -> "
+                f"{new_members[member]}"))
+    return deltas
+
+
+def _diff_table(
+    kind: str, old_table: dict, new_table: dict, diff_entry
+) -> list[SchemaDelta]:
+    deltas: list[SchemaDelta] = []
+    for name in sorted(old_table.keys() | new_table.keys()):
+        old, new = old_table.get(name), new_table.get(name)
+        if old is None:
+            deltas.append(SchemaDelta(
+                f"{kind}-added", name, new["module"], f"new wire {kind}"))
+        elif new is None:
+            deltas.append(SchemaDelta(
+                f"{kind}-removed", name, old["module"], f"wire {kind} removed"))
+        else:
+            deltas.extend(diff_entry(name, old, new))
     return deltas
 
 
 def diff_schemas(locked: dict, current: dict) -> list[SchemaDelta]:
-    """Classified deltas from *locked* (the committed schema) to *current*
-    (the working tree's derived schema). Empty list = lockfile is up to date."""
+    """Every delta from *locked* (the committed schema) to *current* (the
+    working tree's derived schema), records then enums, each in name order.
+    Empty list = lockfile is up to date."""
     deltas: list[SchemaDelta] = []
     if locked.get("version") != current.get("version"):
         deltas.append(SchemaDelta(
-            BREAKING, "schema-version-changed", "<schema>", LOCKFILE_NAME,
+            "schema-version-changed", "<schema>", LOCKFILE_NAME,
             f"lockfile version {locked.get('version')} vs extractor "
             f"version {current.get('version')} — regenerate the lockfile",
         ))
-    old_records = locked.get("records", {})
-    new_records = current.get("records", {})
-    for name in sorted(old_records.keys() | new_records.keys()):
-        old, new = old_records.get(name), new_records.get(name)
-        if old is None:
-            deltas.append(SchemaDelta(
-                COMPATIBLE, "record-added", name, new["module"],
-                f"new wire record with {len(new['fields'])} fields",
-            ))
-        elif new is None:
-            deltas.append(SchemaDelta(
-                BREAKING, "record-removed", name, old["module"],
-                "frames of this record can no longer be decoded",
-            ))
-        else:
-            deltas.extend(_diff_record(name, old, new))
-    old_enums = locked.get("enums", {})
-    new_enums = current.get("enums", {})
-    for name in sorted(old_enums.keys() | new_enums.keys()):
-        old, new = old_enums.get(name), new_enums.get(name)
-        if old is None:
-            deltas.append(SchemaDelta(
-                COMPATIBLE, "enum-added", name, new["module"],
-                f"new wire enum with {len(new['members'])} members",
-            ))
-        elif new is None:
-            deltas.append(SchemaDelta(
-                BREAKING, "enum-removed", name, old["module"],
-                "frames carrying its members can no longer be decoded",
-            ))
-        else:
-            deltas.extend(_diff_enum(name, old, new))
+    deltas += _diff_table("record", locked.get("records", {}),
+                          current.get("records", {}), _diff_record)
+    deltas += _diff_table("enum", locked.get("enums", {}),
+                          current.get("enums", {}), _diff_enum)
     return deltas
 
 
-_SEVERITY_ORDER = {BREAKING: 0, DECODE_COMPATIBLE: 1, COMPATIBLE: 2}
-
-
 def render_deltas(deltas: list[SchemaDelta], *, jsonl: bool = False) -> str:
-    """Human-readable (or JSONL) rendering, breaking deltas first."""
-    ordered = sorted(
-        deltas, key=lambda d: (_SEVERITY_ORDER[d.severity], d.name, d.kind)
-    )
+    """Human-readable (or JSONL) rendering, one delta a line."""
     if jsonl:
-        return "\n".join(
-            json.dumps(d.to_json(), sort_keys=True) for d in ordered
-        )
-    return "\n".join(d.render() for d in ordered)
+        return "\n".join(json.dumps(d.to_json(), sort_keys=True) for d in deltas)
+    return "\n".join(d.render() for d in deltas)
 
 
 # ---------------------------------------------------------------------------
@@ -426,8 +278,7 @@ def rule_r7(
     """*current* is the derived schema, *schema_lock* the parsed lockfile
     (``None`` = missing), *files* the linted sources (repro-relative path ->
     text) a finding is anchored in, at its record's ``class`` line. Every
-    delta is a finding — the lockfile must track the working tree exactly,
-    or later diffs would classify against a stale base."""
+    delta is a finding — the lockfile must track the working tree exactly."""
     if not current["records"] and not current["enums"]:
         return []  # nothing registers a wire record
     if schema_lock is None:
@@ -440,7 +291,7 @@ def rule_r7(
         Finding(
             "R7", delta.module,
             _class_line(files.get(delta.module, ""), delta.name), 0,
-            f"wire schema drift [{delta.severity}] {delta.kind}: "
+            f"wire schema drift {delta.kind}: "
             f"{delta.name} — {delta.detail}; review the change and run "
             "`repro schema update` to accept it",
         )

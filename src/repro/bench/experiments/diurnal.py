@@ -10,22 +10,17 @@
   state bounded (the hygiene whose absence the authors blamed).
 * :func:`trace_replay` — Figures 10/11 use synthetic workloads; here a
   diurnal day run on plain TORQUE is exported as an SWF trace (the Parallel
-  Workloads Archive format) and replayed identically against TORQUE, 2-head
-  JOSHUA, and 2-head JOSHUA with one head a wire-schema version ahead (a
-  rolling upgrade): mean submission latency and jobs completed per system.
+  Workloads Archive format) and replayed identically against TORQUE and
+  2-head JOSHUA: mean submission latency and jobs completed per system.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 from repro.bench.workloads import DiurnalWorkload
 from repro.cluster.cluster import Cluster
 from repro.gcs.config import GroupConfig
 from repro.joshua.config import JOSHUA_GROUP_CONFIG
 from repro.joshua.deploy import build_joshua_stack
-from repro.joshua.wire import Command
-from repro.net.codec import WIRE
 from repro.pbs import build_pbs_stack, export_swf, workload_from_swf
 from repro.pbs.job import JobState
 from repro.pbs.service_times import ServiceTimes
@@ -39,7 +34,7 @@ ENDURANCE_GROUP = GroupConfig(
     heartbeat_interval=0.25, suspect_timeout=0.8, flush_timeout=1.5,
     retransmit_interval=0.1, gc_interval=10.0,
 )
-SYSTEMS = ("TORQUE x1", "JOSHUA x2", "JOSHUA x2 mixed")
+SYSTEMS = ("TORQUE x1", "JOSHUA x2")
 
 
 def _submit_all(cluster, workload, submit, *alongside, drain: float) -> list[float]:
@@ -102,15 +97,6 @@ def endurance() -> dict:
     }
 
 
-@dataclass(frozen=True)
-class _CommandV2(Command):
-    """``Command`` one defaulted trailing field ahead of the shipped
-    declaration — the mixed-version replay runs one head on this evolved
-    wire module (R7's only wire-compatible record delta)."""
-
-    origin: str = ""
-
-
 def _replay(trace: str, system: str) -> dict:
     workload = workload_from_swf(trace, max_nodes=2)
     joshua = system != "TORQUE x1"
@@ -119,9 +105,6 @@ def _replay(trace: str, system: str) -> dict:
     if joshua:
         stack = build_joshua_stack(cluster, group_config=JOSHUA_GROUP_CONFIG,
                                    service_times=TIMES)
-        if system == "JOSHUA x2 mixed":
-            cluster.network.set_node_codec(
-                "head1", WIRE.clone(overrides={"Command": _CommandV2}))
         submit, stats = stack.client(node="login").jsub, stack.pbs("head0").stats
     else:
         stack = build_pbs_stack(cluster, service_times=TIMES)

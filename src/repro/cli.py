@@ -27,8 +27,8 @@ flight-recorder bundle (the JSONL files a failed ``chaos run`` writes) as
 a human-readable merged timeline. ``schema`` manages the committed wire
 schema (``WIRE_SCHEMA.lock``): ``extract`` prints the schema read from
 the codec's registry, ``update`` regenerates the lockfile (the reviewed
-acceptance step for any wire change rule R7 flags), and ``diff`` renders
-the classified deltas (exit 1 when any is breaking).
+acceptance step for any wire change rule R7 flags), and ``diff`` lists
+every delta (exit 1 on any: each is a coordinated upgrade).
 """
 
 from __future__ import annotations
@@ -182,7 +182,7 @@ def build_parser() -> argparse.ArgumentParser:
         "update", help="regenerate WIRE_SCHEMA.lock from the working tree "
                        "(the reviewed acceptance step for R7 findings)")
     schema_diff = schema_sub.add_parser(
-        "diff", help="classified deltas vs the lockfile (exit 1 on breaking)")
+        "diff", help="every delta vs the lockfile (exit 1 on any)")
     schema_diff.add_argument("--jsonl", action="store_true",
                              help="one JSON object per delta instead of text")
     for sub_cmd in (schema_update, schema_diff):
@@ -505,13 +505,12 @@ def _cmd_schema(args):
     if not deltas:
         return f"lockfile matches the working tree ({counts})", 0
     text = schema_mod.render_deltas(deltas, jsonl=args.jsonl)
-    breaking = sum(1 for d in deltas if d.severity == schema_mod.BREAKING)
     if not args.jsonl:
         text += (
-            f"\n{len(deltas)} delta(s), {breaking} breaking — review and "
-            "run `repro schema update` to accept"
+            f"\n{len(deltas)} delta(s), each a coordinated upgrade — review "
+            "and run `repro schema update` to accept"
         )
-    return text, (1 if breaking else 0)
+    return text, 1
 
 
 _COMMANDS = {

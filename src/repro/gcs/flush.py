@@ -29,6 +29,7 @@ from repro.gcs.lifecycle import FLUSHING, NORMAL
 from repro.gcs.messages import FlushOk, FlushReq, JoinReq, LeaveReq, MessageId, NewView
 from repro.gcs.view import View
 from repro.net.address import Address
+from repro.net.codec import WIRE
 from repro.util.errors import GroupCommError
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -82,6 +83,15 @@ class FlushEngine:
     def on_join_req(self, src: Address, req: JoinReq) -> None:
         m = self.m
         if not m.in_group or m.view is None:
+            return
+        if req.schema != WIRE.schema_digest():
+            # One wire schema per group: a joiner on another one would
+            # misread the first frame whose record changed.
+            m.kernel.log.warning(
+                f"gcs@{m.address}",
+                f"refused join of {req.joiner}: its wire schema "
+                f"{req.schema} is not the group's {WIRE.schema_digest()}",
+            )
             return
         if req.joiner in m.view.members:
             # A previous incarnation of this address is still in the view;

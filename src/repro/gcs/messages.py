@@ -141,9 +141,14 @@ class Probe:
 
 @dataclass(frozen=True)
 class JoinReq:
-    """A new process asks a current member to bring it into the group."""
+    """A new process asks a current member to bring it into the group.
+
+    *schema* is the joiner's :meth:`~repro.net.codec.Codec.schema_digest`:
+    a group runs one wire schema, and a member refuses a joiner on another
+    (PROTOCOLS.md §11)."""
 
     joiner: Address
+    schema: str
 
 
 @dataclass(frozen=True)

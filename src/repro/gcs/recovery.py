@@ -31,6 +31,7 @@ from repro.gcs.lifecycle import NORMAL
 from repro.gcs.messages import JoinReq, Probe
 from repro.gcs.view import View
 from repro.net.address import Address
+from repro.net.codec import WIRE
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.gcs.member import GroupMember
@@ -75,8 +76,9 @@ class RecoveryTracker:
 
     def send_join_requests(self) -> None:
         m = self.m
+        request = JoinReq(m.address, WIRE.schema_digest())
         for contact in self.join_contacts:
-            m.transport.send(contact, JoinReq(m.address))
+            m.transport.send(contact, request)
 
     # -- anti-entropy / partition merge ---------------------------------------
 

@@ -4,13 +4,6 @@ The ordered :class:`Command`/:class:`XferMarker`, the state-transfer frames
 and the commit-position stamp are the replication engine's records
 (:mod:`repro.aa.wire`); they are re-exported here because they are part of
 what a JOSHUA head puts on the wire.
-
-The read-path records (PROTOCOLS.md §12) grow existing requests by
-**wire-optional trailing fields** (:func:`repro.net.codec.mark_wire_optional`):
-a request whose new fields still hold their defaults encodes — and reprs —
-byte-identically to the pre-extension declaration, which is what keeps the
-``consistency="ordered"`` default bit-identical on the wire (the pinned
-``tests/data/wire_baseline.json`` digests).
 """
 
 from __future__ import annotations
@@ -25,7 +18,7 @@ from repro.aa.wire import (
     XferMarker,
     XferPush,
 )
-from repro.net.codec import elided_repr, mark_wire_optional, register_wire_types
+from repro.net.codec import register_wire_types
 from repro.pbs.job import JobSpec
 
 __all__ = [
@@ -44,7 +37,7 @@ JOSHUA_PORT = 4412
 # -- client -> joshua server ---------------------------------------------------
 
 
-@dataclass(frozen=True, repr=False)
+@dataclass(frozen=True)
 class JSubReq:
     """``jsub``: replicated job submission.
 
@@ -57,10 +50,8 @@ class JSubReq:
     spec: JobSpec
     track_seq: bool = False
 
-    __repr__ = elided_repr
 
-
-@dataclass(frozen=True, repr=False)
+@dataclass(frozen=True)
 class JDelReq:
     """``jdel``: replicated job deletion."""
 
@@ -68,10 +59,8 @@ class JDelReq:
     job_id: str
     track_seq: bool = False
 
-    __repr__ = elided_repr
 
-
-@dataclass(frozen=True, repr=False)
+@dataclass(frozen=True)
 class JStatReq:
     """``jstat``: status query.
 
@@ -87,8 +76,6 @@ class JStatReq:
     job_id: str | None = None
     consistency: str = "ordered"
     min_seq: tuple = ()
-
-    __repr__ = elided_repr
 
 
 @dataclass(frozen=True)
@@ -159,10 +146,6 @@ class Started:
 class Done:
     job_id: str
 
-
-mark_wire_optional(JSubReq, "track_seq")
-mark_wire_optional(JDelReq, "track_seq")
-mark_wire_optional(JStatReq, "consistency", "min_seq")
 
 register_wire_types(
     JSubReq, JDelReq, JStatReq, JStatResp,

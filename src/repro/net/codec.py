@@ -25,8 +25,8 @@ tag    encoding
 0x07   ``tuple`` — varint count + encoded items
 0x08   ``list`` — varint count + encoded items
 0x09   ``dict`` — varint count + encoded key/value pairs, insertion order
-0x0A   registered record — name + 16-bit schema fingerprint + varint field
-       count + encoded fields in declaration order
+0x0A   registered record — varint name length + UTF-8 name + encoded
+       fields in declaration order
 0x0B   registered enum — name + encoded member value
 =====  ======================================================================
 
@@ -37,38 +37,15 @@ sets would smuggle hash order onto the wire, and an unregistered dataclass
 is a wire type the protocol layer forgot to declare. Both also fail at
 import (the registration contract below).
 
-Schema evolution
-----------------
-Each record frame carries a 2-byte :func:`schema_fingerprint` (a CRC of the
-record name and its field names, folded to 16 bits) plus the encoded field
-count — 3 bytes that let a receiver running a *different version* of a wire
-module detect the skew. Decode tolerates it: a frame with *more* fields
-than the local declaration decodes positionally and skips the unknown
-trailing fields; a frame with *fewer* fields fills the absent trailing
-fields from the local declaration's defaults. Either way the sender's field
-prefix is trusted positionally — which is exactly the evolution contract
-lint rule R7 enforces statically against ``WIRE_SCHEMA.lock`` (appends at
-the tail only, never renames/reorders). A fingerprint mismatch at *equal*
-field count (a rename or reorder — unalignable positionally) is an error,
-and so is a shorter frame whose absent field declares no default.
-
-:meth:`Codec.clone` derives a per-node codec with individual records
-swapped for evolved versions — the rolling-upgrade harness used by the
-mixed-version integration tests (the superseded class stays encodable, so
-shared protocol code that still constructs it keeps working).
-
-Wire-optional trailing fields
------------------------------
-:func:`mark_wire_optional` declares a contiguous *defaulted tail* of a
-record's fields as elidable: when every field of a trailing run still holds
-its declared default, the encoder omits that run and emits the fingerprint
-and count of the remaining *prefix* declaration instead. A record that has
-never set its new fields therefore produces **byte-identical frames to the
-pre-extension declaration** — which is how a wire record can grow without
-perturbing pinned wire-digest baselines. The rule lives in one function,
-which the encoder and :func:`elided_repr` share; the decoder recognises
-each prefix by its shape (below) and fills the elided tail from the
-defaults.
+One schema per group
+--------------------
+A frame carries no version information: a record's fields are decoded in
+the receiver's declaration order, and a frame with fewer fields is a
+truncation error naming the record and field, one with more leaves
+trailing bytes. Every member of a group runs the same wire schema — the
+join request carries :meth:`Codec.schema_digest` and a member refuses a
+joiner whose digest differs (PROTOCOLS.md §11), so the check is made once
+per join instead of on every frame.
 
 Same bytes, less work
 ---------------------
@@ -79,18 +56,12 @@ every record; none moves a byte of any frame.
 
 * **Encode** — :class:`PlainFragment` holds the bytes of a builtins-only
   value, encoded once by its owner; the encoder splices them verbatim.
-* **Records** — each registered record carries, for every field count it
-  can send, its complete head bytes (tag, name, fingerprint, count), and
-  one getter returning all its field values at once; the encoder appends
-  the head and iterates the values. It also keeps one table of those
-  *shapes* — the full declaration first, then each wire-optional prefix:
-  the header bytes (fingerprint, count), the fields sent and the default
-  factories of the elided tail. The decoder finds the record by the raw
-  bytes of its name, matches the frame's header against the shapes and
-  decodes the fields in one loop; any other header — another version's
-  shape, or a count spelled in a longer varint — takes the one tolerant
-  path of "Schema evolution" above. Both paths make the record through
-  its ``build``, chosen once at registration: ``tuple.__new__`` for a
+* **Records** — each registered record carries its complete head bytes
+  (tag, name length, name) and one getter returning all its field values
+  at once; the encoder appends the head and iterates the values. The
+  decoder finds the record by the raw bytes of its name, decodes the
+  fields in one loop and makes the record through its ``build``, chosen
+  once at registration: ``tuple.__new__`` for a
   NamedTuple, a function compiled there that fills a fresh instance's
   ``__dict__`` for a dataclass whose generated ``__init__`` only stores
   its arguments, and ``cls(*values)`` for anything else (``JobSpec``
@@ -108,8 +79,8 @@ every record; none moves a byte of any frame.
   — and fresh because a hit shares no mutable object with
   the memo or with any other result. The memo is a pure function of the
   frame bytes this codec has decoded: nothing passes from encoder to
-  decoder, so truncated, corrupted and mixed-version frames miss, take the
-  ordinary path and raise the ordinary errors. Reaching ``_MEMO_CAP``
+  decoder, so truncated and corrupted frames miss, take the ordinary path
+  and raise the ordinary errors. Reaching ``_MEMO_CAP``
   entries empties it.
 
 Registry
@@ -117,13 +88,16 @@ Registry
 Registration is decentralised to respect the layering contract: each wire
 module calls :func:`register_wire_types` / :func:`register_wire_enum` on its
 own dataclasses at import time (``gcs/messages.py`` registers the GCS
-messages, ``pbs/wire.py`` the PBS requests, ...). The module-level ``WIRE``
-singleton is append-only and written only at import time, so it stays safe
-for two simulations sharing one interpreter.
+messages, ``pbs/wire.py`` the PBS requests, ...), and the package's
+``__init__`` imports every wire module, so the registry is the same in
+every process. The module-level ``WIRE`` singleton is append-only and
+written only at import time, so it stays safe for two simulations sharing
+one interpreter.
 
 The registry is also the wire schema: :meth:`Codec.schema` renders it in
 the format of the committed ``WIRE_SCHEMA.lock``, which lint rule R7 diffs
-against (:mod:`repro.analysis.schema`).
+against (:mod:`repro.analysis.schema`), and :meth:`Codec.schema_digest`
+condenses it for the join check.
 
 Registration contract
 ---------------------
@@ -142,13 +116,14 @@ from __future__ import annotations
 
 import dataclasses
 import enum
+import hashlib
 import inspect
+import json
 import marshal
 import operator
 import re
 import struct
 import sys
-import zlib
 from functools import partial
 from typing import Any
 
@@ -162,10 +137,7 @@ __all__ = [
     "WIRE",
     "register_wire_types",
     "register_wire_enum",
-    "mark_wire_optional",
-    "elided_repr",
     "encoded_size",
-    "schema_fingerprint",
 ]
 
 
@@ -259,19 +231,6 @@ def _unzigzag(value: int) -> int:
     return (value >> 1) ^ -(value & 1)
 
 
-def schema_fingerprint(name: str, fields: tuple[str, ...]) -> int:
-    """16-bit schema fingerprint of a record: CRC-32 of the wire name and
-    field names (declaration order), folded to 16 bits. Carried in every
-    record frame (2 bytes) so a receiver can detect version skew, and
-    recorded per record in ``WIRE_SCHEMA.lock``.
-
-    Field *names* only — a type-annotation change is invisible at runtime
-    (the codec is self-describing per value) and is gated by lint rule R7
-    instead, over the annotations :meth:`Codec.schema` records."""
-    crc = zlib.crc32(",".join((name, *fields)).encode("utf-8"))
-    return (crc ^ (crc >> 16)) & 0xFFFF
-
-
 class PlainFragment:
     """The wire bytes of a value made only of builtins, encoded once.
 
@@ -282,9 +241,8 @@ class PlainFragment:
 
     The value is encoded by a codec with an empty registry: a record or an
     enum inside it is a :class:`CodecError` (as is a set), so the bytes hold
-    no wire name, fingerprint or field count and are the same under every
-    :meth:`Codec.clone` of a mixed-version group. Decoding never produces a
-    fragment — the receiver gets the plain value. Immutable; equal and
+    no wire name and are the same under every registry. Decoding never
+    produces a fragment — the receiver gets the plain value. Immutable; equal and
     hashed by its bytes; ``repr`` is the value's own (payload printers such
     as ``wiretrace`` cannot tell it from the value it stands for).
     """
@@ -311,26 +269,16 @@ class PlainFragment:
 
 @dataclasses.dataclass(frozen=True, eq=False)
 class _Record:
-    """One registered record class: wire name, field order, and the
-    schema-evolution metadata (fingerprint, zero-arg default factories for
-    tolerant decode), plus, for every field count it can send (one per
-    :func:`mark_wire_optional` prefix), the complete head the encoder
-    appends and the shape the decoder matches; and one getter for all
-    field values, and one builder of a fresh instance from them."""
+    """One registered record class: wire name, field order, the head every
+    frame of it starts with, one getter for all field values and one
+    builder of a fresh instance from them."""
 
     name: str
     cls: type
     fields: tuple[str, ...]
-    fingerprint: int
-    defaults: dict[str, Any]      # field name -> zero-arg factory
-    min_fields: int               # shortest sendable prefix length
-    optional_defaults: tuple[Any, ...]   # default values, fields[min_fields:]
-    heads: tuple[bytes, ...]      # tag + name + header, per count k - min_fields
+    head: bytes                   # tag + varint name length + UTF-8 name
     getter: Any                   # value -> tuple of every field value
     build: Any                    # list of every field value -> instance
-    # (header: fingerprint (>H) + varint count, fields sent, default
-    # factories of the elided tail), full declaration first, then shorter
-    shapes: tuple[tuple[bytes, tuple[str, ...], tuple[Any, ...]], ...]
 
 
 def _record_fields(cls: type) -> tuple[str, ...]:
@@ -344,25 +292,8 @@ def _record_fields(cls: type) -> tuple[str, ...]:
     )
 
 
-def _record_defaults(cls: type) -> dict[str, Any]:
-    """Field name -> zero-arg factory for every field with a declared
-    default (what tolerant decode fills absent trailing fields from)."""
-    factories: dict[str, Any] = {}
-    if dataclasses.is_dataclass(cls):
-        for f in dataclasses.fields(cls):
-            if f.default is not dataclasses.MISSING:
-                default = f.default
-                factories[f.name] = lambda default=default: default
-            elif f.default_factory is not dataclasses.MISSING:
-                factories[f.name] = f.default_factory
-    elif hasattr(cls, "_field_defaults"):
-        for field_name, default in sorted(cls._field_defaults.items()):
-            factories[field_name] = lambda default=default: default
-    return factories
-
-
 #: Version of the format :meth:`Codec.schema` renders (``WIRE_SCHEMA.lock``).
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 _SET_ANNOTATION = re.compile(r"\b(set|Set|frozenset|FrozenSet)\b")
 
@@ -411,18 +342,12 @@ def _module_path(cls: type) -> str:
     return cls.__module__.split(".", 1)[-1].replace(".", "/") + ".py"
 
 
-def _record_header(fingerprint: int, count: int) -> bytes:
-    header = bytearray(struct.pack(">H", fingerprint))
-    _encode_varint(count, header)
-    return bytes(header)
-
-
-def _record_head(wire_name: str, fingerprint: int, count: int) -> bytes:
+def _record_head(wire_name: str) -> bytes:
     """Everything a record frame holds before its first field."""
     raw = wire_name.encode("utf-8")
     head = bytearray((_T_RECORD,))
     _encode_varint(len(raw), head)
-    return bytes(head + raw) + _record_header(fingerprint, count)
+    return bytes(head + raw)
 
 
 def _record_getter(cls: type, fields: tuple[str, ...]) -> Any:
@@ -490,54 +415,10 @@ def _record_builder(cls: type, fields: tuple[str, ...]) -> Any:
 
 def _make_record(wire_name: str, cls: type) -> _Record:
     fields = _record_fields(cls)
-    fingerprint = schema_fingerprint(wire_name, fields)
-    defaults = _record_defaults(cls)
-    optional = tuple(getattr(cls, "__wire_optional__", ()))
-    if optional:
-        if optional != fields[len(fields) - len(optional):]:
-            raise CodecError(
-                f"{wire_name}: __wire_optional__ {optional!r} is not the "
-                f"trailing run of the declared fields {fields!r}"
-            )
-        missing = [f for f in optional if f not in defaults]
-        if missing:
-            raise CodecError(
-                f"{wire_name}: wire-optional fields {missing!r} declare no "
-                "default — elision needs a value to fill back in"
-            )
-    min_fields = len(fields) - len(optional)
-    optional_defaults = tuple(defaults[f]() for f in optional)
-    heads = tuple(
-        _record_head(wire_name, schema_fingerprint(wire_name, fields[:k]), k)
-        for k in range(min_fields, len(fields) + 1)
-    )
-    shapes = tuple(
-        (_record_header(schema_fingerprint(wire_name, fields[:k]), k),
-         fields[:k], tuple(defaults[f] for f in fields[k:]))
-        for k in range(len(fields), min_fields - 1, -1)
-    )
     return _Record(
-        wire_name, cls, fields, fingerprint, defaults, min_fields,
-        optional_defaults, heads, _record_getter(cls, fields),
-        _record_builder(cls, fields), shapes,
+        wire_name, cls, fields, _record_head(wire_name),
+        _record_getter(cls, fields), _record_builder(cls, fields),
     )
-
-
-def _sent_count(record: _Record, values: tuple) -> int:
-    """How many leading *values* a frame of *record* carries: all but the
-    longest trailing run of wire-optional fields still holding their
-    declared defaults (type-exact compare: ``False == 0`` must not elide an
-    int against a bool)."""
-    send = len(values)
-    floor = record.min_fields
-    while send > floor:
-        default = record.optional_defaults[send - 1 - floor]
-        held = values[send - 1]
-        if type(held) is type(default) and held == default:
-            send -= 1
-        else:
-            break
-    return send
 
 
 class Codec:
@@ -555,6 +436,8 @@ class Codec:
         self._records_by_raw: dict[bytes, _Record] = {}
         self._enums_by_name: dict[str, type] = {}
         self._enum_types: dict[type, str] = {}
+        # schema_digest(), memoised until the next registration.
+        self._digest: str | None = None
         # Decode memo: complete encoding of a plain dict -> marshal snapshot
         # of its value, and first _MEMO_KEY bytes -> the lengths remembered.
         self._memo: dict[bytes, bytes] = {}
@@ -562,30 +445,22 @@ class Codec:
 
     # -- registration -----------------------------------------------------------
 
-    def register(
-        self, cls: type, *, name: str | None = None, replace: bool = False
-    ) -> type:
+    def register(self, cls: type) -> type:
         """Register a dataclass or NamedTuple as a wire record.
 
         A ``set``/``frozenset``-annotated field is an error (its iteration
         order would leak host randomisation onto the wire). Idempotent for
         the same class; a *different* class under an already-taken name is
-        an error (names are the wire tag and must be unique) unless
-        *replace* is set — then the new class takes over the name for
-        decode and the superseded class stays registered for encode only
-        (under its own, older shape), which is how :meth:`clone` models a
-        node whose wire module evolved while shared protocol code still
-        constructs the old class."""
-        wire_name = name or cls.__name__
+        an error (names are the wire tag and must be unique)."""
+        wire_name = cls.__name__
         existing = self._records_by_name.get(wire_name)
         if existing is not None:
             if existing.cls is cls:
                 return cls
-            if not replace:
-                raise CodecError(
-                    f"wire name {wire_name!r} already registered for "
-                    f"{existing.cls.__module__}.{existing.cls.__qualname__}"
-                )
+            raise CodecError(
+                f"wire name {wire_name!r} already registered for "
+                f"{existing.cls.__module__}.{existing.cls.__qualname__}"
+            )
         record = _make_record(wire_name, cls)
         annotations = _record_annotations(cls)
         set_typed = [
@@ -599,44 +474,23 @@ class Codec:
         self._records_by_name[wire_name] = record
         self._records_by_raw[wire_name.encode("utf-8")] = record
         self._records_by_type[cls] = record
+        self._digest = None
         return cls
 
-    def register_enum(
-        self, cls: type, *, name: str | None = None, replace: bool = False
-    ) -> type:
+    def register_enum(self, cls: type) -> type:
         """Register an :class:`enum.Enum` whose members may ride in fields."""
         if not (isinstance(cls, type) and issubclass(cls, enum.Enum)):
             raise CodecError(f"{cls!r} is not an Enum")
-        wire_name = name or cls.__name__
+        wire_name = cls.__name__
         existing = self._enums_by_name.get(wire_name)
         if existing is not None:
             if existing is cls:
                 return cls
-            if not replace:
-                raise CodecError(
-                    f"enum wire name {wire_name!r} already registered"
-                )
+            raise CodecError(f"enum wire name {wire_name!r} already registered")
         self._enums_by_name[wire_name] = cls
         self._enum_types[cls] = wire_name
+        self._digest = None
         return cls
-
-    def clone(self, overrides: dict[str, type] | None = None) -> Codec:
-        """A new codec with this one's registry, optionally with individual
-        wire names rebound to evolved classes (*overrides* maps wire name ->
-        class). The superseded class remains encodable under its old shape,
-        so shared code constructing it still works — the rolling-upgrade
-        harness for mixed-version groups (``Network.set_node_codec``)."""
-        other = Codec()
-        for wire_name, record in sorted(self._records_by_name.items()):
-            other.register(record.cls, name=wire_name)
-        for wire_name, cls in sorted(self._enums_by_name.items()):
-            other.register_enum(cls, name=wire_name)
-        for wire_name, cls in sorted((overrides or {}).items()):
-            if isinstance(cls, type) and issubclass(cls, enum.Enum):
-                other.register_enum(cls, name=wire_name, replace=True)
-            else:
-                other.register(cls, name=wire_name, replace=True)
-        return other
 
     def registered_records(self) -> list[type]:
         """Registered record classes, sorted by wire name (for tests/CI)."""
@@ -644,7 +498,7 @@ class Codec:
 
     def schema(self) -> dict[str, Any]:
         """The registry as ``WIRE_SCHEMA.lock`` records it: per record its
-        module (:func:`_module_path`), kind, fingerprint and fields (name,
+        module (:func:`_module_path`), kind and fields (name,
         annotation text, default text or ``None``), per enum its module and
         member values (``repr``). Line numbers stay out, so an unrelated
         edit to a wire module never churns the lockfile."""
@@ -655,7 +509,6 @@ class Codec:
             records[wire_name] = {
                 "module": _module_path(cls),
                 "kind": "namedtuple" if issubclass(cls, tuple) else "dataclass",
-                "fingerprint": record.fingerprint,
                 "fields": [
                     {"name": f, "type": types[f], "default": defaults.get(f)}
                     for f in record.fields
@@ -672,6 +525,15 @@ class Codec:
             for wire_name, cls in sorted(self._enums_by_name.items())
         }
         return {"version": SCHEMA_VERSION, "records": records, "enums": enums}
+
+    def schema_digest(self) -> str:
+        """A short digest of :meth:`schema` — what a joiner presents and a
+        member compares (one schema per group, PROTOCOLS.md §11).
+        Computed once and kept until the next registration."""
+        if self._digest is None:
+            text = json.dumps(self.schema(), sort_keys=True)
+            self._digest = hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
+        return self._digest
 
     # -- encoding ---------------------------------------------------------------
 
@@ -733,15 +595,9 @@ class Codec:
         elif cls is bool:
             out.append(_T_TRUE if value else _T_FALSE)
         elif (record := self._records_by_type.get(cls)) is not None:
-            values = record.getter(value)
-            if record.optional_defaults:
-                send = _sent_count(record, values)
-                values = values[:send]
-                out += record.heads[send - record.min_fields]
-            else:
-                out += record.heads[0]
+            out += record.head
             encode = self._encode_value
-            for item in values:
+            for item in record.getter(value):
                 encode(item, out)
         elif (enum_name := self._enum_types.get(cls)) is not None:
             out.append(_T_ENUM)
@@ -890,26 +746,6 @@ class Codec:
         if len(encoded) not in lengths:
             lengths.append(len(encoded))
 
-    def _decode_fields(
-        self,
-        data: bytes,
-        pos: int,
-        fields: tuple[str, ...],
-        name: str,
-    ) -> tuple[list[Any], int]:
-        """Decode *fields* in order, annotating any failure with the
-        innermost record/field it happened inside (satisfies "say where,
-        not just what" for truncated frames)."""
-        values = []
-        for field in fields:
-            try:
-                value, pos = self._decode_value(data, pos)
-            except CodecError as exc:
-                _annotate(exc, name, field)
-                raise
-            values.append(value)
-        return values, pos
-
     def _decode_record(
         self, data: bytes, pos: int, start: int
     ) -> tuple[Any, int]:
@@ -928,73 +764,15 @@ class Codec:
             name = data[pos:end].decode("utf-8")
             raise _codec_error(f"unknown wire record {name!r}", start)
         pos = end
-        name = record.name
         decode = self._decode_value
-        for header, fields, tail in record.shapes:
-            if data.startswith(header, pos):
-                # One of the local declaration's own shapes.
-                pos += len(header)
-                values = []
-                for field in fields:
-                    try:
-                        value, pos = decode(data, pos)
-                    except CodecError as exc:
-                        _annotate(exc, name, field)
-                        raise
-                    values.append(value)
-                if tail:
-                    values.extend(factory() for factory in tail)
-                return record.build(values), pos
-        return self._decode_tolerant(data, pos, record, start)
-
-    def _decode_tolerant(
-        self, data: bytes, pos: int, record: _Record, start: int
-    ) -> tuple[Any, int]:
-        """A record frame matching none of the local declaration's shapes:
-        the sender runs another version of the wire module, or spelled the
-        count in a longer varint. Applies the R7 evolution contract
-        (trailing appends only); an unalignable skew raises."""
-        name = record.name
-        if pos + 2 > len(data):
-            raise _codec_error(
-                f"truncated schema fingerprint of record {name}", pos
-            )
-        sent_fp = (data[pos] << 8) | data[pos + 1]
-        sent_count, pos = _decode_varint(data, pos + 2)
-        local = len(record.fields)
-        if sent_count == local and sent_fp != record.fingerprint:
-            raise _codec_error(
-                f"schema mismatch for record {name} (sender 0x{sent_fp:04X} "
-                f"with {sent_count} fields, local 0x{record.fingerprint:04X} "
-                f"with {local} fields): same field count but different "
-                "fingerprint — a renamed or reordered field cannot be "
-                "aligned positionally", start
-            )
-        if sent_count >= local:
-            # The local declaration, or a newer sender: take the local
-            # fields positionally and skip the unknown trailing ones.
-            values, pos = self._decode_fields(data, pos, record.fields, name)
-            for _ in range(sent_count - local):
-                try:
-                    _, pos = self._decode_value(data, pos)
-                except CodecError as exc:
-                    _annotate(exc, name, "<unknown trailing field>")
-                    raise
-            return record.build(values), pos
-        # The sender is older: decode the common prefix, fill the absent
-        # trailing fields from the local declaration's defaults.
-        values, pos = self._decode_fields(
-            data, pos, record.fields[:sent_count], name
-        )
-        for field in record.fields[sent_count:]:
-            factory = record.defaults.get(field)
-            if factory is None:
-                raise _codec_error(
-                    f"cannot fill field {field!r} of {name}: the sender "
-                    f"sent {sent_count} fields and {field!r} declares no "
-                    "default (breaking delta — see WIRE_SCHEMA.lock)", start
-                )
-            values.append(factory())
+        values = []
+        for field in record.fields:
+            try:
+                value, pos = decode(data, pos)
+            except CodecError as exc:
+                _annotate(exc, record.name, field)
+                raise
+            values.append(value)
         return record.build(values), pos
 
     # -- diagnostics ------------------------------------------------------------
@@ -1038,29 +816,8 @@ class Codec:
                 raise CodecError(f"{record.name}: type table out of sync")
             if self._records_by_raw.get(record.name.encode("utf-8")) is not record:
                 raise CodecError(f"{record.name}: raw-name table out of sync")
-            if record.heads[-1] != _record_head(
-                    record.name, record.fingerprint, len(record.fields)):
+            if record.head != _record_head(record.name):
                 raise CodecError(f"{record.name}: record head out of sync")
-            if schema_fingerprint(record.name, record.fields) != record.fingerprint:
-                raise CodecError(
-                    f"{record.name}: schema fingerprint out of sync"
-                )
-            optional = tuple(getattr(record.cls, "__wire_optional__", ()))
-            if len(record.fields) - len(optional) != record.min_fields:
-                raise CodecError(
-                    f"{record.name}: wire-optional tail changed after "
-                    "registration"
-                )
-            # One shape per sendable count, full declaration first: its
-            # header ends the head sent at that count, its tail is filled.
-            expected = [
-                (_record_header(schema_fingerprint(record.name, record.fields[:k]), k),
-                 record.fields[:k], len(record.fields) - k)
-                for k in range(len(record.fields), record.min_fields - 1, -1)
-            ]
-            if [(h, sent, len(t)) for h, sent, t in record.shapes] != expected or not all(
-                    head.endswith(h) for head, (h, _, _) in zip(record.heads[::-1], record.shapes)):
-                raise CodecError(f"{record.name}: shape table out of sync")
 
 
 #: The process-wide registry. Append-only, written only at import time by the
@@ -1083,45 +840,6 @@ def register_wire_enum(cls: type) -> type:
     return WIRE.register_enum(cls)
 
 
-def mark_wire_optional(cls: type, *fields: str) -> type:
-    """Declare *fields* — a contiguous defaulted tail of *cls*'s wire fields
-    — as elidable on the wire (see the module docstring). Call **before**
-    :func:`register_wire_types`, in the wire module that declares the
-    record; the marker lives on the class so :meth:`Codec.clone` re-derives
-    the elision tables when it re-registers the class."""
-    declared = _record_fields(cls)
-    if tuple(fields) != declared[len(declared) - len(fields):]:
-        raise CodecError(
-            f"{cls.__name__}: wire-optional fields {fields!r} must be the "
-            f"trailing run of the declared fields {declared!r}"
-        )
-    cls.__wire_optional__ = tuple(fields)
-    # Validate eagerly (defaults present, etc.) via a throwaway build.
-    _make_record(cls.__name__, cls)
-    return cls
-
-
-def elided_repr(value: Any) -> str:
-    """A ``repr`` that mirrors the wire frame: trailing wire-optional
-    fields still holding their declared defaults are omitted, so a record
-    that never set its new fields reprs exactly like the pre-extension
-    declaration did. Wire modules adopt it per record::
-
-        @dataclasses.dataclass(frozen=True, repr=False)
-        class JStatReq:
-            ...
-            __repr__ = elided_repr
-    """
-    cls = type(value)
-    record = WIRE._records_by_type.get(cls) or _make_record(cls.__name__, cls)
-    values = record.getter(value)
-    body = ", ".join(
-        f"{field}={held!r}"
-        for field, held in zip(record.fields, values[:_sent_count(record, values)])
-    )
-    return f"{cls.__qualname__}({body})"
-
-
-def encoded_size(value: Any, codec: Codec | None = None) -> int:
+def encoded_size(value: Any) -> int:
     """Exact on-wire byte count of *value* (excluding datagram header)."""
-    return len((codec or WIRE).encode(value))
+    return len(WIRE.encode(value))

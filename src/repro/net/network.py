@@ -62,7 +62,7 @@ from typing import Any, Callable, Sequence
 import numpy as np
 
 from repro.net.address import Address, Delivery, canonical_group
-from repro.net.codec import WIRE, Codec
+from repro.net.codec import WIRE
 from repro.net.link import FAST_ETHERNET, LOOPBACK, LinkModel
 from repro.net.partition import PartitionState
 from repro.sim.kernel import Kernel
@@ -172,11 +172,6 @@ class Network:
         self._drop_filter_ids = 0
         self._pair_seq: dict[tuple[Address, Address], int] = {}
         self._endpoints: dict[Address, Endpoint] = {}
-        #: Per-node codec overrides (rolling-upgrade harness): a node bound
-        #: here encodes its sends and decodes its deliveries with its *own*
-        #: codec — typically ``WIRE.clone(overrides=...)`` carrying an
-        #: evolved wire record. Unbound nodes use the shared ``WIRE``.
-        self._node_codecs: dict[str, Codec] = {}
         #: Next uniform double in [0, 1) of the ``net`` stream (loss and
         #: jitter), read from blocks of DRAW_BLOCK: the same values in the
         #: same order as one ``Generator.random()`` call each.
@@ -236,22 +231,6 @@ class Network:
             # A crashed node's endpoints vanish with it.
             for address in [a for a in self._endpoints if a.node == name]:
                 self._endpoints[address].close()
-
-    def set_node_codec(self, name: str, codec: Codec | None) -> None:
-        """Bind *name* to its own codec (``None`` reverts to the shared
-        ``WIRE``) — the mixed-version harness: a node running an evolved
-        wire module encodes with the evolved shape and decodes peers'
-        frames through its own tolerance/strictness setting."""
-        if name not in self._nodes_up:
-            raise NetworkError(f"unknown node {name!r}")
-        if codec is None:
-            self._node_codecs.pop(name, None)
-        else:
-            self._node_codecs[name] = codec
-
-    def codec_for(self, node: str) -> Codec:
-        """The codec *node* encodes/decodes with (default: shared WIRE)."""
-        return self._node_codecs.get(node, WIRE)
 
     def pause_node(self, name: str) -> None:
         """Black out *name*'s network: unreachable, but processes/endpoints
@@ -354,7 +333,7 @@ class Network:
                 raise NetworkError(f"unknown node {target.node!r}")
         stats = self.stats
         stats["sent"] += 1
-        frame = self._node_codecs.get(node, WIRE).encode(payload)
+        frame = WIRE.encode(payload)
         size = len(frame) + DATAGRAM_OVERHEAD
         stats["bytes_offered"] += size
         offered_kind = _payload_kind(payload)
@@ -456,9 +435,8 @@ class Network:
             return
         # Decode a *fresh* object graph from the frame bytes — the
         # receiver never sees the sender's objects (nor another
-        # receiver's), and a node with its own codec sees the frame
-        # through its own wire-module version.
-        fresh = self._node_codecs.get(node, WIRE).decode(frame)
+        # receiver's).
+        fresh = WIRE.decode(frame)
         kernel = self.kernel
         if kernel.sanitizer is not None:
             kernel.sanitizer.check_payload_isolation(

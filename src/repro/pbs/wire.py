@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.net.address import Address
-from repro.net.codec import elided_repr, mark_wire_optional, register_wire_types
+from repro.net.codec import register_wire_types
 from repro.pbs.job import JobSpec
 
 __all__ = [
@@ -129,7 +129,7 @@ class SimpleResp:
 # -- scheduler <-> server ------------------------------------------------------
 
 
-@dataclass(frozen=True, repr=False)
+@dataclass(frozen=True)
 class SchedPollReq:
     """Maui's poll: the ``(epoch, generation)`` of the last reply it
     applied. ``epoch = 0`` asks for the whole table (PROTOCOLS.md §3)."""
@@ -137,10 +137,8 @@ class SchedPollReq:
     epoch: int = 0
     since: int = 0
 
-    __repr__ = elided_repr
 
-
-@dataclass(frozen=True, repr=False)
+@dataclass(frozen=True)
 class SchedPollResp:
     """The rows of the jobs changed after the request's ``since``, or every
     row when the request's epoch is not the server's (or is 0); ``epoch``
@@ -152,8 +150,6 @@ class SchedPollResp:
     node_free: tuple
     epoch: int = 0
     generation: int = 0
-
-    __repr__ = elided_repr
 
 
 @dataclass(frozen=True)
@@ -206,9 +202,6 @@ class JobObit:
     started_at: float
     finished_at: float
 
-
-mark_wire_optional(SchedPollReq, "epoch", "since")
-mark_wire_optional(SchedPollResp, "epoch", "generation")
 
 register_wire_types(
     SubmitReq, SubmitResp,

@@ -256,22 +256,17 @@ def test_endurance_day_under_churn():
 
 
 def test_trace_replay_overhead_on_realistic_arrivals():
-    """``tests/data/trace_replay.json``: one SWF day replayed on TORQUE, on
-    2-head JOSHUA and on 2-head JOSHUA one wire version apart."""
-    torque, joshua, mixed = golden.committed("trace_replay")
-    assert torque["jobs"] == joshua["jobs"] == mixed["jobs"]
-    # All three complete the whole trace — including the rolling-upgrade
-    # group with one head a wire-schema version ahead (tolerant decode).
+    """``tests/data/trace_replay.json``: one SWF day replayed on TORQUE and
+    on 2-head JOSHUA."""
+    torque, joshua = golden.committed("trace_replay")
+    assert torque["jobs"] == joshua["jobs"]
+    # Both complete the whole trace.
     assert torque["completed"] == torque["jobs"]
     assert joshua["completed"] == joshua["jobs"]
-    assert mixed["completed"] == mixed["jobs"]
     # Replication overhead on realistic arrivals is in the Figure 10 band
     # (2 heads: ~2.7x in the paper) — not free, not pathological.
     ratio = joshua["mean_submit_ms"] / torque["mean_submit_ms"]
     assert 1.5 <= ratio <= 4.0, ratio
-    # Version skew costs nothing measurable beyond plain replication.
-    skew = mixed["mean_submit_ms"] / joshua["mean_submit_ms"]
-    assert 0.8 <= skew <= 1.2, skew
 
 
 def _mds_create_ms(replicas: int) -> float:

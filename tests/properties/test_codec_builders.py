@@ -27,7 +27,7 @@ import repro.pbs.wire  # noqa: F401
 import repro.pvfs.metadata  # noqa: F401
 import repro.pvfs.wire  # noqa: F401
 import repro.rpc.wire  # noqa: F401
-from repro.net.codec import WIRE, CodecError, _construct
+from repro.net.codec import WIRE, Codec, CodecError, _construct
 from repro.pbs.job import JobSpec
 from repro.pbs.wire import SubmitReq
 
@@ -52,8 +52,13 @@ def _kind(build) -> str:
 
 
 def _constructing_clone():
-    """A clone of ``WIRE`` whose every record builds with ``cls(*values)``."""
-    codec = WIRE.clone()
+    """A fresh codec over ``WIRE``'s registry whose every record builds with
+    ``cls(*values)``."""
+    codec = Codec()
+    for cls in WIRE.registered_records():
+        codec.register(cls)
+    for cls in WIRE._enums_by_name.values():
+        codec.register_enum(cls)
     for name, record in sorted(codec._records_by_name.items()):
         plain = dataclasses.replace(record, build=partial(_construct, record.cls))
         codec._records_by_name[name] = plain

@@ -33,7 +33,7 @@ import repro.rpc.wire  # noqa: F401
 from repro.gcs.messages import DataMsg, MessageId
 from repro.joshua.wire import StateXferResp
 from repro.net.address import Address
-from repro.net.codec import WIRE, Codec, CodecError, encoded_size
+from repro.net.codec import WIRE, CodecError, encoded_size
 from repro.pbs.job import JobSpec, JobState
 from repro.pbs.wire import SubmitReq
 from repro.rpc.wire import Request
@@ -263,63 +263,6 @@ def test_malformed_frames_decode_or_raise_codec_error_only(frame):
         WIRE.decode(frame)
     except CodecError:
         pass
-
-
-# ---------------------------------------------------------------------------
-# schema evolution: the tolerance paths hold for arbitrary payloads
-# ---------------------------------------------------------------------------
-
-
-@dataclasses.dataclass(frozen=True)
-class _EvoV1:
-    uuid: str
-    body: object
-
-
-@dataclasses.dataclass(frozen=True)
-class _EvoV2:
-    uuid: str
-    body: object
-    extra: object = None
-
-
-def _evo_codec(cls):
-    codec = Codec()
-    codec.register(cls, name="Evo")
-    return codec
-
-
-@settings(max_examples=100, deadline=None)
-@given(uuid=st.text(max_size=12), body=value_trees)
-def test_absent_defaulted_trailing_field_fills(uuid, body):
-    """Old sender -> new receiver: whatever rides in the common prefix, the
-    absent trailing field comes back as the declared default."""
-    frame = _evo_codec(_EvoV1).encode(_EvoV1(uuid, body))
-    decoded = _evo_codec(_EvoV2).decode(frame)
-    assert decoded == _EvoV2(uuid, body, extra=None)
-    assert type(decoded) is _EvoV2
-
-
-@settings(max_examples=100, deadline=None)
-@given(uuid=st.text(max_size=12), body=value_trees, extra=value_trees)
-def test_unknown_trailing_field_is_skipped(uuid, body, extra):
-    """New sender -> old receiver: the unknown trailing field is consumed
-    and dropped, whatever value tree it carried."""
-    frame = _evo_codec(_EvoV2).encode(_EvoV2(uuid, body, extra))
-    decoded = _evo_codec(_EvoV1).decode(frame)
-    assert decoded == _EvoV1(uuid, body)
-    assert type(decoded) is _EvoV1
-
-
-@settings(max_examples=100, deadline=None)
-@given(uuid=st.text(max_size=12), body=value_trees)
-def test_tolerant_skew_round_trip_preserves_common_prefix(uuid, body):
-    """v1 -> v2 -> v1 across codecs loses only the appended field — the
-    common prefix survives both crossings bit-exactly."""
-    v1, v2 = _evo_codec(_EvoV1), _evo_codec(_EvoV2)
-    upgraded = v2.decode(v1.encode(_EvoV1(uuid, body)))
-    downgraded = v1.decode(v2.encode(upgraded))
-    assert downgraded == _EvoV1(uuid, body)
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ wire and to every receiver:
 
 * a :class:`PlainFragment` (what ``JobQueue.to_wire()`` and the by-id
   ``qstat`` branch send) encodes to exactly the bytes of the row it stands
-  for, under the shared registry and under a clone with evolved records;
+  for;
 * a codec whose decode memo is warm answers every frame — intact, cut
   short, or damaged — exactly as a codec that has never decoded anything
   does: same value, or the same :class:`CodecError` (message, ``offset``,
@@ -42,22 +42,15 @@ GOLDEN = {f["name"]: bytes.fromhex(f["hex"])
 # ---------------------------------------------------------------------------
 
 
-@dataclasses.dataclass(frozen=True)
-class StatRespV2(StatResp):
-    """``StatResp`` as a later wire module might ship it (a compatible
-    append), bound in the clone below."""
+def _fresh() -> Codec:
+    """A codec with ``WIRE``'s records and enums and an empty memo."""
+    codec = Codec()
+    for cls in WIRE.registered_records():
+        codec.register(cls)
+    for cls in WIRE._enums_by_name.values():
+        codec.register_enum(cls)
+    return codec
 
-    truncated: bool = False
-
-
-@dataclasses.dataclass(frozen=True)
-class SchedPollRespV2(SchedPollResp):
-    epoch: int = 0
-
-
-EVOLVED = WIRE.clone(
-    overrides={"StatResp": StatRespV2, "SchedPollResp": SchedPollRespV2}
-)
 
 _names = st.text(max_size=12)  # any code point: non-ASCII included
 _specs = st.builds(
@@ -96,15 +89,10 @@ def test_replies_built_from_fragments_are_byte_identical(jobs):
     rows = tuple(job.stat_row() for job in jobs)
     assert all(type(f) is PlainFragment for f in fragments)
     node_free = (("compute0", True), ("compute1", False))
-    for codec, stat, poll in (
-        (WIRE, StatResp, SchedPollResp),
-        (EVOLVED, StatResp, SchedPollResp),  # old class on an upgraded node
-        (EVOLVED, StatRespV2, SchedPollRespV2),
-    ):
-        assert codec.encode(Reply(7, stat(fragments))).hex() == \
-            codec.encode(Reply(7, stat(rows))).hex()
-        assert codec.encode(Reply(8, poll(fragments, node_free))).hex() == \
-            codec.encode(Reply(8, poll(rows, node_free))).hex()
+    assert WIRE.encode(Reply(7, StatResp(fragments))).hex() == \
+        WIRE.encode(Reply(7, StatResp(rows))).hex()
+    assert WIRE.encode(Reply(8, SchedPollResp(fragments, node_free))).hex() == \
+        WIRE.encode(Reply(8, SchedPollResp(rows, node_free))).hex()
     # ...and what arrives is the plain rows, never a fragment.
     assert WIRE.decode(WIRE.encode(StatResp(fragments))) == StatResp(rows)
 
@@ -178,12 +166,12 @@ def _outcome(codec: Codec, frame: bytes):
         return "error", str(exc), exc.offset, exc.record_context, exc.field
 
 
-_COLD = WIRE.clone()
+_COLD = _fresh()
 
 
 def _cold(frame: bytes):
     """The outcome on a codec with the shared registry and an empty memo —
-    what a fresh ``WIRE.clone()`` gives, without re-registering ~70 records
+    what a fresh ``_fresh()`` gives, without re-registering ~70 records
     per probe."""
     _COLD._memo.clear()
     _COLD._memo_lengths.clear()
@@ -191,8 +179,8 @@ def _cold(frame: bytes):
 
 
 def _warmed(order) -> Codec:
-    codec = WIRE.clone()
-    assert not codec._memo  # a clone starts cold
+    codec = _fresh()
+    assert not codec._memo  # a fresh codec starts cold
     for name in order:
         codec.decode(GOLDEN[name])
     return codec
@@ -257,7 +245,7 @@ def test_frame_ending_at_a_row_shorter_than_a_remembered_sibling(longer_first):
     *short* — and that short slice can be another remembered encoding.
     A hit must fit in the frame."""
     running, queued = _job8_rows()
-    warm = WIRE.clone()
+    warm = _fresh()
     for job in (running, queued) if longer_first else (queued, running):
         warm.decode(WIRE.encode(Reply(1, StatResp((job.wire_row,)))))
     for job in (queued, running):
@@ -271,28 +259,30 @@ def test_frame_ending_at_a_row_shorter_than_a_remembered_sibling(longer_first):
 
 
 @dataclasses.dataclass(frozen=True)
-class _EvoV1:
+class _Evo:
     uuid: str
 
 
 @dataclasses.dataclass(frozen=True)
-class _EvoV2:
+class _EvoElsewhere:
     uuid: str
-    extra: object = None
+
+
+_EvoElsewhere.__name__ = "_Evo"  # the same wire name, another class
 
 
 def test_a_dict_holding_a_record_is_never_answered_from_the_memo():
     """Such a dict's value depends on the registry, not on its bytes
     alone: the same frame decodes to another record under another codec."""
-    old, new = Codec(), Codec()
-    old.register(_EvoV1, name="Evo")
-    new.register(_EvoV2, name="Evo")
-    frame = old.encode({"padding-past-the-memo-key": "x" * _MEMO_KEY,
-                        "record": _EvoV1("u-1")})
-    assert new.decode(frame)["record"] == _EvoV2("u-1")  # fills the default
-    assert not new._memo
-    assert old.decode(frame)["record"] == _EvoV1("u-1")
-    assert not old._memo
+    one, other = Codec(), Codec()
+    one.register(_Evo)
+    other.register(_EvoElsewhere)
+    frame = one.encode({"padding-past-the-memo-key": "x" * _MEMO_KEY,
+                        "record": _Evo("u-1")})
+    assert other.decode(frame)["record"] == _EvoElsewhere("u-1")
+    assert not other._memo
+    assert one.decode(frame)["record"] == _Evo("u-1")
+    assert not one._memo
 
 
 # ---------------------------------------------------------------------------
@@ -301,7 +291,7 @@ def test_a_dict_holding_a_record_is_never_answered_from_the_memo():
 
 
 def test_memo_hits_share_nothing_mutable():
-    codec = WIRE.clone()
+    codec = _fresh()
     frame = GOLDEN["sched_poll_resp_3rows"]
     cold = codec.decode(frame)
     assert len(codec._memo) == 3

@@ -10,12 +10,23 @@ The daemon logs and drops what it cannot route, answers every ``Request``
 (the dispatcher's ``ErrorResp("bad-request", ...)`` fallback counts), and
 keeps running: a daemon process that crashes fails the run. CI runs this
 module a second time with ``REPRO_SANITIZE=1``.
+
+What the daemon logs comes from the codec, so the decode errors below must
+say where a frame went wrong: the byte offset and, inside a record, the
+innermost record and field. A group runs one wire schema (PROTOCOLS.md
+§11), so a record frame one field short of its declaration is a
+truncation and one field long leaves trailing bytes.
 """
 
+from dataclasses import dataclass
+
+import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from repro.aa.wire import Command
 from repro.net import Address
+from repro.net.codec import WIRE, Codec, CodecError
 from repro.pbs.job import JobSpec
 from repro.pbs.wire import (
     AdminPurge,
@@ -101,3 +112,93 @@ def test_no_frame_kills_a_daemon_and_every_request_is_answered(volley):
         assert cluster.node(node).daemon(name).running, name
     assert answered == asked
     assert_sanitizer_clean(cluster.kernel)
+
+
+# -- decode errors say where ----------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Note:
+    uuid: str
+    body: str
+
+
+def _notes() -> Codec:
+    codec = Codec()
+    codec.register(Note)
+    return codec
+
+
+class TestDecodeErrorDiagnostics:
+    def test_truncated_record_names_offset_record_and_field(self):
+        codec = _notes()
+        frame = codec.encode(Note("u1", "hello world"))
+        with pytest.raises(CodecError) as err:
+            codec.decode(frame[:-4])
+        exc = err.value
+        assert isinstance(exc.offset, int) and exc.offset > 0
+        assert exc.record_context == "Note"
+        assert exc.field == "body"
+        assert "at byte" in str(exc)
+        assert "(while decoding field 'body' of Note)" in str(exc)
+
+    def test_nested_failure_names_innermost_record(self):
+        @dataclass(frozen=True)
+        class Outer:
+            inner: Note
+
+        codec = _notes()
+        codec.register(Outer)
+        frame = codec.encode(Outer(Note("u", "payload")))
+        with pytest.raises(CodecError) as err:
+            codec.decode(frame[:-2])
+        assert err.value.record_context == "Note"
+        assert err.value.field == "body"
+
+    def test_unknown_tag_reports_offset(self):
+        with pytest.raises(CodecError) as err:
+            Codec().decode(b"\xff")
+        assert "unknown wire tag 0xFF at byte 0" in str(err.value)
+        assert err.value.offset == 0
+
+    def test_unknown_record_reports_offset(self):
+        frame = _notes().encode(Note("u", "b"))
+        with pytest.raises(CodecError) as err:
+            Codec().decode(frame)
+        assert "unknown wire record 'Note'" in str(err.value)
+        assert err.value.offset == 0
+
+    def test_trailing_bytes_report_offset(self):
+        codec = Codec()
+        frame = codec.encode(42)
+        with pytest.raises(CodecError) as err:
+            codec.decode(frame + b"\x00")
+        assert "trailing bytes" in str(err.value)
+        assert err.value.offset == len(frame)
+
+
+def _command_frame(*fields: object) -> bytes:
+    """A ``Command`` frame built by hand: tag, name length, name, then
+    *fields* encoded one after another."""
+    return b"\x0a\x07Command" + b"".join(WIRE.encode(f) for f in fields)
+
+
+class TestOneSchemaPerFrame:
+    def test_the_hand_built_frame_is_the_encoders(self):
+        command = Command("u1", "jdel", "7.joshua")
+        assert _command_frame("u1", "jdel", "7.joshua") == WIRE.encode(command)
+
+    def test_a_field_fewer_is_a_truncation_naming_the_missing_field(self):
+        frame = _command_frame("u1", "jdel")
+        with pytest.raises(CodecError, match="truncated frame") as err:
+            WIRE.decode(frame)
+        assert err.value.record_context == "Command"
+        assert err.value.field == "payload"
+        assert err.value.offset == len(frame)
+
+    def test_a_field_more_leaves_trailing_bytes_at_their_offset(self):
+        full = _command_frame("u1", "jdel", "7.joshua")
+        with pytest.raises(CodecError, match="trailing bytes") as err:
+            WIRE.decode(_command_frame("u1", "jdel", "7.joshua", "head1"))
+        assert err.value.offset == len(full)
+        assert err.value.record_context is None

@@ -402,7 +402,9 @@ class TestFailureDetector:
         (the per-peer loop cost n * (n - 1)), each the pinned size of one
         ``Heartbeat(view_id, acked_through)`` datagram."""
         beacon_bytes = len(WIRE.encode(RawFrame(idle_beacon()))) + DATAGRAM_OVERHEAD
-        assert beacon_bytes == 59  # was 64 with the float ``sent_at``
+        # 64 with the float ``sent_at``; 59 while each of the two records
+        # carried a schema fingerprint and field count.
+        assert beacon_bytes == 53
         kernel, net, suspicions = self.make_group(n)
         kernel.run(until=10.05)
         assert net.wire_bytes_by_type == {"Heartbeat": n * 100 * beacon_bytes}

@@ -2,9 +2,10 @@
 
 import pytest
 
-from repro.gcs import GroupConfig, GroupMember, boot_static_group
-from repro.gcs.messages import AGREED, SAFE
+from repro.gcs import GroupConfig, GroupMember, boot_static_group, recovery
+from repro.gcs.messages import AGREED, SAFE, JoinReq
 from repro.net import Address, Network
+from repro.net.codec import WIRE
 from repro.sim import Kernel
 from repro.util.errors import GroupCommError, NotInView
 
@@ -373,6 +374,27 @@ class TestJoinLeave:
         fresh.multicast("back again")
         h.run(until=6.0)
         assert "back again" in [m.payload for m in h.delivered["n0"]]
+
+    def test_a_joiner_on_another_wire_schema_is_refused_by_name(self, monkeypatch):
+        h = Harness(2)
+        h.boot()
+        h.run(until=0.5)
+        before = {name: h.members[name].view for name in ("n0", "n1")}
+        foreign = "f" * 16
+        assert WIRE.schema_digest() != foreign
+        monkeypatch.setattr(
+            recovery, "JoinReq", lambda joiner, schema: JoinReq(joiner, foreign))
+        joiner = h.add_node("n9")
+        joiner.join([h.addr("n0")])
+        h.run(until=3.0)
+        assert {name: h.members[name].view for name in ("n0", "n1")} == before
+        assert joiner.state != "normal" and joiner.view is None
+        refusals = [r for r in h.kernel.log.records if "refused join" in r.message]
+        assert refusals and all(
+            r.source == "gcs@n0:9" and r.message == (
+                f"refused join of n9:9: its wire schema {foreign} is not "
+                f"the group's {WIRE.schema_digest()}")
+            for r in refusals)
 
     def test_join_requires_contacts(self):
         h = Harness(2)

@@ -2,8 +2,9 @@
 
 import pytest
 
+import repro.net.network as network_module
 from repro.net import Address, LinkModel, Network, PartitionState, Transport
-from repro.net.codec import WIRE
+from repro.net.codec import WIRE, Codec
 from repro.net.link import FAST_ETHERNET, LOOPBACK
 from repro.net.network import DATAGRAM_OVERHEAD, DRAW_BLOCK, _block_draws
 from repro.sim import Kernel
@@ -369,13 +370,15 @@ class TestGroupSend:
         return kernel, net, src, got
 
     @pytest.mark.parametrize("shared", [True, False])
-    def test_encoded_offered_and_charged_once(self, shared):
+    def test_encoded_offered_and_charged_once(self, shared, monkeypatch):
         kernel, net, src, got = self.build(shared=shared)
-        codec = WIRE.clone()
+        codec = Codec()
+        for cls in WIRE.registered_records():
+            codec.register(cls)
         encodes = []
         inner = codec.encode
         codec.encode = lambda value: (encodes.append(value), inner(value))[1]
-        net.set_node_codec("a", codec)
+        monkeypatch.setattr(network_module, "WIRE", codec)
         frames = []
         net.on_frame.append(lambda *args: frames.append(args))
         # Any order, duplicates and all: the fabric canonicalises the group.

@@ -21,13 +21,15 @@ fabric, independent of any protocol stack above rpc.
 import gc
 import weakref
 from dataclasses import dataclass
+from functools import cache
 
 import pytest
 
+import repro.net.network as network_module
 from repro.cluster.daemon import Daemon
 from repro.cluster.node import Node
 from repro.net import Network
-from repro.net.codec import register_wire_types
+from repro.net.codec import WIRE, Codec
 from repro.rpc import ResponseCache, RpcDispatcher, RpcTimeout, call, rpc_state
 from repro.rpc.state import TimeoutRecord, run_hooks
 from repro.rpc.wire import Request
@@ -44,10 +46,25 @@ class Pong:
     value: int
 
 
-# Test payloads cross the simulated wire, so they need codec entries like
-# any protocol's wire types (the registry is shared per interpreter — the
-# names must not collide with other test modules').
-register_wire_types(Ping, Pong)
+@cache
+def _wire_with_echo() -> Codec:
+    """The package's registry plus ``Ping``/``Pong``. The shared ``WIRE``
+    stays the package's own: its schema digest is what a joining head
+    presents (PROTOCOLS.md §11.3), so a test that registered on it would
+    move the bytes of every later join in the interpreter."""
+    codec = Codec()
+    for cls in (*WIRE.registered_records(), Ping, Pong):
+        codec.register(cls)
+    for cls in WIRE._enums_by_name.values():
+        codec.register_enum(cls)
+    return codec
+
+
+@pytest.fixture(autouse=True)
+def _echo_on_the_wire(monkeypatch):
+    # Test payloads cross the simulated wire, so they need codec entries
+    # like any protocol's wire types.
+    monkeypatch.setattr(network_module, "WIRE", _wire_with_echo())
 
 
 class EchoDaemon(Daemon):

@@ -1,11 +1,12 @@
-"""The registry-derived schema and R7 delta classification, on golden fixtures.
+"""The registry-derived schema and R7's deltas, on golden fixtures.
 
 A base set of records (plus evolved variants of them) registered on a
-fresh :class:`~repro.net.codec.Codec` exercises every R7 delta class —
-compatible append, deprecated trailing field, removed field, reorder,
-rename, type change, enum member add/remove/value change — plus the
-lockfile round-trip/stability property (derive -> write -> load -> diff ==
-empty).
+fresh :class:`~repro.net.codec.Codec` exercises every R7 delta kind —
+appended, removed, reordered, renamed or retyped field, changed default,
+record and enum member added/removed/renumbered — plus the lockfile
+round-trip/stability property (derive -> write -> load -> diff == empty).
+A group runs one wire schema, so every delta is a coordinated upgrade
+("breaking"): none is wire-compatible, and each is listed.
 """
 
 from __future__ import annotations
@@ -16,16 +17,13 @@ from typing import ClassVar, NamedTuple
 
 from repro.analysis import check_files
 from repro.analysis.schema import (
-    BREAKING,
-    COMPATIBLE,
-    DECODE_COMPATIBLE,
     diff_schemas,
     load_lockfile,
     render_deltas,
     rule_r7,
     write_lockfile,
 )
-from repro.net.codec import Codec, schema_fingerprint
+from repro.net.codec import Codec
 
 #: Where the codec places this module's records (its path below ``tests``).
 MODULE = "unit/test_schema_extract.py"
@@ -76,14 +74,14 @@ def _deltas(*evolved: type):
     return diff_schemas(_schema(), _schema(*evolved))
 
 
-def _only(deltas, severity, kind):
-    hits = [d for d in deltas if d.severity == severity and d.kind == kind]
-    assert hits, f"no ({severity}, {kind}) delta in {deltas}"
+def _only(deltas, kind):
+    hits = [d for d in deltas if d.kind == kind]
+    assert hits, f"no {kind} delta in {deltas}"
     return hits
 
 
 class TestExtraction:
-    def test_registered_types_only_with_fields_defaults_and_fingerprints(self):
+    def test_registered_types_only_with_fields_and_defaults(self):
         schema = _schema()
         assert sorted(schema["records"]) == ["OpenReq", "SeekReq"]
         assert sorted(schema["enums"]) == ["Color"]
@@ -94,9 +92,6 @@ class TestExtraction:
             {"name": "mode", "type": "str", "default": "'r'"},
         ]
         assert open_req["kind"] == "dataclass"
-        assert open_req["fingerprint"] == schema_fingerprint(
-            "OpenReq", ("path", "mode")
-        )
         assert schema["records"]["SeekReq"]["kind"] == "namedtuple"
         assert schema["records"]["SeekReq"]["fields"][1] == {
             "name": "offset", "type": "int", "default": "0",
@@ -107,7 +102,7 @@ class TestExtraction:
         # The module is a path; line numbers are kept out of the schema (no
         # churn on unrelated edits).
         assert open_req["module"] == MODULE
-        assert set(open_req) == {"module", "kind", "fingerprint", "fields"}
+        assert set(open_req) == {"module", "kind", "fields"}
 
     def test_field_call_without_default_is_not_a_default(self):
         @dataclass(frozen=True)
@@ -150,24 +145,24 @@ class TestExtraction:
         record = _schema(ReopenReq)["records"]["ReopenReq"]
         assert [f["name"] for f in record["fields"]] == ["path", "mode", "flags"]
         assert record["fields"][1]["default"] == "'r'"
-        assert record["fingerprint"] == schema_fingerprint(
-            "ReopenReq", ("path", "mode", "flags")
-        )
 
 
 class TestDeltaClassification:
     def test_identical_schemas_have_no_deltas(self):
         assert _deltas() == []
 
-    def test_defaulted_trailing_append_is_compatible(self):
+    def test_defaulted_trailing_append_is_listed_too(self):
         @dataclass(frozen=True)
         class OpenReq:
             path: str
             mode: str = "r"
             flags: int = 0
 
-        (delta,) = _only(_deltas(OpenReq), COMPATIBLE, "field-appended")
-        assert "flags" in delta.detail and delta.name == "OpenReq"
+        (delta,) = _only(_deltas(OpenReq), "fields-changed")
+        assert delta.name == "OpenReq"
+        assert delta.detail == (
+            "(path: str, mode: str = 'r') -> "
+            "(path: str, mode: str = 'r', flags: int = 0)")
 
     def test_undefaulted_trailing_append_is_breaking(self):
         @dataclass(frozen=True)
@@ -176,21 +171,10 @@ class TestDeltaClassification:
             mode: str = "r"
             flags: int = field(kw_only=True)
 
-        _only(_deltas(OpenReq), BREAKING, "field-appended-without-default")
-
-    def test_deprecated_defaulted_trailing_field_is_decode_compatible(self):
-        @dataclass(frozen=True)
-        class OpenReq:
-            path: str
-
-        (delta,) = _only(
-            _deltas(OpenReq), DECODE_COMPATIBLE, "field-deprecated"
-        )
-        assert "'mode'" in delta.detail
+        (delta,) = _only(_deltas(OpenReq), "fields-changed")
+        assert "flags: int)" in delta.detail
 
     def test_removed_undefaulted_trailing_field_is_breaking(self):
-        # The locked declaration had no default for the trailing field, so
-        # old receivers have nothing to fill it from.
         class LockedSeekReq(NamedTuple):
             fd: int
             offset: int
@@ -200,7 +184,7 @@ class TestDeltaClassification:
 
         LockedSeekReq.__name__ = "SeekReq"
         deltas = diff_schemas(_schema(LockedSeekReq), _schema(SeekReq))
-        (delta,) = _only(deltas, BREAKING, "field-removed")
+        (delta,) = _only(deltas, "fields-changed")
         assert delta.name == "SeekReq"
 
     def test_reorder_is_breaking(self):
@@ -209,7 +193,7 @@ class TestDeltaClassification:
             mode: str
             path: str = "p"
 
-        _only(_deltas(OpenReq), BREAKING, "fields-reordered")
+        _only(_deltas(OpenReq), "fields-changed")
 
     def test_rename_is_breaking(self):
         @dataclass(frozen=True)
@@ -217,33 +201,34 @@ class TestDeltaClassification:
             file_path: str
             mode: str = "r"
 
-        (delta,) = _only(_deltas(OpenReq), BREAKING, "field-renamed")
-        assert "'path'" in delta.detail and "'file_path'" in delta.detail
+        (delta,) = _only(_deltas(OpenReq), "fields-changed")
+        assert "(path: str" in delta.detail and "(file_path: str" in delta.detail
 
     def test_type_change_is_breaking(self):
         class SeekReq(NamedTuple):
             fd: str
             offset: int = 0
 
-        (delta,) = _only(_deltas(SeekReq), BREAKING, "field-type-changed")
+        (delta,) = _only(_deltas(SeekReq), "field-type-changed")
         assert delta.name == "SeekReq"
+        assert delta.detail == "field 'fd' type 'int' -> 'str'"
 
-    def test_default_value_change_is_decode_compatible(self):
+    def test_default_change_is_listed(self):
         @dataclass(frozen=True)
         class OpenReq:
             path: str
             mode: str = "rw"
 
-        _only(_deltas(OpenReq), DECODE_COMPATIBLE, "field-default-changed")
+        (delta,) = _only(_deltas(OpenReq), "field-default-changed")
+        assert delta.detail == "field 'mode' default \"'r'\" -> \"'rw'\""
 
-    def test_record_added_is_compatible_and_removed_is_breaking(self):
+    def test_record_added_and_removed_are_listed(self):
         @dataclass(frozen=True)
         class CloseReq:
             fd: int
 
-        _only(_deltas(CloseReq), COMPATIBLE, "record-added")
-        removed = diff_schemas(_schema(CloseReq), _schema())
-        _only(removed, BREAKING, "record-removed")
+        _only(_deltas(CloseReq), "record-added")
+        _only(diff_schemas(_schema(CloseReq), _schema()), "record-removed")
 
     def test_enum_member_add_remove_and_value_change(self):
         class Added(enum.Enum):
@@ -260,11 +245,11 @@ class TestDeltaClassification:
 
         for evolved in (Added, Removed, Changed):
             evolved.__name__ = "Color"
-        _only(_deltas(Added), COMPATIBLE, "enum-member-added")
-        _only(_deltas(Removed), BREAKING, "enum-member-removed")
-        _only(_deltas(Changed), BREAKING, "enum-member-value-changed")
+        _only(_deltas(Added), "enum-member-added")
+        _only(_deltas(Removed), "enum-member-removed")
+        _only(_deltas(Changed), "enum-member-value-changed")
 
-    def test_render_orders_breaking_first(self):
+    def test_render_lists_every_delta_in_name_order(self):
         @dataclass(frozen=True)
         class OpenReq:
             mode: str
@@ -275,11 +260,13 @@ class TestDeltaClassification:
             fd: int
 
         deltas = _deltas(OpenReq, CloseReq)
+        assert [(d.name, d.kind) for d in deltas] == [
+            ("CloseReq", "record-added"), ("OpenReq", "fields-changed")]
         text = render_deltas(deltas)
-        assert text.splitlines()[0].startswith(f"[{BREAKING}]")
-        assert text.splitlines()[-1].startswith(f"[{COMPATIBLE}]")
+        assert text.splitlines() == [d.render() for d in deltas]
+        assert text.splitlines()[0].startswith("CloseReq (unit/test_schema_extract.py)")
         jsonl = render_deltas(deltas, jsonl=True)
-        assert '"severity"' in jsonl
+        assert len(jsonl.splitlines()) == 2 and '"kind": "record-added"' in jsonl
 
 
 class TestLockfileRoundTrip:
@@ -321,7 +308,7 @@ class TestRuleR7:
         source = "import x\n\n\n@dataclass\nclass OpenReq:\n    file_path: str\n"
         (finding,) = rule_r7(_schema(OpenReq), _schema(), {MODULE: source})
         assert (finding.path, finding.line) == (MODULE, 5)
-        assert "[breaking]" in finding.message
+        assert "fields-changed" in finding.message
         assert "repro schema update" in finding.message
 
     def test_check_files_runs_r7_only_with_lock_context(self):

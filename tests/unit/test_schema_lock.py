@@ -3,9 +3,10 @@
 * the lockfile is what the registry derives, and every enum the package
   registers in this interpreter is locked;
 * the shipped tree is R7-clean;
-* a planted breaking change (field removal in a fixture copy of
+* a planted change (field removal in a fixture copy of
   ``gcs/messages.py``) fails ``repro lint`` and ``repro schema diff``, and
   both pass again after ``repro schema update`` — the acceptance workflow;
+  a defaulted trailing append fails them just the same;
 * a record a wire module exports but never registers fails ``repro lint``.
 """
 
@@ -79,8 +80,7 @@ class TestPlantedBreakingChange:
     def test_lint_fails_then_passes_after_schema_update(self, planted, capsys):
         assert main(["lint", "--rule", "R7", "--root", str(planted)]) == 1
         out = capsys.readouterr().out
-        assert "[breaking]" in out and "field-removed" in out
-        assert "DataMsg" in out
+        assert "fields-changed" in out and "DataMsg" in out
 
         assert main(["schema", "update", "--root", str(planted)]) == 0
         assert main(["lint", "--rule", "R7", "--root", str(planted)]) == 0
@@ -88,16 +88,38 @@ class TestPlantedBreakingChange:
     def test_schema_diff_renders_and_exits_nonzero(self, planted, capsys):
         assert main(["schema", "diff", "--root", str(planted)]) == 1
         out = capsys.readouterr().out
-        assert "field-removed" in out and "breaking — review" in out
+        assert "fields-changed" in out and "coordinated upgrade — review" in out
 
         assert main(["schema", "diff", "--root", str(planted), "--jsonl"]) == 1
         out = capsys.readouterr().out
-        assert '"severity": "breaking"' in out
+        assert '"kind": "fields-changed"' in out
 
         assert main(["schema", "update", "--root", str(planted)]) == 0
         assert main(["schema", "diff", "--root", str(planted)]) == 0
         out = capsys.readouterr().out
         assert "lockfile matches the working tree" in out
+
+
+class TestEveryDeltaFailsTheDiff:
+    def test_a_defaulted_trailing_append_fails_diff_and_lint(self, tmp_path, capsys):
+        # Once wire-compatible; with one schema per group it is a
+        # coordinated upgrade like any other delta.
+        root = tmp_path / "repro"
+        shutil.copytree(
+            _PACKAGE, root, ignore=shutil.ignore_patterns("__pycache__")
+        )
+        target = root / "gcs" / "messages.py"
+        source = target.read_text(encoding="utf-8")
+        plant = "    joiner: Address\n    schema: str\n"
+        assert plant in source, "JoinReq layout changed — update the plant"
+        target.write_text(
+            source.replace(plant, plant + "    note: str = \"\"\n"),
+            encoding="utf-8",
+        )
+        assert main(["schema", "diff", "--root", str(root)]) == 1
+        out = capsys.readouterr().out
+        assert "JoinReq" in out and "note: str = ''" in out
+        assert main(["lint", "--rule", "R7", "--root", str(root)]) == 1
 
 
 class TestRegistrationContract:
@@ -122,7 +144,7 @@ class TestSchemaCli:
     def test_extract_prints_schema_json(self, capsys):
         assert main(["schema", "extract"]) == 0
         out = capsys.readouterr().out
-        assert '"DataMsg"' in out and '"fingerprint"' in out
+        assert '"DataMsg"' in out and '"fields"' in out
 
     def test_diff_clean_on_shipped_tree(self, capsys):
         assert main(["schema", "diff"]) == 0
