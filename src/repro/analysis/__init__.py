@@ -25,18 +25,14 @@ Rule      Contract
           message types).
 ``R5``    Observability hooks are passive: ``repro.obs`` may not call
           mutating methods on the network, transport, or kernel.
-``R7``    Wire-schema stability: the schema read from the codec's registry
-          (in a fresh interpreter that imports the whole package) must
-          match the committed ``WIRE_SCHEMA.lock``; every delta is
-          classified (wire-compatible / decode-compatible / breaking) and
-          fails the lint until reviewed and accepted via
-          ``repro schema update``.
 ========  =====================================================================
 
-The numbers skip ``R6``: codec coverage (every exported record of a wire
-module registered, none set-typed, every wire name unique) is the codec's
-registration contract (:mod:`repro.net.codec`), enforced when the module
-is imported, so a violation fails R7's derivation.
+The numbers stop at ``R5``: codec coverage (every exported record of a
+wire module registered, none set-typed, every wire name unique) is the
+codec's registration contract (:mod:`repro.net.codec`), enforced when the
+module is imported, and the committed ``WIRE_SCHEMA.lock`` is one entry of
+the golden harness (``tools/golden.py``), which runs
+:meth:`~repro.net.codec.Codec.self_check` and fails on any drift.
 
 Deliberate exemptions are annotated in-line::
 
@@ -56,15 +52,12 @@ from repro.analysis.runner import (
     list_ignores,
     run_lint,
 )
-from repro.analysis.schema import SchemaDelta, diff_schemas
 
 __all__ = [
     "ALL_RULES",
     "Finding",
-    "SchemaDelta",
     "check_files",
     "check_source",
-    "diff_schemas",
     "list_ignores",
     "run_lint",
 ]

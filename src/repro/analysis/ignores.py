@@ -128,7 +128,7 @@ def parse_ignores(source: str, path: str) -> IgnoreSet:
                     line,
                     tok.start[1],
                     f"ignore directive names unknown rule(s) {bad or '(none)'}"
-                    " — use R1..R7",
+                    " — use R1..R5",
                 )
             )
             continue

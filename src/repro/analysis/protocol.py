@@ -32,7 +32,8 @@ reason recorded next to the exemption.
 Codec coverage — every exported record of a wire module registered, none
 set-typed, every wire name unique — is no lint rule: the codec enforces it
 when the module is imported (the registration contract in
-:mod:`repro.net.codec`), and rule R7 reads the resulting registry.
+:mod:`repro.net.codec`), and the golden harness renders the resulting
+registry as ``WIRE_SCHEMA.lock``.
 """
 
 from __future__ import annotations

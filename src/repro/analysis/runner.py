@@ -9,19 +9,12 @@ from repro.analysis.findings import Finding
 from repro.analysis.ignores import IgnoreDirective, parse_ignores
 from repro.analysis.protocol import rule_r4
 from repro.analysis.rules import PER_FILE_RULES
-from repro.analysis.schema import LOCKFILE_NAME, derive, load_lockfile, rule_r7
-from repro.util.errors import ReproError
 
 __all__ = [
     "ALL_RULES", "check_files", "check_source", "list_ignores", "run_lint",
 ]
 
-ALL_RULES = ("R1", "R2", "R3", "R4", "R5", "R7")
-
-
-def _default_root() -> Path:
-    # The repro package root (this file lives in repro/analysis/).
-    return Path(__file__).resolve().parent.parent
+ALL_RULES = ("R1", "R2", "R3", "R4", "R5")
 
 
 def check_source(
@@ -37,10 +30,7 @@ def check_source(
 
 
 def check_files(files: dict[str, str], rules=None) -> list[Finding]:
-    """Lint *files* (repro-relative path -> source) with the given rules.
-
-    R7 reads a package's registry, not sources, so only :func:`run_lint`
-    runs it."""
+    """Lint *files* (repro-relative path -> source) with the given rules."""
     active = frozenset(rules if rules is not None else ALL_RULES)
     full_run = active >= frozenset(ALL_RULES)
     findings: list[Finding] = []
@@ -83,7 +73,10 @@ def _location(finding: Finding) -> tuple:
     return (finding.path, finding.line, finding.col, finding.rule)
 
 
-def _tree_sources(base: Path) -> dict[str, str]:
+def _package_sources() -> dict[str, str]:
+    """Every ``.py`` file of the repro package: repro-relative path ->
+    source (this file lives in repro/analysis/)."""
+    base = Path(__file__).resolve().parent.parent
     files: dict[str, str] = {}
     for path in sorted(base.rglob("*.py")):
         rel = path.relative_to(base).as_posix()
@@ -93,38 +86,17 @@ def _tree_sources(base: Path) -> dict[str, str]:
     return files
 
 
-def run_lint(root: str | Path | None = None, rules=None) -> list[Finding]:
-    """Lint every ``.py`` file under *root* (default: the repro package).
-
-    R7 diffs the schema derived from the registry of the package at *root*
-    against ``<root>/WIRE_SCHEMA.lock``; a missing lockfile, or a registry
-    that cannot be derived, is itself a finding. An R7 finding has no
-    in-line exemption: a wire change is accepted with ``repro schema
-    update``."""
-    base = Path(root) if root is not None else _default_root()
-    files = _tree_sources(base)
-    findings = check_files(files, rules=rules)
-    if rules is None or "R7" in rules:
-        try:
-            current = derive(base)
-        except ReproError as exc:
-            findings.append(Finding("R7", LOCKFILE_NAME, 1, 0, str(exc)))
-        else:
-            lock = load_lockfile(base / LOCKFILE_NAME)
-            findings.extend(rule_r7(current, lock, files))
-        findings.sort(key=_location)
-    return findings
+def run_lint(rules=None) -> list[Finding]:
+    """Lint every ``.py`` file of the repro package."""
+    return check_files(_package_sources(), rules=rules)
 
 
-def list_ignores(
-    root: str | Path | None = None,
-) -> list[tuple[str, IgnoreDirective]]:
-    """Every ``# repro-lint: ignore[...]`` directive under *root*, as
+def list_ignores() -> list[tuple[str, IgnoreDirective]]:
+    """Every ``# repro-lint: ignore[...]`` directive of the repro package, as
     ``(repro-relative path, directive)`` pairs in file/line order — the
     audit surface behind ``repro lint --ignores``."""
-    base = Path(root) if root is not None else _default_root()
     out: list[tuple[str, IgnoreDirective]] = []
-    for rel, source in sorted(_tree_sources(base).items()):
+    for rel, source in sorted(_package_sources().items()):
         for directive in parse_ignores(source, rel).directives:
             out.append((rel, directive))
     return out

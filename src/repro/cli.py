@@ -13,8 +13,6 @@
     python -m repro trace [--seed S] [--jobs N] [--jsonl FILE]
     python -m repro postmortem BUNDLE [--limit N]
     python -m repro lint  [--rule RN ...] [--jsonl] [--ignores]
-    python -m repro schema extract
-    python -m repro schema {update,diff} [--root DIR] [--jsonl]
 
 Every command prints the same tables the benchmark suite produces; all
 runs are deterministic given ``--seed``. The chaos commands exit non-zero
@@ -24,11 +22,10 @@ scenario and prints per-job causal timelines plus the Figure-10-style
 per-phase latency breakdown; ``--jsonl`` exports the merged span/log/
 metric/time-series stream for offline analysis. ``postmortem`` renders a
 flight-recorder bundle (the JSONL files a failed ``chaos run`` writes) as
-a human-readable merged timeline. ``schema`` manages the committed wire
-schema (``WIRE_SCHEMA.lock``): ``extract`` prints the schema read from
-the codec's registry, ``update`` regenerates the lockfile (the reviewed
-acceptance step for any wire change rule R7 flags), and ``diff`` lists
-every delta (exit 1 on any: each is a coordinated upgrade).
+a human-readable merged timeline. ``lint`` checks the determinism and
+protocol contract (rules R1–R5, :mod:`repro.analysis`); the committed wire
+schema (``WIRE_SCHEMA.lock``) is an entry of ``tools/golden.py``, whose
+``update WIRE_SCHEMA`` is the reviewed acceptance step for a wire change.
 """
 
 from __future__ import annotations
@@ -155,40 +152,19 @@ def build_parser() -> argparse.ArgumentParser:
                                  "the trigger; default: all)")
 
     lint = sub.add_parser(
-        "lint", help="determinism & protocol static analysis (rules R1–R5, R7)"
+        "lint", help="determinism & protocol static analysis (rules R1–R5)"
     )
     lint.add_argument(
         "--rule", action="append",
-        choices=["R1", "R2", "R3", "R4", "R5", "R7"],
+        choices=["R1", "R2", "R3", "R4", "R5"],
         metavar="RN", help="run only these rules (repeatable; default: all)",
     )
     lint.add_argument("--jsonl", action="store_true",
                       help="one JSON object per finding instead of text")
-    lint.add_argument("--root", metavar="DIR",
-                      help="package root to lint (default: the installed repro package)")
     lint.add_argument("--ignores", action="store_true",
                       help="list every active '# repro-lint: ignore[RN]' "
                            "directive (file:line, rules, reason) instead of "
                            "linting")
-
-    schema = sub.add_parser(
-        "schema",
-        help="wire-schema lockfile: extract / update / diff (rule R7)",
-    )
-    schema_sub = schema.add_subparsers(dest="schema_command", required=True)
-    schema_sub.add_parser(
-        "extract", help="print the schema read from the codec's registry")
-    schema_update = schema_sub.add_parser(
-        "update", help="regenerate WIRE_SCHEMA.lock from the working tree "
-                       "(the reviewed acceptance step for R7 findings)")
-    schema_diff = schema_sub.add_parser(
-        "diff", help="every delta vs the lockfile (exit 1 on any)")
-    schema_diff.add_argument("--jsonl", action="store_true",
-                             help="one JSON object per delta instead of text")
-    for sub_cmd in (schema_update, schema_diff):
-        sub_cmd.add_argument(
-            "--root", metavar="DIR",
-            help="package root (default: the installed repro package)")
     return parser
 
 
@@ -454,7 +430,7 @@ def _cmd_lint(args):
                 ", ".join(directive.rules),
                 directive.reason,
             )
-            for path, directive in list_ignores(root=args.root)
+            for path, directive in list_ignores()
         ]
         lines = [
             f"{location:<32} [{rules}] {reason}"
@@ -462,55 +438,17 @@ def _cmd_lint(args):
         ]
         lines.append(f"{len(rows)} active ignore directive(s)")
         return "\n".join(lines), 0
-    findings = run_lint(root=args.root, rules=args.rule)
+    findings = run_lint(rules=args.rule)
     if args.jsonl:
         lines = [f.to_json() for f in findings]
     else:
         lines = [f.render() for f in findings]
-        which = ", ".join(args.rule) if args.rule else "R1–R5, R7"
+        which = ", ".join(args.rule) if args.rule else "R1–R5"
         lines.append(
             f"{len(findings)} finding(s) ({which})"
             + ("" if findings else " — determinism/protocol contract holds")
         )
     return "\n".join(lines), (1 if findings else 0)
-
-
-def _cmd_schema(args):
-    import json
-
-    from repro.analysis import schema as schema_mod
-    from repro.util.errors import ReproError
-
-    if args.schema_command == "extract":
-        return json.dumps(schema_mod.registry_schema(), indent=1, sort_keys=True), 0
-    try:
-        current = schema_mod.derive(args.root)
-    except ReproError as exc:
-        return f"error: {exc}", 1
-    lock_path = schema_mod.lockfile_path(args.root)
-    counts = (
-        f"{len(current['records'])} records, {len(current['enums'])} enums"
-    )
-    if args.schema_command == "update":
-        schema_mod.write_lockfile(current, lock_path)
-        return f"wrote {lock_path} ({counts})", 0
-    locked = schema_mod.load_lockfile(lock_path)
-    if locked is None:
-        return (
-            f"no lockfile at {lock_path} — run `repro schema update` "
-            "and commit it",
-            1,
-        )
-    deltas = schema_mod.diff_schemas(locked, current)
-    if not deltas:
-        return f"lockfile matches the working tree ({counts})", 0
-    text = schema_mod.render_deltas(deltas, jsonl=args.jsonl)
-    if not args.jsonl:
-        text += (
-            f"\n{len(deltas)} delta(s), each a coordinated upgrade — review "
-            "and run `repro schema update` to accept"
-        )
-    return text, 1
 
 
 _COMMANDS = {
@@ -524,7 +462,6 @@ _COMMANDS = {
     "trace": _cmd_trace,
     "postmortem": _cmd_postmortem,
     "lint": _cmd_lint,
-    "schema": _cmd_schema,
 }
 
 

@@ -27,17 +27,7 @@ from repro.util.errors import PBSError
 if TYPE_CHECKING:  # pragma: no cover
     from repro.joshua.shard import ShardReplica
 
-__all__ = ["SerialExecutor", "spec_from_row"]
-
-
-def spec_from_row(row: dict) -> JobSpec:
-    return JobSpec(
-        name=row["name"],
-        owner=row["owner"],
-        nodes=row["nodes"],
-        walltime=row["walltime"],
-        queue=row["queue"],
-    )
+__all__ = ["SerialExecutor"]
 
 
 class SerialExecutor:
@@ -48,6 +38,10 @@ class SerialExecutor:
 
     def __init__(self, replica: "ShardReplica"):
         self.s = replica
+        #: job id -> the spec it was submitted with (a qstat row carries
+        #: neither ``exit_status`` nor ``priority``, so a capture is built
+        #: from these); pruned to the live jobs at each capture.
+        self.specs: dict[str, JobSpec] = {}
 
     def local_rpc(self, payload, *, retries: int = 2):
         s = self.s
@@ -93,6 +87,7 @@ class SerialExecutor:
             return relay_error(exc)
         job_id = getattr(result, "job_id", None)
         if command.kind == "jsub" and job_id is not None:
+            self.specs[job_id] = command.payload
             collector = collector_of(self.s.node.network)
             if collector is not None:
                 # Later lifecycle events (claims, launches, obits) are
@@ -107,18 +102,22 @@ class SerialExecutor:
         stat = yield from self.local_rpc(StatReq(None))
         items: list = []
         skipped: list[str] = []
+        specs: dict[str, JobSpec] = {}
         for row in stat.rows:
             # The local PBS holds every shard's jobs; capture only our
             # stripe's live ones.
+            job_id = row["job_id"]
             live = row["state"] in ("Q", "R", "E", "H", "W")
-            if not (live and s.owns_job(row["job_id"])):
+            if not (live and s.owns_job(job_id)):
                 continue
+            specs[job_id] = self.specs[job_id]
             if row["state"] == "H":
                 # The paper's documented limitation: command replay
                 # cannot reconstruct held jobs consistently.
-                skipped.append(row["job_id"])
+                skipped.append(job_id)
                 continue
-            items.append(("submit", spec_from_row(row), row["job_id"]))
+            items.append(("submit", specs[job_id], job_id))
+        self.specs = specs
         mutex = tuple(
             (job_id, entry.winner, entry.started)
             for job_id, entry in sorted(s.arbiter.entries.items())
@@ -138,6 +137,7 @@ class SerialExecutor:
         # recovered its old queue from disk; the transferred state
         # supersedes it) — sibling replicas share this PBS server.
         yield from self.local_rpc(PurgeReq(s.nshards, s.index))
+        self.specs = {job_id: spec for _kind, spec, job_id in response.items}
         for _kind, spec, job_id in response.items:
             try:
                 yield from self.local_rpc(SubmitReq(spec, force_job_id=job_id))

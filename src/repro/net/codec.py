@@ -94,10 +94,10 @@ every process. The module-level ``WIRE`` singleton is append-only and
 written only at import time, so it stays safe for two simulations sharing
 one interpreter.
 
-The registry is also the wire schema: :meth:`Codec.schema` renders it in
-the format of the committed ``WIRE_SCHEMA.lock``, which lint rule R7 diffs
-against (:mod:`repro.analysis.schema`), and :meth:`Codec.schema_digest`
-condenses it for the join check.
+The registry is also the wire schema: :meth:`Codec.schema` renders it as
+the committed ``WIRE_SCHEMA.lock``, one entry of the golden harness
+(``python tools/golden.py check WIRE_SCHEMA``), and
+:meth:`Codec.schema_digest` condenses it for the join check.
 
 Registration contract
 ---------------------
@@ -779,11 +779,12 @@ class Codec:
 
     def self_check(self) -> None:
         """Cheap structural audit of the registry (run by the CI smoke and
-        before the schema is derived): every registered record must still
-        construct from positional fields, names must round-trip through the
-        name tables, and every dataclass, NamedTuple or Enum a registering
-        module exports in ``__all__`` must be registered — or say in a
-        ``__wire_local__`` string why it never crosses the wire."""
+        by the golden harness before it renders the schema): every
+        registered record must still construct from positional fields,
+        names must round-trip through the name tables, and every dataclass,
+        NamedTuple or Enum a registering module exports in ``__all__`` must
+        be registered — or say in a ``__wire_local__`` string why it never
+        crosses the wire."""
         if len(self._records_by_raw) != len(self._records_by_name):
             raise CodecError("raw-name table out of sync")
         registered = set(self._records_by_type) | set(self._enum_types)

@@ -25,8 +25,6 @@ __all__ = ["Kernel"]
 
 #: Priority for ordinary events. Lower runs first at equal time.
 NORMAL = 1
-#: Priority used for urgent bookkeeping (none currently; reserved).
-URGENT = 0
 
 
 class Kernel:

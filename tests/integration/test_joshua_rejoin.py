@@ -9,14 +9,16 @@ The three restart defects the `failover` benchmark found (ROADMAP, PR 11):
       the (live) rows it held, so a joiner it served started over at 1;
 (iii) replay transfers live jobs only, so a rejoined head does not know the
       jobs that finished before its transfer — an explicit non-guarantee
-      (PROTOCOLS.md §4.1), pinned here so a change to it is deliberate.
+      (PROTOCOLS.md §4.1), pinned here so a change to it is deliberate;
+(iv)  a capture rebuilt each spec from its qstat row, which carries neither
+      ``exit_status`` nor ``priority``, so a joiner replayed both as 0.
 
 CI runs this module a second time with ``REPRO_SANITIZE=1``.
 """
 
 import pytest
 
-from repro.pbs.job import JobState
+from repro.pbs.job import JobSpec, JobState
 from repro.util.errors import PBSError
 
 from tests.integration.conftest import (
@@ -163,3 +165,25 @@ class TestFinishedJobsAreNotTransferred:
         # The id is never handed out again on any head (defect (ii)).
         next_id = drive(stack, rejoined.jsub(name="later", walltime=900))
         assert next_id != done_id
+
+
+class TestReplayKeepsTheSubmittedSpec:
+    """Defect (iv)."""
+
+    def test_joiner_runs_a_transferred_job_with_its_exit_status(self):
+        stack = make_stack(heads=2, computes=1, sanitize=SANITIZE)
+        client = stack.client(node="login", prefer="head0")
+        drive(stack, client.jsub(name="a", walltime=30))
+        stack.cluster.node("head1").crash()
+        spec = JobSpec(name="b", walltime=1, exit_status=3, priority=5)
+        job_id = drive(stack, client.jsub(spec))
+        stack.cluster.node("head1").restart()
+        settle(stack, 5.0)
+        assert stack.pbs("head1").jobs.get(job_id).spec == spec
+        # The sponsor goes: the joiner launches the job from its replay.
+        stack.cluster.node("head0").crash()
+        settle(stack, 60.0)
+        job = stack.pbs("head1").jobs.get(job_id)
+        assert job.state is JobState.COMPLETE
+        assert job.exit_status == 3
+        assert_sanitizer_clean(stack.cluster.kernel)

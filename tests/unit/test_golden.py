@@ -31,6 +31,7 @@ def _flip_after(path, key):
 @pytest.mark.parametrize("name, key", [
     ("BENCH_fig11", "bytes_wire"),     # a JSON payload
     ("golden_digests", "stdout"),      # a SHA-256
+    ("WIRE_SCHEMA", "version"),        # the wire lock
 ])
 def test_check_names_a_flipped_byte_until_update(name, key, tmp_path, capsys,
                                                  monkeypatch):

@@ -5,7 +5,6 @@ import pytest
 from repro.cluster import Cluster
 from repro.joshua import JoshuaServer, JoshuaClient
 from repro.joshua.config import ERA_2006_JOSHUA, JOSHUA_GROUP_CONFIG, JoshuaTimes
-from repro.joshua.executor import spec_from_row
 from repro.joshua.mutex import _MutexEntry
 from repro.pbs.job import JobSpec
 from repro.util.errors import JoshuaError, NoActiveHeadError
@@ -43,19 +42,6 @@ class TestConstruction:
         for module in (commands, jmutex, server):
             assert module.JOSHUA_PORT is wire.JOSHUA_PORT
         assert JOSHUA_PORT is wire.JOSHUA_PORT
-
-
-class TestRowConversion:
-    def row(self, state="Q", exec_nodes=()):
-        return {
-            "job_id": "5.joshua", "name": "x", "owner": "u", "state": state,
-            "queue": "batch", "nodes": 1, "walltime": 60.0,
-            "exec_nodes": list(exec_nodes), "exit_status": None, "comment": "",
-        }
-
-    def test_spec_from_row(self):
-        spec = spec_from_row(self.row())
-        assert spec == JobSpec(name="x", owner="u", nodes=1, walltime=60.0)
 
 
 class TestMutexBookkeeping:

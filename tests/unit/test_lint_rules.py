@@ -536,7 +536,7 @@ def _ping():
 class TestR6:
     """Codec coverage is no lint rule: a fresh :class:`Codec` refuses each
     violation when a wire module registers (or :meth:`Codec.self_check`
-    audits it), so R7's derivation fails on it."""
+    audits it), so the golden check of ``WIRE_SCHEMA.lock`` fails on it."""
 
     def test_fires_on_unregistered_wire_dataclass(self, monkeypatch):
         @dataclass(frozen=True)

@@ -11,7 +11,7 @@ time, a count, a byte or a SHA-256, so each regenerates byte for byte
 until a change moves what the simulation does. ``check`` regenerates the
 named entries (default: all), prints a diff for each that differs and
 exits non-zero naming them; ``update`` rewrites them. A NAME is the file's
-stem (``BENCH_fig11``, ``wire_baseline``). Update an entry only for an
+stem (``BENCH_fig11``, ``wire_baseline``, ``WIRE_SCHEMA``). Update an entry only for an
 intended change, in the commit that makes it, so the diff shows the old and
 the new bytes beside the code that moved them.
 
@@ -285,6 +285,18 @@ def _perf_quick() -> str:
     return _json(pinned)
 
 
+# -- the wire schema -------------------------------------------------------------
+
+
+def _wire_schema() -> str:
+    """The schema of every record the package registers (``import repro``
+    imports each wire module), after the registration contract's audit.
+    A group runs one schema (PROTOCOLS.md §11), so a change here is a
+    coordinated upgrade of every head."""
+    WIRE.self_check()
+    return _json(WIRE.schema(), indent=1)
+
+
 # -- the registry ----------------------------------------------------------------
 
 #: committed path -> the function producing its exact text.
@@ -308,6 +320,7 @@ GOLDEN = {
     "tests/data/endurance.json": lambda: _json(endurance()),
     "tests/data/trace_replay.json": lambda: _json(trace_replay()),
     "tests/data/perf_quick.json": _perf_quick,
+    "src/repro/WIRE_SCHEMA.lock": _wire_schema,
 }
 #: NAME -> committed path.
 NAMES = {Path(path).stem: path for path in GOLDEN}
