@@ -19,8 +19,8 @@ parallel virtual file system").
   retries, failovers and joins (the reply cache travels with the state);
 * joins use the marker-cut protocol (pin a point in the command stream,
   transfer the backend's state as of that point, execute only post-cut
-  commands), with an RPC pull for a lost push, a fresh cut for a silent
-  sponsor, and demote-and-resync after a lost partition merge;
+  commands), with a fresh cut when no sponsor's push arrives, and
+  demote-and-resync after a lost partition merge;
 * leaves and failures are handled by the group membership layer.
 
 :mod:`repro.joshua` runs the engine with its PBS driver (plus the launch

@@ -11,8 +11,8 @@ module is that machinery, once, for every replicated service in the tree:
   strictly serial apply loop, the reply cache and pending-reply table, the
   applied-sequence surface local reads gate on, and the whole marker-cut
   join (drop what was ordered before our own marker, capture at the cut,
-  push, pull over RPC on a lost push, fresh cut on a silent sponsor,
-  demote-and-resync after a lost partition merge);
+  push, fresh cut when no push arrives, demote-and-resync after a lost
+  partition merge);
 * :class:`EngineDriver` — the seam to the replicated service: execute one
   ordered command against the local backend, capture its state at a cut,
   install a capture. A driver must be **deterministic**: the same command
@@ -21,7 +21,7 @@ module is that machinery, once, for every replicated service in the tree:
   that reaches state or results);
 * :class:`ReplicaDaemon` — the daemon shell: one client-facing endpoint and
   typed RPC dispatcher in front of one engine per ordering shard. It
-  answers a joiner's :class:`StateXferReq` pull and owns the one refusal
+  routes a sponsor's capture push to its shard and owns the one refusal
   (:attr:`ReplicaDaemon.JOINING`) every host gives while it cannot serve.
 
 JOSHUA (:mod:`repro.joshua`) is this engine with the PBS driver, plus the
@@ -36,24 +36,17 @@ from __future__ import annotations
 import dataclasses
 from typing import TYPE_CHECKING, Callable, Generator, Protocol
 
-from repro.aa.wire import (
-    Command,
-    SeqStampedResp,
-    StateXferReq,
-    StateXferResp,
-    XferMarker,
-    XferPush,
-)
+from repro.aa.wire import Command, SeqStampedResp, StateXferResp, XferMarker
 from repro.cluster.daemon import Daemon
 from repro.gcs.member import GroupMember
 from repro.gcs.messages import SAFE, DeliveredMessage
 from repro.gcs.view import View
 from repro.net.address import Address
 from repro.obs.collector import collector_of
-from repro.rpc import RpcDispatcher, failover_call, rpc_state
+from repro.rpc import RpcDispatcher, rpc_state
 from repro.rpc.wire import ErrorResp, bad_request
 from repro.sim.resources import Store
-from repro.util.errors import JoshuaError, NoActiveHeadError
+from repro.util.errors import JoshuaError
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.gcs.config import GroupConfig
@@ -124,6 +117,8 @@ class ReplicationEngine:
         #: Fully in service (joined + state transferred) — per shard: one
         #: shard can be mid-resync while its siblings keep executing.
         self.active = False
+        #: ``state_transfers_pulled`` is always 0 (there is no pull any
+        #: more); it stays because the benchmark's ledger reads it.
         self.stats = {"commands": 0, "executed": 0,
                       "state_transfers_served": 0, "state_transfers_pulled": 0}
 
@@ -171,9 +166,6 @@ class ReplicationEngine:
         #: :meth:`_receive_state` waits on for it.
         self._response: StateXferResp | None = None
         self._push_waiter = None
-        #: Sponsor side: joiner node (while in the view) -> the latest capture
-        #: served to it, for the RPC pull of a lost :class:`XferPush` frame.
-        self._served: dict[str, StateXferResp] = {}
         self._seen_rejoins = 0
         #: The next view that contains us must pin a transfer marker: we
         #: joined a running group, or a partition re-merge demoted us.
@@ -383,9 +375,6 @@ class ReplicationEngine:
     def _on_view(self, view: View) -> None:
         """View hook. Subclasses extend it for their own view-change work
         (call ``super()._on_view(view)`` first)."""
-        # A served capture is good only while its joiner stays in the view.
-        for gone in sorted(set(self._served) - {m.node for m in view.members}):
-            del self._served[gone]
         rejoins = self.group.stats.get("rejoins", 0)
         if rejoins > self._seen_rejoins:
             self._seen_rejoins = rejoins
@@ -435,15 +424,16 @@ class ReplicationEngine:
             return
         captured = yield from self.driver.capture_state(marker.marker_uuid)
         # Plus the engine's own state at the cut: reply cache and position.
+        # The capture is the push frame; its shard routes it at the joiner.
         response = dataclasses.replace(
             captured,
             results=tuple(sorted(self.results.items())),
             applied_seq=self.applied_seq,
+            shard=self.index,
         )
-        self._served[marker.joiner.node] = response
         self.stats["state_transfers_served"] += 1
         if not self.host.endpoint.closed:
-            self.host.endpoint.send(marker.joiner, XferPush(response, self.index))
+            self.host.endpoint.send(marker.joiner, response)
 
     # -- joiner side ----------------------------------------------------------
 
@@ -455,36 +445,6 @@ class ReplicationEngine:
         if waiter is not None and not waiter.triggered:
             waiter.succeed(response)
 
-    def _pull_state(self, uuid: str):
-        """Ask each member directly for the capture of *uuid*.
-
-        Fallback for a lost :class:`XferPush` frame: the sponsors may
-        have captured and answered perfectly well without our ever hearing
-        it. Returns the first matching :class:`StateXferResp`, or ``None``
-        if nobody has one (sponsor died mid-capture → fresh marker cut).
-        """
-        view = self.group.view
-        if view is None:
-            return None
-        try:
-            response = yield from failover_call(
-                self.node.network, self.node.name,
-                [
-                    Address(member.node, self.address.port)
-                    for member in sorted(view.members)
-                    if member.node != self.node.name
-                ],
-                StateXferReq(uuid, self.address, self.index),
-                timeout=self.group.config.flush_timeout,
-                skip_down=False,
-                retry_error=lambda exc: True,
-                reject=lambda r: not isinstance(r, StateXferResp),
-            )
-        except NoActiveHeadError:
-            return None
-        self.stats["state_transfers_pulled"] += 1
-        return response
-
     def _receive_state(self, marker: XferMarker):
         uuid = marker.marker_uuid
         if uuid != self.syncing_marker:
@@ -494,15 +454,9 @@ class ReplicationEngine:
             deadline = self.kernel.timeout(self.group.config.flush_timeout * 4)
             yield self.kernel.any_of([waiter, deadline])
             self._push_waiter = None
-            if not waiter.triggered:
-                # The push frame may simply have been lost while the
-                # sponsors captured fine: pull the state over RPC before
-                # paying for a fresh marker cut.
-                pulled = yield from self._pull_state(uuid)
-                if pulled is not None:
-                    self._response = pulled
             if self._response is None:
-                # Sponsor silent (likely died mid-capture): pin a fresh cut.
+                # No push arrived: every sponsor died mid-capture or every
+                # push frame was lost. Pin a fresh cut.
                 if not self.group.can_multicast:
                     # The group itself is mid-(re)join; a marker cannot be
                     # ordered right now. Drop the stale cut — the view that
@@ -532,10 +486,9 @@ class ReplicaDaemon(Daemon):
 
     Everything about hosting the engine that does not depend on the
     replicated service: founders/contacts validation, one engine per shard
-    from the :meth:`make_engine` hook, the dispatcher with the
-    :class:`StateXferReq` pull already routed, the push frame, and the one
-    refusal. Subclasses register their client protocol on ``self.rpc`` and
-    hand requests to :meth:`ReplicationEngine.submit`.
+    from the :meth:`make_engine` hook, the dispatcher, the push frame, and
+    the one refusal. Subclasses register their client protocol on
+    ``self.rpc`` and hand requests to :meth:`ReplicationEngine.submit`.
 
     *founders* are the node names of the static bootstrap group (this one
     included), *contacts* those of members to join a running group through
@@ -544,8 +497,6 @@ class ReplicaDaemon(Daemon):
     base port of the *nshards* ordering groups.
     """
 
-    #: CPU cost of taking a request off the endpoint (the pull's delay).
-    receive_delay = 0.0
     #: CPU cost of relaying a command's output back after local execution;
     #: ``None`` charges nothing and schedules nothing (a 0 is still an event).
     reply_delay: float | None = None
@@ -576,7 +527,6 @@ class ReplicaDaemon(Daemon):
         self.contacts = list(contacts or [])
         self.nshards = nshards
         self.rpc = RpcDispatcher(self, fallback=bad_request)
-        self.rpc.register(StateXferReq, self._handle_xfer_req, delay=self.receive_delay)
         self.shards: list[ReplicationEngine] = [
             self.make_engine(k, group_config, gcs_port) for k in range(nshards)
         ]
@@ -621,23 +571,12 @@ class ReplicaDaemon(Daemon):
         while True:
             delivery = yield self.endpoint.recv()
             frame = delivery.payload
-            # The one non-RPC frame: a sponsor's fire-and-forget push.
-            if isinstance(frame, XferPush) and 0 <= frame.shard < self.nshards:
-                self.shards[frame.shard].handle_push(frame.response)
+            # The one non-RPC frame: a sponsor's fire-and-forget capture
+            # push. One naming a shard this host does not run is dropped.
+            if isinstance(frame, StateXferResp) and 0 <= frame.shard < self.nshards:
+                self.shards[frame.shard].handle_push(frame)
             else:
                 self.rpc.handle_frame(delivery.src, frame)
-
-    def _handle_xfer_req(self, src: Address, request_id: int, request: StateXferReq):
-        # State is normally *pushed* when the serial loop reaches the marker;
-        # a direct request means the joiner never heard that push (lost
-        # frame). Re-serve the capture if we have it; any other answer sends
-        # the joiner on to the next member, and past the last to a fresh cut.
-        if not 0 <= request.shard < self.nshards:
-            return ErrorResp("bad-request", f"no shard {request.shard}")
-        served = self.shards[request.shard]._served.get(request.joiner.node)
-        if served is not None and served.marker_uuid == request.marker_uuid:
-            return served
-        return ErrorResp("retry", "marker not reached")
 
     def _reply(self, dst: Address, request_id: int, response) -> None:
         self.rpc.reply(dst, request_id, response)

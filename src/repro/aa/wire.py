@@ -4,10 +4,10 @@ Two groups: the generic client protocol (:class:`ReplRequest` /
 :class:`ReplResult`, spoken by :class:`~repro.aa.replicated.ReplicatedService`
 and :class:`~repro.aa.client.ReplicatedClient`), and the records the engine
 itself puts on the wire whatever service it replicates — the ordered
-:class:`Command` and :class:`XferMarker`, the state-transfer push/pull
-frames, and the commit-position stamp. JOSHUA's protocol is these plus its
-own client and launch-mutex records (:mod:`repro.joshua.wire` re-exports
-them, so a JOSHUA frame is still looked up in one place).
+:class:`Command` and :class:`XferMarker`, the state-transfer capture a
+sponsor pushes, and the commit-position stamp. JOSHUA's protocol is these
+plus its own client and launch-mutex records (:mod:`repro.joshua.wire`
+re-exports them, so a JOSHUA frame is still looked up in one place).
 
 The codec tags frames by class name, so the records kept their names and
 field lists when they moved here from ``joshua/wire.py``: frames are
@@ -24,7 +24,7 @@ from repro.net.codec import register_wire_types
 
 __all__ = [
     "ReplRequest", "ReplResult", "SeqStampedResp",
-    "StateXferReq", "StateXferResp", "XferPush",
+    "StateXferResp",
     "Command", "XferMarker",
 ]
 
@@ -63,25 +63,16 @@ class SeqStampedResp:
 
 
 @dataclass(frozen=True)
-class StateXferReq:
-    """Joiner -> sponsor: send me the state as of my marker."""
-
-    marker_uuid: str
-    joiner: Address
-    #: Which ordering shard's engine this transfer belongs to (one daemon
-    #: endpoint serves every shard hosted on the node; 0 is the only shard
-    #: in an unsharded deployment).
-    shard: int = 0
-
-
-@dataclass(frozen=True)
 class StateXferResp:
-    """One replica's state as of a marker cut.
+    """One replica's state as of a marker cut, pushed sponsor -> joiner.
 
-    ``items``/``next_seq``/``mutex``/``skipped`` belong to the driver
-    (JOSHUA's meaning is given below; a generic service ships its snapshot
-    as the single item); ``results`` and ``applied_seq`` are the engine's
-    own state.
+    Fire-and-forget (not request/response — the joiner asked via the
+    ordered :class:`XferMarker`, not an RPC): every sponsor sends its
+    capture to the joiner's client-facing endpoint when its serial loop
+    reaches the marker cut. ``items``/``next_seq``/``mutex``/``skipped``
+    belong to the driver (JOSHUA's meaning is given below; a generic
+    service ships its snapshot as the single item); ``results``,
+    ``applied_seq`` and ``shard`` are the engine's own.
     """
 
     marker_uuid: str
@@ -103,19 +94,9 @@ class StateXferResp:
     #: re-anchors on it. Every capture an engine serves carries one (>= 0);
     #: the default marks a capture the engine has not stamped yet.
     applied_seq: int = -1
-
-
-@dataclass(frozen=True)
-class XferPush:
-    """Sponsor -> joiner: unsolicited state-transfer capture push.
-
-    Fire-and-forget (not request/response — the joiner asked via the
-    ordered :class:`XferMarker`, not an RPC); sent to the joiner's
-    client-facing endpoint when the sponsor's serial loop reaches the
-    marker cut. *shard* routes the push to the owning engine.
-    """
-
-    response: StateXferResp
+    #: Which ordering shard's engine captured it: one daemon endpoint serves
+    #: every shard hosted on the node, and this routes the push to the
+    #: owning engine (0 is the only shard of an unsharded deployment).
     shard: int = 0
 
 
@@ -141,6 +122,6 @@ class XferMarker:
 
 register_wire_types(
     ReplRequest, ReplResult, SeqStampedResp,
-    StateXferReq, StateXferResp, XferPush,
+    StateXferResp,
     Command, XferMarker,
 )

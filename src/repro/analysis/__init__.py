@@ -41,14 +41,13 @@ Deliberate exemptions are annotated in-line::
 The reason text is mandatory and directives are rule-scoped — an
 ``ignore[R1]`` never suppresses an ``R3`` finding. Run via ``repro lint``
 (see :mod:`repro.cli`) or programmatically via :func:`run_lint` /
-:func:`check_source`.
+:func:`check_files`.
 """
 
 from repro.analysis.findings import Finding
 from repro.analysis.runner import (
     ALL_RULES,
     check_files,
-    check_source,
     list_ignores,
     run_lint,
 )
@@ -57,7 +56,6 @@ __all__ = [
     "ALL_RULES",
     "Finding",
     "check_files",
-    "check_source",
     "list_ignores",
     "run_lint",
 ]

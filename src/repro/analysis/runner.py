@@ -11,22 +11,10 @@ from repro.analysis.protocol import rule_r4
 from repro.analysis.rules import PER_FILE_RULES
 
 __all__ = [
-    "ALL_RULES", "check_files", "check_source", "list_ignores", "run_lint",
+    "ALL_RULES", "check_files", "list_ignores", "run_lint",
 ]
 
 ALL_RULES = ("R1", "R2", "R3", "R4", "R5")
-
-
-def check_source(
-    source: str, path: str = "snippet.py", rules=None
-) -> list[Finding]:
-    """Lint one source string with the per-file rules (R1/R2/R3/R5).
-
-    *path* is a repro-relative path and drives rule scoping: pass
-    ``"gcs/x.py"`` to put the snippet inside R3's protocol layers. R4 is
-    cross-file; use :func:`check_files` for it.
-    """
-    return check_files({path: source}, rules=rules)
 
 
 def check_files(files: dict[str, str], rules=None) -> list[Finding]:

@@ -47,7 +47,7 @@ _HEADS = 3
 _COMPUTES = 2
 
 
-def make_stack(shards: int = 1) -> JoshuaStack:
+def make_stack(shards: int) -> JoshuaStack:
     """The testbed every scenario runs on (3 heads, 2 computes, a login
     node, seed 11, the integration tests' fast group timings)."""
     cluster = Cluster(
@@ -140,7 +140,7 @@ def trace_record(stack: JoshuaStack, lines: list[str]) -> dict:
 
 def run_scenario(name: str) -> dict:
     """One scenario's :func:`trace_record` on a fresh one-shard stack."""
-    stack = make_stack()
+    stack = make_stack(1)
     lines = spy_network(stack)
     SCENARIOS[name](stack)
     return trace_record(stack, lines)

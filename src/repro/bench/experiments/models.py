@@ -116,7 +116,7 @@ def run_model(
             except Exception:
                 failures[0] += 1
 
-    probe = ServiceProbe(kernel, system.stat, interval=1.0)
+    probe = ServiceProbe(kernel, system.stat)
     kernel.spawn(submitter(), name="workload")
 
     def fault_driver():

@@ -48,6 +48,8 @@ CLIENTS = 100
 DURATION = 10.0
 READ_RATE = 400.0
 SEED = 1
+#: The head counts :func:`read_scaling` measures.
+HEAD_COUNTS = (1, 2, 4)
 
 
 def measure_read_mix(*, heads: int, read_rate: float, write_rate: float) -> dict:
@@ -132,11 +134,11 @@ def measure_read_mix(*, heads: int, read_rate: float, write_rate: float) -> dict
     }
 
 
-def read_scaling(head_counts=(1, 2, 4), *, write_rate: float = 3.0) -> dict:
+def read_scaling(*, write_rate: float = 3.0) -> dict:
     """The identical offered mix at each head count, plus a write-only
     baseline per head count for the does-not-steal-writes comparison."""
     rows = []
-    for heads in head_counts:
+    for heads in HEAD_COUNTS:
         mixed = measure_read_mix(heads=heads, read_rate=READ_RATE, write_rate=write_rate)
         baseline = measure_read_mix(heads=heads, read_rate=0.0, write_rate=write_rate)
         mixed["write_only_committed_per_s"] = baseline["write_committed_per_s"]
@@ -147,7 +149,7 @@ def read_scaling(head_counts=(1, 2, 4), *, write_rate: float = 3.0) -> dict:
         rows.append(mixed)
     speedup = (
         rows[-1]["read_qps"] / rows[0]["read_qps"]
-        if rows[0]["read_qps"] else float(len(head_counts))
+        if rows[0]["read_qps"] else float(len(HEAD_COUNTS))
     )
     return {
         "rows": rows,

@@ -43,6 +43,8 @@ SEED = 1
 #: The scaling burst: this many concurrent jsubs against this many heads.
 BURST_HEADS = 4
 BURST_JOBS = 48
+#: The shard counts :func:`shard_scaling` runs the burst at.
+SHARD_COUNTS = (1, 2, 4)
 #: The sequencer-kill run: shard 1 of this many loses its sequencer, on
 #: this many heads.
 KILL_SHARDS = 2
@@ -96,9 +98,9 @@ def measure_shard_burst(shards: int) -> dict:
     }
 
 
-def shard_scaling(shard_counts=(1, 2, 4)) -> list[dict]:
+def shard_scaling() -> list[dict]:
     """One :func:`measure_shard_burst` row per shard count, same burst."""
-    return [measure_shard_burst(n) for n in shard_counts]
+    return [measure_shard_burst(n) for n in SHARD_COUNTS]
 
 
 def sequencer_kill() -> dict:

@@ -82,5 +82,5 @@ class SharedStorage(Disk):
     symmetric active/active comparison conservative.
     """
 
-    def __init__(self, name: str = "shared"):
-        super().__init__(name)
+    def __init__(self):
+        super().__init__("shared")

@@ -252,7 +252,7 @@ class ActiveStandbySystem:
         return job_id
 
     def stat(self) -> Generator:
-        rows = yield from self._client().qstat()
+        rows = yield from self._client().qstat(None)
         return rows
 
     def authoritative_jobs(self) -> dict[str, tuple[JobState, int]]:

@@ -96,7 +96,7 @@ class AsymmetricSystem:
 
     def stat(self) -> Generator:
         """Status succeeds if any head answers (stateless availability)."""
-        rows = yield from self._client_for(self._next_head()).qstat()
+        rows = yield from self._client_for(self._next_head()).qstat(None)
         return rows
 
     def authoritative_jobs(self) -> dict[str, tuple[JobState, int]]:

@@ -29,14 +29,14 @@ class ServiceProbe:
         Zero-argument callable returning a *fresh coroutine* that performs
         one status query and returns normally on success (any exception is
         a failed probe).
-    interval:
-        Seconds between probes.
     """
 
-    def __init__(self, kernel, attempt_factory: Callable[[], Generator], interval: float = 1.0):
+    #: Seconds between probes (read at every tick).
+    interval = 1.0
+
+    def __init__(self, kernel, attempt_factory: Callable[[], Generator]):
         self.kernel = kernel
         self.attempt_factory = attempt_factory
-        self.interval = interval
         #: (probe start time, succeeded)
         self.samples: list[tuple[float, bool]] = []
         self._process = kernel.spawn(self._loop(), name="service-probe")

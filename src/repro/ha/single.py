@@ -44,7 +44,7 @@ class SingleHeadSystem:
         return job_id
 
     def stat(self) -> Generator:
-        rows = yield from self._client.qstat()
+        rows = yield from self._client.qstat(None)
         return rows
 
     def authoritative_jobs(self) -> dict[str, tuple[JobState, int]]:

@@ -138,7 +138,7 @@ class JoshuaClient(ReplicatedClient):
         self.last_stat_response = response
         return list(response.rows)
 
-    def jsig(self, job_id: str, signal: str = "SIGTERM") -> Generator:
+    def jsig(self, job_id: str, signal: str) -> Generator:
         """Signal a running job — the qsig passthrough.
 
         The paper deliberately provides no replicated jsig "as this

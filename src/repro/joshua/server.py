@@ -16,8 +16,8 @@ marker-cut join — driving the local PBS through a
 :class:`~repro.joshua.executor.SerialExecutor`, plus a
 :class:`~repro.joshua.mutex.MutexArbiter`; the façade owns the one
 client-facing endpoint and the typed RPC dispatcher (the
-:class:`~repro.aa.engine.ReplicaDaemon` shell, which also answers
-state-transfer pulls and owns the "joining" refusal), and routes each
+:class:`~repro.aa.engine.ReplicaDaemon` shell, which also routes
+state-transfer pushes and owns the "joining" refusal), and routes each
 request to the owning shard:
 
 * ``jsub`` — by PBS queue name (falling back to the job owner), hashed
@@ -104,7 +104,6 @@ class JoshuaServer(ReplicaDaemon):
 
     #: CPU costs of the daemon itself (the one calibration in use).
     times = ERA_2006_JOSHUA
-    receive_delay = times.cmd_receive
     reply_delay = times.cmd_reply
 
     def __init__(

@@ -10,14 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.aa.wire import (
-    Command,
-    SeqStampedResp,
-    StateXferReq,
-    StateXferResp,
-    XferMarker,
-    XferPush,
-)
+from repro.aa.wire import Command, SeqStampedResp, StateXferResp, XferMarker
 from repro.net.codec import register_wire_types
 from repro.pbs.job import JobSpec
 
@@ -25,7 +18,7 @@ __all__ = [
     "JOSHUA_PORT",
     "JSubReq", "JDelReq", "JStatReq", "JStatResp", "SeqStampedResp",
     "JMutexReq", "JMutexResp", "JStartedReq", "JDoneReq",
-    "StateXferReq", "StateXferResp", "XferPush",
+    "StateXferResp",
     "Command", "Claim", "Started", "Done", "XferMarker",
 ]
 

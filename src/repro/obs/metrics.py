@@ -98,8 +98,8 @@ class Counter:
     def __init__(self) -> None:
         self.value = 0
 
-    def inc(self, amount: int = 1) -> None:
-        self.value += amount
+    def inc(self) -> None:
+        self.value += 1
 
     def snapshot(self) -> dict:
         return {"type": "counter", "value": self.value}

@@ -26,14 +26,14 @@ __all__ = [
 ]
 
 
-def format_table(headers: list[str], rows: list[list[str]], indent: str = "  ") -> list[str]:
-    """Left-aligned fixed-width text table."""
+def format_table(headers: list[str], rows: list[list[str]]) -> list[str]:
+    """Left-aligned fixed-width text table, indented two spaces."""
     widths = [len(h) for h in headers]
     for row in rows:
         for i, cell in enumerate(row):
             widths[i] = max(widths[i], len(cell))
     def render(cells):
-        return indent + "  ".join(c.ljust(w) for c, w in zip(cells, widths)).rstrip()
+        return "  " + "  ".join(c.ljust(w) for c, w in zip(cells, widths)).rstrip()
     lines = [render(headers), render(["-" * w for w in widths])]
     lines.extend(render(row) for row in rows)
     return lines

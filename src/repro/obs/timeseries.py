@@ -258,7 +258,6 @@ def top_table(records: list[dict], *, shard: int | None = None) -> list[str]:
         ["series", "kind", "windows", "total", "peak/w", "last/w",
          "max p99"],
         rows,
-        indent="  ",
     )
 
 

@@ -67,8 +67,8 @@ class PBSClient:
         response = yield from self._call(SubmitReq(spec))
         return response.job_id
 
-    def qstat(self, job_id: str | None = None) -> Generator:
-        """Status rows for one job (or all jobs)."""
+    def qstat(self, job_id: str | None) -> Generator:
+        """Status rows for one job (``None``: all jobs)."""
         response = yield from self._call(StatReq(job_id))
         return list(response.rows)
 
@@ -83,7 +83,7 @@ class PBSClient:
     def qrls(self, job_id: str) -> Generator:
         yield from self._call(ReleaseReq(job_id))
 
-    def qsig(self, job_id: str, signal: str = "SIGTERM") -> Generator:
+    def qsig(self, job_id: str, signal: str) -> Generator:
         response = yield from self._call(SignalReq(job_id, signal))
         return response.detail
 

@@ -21,7 +21,7 @@ not the queue's depth.
 
 from __future__ import annotations
 
-from typing import Callable, Iterator
+from typing import Iterator
 
 from repro.net.codec import PlainFragment
 from repro.pbs.job import Job, JobState
@@ -103,11 +103,11 @@ class JobQueue:
         # repro-lint: ignore[R3] submission (insertion) order IS the FIFO queue semantics
         return [j for j in self._jobs.values() if j.state in wanted]
 
-    def first_eligible(self, predicate: Callable[[Job], bool] | None = None) -> Job | None:
-        """Oldest QUEUED job (optionally filtered) — the FIFO policy."""
+    def first_eligible(self) -> Job | None:
+        """Oldest QUEUED job — the FIFO policy."""
         # repro-lint: ignore[R3] submission (insertion) order IS the FIFO queue semantics
         for job in self._jobs.values():
-            if job.state is JobState.QUEUED and (predicate is None or predicate(job)):
+            if job.state is JobState.QUEUED:
                 return job
         return None
 

@@ -65,8 +65,8 @@ class SWFJob:
         return self.status == 1
 
 
-def _stable_id(name: str, modulus: int = 9973) -> int:
-    return zlib.crc32(name.encode("utf-8")) % modulus
+def _stable_id(name: str) -> int:
+    return zlib.crc32(name.encode("utf-8")) % 9973
 
 
 def _status_of(job: Job) -> int:

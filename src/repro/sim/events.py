@@ -123,8 +123,7 @@ class Timeout(Event):
 
     __slots__ = ("delay",)
 
-    def __init__(self, kernel: "Kernel", delay: float, value: Any = None,
-                 *, det_key: Any = None):
+    def __init__(self, kernel: "Kernel", delay: float, *, det_key: Any = None):
         if delay < 0:
             raise SimulationError(f"negative timeout delay {delay}")
         # Event.__init__'s slots, written here already triggered: one
@@ -135,7 +134,7 @@ class Timeout(Event):
         self.det_key = det_key
         self._state = TRIGGERED
         self._ok = True
-        self._value = value
+        self._value = None
         self.delay = delay
         kernel._enqueue(self, delay)
 

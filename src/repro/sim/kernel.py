@@ -79,14 +79,14 @@ class Kernel:
         """A fresh pending event; trigger it with ``succeed``/``fail``."""
         return Event(self)
 
-    def timeout(self, delay: float, value: Any = None, *, det_key: Any = None) -> Timeout:
+    def timeout(self, delay: float, *, det_key: Any = None) -> Timeout:
         """An event that fires ``delay`` simulated seconds from now.
 
         ``det_key`` optionally annotates the timeout with an explicit
         tie-break identity (e.g. the (src, dst) of an in-flight datagram)
         so the determinism sanitizer can distinguish same-time fan-outs.
         """
-        return Timeout(self, delay, value, det_key=det_key)
+        return Timeout(self, delay, det_key=det_key)
 
     def any_of(self, events) -> AnyOf:
         return AnyOf(self, events)

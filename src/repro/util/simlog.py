@@ -10,7 +10,7 @@ assert on them.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterable
+from typing import Callable
 
 __all__ = ["LogRecord", "SimLogger"]
 
@@ -72,6 +72,6 @@ class SimLogger:
     def error(self, source: str, message: str, **fields) -> None:
         self.log("ERROR", source, message, **fields)
 
-    def to_dicts(self, records: Iterable[LogRecord] | None = None) -> list[dict]:
-        """Structured export of *records* (default: all retained)."""
-        return [r.to_dict() for r in (self.records if records is None else records)]
+    def to_dicts(self) -> list[dict]:
+        """Structured export of every retained record."""
+        return [r.to_dict() for r in self.records]

@@ -11,6 +11,7 @@ import os
 
 import pytest
 
+from repro.aa.wire import StateXferResp
 from repro.cluster import Cluster
 from repro.gcs.config import FAST_GROUP_CONFIG as FAST_GROUP
 from repro.joshua import build_joshua_stack
@@ -43,6 +44,22 @@ def drive(stack, coroutine):
 
 def settle(stack, seconds=0.5):
     stack.cluster.run(until=stack.cluster.kernel.now + seconds)
+
+
+def drop_first_cut_pushes(network):
+    """Drop every sponsor's capture push of the first marker cut seen, and
+    nothing else: the joiner has to pin a fresh cut to get its state.
+    Returns the filter's token for ``network.remove_drop_filter``."""
+    first = []
+
+    def first_cut(src, dst, payload):
+        if not isinstance(payload, StateXferResp):
+            return False
+        if not first:
+            first.append(payload.marker_uuid)
+        return payload.marker_uuid == first[0]
+
+    return network.add_drop_filter(first_cut)
 
 
 def total_runs(stack):

@@ -31,7 +31,7 @@ class TestSingleHead:
         cluster = make_cluster(1)
         system = SingleHeadSystem(cluster)
         drive(cluster, system.submit(JobSpec(name="pre", walltime=500)))
-        probe = ServiceProbe(cluster.kernel, lambda: system.stat(), interval=1.0)
+        probe = ServiceProbe(cluster.kernel, lambda: system.stat())
         cluster.run(until=5.0)
         cluster.heads[0].crash()
         cluster.run(until=25.0)
@@ -85,7 +85,8 @@ class TestActiveStandby:
     def test_interruption_is_failover_window_not_repair(self):
         cluster, system = self.make()
         drive(cluster, system.submit(JobSpec(name="pre", walltime=900)))
-        probe = ServiceProbe(cluster.kernel, lambda: system.stat(), interval=0.5)
+        probe = ServiceProbe(cluster.kernel, lambda: system.stat())
+        probe.interval = 0.5
         cluster.run(until=6.0)
         cluster.heads[0].crash()
         cluster.run(until=60.0)  # primary never repaired

@@ -8,10 +8,18 @@ held jobs (reproduced limitation); snapshot mode (the future-work path) can.
 
 import pytest
 
-from repro.joshua.wire import XferPush
+from repro.aa.wire import StateXferResp
 from repro.pbs.job import JobState
 
-from tests.integration.conftest import drive, make_stack, settle, total_runs
+from tests.integration.conftest import (
+    SANITIZE,
+    assert_sanitizer_clean,
+    drive,
+    drop_first_cut_pushes,
+    make_stack,
+    settle,
+    total_runs,
+)
 
 
 def queue_snapshot(stack, head):
@@ -231,59 +239,66 @@ class TestCrashedHeadRejoins:
         assert job_id in stack.pbs("head0").jobs
 
 
-class TestStateTransferPull:
-    def test_lost_push_frame_recovered_over_rpc(self, stack):
-        """The sponsors' ``XferPush`` can be lost like any other
-        datagram. The joiner must not stall or recut forever: after the
-        push deadline it pulls the served capture directly over RPC
-        (StateXferReq) and completes the transfer."""
+class TestLostPush:
+    def test_lost_push_frame_recovered_by_fresh_cut(self):
+        """The sponsors' capture push can be lost like any other datagram.
+        The joiner must not stall: when no push of its cut arrives by the
+        deadline it pins a fresh cut, and the sponsors capture again.
+        CI runs this test a second time with ``REPRO_SANITIZE=1``."""
+        stack = make_stack(sanitize=SANITIZE)
         client = stack.client(node="login")
-        ids = [drive(stack, client.jsub(name=f"pre{i}", walltime=900)) for i in range(3)]
-
-        def is_xfer_push(src, dst, payload):
-            return isinstance(payload, XferPush)
-
-        stack.cluster.network.add_drop_filter(is_xfer_push)
+        for i in range(3):
+            drive(stack, client.jsub(name=f"pre{i}", walltime=900))
+        drop_first_cut_pushes(stack.cluster.network)
         stack.add_head("head2")
         settle(stack, 15.0)
-        joshua2 = stack.joshua("head2")
-        assert joshua2.active
-        assert joshua2.stats["state_transfers_pulled"] >= 1
+        joined = stack.joshua("head2").shards[0]
+        assert joined.active
         assert queue_snapshot(stack, "head2") == queue_snapshot(stack, "head0")
+        for sponsor in ("head0", "head1"):
+            assert stack.joshua(sponsor).stats["state_transfers_served"] == 2
+        assert joined._response is None and joined._push_waiter is None
+        assert_sanitizer_clean(stack.cluster.kernel)
+
+
+def captures_held(engine):
+    """Every capture *engine* keeps in an attribute, directly or in a dict."""
+    held = []
+    for value in vars(engine).values():
+        values = value.values() if isinstance(value, dict) else [value]
+        held += [v for v in values if isinstance(v, StateXferResp)]
+    return held
 
 
 class TestJoinBookkeepingIsBounded:
-    def test_join_leave_cycles_retain_one_capture_per_member(self, stack):
-        """Five heads join and leave in turn, every other one with its
-        pushes dropped so the RPC pull runs. A sponsor keeps the latest
-        capture per joiner *in the view* (all a pull can ask for), a joiner
-        keeps none once installed — not one whole capture, reply cache
-        included, per marker for the life of the process."""
+    def test_join_leave_cycles_retain_no_capture(self, stack):
+        """Five heads join and leave in turn, every other one with its first
+        cut's pushes dropped so it re-cuts. A sponsor keeps no capture once
+        it has pushed it, and a joiner keeps none once installed — not one
+        whole capture, reply cache included, per marker for the life of
+        the process."""
         client = stack.client(node="login")
         drive(stack, client.jsub(name="pre", walltime=900))
         network = stack.cluster.network
         sponsors = [stack.joshua(h).shards[0] for h in ("head0", "head1")]
         for cycle in range(5):
             lose_push = cycle % 2 == 1
+            served = [s.stats["state_transfers_served"] for s in sponsors]
             if lose_push:
-                token = network.add_drop_filter(
-                    lambda src, dst, payload: isinstance(payload, XferPush)
-                )
+                token = drop_first_cut_pushes(network)
             joiner = stack.add_head()
             settle(stack, 15.0 if lose_push else 6.0)
             if lose_push:
                 network.remove_drop_filter(token)
             joined = stack.joshua(joiner.name).shards[0]
             assert joined.active
-            assert joined.stats["state_transfers_pulled"] == int(lose_push)
             assert queue_snapshot(stack, joiner.name) == queue_snapshot(stack, "head0")
-            for sponsor in sponsors:
-                assert len(sponsor._served) <= sponsor.group.view.size
-                assert [r.marker_uuid.split("-")[1] for r in sponsor._served.values()] == [joiner.name]
+            assert [s.stats["state_transfers_served"] - n
+                    for s, n in zip(sponsors, served)] == [1 + lose_push] * 2
+            assert joined._push_waiter is None and not captures_held(joined)
             drive(stack, client.jsub(name=f"cycle{cycle}", walltime=900))
             stack.joshua(joiner.name).leave()
             settle(stack, 4.0)
             for sponsor in sponsors:
                 assert sponsor.group.view.size == 2
-                assert not sponsor._served
-            assert joined._response is None and joined._push_waiter is None
+                assert not captures_held(sponsor)

@@ -140,5 +140,5 @@ class TestJsigPassthrough:
         settle(stack, 3.0)
         stack.cluster.node("head0").crash()
         settle(stack, 3.0)
-        detail = drive(stack, client.jsig(job_id))
+        detail = drive(stack, client.jsig(job_id, "SIGTERM"))
         assert "SIGTERM" in detail

@@ -63,16 +63,18 @@ class TestAmbiguityDetection:
         kernel = Kernel(seed=3, sanitize=True)
 
         def fanout():
-            for delay in (1.0, 1.0):
-                kernel.timeout(delay, value=("msg", delay))
+            yield kernel.timeout(1.0)
+            for value in (("msg", 1.0), ("msg", 1.0)):
+                kernel.event().succeed(value)
             yield kernel.timeout(2.0)
-            kernel.timeout(1.0, value="x")
-            kernel.timeout(1.0, value="y")
+            for value in ("x", "y"):
+                kernel.event().succeed(value)
             yield kernel.timeout(2.0)
 
         kernel.spawn(fanout())
         kernel.run(until=10.0)
-        # First pair is identical (flagged); second differs by value (not).
+        # Each pair comes from one call site. The first pair is identical
+        # (flagged); the second differs by value alone (not).
         assert len(kernel.sanitizer.ambiguities) == 1
         assert kernel.sanitizer.ambiguities[0].time == 1.0
 

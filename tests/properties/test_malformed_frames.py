@@ -24,7 +24,8 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from repro.aa.wire import Command
+from repro.aa.wire import Command, StateXferResp
+from repro.joshua.wire import JOSHUA_PORT
 from repro.net import Address
 from repro.net.codec import WIRE, Codec, CodecError
 from repro.pbs.job import JobSpec
@@ -39,7 +40,13 @@ from repro.pbs.wire import (
     SubmitReq,
 )
 from repro.rpc.wire import Reply, Request
-from tests.integration.conftest import SANITIZE, assert_sanitizer_clean, make_stack
+from tests.integration.conftest import (
+    SANITIZE,
+    assert_sanitizer_clean,
+    drive,
+    make_stack,
+    settle,
+)
 from tests.properties.test_codec_properties import value_trees
 
 #: daemon name -> (node, port) of the endpoint under fire.
@@ -112,6 +119,45 @@ def test_no_frame_kills_a_daemon_and_every_request_is_answered(volley):
         assert cluster.node(node).daemon(name).running, name
     assert answered == asked
     assert_sanitizer_clean(cluster.kernel)
+
+
+# -- a capture for a shard the host does not run ----------------------------------
+
+
+class TestCaptureForAShardNotHosted:
+    @pytest.mark.parametrize("shard", [1, -1])
+    def test_is_dropped_not_installed_or_answered(self, shard):
+        """A capture push naming a shard outside ``range(nshards)`` is
+        dropped by the host: no crash (shard 1 of one), no install into
+        another shard (-1 would index the last one), no reply. It carries
+        the waiting joiner's own marker, so only the shard check stops it."""
+        stack = make_stack(heads=2, computes=1, sanitize=SANITIZE)
+        cluster = stack.cluster
+        drive(stack, stack.client(node="login").jsub(name="pre", walltime=900))
+        # Hold the sponsors' pushes back, not the probe's.
+        token = cluster.network.add_drop_filter(
+            lambda src, dst, payload: isinstance(payload, StateXferResp)
+            and src.node != "login")
+        stack.add_head("head2")
+        joined = stack.joshua("head2").shards[0]
+        settle(stack, 1.0)
+        assert joined.syncing_marker is not None and not joined.active
+        probe = cluster.network.bind("login", 40000)
+        heard = []
+        probe.on_delivery(heard.append)
+        forged = StateXferResp(joined.syncing_marker, (), 99, (), applied_seq=0,
+                               shard=shard)
+        for head in ("head0", "head2"):
+            probe.send(Address(head, JOSHUA_PORT), forged)
+        settle(stack, 0.5)  # a crashed process raises here
+        assert joined._response is None and not joined.active
+        assert heard == []
+        cluster.network.remove_drop_filter(token)
+        settle(stack, 15.0)
+        assert joined.active and joined.stripe_count == 1
+        assert [j.job_id for j in stack.pbs("head2").jobs] == \
+            [j.job_id for j in stack.pbs("head0").jobs]
+        assert_sanitizer_clean(cluster.kernel)
 
 
 # -- decode errors say where ----------------------------------------------------

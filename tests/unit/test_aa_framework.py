@@ -5,13 +5,14 @@ import pytest
 
 from repro.aa.client import ReplicatedClient, ServiceError
 from repro.aa.replicated import ReplicatedService, ReplRequest, ReplResult
-from repro.aa.wire import XferPush
 from repro.bench.workloads import DiurnalWorkload
 from repro.cluster import Cluster
 from repro.cluster.node import Node
 from repro.gcs.config import GroupConfig
 from repro.net.address import Address
 from repro.util.errors import JoshuaError, NoActiveHeadError, ReproError
+
+from tests.integration.conftest import drop_first_cut_pushes
 
 FAST = GroupConfig(
     heartbeat_interval=0.1, suspect_timeout=0.35,
@@ -187,19 +188,20 @@ class TestEngineJoin:
         cluster.run(until=cluster.kernel.now + 0.5)
         assert loser.driver.value == 22
 
-    def test_lost_push_frame_pulled_over_rpc(self):
+    def test_lost_push_frame_recovered_by_fresh_cut(self):
         cluster, services, client = deploy()
         drive(cluster, client.call(("add", 7)))
-        cluster.network.add_drop_filter(
-            lambda src, dst, payload: isinstance(payload, XferPush)
-        )
+        drop_first_cut_pushes(cluster.network)
         joiner = join(cluster, services, "head2", ["head0", "head1"])
         cluster.run(until=cluster.kernel.now + 10.0)
         assert joiner.active
-        assert joiner.stats["state_transfers_pulled"] == 1
         assert joiner.driver.value == 7
-        # It pulled the first cut: nobody was asked to capture a second one.
-        assert services["head0"].stats["state_transfers_served"] == 1
+        # Every push of the first cut was lost: each sponsor captured a
+        # second one, at the fresh cut the joiner pinned.
+        for sponsor in ("head0", "head1"):
+            assert services[sponsor].stats["state_transfers_served"] == 2
+        engine = joiner.shards[0]
+        assert engine._response is None and engine._push_waiter is None
 
 
 class TestDiurnalWorkload:

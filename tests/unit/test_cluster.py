@@ -244,7 +244,7 @@ class TestStorage:
 
         from repro.pbs.job import Job, JobSpec
 
-        disk = store("n")
+        disk = Disk("n") if store is Disk else store()
         shared = ["x"]
         value = {"jobs": [Job("1.t", JobSpec(name="a"))], "a": shared, "b": shared,
                  "next": 3}

@@ -6,7 +6,7 @@ from repro.ha.probe import ServiceProbe, WorkloadReport
 from repro.sim import Kernel
 
 
-def make_probe(kernel, fail_windows, interval=1.0):
+def make_probe(kernel, fail_windows):
     """A probe whose attempts fail inside any of the given time windows."""
 
     def attempt():
@@ -16,7 +16,7 @@ def make_probe(kernel, fail_windows, interval=1.0):
             if start <= now < end:
                 raise RuntimeError("service down")
 
-    return ServiceProbe(kernel, attempt, interval=interval)
+    return ServiceProbe(kernel, attempt)
 
 
 class TestServiceProbe:

@@ -10,8 +10,14 @@ from typing import NamedTuple
 
 import pytest
 
-from repro.analysis import check_files, check_source
+from repro.analysis import check_files
 from repro.net.codec import Codec, CodecError
+
+
+def check_source(source: str, path: str = "snippet.py", rules=None):
+    """Lint one source string as the repro-relative *path* (which drives
+    rule scoping: ``"gcs/x.py"`` puts it inside R3's protocol layers)."""
+    return check_files({path: source}, rules=rules)
 
 
 def rules_of(findings):

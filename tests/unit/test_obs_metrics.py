@@ -35,9 +35,9 @@ class TestCounterAndGauge:
     def test_counter_accumulates(self):
         c = Counter()
         c.inc()
-        c.inc(4)
-        assert c.value == 5
-        assert c.snapshot() == {"type": "counter", "value": 5}
+        c.inc()
+        assert c.value == 2
+        assert c.snapshot() == {"type": "counter", "value": 2}
 
     def test_gauge_keeps_last_value(self):
         g = Gauge()
@@ -145,7 +145,7 @@ class TestMetricsRegistry:
 
     def test_find_returns_label_metric_pairs(self):
         reg = MetricsRegistry()
-        reg.counter("rpc", request="Ping").inc(2)
+        reg.counter("rpc", request="Ping").value += 2
         reg.counter("rpc", request="Stat").inc()
         reg.counter("other").inc()
         pairs = reg.find("rpc")
@@ -253,7 +253,7 @@ class TestExport:
 
     def test_collector_records_appends_jobs_and_metrics(self):
         registry = MetricsRegistry()
-        registry.counter("gcs.delivered", node="head0").inc(3)
+        registry.counter("gcs.delivered", node="head0").value += 3
 
         class FakeCollector:
             events = [TraceEvent(0.01, "job.sent", "login", "u1")]
@@ -299,7 +299,7 @@ class TestReport:
     def test_rpc_latency_table_includes_retries_and_timeouts(self):
         registry = MetricsRegistry()
         registry.histogram("rpc.client.latency_s", request="JSubReq").observe(0.04)
-        registry.counter("rpc.client.retries", request="JSubReq").inc(2)
+        registry.counter("rpc.client.retries", request="JSubReq").value += 2
         registry.counter("rpc.client.timeouts", request="JSubReq").inc()
         lines = rpc_latency_lines(registry)
         row = next(line for line in lines if "JSubReq" in line)

@@ -27,11 +27,11 @@ class TestWireBytesLines:
 class TestShardBreakdownLines:
     def fill(self, registry):
         for shard, node in ((0, "head0"), (0, "head1"), (1, "head0")):
-            registry.counter("gcs.multicasts", node=node, shard=shard).inc(2)
+            registry.counter("gcs.multicasts", node=node, shard=shard).value += 2
             registry.counter("gcs.delivered", node=node, shard=shard,
-                             service="safe").inc(6)
+                             service="safe").value += 6
             registry.counter("gcs.order.assignments", node=node,
-                             shard=shard).inc(2)
+                             shard=shard).value += 2
             registry.histogram("gcs.e2e.delay_s", node=node,
                                shard=shard).observe(0.1)
 

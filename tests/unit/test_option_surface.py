@@ -5,15 +5,19 @@ the benchmark would have to cover, and every definition is code a reader
 must get through. So three things earn their place only if the program
 itself uses them:
 
-* a keyword-only parameter with a default — some call outside ``tests/``
-  that can reach its function passes it a value other than that default.
+* a parameter with a default (keyword-only or positional; ``def f(x=x)``
+  binds a closure value and is none) — some call outside ``tests/`` that
+  can reach its function passes it a value other than that default, by
+  keyword or by position (a call through an instance or a class fills
+  ``self``/``cls`` itself, ``Base.__init__(self, ...)`` does not).
   A call reaches what its callee names, once an import alias is removed
   (``call as rpc_call``): a plain name the module-level functions and
   classes of that name, an attribute every function or method of that
-  name, a class its ``__init__`` (or its nearest base's), ``super().m``
+  name (so does a local name bound to it, ``reg = self.rpc.register``),
+  a class its ``__init__`` (or its nearest base's), ``super().m``
   the bases' ``m``. A function handing on what it was given carries its
   own callers' values: ``g(x=x)`` inside ``f(*, x=0)`` passes ``g`` every
-  value that reaches ``f``'s ``x`` and ``f``'s default; a value built only
+  value that reaches ``f``'s ``x`` and ``f``'s default; a choice built only
   from one option and ``self`` (``x=self._x if x is None else x``) passes
   another value only when that option gets one; ``g(**kwargs)`` passes on
   every keyword that reaches ``f``'s own ``**kwargs``. A ``**mapping`` that
@@ -72,12 +76,13 @@ OPTION_EXEMPT = {
         "perf/workloads.py, the benchmark, passes it by name, and perf/ "
         "changes only in a benchmark change: it goes with the next one "
         "(ROADMAP item 15)",
+    "faults/invariants.py::InvariantSuite.sampler(interval)":
+        "perf/workloads.py, the benchmark, passes it (positionally), and "
+        "perf/ changes only in a benchmark change: it goes with the next one",
 }
 
 #: ``file::name`` -> why it stays although only tests name it.
 DEFINITION_EXEMPT = {
-    "analysis/runner.py::check_source":
-        "the lint tests' entry point for checking a source snippet",
     "ha/correlated.py::monte_carlo_correlated":
         "the reference implementation the closed-form tests compare against",
     "ha/raslog.py::RASCollector":
@@ -131,12 +136,28 @@ class _Function:
     def __init__(self, node, label, owner):
         args = node.args
         self.label, self.owner = label, owner
-        #: option -> the value of its default
-        self.defaults = {arg.arg: _value(default) for arg, default
-                         in zip(args.kwonlyargs, args.kw_defaults)
-                         if default is not None}
-        self.params = {a.arg for a in (*args.posonlyargs, *args.args, *args.kwonlyargs)}
+        positional = [*args.posonlyargs, *args.args]
+        #: the positional parameters in order, and whether a call through
+        #: an instance or class binds the first (``self``/``cls``) itself
+        self.positional = [a.arg for a in positional]
+        self.binds_first = owner is not None and not any(
+            _name_of(d) == "staticmethod" for d in node.decorator_list)
+        #: option -> the value of its default; ``def f(x=x)`` binds a
+        #: closure value, it is no option
+        with_defaults = [*zip(positional[len(positional) - len(args.defaults):],
+                              args.defaults),
+                         *zip(args.kwonlyargs, args.kw_defaults)]
+        self.defaults = {arg.arg: _value(default) for arg, default in with_defaults
+                         if default is not None
+                         and not (isinstance(default, ast.Name) and default.id == arg.arg)}
+        self.params = {a.arg for a in (*positional, *args.kwonlyargs)}
         self.kwargs = args.kwarg.arg if args.kwarg else None
+        #: local name -> attribute, for each ``name = <expr>.attr`` in the
+        #: body: a call of the name is a call of that attribute
+        self.bound = {target.id: stmt.value.attr for stmt in ast.walk(node)
+                      if isinstance(stmt, ast.Assign)
+                      and isinstance(stmt.value, ast.Attribute)
+                      for target in stmt.targets if isinstance(target, ast.Name)}
         #: option -> every value some call passes it
         self.reached = {option: set() for option in self.defaults}
         #: keyword -> the values some call passes into ``**kwargs``
@@ -145,9 +166,20 @@ class _Function:
         #: what reaches it then counts for every option of the keyword's name
         self.keeps = self.kwargs is not None and _keeps(node, self.kwargs)
 
-    def give(self, key, values) -> bool:
-        """Pass *values* under the keyword *key* (:data:`ANY`: under every
-        keyword); whether anything new arrived."""
+    def give(self, key, values, explicit_self=False) -> bool:
+        """Pass *values* under the keyword *key*, an int for the positional
+        argument at that index, ``(index,)`` for a ``*args`` there, or
+        :data:`ANY` for every keyword; whether anything new arrived.
+        *explicit_self*: the call passes ``self`` itself
+        (``Base.__init__(self, ...)``)."""
+        if not isinstance(key, str):
+            start = key[0] if isinstance(key, tuple) else key
+            if self.binds_first and not explicit_self:
+                start += 1
+            names = self.positional[start:] if isinstance(key, tuple) else \
+                self.positional[start:start + 1]
+            grew = [self.give(name, values) for name in names]
+            return any(grew)
         if key == ANY:
             slots = list(self.reached.values())
             if self.kwargs:
@@ -224,9 +256,12 @@ class _Calls:
                     found += self.method(base, name, (*seen, class_name))
         return found
 
-    def targets(self, call, cls, aliases):
+    def targets(self, call, stack, cls, aliases):
         """Every function *call* can reach."""
         func = call.func
+        bound = isinstance(func, ast.Name) and _innermost(stack, lambda fn: func.id in fn.bound)
+        if bound:
+            func = ast.Attribute(ast.Name("_"), bound.bound[func.id])
         if isinstance(func, ast.Attribute):
             if isinstance(func.value, ast.Call) and _callee(func.value) == "super":
                 return [m for base in (cls.bases if cls else ())
@@ -251,10 +286,18 @@ class _Calls:
         for call, stack, cls, aliases in self.calls:
             setdefault = _kwargs_setdefault(call, stack)
             if setdefault is not None:
-                plans.append(([setdefault[0]], [lambda key=setdefault[1]: [(key, {ANY})]]))
-            targets = self.targets(call, cls, aliases)
+                plans.append(([setdefault[0]], [lambda key=setdefault[1]: [(key, {ANY})]],
+                              False))
+            targets = self.targets(call, stack, cls, aliases)
             if targets:
-                plans.append((targets, [_source(k, stack) for k in call.keywords]))
+                sources = [_source(k.arg, k.value, stack) for k in call.keywords]
+                sources += [_source((index,), arg.value, stack)
+                            if isinstance(arg, ast.Starred) else _source(index, arg, stack)
+                            for index, arg in enumerate(call.args)]
+                func = call.func
+                explicit_self = (isinstance(func, ast.Attribute) and func.attr == "__init__"
+                                 and isinstance(func.value, ast.Name))
+                plans.append((targets, sources, explicit_self))
         return plans
 
     def propagate(self):
@@ -268,11 +311,11 @@ class _Calls:
         grew = True
         while grew:
             grew = False
-            for targets, sources in plans:
+            for targets, sources, explicit_self in plans:
                 for source in sources:
                     for key, values in source():
                         for target in targets:
-                            grew |= target.give(key, values)
+                            grew |= target.give(key, values, explicit_self)
             for fn in kept:
                 for key, values in list(fn.extra.items()):
                     for target in by_option.get(key, ()):
@@ -295,26 +338,29 @@ def _kwargs_setdefault(call, stack):
     return None if owner is None else (owner, call.args[0].value)
 
 
-def _source(keyword, stack):
-    """What *keyword* passes, as a function of what reaches its enclosing
-    functions (the sources of :meth:`_Calls.plan`)."""
-    if keyword.arg is None:
-        name = getattr(keyword.value, "id", None)
+def _source(key, value, stack):
+    """What the argument *value* passes under *key* (a keyword, ``None``
+    for ``**mapping``, else a position), as a function of what reaches its
+    enclosing functions (the sources of :meth:`_Calls.plan`)."""
+    if isinstance(key, tuple):
+        return lambda: [(key, {ANY})]
+    if key is None:
+        name = getattr(value, "id", None)
         owner = _innermost(stack, lambda fn: fn.kwargs is not None and fn.kwargs == name)
         if owner is None:
             return lambda: [(ANY, {ANY})]
         return lambda: [(key, set(values)) for key, values in owner.extra.items()]
-    names = {n.id for n in ast.walk(keyword.value) if isinstance(n, ast.Name)}
+    names = {n.id for n in ast.walk(value) if isinstance(n, ast.Name)}
     options = names - {"self"}
-    if len(options) == 1:
+    if len(options) == 1 and isinstance(value, (ast.Name, ast.IfExp, ast.BoolOp)):
         (option,) = options
         owner = _innermost(stack, lambda fn: option in fn.params)
         if owner is not None and option in owner.defaults:
-            if isinstance(keyword.value, ast.Name):
-                return lambda: [(keyword.arg, owner.reached[option] | {owner.defaults[option]})]
-            return lambda: [(keyword.arg, {ANY} if owner.varied(option) else set())]
-    values = {_value(keyword.value)}
-    return lambda: [(keyword.arg, values)]
+            if isinstance(value, ast.Name):
+                return lambda: [(key, owner.reached[option] | {owner.defaults[option]})]
+            return lambda: [(key, {ANY} if owner.varied(option) else set())]
+    values = {_value(value)}
+    return lambda: [(key, values)]
 
 
 def _aliases(tree):
@@ -390,7 +436,7 @@ def test_every_keyword_option_is_passed_by_some_call_site():
     assert len(scan.options) > 100  # the scan found the package
     never = sorted(label for fn, option, label in scan.options if not fn.varied(option))
     _assert_exactly_exempt(
-        never, OPTION_EXEMPT, 14,
+        never, OPTION_EXEMPT, 15,
         "option(s) no call outside tests/ passes anything but the default — "
         "make each a constant or delete it",
     )
@@ -403,7 +449,7 @@ def test_every_definition_has_a_caller():
     uncalled = sorted(label for name, label in scan.definitions
                       if not scan.names.get(name, set()) - {label})
     _assert_exactly_exempt(
-        uncalled, DEFINITION_EXEMPT, 3,
+        uncalled, DEFINITION_EXEMPT, 2,
         "definition(s) only tests name — delete each with its tests",
     )
 

@@ -99,10 +99,6 @@ class TestJobQueue:
         q.update(q.get("1.t").transition(JobState.HELD))
         assert q.first_eligible().job_id == "2.t"
 
-    def test_first_eligible_with_predicate(self):
-        q = self.make_jobs()
-        assert q.first_eligible(lambda j: j.spec.name == "j3").job_id == "3.t"
-
     def test_in_state(self):
         q = self.make_jobs()
         q.update(q.get("2.t").transition(JobState.RUNNING, start_time=0.0))

@@ -46,7 +46,7 @@ class TestSubmission:
     def test_qstat_shows_submitted_job(self, stack):
         client = stack.client()
         job_id = drive(stack, client.qsub(name="visible", walltime=500))
-        rows = drive(stack, client.qstat())
+        rows = drive(stack, client.qstat(None))
         assert [r["job_id"] for r in rows] == [job_id]
 
     def test_qstat_single_job(self, stack):
@@ -86,7 +86,7 @@ class TestExecution:
         for i in range(2):
             drive(stack, client.qsub(name=f"j{i}", walltime=5.0, nodes=1))
         stack.cluster.run(until=4.0)
-        rows = drive(stack, client.qstat())
+        rows = drive(stack, client.qstat(None))
         running = [r for r in rows if r["state"] == "R"]
         queued = [r for r in rows if r["state"] == "Q"]
         assert len(running) == 1 and len(queued) == 1
@@ -190,7 +190,7 @@ class TestDeleteHoldSignal:
         job_id = drive(stack, client.qsub(name="sig", walltime=500))
         stack.cluster.run(until=stack.cluster.kernel.now + 1.0)
         with pytest.raises(PBSError):
-            drive(stack, client.qsig(job_id))
+            drive(stack, client.qsig(job_id, "SIGTERM"))
 
 
 def request(stack, payload):

@@ -307,11 +307,10 @@ GOLDEN = {
     "tests/data/golden_digests.json": _golden_digests,
     "BENCH_fig11.json": lambda: _json(burst_batching_ablation()),
     "BENCH_shard_scaling.json": lambda: _json({
-        "scaling": shard_scaling(shard_counts=(1, 2, 4)),
+        "scaling": shard_scaling(),
         "sequencer_kill": sequencer_kill(),
     }),
-    "BENCH_read_scaling.json": lambda: _json(read_scaling(
-        head_counts=(1, 2, 4), write_rate=5.0)),
+    "BENCH_read_scaling.json": lambda: _json(read_scaling(write_rate=5.0)),
     "BENCH_head_scaling.json": lambda: _json(head_scaling(
         figure10_heads=(1, 2, 3, 4, 6, 8, 12, 16), stress_heads=(2, 4, 8, 16),
     )),
