@@ -46,7 +46,7 @@ def main() -> None:
     print("\nMonte-Carlo cross-check (simulated failure processes):")
     for heads in (1, 2):
         result = monte_carlo_availability(
-            heads, mttf_hours=5000, mttr_hours=72, horizon_years=2000, seed=1
+            heads, mttf_hours=5000, mttr_hours=72, horizon_years=2000
         )
         analytic = figure12_table(heads)[-1]
         print(f"  {heads} head(s): empirical {100 * result.availability:.4f}% "

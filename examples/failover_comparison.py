@@ -17,17 +17,18 @@ repair; symmetric active/active loses nothing at all.
 Run:  python examples/failover_comparison.py
 """
 
-from repro.bench.experiments.models import CRASH_AT, MODELS, RESTART_AT, run_model
+from repro.bench.experiments.models import (
+    CRASH_AT, JOBS, MODELS, RATE, RESTART_AT, run_model,
+)
 from repro.bench.reporting import format_table
 
 
 def main() -> None:
-    scenario = dict(jobs=15, rate=0.4)
-    print("scenario: Poisson submissions (15 jobs, ~1 every 2.5 s); "
+    print(f"scenario: Poisson submissions ({JOBS} jobs, ~1 every {1 / RATE:g} s); "
           f"head0 crashes at t={CRASH_AT:g} s, repaired at t={RESTART_AT:g} s\n")
     rows = []
     for model in MODELS:
-        report = run_model(model, **scenario)
+        report = run_model(model)
         rows.append(report.summary_row())
         print(f"  ran {model:15s} "
               f"downtime={report.probe_downtime:6.2f}s "

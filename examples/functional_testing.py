@@ -93,7 +93,7 @@ def main() -> None:
     cluster, stack = fresh(heads=2)
     client = stack.client(node="login")
     seed_job = drive(cluster, client.jsub(name="seed", walltime=600.0))
-    stack.add_head("head2")
+    stack.add_head()  # head2
     while not stack.joshua("head2").active:
         cluster.run(until=cluster.kernel.now + 0.5)
     check("joined head received state transfer",

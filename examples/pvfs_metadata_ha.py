@@ -55,7 +55,7 @@ def main() -> None:
 
     print(f"[t={kernel.now:5.2f}s] joining a fresh replica head3 "
           "(snapshot state transfer) ...")
-    mds.add_replica("head3")
+    mds.add_replica()  # head3
     while not mds.replica("head3").active:
         cluster.run(until=kernel.now + 0.5)
     print(f"[t={kernel.now:5.2f}s] head3 active")

@@ -43,10 +43,9 @@ def main() -> None:
 
     # Roll the fleet: for each original head, add a replacement, wait for
     # it to finish state transfer, then retire the old one.
-    for generation, old in enumerate(original_heads):
-        new_name = f"head{2 + generation}"
+    for old in original_heads:
+        new_name = stack.add_head().name  # head2, then head3
         print(f"[t={kernel.now:6.1f}s] joining replacement {new_name} ...")
-        stack.add_head(new_name)
         # Wait until the joiner is active (state transfer complete).
         while not stack.joshua(new_name).active:
             cluster.run(until=kernel.now + 1.0)

@@ -15,8 +15,8 @@ symmetric active/active service. The backend is supplied as a
 
 Everything else — SAFE-multicast ordering, serial execution, exactly-once
 output (UUID-keyed reply caching across client retries/failovers, carried
-to joiners), and the marker-cut join with its pull, recut and
-partition-merge resync paths — is the shared
+to joiners), and the marker-cut join with its recut and partition-merge
+resync paths — is the shared
 :class:`~repro.aa.engine.ReplicationEngine` in its
 :class:`~repro.aa.engine.ReplicaDaemon` shell, the same pair JOSHUA
 (:mod:`repro.joshua`) runs with its PBS driver. The daemon here only

@@ -71,7 +71,6 @@ def figure12_empirical(
             mttf_hours=mttf_hours,
             mttr_hours=mttr_hours,
             horizon_years=horizon_years,
-            seed=0,
         )
         rows.append(
             {

@@ -38,6 +38,9 @@ CRASH_AT = 20.0
 RESTART_AT = 80.0
 #: Simulated seconds each model runs for.
 HORIZON = 220.0
+#: The workload every model runs: JOBS Poisson submissions at RATE per second.
+JOBS = 15
+RATE = 0.4
 
 #: Group timings for the comparison (faster than the calibrated deployment
 #: config so suspicion/view change complete well inside the fault window).
@@ -93,13 +96,7 @@ def _build(model: str, seed: int):
     raise ReproError(f"unknown model {model!r}")
 
 
-def run_model(
-    model: str,
-    *,
-    seed: int = 101,
-    jobs: int = 15,
-    rate: float = 0.4,
-) -> WorkloadReport:
+def run_model(model: str, *, seed: int = 101) -> WorkloadReport:
     """One model under the standard workload + fault schedule."""
     cluster, system = _build(model, seed)
     kernel = cluster.kernel
@@ -107,7 +104,7 @@ def run_model(
     failures = [0]
 
     def submitter():
-        for delay, spec in PoissonWorkload(jobs, rate, walltime_range=(4.0, 12.0), seed=seed):
+        for delay, spec in PoissonWorkload(JOBS, RATE, walltime_range=(4.0, 12.0), seed=seed):
             if delay:
                 yield kernel.timeout(delay)
             try:
@@ -157,6 +154,6 @@ def run_model(
     )
 
 
-def compare_models(*, seed: int = 101, **kwargs) -> list[dict]:
+def compare_models(*, seed: int = 101) -> list[dict]:
     """Run every model under the identical scenario; return summary rows."""
-    return [run_model(model, seed=seed, **kwargs).summary_row() for model in MODELS]
+    return [run_model(model, seed=seed).summary_row() for model in MODELS]

@@ -89,9 +89,6 @@ class Cluster:
         except KeyError:
             raise ClusterError(f"no node named {name!r}") from None
 
-    def live_heads(self) -> list[Node]:
-        return [n for n in self.heads if n.is_up]
-
     # -- convenience -------------------------------------------------------------
 
     def run(self, until=None):

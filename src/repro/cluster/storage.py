@@ -60,10 +60,6 @@ class Disk:
         for key in self.keys(prefix):
             del self._data[key]
 
-    def wipe(self) -> None:
-        """Destroy all contents (disk replacement, not crash)."""
-        self._data.clear()
-
     def __contains__(self, key: str) -> bool:
         return key in self._data
 

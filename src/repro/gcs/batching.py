@@ -149,10 +149,6 @@ class Coalescer:
 
     # -- submit / flush ----------------------------------------------------
 
-    def pending(self) -> int:
-        """Entries currently buffered (observability/test aid)."""
-        return len(self._entries)
-
     def submit(self, *entry: Any) -> None:
         """Buffer one outbound entry (the tuple of the arguments); flush
         when a budget fills."""

@@ -98,8 +98,6 @@ class DeliveryQueue:
         self._data: dict[MessageId, DataMsg] = {}
         #: seq -> msg_id assignments for the current view.
         self._order: dict[int, MessageId] = {}
-        #: seqs delivered transitionally (came from a view-change closing).
-        self._transitional_seqs: set[int] = set()
         #: next seq the cursor will deliver.
         self._cursor = 0
         #: highest seq found agreed-ready so far in this view. Readiness of
@@ -123,7 +121,6 @@ class DeliveryQueue:
         self.view = view
         self._data.clear()
         self._order.clear()
-        self._transitional_seqs.clear()
         self._cursor = 0
         self._ready = -1
         self._gc_cursor = 0
@@ -131,7 +128,6 @@ class DeliveryQueue:
         for seq, (msg_id, service, payload) in enumerate(closing):
             self._data[msg_id] = DataMsg(msg_id, view.view_id, service, payload)
             self._order[seq] = msg_id
-            self._transitional_seqs.add(seq)
 
     # -- inbound state ----------------------------------------------------------
 
@@ -156,9 +152,6 @@ class DeliveryQueue:
             if self.add_data(data):
                 fresh.append(data)
         return fresh
-
-    def has_data(self, msg_id: MessageId) -> bool:
-        return msg_id in self._data
 
     def add_assignments(self, assignments: Iterable[tuple[int, MessageId]]) -> None:
         for seq, msg_id in assignments:
@@ -225,7 +218,6 @@ class DeliveryQueue:
                     service=data.service,
                     view_id=self.view.view_id,
                     seq=seq,
-                    transitional=seq in self._transitional_seqs,
                 )
             )
         return out

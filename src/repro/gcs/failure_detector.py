@@ -107,9 +107,6 @@ class FailureDetector:
     def suspected(self) -> set[Address]:
         return set(self._suspected)
 
-    def is_suspected(self, peer: Address) -> bool:
-        return peer in self._suspected
-
     def heard_from(self, peer: Address) -> None:
         """Record liveness evidence (heartbeat *or* any protocol message)."""
         if peer in self._peers:

@@ -228,14 +228,9 @@ class DeliveredMessage:
     payload: Any
     service: str
     view_id: int
-    #: Global sequence number within the view; -1 for messages delivered
-    #: from a view-change closing list (transitional delivery).
+    #: Global sequence number within the view; a view-change closing list
+    #: is injected as the view's first seqs (``DeliveryQueue.start_view``).
     seq: int = -1
-    #: True when delivered while closing a view (extended virtual synchrony's
-    #: transitional configuration): total order still holds, but a SAFE
-    #: message delivered transitionally may not have reached members that
-    #: failed — exactly the EVS caveat.
-    transitional: bool = False
 
 
 register_wire_types(

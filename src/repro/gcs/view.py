@@ -32,11 +32,6 @@ class View:
         if len(set(self.members)) != len(self.members):
             raise MembershipError("duplicate member in view")
 
-    @staticmethod
-    def make(view_id: int, members) -> "View":
-        """Build a view, sorting/deduplicating the member list."""
-        return View(view_id, tuple(sorted(set(members))))
-
     @property
     def coordinator(self) -> Address:
         """Deterministic coordinator/sequencer: the lowest-ranked member."""

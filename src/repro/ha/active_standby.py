@@ -127,8 +127,7 @@ class FailoverMonitor(Daemon):
             _mirror_server_records(self.shared, self.node.disk)
         self.node.start_daemon("pbs_server")
         self.node.start_daemon("maui")
-        # The checkpointing duty follows the active role: without this, a
-        # later fail-back would restore pre-first-failover state.
+        # The checkpointing duty follows the active role.
         if "ckpt" in self.node._daemon_factories and "ckpt" not in self.node.daemons:
             self.node.start_daemon("ckpt")
         # Orphaned applications restart: purge the moms, point them at us.
@@ -179,15 +178,11 @@ class ActiveStandbySystem:
             lambda n: _CheckpointDaemon(n, shared=shared, interval=self.checkpoint_interval),
             start=False,
         )
-        self._monitor_params = dict(
-            shared=shared,
-            moms=mom_addresses,
-            probe_interval=probe_interval,
-        )
         self.monitor: FailoverMonitor = self.standby.add_daemon(
             "failover-monitor",
             lambda n: FailoverMonitor(
-                n, primary=primary_address, **self._monitor_params
+                n, primary=primary_address, shared=shared, moms=mom_addresses,
+                probe_interval=probe_interval,
             ),
         )
         # Moms initially report to the primary only.
@@ -196,40 +191,6 @@ class ActiveStandbySystem:
                 "pbs_mom",
                 lambda n: PBSMom(n, servers=[primary_address]),
             )
-
-    # -- failback (extension) ------------------------------------------------
-
-    def reintegrate_as_standby(self) -> FailoverMonitor:
-        """Fail-back half of the cycle: the repaired ex-primary becomes the
-        *new standby*, watching the currently-active head. Call after the
-        failed node has been repaired with ``restart(daemons=False)`` (a
-        repaired head must come back cold — its stale server state belongs
-        to the rollback point, not to the live service)."""
-        if not self.monitor.failed_over:
-            raise PBSError("no failover has happened; nothing to reintegrate")
-        repaired, active = self.primary, self.standby
-        if not repaired.is_up:
-            raise PBSError(f"{repaired.name} has not been repaired yet")
-        if "pbs_server" in repaired.daemons and repaired.daemons["pbs_server"].running:
-            raise PBSError(
-                f"{repaired.name} came back hot; repair with restart(daemons=False)"
-            )
-        # Swap the roles and arm a fresh monitor on the new standby.
-        self.primary, self.standby = active, repaired
-        active_address = Address(active.name, PBS_SERVER_PORT)
-        if "failover-monitor" in repaired._daemon_factories:
-            repaired._daemon_factories["failover-monitor"] = lambda n: FailoverMonitor(
-                n, primary=active_address, **self._monitor_params
-            )
-            self.monitor = repaired.start_daemon("failover-monitor")
-        else:
-            self.monitor = repaired.add_daemon(
-                "failover-monitor",
-                lambda n: FailoverMonitor(
-                    n, primary=active_address, **self._monitor_params
-                ),
-            )
-        return self.monitor
 
     # -- uniform HA-system interface ------------------------------------------
 

@@ -132,20 +132,20 @@ def monte_carlo_availability(
     mttf_hours: float = 5000.0,
     mttr_hours: float = 72.0,
     horizon_years: float = 200.0,
-    seed: int = 0,
 ) -> MonteCarloResult:
     """Estimate service availability by simulating failure processes.
 
     Runs ``nodes`` independent alternating Exp(MTTF)/Exp(MTTR) renewal
     processes on a DES kernel and measures the total time during which
     *every* node was simultaneously down (the paper's definition of service
-    downtime for the symmetric active/active model).
+    downtime for the symmetric active/active model). The kernel's fixed
+    seed makes the estimate deterministic.
     """
     from repro.sim.kernel import Kernel
 
     if nodes < 1:
         raise ReproError("need at least one node")
-    kernel = Kernel(seed=seed)
+    kernel = Kernel()
     mttf = mttf_hours * 3600.0
     mttr = mttr_hours * 3600.0
     horizon = horizon_years * SECONDS_PER_YEAR

@@ -39,7 +39,7 @@ class ServiceProbe:
         self.attempt_factory = attempt_factory
         #: (probe start time, succeeded)
         self.samples: list[tuple[float, bool]] = []
-        self._process = kernel.spawn(self._loop(), name="service-probe")
+        kernel.spawn(self._loop(), name="service-probe")
 
     def _loop(self):
         while True:
@@ -51,18 +51,11 @@ class ServiceProbe:
             except Exception:
                 self.samples.append((started, False))
 
-    def stop(self) -> None:
-        self._process.interrupt("probe stopped")
-
     # -- analysis ---------------------------------------------------------
 
     @property
     def failures(self) -> int:
         return sum(1 for _t, ok in self.samples if not ok)
-
-    @property
-    def attempts(self) -> int:
-        return len(self.samples)
 
     def availability(self) -> float:
         """Fraction of probes that succeeded."""

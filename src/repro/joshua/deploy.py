@@ -102,13 +102,13 @@ class JoshuaStack:
             shards=self.shards,
         ))
 
-    def add_head(self, name: str | None = None) -> Node:
-        """Bring a brand-new head node into the running system (join +
-        state transfer). Returns the new node."""
+    def add_head(self) -> Node:
+        """Bring a brand-new head node, named after the cluster's head count,
+        into the running system (join + state transfer). Returns the new node."""
         contacts = self.live_heads()
         if not contacts:
             raise JoshuaError("no live head to join through")
-        name = name or f"head{len(self.head_names)}"
+        name = f"head{len(self.cluster.heads)}"
         node = Node(self.cluster.network, name, role="head")
         self.cluster.heads.append(node)
         self.cluster.register_node(node)

@@ -65,10 +65,6 @@ class Delivery(NamedTuple):
     #: the size the bandwidth/contention model charged for).
     size: int = 0
 
-    @property
-    def latency(self) -> float:
-        return self.delivered_at - self.sent_at
-
 
 # Addresses ride inside many wire records (membership lists, job routing).
 register_wire_types(Address)

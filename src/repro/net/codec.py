@@ -492,10 +492,6 @@ class Codec:
         self._digest = None
         return cls
 
-    def registered_records(self) -> list[type]:
-        """Registered record classes, sorted by wire name (for tests/CI)."""
-        return [r.cls for _, r in sorted(self._records_by_name.items())]
-
     def schema(self) -> dict[str, Any]:
         """The registry as ``WIRE_SCHEMA.lock`` records it: per record its
         module (:func:`_module_path`), kind and fields (name,

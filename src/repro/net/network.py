@@ -242,9 +242,6 @@ class Network:
     def resume_node(self, name: str) -> None:
         self._paused.discard(name)
 
-    def node_is_paused(self, name: str) -> bool:
-        return name in self._paused
-
     def set_node_slowdown(self, name: str, extra_latency: float) -> None:
         """Add *extra_latency* seconds one-way to every message touching
         *name* (0 clears the episode)."""
@@ -256,9 +253,6 @@ class Network:
             self._slowdown[name] = extra_latency
         else:
             self._slowdown.pop(name, None)
-
-    def node_slowdown(self, name: str) -> float:
-        return self._slowdown.get(name, 0.0)
 
     def add_drop_filter(self, predicate: Callable[[Address, Address, Any], bool]) -> int:
         """Force-drop every datagram for which ``predicate(src, dst,

@@ -64,10 +64,6 @@ class PartitionState:
         self._group_of = {}
         self._partitioned = False
 
-    @property
-    def partitioned(self) -> bool:
-        return self._partitioned
-
     # -- queries -------------------------------------------------------------
 
     def reachable(self, a: str, b: str) -> bool:

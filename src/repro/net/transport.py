@@ -53,9 +53,6 @@ class ReliableChannel:
         self.unacked: dict[int, Any] = {}
         self.acked_through = -1
 
-    def outstanding(self) -> int:
-        return len(self.unacked)
-
 
 class _PeerReceiveState:
     """Receiver-side reordering state for one (peer, epoch)."""
@@ -111,9 +108,6 @@ class Transport:
     def address(self) -> Address:
         return self.endpoint.address
 
-    def on_message(self, callback: Callable[[Address, Any], None] | None) -> None:
-        self._on_message = callback
-
     def on_raw(self, callback: Callable[[Address, Any], None] | None) -> None:
         """Handler for frames that bypass the reliable layer (heartbeats)."""
         self._on_raw = callback
@@ -143,11 +137,6 @@ class Transport:
         channel.unacked[seq] = payload
         self.stats["sent"] += 1
         self.endpoint.send(dst, DataFrame(channel.epoch, seq, payload))
-
-    def outstanding_to(self, dst: Address) -> int:
-        """Frames sent to *dst* not yet acknowledged."""
-        channel = self._channels.get(dst)
-        return channel.outstanding() if channel else 0
 
     def forget_peer(self, dst: Address) -> None:
         """Drop sender state for *dst* (it was declared failed); pending

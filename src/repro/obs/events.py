@@ -54,10 +54,6 @@ class TraceEvent:
             "fields": dict(self.fields),
         }
 
-    def describe(self) -> str:
-        extra = "".join(f" {k}={v!r}" for k, v in sorted(self.fields.items()))
-        return f"t={self.time:.4f} {self.kind:<14} {self.node}{extra}"
-
 
 #: Phase name -> (end event kind, start event kind). A phase is measured
 #: between the *first* occurrence of each kind in the trace — the causal

@@ -226,9 +226,6 @@ class MetricsRegistry:
             key=lambda pair: sorted(pair[0].items()),
         )
 
-    def names(self) -> list[str]:
-        return sorted({key[0] for key in self._metrics})
-
     def snapshot(self) -> list[dict]:
         """JSON-serialisable dump: one record per (name, labels) series."""
         out = []

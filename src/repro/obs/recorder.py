@@ -50,7 +50,7 @@ from typing import TYPE_CHECKING
 
 from repro.net.address import dst_text
 from repro.obs.collector import attach_collector
-from repro.obs.export import dumps_record
+from repro.obs.export import write_jsonl
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.net.network import Network
@@ -279,12 +279,7 @@ def write_bundle(bundle: dict, path) -> int:
     ``records`` elided) followed by the merged timeline, one record per
     line. Returns the number of lines written."""
     header = {k: v for k, v in bundle.items() if k != "records"}
-    lines = [dumps_record(header)]
-    lines.extend(dumps_record(r) for r in bundle.get("records", []))
-    with open(path, "w") as fh:
-        for line in lines:
-            fh.write(line + "\n")
-    return len(lines)
+    return write_jsonl(path, [header, *bundle.get("records", [])])
 
 
 def read_bundle(path) -> dict:

@@ -6,7 +6,7 @@ through the PBS service interface (that is the whole point of JOSHUA's
 
 * :class:`~repro.pbs.server.PBSServer` — the TORQUE ``pbs_server``
   equivalent: job queue with PBS states (Q/R/E/C/H/W), persistence to the
-  node's disk, job dispatch to moms, obituary handling, accounting log.
+  node's disk, job dispatch to moms, obituary handling.
 * :class:`~repro.pbs.scheduler.MauiScheduler` — the Maui equivalent,
   configured exactly as the paper configured it: FIFO policy, one job at a
   time with exclusive access to the whole cluster, for deterministic
@@ -27,7 +27,6 @@ A complete single-head stack is assembled by
 
 from repro.pbs.job import Job, JobSpec, JobState
 from repro.pbs.queue import JobQueue
-from repro.pbs.accounting import AccountingLog, AccountingRecord
 from repro.pbs.service_times import ServiceTimes
 from repro.pbs.server import PBSServer
 from repro.pbs.scheduler import MauiScheduler
@@ -41,8 +40,6 @@ __all__ = [
     "JobSpec",
     "JobState",
     "JobQueue",
-    "AccountingLog",
-    "AccountingRecord",
     "ServiceTimes",
     "PBSServer",
     "MauiScheduler",

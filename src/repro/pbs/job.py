@@ -22,10 +22,6 @@ class JobState(enum.Enum):
     HELD = "H"
     WAITING = "W"
 
-    @property
-    def is_terminal(self) -> bool:
-        return self is JobState.COMPLETE
-
 
 #: Exit status PBS reports for a job killed by the server (SIGTERM + 256..).
 KILLED_EXIT_STATUS = 271

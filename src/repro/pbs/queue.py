@@ -1,8 +1,8 @@
 """The server-side job queue.
 
-A thin, well-tested container: insertion order is submission order, FIFO
-selection respects it, and all mutation goes through explicit methods so
-the server can persist on every change. Holding a job removes it from FIFO
+A thin, well-tested container: insertion order is submission order, the
+order the scheduler's FIFO decision walks, and all mutation goes through
+explicit methods so the server can persist on every change. Holding a job removes it from FIFO
 eligibility without losing its position (PBS semantics: a released job is
 eligible again at its original priority/position).
 
@@ -24,7 +24,7 @@ from __future__ import annotations
 from typing import Iterator
 
 from repro.net.codec import PlainFragment
-from repro.pbs.job import Job, JobState
+from repro.pbs.job import Job
 from repro.util.errors import UnknownJobError
 
 __all__ = ["JobQueue"]
@@ -97,22 +97,6 @@ class JobQueue:
         del self._ranks[job_id]
         del self._stamps[job_id]
         return self._jobs.pop(job_id)
-
-    def in_state(self, *states: JobState) -> list[Job]:
-        wanted = set(states)
-        # repro-lint: ignore[R3] submission (insertion) order IS the FIFO queue semantics
-        return [j for j in self._jobs.values() if j.state in wanted]
-
-    def first_eligible(self) -> Job | None:
-        """Oldest QUEUED job — the FIFO policy."""
-        # repro-lint: ignore[R3] submission (insertion) order IS the FIFO queue semantics
-        for job in self._jobs.values():
-            if job.state is JobState.QUEUED:
-                return job
-        return None
-
-    def running(self) -> list[Job]:
-        return self.in_state(JobState.RUNNING, JobState.EXITING)
 
     def snapshot(self) -> list[Job]:
         """All jobs in submission order (jobs are immutable; safe to share)."""

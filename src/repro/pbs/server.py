@@ -45,7 +45,6 @@ from typing import TYPE_CHECKING
 
 from repro.cluster.daemon import Daemon
 from repro.net.address import Address
-from repro.pbs.accounting import AccountingLog
 from repro.pbs.job import Job, JobSpec, JobState, KILLED_EXIT_STATUS
 from repro.pbs.queue import JobQueue
 from repro.pbs.service_times import ERA_2006, ServiceTimes
@@ -123,7 +122,6 @@ class PBSServer(Daemon):
         self.server_name = server_name
         self.times = service_times
         self.jobs = JobQueue()
-        self.accounting = AccountingLog()
         self.next_seq = 1
         #: compute node name -> currently-allocated job id (None = free).
         self.allocations: dict[str, str | None] = {
@@ -222,11 +220,6 @@ class PBSServer(Daemon):
                 self.stats["recovered"] += 1
             self.jobs.add(job, rank)
 
-    # -- accounting ----------------------------------------------------------
-
-    def _notify(self, event: str, job: Job) -> None:
-        self.accounting.record(self.kernel.now, event, job.job_id)
-
     # -- main loop --------------------------------------------------------------
 
     def run(self):
@@ -258,7 +251,6 @@ class PBSServer(Daemon):
         self.jobs.add(job)
         self._persist(job)
         self.stats["submitted"] += 1
-        self._notify("Q", job)
         return SubmitResp(job_id)
 
     def _do_stat(self, req: StatReq) -> StatResp:
@@ -291,7 +283,6 @@ class PBSServer(Daemon):
             self.jobs.update(job)
             self._persist(job)
             self.stats["deleted"] += 1
-            self._notify("D", job)
         return DeleteResp(job.job_id)
 
     def _do_hold(self, req: HoldReq) -> SimpleResp:
@@ -299,7 +290,6 @@ class PBSServer(Daemon):
         job = job.transition(JobState.HELD, comment="user hold")
         self.jobs.update(job)
         self._persist(job)
-        self._notify("H", job)
         return SimpleResp()
 
     def _do_release(self, req: ReleaseReq) -> SimpleResp:
@@ -307,7 +297,6 @@ class PBSServer(Daemon):
         job = job.transition(JobState.QUEUED, comment="released")
         self.jobs.update(job)
         self._persist(job)
-        self._notify("R", job)
         return SimpleResp()
 
     def _do_signal(self, req: SignalReq) -> SimpleResp:
@@ -334,7 +323,6 @@ class PBSServer(Daemon):
         )
         self.jobs.update(job)
         self._persist(job)
-        self._notify("R", job)
         return SimpleResp()
 
     def _do_purge(self, req: PurgeReq) -> SimpleResp:
@@ -416,7 +404,6 @@ class PBSServer(Daemon):
         )
         self.jobs.update(job)
         self._persist(job)
-        self._notify("S", job)
         return RunJobResp(True, response.mode)
 
     def _mom_for(self, node_name: str) -> Address:
@@ -459,5 +446,4 @@ class PBSServer(Daemon):
                 self.allocations[node_name] = None
         self._persist(job)
         self.stats["completed"] += 1
-        self._notify("E", job)
         return SimpleResp()

@@ -46,21 +46,6 @@ class ServiceTimes:
     #: Scheduler decision time per cycle.
     sched_cycle: float = 0.005
 
-    def scaled(self, factor: float) -> "ServiceTimes":
-        """All costs multiplied by *factor* (for faster-hardware what-ifs)."""
-        return ServiceTimes(
-            client_startup=self.client_startup * factor,
-            qsub_process=self.qsub_process * factor,
-            disk_write=self.disk_write * factor,
-            qstat_process=self.qstat_process * factor,
-            qdel_process=self.qdel_process * factor,
-            run_process=self.run_process * factor,
-            mom_start=self.mom_start * factor,
-            mom_finish=self.mom_finish * factor,
-            sched_poll_interval=self.sched_poll_interval,
-            sched_cycle=self.sched_cycle * factor,
-        )
-
 
 #: The default: fitted to the paper's testbed (see module docstring).
 ERA_2006 = ServiceTimes()

@@ -60,10 +60,6 @@ class SWFJob:
     requested_time: float
     status: int
 
-    @property
-    def completed(self) -> bool:
-        return self.status == 1
-
 
 def _stable_id(name: str) -> int:
     return zlib.crc32(name.encode("utf-8")) % 9973

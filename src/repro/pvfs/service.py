@@ -117,14 +117,15 @@ class ReplicatedMDS:
             if self.cluster.node(h).is_up and "pvfs-mds" in self.cluster.node(h).daemons
         ]
 
-    def add_replica(self, name: str | None = None) -> "Node":
-        """Join a brand-new metadata replica (snapshot state transfer)."""
+    def add_replica(self) -> "Node":
+        """Join a brand-new metadata replica, named after the cluster's head
+        count (snapshot state transfer)."""
         from repro.cluster.node import Node
 
         contacts = self.live_heads()
         if not contacts:
             raise ReproError("no live replica to join through")
-        name = name or f"head{len(self.head_names)}"
+        name = f"head{len(self.cluster.heads)}"
         node = Node(self.cluster.network, name, role="head")
         self.cluster.heads.append(node)
         self.head_names.append(name)

@@ -111,8 +111,8 @@ def failover_call(
     * other :class:`PBSError`\\ s fail over when ``retry_error(exc)`` is
       true (e.g. a head answering ``kind == "joining"``), otherwise propagate;
     * a received response is retried on the next target when
-      ``reject(response)`` is true (e.g. a state-transfer capture for
-      another marker) — otherwise it is returned.
+      ``reject(response)`` is true (e.g. a jmutex notifier's answer whose
+      ``decision`` is not ``"ok"``) — otherwise it is returned.
 
     Every target passed over (skipped, timed out, retried or rejected)
     adds one to ``stats["failovers"]`` when *stats* is given.

@@ -14,7 +14,6 @@ from collections import deque
 from typing import TYPE_CHECKING, Any
 
 from repro.sim.events import Event
-from repro.util.errors import SimulationError
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.kernel import Kernel
@@ -33,18 +32,6 @@ class Store:
     def __len__(self) -> int:
         return len(self._items)
 
-    @property
-    def items(self) -> list[Any]:
-        """Snapshot of queued items (oldest first)."""
-        return list(self._items)
-
-    def put(self, item: Any) -> Event:
-        """Enqueue *item*; the returned event has already succeeded."""
-        event = Event(self.kernel)
-        event.succeed()
-        self.put_nowait(item)
-        return event
-
     def put_nowait(self, item: Any) -> None:
         self._items.append(item)
         self._dispatch()
@@ -55,12 +42,6 @@ class Store:
         self._getters.append(event)
         self._dispatch()
         return event
-
-    def get_nowait(self) -> Any:
-        """Non-blocking get; raises if empty."""
-        if not self._items:
-            raise SimulationError("store is empty")
-        return self._items.popleft()
 
     def _dispatch(self) -> None:
         while self._getters and self._items:

@@ -42,11 +42,6 @@ class RandomStreams:
         self._seed = seed
         self._streams: dict[str, np.random.Generator] = {}
 
-    @property
-    def seed(self) -> int:
-        """The master seed this family was created with."""
-        return self._seed
-
     def get(self, name: str) -> np.random.Generator:
         """Return the generator for *name*, creating it deterministically.
 
@@ -58,14 +53,6 @@ class RandomStreams:
             sub = np.random.SeedSequence([self._seed, zlib.crc32(name.encode("utf-8"))])
             self._streams[name] = np.random.default_rng(sub)
         return self._streams[name]
-
-    def spawn(self, name: str) -> "RandomStreams":
-        """Derive an independent child family, e.g. per replication run."""
-        return RandomStreams(zlib.crc32(name.encode("utf-8"), self._seed) & 0x7FFFFFFF)
-
-    def names(self) -> list[str]:
-        """Names of all streams created so far (sorted)."""
-        return sorted(self._streams)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"RandomStreams(seed={self._seed}, streams={len(self._streams)})"

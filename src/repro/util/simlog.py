@@ -25,11 +25,6 @@ class LogRecord:
     message: str
     fields: dict = field(default_factory=dict)
 
-    def format(self) -> str:
-        """Render as ``[   12.345s] INFO  source: message k=v``."""
-        extra = "".join(f" {k}={v!r}" for k, v in sorted(self.fields.items()))
-        return f"[{self.time:>10.4f}s] {self.level:<7} {self.source}: {self.message}{extra}"
-
     def to_dict(self) -> dict:
         """Machine-readable form; the ``type`` discriminator keeps log
         records distinguishable from trace spans in one merged JSONL

@@ -33,7 +33,7 @@ class TestJoin:
     def test_new_head_joins_and_receives_state(self, stack):
         client = stack.client(node="login")
         ids = [drive(stack, client.jsub(name=f"pre{i}", walltime=900)) for i in range(3)]
-        node = stack.add_head("head2")
+        node = stack.add_head()
         settle(stack, 6.0)
         joshua2 = stack.joshua("head2")
         assert joshua2.active
@@ -42,7 +42,7 @@ class TestJoin:
     def test_joined_head_serves_commands(self, stack):
         client = stack.client(node="login")
         drive(stack, client.jsub(name="pre", walltime=900))
-        stack.add_head("head2")
+        stack.add_head()
         settle(stack, 6.0)
         joined_client = stack.client(node="login", prefer="head2")
         job_id = drive(stack, joined_client.jsub(name="via-joiner", walltime=900))
@@ -54,7 +54,7 @@ class TestJoin:
         client = stack.client(node="login")
         job_id = drive(stack, client.jsub(name="inflight", walltime=12.0))
         settle(stack, 3.0)  # running
-        stack.add_head("head2")
+        stack.add_head()
         stack.cluster.run(until=60.0)
         # The joiner learns the job and sees its completion (multi-server
         # obits now include it), and the job ran exactly once.
@@ -67,7 +67,7 @@ class TestJoin:
         (marker cut + post-marker execution)."""
         client = stack.client(node="login", prefer="head0")
         drive(stack, client.jsub(name="pre", walltime=900))
-        stack.add_head("head2")
+        stack.add_head()
         # Submit while the join/state transfer is still in progress.
         racing = [
             stack.cluster.kernel.spawn(client.jsub(name=f"race{i}", walltime=900))
@@ -92,7 +92,7 @@ class TestJoin:
                 stack.pbs(head).address,
             )
             drive(stack, pbs_client.qhold(held_id))
-        stack.add_head("head2")
+        stack.add_head()
         settle(stack, 6.0)
         assert held_id not in stack.pbs("head2").jobs  # skipped
         assert "1.joshua" in stack.pbs("head2").jobs
@@ -102,7 +102,7 @@ class TestJoin:
         drive(stack, client.jsub(name="a", walltime=1.0))
         drive(stack, client.jsub(name="b", walltime=1.0))
         stack.cluster.run(until=30.0)  # both complete
-        stack.add_head("head2")
+        stack.add_head()
         settle(stack, 6.0)
         new_id = drive(stack, stack.client(node="login", prefer="head2").jsub(name="c"))
         # Completed jobs are not transferred, but the id counter is — no
@@ -250,7 +250,7 @@ class TestLostPush:
         for i in range(3):
             drive(stack, client.jsub(name=f"pre{i}", walltime=900))
         drop_first_cut_pushes(stack.cluster.network)
-        stack.add_head("head2")
+        stack.add_head()
         settle(stack, 15.0)
         joined = stack.joshua("head2").shards[0]
         assert joined.active

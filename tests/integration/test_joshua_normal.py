@@ -188,9 +188,8 @@ class TestExactlyOnceExecution:
         ids = [drive(stack, client.jsub(name=f"f{i}", walltime=1.0)) for i in range(3)]
         stack.cluster.run(until=40.0)
         for head in stack.head_names:
-            acct = stack.pbs(head).accounting
-            starts = {r.job_id: r.time for r in acct.events("S")}
-            assert starts[ids[0]] < starts[ids[1]] < starts[ids[2]]
+            starts = [stack.pbs(head).jobs.get(job_id).start_time for job_id in ids]
+            assert starts[0] < starts[1] < starts[2]
 
     def test_mutex_released_after_completion(self, stack):
         job_id = drive(stack, stack.client().jsub(name="rel", walltime=1.0))

@@ -121,7 +121,7 @@ class TestJobCounterSurvivesRejoinedSponsor:
             # flush_timeout, and this test is about what comes after.)
             step_until(stack, lambda: stack.joshua(head).active, limit=30.0)
         # A third head joins; both sponsors have themselves rejoined.
-        stack.add_head("head2")
+        stack.add_head()
         step_until(stack, lambda: stack.joshua("head2").active, limit=10.0)
         job_id = drive(stack, client.jsub(name="next", walltime=900))
         settle(stack, 1.0)

@@ -185,7 +185,7 @@ class TestJoin:
         cluster, mds, client = make_mds(heads=2)
         drive(cluster, client.mkdir("/base"))
         drive(cluster, client.create("/base/seed.dat"))
-        mds.add_replica("head2")
+        mds.add_replica()
         cluster.run(until=cluster.kernel.now + 5.0)
         replica = mds.replica("head2")
         assert replica.active
@@ -194,7 +194,7 @@ class TestJoin:
     def test_joined_replica_stays_consistent(self):
         cluster, mds, client = make_mds(heads=2)
         drive(cluster, client.mkdir("/base"))
-        mds.add_replica("head2")
+        mds.add_replica()
         cluster.run(until=cluster.kernel.now + 5.0)
         drive(cluster, client.create("/base/post-join.dat"))
         cluster.run(until=cluster.kernel.now + 1.0)
@@ -213,7 +213,7 @@ class TestJoin:
         request = ReplRequest("fixed-join", Create("/once.dat"))
         first = drive(cluster, rpc_call(
             cluster.network, "login", mds.addresses()[0], request))
-        mds.add_replica("head2")
+        mds.add_replica()
         cluster.run(until=cluster.kernel.now + 5.0)
         assert mds.replica("head2").active
         retry = drive(cluster, rpc_call(
@@ -231,7 +231,7 @@ class TestJoin:
     def test_ops_racing_the_join_not_lost(self):
         cluster, mds, client = make_mds(heads=2)
         drive(cluster, client.mkdir("/race"))
-        mds.add_replica("head2")
+        mds.add_replica()
         racing = [
             cluster.kernel.spawn(client.create(f"/race/f{i}"))
             for i in range(3)

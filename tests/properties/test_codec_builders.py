@@ -55,7 +55,7 @@ def _constructing_clone():
     """A fresh codec over ``WIRE``'s registry whose every record builds with
     ``cls(*values)``."""
     codec = Codec()
-    for cls in WIRE.registered_records():
+    for cls in sorted(WIRE._records_by_type, key=lambda cls: cls.__name__):
         codec.register(cls)
     for cls in WIRE._enums_by_name.values():
         codec.register_enum(cls)

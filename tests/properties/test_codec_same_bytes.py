@@ -45,7 +45,7 @@ GOLDEN = {f["name"]: bytes.fromhex(f["hex"])
 def _fresh() -> Codec:
     """A codec with ``WIRE``'s records and enums and an empty memo."""
     codec = Codec()
-    for cls in WIRE.registered_records():
+    for cls in sorted(WIRE._records_by_type, key=lambda cls: cls.__name__):
         codec.register(cls)
     for cls in WIRE._enums_by_name.values():
         codec.register_enum(cls)

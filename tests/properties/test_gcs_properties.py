@@ -194,7 +194,7 @@ def test_safe_delivery_implies_all_members_hold_copy(seed, safe_count):
 
     def check(msg):
         held_at_delivery.append(
-            all(members[name].queue.has_data(msg.msg_id) for name in names)
+            all(msg.msg_id in members[name].queue._data for name in names)
         )
 
     members["n0"].on_deliver = check
@@ -245,7 +245,7 @@ def test_ready_cursor_equals_rescan_from_zero(ops):
     queues = [DeliveryQueue(MEMBERS[0]), RescanQueue(MEMBERS[0])]
     view_id = 1
     for queue in queues:
-        queue.start_view(View.make(view_id, MEMBERS), ())
+        queue.start_view(View(view_id, tuple(MEMBERS)), ())
     base = 0  # seqs 0..base-1 belong to the closing list
 
     def message(view, slot):
@@ -276,7 +276,7 @@ def test_ready_cursor_equals_rescan_from_zero(ops):
             ]
             view_id += 1
             base = len(closing)
-            results = [q.start_view(View.make(view_id, MEMBERS), closing)
+            results = [q.start_view(View(view_id, tuple(MEMBERS)), closing)
                        for q in queues]
         assert results[0] == results[1], op
     assert queues[0].agreed_ready_through() == queues[1].agreed_ready_through()

@@ -138,7 +138,7 @@ class TestCaptureForAShardNotHosted:
         token = cluster.network.add_drop_filter(
             lambda src, dst, payload: isinstance(payload, StateXferResp)
             and src.node != "login")
-        stack.add_head("head2")
+        stack.add_head()
         joined = stack.joshua("head2").shards[0]
         settle(stack, 1.0)
         assert joined.syncing_marker is not None and not joined.active

@@ -121,8 +121,8 @@ def test_queue_fifo_matches_reference_model(actions):
             except PBSError:
                 pass
     expected = next((j for j, s in model if s == "Q"), None)
-    actual = queue.first_eligible()
-    assert (actual.job_id if actual else None) == expected
+    decision = fifo_decide([j.stat_row() for j in queue.snapshot()], [("c0", True)])
+    assert (decision[0] if decision else None) == expected
 
 
 # -- replicated determinism through the whole JOSHUA stack ----------------------

@@ -242,6 +242,7 @@ class TestExperimentSmoke:
     def test_model_comparison_single_model(self, monkeypatch):
         from repro.bench.experiments import models
         monkeypatch.setattr(models, "HORIZON", 120.0)
-        report = models.run_model("symmetric", jobs=5)
+        monkeypatch.setattr(models, "JOBS", 5)
+        report = models.run_model("symmetric")
         assert report.submitted == 5
         assert report.lost == 0

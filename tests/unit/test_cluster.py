@@ -54,11 +54,6 @@ class TestClusterBuilder:
         with pytest.raises(ClusterError):
             Cluster(head_count=1, compute_count=-1)
 
-    def test_live_heads(self, cluster):
-        assert len(cluster.live_heads()) == 2
-        cluster.heads[0].crash()
-        assert [n.name for n in cluster.live_heads()] == ["head1"]
-
     def test_shared_storage_exists(self, cluster):
         assert isinstance(cluster.shared_storage, SharedStorage)
 
@@ -274,7 +269,7 @@ class TestStorage:
         disk.write("b", 1)
         disk.write("a", 2)
         assert disk.keys() == ["a", "b"]
-        disk.wipe()
+        disk.delete_prefix("")
         assert disk.keys() == []
 
     def test_prefix_enumeration_is_sorted_not_write_order(self):

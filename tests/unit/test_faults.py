@@ -213,17 +213,17 @@ class TestFaultInjector:
         cluster, injector = self.make()
         injector.apply(FaultSchedule().freeze(1.0, "compute0", 1.0))
         cluster.run(until=1.5)
-        assert cluster.network.node_is_paused("compute0")
+        assert "compute0" in cluster.network._paused
         cluster.run(until=2.5)
-        assert not cluster.network.node_is_paused("compute0")
+        assert "compute0" not in cluster.network._paused
 
     def test_slow_node_episode(self):
         cluster, injector = self.make()
         injector.apply(FaultSchedule().slow_node(1.0, "head1", 0.02, 1.0))
         cluster.run(until=1.5)
-        assert cluster.network.node_slowdown("head1") == 0.02
+        assert cluster.network._slowdown.get("head1", 0.0) == 0.02
         cluster.run(until=2.5)
-        assert cluster.network.node_slowdown("head1") == 0.0
+        assert cluster.network._slowdown.get("head1", 0.0) == 0.0
 
     def test_token_loss_installs_and_removes_filter(self):
         cluster, injector = self.make()
@@ -250,8 +250,8 @@ class TestFaultInjector:
         assert cluster.network.partitions.reachable("head1", "compute0")
         assert not cluster.network.partitions.cut_links
         assert cluster.network.lan is injector._baseline_lan
-        assert not cluster.network.node_is_paused("compute0")
-        assert cluster.network.node_slowdown("head1") == 0.0
+        assert "compute0" not in cluster.network._paused
+        assert cluster.network._slowdown.get("head1", 0.0) == 0.0
 
 
 class TestFailureSchedule:

@@ -57,7 +57,7 @@ class TestDataBatcher:
         cap = Capture()
         kw.setdefault("max_delay", 0.02)
         batcher = DataBatcher(kernel, cap, **kw)
-        batcher.start_view(View.make(1, [addr(1), addr(2), addr(3)]))
+        batcher.start_view(View(1, (addr(1), addr(2), addr(3))))
         return kernel, cap, batcher
 
     def test_validation(self):
@@ -157,10 +157,10 @@ class TestDataBatcher:
     def test_view_change_discards_pending_and_kills_timer(self):
         kernel, cap, batcher = self.make()
         batcher.submit(mid(1, 0), "agreed", "a")
-        batcher.start_view(View.make(2, [addr(1), addr(2)]))
+        batcher.start_view(View(2, (addr(1), addr(2))))
         kernel.run(until=0.05)
         assert cap.broadcasts == []  # stale batch never crossed the wire
-        assert batcher.pending() == 0
+        assert len(batcher._entries) == 0
 
     def test_stale_timer_cannot_flush_new_views_batch_early(self):
         """Mirror of the sequencer's reused-view-id regression: a timer
@@ -169,7 +169,7 @@ class TestDataBatcher:
         batcher.submit(mid(1, 0), "agreed", "old")  # timer due at 0.02
         kernel.run(until=0.012)
         batcher.stop()
-        batcher.start_view(View.make(1, [addr(1), addr(2)]))  # same view id
+        batcher.start_view(View(1, (addr(1), addr(2))))  # same view id
         batcher.submit(mid(1, 1), "agreed", "new")  # own timer due at 0.032
         kernel.run(until=0.025)  # past the stale timer's deadline
         assert cap.broadcasts == []
@@ -184,7 +184,7 @@ class TestDataBatcher:
             kernel, Capture(), max_delay=0.02, max_msgs=2,
             on_flush=lambda count, reason: flushed.append((count, reason)),
         )
-        batcher.start_view(View.make(1, [addr(1)]))
+        batcher.start_view(View(1, (addr(1),)))
         batcher.submit(mid(1, 0), "agreed", "a")
         batcher.submit(mid(1, 1), "agreed", "b")
         batcher.submit(mid(1, 2), "agreed", "c")
@@ -215,7 +215,7 @@ def coalescing(request):
     (ids ``mid(2, c)`` arriving as DATA from a peer)."""
     kernel = Kernel()
     cap = Capture()
-    view = View.make(1, [addr(1), addr(2), addr(3)])
+    view = View(1, (addr(1), addr(2), addr(3)))
     if request.param == "data":
         coalescer = DataBatcher(kernel, cap, max_delay=0.02, max_msgs=BUDGET)
         coalescer.start_view(view)
@@ -291,7 +291,7 @@ class TestSharedCoalescerRules:
         entries = coalescer.drain()
         assert frame_ids(coalescer.build(1, entries)) == [mid(2, 0), mid(2, 1)]
         assert coalescer.drain() == ()
-        assert coalescer.pending() == 0
+        assert len(coalescer._entries) == 0
         kernel.run(until=0.05)
         assert cap.broadcasts == []  # the drained batch is the caller's
 
@@ -303,7 +303,7 @@ class TestSequencerSizeTrigger:
         engine = SequencerEngine(
             kernel, addr(1), cap, lambda dst, msg: None, batch_delay=batch_delay,
         )
-        engine.start_view(View.make(1, [addr(1), addr(2), addr(3)]), 0)
+        engine.start_view(View(1, (addr(1), addr(2), addr(3))), 0)
         return kernel, cap, engine
 
     def test_full_batch_flushes_without_waiting(self):
@@ -439,7 +439,7 @@ class TestMemberDataBatching:
         # These sit in n1's batcher: the 5 s window dwarfs the run.
         h.members["n1"].multicast("held-a")
         h.members["n1"].multicast("held-b")
-        assert h.members["n1"].batcher.pending() == 2
+        assert len(h.members["n1"].batcher._entries) == 2
         h.crash("n2")  # forces a flush + view change at n0/n1
         h.kernel.run(until=5.0)
         for name in ("n0", "n1"):
@@ -463,7 +463,7 @@ class TestSequencerBatchDropRegression:
         # 0.5 s ORDER batch window, assignments made but never broadcast.
         h.kernel.run(until=0.6)
         seq_engine = h.members["n0"].engine
-        assert seq_engine.batcher.pending() == 4  # the bug's precondition
+        assert len(seq_engine.batcher._entries) == 4  # the bug's precondition
         h.crash("n0")
         h.kernel.run(until=6.0)
         for name in ("n1", "n2"):
@@ -482,7 +482,7 @@ class TestSequencerBatchDropRegression:
         for k in range(4):
             h.members["n2"].multicast(f"m{k}")
         h.kernel.run(until=0.6)
-        assert h.members["n0"].engine.batcher.pending() == 4
+        assert len(h.members["n0"].engine.batcher._entries) == 4
         h.crash("n2")  # sequencer n0 survives; the sender dies
         h.kernel.run(until=6.0)
         for name in ("n0", "n1"):

@@ -17,7 +17,7 @@ def addr(i):
 class TestQueueGC:
     def make(self):
         queue = DeliveryQueue(addr(1))
-        queue.start_view(View.make(1, [addr(1), addr(2)]), ())
+        queue.start_view(View(1, (addr(1), addr(2))), ())
         return queue
 
     def deliver(self, queue, sender, counter, seq):

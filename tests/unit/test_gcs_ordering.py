@@ -54,7 +54,7 @@ class TestSequencerEngine:
         engine = SequencerEngine(
             kernel, addr(rank), cap.broadcast, cap.send, batch_delay=batch_delay
         )
-        engine.start_view(View.make(1, [addr(1), addr(2), addr(3)]), 0)
+        engine.start_view(View(1, (addr(1), addr(2), addr(3))), 0)
         return kernel, cap, engine
 
     def test_sequencer_orders_in_arrival_order(self):
@@ -78,7 +78,7 @@ class TestSequencerEngine:
     def test_view_change_resets_counter(self):
         kernel, cap, engine = self.make(rank=1)
         engine.on_data(mid(2, 0), own=False)
-        engine.start_view(View.make(2, [addr(1), addr(2)]), 5)
+        engine.start_view(View(2, (addr(1), addr(2))), 5)
         engine.on_data(mid(2, 1), own=False)
         assert cap.broadcasts[-1].assignments == ((5, mid(2, 1)),)
 
@@ -94,7 +94,7 @@ class TestSequencerEngine:
     def test_batch_dropped_on_view_change(self):
         kernel, cap, engine = self.make(rank=1, batch_delay=0.01)
         engine.on_data(mid(2, 0), own=False)
-        engine.start_view(View.make(2, [addr(1), addr(2)]), 0)
+        engine.start_view(View(2, (addr(1), addr(2))), 0)
         kernel.run(until=0.05)
         assert cap.broadcasts == []  # stale batch never flushed
 
@@ -118,7 +118,7 @@ class TestSequencerEngine:
         kernel.run(until=0.012)
         engine.stop()
         # Same view id, fresh membership epoch (e.g. a quick rejoin).
-        engine.start_view(View.make(1, [addr(1), addr(2), addr(3)]), 5)
+        engine.start_view(View(1, (addr(1), addr(2), addr(3))), 5)
         engine.on_data(mid(3, 0), own=False)
         kernel.run(until=0.025)  # old timer's deadline (0.02) passes here
         assert cap.broadcasts == []  # new batch must still be held
@@ -132,7 +132,7 @@ class TestTokenRingEngine:
         kernel = Kernel()
         cap = Capture()
         engine = TokenRingEngine(kernel, addr(rank), cap.broadcast, cap.send)
-        engine.start_view(View.make(1, [addr(1), addr(2), addr(3)]), 0)
+        engine.start_view(View(1, (addr(1), addr(2), addr(3))), 0)
         return kernel, cap, engine
 
     def test_coordinator_regenerates_token(self):
@@ -170,7 +170,7 @@ class TestTokenRingEngine:
     def test_view_change_invalidates_inflight_pass(self):
         kernel, cap, engine = self.make(rank=2)
         engine.on_token(addr(1), TokenMsg(1, 0))
-        engine.start_view(View.make(2, [addr(2), addr(3)]), 0)
+        engine.start_view(View(2, (addr(2), addr(3))), 0)
         cap.sends.clear()
         kernel.run(until=engine.idle_delay * 3)
         # Only the new view's token circulates; the old pass was dropped.

@@ -213,7 +213,7 @@ class TestBeaconOnlyRepair:
         assert n0.stats["stable_repairs"] == 0
         assert n0.recovery.future == {}
         assert n0.queue.stable_through() == -1
-        assert not n0.detector.is_suspected(h.addr("n1"))
+        assert h.addr("n1") not in n0.detector.suspected
 
 
 class TestOwnCopyIsRepaired:

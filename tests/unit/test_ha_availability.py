@@ -108,7 +108,7 @@ class TestFigure12:
 class TestMonteCarlo:
     def test_single_node_matches_equation1(self):
         result = monte_carlo_availability(
-            1, mttf_hours=50, mttr_hours=10, horizon_years=60, seed=3
+            1, mttf_hours=50, mttr_hours=10, horizon_years=60
         )
         expected = node_availability(50, 10)
         assert result.availability == pytest.approx(expected, abs=0.01)
@@ -116,23 +116,23 @@ class TestMonteCarlo:
     def test_two_nodes_match_equation2(self):
         # Short MTTF/MTTR so overlapping outages actually occur.
         result = monte_carlo_availability(
-            2, mttf_hours=20, mttr_hours=10, horizon_years=150, seed=5
+            2, mttf_hours=20, mttr_hours=10, horizon_years=150
         )
         expected = service_availability(node_availability(20, 10), 2)
         assert result.availability == pytest.approx(expected, abs=0.01)
 
     def test_redundancy_reduces_downtime(self):
         one = monte_carlo_availability(1, mttf_hours=20, mttr_hours=10,
-                                       horizon_years=80, seed=7)
+                                       horizon_years=80)
         two = monte_carlo_availability(2, mttf_hours=20, mttr_hours=10,
-                                       horizon_years=80, seed=7)
+                                       horizon_years=80)
         assert two.downtime_seconds_per_year < one.downtime_seconds_per_year
 
     def test_deterministic_given_seed(self):
         a = monte_carlo_availability(2, mttf_hours=20, mttr_hours=10,
-                                     horizon_years=20, seed=9)
+                                     horizon_years=20)
         b = monte_carlo_availability(2, mttf_hours=20, mttr_hours=10,
-                                     horizon_years=20, seed=9)
+                                     horizon_years=20)
         assert a == b
 
     def test_validation(self):

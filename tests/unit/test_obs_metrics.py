@@ -159,7 +159,6 @@ class TestMetricsRegistry:
         reg.gauge("z.depth", node="a").set(3)
         reg.counter("a.count").inc()
         reg.histogram("m.lat", request="Ping").observe(0.02)
-        assert reg.names() == ["a.count", "m.lat", "z.depth"]
         snap = reg.snapshot()
         assert [r["name"] for r in snap] == ["a.count", "m.lat", "z.depth"]
         json.dumps(snap)  # must be JSON-native end to end

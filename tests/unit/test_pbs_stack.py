@@ -78,8 +78,8 @@ class TestExecution:
         client = stack.client()
         ids = [drive(stack, client.qsub(name=f"j{i}", walltime=1.0)) for i in range(3)]
         stack.cluster.run(until=30.0)
-        starts = {r.job_id: r.time for r in stack.server.accounting.events("S")}
-        assert starts[ids[0]] < starts[ids[1]] < starts[ids[2]]
+        starts = [stack.server.jobs.get(job_id).start_time for job_id in ids]
+        assert starts[0] < starts[1] < starts[2]
 
     def test_exclusive_one_job_at_a_time(self, stack):
         client = stack.client()
@@ -110,8 +110,9 @@ class TestExecution:
         client = stack.client()
         job_id = drive(stack, client.qsub(name="acct", walltime=1.0))
         stack.cluster.run(until=10.0)
-        events = [r.event for r in stack.server.accounting.for_job(job_id)]
-        assert events == ["Q", "S", "E"]
+        job = stack.server.jobs.get(job_id)
+        assert job.state is JobState.COMPLETE
+        assert job.submit_time < job.start_time < job.end_time
 
 
 class TestDeleteHoldSignal:
@@ -397,9 +398,10 @@ class TestSchedulerView:
         server = stack.head.start_daemon("pbs_server")
         behind = drive(stack, client.qsub(name="behind", walltime=0.5))
         cluster.run(until=10.0)
-        log = [(r.event, r.job_id) for r in server.accounting.records]
-        assert [job for event, job in log if event == "S"] == [*held, behind]
-        assert log.index(("S", behind)) > log.index(("E", runner))
+        job = server.jobs.get
+        assert job(runner).start_time < 1.5 < job(held[0]).start_time \
+            < job(held[1]).start_time < job(behind).start_time
+        assert job(behind).start_time > job(runner).end_time
         assert server.jobs.get(behind).state is JobState.COMPLETE
         assert sum(mom.stats["runs"] for mom in stack.moms) == 4
         assert_sanitizer_clean(cluster.kernel)

@@ -34,7 +34,7 @@ class TestParse:
         assert first.job_number == 1
         assert first.run_time == 3600
         assert first.requested_procs == 64
-        assert first.completed
+        assert first.status == 1  # completed
 
     def test_status_codes(self):
         records = parse_swf(SAMPLE)

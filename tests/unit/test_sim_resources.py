@@ -3,7 +3,6 @@
 import pytest
 
 from repro.sim import Kernel, Store
-from repro.util.errors import SimulationError
 
 
 @pytest.fixture
@@ -17,7 +16,7 @@ class TestStore:
         got = []
         def consumer(k):
             got.append((yield store.get()))
-        store.put("msg")
+        store.put_nowait("msg")
         kernel.spawn(consumer(kernel))
         kernel.run()
         assert got == ["msg"]
@@ -29,7 +28,7 @@ class TestStore:
             got.append(((yield store.get()), k.now))
         def producer(k):
             yield k.timeout(5)
-            store.put("late")
+            store.put_nowait("late")
         kernel.spawn(consumer(kernel))
         kernel.spawn(producer(kernel))
         kernel.run()
@@ -38,7 +37,7 @@ class TestStore:
     def test_fifo_order_items(self, kernel):
         store = Store(kernel)
         for i in range(3):
-            store.put(i)
+            store.put_nowait(i)
         got = []
         def consumer(k):
             while True:
@@ -56,22 +55,17 @@ class TestStore:
         kernel.spawn(consumer(kernel, "second"))
         def producer(k):
             yield k.timeout(1)
-            store.put("a")
-            store.put("b")
+            store.put_nowait("a")
+            store.put_nowait("b")
         kernel.spawn(producer(kernel))
         kernel.run()
         assert got == [("first", "a"), ("second", "b")]
 
-    def test_get_nowait_empty_raises(self, kernel):
-        with pytest.raises(SimulationError, match="empty"):
-            Store(kernel).get_nowait()
-
     def test_len_and_items(self, kernel):
         store = Store(kernel)
-        store.put(1)
-        store.put(2)
+        store.put_nowait(1)
+        store.put_nowait(2)
         assert len(store) == 2
-        assert store.items == [1, 2]
 
     def test_cancel_all_fails_waiters(self, kernel):
         store = Store(kernel)
@@ -106,7 +100,7 @@ class TestStore:
             yield k.timeout(1)
             v.interrupt()
             yield k.timeout(1)
-            store.put("item")
+            store.put_nowait("item")
         kernel.spawn(driver(kernel))
         kernel.run()
         assert got == ["item"]
