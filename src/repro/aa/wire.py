@@ -9,9 +9,10 @@ sponsor pushes, and the commit-position stamp. JOSHUA's protocol is these
 plus its own client and launch-mutex records (:mod:`repro.joshua.wire`
 re-exports them, so a JOSHUA frame is still looked up in one place).
 
-The codec tags frames by class name, so the records kept their names and
-field lists when they moved here from ``joshua/wire.py``: frames are
-byte-identical (``tests/data/wire_baseline.json`` pins that).
+The records kept their names and field lists when they moved here from
+``joshua/wire.py``. Their record numbers follow the order
+``repro/__init__.py`` imports the wire modules in, so moving a record to
+another module is a wire change (``WIRE_SCHEMA.lock`` shows it).
 """
 
 from __future__ import annotations

@@ -11,9 +11,7 @@ Checked invariants:
 
 * **total order** — every surviving head delivers the same message at the
   same ``(view, seq)``. Views are keyed by ``(view_id, member set)`` so two
-  partition sides that reuse a numeric view id are not false-compared;
-  transitional deliveries (``seq == -1``) are outside the per-view order
-  map and skipped.
+  partition sides that reuse a numeric view id are not false-compared.
 * **exactly-once launch** — no job ever has two *real* executions in flight
   at once (hard violation at the moment it happens), and across the whole
   run a job gains extra launches only if launch-mutex revocations
@@ -182,8 +180,8 @@ class InvariantSuite:
     # -- live recorders ------------------------------------------------------
 
     def _record_delivery(self, head: str, member, msg: DeliveredMessage) -> None:
-        if msg.seq < 0 or member.view is None:
-            return  # transitional delivery: outside the per-view order map
+        if member.view is None:
+            return
         key = (msg.view_id, member.view.members)
         slot = self._order.setdefault(key, {})
         existing = slot.get(msg.seq)

@@ -7,7 +7,7 @@ installation of the next view lives here —
 * the *trigger sets* (pending joiners/leavers, re-admitting incarnations,
   manually-suspected flush non-responders);
 * initiator election (lowest-ranked unsuspected member of the view);
-* the flush conversation: ``FlushReq(epoch, proposed)`` → ``FlushOk``
+* the flush conversation: ``FlushReq(epoch)`` → ``FlushOk``
   reports → closing-list construction → ``NewView`` fan-out;
 * the epoch total order ``(new_view_id, attempt, initiator)`` that resolves
   competing flushes: members honour only the highest epoch seen, and an
@@ -168,7 +168,7 @@ class FlushEngine:
         m.state = FLUSHING
         self.entered_at = m.kernel.now
         m.stats["flushes_started"] += 1
-        req = FlushReq(epoch, proposed_tuple)
+        req = FlushReq(epoch)
         for member in proposed_tuple:
             if member == m.address:
                 self.on_flush_req(m.address, req)

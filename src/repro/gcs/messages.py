@@ -168,7 +168,6 @@ class FlushReq:
     """
 
     epoch: tuple
-    proposed_members: tuple[Address, ...]
 
 
 @dataclass(frozen=True)

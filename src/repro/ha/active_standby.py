@@ -127,9 +127,6 @@ class FailoverMonitor(Daemon):
             _mirror_server_records(self.shared, self.node.disk)
         self.node.start_daemon("pbs_server")
         self.node.start_daemon("maui")
-        # The checkpointing duty follows the active role.
-        if "ckpt" in self.node._daemon_factories and "ckpt" not in self.node.daemons:
-            self.node.start_daemon("ckpt")
         # Orphaned applications restart: purge the moms, point them at us.
         for mom in self.moms:
             self.endpoint.send(mom, AdminPurge())
@@ -171,11 +168,6 @@ class ActiveStandbySystem:
         # Standby: cold daemons registered but not started, plus the monitor.
         install_head_daemons(
             self.standby, moms=mom_addresses, service_times=ERA_2006,
-            start=False,
-        )
-        self.standby.add_daemon(
-            "ckpt",
-            lambda n: _CheckpointDaemon(n, shared=shared, interval=self.checkpoint_interval),
             start=False,
         )
         self.monitor: FailoverMonitor = self.standby.add_daemon(

@@ -25,17 +25,20 @@ tag    encoding
 0x07   ``tuple`` — varint count + encoded items
 0x08   ``list`` — varint count + encoded items
 0x09   ``dict`` — varint count + encoded key/value pairs, insertion order
-0x0A   registered record — varint name length + UTF-8 name + encoded
-       fields in declaration order
-0x0B   registered enum — name + encoded member value
+0x0A+  registered record or enum number *n* — the one byte ``0x0A + n``, then
+       the encoded fields in declaration order (an enum: its member value)
 =====  ======================================================================
 
-Records are tagged by **class name** (stable across processes and import
-orders, unlike a numeric id assigned at registration time); the registry
-rejects duplicate names. Sets and unregistered classes are *encode errors*:
-sets would smuggle hash order onto the wire, and an unregistered dataclass
-is a wire type the protocol layer forgot to declare. Both also fail at
-import (the registration contract below).
+A record's identity is its **number**, assigned in registration order, and
+its head is that one byte (so at most 246 records and enums, ``0x0A`` to
+``0xFF``). A number means something only to a codec with the same
+registry, and that is what a group guarantees: the numbering is part of
+:meth:`Codec.schema`, so of the digest every joiner presents (one schema
+per group, below). The registry rejects a second class under a taken name.
+Sets and unregistered classes are *encode errors*: sets would smuggle hash
+order onto the wire, and an unregistered dataclass is a wire type the
+protocol layer forgot to declare. Both also fail at import (the
+registration contract below).
 
 One schema per group
 --------------------
@@ -56,17 +59,16 @@ every record; none moves a byte of any frame.
 
 * **Encode** — :class:`PlainFragment` holds the bytes of a builtins-only
   value, encoded once by its owner; the encoder splices them verbatim.
-* **Records** — each registered record carries its complete head bytes
-  (tag, name length, name) and one getter returning all its field values
-  at once; the encoder appends the head and iterates the values. The
-  decoder finds the record by the raw bytes of its name, decodes the
-  fields in one loop and makes the record through its ``build``, chosen
-  once at registration: ``tuple.__new__`` for a
+* **Records** — each registered record carries its tag byte and one
+  getter returning all its field values at once; the encoder appends the
+  tag and iterates the values. The decoder finds the record by its number
+  in a table, decodes the fields in one loop and makes the record through
+  its ``build``, chosen once at registration: ``tuple.__new__`` for a
   NamedTuple, a function compiled there that fills a fresh instance's
   ``__dict__`` for a dataclass whose generated ``__init__`` only stores
   its arguments, and ``cls(*values)`` for anything else (``JobSpec``
   validates in ``__post_init__``, and what it refuses stays a decode
-  error).
+  error; an enum is ``cls(value)``).
 * **Decode** — each :class:`Codec` keeps a bounded memo of the plain dicts
   it has decoded: complete encoding -> ``marshal`` snapshot of the value,
   indexed by the encoding's first ``_MEMO_KEY`` bytes -> the lengths
@@ -86,13 +88,13 @@ every record; none moves a byte of any frame.
 Registry
 --------
 Registration is decentralised to respect the layering contract: each wire
-module calls :func:`register_wire_types` / :func:`register_wire_enum` on its
-own dataclasses at import time (``gcs/messages.py`` registers the GCS
-messages, ``pbs/wire.py`` the PBS requests, ...), and the package's
-``__init__`` imports every wire module, so the registry is the same in
-every process. The module-level ``WIRE`` singleton is append-only and
-written only at import time, so it stays safe for two simulations sharing
-one interpreter.
+module calls :func:`register_wire_types` on its own dataclasses and enums
+at import time (``gcs/messages.py`` registers the GCS messages,
+``pbs/wire.py`` the PBS requests, ...), and the package's ``__init__``
+imports every wire module in one fixed order, so the registry and its
+numbering are the same in every process. The module-level ``WIRE``
+singleton is append-only and written only at import time, so it stays safe
+for two simulations sharing one interpreter.
 
 The registry is also the wire schema: :meth:`Codec.schema` renders it as
 the committed ``WIRE_SCHEMA.lock``, one entry of the golden harness
@@ -104,9 +106,9 @@ Registration contract
 Enforced when a wire module is imported, so a violation never reaches a
 frame:
 
-* a record is a dataclass or a NamedTuple (an ``Enum`` goes through
-  :func:`register_wire_enum`), and no field is ``set``/``frozenset``-typed;
-* a wire name belongs to one class;
+* a record is a dataclass, a NamedTuple or an ``Enum``, and no field is
+  ``set``/``frozenset``-typed;
+* a wire name belongs to one class, and a number fits the one head byte;
 * every dataclass, NamedTuple or Enum a registering module exports in
   ``__all__`` is registered (:meth:`Codec.self_check`), unless the class
   says why it never crosses the wire in a ``__wire_local__`` string.
@@ -136,7 +138,6 @@ __all__ = [
     "SCHEMA_VERSION",
     "WIRE",
     "register_wire_types",
-    "register_wire_enum",
     "encoded_size",
 ]
 
@@ -183,8 +184,8 @@ _T_BYTES = 0x06
 _T_TUPLE = 0x07
 _T_LIST = 0x08
 _T_DICT = 0x09
-_T_RECORD = 0x0A
-_T_ENUM = 0x0B
+#: Tag of record number 0; every byte from here to 0xFF is a record number.
+_FIRST_RECORD_TAG = 0x0A
 
 _FLOAT = struct.Struct(">d")
 
@@ -241,7 +242,7 @@ class PlainFragment:
 
     The value is encoded by a codec with an empty registry: a record or an
     enum inside it is a :class:`CodecError` (as is a set), so the bytes hold
-    no wire name and are the same under every registry. Decoding never
+    no record number and are the same under every registry. Decoding never
     produces a fragment — the receiver gets the plain value. Immutable; equal and
     hashed by its bytes; ``repr`` is the value's own (payload printers such
     as ``wiretrace`` cannot tell it from the value it stands for).
@@ -269,14 +270,14 @@ class PlainFragment:
 
 @dataclasses.dataclass(frozen=True, eq=False)
 class _Record:
-    """One registered record class: wire name, field order, the head every
-    frame of it starts with, one getter for all field values and one
-    builder of a fresh instance from them."""
+    """One registered record class (or enum): wire name, field order, the
+    tag byte every frame of it starts with, one getter for all field values
+    and one builder of a fresh instance from them."""
 
     name: str
     cls: type
     fields: tuple[str, ...]
-    head: bytes                   # tag + varint name length + UTF-8 name
+    tag: int                      # _FIRST_RECORD_TAG + the record's number
     getter: Any                   # value -> tuple of every field value
     build: Any                    # list of every field value -> instance
 
@@ -284,16 +285,18 @@ class _Record:
 def _record_fields(cls: type) -> tuple[str, ...]:
     if dataclasses.is_dataclass(cls):
         return tuple(f.name for f in dataclasses.fields(cls))
+    if isinstance(cls, enum.EnumMeta):
+        return ("value",)
     if issubclass(cls, tuple) and hasattr(cls, "_fields"):
         return tuple(cls._fields)
     raise CodecError(
-        f"{cls.__name__} is neither a dataclass nor a NamedTuple; "
+        f"{cls.__name__} is neither a dataclass, a NamedTuple nor an Enum; "
         "only declared record shapes can cross the wire"
     )
 
 
 #: Version of the format :meth:`Codec.schema` renders (``WIRE_SCHEMA.lock``).
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 
 _SET_ANNOTATION = re.compile(r"\b(set|Set|frozenset|FrozenSet)\b")
 
@@ -307,9 +310,12 @@ def _annotation_text(annotation: Any) -> str:
 
 
 def _record_annotations(cls: type) -> dict[str, str]:
-    """Field name -> annotation source text, inherited fields included."""
+    """Field name -> annotation source text, inherited fields included (an
+    enum's value has none)."""
     if dataclasses.is_dataclass(cls):
         return {f.name: _annotation_text(f.type) for f in dataclasses.fields(cls)}
+    if isinstance(cls, enum.EnumMeta):
+        return {}
     return {name: _annotation_text(cls.__annotations__[name]) for name in cls._fields}
 
 
@@ -340,14 +346,6 @@ def _module_path(cls: type) -> str:
     """The defining module as a path below its top-level package
     (``repro.gcs.messages`` -> ``gcs/messages.py``)."""
     return cls.__module__.split(".", 1)[-1].replace(".", "/") + ".py"
-
-
-def _record_head(wire_name: str) -> bytes:
-    """Everything a record frame holds before its first field."""
-    raw = wire_name.encode("utf-8")
-    head = bytearray((_T_RECORD,))
-    _encode_varint(len(raw), head)
-    return bytes(head + raw)
 
 
 def _record_getter(cls: type, fields: tuple[str, ...]) -> Any:
@@ -382,8 +380,8 @@ def _record_builder(cls: type, fields: tuple[str, ...]) -> Any:
       the same order (for a frozen record that skips one
       ``object.__setattr__`` call per field).
     * Anything else — a record that validates in ``__post_init__``, like
-      ``JobSpec`` — keeps ``cls(*values)``, so what it refuses still
-      surfaces as a decode error.
+      ``JobSpec``, or an enum — keeps ``cls(*values)``, so what it refuses
+      still surfaces as a decode error.
     """
     if issubclass(cls, tuple):
         return partial(tuple.__new__, cls)
@@ -413,10 +411,10 @@ def _record_builder(cls: type, fields: tuple[str, ...]) -> Any:
     return namespace["build"]
 
 
-def _make_record(wire_name: str, cls: type) -> _Record:
+def _make_record(wire_name: str, cls: type, tag: int) -> _Record:
     fields = _record_fields(cls)
     return _Record(
-        wire_name, cls, fields, _record_head(wire_name),
+        wire_name, cls, fields, tag,
         _record_getter(cls, fields), _record_builder(cls, fields),
     )
 
@@ -430,12 +428,11 @@ class Codec:
     """
 
     def __init__(self) -> None:
+        # Both tables hold the records and enums in registration order.
         self._records_by_name: dict[str, _Record] = {}
         self._records_by_type: dict[type, _Record] = {}
-        # The decoder's view of _records_by_name: UTF-8 name -> record.
-        self._records_by_raw: dict[bytes, _Record] = {}
-        self._enums_by_name: dict[str, type] = {}
-        self._enum_types: dict[type, str] = {}
+        # The decoder's table: number -> record.
+        self._numbered: list[_Record] = []
         # schema_digest(), memoised until the next registration.
         self._digest: str | None = None
         # Decode memo: complete encoding of a plain dict -> marshal snapshot
@@ -446,12 +443,13 @@ class Codec:
     # -- registration -----------------------------------------------------------
 
     def register(self, cls: type) -> type:
-        """Register a dataclass or NamedTuple as a wire record.
+        """Register a dataclass, NamedTuple or Enum as a wire record, under
+        the next number.
 
         A ``set``/``frozenset``-annotated field is an error (its iteration
-        order would leak host randomisation onto the wire). Idempotent for
-        the same class; a *different* class under an already-taken name is
-        an error (names are the wire tag and must be unique)."""
+        order would leak host randomisation onto the wire), and so is a
+        number past the one head byte. Idempotent for the same class; a
+        *different* class under an already-taken name is an error."""
         wire_name = cls.__name__
         existing = self._records_by_name.get(wire_name)
         if existing is not None:
@@ -461,10 +459,17 @@ class Codec:
                 f"wire name {wire_name!r} already registered for "
                 f"{existing.cls.__module__}.{existing.cls.__qualname__}"
             )
-        record = _make_record(wire_name, cls)
+        tag = _FIRST_RECORD_TAG + len(self._numbered)
+        if tag > 0xFF:
+            raise CodecError(
+                f"{wire_name}: record number {len(self._numbered)} does not "
+                "fit the one head byte"
+            )
+        record = _make_record(wire_name, cls, tag)
         annotations = _record_annotations(cls)
         set_typed = [
-            f for f in record.fields if _SET_ANNOTATION.search(annotations[f])
+            f for f in record.fields
+            if _SET_ANNOTATION.search(annotations.get(f, ""))
         ]
         if set_typed:
             raise CodecError(
@@ -472,54 +477,38 @@ class Codec:
                 "rejects unordered containers; use a sorted tuple"
             )
         self._records_by_name[wire_name] = record
-        self._records_by_raw[wire_name.encode("utf-8")] = record
         self._records_by_type[cls] = record
-        self._digest = None
-        return cls
-
-    def register_enum(self, cls: type) -> type:
-        """Register an :class:`enum.Enum` whose members may ride in fields."""
-        if not (isinstance(cls, type) and issubclass(cls, enum.Enum)):
-            raise CodecError(f"{cls!r} is not an Enum")
-        wire_name = cls.__name__
-        existing = self._enums_by_name.get(wire_name)
-        if existing is not None:
-            if existing is cls:
-                return cls
-            raise CodecError(f"enum wire name {wire_name!r} already registered")
-        self._enums_by_name[wire_name] = cls
-        self._enum_types[cls] = wire_name
+        self._numbered.append(record)
         self._digest = None
         return cls
 
     def schema(self) -> dict[str, Any]:
         """The registry as ``WIRE_SCHEMA.lock`` records it: per record its
-        module (:func:`_module_path`), kind and fields (name,
-        annotation text, default text or ``None``), per enum its module and
-        member values (``repr``). Line numbers stay out, so an unrelated
-        edit to a wire module never churns the lockfile."""
-        records = {}
+        number, module (:func:`_module_path`), kind and fields (name,
+        annotation text, default text or ``None``), per enum its number,
+        module and member values (``repr``). Line numbers stay out, so an
+        unrelated edit to a wire module never churns the lockfile."""
+        records, enums = {}, {}
         for wire_name, record in sorted(self._records_by_name.items()):
             cls = record.cls
-            types, defaults = _record_annotations(cls), _default_texts(cls)
-            records[wire_name] = {
+            entry = {
+                "number": record.tag - _FIRST_RECORD_TAG,
                 "module": _module_path(cls),
-                "kind": "namedtuple" if issubclass(cls, tuple) else "dataclass",
-                "fields": [
-                    {"name": f, "type": types[f], "default": defaults.get(f)}
-                    for f in record.fields
-                ],
             }
-        enums = {
-            wire_name: {
-                "module": _module_path(cls),
-                "members": {
+            if isinstance(cls, enum.EnumMeta):
+                entry["members"] = {
                     name: repr(member.value)
                     for name, member in sorted(cls.__members__.items())
-                },
-            }
-            for wire_name, cls in sorted(self._enums_by_name.items())
-        }
+                }
+                enums[wire_name] = entry
+                continue
+            types, defaults = _record_annotations(cls), _default_texts(cls)
+            entry["kind"] = "namedtuple" if issubclass(cls, tuple) else "dataclass"
+            entry["fields"] = [
+                {"name": f, "type": types[f], "default": defaults.get(f)}
+                for f in record.fields
+            ]
+            records[wire_name] = entry
         return {"version": SCHEMA_VERSION, "records": records, "enums": enums}
 
     def schema_digest(self) -> str:
@@ -539,16 +528,11 @@ class Codec:
         self._encode_value(value, out)
         return bytes(out)
 
-    def _encode_str(self, value: str, out: bytearray) -> None:
-        raw = value.encode("utf-8")
-        _encode_varint(len(raw), out)
-        out += raw
-
     def _encode_value(self, value: Any, out: bytearray) -> None:
         # Exact-type dispatch, builtins first and in the order the measured
         # traffic has them: ``str`` is most of every qstat/poll row, and no
         # builtin can be a registered record or enum, so testing them ahead
-        # of the two registry lookups changes no frame. ``type() is`` keeps
+        # of the registry lookup changes no frame. ``type() is`` keeps
         # bool apart from int and NamedTuple records apart from tuple.
         cls = type(value)
         if cls is str:
@@ -591,14 +575,10 @@ class Codec:
         elif cls is bool:
             out.append(_T_TRUE if value else _T_FALSE)
         elif (record := self._records_by_type.get(cls)) is not None:
-            out += record.head
+            out.append(record.tag)
             encode = self._encode_value
             for item in record.getter(value):
                 encode(item, out)
-        elif (enum_name := self._enum_types.get(cls)) is not None:
-            out.append(_T_ENUM)
-            self._encode_str(enum_name, out)
-            self._encode_value(value.value, out)
         elif cls is bytes:
             out.append(_T_BYTES)
             _encode_varint(len(value), out)
@@ -611,7 +591,7 @@ class Codec:
         else:
             raise CodecError(
                 f"unregistered wire type {cls.__module__}.{cls.__qualname__}; "
-                "declare it with register_wire_types()/register_wire_enum()"
+                "declare it with register_wire_types()"
             )
 
     # -- decoding ---------------------------------------------------------------
@@ -636,13 +616,6 @@ class Codec:
                 f"{len(frame) - pos} trailing bytes after decoded value", pos
             )
         return value
-
-    def _decode_str(self, data: bytes, pos: int) -> tuple[str, int]:
-        length, pos = _decode_varint(data, pos)
-        end = pos + length
-        if end > len(data):
-            raise _codec_error("truncated string", pos)
-        return data[pos:end].decode("utf-8"), end
 
     def _decode_value(self, data: bytes, pos: int) -> tuple[Any, int]:
         # Tags tested in the order the measured traffic has them (see
@@ -703,27 +676,18 @@ class Codec:
                 item, pos = decode(data, pos)
                 items.append(item)
             return (tuple(items) if tag == _T_TUPLE else items), pos
+        if tag >= _FIRST_RECORD_TAG:
+            return self._decode_record(data, pos)
         if tag == _T_TRUE:
             return True, pos
         if tag == _T_FALSE:
             return False, pos
-        if tag == _T_RECORD:
-            return self._decode_record(data, pos, pos - 1)
-        if tag == _T_ENUM:
-            start = pos - 1
-            name, pos = self._decode_str(data, pos)
-            cls = self._enums_by_name.get(name)
-            if cls is None:
-                raise _codec_error(f"unknown wire enum {name!r}", start)
-            value, pos = self._decode_value(data, pos)
-            return cls(value), pos
-        if tag == _T_BYTES:
-            length, pos = _decode_varint(data, pos)
-            end = pos + length
-            if end > size:
-                raise _codec_error("truncated bytes", pos)
-            return data[pos:end], end
-        raise _codec_error(f"unknown wire tag 0x{tag:02X}", pos - 1)
+        # _T_BYTES, the one tag left.
+        length, pos = _decode_varint(data, pos)
+        end = pos + length
+        if end > size:
+            raise _codec_error("truncated bytes", pos)
+        return data[pos:end], end
 
     def _remember(self, encoded: bytes, mapping: dict) -> None:
         """Memoise a freshly decoded dict under its complete encoding, if it
@@ -742,24 +706,12 @@ class Codec:
         if len(encoded) not in lengths:
             lengths.append(len(encoded))
 
-    def _decode_record(
-        self, data: bytes, pos: int, start: int
-    ) -> tuple[Any, int]:
-        size = len(data)
-        if pos < size and (length := data[pos]) < 0x80:
-            pos += 1
-        else:
-            length, pos = _decode_varint(data, pos)
-        end = pos + length
-        if end > size:
-            raise _codec_error("truncated string", pos)
-        record = self._records_by_raw.get(data[pos:end])
-        if record is None:
-            # Not a registered name's UTF-8: a bad encoding raises here,
-            # anything else is an unknown record.
-            name = data[pos:end].decode("utf-8")
-            raise _codec_error(f"unknown wire record {name!r}", start)
-        pos = end
+    def _decode_record(self, data: bytes, pos: int) -> tuple[Any, int]:
+        """The record whose tag byte is at ``pos - 1``."""
+        number = data[pos - 1] - _FIRST_RECORD_TAG
+        if number >= len(self._numbered):
+            raise _codec_error(f"unknown wire record number {number}", pos - 1)
+        record = self._numbered[number]
         decode = self._decode_value
         values = []
         for field in record.fields:
@@ -776,14 +728,14 @@ class Codec:
     def self_check(self) -> None:
         """Cheap structural audit of the registry (run by the CI smoke and
         by the golden harness before it renders the schema): every
-        registered record must still construct from positional fields,
-        names must round-trip through the name tables, and every dataclass,
-        NamedTuple or Enum a registering module exports in ``__all__`` must
-        be registered — or say in a ``__wire_local__`` string why it never
-        crosses the wire."""
-        if len(self._records_by_raw) != len(self._records_by_name):
-            raise CodecError("raw-name table out of sync")
-        registered = set(self._records_by_type) | set(self._enum_types)
+        registered record must still construct from positional fields, the
+        numbers must run from 0 without a gap and agree with every table,
+        and every dataclass, NamedTuple or Enum a registering module exports
+        in ``__all__`` must be registered — or say in a ``__wire_local__``
+        string why it never crosses the wire."""
+        if len(self._numbered) != len(self._records_by_name):
+            raise CodecError("number table out of sync")
+        registered = set(self._records_by_type)
         for module_name in sorted({cls.__module__ for cls in registered}):
             module = sys.modules.get(module_name)
             for name in getattr(module, "__all__", ()):
@@ -803,18 +755,17 @@ class Codec:
                         "but has no codec entry — register it there (or say "
                         "why it never crosses the wire in __wire_local__)"
                     )
-        # repro-lint: ignore[R3] pure audit — raises on the first inconsistency regardless of visit order, no wire or protocol effect
-        for record in self._records_by_name.values():
+        for number, record in enumerate(self._numbered):
             if _record_fields(record.cls) != record.fields:
                 raise CodecError(
                     f"{record.name}: field list changed after registration"
                 )
             if self._records_by_type.get(record.cls) is not record:
                 raise CodecError(f"{record.name}: type table out of sync")
-            if self._records_by_raw.get(record.name.encode("utf-8")) is not record:
-                raise CodecError(f"{record.name}: raw-name table out of sync")
-            if record.head != _record_head(record.name):
-                raise CodecError(f"{record.name}: record head out of sync")
+            if self._records_by_name.get(record.name) is not record:
+                raise CodecError(f"{record.name}: name table out of sync")
+            if record.tag != _FIRST_RECORD_TAG + number:
+                raise CodecError(f"{record.name}: record number out of sync")
 
 
 #: The process-wide registry. Append-only, written only at import time by the
@@ -824,17 +775,13 @@ WIRE = Codec()
 
 
 def register_wire_types(*classes: type) -> None:
-    """Register *classes* (dataclasses / NamedTuples) on the shared codec.
+    """Register *classes* (dataclasses, NamedTuples, Enums) on the shared
+    codec, numbered in the order given.
 
     Called at the bottom of each wire module for its own types — the only
     sanctioned write to :data:`WIRE`."""
     for cls in classes:
         WIRE.register(cls)
-
-
-def register_wire_enum(cls: type) -> type:
-    """Register an enum whose members appear inside wire records."""
-    return WIRE.register_enum(cls)
 
 
 def encoded_size(value: Any) -> int:

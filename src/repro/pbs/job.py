@@ -6,7 +6,7 @@ import enum
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 
-from repro.net.codec import PlainFragment, register_wire_enum, register_wire_types
+from repro.net.codec import PlainFragment, register_wire_types
 from repro.util.errors import PBSError
 
 __all__ = ["JobState", "JobSpec", "Job"]
@@ -130,5 +130,4 @@ class Job:
 # JobSpec rides inside every submit and every replayed state-transfer item.
 # No frame carries a Job, but the codec requires every exported record of a
 # registering module to be registered; JobState members appear as Job fields.
-register_wire_types(JobSpec, Job)
-register_wire_enum(JobState)
+register_wire_types(JobSpec, Job, JobState)

@@ -1,12 +1,12 @@
 """Record frames on the codec's prebuilt-head path.
 
-Each registered record carries the complete head of its frames (tag, name
-length, name) and one getter for its field values; decode finds the record
-by the raw bytes of its name and decodes every declared field in one loop.
-These tests pin what that path must not change: the bytes of every head,
-a name length spelled in a longer varint, the errors of names that are not
-there, and the registry audit. CI's codec round-trip smoke runs this
-module.
+Each registered record (and enum) has a number, and the head of its frames
+is the one byte ``0x0A + number``; it carries one getter for its field
+values, and decode finds the record by its number in a table and decodes
+every declared field in one loop. These tests pin what that path must not
+change: the byte of every head, the numbering, the errors of numbers that
+are not there, and the registry audit. CI's determinism canaries run this
+module a second time under ``REPRO_SANITIZE=1``.
 """
 
 import dataclasses
@@ -15,6 +15,7 @@ from typing import NamedTuple
 import pytest
 
 from repro.net.codec import WIRE, Codec, CodecError
+from repro.pbs.job import JobState
 from repro.pbs.wire import AdminPurge, StatReq
 from repro.pvfs.wire import StatFs
 
@@ -47,12 +48,12 @@ def codec():
     return codec
 
 
-def _head(name: str) -> bytes:
-    """A record head spelled out from the format table: tag, varint name
-    length, UTF-8 name."""
-    raw = name.encode("utf-8")
-    assert len(raw) < 0x80
-    return bytes([0x0A, len(raw)]) + raw
+def _head(codec: Codec, name: str) -> bytes:
+    """A record head spelled out from the format table: the one byte
+    ``0x0A`` + the record's number in the codec's schema."""
+    schema = codec.schema()
+    entry = schema["records"].get(name) or schema["enums"][name]
+    return bytes([0x0A + entry["number"]])
 
 
 def _int(value: int) -> bytes:
@@ -70,7 +71,7 @@ class TestHeads:
     def test_small_records_round_trip_on_the_format_tables_bytes(
             self, codec, value, body):
         frame = codec.encode(value)
-        assert frame == _head(type(value).__name__) + body
+        assert frame == _head(codec, type(value).__name__) + body
         decoded = codec.decode(frame)
         assert decoded == value and type(decoded) is type(value)
 
@@ -78,35 +79,57 @@ class TestHeads:
                              ids=["AdminPurge", "StatFs", "StatReq"])
     def test_registered_zero_and_one_field_records(self, value):
         frame = WIRE.encode(value)
-        assert frame == _head(type(value).__name__) + b"".join(
+        assert frame == _head(WIRE, type(value).__name__) + b"".join(
             WIRE.encode(getattr(value, f.name)) for f in dataclasses.fields(value))
         assert WIRE.decode(frame) == value
 
+    def test_an_enum_member_is_its_head_and_value(self):
+        frame = WIRE.encode(JobState.QUEUED)
+        assert frame == _head(WIRE, "JobState") + WIRE.encode("Q")
+        assert WIRE.decode(frame) is JobState.QUEUED
+
+
+class TestNumbering:
+    def test_every_head_is_one_byte_and_the_numbers_run_from_zero(self):
+        schema = WIRE.schema()
+        entries = {**schema["records"], **schema["enums"]}
+        assert "JobState" in schema["enums"]
+        numbers = sorted(entry["number"] for entry in entries.values())
+        assert numbers == list(range(len(entries)))
+        for cls, record in WIRE._records_by_type.items():
+            assert len(_head(WIRE, cls.__name__)) == 1
+            assert record.tag == 0x0A + entries[cls.__name__]["number"]
+
+    def test_numbers_follow_registration_order(self, codec):
+        assert [_head(codec, name) for name in ("Zero", "One", "Two", "Single")] == [
+            b"\x0a", b"\x0b", b"\x0c", b"\x0d"]
+
+    def test_a_number_past_the_head_byte_is_refused(self):
+        codec = Codec()
+        for index in range(0x100 - 0x0A):
+            codec.register(dataclasses.make_dataclass(f"R{index}", []))
+        with pytest.raises(CodecError, match="does not fit the one head byte"):
+            codec.register(dataclasses.make_dataclass("OneTooMany", []))
+        assert len(codec._records_by_type) == 0x100 - 0x0A
+
 
 class TestOffThePrebuiltHeader:
-    def test_non_canonical_name_length_decodes(self, codec):
-        frame = codec.encode(One(5))
-        padded = frame[:1] + bytes([frame[1] | 0x80, 0x00]) + frame[2:]
-        assert codec.decode(padded) == One(5)
-
-    def test_a_truncated_name_is_a_truncated_string(self, codec):
-        head = _head("Two")
-        with pytest.raises(CodecError, match="truncated string") as info:
-            codec.decode(head[:-1])
-        assert info.value.offset == 2
+    def test_a_bare_head_names_its_field(self, codec):
+        # A frame cut right after its head: the first field is missing.
+        head = _head(codec, "Two")
+        with pytest.raises(CodecError, match="truncated frame at byte 1") as info:
+            codec.decode(head)
+        assert info.value.offset == 1
+        assert info.value.record_context == "Two"
+        assert info.value.field == "a"
 
     def test_unknown_record_raises_at_its_start(self, codec):
-        # A list holding one record named "Nope": the record starts at byte 2.
-        frame = b"\x08\x01" + _head("Nope")
-        with pytest.raises(CodecError, match="unknown wire record 'Nope'") as info:
+        # A list holding one record numbered past the four registered (4):
+        # the record starts at byte 2.
+        frame = b"\x08\x01" + bytes([0x0A + 4])
+        with pytest.raises(CodecError, match="unknown wire record number 4") as info:
             codec.decode(frame)
         assert info.value.offset == 2
-
-    def test_a_name_that_is_not_utf8_is_a_codec_error(self, codec):
-        frame = b"\x0a\x02\xff\xfe"
-        with pytest.raises(CodecError, match="malformed frame: UnicodeDecodeError") as info:
-            codec.decode(frame)
-        assert info.value.offset is None
 
     def test_a_field_error_names_the_record_and_field(self, codec):
         frame = codec.encode(Two(1, 2))
@@ -121,27 +144,24 @@ class TestSelfCheck:
         WIRE.self_check()
         # A fresh codec over the same registry audits the same way.
         clone = Codec()
-        for cls in sorted(WIRE._records_by_type, key=lambda cls: cls.__name__):
+        for cls in WIRE._records_by_type:
             clone.register(cls)
-        for cls in WIRE._enums_by_name.values():
-            clone.register_enum(cls)
         clone.self_check()
+        assert clone.schema() == WIRE.schema()
 
-    def test_a_missing_raw_name_is_caught(self, codec):
-        del codec._records_by_raw[b"Two"]
-        with pytest.raises(CodecError, match="raw-name table out of sync"):
+    def test_a_missing_number_is_caught(self, codec):
+        del codec._numbered[-1]
+        with pytest.raises(CodecError, match="number table out of sync"):
             codec.self_check()
 
-    def test_a_raw_name_bound_to_another_record_is_caught(self, codec):
-        codec._records_by_raw[b"Two"] = codec._records_by_raw[b"One"]
-        with pytest.raises(CodecError, match="Two: raw-name table out of sync"):
+    def test_a_misfiled_number_is_caught(self, codec):
+        codec._numbered[2] = codec._numbered[1]
+        with pytest.raises(CodecError, match="One: record number out of sync"):
             codec.self_check()
 
     def test_a_stale_head_is_caught(self, codec):
-        record = codec._records_by_name["Two"]
-        codec._records_by_name["Two"] = dataclasses.replace(
-            record, head=b"\x0a\x03Tw0")
-        codec._records_by_type[Two] = codec._records_by_name["Two"]
-        codec._records_by_raw[b"Two"] = codec._records_by_name["Two"]
-        with pytest.raises(CodecError, match="Two: record head out of sync"):
+        record = dataclasses.replace(codec._records_by_name["Two"], tag=0x0B)
+        codec._records_by_name["Two"] = codec._records_by_type[Two] = record
+        codec._numbered[2] = record
+        with pytest.raises(CodecError, match="Two: record number out of sync"):
             codec.self_check()

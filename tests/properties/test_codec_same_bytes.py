@@ -43,12 +43,11 @@ GOLDEN = {f["name"]: bytes.fromhex(f["hex"])
 
 
 def _fresh() -> Codec:
-    """A codec with ``WIRE``'s records and enums and an empty memo."""
+    """A codec with ``WIRE``'s records and enums, numbered alike, and an
+    empty memo."""
     codec = Codec()
-    for cls in sorted(WIRE._records_by_type, key=lambda cls: cls.__name__):
+    for cls in WIRE._records_by_type:
         codec.register(cls)
-    for cls in WIRE._enums_by_name.values():
-        codec.register_enum(cls)
     return codec
 
 

@@ -202,16 +202,17 @@ class TestDecodeErrorDiagnostics:
         assert err.value.field == "body"
 
     def test_unknown_tag_reports_offset(self):
+        # Every tag past the builtins' is a record number: 0xFF is 245.
         with pytest.raises(CodecError) as err:
             Codec().decode(b"\xff")
-        assert "unknown wire tag 0xFF at byte 0" in str(err.value)
+        assert "unknown wire record number 245 at byte 0" in str(err.value)
         assert err.value.offset == 0
 
     def test_unknown_record_reports_offset(self):
         frame = _notes().encode(Note("u", "b"))
         with pytest.raises(CodecError) as err:
             Codec().decode(frame)
-        assert "unknown wire record 'Note'" in str(err.value)
+        assert "unknown wire record number 0 at byte 0" in str(err.value)
         assert err.value.offset == 0
 
     def test_trailing_bytes_report_offset(self):
@@ -224,9 +225,10 @@ class TestDecodeErrorDiagnostics:
 
 
 def _command_frame(*fields: object) -> bytes:
-    """A ``Command`` frame built by hand: tag, name length, name, then
-    *fields* encoded one after another."""
-    return b"\x0a\x07Command" + b"".join(WIRE.encode(f) for f in fields)
+    """A ``Command`` frame built by hand: the head byte ``0x0A`` + its
+    number in the schema, then *fields* encoded one after another."""
+    head = 0x0A + WIRE.schema()["records"]["Command"]["number"]
+    return bytes([head]) + b"".join(WIRE.encode(f) for f in fields)
 
 
 class TestOneSchemaPerFrame:

@@ -395,8 +395,10 @@ class TestFailureDetector:
         ``Heartbeat(view_id, acked_through)`` datagram."""
         beacon_bytes = len(WIRE.encode(RawFrame(idle_beacon()))) + DATAGRAM_OVERHEAD
         # 64 with the float ``sent_at``; 59 while each of the two records
-        # carried a schema fingerprint and field count.
-        assert beacon_bytes == 53
+        # carried a schema fingerprint and field count; 53 while each head
+        # spelled its class name (``RawFrame``, ``Heartbeat``), not one
+        # number byte.
+        assert beacon_bytes == 34
         kernel, net, suspicions = self.make_group(n)
         kernel.run(until=10.05)
         assert net.wire_bytes_by_type == {"Heartbeat": n * 100 * beacon_bytes}

@@ -477,7 +477,7 @@ class TestCompetingFlushes:
         losing = engine.attempt
         assert losing is not None
         higher = (losing.epoch[0], losing.epoch[1] + 1, h.addr("n1"))
-        engine.on_flush_req(h.addr("n1"), FlushReq(higher, member.view.members))
+        engine.on_flush_req(h.addr("n1"), FlushReq(higher))
         # The lower attempt is dropped, the higher epoch is promised, and
         # the member stays parked in FLUSHING awaiting the winner's view.
         assert engine.attempt is None
@@ -494,9 +494,9 @@ class TestCompetingFlushes:
         view = h.members["n2"].view
         higher = (view.view_id + 1, 2, h.addr("n1"))
         lower = (view.view_id + 1, 1, h.addr("n0"))
-        engine.on_flush_req(h.addr("n1"), FlushReq(higher, view.members))
+        engine.on_flush_req(h.addr("n1"), FlushReq(higher))
         assert engine.max_epoch == higher
-        engine.on_flush_req(h.addr("n0"), FlushReq(lower, view.members))
+        engine.on_flush_req(h.addr("n0"), FlushReq(lower))
         # The stale attempt neither demotes the promise nor resets state.
         assert engine.max_epoch == higher
 

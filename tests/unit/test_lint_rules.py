@@ -582,20 +582,24 @@ class TestR6:
         codec.register(ping)
         codec.self_check()
 
-    def test_enum_must_use_enum_registration(self, monkeypatch):
+    def test_an_enum_registers_like_a_record(self, monkeypatch):
         class State(enum.Enum):
             A = "a"
+
+        class Plain:
+            pass
 
         ping = _ping()
         _wire_module(monkeypatch, ping, State)
         codec = Codec()
         codec.register(ping)
-        with pytest.raises(CodecError, match="neither a dataclass nor a NamedTuple"):
-            codec.register(State)
         with pytest.raises(CodecError, match=r"wire_fixture\.State "):
             codec.self_check()
-        codec.register_enum(State)
+        with pytest.raises(CodecError, match="neither a dataclass, a NamedTuple nor an Enum"):
+            codec.register(Plain)
+        codec.register(State)
         codec.self_check()
+        assert codec.decode(codec.encode(State.A)) is State.A
 
     def test_set_typed_field_fires(self):
         @dataclass(frozen=True)

@@ -53,10 +53,7 @@ def _schema(*classes: type) -> dict:
     by_name.update({cls.__name__: cls for cls in classes})
     codec = Codec()
     for cls in by_name.values():
-        if issubclass(cls, enum.Enum):
-            codec.register_enum(cls)
-        else:
-            codec.register(cls)
+        codec.register(cls)
     return codec.schema()
 
 
@@ -77,12 +74,16 @@ class TestExtraction:
             "name": "offset", "type": "int", "default": "0",
         }
         assert schema["enums"]["Color"] == {
-            "module": MODULE, "members": {"RED": "'r'", "BLUE": "'b'"},
+            "number": 0, "module": MODULE,
+            "members": {"RED": "'r'", "BLUE": "'b'"},
         }
+        # Records and enums share one numbering, in registration order.
+        assert open_req["number"] == 1
+        assert schema["records"]["SeekReq"]["number"] == 2
         # The module is a path; line numbers are kept out of the schema (no
         # churn on unrelated edits).
         assert open_req["module"] == MODULE
-        assert set(open_req) == {"module", "kind", "fields"}
+        assert set(open_req) == {"number", "module", "kind", "fields"}
 
     def test_field_call_without_default_is_not_a_default(self):
         @dataclass(frozen=True)

@@ -12,6 +12,7 @@ is complete in every process:
   a wire module is left out of ``repro/__init__``.
 """
 
+import enum
 import importlib
 import json
 import os
@@ -50,8 +51,8 @@ class TestLockfileCompleteness:
         locked = json.loads(LOCK.read_text(encoding="utf-8"))
         derived = whole_registry.schema()["enums"]
         runtime = [
-            name for name, cls in sorted(whole_registry._enums_by_name.items())
-            if cls.__module__.startswith("repro.")
+            cls.__name__ for cls in whole_registry._records_by_type
+            if isinstance(cls, enum.EnumMeta) and cls.__module__.startswith("repro.")
         ]
         assert runtime, "no registered wire enums?"
         for name in runtime:
