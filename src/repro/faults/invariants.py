@@ -9,9 +9,13 @@ restarts via the node lifecycle observers.
 
 Checked invariants:
 
-* **total order** — every surviving head delivers the same message at the
-  same ``(view, seq)``. Views are keyed by ``(view_id, member set)`` so two
-  partition sides that reuse a numeric view id are not false-compared.
+* **the group's contract** — every head's delivery and view callbacks feed
+  one :class:`~repro.gcs.contract.GroupContract` per suite, the same
+  checker the GCS tests run over bare members; its findings are wrapped
+  as violations named by their rule (``gap-free``, ``total-order``,
+  ``virtual-synchrony``, ``safe-delivery``, ``self-delivery``). Views are
+  keyed by ``(view_id, member set)`` so two partition sides that reuse a
+  numeric view id are not false-compared.
 * **exactly-once launch** — no job ever has two *real* executions in flight
   at once (hard violation at the moment it happens), and across the whole
   run a job gains extra launches only if launch-mutex revocations
@@ -45,7 +49,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from repro.gcs.messages import DeliveredMessage
+from repro.gcs.contract import GroupContract
 from repro.joshua.wire import JStatResp
 from repro.obs.collector import collector_of
 from repro.pbs.job import JobState
@@ -81,8 +85,9 @@ class InvariantSuite:
         self.stack = stack
         self.kernel = stack.cluster.kernel
         self.violations: list[Violation] = []
-        #: (view_id, members) -> seq -> (msg_id, first head that delivered).
-        self._order: dict[tuple, dict[int, tuple]] = {}
+        #: The group layer's contract, over every tapped shard member.
+        self.contract = GroupContract()
+        self.contract.on_finding = lambda f: self._violate(f.rule, f.detail)
         #: job_id -> total real launches observed across all moms.
         self.launches: dict[str, int] = {}
         #: job_id -> executions currently in flight (must never exceed 1).
@@ -140,24 +145,16 @@ class InvariantSuite:
 
     def _tap_joshua(self, head: str, joshua: "JoshuaServer") -> None:
         self._tapped_joshua[head] = joshua
-        # One tap per shard group: each shard is its own total order, so
-        # order bookkeeping stays per-(view, member-set) key — the shards'
-        # distinct GCS ports keep their keys from ever colliding.
+        # One tap per shard group: each shard is its own total order, and
+        # its distinct GCS port keeps its views apart in the contract.
         for member in joshua.groups:
-            inner = member.on_deliver
+            self.contract.attach(member)
             inner_view = member.on_view
-
-            def recorder(msg: DeliveredMessage, member=member, inner=inner) -> None:
-                self._record_delivery(head, member, msg)
-                if inner is not None:
-                    inner(msg)
 
             def view_recorder(view, inner_view=inner_view) -> None:
                 self._record_view(head, view)
-                if inner_view is not None:
-                    inner_view(view)
+                inner_view(view)
 
-            member.on_deliver = recorder
             member.on_view = view_recorder
 
     def _tap_mom(self, mom: "PBSMom") -> None:
@@ -178,21 +175,6 @@ class InvariantSuite:
         mom.on_job_done = on_done
 
     # -- live recorders ------------------------------------------------------
-
-    def _record_delivery(self, head: str, member, msg: DeliveredMessage) -> None:
-        if member.view is None:
-            return
-        key = (msg.view_id, member.view.members)
-        slot = self._order.setdefault(key, {})
-        existing = slot.get(msg.seq)
-        if existing is None:
-            slot[msg.seq] = (msg.msg_id, head)
-        elif existing[0] != msg.msg_id:
-            self._violate(
-                "total-order",
-                f"view {msg.view_id} seq {msg.seq}: {head} delivered "
-                f"{msg.msg_id}, {existing[1]} delivered {existing[0]}",
-            )
 
     def _record_view(self, observer: str, view) -> None:
         """Any configured head a view leaves out *while it is up* was
@@ -316,6 +298,7 @@ class InvariantSuite:
 
     def final_check(self) -> list[Violation]:
         """End-of-run checks, after faults are healed and traffic quiesced."""
+        self.contract.close()
         self._check_delivery_queue()
         self._check_exactly_once_total()
         self._check_no_lost_commands()

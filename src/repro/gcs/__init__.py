@@ -21,24 +21,27 @@ model:
   (ablation alternative), both in :mod:`repro.gcs.ordering`.
 * :class:`~repro.gcs.delivery.DeliveryQueue` — gap-free in-order delivery,
   SAFE stability tracking, duplicate suppression across view changes.
-* :mod:`repro.gcs.membership` — coordinator-driven flush/view-change
+* :mod:`repro.gcs.flush` — coordinator-driven flush/view-change
   protocol: on suspicion, join or leave, members stop transmitting, exchange
   their undelivered messages, agree on a final delivery prefix, then install
   the next view.
 * :class:`~repro.gcs.member.GroupMember` — the facade tying it together; the
   only class the JOSHUA layer touches.
 
-The guarantees (and their property-based tests in
-``tests/properties/test_gcs_properties.py``):
+The guarantees, each a rule of :class:`~repro.gcs.contract.GroupContract`
+(the one checker: the chaos suite and the GCS tests both run it):
 
-* *Total order*: the sequences of AGREED-delivered message ids at any two
-  members are one a prefix of the other.
-* *Virtual synchrony*: members that install the same pair of consecutive
-  views delivered exactly the same set of messages between them.
-* *SAFE*: when a SAFE message is delivered at any member, every member of
-  the delivery view has a copy (so no surviving member can miss it).
+* *Gap-free, exactly-once delivery*: within a view a member's seqs rise
+  with nothing skipped but a duplicate, and no message is delivered twice.
+* *Total order*: two members that deliver at one ``(view, seq)`` deliver
+  the same message.
+* *Virtual synchrony*: members that install the same next view from V
+  deliver the same messages of V — the closing list carries what one of
+  them missed, first and in V's order.
+* *SAFE*: a message delivered SAFE at any member of V is delivered by
+  every member of V that installs a successor of V.
 * *Self-inclusion*: a member that multicasts and survives sees its own
-  message delivered exactly once.
+  messages delivered, each exactly once.
 """
 
 from repro.gcs.view import View

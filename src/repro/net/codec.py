@@ -600,9 +600,11 @@ class Codec:
         """Reconstruct a fresh value from a byte frame.
 
         Malformed input raises :class:`CodecError` and nothing else: what
-        corrupt bytes provoke further down — a string that is not UTF-8, an
-        unhashable dict key, an enum value or record arguments the class
-        itself refuses — is converted here, at the one public entry."""
+        corrupt bytes provoke further down — a string that is not UTF-8 or
+        an unhashable dict key — is converted here, at the one public
+        entry. An enum value or record arguments the class itself refuses
+        are converted where the record is built, naming it and its first
+        byte."""
         try:
             value, pos = self._decode_value(frame, 0)
         except CodecError:
@@ -708,9 +710,10 @@ class Codec:
 
     def _decode_record(self, data: bytes, pos: int) -> tuple[Any, int]:
         """The record whose tag byte is at ``pos - 1``."""
-        number = data[pos - 1] - _FIRST_RECORD_TAG
+        start = pos - 1
+        number = data[start] - _FIRST_RECORD_TAG
         if number >= len(self._numbered):
-            raise _codec_error(f"unknown wire record number {number}", pos - 1)
+            raise _codec_error(f"unknown wire record number {number}", start)
         record = self._numbered[number]
         decode = self._decode_value
         values = []
@@ -721,7 +724,17 @@ class Codec:
                 _annotate(exc, record.name, field)
                 raise
             values.append(value)
-        return record.build(values), pos
+        try:
+            return record.build(values), pos
+        except Exception as exc:
+            # The class itself refused the fields (an enum value that does
+            # not exist, a record's own validation): name it where it began.
+            error = _codec_error(
+                f"{record.name} refused its fields: {type(exc).__name__}: {exc}",
+                start,
+            )
+            error.record_context = record.name
+            raise error from exc
 
     # -- diagnostics ------------------------------------------------------------
 

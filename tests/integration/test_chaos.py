@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 from repro.faults import FaultSchedule, run_chaos
+from repro.gcs.member import GroupMember
 
 from tests.integration.conftest import drive, make_stack, settle
 
@@ -290,3 +291,56 @@ class TestInvariantSuiteCatchesRealBreakage:
         assert any(
             v.invariant == "exactly-once-launch" for v in suite.violations
         )
+
+
+class TestSilentlyMissedDelivery:
+    """A head whose group member drops one delivery before the application
+    (and the suite's tap) sees it: no JOSHUA-level invariant notices a
+    missed ``Done``, ``Claim`` or ``Started``, so the group's contract
+    must, naming the head, the view and the seq it skipped."""
+
+    @staticmethod
+    def plant_skip(monkeypatch, node, nth):
+        """Skip *node*'s *nth* delivery inside ``_deliver_ready``; returns
+        the list the skipped message is appended to."""
+        original = GroupMember._deliver_ready
+        count, skipped = [0], []
+
+        def deliver_ready(self):
+            if self.address.node != node:
+                return original(self)
+            inner = self.on_deliver
+
+            def skipping(msg):
+                count[0] += 1
+                if count[0] == nth:
+                    skipped.append(msg)
+                else:
+                    inner(msg)
+
+            self.on_deliver = skipping
+            try:
+                original(self)
+            finally:
+                self.on_deliver = inner
+
+        monkeypatch.setattr(GroupMember, "_deliver_ready", deliver_ready)
+        return skipped
+
+    @pytest.mark.parametrize("seed, ordering, nth", [
+        (0, "sequencer", 5), (0, "sequencer", 15),
+        (1, "token", 5), (1, "token", 15),
+    ])
+    def test_skipped_delivery_is_flagged(self, monkeypatch, seed, ordering, nth):
+        skipped = self.plant_skip(monkeypatch, "head1", nth)
+        report = run_chaos(seed=seed, ordering=ordering)
+        [msg] = skipped
+        where = f"view {msg.view_id} seq {msg.seq}"
+        contract = [
+            v for v in report.violations
+            if v.invariant in ("gap-free", "virtual-synchrony")
+        ]
+        assert any(
+            "head1" in v.detail and where in v.detail and str(msg.msg_id) in v.detail
+            for v in contract
+        ), [str(v) for v in report.violations]

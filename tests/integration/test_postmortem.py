@@ -4,7 +4,7 @@ The flight recorder's whole point is that when a chaos soak dies, the
 bundle explains the seconds that led there. This test runs a real faulted
 scenario (crash + restart, so failure-detector suspicions and view changes
 actually happen, jobs actually flow), then plants a total-order violation
-through the live :class:`InvariantSuite` delivery recorder — a forged
+through the public feed of the live suite's group contract — a forged
 second delivery of an existing ``(view, seq)`` slot under a different
 message id, exactly what a replication bug would produce. The
 automatically captured bundle must contain, causally merged:
@@ -41,6 +41,16 @@ def run_planted_violation():
     attach_timeseries(network)
     stack.cluster.run(until=2.0)
     suite = InvariantSuite(stack).attach()
+    # The last slot head1 delivered (a tap above the suite's own).
+    member = stack.joshua("head1").group
+    last = []
+    inner = member.on_deliver
+
+    def remember(msg):
+        last[:] = [msg]
+        inner(msg)
+
+    member.on_deliver = remember
 
     client = stack.client(node="login")
     drive(stack, client.jsub(name="before-fault", walltime=1.5))
@@ -53,24 +63,20 @@ def run_planted_violation():
     drive(stack, client.jsub(name="offending", walltime=1.5))
     settle(stack, 2.0)
 
-    # The planted violation: replay a slot every head already delivered
-    # (from the suite's own order map), under a different message id, as
-    # if head2's replica diverged.
-    member = stack.joshua("head1").group
-    key = (member.view.view_id, member.view.members)
-    slot = suite._order[key]
-    seq = max(slot)
-    victim_id = slot[seq][0]
+    # The planted violation: replay the slot head1 delivered last under a
+    # different message id, as if head2's replica diverged.
+    [victim] = last
+    victim_id = victim.msg_id
     forged = DeliveredMessage(
         msg_id=victim_id._replace(counter=victim_id.counter + 1000),
         sender=victim_id.sender,
         payload="forged-divergence",
         service="agreed",
-        view_id=member.view.view_id,
-        seq=seq,
+        view_id=victim.view_id,
+        seq=victim.seq,
     )
     assert suite.violations == []
-    suite._record_delivery("head2", member, forged)
+    suite.contract.delivered(stack.joshua("head2").group, forged)
     assert [v.invariant for v in suite.violations] == ["total-order"]
     return stack, suite, recorder, victim_id
 

@@ -4,9 +4,11 @@ Hypothesis drives randomized workloads (who multicasts what, when, with
 which service) and randomized single-failure schedules through the full
 simulated stack, then checks the paper-relevant guarantees:
 
-* total order (pairwise prefix-consistent delivery sequences),
-* agreement (live members deliver the same set),
-* sender FIFO,
+* the group's contract (:mod:`repro.gcs.contract`, the checker the chaos
+  suite runs too): gap-free delivery, one message per ``(view, seq)``,
+  virtual synchrony, SAFE delivery and self-delivery, on every member;
+* agreement across the whole run (live members deliver the same
+  sequence),
 * exactly-once for surviving senders,
 * SAFE copies exist at all members of the delivery view.
 
@@ -19,6 +21,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.gcs import GroupConfig, GroupMember, boot_static_group
+from repro.gcs.contract import GroupContract
 from repro.gcs.delivery import DeliveredTracker, DeliveryQueue
 from repro.gcs.messages import AGREED, INCARNATION_SHIFT, SAFE, DataMsg, MessageId
 from repro.gcs.view import View
@@ -50,6 +53,7 @@ def build_group(n, seed, loss=0.0, ordering="sequencer"):
     )
     delivered = {}
     members = {}
+    contract = GroupContract()
     for i in range(n):
         name = f"n{i}"
         net.register_node(name)
@@ -59,16 +63,9 @@ def build_group(n, seed, loss=0.0, ordering="sequencer"):
             config,
             on_deliver=lambda m, nm=name: delivered[nm].append(m),
         )
+        contract.attach(members[name])
     boot_static_group(list(members.values()))
-    return kernel, net, members, delivered
-
-
-def assert_prefix_consistent(sequences):
-    for i in range(len(sequences)):
-        for j in range(i + 1, len(sequences)):
-            a, b = sequences[i], sequences[j]
-            short = min(len(a), len(b))
-            assert a[:short] == b[:short]
+    return kernel, contract, net, members, delivered
 
 
 # One "script" step: (sender index, service, delay before sending).
@@ -87,7 +84,7 @@ script_step = st.tuples(
     ordering=st.sampled_from(["sequencer", "token"]),
 )
 def test_total_order_and_agreement_no_faults(n, script, seed, ordering):
-    kernel, net, members, delivered = build_group(n, seed, ordering=ordering)
+    kernel, contract, net, members, delivered = build_group(n, seed, ordering=ordering)
     names = sorted(members)
 
     def driver():
@@ -101,8 +98,8 @@ def test_total_order_and_agreement_no_faults(n, script, seed, ordering):
     kernel.spawn(driver())
     kernel.run(until=5.0)
 
+    assert contract.close() == []
     sequences = [[m.msg_id for m in delivered[name]] for name in names]
-    assert_prefix_consistent(sequences)
     # No faults: everyone delivers everything.
     assert all(len(seq) == len(script) for seq in sequences)
     # Exactly-once.
@@ -119,7 +116,7 @@ def test_total_order_and_agreement_no_faults(n, script, seed, ordering):
 )
 def test_invariants_with_one_crash(script, crash_victim, crash_after, seed):
     n = 3
-    kernel, net, members, delivered = build_group(n, seed)
+    kernel, contract, net, members, delivered = build_group(n, seed)
     names = sorted(members)
     victim = names[crash_victim]
 
@@ -137,11 +134,11 @@ def test_invariants_with_one_crash(script, crash_victim, crash_after, seed):
     kernel.spawn(driver())
     kernel.run(until=8.0)
 
+    assert contract.close() == []
     survivors = [name for name in names if name != victim]
     sequences = [[m.msg_id for m in delivered[name]] for name in survivors]
-    assert_prefix_consistent(sequences)
-    # Survivors agree on the delivered set.
-    assert set(sequences[0]) == set(sequences[1])
+    # Survivors deliver one sequence, across the view change too.
+    assert sequences[0] == sequences[1]
     # Exactly-once everywhere.
     for seq in sequences:
         assert len(set(seq)) == len(seq)
@@ -159,7 +156,7 @@ def test_invariants_with_one_crash(script, crash_victim, crash_after, seed):
 )
 def test_total_order_under_loss(script, seed, loss):
     n = 3
-    kernel, net, members, delivered = build_group(n, seed, loss=loss)
+    kernel, contract, net, members, delivered = build_group(n, seed, loss=loss)
     names = sorted(members)
 
     def driver():
@@ -176,9 +173,10 @@ def test_total_order_under_loss(script, seed, loss):
     kernel.spawn(driver())
     kernel.run(until=10.0)
 
+    assert contract.close() == []
     sequences = [[m.msg_id for m in delivered[name]] for name in names]
-    assert_prefix_consistent(sequences)
     assert all(len(seq) == len(script) for seq in sequences)
+    assert all(seq == sequences[0] for seq in sequences)
 
 
 @settings(max_examples=20, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -188,7 +186,7 @@ def test_total_order_under_loss(script, seed, loss):
 )
 def test_safe_delivery_implies_all_members_hold_copy(seed, safe_count):
     n = 3
-    kernel, net, members, delivered = build_group(n, seed)
+    kernel, contract, net, members, delivered = build_group(n, seed)
     names = sorted(members)
     held_at_delivery = []
 

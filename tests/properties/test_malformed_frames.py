@@ -215,6 +215,26 @@ class TestDecodeErrorDiagnostics:
         assert "unknown wire record number 0 at byte 0" in str(err.value)
         assert err.value.offset == 0
 
+    def test_value_the_class_refuses_names_the_record_at_its_offset(self):
+        # A JobState frame whose one field is "Z": no such state.
+        head = 0x0A + WIRE.schema()["enums"]["JobState"]["number"]
+        frame = bytes([head, 0x05, 0x01]) + b"Z"
+        with pytest.raises(CodecError) as err:
+            WIRE.decode(frame)
+        assert err.value.offset == 0
+        assert err.value.record_context == "JobState"
+        assert "JobState refused its fields" in str(err.value)
+        assert "at byte 0" in str(err.value)
+
+    def test_refused_inner_record_keeps_its_own_offset(self):
+        inner = bytes([0x0A + WIRE.schema()["enums"]["JobState"]["number"],
+                       0x05, 0x01]) + b"Z"
+        frame = WIRE.encode(("x", None))[:-1] + inner
+        with pytest.raises(CodecError) as err:
+            WIRE.decode(frame)
+        assert err.value.offset == len(frame) - len(inner)
+        assert err.value.record_context == "JobState"
+
     def test_trailing_bytes_report_offset(self):
         codec = Codec()
         frame = codec.encode(42)

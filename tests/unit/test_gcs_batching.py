@@ -23,6 +23,7 @@ from types import SimpleNamespace
 
 from repro.gcs import GroupConfig, GroupMember, boot_static_group
 from repro.gcs.batching import DATA_BATCH_MAX_MSGS, DataBatcher
+from repro.gcs.contract import GroupContract
 from repro.gcs.messages import DataBatchMsg, DataMsg, MessageId, OrderMsg
 from repro.gcs.ordering import SEQUENCER_BATCH_MAX, SequencerEngine
 from repro.gcs.view import View
@@ -354,6 +355,7 @@ class Harness:
         self.kernel = Kernel(seed=seed)
         self.net = Network(self.kernel, shared_medium=False)
         self.members = {}
+        self.contract = GroupContract()
         self.delivered = {}
         self.config = config
         for i in range(n):
@@ -365,6 +367,7 @@ class Harness:
                 config,
                 on_deliver=lambda m, nm=name: self.delivered[nm].append(m),
             )
+            self.contract.attach(self.members[name])
         boot_static_group(list(self.members.values()))
 
     def crash(self, name):
@@ -373,14 +376,6 @@ class Harness:
 
     def payloads(self, name):
         return [m.payload for m in self.delivered[name]]
-
-    def assert_total_order(self, names):
-        seqs = [[m.msg_id for m in self.delivered[n]] for n in names]
-        for i in range(len(seqs)):
-            for j in range(i + 1, len(seqs)):
-                a, b = seqs[i], seqs[j]
-                short = min(len(a), len(b))
-                assert a[:short] == b[:short]
 
 
 BATCHED = GroupConfig(
@@ -397,7 +392,7 @@ class TestMemberDataBatching:
         h.kernel.run(until=2.0)
         for name in h.members:
             assert h.payloads(name) == [f"m{k}" for k in range(12)]
-        h.assert_total_order(list(h.members))
+        assert h.contract.close() == []
         # The burst actually crossed the wire coalesced.
         assert h.net.wire_bytes_by_type.get("DataBatchMsg", 0) > 0
 
@@ -445,7 +440,7 @@ class TestMemberDataBatching:
         for name in ("n0", "n1"):
             assert h.payloads(name).count("held-a") == 1
             assert h.payloads(name).count("held-b") == 1
-        h.assert_total_order(["n0", "n1"])
+        assert h.contract.close() == []
 
 
 class TestSequencerBatchDropRegression:
@@ -470,7 +465,7 @@ class TestSequencerBatchDropRegression:
             payloads = h.payloads(name)
             for k in range(4):
                 assert payloads.count(f"m{k}") == 1, (name, payloads)
-        h.assert_total_order(["n1", "n2"])
+        assert h.contract.close() == []
 
     def test_surviving_sequencer_batch_rides_flush_in_original_order(self):
         """When the sequencer itself survives the view change, its buffered
@@ -487,7 +482,7 @@ class TestSequencerBatchDropRegression:
         h.kernel.run(until=6.0)
         for name in ("n0", "n1"):
             assert h.payloads(name) == [f"m{k}" for k in range(4)]
-        h.assert_total_order(["n0", "n1"])
+        assert h.contract.close() == []
 
 
 class TestOnlyDataFlushesAreObserved:

@@ -39,7 +39,7 @@ class TestCoordinatorDeathDuringFlush:
         h.run(until=1.0)
         h.crash("n1")
         h.run(until=10.0)
-        h.assert_total_order(["n2", "n3"])
+        assert h.contract.close() == []
         # n3 survived; its SAFE messages must all be delivered exactly once.
         payloads = [m.payload for m in h.delivered["n2"]]
         assert sorted(payloads) == ["s0", "s1", "s2"]
@@ -68,7 +68,7 @@ class TestLossDuringViewChange:
         h.run(until=15.0)
         assert h.members["n1"].view.size == 2
         assert h.members["n2"].view.size == 2
-        h.assert_total_order(["n1", "n2"])
+        assert h.contract.close() == []
         assert len(h.delivered["n1"]) == 3
 
     def test_join_completes_under_loss(self):

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.gcs import GroupConfig, GroupMember, boot_static_group, recovery
+from repro.gcs.contract import GroupContract
 from repro.gcs.messages import AGREED, SAFE, JoinReq
 from repro.net import Address, Network
 from repro.net.codec import WIRE
@@ -29,6 +30,8 @@ class Harness:
         self.net = Network(self.kernel, shared_medium=False)
         self.net.lan = lan
         self.members: dict[str, GroupMember] = {}
+        #: The group's contract over every member ever attached.
+        self.contract = GroupContract()
         self.delivered: dict[str, list] = {}
         self.views: dict[str, list] = {}
         #: Members ever attached per name — the boot counter a real
@@ -54,6 +57,7 @@ class Harness:
             incarnation=self.boots.get(name, 0),
         )
         self.boots[name] = self.boots.get(name, 0) + 1
+        self.contract.attach(member)
         self.members[name] = member
         return member
 
@@ -75,18 +79,6 @@ class Harness:
 
     def live_names(self):
         return [n for n, m in self.members.items() if m.state != "stopped"]
-
-    def assert_total_order(self, names=None):
-        """Delivered id sequences must be pairwise prefix-consistent."""
-        names = names or self.live_names()
-        seqs = [self.delivered_ids(n) for n in names]
-        for i in range(len(seqs)):
-            for j in range(i + 1, len(seqs)):
-                a, b = seqs[i], seqs[j]
-                short = min(len(a), len(b))
-                assert a[:short] == b[:short], (
-                    f"order divergence between {names[i]} and {names[j]}"
-                )
 
 
 class TestNormalOperation:
@@ -112,7 +104,7 @@ class TestNormalOperation:
             for k in range(5):
                 h.members[name].multicast(f"{name}-{k}")
         h.run(until=2.0)
-        h.assert_total_order()
+        assert h.contract.close() == []
         assert len(h.delivered["n0"]) == 20
 
     def test_delivery_preserves_sender_fifo(self):
@@ -140,7 +132,7 @@ class TestNormalOperation:
         h.members["n1"].multicast("s0", service=SAFE)
         h.members["n2"].multicast("a1", service=AGREED)
         h.run(until=1.0)
-        h.assert_total_order()
+        assert h.contract.close() == []
         assert len(h.delivered["n0"]) == 3
 
     def test_multicast_before_boot_rejected(self):
@@ -160,7 +152,7 @@ class TestNormalOperation:
         for k in range(10):
             h.members["n0"].multicast(k)
         h.run(until=5.0)
-        h.assert_total_order()
+        assert h.contract.close() == []
         for name in h.members:
             assert len(h.delivered[name]) == 10
 
@@ -250,7 +242,7 @@ class TestFailures:
         for k in range(5):
             h.members["n2"].multicast(f"b{k}")
         h.run(until=5.0)
-        h.assert_total_order(["n1", "n2"])
+        assert h.contract.close() == []
         assert len(h.delivered["n1"]) == len(h.delivered["n2"]) == 10
 
     def test_safe_message_during_failure_not_duplicated(self):
@@ -289,7 +281,7 @@ class TestFailures:
         for k in range(4):
             h.members["n2"].multicast(f"c{k}")
         h.run(until=10.0)
-        h.assert_total_order(["n2", "n3"])
+        assert h.contract.close() == []
         for name in ("n2", "n3"):
             payloads = [m.payload for m in h.delivered[name]]
             # Survivors' messages all arrive, each exactly once.
@@ -313,7 +305,7 @@ class TestFailures:
         v1 = [(v.view_id, v.members) for v in h.views["n1"]]
         assert v0 == v1
         assert set(h.delivered_ids("n0")) == set(h.delivered_ids("n1"))
-        h.assert_total_order(["n0", "n1"])
+        assert h.contract.close() == []
 
 
 class TestJoinLeave:
@@ -520,7 +512,7 @@ class TestTokenOrdering:
             for name in list(h.members):
                 h.members[name].multicast(f"{name}/{k}")
         h.run(until=3.0)
-        h.assert_total_order()
+        assert h.contract.close() == []
         assert len(h.delivered["n0"]) == 12
 
     def test_token_survives_holder_crash(self):
