@@ -10,8 +10,10 @@ tests into first-class, replayable scenarios:
   through the network/node APIs, with automatic reverts for timed faults
   and :meth:`~repro.faults.injector.FaultInjector.heal_all` hygiene;
 * :mod:`~repro.faults.invariants` — live checkers for the paper's
-  guarantees (identical total order, exactly-once job launch, no lost
-  accepted command, bounded protocol state);
+  guarantees (the group's contract, exactly-once job launch, bounded
+  protocol state, and what clients were told);
+* :mod:`~repro.faults.history` — the client history those last are judged
+  by: every client command against one TORQUE server;
 * :mod:`~repro.faults.runner` — the ``repro chaos`` harness combining all
   of the above around a JOSHUA stack and a job workload.
 """

@@ -2,7 +2,8 @@
 
 :func:`run_chaos` is the one-call harness behind ``repro chaos run``: build
 a cluster and JOSHUA stack, attach the :class:`~repro.faults.invariants.
-InvariantSuite`, drive a workload of ``jsub`` submissions while a
+InvariantSuite`, drive a workload of ``jsub`` submissions, each followed by
+by-id ``jstat``s and, for every other running job, a ``jdel``, while a
 :class:`~repro.faults.injector.FaultInjector` executes the schedule, then
 heal everything, let the system quiesce, and run the final checks.
 
@@ -29,7 +30,7 @@ from repro.obs.metrics import MetricsRegistry
 from repro.obs.recorder import attach_recorder
 from repro.obs.timeseries import attach_timeseries
 from repro.rpc import TimeoutRecord, rpc_state
-from repro.util.errors import ClusterError, NoActiveHeadError
+from repro.util.errors import ClusterError, NoActiveHeadError, PBSError
 
 __all__ = ["CHAOS_GROUP", "ChaosReport", "run_chaos", "soak"]
 
@@ -46,6 +47,11 @@ CHAOS_GROUP = GroupConfig(
 
 #: Calm after the last fault is healed, before the final invariant checks.
 QUIESCE_S = 15.0
+#: How long after its ack a job is first read by id. It is deleted only if
+#: that read finds it running: a job still queued may be inside its
+#: launch's prologue, where a ``jdel`` takes the queued-job path and the
+#: node is never freed (ROADMAP item 12).
+FOLLOW_UP_S = 0.5
 
 
 @dataclass
@@ -57,8 +63,12 @@ class ChaosReport:
     schedule: FaultSchedule
     events_applied: list[tuple[float, str]]
     jobs_submitted: int
+    #: Distinct jobs a mom reported finished (run out or killed).
     jobs_completed: int
     violations: list[Violation] = field(default_factory=list)
+    #: What the client-history check exempted rather than passed: acks of
+    #: a head a partition heal later demoted (PROTOCOLS.md §4.1).
+    exempted: list[Violation] = field(default_factory=list)
     #: Every RPC attempt chain that exhausted its retries during the run,
     #: with destination, request type, and attempt count (from the
     #: simulation-wide :class:`~repro.rpc.RpcState` timeout log). Expected
@@ -84,7 +94,7 @@ class ChaosReport:
     #: Per-message-type byte ledgers from the network fabric.
     wire_bytes_by_type: dict = field(default_factory=dict)
     offered_bytes_by_type: dict = field(default_factory=dict)
-    #: Read-path workload share (0 = the historical write-only run) and
+    #: Read-path workload share (0 = no gateway read sessions) and
     #: its outcome split (reads that completed locally / fell back to the
     #: ordered stream / found no head at all).
     read_mix: float = 0.0
@@ -105,10 +115,12 @@ class ChaosReport:
             f"{self.reads_failed}X of {self.reads_issued}"
             if self.read_mix > 0 else ""
         )
+        exempted = f" exempted={len(self.exempted)}" if self.exempted else ""
         return (
             f"seed={self.seed} ordering={self.ordering}{sharding} "
             f"faults={len(self.schedule.events)} "
-            f"jobs={self.jobs_completed}/{self.jobs_submitted}{reads} {status}"
+            f"jobs={self.jobs_completed}/{self.jobs_submitted}{reads}"
+            f"{exempted} {status}"
         )
 
 
@@ -131,19 +143,20 @@ def run_chaos(
     With no *schedule*, a random one is generated from *seed* (so the run
     is replayable from the seed alone). The workload spreads *jobs*
     submissions over the first ~60 % of *duration* with walltimes short
-    enough to finish during the run; after *duration* the injector heals
-    every outstanding fault and the system gets ``QUIESCE_S`` seconds of calm
-    before the final invariant checks.
+    enough to finish during the run. ``FOLLOW_UP_S`` after its ack each job
+    is read by id; every other job that read finds running is deleted and
+    read again, and every job is read once more after its walltime. After
+    *duration* the injector heals every outstanding fault and the system
+    gets ``QUIESCE_S`` seconds of calm before the final invariant checks;
+    the suite's client history judges every one of these operations.
 
     With ``read_mix`` > 0 a second workload runs alongside: gateway
     sessions (:mod:`repro.joshua.gateway`) that submit tracked jobs and
     issue read-your-writes ``jstat`` queries, sized so reads make up
-    roughly that fraction of all client operations. Each session's one
-    write must come back stamped (``InvariantSuite.observe_write``); every
-    completed read is checked against the RYW/monotonic-reads invariants
-    (:meth:`~repro.faults.invariants.InvariantSuite.observe_read`); the
-    write workload is untouched, so ``read_mix=0`` runs are byte-identical
-    to the historical harness.
+    roughly that fraction of all client operations. Each completed read
+    names its session to the suite
+    (:meth:`~repro.faults.invariants.InvariantSuite.observe_read`) for the
+    session guarantees.
     """
     if not 0.0 <= read_mix < 1.0:
         raise ClusterError("read_mix must be in [0, 1)")
@@ -188,6 +201,24 @@ def run_chaos(
     submitted = 0
     failed_submits = 0
 
+    def follow_up(i, job_id, walltime):
+        """Read the acknowledged job by id; delete every other one the read
+        finds running, and read it again after its walltime."""
+        kernel = cluster.kernel
+        yield kernel.timeout(FOLLOW_UP_S)
+        try:
+            rows = yield from client.jstat(job_id)
+            if i % 2 and rows[0]["state"] == "R":
+                yield from client.jdel(job_id)
+                yield from client.jstat(job_id)
+        except (NoActiveHeadError, PBSError):
+            pass  # an outage, or a finished job a head no longer knows
+        yield kernel.timeout(walltime)
+        try:
+            yield from client.jstat(job_id)
+        except (NoActiveHeadError, PBSError):
+            pass
+
     def workload():
         nonlocal submitted, failed_submits
         rng = cluster.kernel.streams.get("chaos-workload")
@@ -203,13 +234,16 @@ def run_chaos(
                 if shards > 1 else {}
             )
             try:
-                yield from client.jsub(name=f"chaos-{i}", walltime=walltime,
-                                       **extra)
+                job_id = yield from client.jsub(
+                    name=f"chaos-{i}", walltime=walltime, **extra)
                 submitted += 1
             except NoActiveHeadError:
                 # Every head unreachable right now — a client-visible outage
                 # is allowed; losing an *accepted* job is not.
                 failed_submits += 1
+                continue
+            cluster.kernel.spawn(follow_up(i, job_id, walltime),
+                                 name=f"chaos-follow-up-{i}")
 
     reads = (
         int(round(jobs * read_mix / (1.0 - read_mix))) if read_mix > 0 else 0
@@ -236,15 +270,11 @@ def run_chaos(
                     # Establish this reader's floors first: a tracked
                     # write of its own is what makes RYW falsifiable.
                     walltime = float(rng.uniform(1.0, 3.0))
-                    floors = dict(client.last_write_seq)
                     yield from session.jsub(
                         name=f"chaos-reader{i}", walltime=walltime
                     )
                     submitted += 1
                     wrote.add(session.client_id)
-                    suite.observe_write(
-                        session.client_id, floors, client.last_write_seq
-                    )
                 read_stats["issued"] += 1
                 yield from session.jstat()  # id-less: gates every shard
                 response = client.last_stat_response
@@ -277,8 +307,9 @@ def run_chaos(
         shards=shards,
         events_applied=list(injector.log),
         jobs_submitted=submitted,
-        jobs_completed=suite.completed_jobs(),
+        jobs_completed=len(suite.history.obits),
         violations=list(suite.violations),
+        exempted=list(suite.exempted),
         rpc_timeouts=list(rpc_state(cluster.network).timeouts),
         registry=collector.registry,
         log_records=cluster.kernel.log.to_dicts(),

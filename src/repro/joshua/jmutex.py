@@ -11,9 +11,10 @@ the job has finished, the distributed mutual exclusion is released."
 
 * a prologue hook that asks the attempting head's joshua server for the
   launch decision (the joshua servers arbitrate via SAFE-multicast claims;
-  first claim in the total order wins). A silent joshua (its head just
-  died) yields ``"emulate"`` — the launch-mutex revocation at the next view
-  change requeues the job if the winner never actually launched it;
+  first claim in the total order wins). A joshua that does not answer in
+  time (its head died, or the claim round is slow) yields ``"undecided"``:
+  the mom refuses the attempt and the head's scheduler dispatches the job
+  again, by when the claim has normally been decided;
 * an ``on_job_start`` notifier (the winning attempt confirms the launch
   really happened — this is what protects against revoking a job that *is*
   running);
@@ -46,7 +47,9 @@ NOTIFY_PASSES = 6
 NOTIFY_BACKOFF = 0.25
 NOTIFY_BACKOFF_CAP = 2.0
 #: Seconds per attempt of the prologue's launch-decision request and of each
-#: Started/Done notification.
+#: Started/Done notification. The prologue must end inside the server's
+#: wait for the mom (``PBSServer._do_run``: 2 × 2.0 s), or the mom could
+#: launch a job its server already took back.
 JMUTEX_TIMEOUT = 2.0
 
 
@@ -71,10 +74,12 @@ def install_jmutex(mom: PBSMom) -> None:
             )
             return response.decision
         except (RpcTimeout, PBSError):
-            # The attempting head died mid-prologue. Emulating is the safe
-            # answer: if the real winner also never launches, the view
-            # change revokes the claim and the job is re-dispatched.
-            return "emulate"
+            # The head died mid-prologue, or its claim round outlasts the
+            # prologue. Emulating would mark the job running on a head that
+            # may be the winner, and no view change revokes a claim whose
+            # winner stays; refusing leaves the job queued, and the next
+            # attempt finds the claim decided.
+            return "undecided"
 
     def _notify_first_responder(request) -> None:
         """Deliver *request* to the first head that answers, retrying the

@@ -9,7 +9,9 @@ Reproduces the behaviours the paper's prototype leaned on:
 * **prologue hooks**: scripts run before the user job. JOSHUA's ``jmutex``
   is such a hook — it decides, via the group communication system, whether
   this particular server's start attempt actually executes the job
-  (``"run"``) or merely pretends to (``"emulate"``). Without hooks, a
+  (``"run"``) or merely pretends to (``"emulate"``); a hook that cannot
+  tell (``"undecided"``) refuses the attempt, so the server keeps the job
+  queued and its scheduler tries again. Without hooks, a
   duplicate start attempt for a job that is already running is rejected,
   which is exactly the plain-TORQUE behaviour that makes naive multi-head
   replication unsafe;
@@ -51,7 +53,7 @@ if TYPE_CHECKING:  # pragma: no cover
 __all__ = ["PBSMom", "PrologueHook"]
 
 #: A prologue hook: generator taking (mom, start request) and returning
-#: "run" or "emulate".
+#: "run", "emulate" or "undecided".
 PrologueHook = Callable[["PBSMom", JobStartReq], Generator]
 
 
@@ -93,6 +95,8 @@ class PBSMom(Daemon):
         self.active: dict[str, _RunningJob] = {}
         #: job_id -> obit, kept for late duplicate start attempts.
         self.finished: dict[str, JobObit] = {}
+        #: (server, request id) of every start attempt still in its prologue.
+        self._starting: set[tuple[Address, int]] = set()
         self.stats = {"runs": 0, "emulations": 0, "rejections": 0, "kills": 0,
                       "obits_sent": 0, "obits_abandoned": 0}
         self.rpc = RpcDispatcher(self, fallback=bad_request)
@@ -130,6 +134,19 @@ class PBSMom(Daemon):
     # -- start attempts -----------------------------------------------------------
 
     def _handle_start(self, src: Address, request_id: int, req: JobStartReq):
+        # A server resends an attempt it has no answer to under the same
+        # request id. Deciding it twice could launch the job after the first
+        # answer told the server it did not start; one answer serves both.
+        attempt = (src, request_id)
+        if attempt in self._starting:
+            return None
+        self._starting.add(attempt)
+        try:
+            return (yield from self._decide_and_start(req))
+        finally:
+            self._starting.discard(attempt)
+
+    def _decide_and_start(self, req: JobStartReq):
         yield self.kernel.timeout(self.times.mom_start)
         if req.job_id in self.finished:
             # Late attempt for a job that already ran to completion here:
@@ -157,6 +174,10 @@ class PBSMom(Daemon):
             else:
                 self.stats["rejections"] += 1
                 return JobStartResp(False, "run", "job already running")
+
+        if decision == "undecided":
+            self.stats["rejections"] += 1
+            return JobStartResp(False, "emulate", "launch decision not reached")
 
         collector = collector_of(self.node.network)
         if decision == "emulate":

@@ -196,9 +196,18 @@ class TestReadMix:
 
 
 class TestInvariantSuiteCatchesRealBreakage:
+    """Each client-facing rule fires on the breakage it exists for. The
+    findings come from the suite's client history
+    (:mod:`repro.faults.history`), judged at ``final_check``."""
+
+    @staticmethod
+    def _findings(suite, rule):
+        suite.final_check()
+        return [v for v in suite.violations if v.invariant == rule]
+
     def test_lost_job_detected(self):
-        """Sanity: the no-lost-command checker actually fires when a head's
-        queue silently loses an accepted job."""
+        """An acknowledged live job missing from one head's table is a
+        finding of the end-of-run read."""
         from repro.faults import InvariantSuite
 
         stack = make_stack(heads=2, computes=2, seed=41)
@@ -208,70 +217,138 @@ class TestInvariantSuiteCatchesRealBreakage:
         job_id = drive(stack, client.jsub(name="victim", walltime=600))
         settle(stack, 2.0)
         stack.pbs("head1").jobs.remove(job_id)  # simulated state corruption
-        suite.final_check()
-        assert any(v.invariant == "no-lost-command" for v in suite.violations)
+        [finding] = self._findings(suite, "linearizable")
+        assert job_id in finding.detail
+        assert "head1's table at the end: no such job" in finding.detail
+
+    def test_lost_job_detected_on_a_restarted_head(self):
+        """A head that crashed and rejoined is held to the same read: the
+        job was live at its marker cut, so the capture carried it."""
+        from repro.faults import InvariantSuite
+
+        stack = make_stack(heads=3, computes=2, seed=41)
+        stack.cluster.run(until=2.0)
+        suite = InvariantSuite(stack).attach()
+        client = stack.client(node="login")
+        job_id = drive(stack, client.jsub(name="victim", walltime=600))
+        stack.cluster.node("head1").crash()
+        settle(stack, 3.0)
+        stack.cluster.node("head1").restart()
+        settle(stack, 10.0)
+        assert stack.joshua("head1").active
+        assert suite.final_check() == []  # the transfer carried the job
+        stack.pbs("head1").jobs.remove(job_id)
+        [finding] = self._findings(suite, "linearizable")
+        assert "head1's table at the end: no such job" in finding.detail
 
     def test_stale_read_detected(self):
-        """Sanity: the read-your-writes checker fires when a local answer's
-        ``as_of_seq`` sits below the client's own write floor."""
+        """A local ``ryw`` read that lacks the session's own acknowledged
+        job: the answering head reached the floor, so it applied the write."""
         from repro.faults import InvariantSuite
-        from repro.joshua.wire import JStatResp
 
         stack = make_stack(heads=2, computes=1, seed=47)
         stack.cluster.run(until=2.0)
         suite = InvariantSuite(stack).attach()
-        suite.observe_read("alice", {0: 5}, JStatResp((), ((0, 3),), "head0"))
-        assert any(v.invariant == "read-your-writes" for v in suite.violations)
+        session = stack.gateway().session("login", "alice")
+        job_id = drive(stack, session.jsub(name="mine", walltime=600))
+        stack.pbs(session.head).jobs.remove(job_id)  # the replica lost it
+        drive(stack, session.jstat())
+        suite.observe_read("alice", dict(session.client.last_write_seq),
+                           session.client.last_stat_response)
+        [finding] = self._findings(suite, "read-your-writes")
+        assert job_id in finding.detail and "shard 0" in finding.detail
 
     def test_missing_shard_position_detected(self):
+        """With two shards, an id-less read gates on every shard: a local
+        answer that lacks the session's write on shard 1 is stale there."""
         from repro.faults import InvariantSuite
-        from repro.joshua.wire import JStatResp
+        from repro.joshua.shard import queue_for_shard
 
-        stack = make_stack(heads=2, computes=1, seed=47)
+        stack = make_stack(heads=2, computes=1, seed=47, shards=2)
         stack.cluster.run(until=2.0)
         suite = InvariantSuite(stack).attach()
-        suite.observe_read("alice", {1: 2}, JStatResp((), ((0, 9),), "head0"))
-        assert any(v.invariant == "read-your-writes" for v in suite.violations)
+        session = stack.gateway().session("login", "alice")
+        job_id = drive(stack, session.jsub(
+            name="mine", walltime=600, queue=queue_for_shard(1, 2)))
+        assert stack.joshua(session.head).shard_for_job(job_id).index == 1
+        stack.pbs(session.head).jobs.remove(job_id)
+        drive(stack, session.jstat())
+        [finding] = self._findings(suite, "read-your-writes")
+        assert "shard 1" in finding.detail
 
     def test_monotonic_reads_regression_detected(self):
-        """Sanity: a session re-reading the same head must never see a
-        shard position go backwards."""
+        """A session re-reading the same head must not lose a job it was
+        shown (one another client submitted, so read-your-writes does not
+        cover it) unless the job may have finished."""
+        from repro.faults import InvariantSuite
+
+        stack = make_stack(heads=2, computes=1, seed=47)
+        stack.cluster.run(until=2.0)
+        suite = InvariantSuite(stack).attach()
+        other = drive(stack, stack.client(node="login").jsub(
+            name="theirs", walltime=600))
+        session = stack.gateway().session("login", "alice")
+        drive(stack, session.jstat())
+        suite.observe_read("alice", {}, session.client.last_stat_response)
+        stack.pbs(session.head).jobs.remove(other)  # between the two reads
+        drive(stack, session.jstat())
+        suite.observe_read("alice", {}, session.client.last_stat_response)
+        [finding] = self._findings(suite, "monotonic-reads")
+        assert other in finding.detail and "alice" in finding.detail
+        assert not [v for v in suite.violations if v.invariant == "read-your-writes"]
+
+    def test_bare_tracked_ack_detected(self, monkeypatch):
+        """A ``track_seq`` write acknowledged without its commit position:
+        the client hook sees the bare reply."""
+        from repro.aa.engine import ReplicationEngine
+        from repro.faults import InvariantSuite
+
+        monkeypatch.setattr(ReplicationEngine, "_stamped",
+                            lambda self, uuid, track: self.results.get(uuid))
+        stack = make_stack(heads=2, computes=1, seed=47)
+        stack.cluster.run(until=2.0)
+        suite = InvariantSuite(stack).attach()
+        session = stack.gateway().session("login", "alice")
+        drive(stack, session.jsub(name="mine", walltime=600))
+        [finding] = self._findings(suite, "tracked-write-stamped")
+        assert "without a stamp" in finding.detail
+
+    def test_ordered_responses_ignored_by_read_checker(self):
+        """An ordered answer is judged by neither session rule: a ``ryw``
+        read whose floor no replica reaches in time falls back to the
+        ordered path, and its answer lacking the session's own job is no
+        finding. The same read answered locally is both."""
         from repro.faults import InvariantSuite
         from repro.joshua.wire import JStatResp
 
         stack = make_stack(heads=2, computes=1, seed=47)
         stack.cluster.run(until=2.0)
         suite = InvariantSuite(stack).attach()
-        suite.observe_read("alice", {}, JStatResp((), ((0, 5),), "head0"))
-        assert not suite.violations
-        suite.observe_read("alice", {}, JStatResp((), ((0, 4),), "head0"))
-        assert any(v.invariant == "monotonic-reads" for v in suite.violations)
-        assert suite.reads_observed == 2
+        session = stack.gateway().session("login", "alice")
+        client = session.client
+        job_id = drive(stack, session.jsub(name="mine", walltime=600))
+        floors = dict(client.last_write_seq)
+        drive(stack, session.jstat())
+        suite.observe_read("alice", floors, client.last_stat_response)
+        stack.pbs(session.head).jobs.remove(job_id)  # the replica lost it
 
-    def test_bare_tracked_ack_detected(self):
-        """Sanity: a tracked write whose acknowledgement raised none of the
-        client's floors came back unstamped."""
-        from repro.faults import InvariantSuite
+        def session_rules():
+            findings, _exempted = suite.history.judge({})
+            return {rule for rule, _ in findings} & {
+                "read-your-writes", "monotonic-reads"}
 
-        stack = make_stack(heads=2, computes=1, seed=47)
-        suite = InvariantSuite(stack)
-        suite.observe_write("alice", {}, {0: 3})
-        suite.observe_write("alice", {0: 3}, {0: 3, 1: 1})
-        assert not suite.violations
-        suite.observe_write("alice", {0: 3, 1: 1}, {0: 3, 1: 1})
-        suite.observe_write("bob", {}, {})
-        assert [v.invariant for v in suite.violations] == ["tracked-write-stamped"] * 2
+        client.last_write_seq[0] = 10 ** 6  # no replica gets there in time
+        drive(stack, session.jstat())
+        assert not isinstance(client.last_stat_response, JStatResp)
+        assert job_id not in {row["job_id"] for row in client.last_stat_response.rows}
+        suite.observe_read("alice", {0: 10 ** 6}, client.last_stat_response)
+        assert session_rules() == set()
 
-    def test_ordered_responses_ignored_by_read_checker(self):
-        from repro.faults import InvariantSuite
-        from repro.pbs.wire import StatResp
-
-        stack = make_stack(heads=2, computes=1, seed=47)
-        stack.cluster.run(until=2.0)
-        suite = InvariantSuite(stack).attach()
-        suite.observe_read("alice", {0: 99}, StatResp(()))
-        assert not suite.violations
-        assert suite.reads_observed == 0
+        client.last_write_seq[0] = floors[0]
+        drive(stack, session.jstat())
+        assert isinstance(client.last_stat_response, JStatResp)
+        suite.observe_read("alice", floors, client.last_stat_response)
+        assert session_rules() == {"read-your-writes", "monotonic-reads"}
 
     def test_duplicate_launch_detected(self):
         """Sanity: concurrent duplicate executions are flagged the moment

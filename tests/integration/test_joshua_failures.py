@@ -8,10 +8,12 @@ bug.
 
 import pytest
 
+from repro.joshua.wire import JMutexReq, JMutexResp
 from repro.net import Address
 from repro.obs import attach_collector
 from repro.pbs.job import JobState
 from repro.pbs.server import PBS_SERVER_PORT
+from repro.pbs.wire import JobStartReq
 from repro.rpc import rpc_state
 
 from tests.integration.conftest import drive, make_stack, settle, total_runs
@@ -159,6 +161,62 @@ class TestLaunchMutexUnderFailure:
         stack.cluster.run(until=60.0)
         assert stack.joshua("head1").stats["revocations"] == 0
         assert total_runs(stack) == 1
+
+
+class TestLateLaunchDecision:
+    @pytest.mark.parametrize("late", [3.0, 5.0])
+    def test_a_late_launch_decision_never_runs_the_job_twice(self, late):
+        """Every head's joshua holds its launch decisions until *late*
+        seconds after the first request arrives, past the prologue's 2 s:
+        inside the server's 4 s wait for the mom (3 s) or after it (5 s).
+        Every attempt made before then is refused and leaves the job
+        queued, and a dispatch after it launches the job exactly once."""
+        stack = make_stack(heads=3)
+        kernel = stack.cluster.kernel
+        asked = []  # send time of each launch-decision request
+        attempts = set()  # request id of each server's start attempt
+
+        def on_request(node, server, request_id, payload, attempt):
+            if type(payload) is JMutexReq:
+                asked.append(kernel.now)
+            elif type(payload) is JobStartReq:
+                attempts.add(request_id)
+
+        rpc_state(stack.cluster.network).on_request.append(on_request)
+
+        def hold_until(release, reply, dst, request_id, response):
+            yield kernel.timeout(release - kernel.now)
+            reply(dst, request_id, response)
+
+        for head in stack.head_names:
+            joshua = stack.joshua(head)
+
+            def late_reply(dst, request_id, response, joshua=joshua,
+                           reply=joshua._reply):
+                release = asked[0] + late if asked else 0.0
+                if type(response) is JMutexResp and kernel.now < release:
+                    joshua.spawn(hold_until(release, reply, dst, request_id,
+                                            response))
+                else:
+                    reply(dst, request_id, response)
+
+            joshua._reply = late_reply
+
+        job_id = drive(stack, stack.client().jsub(name="late", walltime=2.0))
+        stack.cluster.run(until=40.0)
+        assert total_runs(stack) == 1
+        for head in stack.head_names:
+            assert stack.pbs(head).jobs.get(job_id).state is JobState.COMPLETE
+        # The mom answered every attempt inside the server's wait: a server
+        # that gives up frees the node and may dispatch the job elsewhere
+        # while the mom still launches it.
+        timeouts = rpc_state(stack.cluster.network).timeouts
+        assert not [r for r in timeouts if r.request_type == "JobStartReq"]
+        # The first round was refused and dispatched again, each attempt
+        # asking once: the server's resend of an attempt still deciding
+        # starts no second prologue.
+        assert len(attempts) > 3
+        assert len(asked) <= len(attempts)
 
 
 class TestNotifierRetry:
