@@ -91,9 +91,8 @@ _R1_BANNED_EXACT = frozenset(
         "uuid.uuid1", "uuid.uuid4",
     }
 )
-#: Module prefixes where *every* call is banned (global, process-seeded RNG
-#: state or OS entropy).
-_R1_BANNED_PREFIXES = ("secrets.", "numpy.random.", "np.random.")
+#: Module prefixes where *every* call is banned (OS entropy).
+_R1_BANNED_PREFIXES = ("secrets.",)
 #: ``random.<anything>`` except an explicitly seeded ``random.Random(seed)``.
 _R1_RANDOM_MODULE = "random."
 
@@ -117,17 +116,10 @@ def rule_r1(tree: ast.AST, path: str) -> list[Finding]:
         if resolved in _R1_BANNED_EXACT:
             message = f"call to {resolved}() is a wall-clock/OS-entropy source"
         elif resolved.startswith(_R1_BANNED_PREFIXES):
-            # Explicitly seeded generator construction is the sanctioned
-            # pattern; only the *global* numpy RNG state is banned.
-            tail = resolved.rsplit(".", 1)[-1]
-            if tail in ("default_rng", "Generator", "SeedSequence", "PCG64"):
-                if tail == "default_rng" and not node.args:
-                    message = "default_rng() without a seed draws from OS entropy"
-            else:
-                message = (
-                    f"call to {resolved}() uses global/OS randomness — draw "
-                    "from the kernel's seeded RandomStreams instead"
-                )
+            message = (
+                f"call to {resolved}() uses OS randomness — draw from the "
+                "kernel's seeded RandomStreams instead"
+            )
         elif resolved.startswith(_R1_RANDOM_MODULE) or resolved == "random":
             if resolved in ("random.Random", "random.SystemRandom"):
                 if resolved == "random.SystemRandom" or not node.args:
@@ -140,10 +132,6 @@ def rule_r1(tree: ast.AST, path: str) -> list[Finding]:
                     f"call to {resolved}() uses the process-global RNG — use "
                     "a named stream from util.rng.RandomStreams"
                 )
-        elif resolved in ("numpy.random", "np.random"):
-            message = "global numpy RNG is process-seeded"
-        elif resolved == "default_rng" and not node.args:
-            message = "default_rng() without a seed draws from OS entropy"
         if message is not None:
             findings.append(
                 Finding(

@@ -27,13 +27,13 @@ with whatever is still in flight.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Iterator
 
-import numpy as np
-
 from repro.pbs.job import JobSpec
 from repro.util.errors import ReproError
+from repro.util.rng import RandomStreams
 
 __all__ = [
     "BurstWorkload",
@@ -93,11 +93,11 @@ class PoissonWorkload:
             raise ReproError("invalid walltime range")
 
     def __iter__(self) -> Iterator[tuple[float, JobSpec]]:
-        rng = np.random.default_rng(self.seed)
+        rng = RandomStreams(self.seed).get("poisson")
         lo, hi = self.walltime_range
         for index in range(self.count):
-            delay = float(rng.exponential(1.0 / self.rate))
-            walltime = float(rng.uniform(lo, hi))
+            delay = rng.exponential(1.0 / self.rate)
+            walltime = rng.uniform(lo, hi)
             yield delay, JobSpec(name=f"job{index:04d}", walltime=walltime)
 
     def __len__(self) -> int:
@@ -135,18 +135,18 @@ class DiurnalWorkload:
             raise ReproError("invalid walltime range")
 
     def __iter__(self) -> Iterator[tuple[float, JobSpec]]:
-        rng = np.random.default_rng(self.seed)
+        rng = RandomStreams(self.seed).get("diurnal")
         lo, hi = self.walltime_range
         peak = self.base_rate * (1.0 + self.amplitude)
         time = 0.0
         emitted = 0
         previous = 0.0
         while emitted < self.count:
-            time += float(rng.exponential(1.0 / peak))
-            phase = 2.0 * np.pi * time / self.day_seconds - np.pi / 2.0
-            rate = self.base_rate * (1.0 + self.amplitude * np.sin(phase))
-            if float(rng.random()) < rate / peak:  # thinning
-                walltime = float(rng.uniform(lo, hi))
+            time += rng.exponential(1.0 / peak)
+            phase = 2.0 * math.pi * time / self.day_seconds - math.pi / 2.0
+            rate = self.base_rate * (1.0 + self.amplitude * math.sin(phase))
+            if rng.random() < rate / peak:  # thinning
+                walltime = rng.uniform(lo, hi)
                 yield time - previous, JobSpec(
                     name=f"job{emitted:05d}", walltime=walltime
                 )
@@ -205,20 +205,17 @@ class OpenLoopWorkload:
             raise ReproError("walltime_scale must be positive")
 
     def __iter__(self) -> Iterator[OpenLoopRequest]:
-        rng = np.random.default_rng(self.seed)
+        rng = RandomStreams(self.seed).get("open-loop")
         time = 0.0
         for index in range(self.count):
-            time += float(rng.exponential(1.0 / self.rate))
-            # Unused, but dropping this draw would shift every later one and
-            # with them the committed BENCH_read_scaling.json.
-            rng.random()
-            client = int(rng.integers(self.clients))
-            if float(rng.random()) < self.read_fraction:
+            time += rng.exponential(1.0 / self.rate)
+            client = rng.integers(self.clients)
+            if rng.random() < self.read_fraction:
                 yield OpenLoopRequest(time, client, "jstat")
             else:
                 walltime = min(
                     self.walltime_scale
-                    * (1.0 + float(rng.pareto(_WALLTIME_SHAPE))),
+                    * (1.0 + rng.pareto(_WALLTIME_SHAPE)),
                     self.walltime_cap,
                 )
                 yield OpenLoopRequest(

@@ -225,7 +225,7 @@ def run_chaos(
         window = 0.6 * duration
         for i in range(jobs):
             yield cluster.kernel.timeout(window / jobs)
-            walltime = float(rng.uniform(1.0, 3.0))
+            walltime = rng.uniform(1.0, 3.0)
             # Sharded runs round-robin the submissions across every
             # shard's queue namespace so each ordering group sees traffic;
             # single-shard runs keep the historical default queue.
@@ -269,7 +269,7 @@ def run_chaos(
                 if session.client_id not in wrote:
                     # Establish this reader's floors first: a tracked
                     # write of its own is what makes RYW falsifiable.
-                    walltime = float(rng.uniform(1.0, 3.0))
+                    walltime = rng.uniform(1.0, 3.0)
                     yield from session.jsub(
                         name=f"chaos-reader{i}", walltime=walltime
                     )

@@ -38,9 +38,8 @@ import json
 from dataclasses import dataclass, field
 from typing import Sequence
 
-import numpy as np
-
 from repro.util.errors import ClusterError
+from repro.util.rng import RandomStreams
 
 __all__ = ["FaultEvent", "FaultSchedule", "random_schedule"]
 
@@ -248,7 +247,7 @@ def random_schedule(
     """
     if intensity < 1:
         raise ClusterError("intensity must be at least 1")
-    rng = np.random.default_rng(seed)
+    rng = RandomStreams(seed).get("fault-schedule")
     heads = list(heads)
     computes = list(computes)
     schedule = FaultSchedule()
@@ -267,34 +266,37 @@ def random_schedule(
     slot = (window_end - window_start) / intensity
     for i in range(intensity):
         lo = window_start + i * slot
-        start = lo + float(rng.uniform(0.0, 0.25 * slot))
-        span = float(rng.uniform(0.35, 0.7)) * slot
+        start = lo + rng.uniform(0.0, 0.25 * slot)
+        span = rng.uniform(0.35, 0.7) * slot
         end = min(start + span, lo + 0.95 * slot)
-        kind = menu[int(rng.integers(len(menu)))]
+        kind = menu[rng.integers(len(menu))]
         if kind == "head_crash":
-            victim = heads[int(rng.integers(len(heads)))]
+            victim = heads[rng.integers(len(heads))]
             schedule.crash(start, victim).restart(end, victim)
         elif kind == "compute_crash":
-            victim = computes[int(rng.integers(len(computes)))]
+            victim = computes[rng.integers(len(computes))]
             schedule.crash(start, victim).restart(end, victim)
         elif kind == "head_cut":
-            a, b = rng.choice(len(heads), size=2, replace=False)
-            schedule.cut(start, heads[int(a)], heads[int(b)])
-            schedule.restore(end, heads[int(a)], heads[int(b)])
+            a = rng.integers(len(heads))
+            b = rng.integers(len(heads) - 1)  # any head but ``a``
+            if b >= a:
+                b += 1
+            schedule.cut(start, heads[a], heads[b])
+            schedule.restore(end, heads[a], heads[b])
         elif kind == "head_freeze":
-            victim = heads[int(rng.integers(len(heads)))]
+            victim = heads[rng.integers(len(heads))]
             dur = min(HEAD_FREEZE_MAX, end - start)
             schedule.freeze(start, victim, dur)
         elif kind == "compute_freeze":
-            victim = computes[int(rng.integers(len(computes)))]
+            victim = computes[rng.integers(len(computes))]
             schedule.freeze(start, victim, min(1.5, end - start))
         elif kind == "loss":
-            schedule.loss_burst(start, float(rng.uniform(0.05, 0.2)), end - start)
+            schedule.loss_burst(start, rng.uniform(0.05, 0.2), end - start)
         elif kind == "jitter":
-            schedule.jitter_burst(start, float(rng.uniform(0.001, 0.01)), end - start)
+            schedule.jitter_burst(start, rng.uniform(0.001, 0.01), end - start)
         elif kind == "slow_head":
-            victim = heads[int(rng.integers(len(heads)))]
-            schedule.slow_node(start, victim, float(rng.uniform(0.001, 0.02)), end - start)
+            victim = heads[rng.integers(len(heads))]
+            schedule.slow_node(start, victim, rng.uniform(0.001, 0.02), end - start)
         elif kind == "token_loss":
             schedule.token_loss(start, min(1.0, end - start))
     return schedule

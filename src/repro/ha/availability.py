@@ -156,12 +156,12 @@ def monte_carlo_availability(
     def lifecycle(index: int):
         rng = kernel.streams.get(f"mc.{index}")
         while True:
-            yield kernel.timeout(float(rng.exponential(mttf)))
+            yield kernel.timeout(rng.exponential(mttf))
             up[index] = False
             if not any(up) and state["all_down_since"] is None:
                 state["all_down_since"] = kernel.now
                 state["events"] += 1
-            yield kernel.timeout(float(rng.exponential(mttr)))
+            yield kernel.timeout(rng.exponential(mttr))
             up[index] = True
             if state["all_down_since"] is not None:
                 state["down_total"] += kernel.now - state["all_down_since"]

@@ -173,20 +173,20 @@ def monte_carlo_correlated(
     def node_lifecycle(index: int):
         rng = kernel.streams.get(f"cc-node.{index}")
         while True:
-            yield kernel.timeout(float(rng.exponential(mttf_hours * 3600)))
+            yield kernel.timeout(rng.exponential(mttf_hours * 3600))
             up[index] = False
             account("indep")
-            yield kernel.timeout(float(rng.exponential(mttr_hours * 3600)))
+            yield kernel.timeout(rng.exponential(mttr_hours * 3600))
             up[index] = True
             account(None)
 
     def common_cause():
         rng = kernel.streams.get("cc-shared")
         while True:
-            yield kernel.timeout(float(rng.exponential(cc_mttf_hours * 3600)))
+            yield kernel.timeout(rng.exponential(cc_mttf_hours * 3600))
             cc_active[0] = True
             account("cc")
-            yield kernel.timeout(float(rng.exponential(cc_mttr_hours * 3600)))
+            yield kernel.timeout(rng.exponential(cc_mttr_hours * 3600))
             cc_active[0] = False
             account(None)
 

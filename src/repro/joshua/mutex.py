@@ -60,6 +60,12 @@ class MutexArbiter:
         if collector is not None:
             collector.job_event(s.node.name, "job.jmutex",
                                 job_id=req.job_id, head=req.head)
+        if not s.active:
+            # A joiner's table is not whole until its capture is installed:
+            # a claim it made now could win here and lose everywhere else.
+            # The refusal leaves the attempt undecided (the mom refuses it).
+            s.host._reply(src, request_id, s.host.JOINING)
+            return
         entry = self.entries.get(req.job_id)
         if entry is not None:
             decision = "run" if entry.winner == req.head else "emulate"

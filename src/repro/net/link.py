@@ -60,7 +60,7 @@ class LinkModel:
         uniform double in [0, 1) of the caller's stream."""
         delay = self.base_latency + size / self.bandwidth
         if self.jitter > 0:
-            # ``Generator.uniform(0.0, jitter)`` computes 0.0 + jitter * u.
+            # The stream's ``uniform(0.0, jitter)``: 0.0 + jitter * u.
             delay += self.jitter * draw()
         return delay
 

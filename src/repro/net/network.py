@@ -56,10 +56,7 @@ and the delivered object graphs.
 from __future__ import annotations
 
 from functools import partial
-from itertools import chain
 from typing import Any, Callable, Sequence
-
-import numpy as np
 
 from repro.net.address import Address, Delivery, canonical_group
 from repro.net.codec import WIRE
@@ -73,18 +70,6 @@ __all__ = ["Endpoint", "Network", "DATAGRAM_OVERHEAD"]
 
 #: Fixed per-datagram header charge (IP + UDP), added to every encoded frame.
 DATAGRAM_OVERHEAD = 28
-#: Doubles the fabric takes from its random stream at a time.
-DRAW_BLOCK = 256
-
-
-def _block_draws(rng: np.random.Generator) -> Callable[[], float]:
-    """A zero-argument draw over *rng*: each call returns the next double
-    of ``rng.random(DRAW_BLOCK)`` blocks, fetched one block at a time as
-    the previous runs out — bit for bit what a ``rng.random()`` per call
-    returns (both read the generator's doubles in order)."""
-    blocks = iter(lambda: rng.random(DRAW_BLOCK).tolist(), None)
-    return partial(next, chain.from_iterable(blocks))
-
 
 def _payload_kind(payload: Any) -> str:
     """Ledger key for the per-message-type byte accounting.
@@ -173,9 +158,8 @@ class Network:
         self._pair_seq: dict[tuple[Address, Address], int] = {}
         self._endpoints: dict[Address, Endpoint] = {}
         #: Next uniform double in [0, 1) of the ``net`` stream (loss and
-        #: jitter), read from blocks of DRAW_BLOCK: the same values in the
-        #: same order as one ``Generator.random()`` call each.
-        self._draw: Callable[[], float] = _block_draws(kernel.streams.get("net"))
+        #: jitter).
+        self._draw: Callable[[], float] = kernel.streams.get("net").random
         #: Simulated time at which the shared wire next becomes free.
         self._wire_free_at = 0.0
         # Delivery statistics (observability for tests and benches). Byte

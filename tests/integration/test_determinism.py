@@ -6,7 +6,12 @@ of event counts, timings and end state — any accidental use of wall clock,
 unseeded randomness, or hash-order iteration shows up here first.
 """
 
+import hashlib
 import os
+import subprocess
+import sys
+
+import golden
 
 from repro.cluster import Cluster
 from repro.joshua import build_joshua_stack
@@ -110,6 +115,24 @@ class TestDeterminism:
             cluster.run(until=25.0)
             traces.append(trace)
         assert traces[0] == traces[1]
+
+    def test_hash_seed_moves_no_output(self):
+        """Across processes: no draw and no iteration order depends on the
+        interpreter's salted ``hash``. One pinned CLI run, in two
+        interpreters with different ``PYTHONHASHSEED``s, prints the same
+        bytes, and those are the committed ones."""
+        argv = golden.CLI_RUNS["trace-shard"]
+        digests = set()
+        for hash_seed in ("1", "2"):
+            done = subprocess.run(
+                [sys.executable, "-m", "repro", *argv],
+                env={**os.environ, "PYTHONHASHSEED": hash_seed,
+                     "PYTHONPATH": str(golden.ROOT / "src")},
+                capture_output=True, check=True,
+            )
+            digests.add(hashlib.sha256(done.stdout).hexdigest())
+        pinned = golden.committed("golden_digests")["cli"]["trace-shard"]["stdout"]
+        assert digests == {pinned}
 
     def test_different_seeds_diverge(self):
         """The seed must actually matter (jitter, workload draws)."""

@@ -11,13 +11,18 @@ The three restart defects the `failover` benchmark found (ROADMAP, PR 11):
       jobs that finished before its transfer — an explicit non-guarantee
       (PROTOCOLS.md §4.1), pinned here so a change to it is deliberate;
 (iv)  a capture rebuilt each spec from its qstat row, which carries neither
-      ``exit_status`` nor ``priority``, so a joiner replayed both as 0.
+      ``exit_status`` nor ``priority``, so a joiner replayed both as 0;
+(v)   a joiner answered its mom's launch-mutex question before its capture
+      was installed, so its own claim won in its table and lost in every
+      other head's: with a mom that had lost the job, it ran twice.
 
 CI runs this module a second time with ``REPRO_SANITIZE=1``.
 """
 
 import pytest
 
+from repro.analysis import wiretrace
+from repro.joshua.mutex import MutexArbiter
 from repro.pbs.job import JobSpec, JobState
 from repro.util.errors import PBSError
 
@@ -187,3 +192,23 @@ class TestReplayKeepsTheSubmittedSpec:
         assert job.state is JobState.COMPLETE
         assert job.exit_status == 3
         assert_sanitizer_clean(stack.cluster.kernel)
+
+
+class TestJoinerDecidesNoLaunch:
+    """(v): every head's launch-mutex table names one winner per claim."""
+
+    def test_every_head_records_the_same_winner(self, monkeypatch):
+        winners: dict[str, set[str]] = {}
+        on_claim = MutexArbiter.on_claim
+
+        def spy(arbiter, claim):
+            on_claim(arbiter, claim)
+            winners.setdefault(claim.job_id, set()).add(
+                arbiter.entries[claim.job_id].winner)
+
+        monkeypatch.setattr(MutexArbiter, "on_claim", spy)
+        # head0 crashes and rejoins while its scheduler still holds
+        # 2.joshua queued, and asks its own joshua before the transfer.
+        wiretrace.SCENARIOS["membership"](wiretrace.make_stack(1))
+        assert len(winners) >= 5
+        assert {job: w for job, w in winners.items() if len(w) > 1} == {}

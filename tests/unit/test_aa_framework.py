@@ -1,6 +1,5 @@
 """Unit tests for the generic active/active framework and diurnal workload."""
 
-import numpy as np
 import pytest
 
 from repro.aa.client import ReplicatedClient, ServiceError

@@ -16,6 +16,9 @@ well, but a vendored fallback must not be weaker than the real gate).
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[2] / "src" / "repro"
@@ -65,3 +68,20 @@ def test_all_layers_have_modules():
     for layer in LAYERS:
         modules = list((SRC / layer).rglob("*.py"))
         assert modules, f"layer {layer} has no modules"
+
+
+def test_the_package_imports_no_numpy():
+    """The package runs on the standard library alone: a fresh interpreter
+    that imports every module under ``repro`` has not loaded numpy."""
+    fresh = subprocess.run(
+        [sys.executable, "-c",
+         "import importlib, pkgutil, sys\n"
+         "import repro\n"
+         "for module in pkgutil.walk_packages(repro.__path__, 'repro.'):\n"
+         "    if not module.name.endswith('.__main__'):\n"
+         "        importlib.import_module(module.name)\n"
+         "print('numpy' in sys.modules)"],
+        env={**os.environ, "PYTHONPATH": str(SRC.parent)},
+        capture_output=True, text=True, check=True,
+    )
+    assert fresh.stdout.strip() == "False"

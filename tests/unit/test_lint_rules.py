@@ -54,12 +54,12 @@ class TestR1:
             src(
                 """
                 from time import perf_counter as tick
-                import numpy as np
+                from random import random as draw
                 import uuid
 
                 def f():
                     tick()
-                    np.random.rand(3)
+                    draw()
                     return uuid.uuid4()
                 """
             ),
@@ -72,12 +72,10 @@ class TestR1:
             src(
                 """
                 import random
-                import numpy as np
 
                 def f():
                     r = random.Random()
-                    g = np.random.default_rng()
-                    return random.randint(0, 3), r, g
+                    return random.random(), random.randint(0, 3), r
                 """
             ),
             path="faults/bad.py",
@@ -89,12 +87,9 @@ class TestR1:
             src(
                 """
                 import random
-                import numpy as np
 
                 def f(seed):
-                    r = random.Random(seed)
-                    g = np.random.default_rng(seed)
-                    return r, g
+                    return random.Random(seed), random.Random(f"{seed}/net")
                 """
             ),
             path="faults/good.py",
@@ -104,10 +99,10 @@ class TestR1:
     def test_util_rng_is_exempt(self):
         source = src(
             """
-            import numpy as np
+            import random
 
             def entropy():
-                return np.random.default_rng()
+                return random.Random()
             """
         )
         assert check_source(source, path="util/rng.py") == []

@@ -6,7 +6,7 @@ import repro.net.network as network_module
 from repro.net import Address, LinkModel, Network, PartitionState, Transport
 from repro.net.codec import WIRE, Codec
 from repro.net.link import FAST_ETHERNET, LOOPBACK
-from repro.net.network import DATAGRAM_OVERHEAD, DRAW_BLOCK, _block_draws
+from repro.net.network import DATAGRAM_OVERHEAD
 from repro.sim import Kernel
 from repro.util.errors import AddressInUse, NetworkError, NodeDown
 from tests.integration.conftest import SANITIZE, assert_sanitizer_clean
@@ -69,42 +69,6 @@ class TestLinkModel:
     def test_loopback_faster_than_lan(self):
         rng = Kernel().streams.get("x")
         assert LOOPBACK.delay(100, rng.random) < FAST_ETHERNET.delay(100, rng.random)
-
-
-class TestBlockDraws:
-    """The fabric reads its ``net`` stream in blocks of DRAW_BLOCK doubles;
-    every loss decision and jitter draw must equal the scalar draw it
-    replaced, bit for bit, across block boundaries."""
-
-    @staticmethod
-    def scalar_delay(model, size, rng):
-        delay = model.base_latency + size / model.bandwidth
-        if model.jitter > 0:
-            delay += float(rng.uniform(0.0, model.jitter))
-        return delay
-
-    def test_block_draws_reproduce_scalar_loss_and_jitter(self):
-        scalar = Kernel(seed=7).streams.get("net")
-        draw = _block_draws(Kernel(seed=7).streams.get("net"))
-        # FAST_ETHERNET's jitter, then the fault injector's jitter-burst
-        # range (0.001, 0.01), swapped every 97 frames so each swap lands
-        # at a different offset within a block.
-        jitters = [FAST_ETHERNET.jitter, 0.001, 0.0037, 0.01]
-        frames = kept = 0
-        while frames < 3 * DRAW_BLOCK:
-            model = FAST_ETHERNET.with_jitter(
-                jitters[frames // 97 % len(jitters)]).with_loss(0.3)
-            size = 60 + frames
-            lost = float(scalar.random()) < model.loss
-            assert model.dropped(draw) is lost
-            if not lost:
-                assert model.delay(size, draw) == self.scalar_delay(
-                    model, size, scalar)
-                kept += 1
-            frames += 1
-        assert frames > kept > 0
-        # Both sides took the same number of draws.
-        assert draw() == float(scalar.random())
 
 
 class TestPartitionState:
