@@ -9,10 +9,14 @@ module is that machinery, once, for every replicated service in the tree:
 * :class:`ReplicationEngine` — one ordering group's worth of it: client
   intake with uuid dedup and a single SAFE multicast per command, the
   strictly serial apply loop, the reply cache and pending-reply table, the
-  applied-sequence surface local reads gate on, and the whole marker-cut
+  applied-sequence surface local reads gate on, the whole marker-cut
   join (drop what was ordered before our own marker, capture at the cut,
   push, fresh cut when no push arrives, demote-and-resync after a lost
-  partition merge);
+  partition merge), and the one start decision, read from the node's
+  ``Disk``: a fresh deployment boots its static view, every other start
+  joins, and returners that find no group re-form their last view once
+  all of its members are back, taking the highest applied position among
+  them (Skeen's "last process to fail");
 * :class:`EngineDriver` — the seam to the replicated service: execute one
   ordered command against the local backend, capture its state at a cut,
   install a capture. A driver must be **deterministic**: the same command
@@ -51,7 +55,20 @@ from repro.util.errors import JoshuaError
 if TYPE_CHECKING:  # pragma: no cover
     from repro.gcs.config import GroupConfig
 
-__all__ = ["EngineDriver", "ReplicationEngine", "ReplicaDaemon"]
+__all__ = ["EngineDriver", "ReplicationEngine", "ReplicaDaemon", "record_founding_view"]
+
+
+def _view_key(gcs_port: int) -> str:
+    return f"aa.view.{gcs_port}"
+
+
+def record_founding_view(disk, heads: list[str], gcs_port: int, nshards: int = 1) -> None:
+    """Record a fresh deployment's static view on a founder's *disk*, for
+    each of the *nshards* groups from base port *gcs_port*: the start
+    decision's degenerate case, every member starting with nothing applied
+    anywhere, which boots that view at once (:meth:`ReplicationEngine.start`)."""
+    for k in range(nshards):
+        disk.write(_view_key(gcs_port + k), (0, tuple(heads)))
 
 
 class EngineDriver(Protocol):
@@ -77,7 +94,7 @@ class ReplicationEngine:
     host:
         The :class:`ReplicaDaemon` whose endpoint clients and joiners talk
         to; the engine learns its client-facing address, log identity,
-        founders/contacts, shard count, reply path and reply cost from it.
+        head list, shard count, reply path and reply cost from it.
     driver:
         The :class:`EngineDriver` for the replicated service.
     group_config / gcs_port:
@@ -170,13 +187,24 @@ class ReplicationEngine:
         #: The next view that contains us must pin a transfer marker: we
         #: joined a running group, or a partition re-merge demoted us.
         self.needs_resync = False
+        #: While a recovery round decides (the view was re-formed by
+        #: returners): the other members' nodes, whose captures we await.
+        self._recovering: set[str] | None = None
+        self._pushes: dict[str, StateXferResp] = {}
+        #: ... and whose markers we have delivered (see :meth:`_have_state`).
+        self._round_markers: set[str] = set()
 
-        # Boot counter of this GCS address, on the disk that outlives us:
-        # the member numbers its multicasts apart from its predecessors',
-        # and start() tells a first boot from a return.
+        # What outlives the process on the node's disk, beside the boot
+        # counter of this GCS address (the member numbers its multicasts
+        # apart from its predecessors'): the last view this replica
+        # installed in service, and its applied position. start() decides
+        # from them.
+        disk = self.node.disk
         boots_key = f"gcs.boots.{self.gcs_port}"
-        self.incarnation = self.node.disk.read(boots_key, 0)
-        self.node.disk.write(boots_key, self.incarnation + 1)
+        self.incarnation = disk.read(boots_key, 0)
+        disk.write(boots_key, self.incarnation + 1)
+        self._view_key = _view_key(self.gcs_port)
+        self._applied_key = f"aa.applied.{self.gcs_port}"
         self.group = GroupMember(
             self.node.network.bind(self.node.name, self.gcs_port),
             dataclasses.replace(group_config, group_id=index, shard_count=nshards),
@@ -186,21 +214,44 @@ class ReplicationEngine:
         )
 
     def start(self) -> None:
-        """Boot or join this shard's group (from the daemon's on_start).
+        """Boot, join or recover this shard's group (from the daemon's
+        on_start), deciding from the node's disk alone.
 
-        Only the first incarnation of a founder boots the static view. A
-        later one (daemon restarted, node rebooted) returns to a group that
-        ran on without it: it joins and receives state transfer, it never
-        forms a group — a booted singleton would acknowledge writes the
-        resync that rescues it discards. Whole-group cold restart: redeploy.
+        The founding view (id 0) is a fresh deployment: every member starts
+        with nothing applied anywhere, so the view boots at once (booting
+        installs view 1, so no later start reads view 0). Every other start
+        joins through the host's heads and receives state transfer: a head
+        added live, a wiped disk, and a returner whose group ran on without
+        it. A returner with a durable backend also waits for the members of
+        its last view: if they all return and find no group within one
+        ``flush_timeout``, they re-form it and each takes the highest
+        applied position among them (:meth:`_receive_state`). Until then it
+        refuses, as every joiner does. The reply cache is not on disk: a
+        retry of a command answered before a whole-group failure executes
+        again.
         """
         host = self.host
-        if self.incarnation == 0 and host.founders:
-            self.group.boot([Address(n, self.gcs_port) for n in host.founders])
+        disk = self.node.disk
+        record = disk.read(self._view_key)
+        if record is not None and record[0] == 0:
             self.active = True
+            self.group.boot([Address(n, self.gcs_port) for n in record[1]])
             return
         self.needs_resync = True
-        self.group.join([Address(n, self.gcs_port) for n in host.contacts or host.founders])
+        if record is None or not host.durable:
+            self.group.join([Address(n, self.gcs_port) for n in host.heads])
+            return
+        self.cut_seq = self.applied_seq = disk.read(self._applied_key, 0)
+        self._recover()
+
+    def _recover(self) -> None:
+        """Join through the heads, and wait for the members of the last
+        view on disk (not rewritten until this replica is in service)."""
+        view_id, names = self.node.disk.read(self._view_key)
+        self.group.recover(
+            view_id, [Address(n, self.gcs_port) for n in names],
+            [Address(n, self.gcs_port) for n in self.host.heads],
+        )
 
     # ------------------------------------------------------------------
     # client command intake
@@ -316,6 +367,8 @@ class ReplicationEngine:
         backend, or a state transfer re-anchoring it at the sponsor's
         counter — and release any RYW waiters the move satisfies."""
         self.applied_seq = seq
+        if self.host.durable:
+            self.node.disk.write(self._applied_key, seq)
         if not self._seq_waiters:
             return
         still_waiting = []
@@ -353,7 +406,11 @@ class ReplicationEngine:
             isinstance(payload, XferMarker)
             and payload.marker_uuid == self.syncing_marker
         )
-        if self.syncing_marker is not None and not self.marker_seen and not own_marker:
+        if isinstance(payload, XferMarker) and self._recovering is not None:
+            # A recovery round serves every member's marker, ours or not.
+            self._round_markers.add(payload.joiner.node)
+            self._wake_if_ready()
+        elif self.syncing_marker is not None and not self.marker_seen and not own_marker:
             # Everything ordered before our own marker is covered by the
             # state transfer; drop it.
             return
@@ -375,6 +432,18 @@ class ReplicationEngine:
     def _on_view(self, view: View) -> None:
         """View hook. Subclasses extend it for their own view-change work
         (call ``super()._on_view(view)`` first)."""
+        nodes = {m.node for m in view.members}
+        if self.group.flush.recovered_view == view.view_id and not self.active:
+            # Returners re-formed their last view: decide among them.
+            self._recovering = nodes - {self.node.name}
+            self._round_markers = set()
+        elif self._recovering is not None and not self._recovering <= nodes:
+            # A member of the round failed before we saw its capture, and
+            # it may hold the highest position: wait for it to return.
+            self._recovering = None
+            self.syncing_marker = None
+            self.host.spawn(self._await_round(), name=f"{self.tag}-recover")
+            return
         rejoins = self.group.stats.get("rejoins", 0)
         if rejoins > self._seen_rejoins:
             self._seen_rejoins = rejoins
@@ -390,10 +459,24 @@ class ReplicationEngine:
                 self.active = False
                 self.syncing_marker = None
                 self.needs_resync = True
+        if self.active:
+            self._record_view(view)
         if (self.syncing_marker is None and not self.active
                 and self.needs_resync and self.group.can_multicast):
             # First view containing us after a join: pin the transfer cut.
             self._pin_marker()
+
+    def _record_view(self, view: View) -> None:
+        """The view a replica in service installed: what a whole-group
+        recovery waits for (its position is on disk already)."""
+        self.node.disk.write(
+            self._view_key, (view.view_id, tuple(m.node for m in view.members))
+        )
+
+    def _await_round(self):
+        # Outside the view installation that lost the member.
+        yield self.kernel.timeout(0)
+        self._recover()
 
     # ------------------------------------------------------------------
     # marker-cut join
@@ -406,6 +489,7 @@ class ReplicationEngine:
         marker = XferMarker(f"xfer-{self.node.name}-{marker_id}", self.address)
         self.syncing_marker = marker.marker_uuid
         self.marker_seen = False
+        self._pushes = {}
         self.group.multicast(marker)
 
     # -- sponsor side ---------------------------------------------------------
@@ -416,7 +500,10 @@ class ReplicationEngine:
         # designated sponsor can deadlock: two replicas resyncing at once
         # would each elect the other — inactive and unable to serve.
         view = self.group.view
-        if view is None or not self.active:
+        if view is None:
+            return
+        if not (self.active or (self._recovering is not None
+                                and marker.joiner.node in self._recovering)):
             return
         # marker.joiner is the joiner's *client-facing* endpoint; members
         # are GCS endpoints — compare by node.
@@ -437,24 +524,52 @@ class ReplicationEngine:
 
     # -- joiner side ----------------------------------------------------------
 
-    def handle_push(self, response: StateXferResp) -> None:
+    def handle_push(self, response: StateXferResp, sponsor: Address) -> None:
         if response.marker_uuid != self.syncing_marker:
             return  # an abandoned cut's capture, or one that came after install
-        self._response = response
+        if self._recovering is not None:
+            if sponsor.node in self._recovering:
+                self._pushes[sponsor.node] = response
+        else:
+            self._response = response
+        self._wake_if_ready()
+
+    def _wake_if_ready(self) -> None:
         waiter = self._push_waiter
-        if waiter is not None and not waiter.triggered:
-            waiter.succeed(response)
+        if waiter is not None and not waiter.triggered and self._have_state():
+            waiter.succeed()
+
+    def _have_state(self) -> bool:
+        """A joiner needs one capture. A recovery round needs every other
+        member's, since any of them may hold the highest position, and
+        every other member's marker: a member goes into service only then,
+        so no command is ordered before any marker of the round."""
+        if self._recovering is not None:
+            return (len(self._pushes) == len(self._recovering)
+                    and self._round_markers >= self._recovering)
+        return self._response is not None
+
+    def _best_capture(self) -> StateXferResp | None:
+        """The capture a recovery round installs: the highest applied
+        position, ties to the lower rank; ``None`` when it is our own."""
+        view = self.group.view
+        best, key = None, (self.applied_seq, -view.rank_of(self.group.address))
+        for node, response in sorted(self._pushes.items()):
+            rank = view.rank_of(Address(node, self.gcs_port))
+            if (response.applied_seq, -rank) > key:
+                best, key = response, (response.applied_seq, -rank)
+        return best
 
     def _receive_state(self, marker: XferMarker):
         uuid = marker.marker_uuid
         if uuid != self.syncing_marker:
             return  # stale marker; we moved on to a fresh cut
-        if self._response is None:
+        if not self._have_state():
             self._push_waiter = waiter = self.kernel.event()
             deadline = self.kernel.timeout(self.group.config.flush_timeout * 4)
             yield self.kernel.any_of([waiter, deadline])
             self._push_waiter = None
-            if self._response is None:
+            if not self._have_state():
                 # No push arrived: every sponsor died mid-capture or every
                 # push frame was lost. Pin a fresh cut.
                 if not self.group.can_multicast:
@@ -465,41 +580,55 @@ class ReplicationEngine:
                     return
                 self._pin_marker()
                 return  # the fresh marker's delivery re-enters here
-        response = self._response
-        yield from self.driver.install_state(response)
-        # Re-anchor at the marker cut: post-marker commands execute after
-        # this method returns, so the sponsor's reply cache and counter are
-        # exact here too, and what was recorded before belongs to the
-        # history they replaced (a merge-demoted replica's own answers).
-        self.results = dict(response.results)
-        self.results_seq.clear()
-        self.cut_seq = response.applied_seq
-        self._set_applied(response.applied_seq)
+        if self._recovering is not None:
+            response = self._best_capture()
+            self._recovering = None
+            self._pushes = {}
+        else:
+            response = self._response
+        if response is not None:
+            yield from self.driver.install_state(response)
+            # Re-anchor at the marker cut: post-marker commands execute
+            # after this method returns, so the sponsor's reply cache and
+            # counter are exact here too, and what was recorded before
+            # belongs to the history they replaced (a merge-demoted
+            # replica's own answers).
+            self.results = dict(response.results)
+            self.results_seq.clear()
+            self.cut_seq = response.applied_seq
+            self._set_applied(response.applied_seq)
         self.syncing_marker = None
         self._response = None
         self.needs_resync = False
         self.active = True
+        self._record_view(self.group.view)
 
 
 class ReplicaDaemon(Daemon):
     """One client-facing endpoint in front of one engine per ordering shard.
 
     Everything about hosting the engine that does not depend on the
-    replicated service: founders/contacts validation, one engine per shard
-    from the :meth:`make_engine` hook, the dispatcher, the push frame, and
-    the one refusal. Subclasses register their client protocol on
-    ``self.rpc`` and hand requests to :meth:`ReplicationEngine.submit`.
+    replicated service: one engine per shard from the :meth:`make_engine`
+    hook, the dispatcher, the push frame, and the one refusal. Subclasses
+    register their client protocol on ``self.rpc`` and hand requests to
+    :meth:`ReplicationEngine.submit`.
 
-    *founders* are the node names of the static bootstrap group (this one
-    included), *contacts* those of members to join a running group through
-    — exactly one is given; whether a start then boots or joins is the
-    engine's decision (:meth:`ReplicationEngine.start`). *gcs_port* is the
-    base port of the *nshards* ordering groups.
+    *heads* names every node the service runs on (this one may be among
+    them): a joining start asks them for the group. Whether a start boots,
+    joins or recovers is the engine's decision, from the node's disk
+    (:meth:`ReplicationEngine.start`); a fresh deployment records its
+    static view there first (:func:`record_founding_view`). *gcs_port* is
+    the base port of the *nshards* ordering groups.
     """
 
     #: CPU cost of relaying a command's output back after local execution;
     #: ``None`` charges nothing and schedules nothing (a 0 is still an event).
     reply_delay: float | None = None
+
+    #: Whether the backend's state survives a reboot on the node's disk, as
+    #: the engine's position does: only then can the members of a whole
+    #: group that failed recover it from their disks.
+    durable = True
 
     #: The answer of a replica that cannot serve right now (joining,
     #: resyncing, outside the view): the client core asks the next one.
@@ -513,18 +642,14 @@ class ReplicaDaemon(Daemon):
         port: int,
         gcs_port: int,
         *,
-        founders: list[str] | None,
-        contacts: list[str] | None,
+        heads: list[str],
         group_config: "GroupConfig",
         nshards: int = 1,
     ):
-        if (founders is None) == (contacts is None):
-            raise JoshuaError("exactly one of founders/contacts required")
         if nshards < 1:
             raise JoshuaError("shards must be >= 1")
         super().__init__(node, name, port)
-        self.founders = list(founders or [])
-        self.contacts = list(contacts or [])
+        self.heads = list(heads)
         self.nshards = nshards
         self.rpc = RpcDispatcher(self, fallback=bad_request)
         self.shards: list[ReplicationEngine] = [
@@ -574,7 +699,7 @@ class ReplicaDaemon(Daemon):
             # The one non-RPC frame: a sponsor's fire-and-forget capture
             # push. One naming a shard this host does not run is dropped.
             if isinstance(frame, StateXferResp) and 0 <= frame.shard < self.nshards:
-                self.shards[frame.shard].handle_push(frame)
+                self.shards[frame.shard].handle_push(frame, delivery.src)
             else:
                 self.rpc.handle_frame(delivery.src, frame)
 

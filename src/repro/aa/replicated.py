@@ -65,11 +65,17 @@ class ReplicatedService(ReplicaDaemon):
         The deterministic backend driver.
     port / gcs_port:
         Client-facing RPC port and the group-communication port.
-    initial_members / contacts:
-        Node names for static bootstrap vs. live join (exactly one).
+    heads:
+        Node names of every replica of the service (see
+        :class:`~repro.aa.engine.ReplicaDaemon`).
     group_config:
         Group communication tuning.
     """
+
+    #: A :class:`BackendDriver` keeps its state in memory (``snapshot`` /
+    #: ``restore`` only), so the group cannot recover it from the replicas'
+    #: disks after a whole-group failure: returners wait for a running group.
+    durable = False
 
     def __init__(
         self,
@@ -79,14 +85,12 @@ class ReplicatedService(ReplicaDaemon):
         *,
         port: int,
         gcs_port: int,
-        initial_members: list[str] | None = None,
-        contacts: list[str] | None = None,
+        heads: list[str],
         group_config: GroupConfig | None = None,
     ):
         super().__init__(
             node, name, port, gcs_port,
-            founders=initial_members, contacts=contacts,
-            group_config=group_config or GroupConfig(),
+            heads=heads, group_config=group_config or GroupConfig(),
         )
         self.driver = driver
         self.rpc.register(ReplRequest, self._handle_request)

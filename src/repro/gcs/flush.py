@@ -12,7 +12,12 @@ installation of the next view lives here —
 * the epoch total order ``(new_view_id, attempt, initiator)`` that resolves
   competing flushes: members honour only the highest epoch seen, and an
   initiator abandons its own attempt when it learns of a higher one;
-* the watchdog policy for stalled flushes (suspect non-responders, retry).
+* the watchdog policy for stalled flushes (suspect non-responders, retry);
+* the recovery round after a whole-group failure: a returner asks for a
+  running group for one ``flush_timeout``; finding none, it waits until
+  every member of its last installed view has asked to join, and the
+  lowest of them forms that view again (epoch attempt 0, empty closing
+  list).
 
 The engine operates *on* its :class:`~repro.gcs.member.GroupMember` (``m``):
 it reads the view/queue/detector and drives ``m.state`` between NORMAL and
@@ -74,6 +79,20 @@ class FlushEngine:
         self.attempt: FlushAttempt | None = None
         #: When we entered FLUSHING (watchdog timeout reference point).
         self.entered_at = 0.0
+        #: A returner's last installed view, ``(view_id, members)``, while it
+        #: waits for that view's members to return; ``None`` otherwise.
+        self.last_view: tuple[int, tuple[Address, ...]] | None = None
+        #: Members of ``last_view`` heard asking to join (and ourselves).
+        self.returned: set[Address] = set()
+        #: Returners that proposed re-forming a view older than ours.
+        self.stale: set[Address] = set()
+        self._awaited: list[Address] = []
+        #: Join-request rounds sent since we started waiting: no round is
+        #: proposed before two (one flush_timeout), so a running group
+        #: admits a returner before the returners re-form anything.
+        self.asked = 0
+        #: Id of the last view a recovery round installed here.
+        self.recovered_view: int | None = None
 
     # -- membership triggers ------------------------------------------------
 
@@ -83,6 +102,9 @@ class FlushEngine:
     def on_join_req(self, src: Address, req: JoinReq) -> None:
         m = self.m
         if not m.in_group or m.view is None:
+            if self.last_view is not None and req.schema == WIRE.schema_digest():
+                self.returned.add(req.joiner)
+                self.try_recovery()
             return
         if req.schema != WIRE.schema_digest():
             # One wire schema per group: a joiner on another one would
@@ -175,10 +197,67 @@ class FlushEngine:
             else:
                 m.transport.send(member, req)
 
+    # -- recovery round (whole-group failure) --------------------------------
+
+    def await_returners(self, view_id: int, members: tuple[Address, ...]) -> None:
+        """Wait, as a joiner, for every member of our last installed view
+        (*view_id*, *members*) to return before that view forms again. The
+        member's watchdog counts our join-request rounds and retries."""
+        self.last_view = (view_id, tuple(sorted(members)))
+        self.returned = {self.m.address}
+        self.stale = set()
+        self._awaited = []
+        self.asked = 0
+
+    def try_recovery(self) -> None:
+        """Form the last view again once all of its members have returned,
+        if we have asked for a running group for one flush_timeout and are
+        the lowest of them not known to hold an older view."""
+        m = self.m
+        view_id, last_members = self.last_view
+        awaited = [a for a in last_members if a not in self.returned]
+        if awaited:
+            # Said once another returner is heard: a lone returner is
+            # usually just rejoining a group that ran on without it.
+            if awaited != self._awaited and len(self.returned) > 1:
+                self._awaited = awaited
+                m.kernel.log.warning(
+                    f"gcs@{m.address}",
+                    f"returners find no group; waiting for {awaited[0].node} "
+                    f"(view {view_id}) to return",
+                )
+            return
+        if self.asked < 2 or min(a for a in last_members if a not in self.stale) != m.address:
+            return
+        if (self.attempt is not None
+                and m.kernel.now - self.attempt.started_at < m.config.flush_timeout):
+            return
+        self.attempt = FlushAttempt((view_id + 1, 0, m.address), last_members, m.kernel.now)
+        m.stats["flushes_started"] += 1
+        req = FlushReq(self.attempt.epoch)
+        for member in last_members:
+            if member == m.address:
+                self.on_flush_req(m.address, req)
+            else:
+                m.transport.send(member, req)
+
     # -- flush protocol ------------------------------------------------------
 
     def on_flush_req(self, src: Address, req: FlushReq) -> None:
         m = self.m
+        if req.epoch[1] == 0:
+            # A recovery round: only for returners, and only one that
+            # re-forms a view at least as recent as our own last one.
+            if m.in_group:
+                return
+            if self.last_view is not None and req.epoch[0] <= self.last_view[0]:
+                self.stale.add(req.epoch[2])
+                self.try_recovery()
+                return
+            if self.max_epoch is not None and self.max_epoch[1] != 0:
+                # A group's flush we answered that never installed here
+                # (its initiator dissolved to wait too) binds us to nothing.
+                self.max_epoch = None
         if self.max_epoch is not None and req.epoch < self.max_epoch:
             return  # stale attempt
         if m.view is not None and req.epoch[0] <= m.view.view_id:
@@ -220,7 +299,7 @@ class FlushEngine:
         if flush.complete:
             self._finalize(flush)
 
-    def _finalize(self, flush: FlushAttempt) -> None:
+    def _closing_list(self, flush: FlushAttempt) -> tuple:
         m = self.m
         old_members = set(m.view.members) if m.view is not None else set()
         # Union of payloads anyone still holds.
@@ -255,12 +334,19 @@ class FlushEngine:
         ]
         ordered_ids = [mid for _s, mid in sorted(orderings.items())]
         unordered = sorted(set(known) - set(ordered_ids))
-        closing = tuple(
+        return tuple(
             (mid, known[mid][0], known[mid][1])
             for mid in [*ordered_ids, *unordered]
             if mid in known
             and not (old_delivered and all(mid in d for d in old_delivered))
         )
+
+    def _finalize(self, flush: FlushAttempt) -> None:
+        m = self.m
+        # A recovery round carries nothing over: its members' state comes
+        # from their disks, and what a dissolved returner still holds
+        # belongs to no view anyone else installed.
+        closing = () if flush.epoch[1] == 0 else self._closing_list(flush)
         new_view = NewView(flush.epoch, flush.epoch[0], flush.proposed, closing)
         for member in flush.proposed:
             if member == m.address:
@@ -276,8 +362,12 @@ class FlushEngine:
             return
         if m.address not in nv.members:
             return  # shouldn't happen (coordinator only sends to members)
+        if nv.epoch[1] == 0 and m.in_group:
+            return  # a recovery round is for returners only
         self.max_epoch = max(self.max_epoch or nv.epoch, nv.epoch)
         view = View(nv.view_id, tuple(sorted(nv.members)))
+        if nv.epoch[1] == 0:
+            self.recovered_view = view.view_id
         m.install_view(view, nv.closing)
 
     # -- lifecycle hooks -----------------------------------------------------
@@ -293,6 +383,7 @@ class FlushEngine:
         self.pending_leavers &= members
         self.attempt = None
         self._attempt_counter = 0
+        self.last_view = None
 
     def on_watchdog_timeout(self, now: float) -> None:
         """FLUSHING for a full flush_timeout without a view: recover."""

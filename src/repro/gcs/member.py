@@ -238,15 +238,26 @@ class GroupMember:
         self.install_view(View(1, members), closing=())
 
     def join(self, contacts: Iterable[Address]) -> None:
-        """Ask current members to merge us into the group."""
+        """Ask current members to merge us into the group (with no other
+        contact there is nobody to ask, and the member stays joining)."""
         if self.state != IDLE:
             raise GroupCommError(f"join() in state {self.state}")
-        contacts = [c for c in contacts if c != self.address]
-        if not contacts:
-            raise GroupCommError("join() needs at least one contact")
         self.state = JOINING
-        self.recovery.join_contacts = contacts
+        self.recovery.join_contacts = [c for c in contacts if c != self.address]
         self.recovery.send_join_requests()
+
+    def recover(self, view_id: int, members: Iterable[Address],
+                contacts: Iterable[Address]) -> None:
+        """Return after a failure whose last installed view was *view_id*
+        of *members*: join through *contacts* like :meth:`join`, and if no
+        group answers, form that view again once every one of its members
+        has returned (:meth:`FlushEngine.await_returners`). A member still
+        in a view dissolves it first."""
+        if self.state == IDLE:
+            self.join(contacts)
+        else:
+            self.recovery.become_joiner(list(contacts))
+        self.flush.await_returners(view_id, tuple(members))
 
     def leave(self) -> None:
         """Voluntarily depart. Mirrors JOSHUA semantics: a leave is handled
@@ -614,6 +625,9 @@ class GroupMember:
             now = self.kernel.now
             if self.state == JOINING:
                 self.recovery.send_join_requests()
+                if self.flush.last_view is not None:
+                    self.flush.asked += 1
+                    self.flush.try_recovery()
             elif self.state == FLUSHING:
                 if now - self.flush.entered_at >= self.config.flush_timeout:
                     self.flush.on_watchdog_timeout(now)

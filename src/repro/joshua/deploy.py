@@ -11,20 +11,23 @@
 
 Later heads can be added live with :meth:`JoshuaStack.add_head` — the new
 head boots its own PBS stack, joins the group and receives state transfer,
-reproducing the paper's head-node join.
+reproducing the paper's head-node join. Every head's daemon is built the
+same way, from the stack's head list; only the founders' disks carry the
+static view a fresh deployment boots (:func:`~repro.aa.engine.record_founding_view`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.aa.engine import record_founding_view
 from repro.cluster.cluster import Cluster
 from repro.cluster.node import Node
 from repro.gcs.config import GroupConfig
 from repro.joshua.commands import JoshuaClient
 from repro.joshua.config import JOSHUA_GROUP_CONFIG
 from repro.joshua.jmutex import install_jmutex
-from repro.joshua.server import REPLICA_SERVER_NAME, JoshuaServer
+from repro.joshua.server import JOSHUA_GCS_PORT, REPLICA_SERVER_NAME, JoshuaServer
 from repro.net.address import Address
 from repro.pbs.mom import PBSMom
 from repro.pbs.server import PBS_MOM_PORT, PBS_SERVER_PORT, PBSServer
@@ -81,9 +84,7 @@ class JoshuaStack:
         kwargs.setdefault("service_times", self.service_times)
         return JoshuaGateway(self.cluster.network, self.head_names, **kwargs)
 
-    def _install_head_daemons(
-        self, node: Node, *, founders: list[str] | None, contacts: list[str] | None,
-    ) -> None:
+    def _install_head_daemons(self, node: Node) -> None:
         mom_addresses = self.mom_addresses
         install_head_daemons(
             node,
@@ -91,12 +92,12 @@ class JoshuaStack:
             service_times=self.service_times,
             server_name=REPLICA_SERVER_NAME,
         )
-        # One constructor call for every incarnation: boot-vs-join is the
-        # engine's decision (ReplicationEngine.start, from its boot counter).
+        # One constructor call for every head and incarnation: boot, join
+        # or recover is the engine's decision (ReplicationEngine.start,
+        # from the node's disk).
         node.add_daemon("joshua", lambda n: JoshuaServer(
             n,
-            initial_heads=founders,
-            contacts=contacts,
+            heads=self.head_names,
             group_config=self.group_config,
             moms=mom_addresses,
             shards=self.shards,
@@ -105,15 +106,12 @@ class JoshuaStack:
     def add_head(self) -> Node:
         """Bring a brand-new head node, named after the cluster's head count,
         into the running system (join + state transfer). Returns the new node."""
-        contacts = self.live_heads()
-        if not contacts:
-            raise JoshuaError("no live head to join through")
         name = f"head{len(self.cluster.heads)}"
         node = Node(self.cluster.network, name, role="head")
         self.cluster.heads.append(node)
         self.cluster.register_node(node)
         self.head_names.append(name)
-        self._install_head_daemons(node, founders=None, contacts=contacts)
+        self._install_head_daemons(node)
         return node
 
 
@@ -143,9 +141,8 @@ def build_joshua_stack(
     )
     server_addresses = [Address(h, PBS_SERVER_PORT) for h in stack.head_names]
     for head in cluster.heads:
-        stack._install_head_daemons(
-            head, founders=list(stack.head_names), contacts=None
-        )
+        record_founding_view(head.disk, stack.head_names, JOSHUA_GCS_PORT, shards)
+        stack._install_head_daemons(head)
 
     def mom_factory(n: Node) -> PBSMom:
         mom = PBSMom(

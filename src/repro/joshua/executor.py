@@ -148,6 +148,6 @@ class SerialExecutor:
                 s.tag,
                 f"replay could not transfer held jobs: {list(response.skipped)}",
             )
-        s.stripe_count = response.next_seq
+        s.set_stripe_count(response.next_seq)
         for job_id, winner, started in response.mutex:
             s.arbiter.entries.setdefault(job_id, _MutexEntry(winner, started))

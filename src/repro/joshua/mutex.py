@@ -5,7 +5,9 @@ scheduler independently dispatches each job, so the mom receives one start
 attempt per head; each attempt's prologue asks its head's joshua server,
 which multicasts a SAFE :class:`~repro.joshua.wire.Claim`. The first claim
 in the total order wins — only that head's attempt replies ``"run"``, the
-rest emulate. ``jdone`` (from the mom's epilogue) releases the mutex.
+rest emulate. ``jdone`` (from the mom's epilogue) releases the mutex, and
+every attempt on a job whose ``Done`` was ordered emulates: a lagging
+head's scheduler may still dispatch it, maybe to another compute node.
 
 Orphan-winner rerun: if a winner head dies *before* its launch actually
 happened, every surviving server notices at the next view change (claim
@@ -50,6 +52,8 @@ class MutexArbiter:
         #: Launch mutual exclusion state: job_id -> entry.
         self.entries: dict[str, _MutexEntry] = {}
         self.claimed: set[str] = set()  # job_ids we have claimed ourselves
+        #: Jobs whose ``Done`` was ordered: never claimed or launched again.
+        self.done: set[str] = set()
         self._waiters: dict[str, list[tuple[Address, int]]] = {}
 
     # -- request side ---------------------------------------------------------
@@ -66,6 +70,9 @@ class MutexArbiter:
             # The refusal leaves the attempt undecided (the mom refuses it).
             s.host._reply(src, request_id, s.host.JOINING)
             return
+        if req.job_id in self.done:
+            s.host._reply(src, request_id, JMutexResp("emulate"))
+            return
         entry = self.entries.get(req.job_id)
         if entry is not None:
             decision = "run" if entry.winner == req.head else "emulate"
@@ -80,22 +87,23 @@ class MutexArbiter:
     def flush_waiters(self, job_id: str) -> None:
         s = self.s
         entry = self.entries.get(job_id)
-        if entry is None:
+        if entry is None and job_id not in self.done:
             return
+        winner = entry.winner if entry is not None else None
         waiters = self._waiters.pop(job_id, [])
-        decision = "run" if entry.winner == s.node.name else "emulate"
+        decision = "run" if winner == s.node.name else "emulate"
         if waiters:
             collector = collector_of(s.node.network)
             if collector is not None:
                 collector.job_event(s.node.name, "job.decided", job_id=job_id,
-                                    decision=decision, winner=entry.winner)
+                                    decision=decision, winner=winner)
         for src, request_id in waiters:
-            s.host._reply(src, request_id, JMutexResp(decision, entry.winner))
+            s.host._reply(src, request_id, JMutexResp(decision, winner))
 
     # -- delivered (totally ordered) side -------------------------------------
 
     def on_claim(self, claim: Claim) -> None:
-        if claim.job_id not in self.entries:
+        if claim.job_id not in self.entries and claim.job_id not in self.done:
             self.entries[claim.job_id] = _MutexEntry(claim.head)
             collector = collector_of(self.s.node.network)
             if collector is not None:
@@ -111,6 +119,7 @@ class MutexArbiter:
     def on_done(self, done: Done) -> None:
         self.entries.pop(done.job_id, None)
         self.claimed.discard(done.job_id)
+        self.done.add(done.job_id)
 
     # -- orphan-winner revocation ---------------------------------------------
 

@@ -86,11 +86,10 @@ class JoshuaServer(ReplicaDaemon):
     ----------
     node:
         Hosting head node (must also run a PBS server + scheduler).
-    initial_heads:
-        Names of the founding head nodes (including this one) — the static
-        bootstrap group. Mutually exclusive with *contacts*.
-    contacts:
-        For a later-joining head: names of head nodes to join through.
+    heads:
+        Names of the deployment's head nodes (this one may be among them):
+        boot, join or recover is decided from the node's disk
+        (:meth:`~repro.aa.engine.ReplicationEngine.start`).
     group_config:
         Protocol calibration (the daemon's own CPU costs are the class
         constant :attr:`times`). The config's ``group_id`` is overridden per
@@ -110,16 +109,14 @@ class JoshuaServer(ReplicaDaemon):
         self,
         node: "Node",
         *,
-        initial_heads: list[str] | None = None,
-        contacts: list[str] | None = None,
+        heads: list[str],
         group_config: GroupConfig = JOSHUA_GROUP_CONFIG,
         moms: list[Address] | None = None,
         shards: int = 1,
     ):
         super().__init__(
             node, REPLICA_SERVER_NAME, JOSHUA_PORT, JOSHUA_GCS_PORT,
-            founders=initial_heads, contacts=contacts,
-            group_config=group_config, nshards=shards,
+            heads=heads, group_config=group_config, nshards=shards,
         )
         self.moms = list(moms or [])
         self.local_pbs = Address(node.name, PBS_SERVER_PORT)

@@ -33,7 +33,7 @@ from repro.joshua.executor import SerialExecutor
 from repro.joshua.mutex import MutexArbiter
 from repro.joshua.wire import Claim, Done, Started
 from repro.net.address import Address
-from repro.pbs.server import PBS_SERVER_PORT
+from repro.pbs.server import PBS_SERVER_PORT, recorded_jobs
 from repro.pbs.wire import AdminServers
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -72,12 +72,19 @@ class ShardReplica(ReplicationEngine):
         group_config: "GroupConfig",
         gcs_base_port: int,
     ):
-        #: jsub executions this shard has totally ordered — drives the
-        #: striped force_job_id sequence (see :meth:`next_forced_job_id`).
-        self.stripe_count = 0
         super().__init__(server, SerialExecutor(self), group_config, gcs_base_port, index)
         self.stats.update(claims=0, revocations=0)
         self.arbiter = MutexArbiter(self)
+        # What a returning head's capture is built from, off its disk: the
+        # id counter, and the specs of the jobs its PBS server recorded.
+        disk = self.node.disk
+        self._stripe_key = f"joshua.stripe.{self.gcs_port}"
+        #: jsub executions this shard has totally ordered — drives the
+        #: striped force_job_id sequence (see :meth:`next_forced_job_id`).
+        self.stripe_count = disk.read(self._stripe_key, 0)
+        self.driver.specs = {
+            job.job_id: job.spec for _rank, job in recorded_jobs(disk, server.name)
+        }
 
     # -- job-id striping ------------------------------------------------------
 
@@ -90,8 +97,15 @@ class ShardReplica(ReplicationEngine):
         replicated ``pbs_server`` runs under.
         """
         seq = self.index + 1 + self.stripe_count * self.nshards
-        self.stripe_count += 1
+        self.set_stripe_count(self.stripe_count + 1)
         return f"{seq}.{self.host.name}"
+
+    def set_stripe_count(self, count: int) -> None:
+        """Move the id counter, on disk too: it is taken before the
+        submission reaches the local PBS, so no id is ever handed out
+        twice."""
+        self.stripe_count = count
+        self.node.disk.write(self._stripe_key, count)
 
     def owns_job(self, job_id: str) -> bool:
         """*job_id* falls in this replica's stripe of the id space."""

@@ -76,10 +76,19 @@ from repro.util.errors import InvalidJobStateError, PBSError, UnknownJobError
 if TYPE_CHECKING:  # pragma: no cover
     from repro.cluster.node import Node
 
-__all__ = ["PBSServer", "PBS_SERVER_PORT", "PBS_MOM_PORT"]
+__all__ = ["PBSServer", "PBS_SERVER_PORT", "PBS_MOM_PORT", "recorded_jobs"]
 
 PBS_SERVER_PORT = 15001
 PBS_MOM_PORT = 15002
+
+
+def recorded_jobs(disk, server_name: str) -> list[tuple[int, Job]]:
+    """``(queue rank, Job)`` of every job record a server named
+    *server_name* keeps on *disk*, in queue order, as last written (see the
+    module docstring for the layout)."""
+    records = [disk.read(key) for key in disk.keys(f"pbs.{server_name}.job.")]
+    return sorted(records, key=lambda record: record[0])
+
 
 #: A forced job id a server accepts: a sequence number >= 1, written
 #: without sign or leading zero, a dot, and a non-empty suffix.
@@ -203,8 +212,7 @@ class PBSServer(Daemon):
         if saved is None:
             return
         self.next_seq = saved["next_seq"]
-        records = [disk.read(key) for key in disk.keys(self._job_key(""))]
-        for rank, job in sorted(records, key=lambda record: record[0]):
+        for rank, job in recorded_jobs(disk, self.server_name):
             if job.state in (JobState.RUNNING, JobState.EXITING):
                 # Not Job.transition: EXITING -> QUEUED is no legal
                 # *command* (a job being killed cannot be qrerun), but

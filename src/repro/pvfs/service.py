@@ -17,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Generator
 
+from repro.aa.engine import record_founding_view
 from repro.aa.replicated import ReplicatedService
 from repro.cluster.cluster import Cluster
 from repro.gcs.config import FAST_GROUP_CONFIG
@@ -122,37 +123,25 @@ class ReplicatedMDS:
         count (snapshot state transfer)."""
         from repro.cluster.node import Node
 
-        contacts = self.live_heads()
-        if not contacts:
-            raise ReproError("no live replica to join through")
         name = f"head{len(self.cluster.heads)}"
         node = Node(self.cluster.network, name, role="head")
         self.cluster.heads.append(node)
         self.head_names.append(name)
-
-        def factory(n: "Node") -> ReplicatedService:
-            return ReplicatedService(
-                n, "pvfs-mds", MetadataBackend(n.kernel),
-                port=MDS_PORT, gcs_port=MDS_GCS_PORT,
-                contacts=contacts, group_config=FAST_GROUP_CONFIG,
-            )
-
-        node.add_daemon("pvfs-mds", factory)
+        node.add_daemon("pvfs-mds", self._replica)
         return node
+
+    def _replica(self, node: "Node") -> ReplicatedService:
+        return ReplicatedService(
+            node, "pvfs-mds", MetadataBackend(node.kernel),
+            port=MDS_PORT, gcs_port=MDS_GCS_PORT,
+            heads=self.head_names, group_config=FAST_GROUP_CONFIG,
+        )
 
 
 def build_replicated_mds(cluster: Cluster) -> ReplicatedMDS:
     """Deploy one metadata replica on every head node of *cluster*."""
-    head_names = [h.name for h in cluster.heads]
-
-    def factory(node: "Node") -> ReplicatedService:
-        return ReplicatedService(
-            node, "pvfs-mds",
-            MetadataBackend(node.kernel),
-            port=MDS_PORT, gcs_port=MDS_GCS_PORT,
-            initial_members=head_names, group_config=FAST_GROUP_CONFIG,
-        )
-
+    mds = ReplicatedMDS(cluster, [h.name for h in cluster.heads])
     for head in cluster.heads:
-        head.add_daemon("pvfs-mds", factory)
-    return ReplicatedMDS(cluster, head_names)
+        record_founding_view(head.disk, mds.head_names, MDS_GCS_PORT)
+        head.add_daemon("pvfs-mds", mds._replica)
+    return mds

@@ -21,6 +21,11 @@ from tests.integration.conftest import drive, make_stack, settle
 #: head1 is still joining, head0 (the clients' first choice) twice.
 ROLLING_RESTART = Path(__file__).resolve().parents[1] / "data" / "chaos_rolling_restart.json"
 
+#: The committed whole-group schedule CI's chaos-smoke replays beside it:
+#: every head crashes at one instant and restarts 2 s later, then the heads
+#: fail one after another (head0 last) and all return, head0 last again.
+GROUP_RESTART = ROLLING_RESTART.with_name("chaos_group_restart.json")
+
 
 class TestScriptedScenarios:
     def test_head_crash_and_restart_schedule(self):
@@ -114,6 +119,20 @@ class TestRollingRestart:
                            ordering=ordering, shards=shards)
         assert report.ok, [str(v) for v in report.violations]
         assert report.jobs_submitted == 12
+
+
+class TestGroupRestart:
+    def test_whole_group_restart_schedule(self):
+        """Both whole-group shapes come back, and every acknowledged job
+        with them: the report is clean, the client history included."""
+        schedule = FaultSchedule.from_json(GROUP_RESTART.read_text())
+        report = run_chaos(schedule, seed=0, jobs=12, duration=30.0)
+        assert report.ok, [str(v) for v in report.violations]
+        assert not report.exempted
+        assert report.jobs_submitted > 0
+        assert report.jobs_completed == report.jobs_submitted
+        assert sum(1 for _t, action in report.events_applied
+                   if action.startswith("restart")) == 6
 
 
 class TestRandomSmoke:

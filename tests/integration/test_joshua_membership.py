@@ -131,15 +131,10 @@ class TestLeave:
         node.crash()
         settle(stack, 3.0)
         node.restart(daemons=False)
-        # Reinstall as a joining head.
-        contacts = ["head1"]
-        stack.head_names.remove("head0")
-        stack.head_names.append("head0")
-        stack._install_head_daemons.__func__  # (sanity: method exists)
-        # Re-register daemons fresh (old factories were for the founding
-        # configuration).
+        # Reinstall its daemons fresh: the start decision reads the disk,
+        # which says head0 returns to a running group.
         node._daemon_factories.clear()
-        stack._install_head_daemons(node, founders=None, contacts=contacts)
+        stack._install_head_daemons(node)
         settle(stack, 8.0)
         assert stack.joshua("head0").active
         assert queue_snapshot(stack, "head0") == queue_snapshot(stack, "head1")
@@ -229,7 +224,7 @@ class TestCrashedHeadRejoins:
         settle(stack, 4.0)
         node.restart(daemons=False)
         node._daemon_factories.clear()
-        stack._install_head_daemons(node, founders=None, contacts=["head1"])
+        stack._install_head_daemons(node)
         settle(stack, 10.0)
         assert stack.joshua("head0").active
         assert queue_snapshot(stack, "head0") == queue_snapshot(stack, "head1")

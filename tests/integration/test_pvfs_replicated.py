@@ -179,6 +179,34 @@ class TestRestart:
             assert backend.store.snapshot() == backends[0].store.snapshot()
             assert backend._logical_time == backends[0]._logical_time
 
+    def test_a_whole_group_reboot_is_not_recovered_from_memory(self):
+        """The MDS keeps its store in memory (``ReplicatedService.durable``
+        is False): after every replica reboots, each holds an empty store
+        although the group had applied commands, and its disk holds a view
+        past the founding one, so it does not boot afresh either. None may
+        come back into service on that; they wait for a running group that
+        never comes. A host that is not durable writes no position."""
+        cluster, mds, client = make_mds()
+        drive(cluster, client.mkdir("/r"))
+        drive(cluster, client.create("/r/acknowledged"))
+        cluster.run(until=cluster.kernel.now + 1.0)
+        for head in mds.head_names:
+            cluster.node(head).crash()
+        cluster.run(until=cluster.kernel.now + 2.0)
+        for head in mds.head_names:
+            cluster.node(head).restart()
+        for _ in range(100):
+            cluster.run(until=cluster.kernel.now + 0.1)
+            for head in mds.head_names:
+                engine = mds.replica(head).shards[0]
+                disk = cluster.node(head).disk
+                assert disk.read(engine._view_key)[0] > 0
+                assert engine._applied_key not in disk
+                assert not engine.active
+        with pytest.raises(NoActiveHeadError):
+            drive(cluster, PVFSClient(cluster.network, "login", mds.addresses())
+                  .create("/r/after"))
+
 
 class TestJoin:
     def test_new_replica_receives_snapshot(self):

@@ -3,13 +3,14 @@
 import pytest
 
 from repro.aa.client import ReplicatedClient, ServiceError
+from repro.aa.engine import record_founding_view
 from repro.aa.replicated import ReplicatedService, ReplRequest, ReplResult
 from repro.bench.workloads import DiurnalWorkload
 from repro.cluster import Cluster
 from repro.cluster.node import Node
 from repro.gcs.config import GroupConfig
 from repro.net.address import Address
-from repro.util.errors import JoshuaError, NoActiveHeadError, ReproError
+from repro.util.errors import NoActiveHeadError, ReproError
 
 from tests.integration.conftest import drop_first_cut_pushes
 
@@ -50,11 +51,12 @@ def deploy(n=2, seed=19):
     names = [h.name for h in cluster.heads]
     services = {}
     for head in cluster.heads:
+        record_founding_view(head.disk, names, 7001)
+
         def factory(node):
             return ReplicatedService(
                 node, "counter", CounterDriver(node.kernel),
-                port=7000, gcs_port=7001,
-                initial_members=names, group_config=FAST,
+                port=7000, gcs_port=7001, heads=names, group_config=FAST,
             )
         services[head.name] = head.add_daemon("counter", factory)
     client = ReplicatedClient(
@@ -76,7 +78,7 @@ def join(cluster, services, name, contacts):
     def factory(n):
         return ReplicatedService(
             n, "counter", CounterDriver(n.kernel),
-            port=7000, gcs_port=7001, contacts=contacts, group_config=FAST,
+            port=7000, gcs_port=7001, heads=contacts, group_config=FAST,
         )
 
     services[name] = node.add_daemon("counter", factory)
@@ -128,8 +130,10 @@ class TestReplicatedService:
         assert services["head0"].driver.value == 10  # applied once
 
     def test_requires_membership_choice(self):
+        # One head list, and no default: a start decides boot, join or
+        # recover from the node's disk, never from how it was built.
         cluster = Cluster(head_count=1, compute_count=0, seed=1)
-        with pytest.raises(JoshuaError):
+        with pytest.raises(TypeError, match="heads"):
             ReplicatedService(
                 cluster.heads[0], "x", CounterDriver(cluster.kernel),
                 port=7000, gcs_port=7001,

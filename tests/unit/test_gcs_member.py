@@ -3,6 +3,7 @@
 import pytest
 
 from repro.gcs import GroupConfig, GroupMember, boot_static_group, recovery
+from repro.gcs.lifecycle import JOINING
 from repro.gcs.contract import GroupContract
 from repro.gcs.messages import AGREED, SAFE, JoinReq
 from repro.net import Address, Network
@@ -389,9 +390,14 @@ class TestJoinLeave:
             for r in refusals)
 
     def test_join_requires_contacts(self):
+        # With no contact but itself a joiner has nobody to ask: it stays
+        # joining, sends nothing, and never forms a group on its own.
         h = Harness(2)
-        with pytest.raises(GroupCommError):
-            h.members["n0"].join([h.addr("n0")])  # only self
+        lone = h.members["n0"]
+        lone.join([h.addr("n0")])  # only self
+        h.run(until=2.0)
+        assert lone.state == JOINING and lone.view is None
+        assert h.views["n0"] == [] and h.net.stats["sent"] == 0
 
     def test_sequential_joins(self):
         h = Harness(1)

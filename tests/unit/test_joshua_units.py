@@ -7,7 +7,7 @@ from repro.joshua import JoshuaServer, JoshuaClient
 from repro.joshua.config import ERA_2006_JOSHUA, JOSHUA_GROUP_CONFIG, JoshuaTimes
 from repro.joshua.mutex import _MutexEntry
 from repro.pbs.job import JobSpec
-from repro.util.errors import JoshuaError, NoActiveHeadError
+from repro.util.errors import NoActiveHeadError
 
 from tests.integration.conftest import drive, make_stack, settle
 
@@ -18,17 +18,11 @@ class TestConstruction:
         return cluster.heads[0]
 
     def test_requires_membership_choice(self):
+        # One head list, and no default: a start decides boot, join or
+        # recover from the node's disk, never from how it was built.
         node = self.make_node()
-        with pytest.raises(JoshuaError, match="exactly one"):
+        with pytest.raises(TypeError, match="heads"):
             JoshuaServer(node)
-        # Both given is equally wrong.
-        cluster2 = Cluster(head_count=1, compute_count=0, seed=2)
-        with pytest.raises(JoshuaError, match="exactly one"):
-            JoshuaServer(
-                cluster2.heads[0],
-                initial_heads=["head0"],
-                contacts=["head1"],
-            )
 
     def test_calibration_constants(self):
         assert JOSHUA_GROUP_CONFIG.processing_delay > 0
@@ -91,6 +85,28 @@ class TestMutexBookkeeping:
         for head in ("head0", "head1"):
             entries = stack.joshua(head).shard_for_job("9.joshua").arbiter.entries
             assert "9.joshua" not in entries
+
+    def test_attempt_after_done_emulates_and_multicasts_nothing(self):
+        """A lagging head's scheduler may dispatch a job after its Done was
+        ordered, maybe to another compute node: that attempt must emulate,
+        not win a fresh claim and launch the job again."""
+        from repro.joshua.wire import Claim, Done, JMutexReq, Started
+        from repro.net.address import Address
+        stack = make_stack()
+        settle(stack, 0.5)
+        j0, j1 = stack.joshua("head0"), stack.joshua("head1")
+        for record in (Claim("9.joshua", "head0"), Started("9.joshua"), Done("9.joshua")):
+            j0.group.multicast(record)
+            settle(stack, 0.5)
+        replies = []
+        j1._reply = lambda d, r, resp: replies.append(resp)
+        multicasts = j1.group.stats["multicasts"]
+        j1._handle_jmutex(Address("compute1", 1), 1, JMutexReq("9.joshua", "head1"))
+        settle(stack, 1.0)
+        assert [r.decision for r in replies] == ["emulate"]
+        assert j1.group.stats["multicasts"] == multicasts
+        for joshua in (j0, j1):
+            assert "9.joshua" not in joshua.shard_for_job("9.joshua").arbiter.entries
 
 
 class TestClientBehaviour:

@@ -50,7 +50,7 @@ class TestGroupIdentity:
         with pytest.raises(JoshuaError):
             build_joshua_stack(cluster, group_config=FAST, shards=0)
         with pytest.raises(JoshuaError):
-            JoshuaServer(cluster.heads[0], initial_heads=["head0"], shards=0)
+            JoshuaServer(cluster.heads[0], heads=["head0"], shards=0)
 
 
 class TestSequencerRotation:
