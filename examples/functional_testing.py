@@ -85,7 +85,7 @@ def main() -> None:
     cluster.run(until=cluster.kernel.now + 5.0)
     rows = drive(cluster, client.jstat())
     check("two simultaneous failures tolerated; queue intact",
-          any(r["job_id"] == precious for r in rows))
+          any(r.job_id == precious for r in rows))
     check("survivors formed a two-member view",
           stack.joshua("head3").group.view.size == 2)
 

@@ -115,7 +115,7 @@ def _answer(time: float, head: str, response, era: tuple) -> _Answer:
     if isinstance(response, ErrorResp):
         told = ("error", response.kind)
     elif isinstance(response, (StatResp, JStatResp)):
-        told = ("rows", {r["job_id"]: (r["name"], r["state"]) for r in response.rows})
+        told = ("rows", {r.job_id: (r.name, r.state) for r in response.rows})
     else:
         told = ("ok", getattr(response, "job_id", None))
     return _Answer(time, head, told, stamp, isinstance(response, JStatResp), era)

@@ -208,7 +208,7 @@ def run_chaos(
         yield kernel.timeout(FOLLOW_UP_S)
         try:
             rows = yield from client.jstat(job_id)
-            if i % 2 and rows[0]["state"] == "R":
+            if i % 2 and rows[0].state == "R":
                 yield from client.jdel(job_id)
                 yield from client.jstat(job_id)
         except (NoActiveHeadError, PBSError):

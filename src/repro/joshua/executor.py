@@ -106,12 +106,12 @@ class SerialExecutor:
         for row in stat.rows:
             # The local PBS holds every shard's jobs; capture only our
             # stripe's live ones.
-            job_id = row["job_id"]
-            live = row["state"] in ("Q", "R", "E", "H", "W")
+            job_id = row.job_id
+            live = row.state in ("Q", "R", "E", "H", "W")
             if not (live and s.owns_job(job_id)):
                 continue
             specs[job_id] = self.specs[job_id]
-            if row["state"] == "H":
+            if row.state == "H":
                 # The paper's documented limitation: command replay
                 # cannot reconstruct held jobs consistently.
                 skipped.append(job_id)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 from repro.aa.wire import Command, SeqStampedResp, StateXferResp, XferMarker
 from repro.net.codec import register_wire_types
-from repro.pbs.job import JobSpec
+from repro.pbs.job import JobRow, JobSpec
 
 __all__ = [
     "JOSHUA_PORT",
@@ -83,7 +83,7 @@ class JStatResp:
     ordered fallback.
     """
 
-    rows: tuple
+    rows: tuple[JobRow, ...]
     as_of_seq: tuple = ()
     node: str = ""
 

@@ -54,11 +54,11 @@ Same bytes, less work
 ---------------------
 Many encoded bytes are values sent before: every qstat reply ships the
 rows of the jobs it names, and a job's row changes only on a state
-transition. Three host-time devices exploit that and the fixed shape of
-every record; none moves a byte of any frame.
+transition. Two host-time devices exploit that and the fixed shape of
+every record; neither moves a byte of any frame.
 
-* **Encode** — :class:`PlainFragment` holds the bytes of a builtins-only
-  value, encoded once by its owner; the encoder splices them verbatim.
+* **Encode** — :class:`Fragment` holds the bytes of a value, encoded once
+  under :data:`WIRE` by its owner; the encoder splices them verbatim.
 * **Records** — each registered record carries its tag byte and one
   getter returning all its field values at once; the encoder appends the
   tag and iterates the values. The decoder finds the record by its number
@@ -69,21 +69,9 @@ every record; none moves a byte of any frame.
   its arguments, and ``cls(*values)`` for anything else (``JobSpec``
   validates in ``__post_init__``, and what it refuses stays a decode
   error; an enum is ``cls(value)``).
-* **Decode** — each :class:`Codec` keeps a bounded memo of the plain dicts
-  it has decoded: complete encoding -> ``marshal`` snapshot of the value,
-  indexed by the encoding's first ``_MEMO_KEY`` bytes -> the lengths
-  remembered under that prefix. At a dict tag the decoder looks the next
-  ``_MEMO_KEY`` bytes up and probes each remembered length that still fits
-  in the frame; a hit returns a freshly deserialised copy and skips the
-  bytes. This is sound because the format is prefix-free — a complete
-  encoding found at ``pos`` is exactly what the decoder would consume
-  there, and a plain dict's value depends on nothing else (no registry)
-  — and fresh because a hit shares no mutable object with
-  the memo or with any other result. The memo is a pure function of the
-  frame bytes this codec has decoded: nothing passes from encoder to
-  decoder, so truncated and corrupted frames miss, take the ordinary path
-  and raise the ordinary errors. Reaching ``_MEMO_CAP``
-  entries empties it.
+
+Decoding keeps no state between frames: what a frame decodes to is a
+function of its bytes and the registry alone.
 
 Registry
 --------
@@ -121,7 +109,6 @@ import enum
 import hashlib
 import inspect
 import json
-import marshal
 import operator
 import re
 import struct
@@ -134,7 +121,7 @@ from repro.util.errors import NetworkError
 __all__ = [
     "Codec",
     "CodecError",
-    "PlainFragment",
+    "Fragment",
     "SCHEMA_VERSION",
     "WIRE",
     "register_wire_types",
@@ -189,14 +176,6 @@ _FIRST_RECORD_TAG = 0x0A
 
 _FLOAT = struct.Struct(">d")
 
-#: Decode memo (see the module docstring): how many leading bytes of a
-#: dict's encoding index the lengths remembered for it, the longest encoding
-#: worth a snapshot (a qstat row is 150-250 bytes), and the entry count at
-#: which the memo is emptied. Together they bound its memory.
-_MEMO_KEY = 20
-_MEMO_MAX = 1024
-_MEMO_CAP = 4096
-
 
 def _encode_varint(value: int, out: bytearray) -> None:
     """Unsigned LEB128."""
@@ -232,40 +211,38 @@ def _unzigzag(value: int) -> int:
     return (value >> 1) ^ -(value & 1)
 
 
-class PlainFragment:
-    """The wire bytes of a value made only of builtins, encoded once.
+class Fragment:
+    """The wire bytes of a value, encoded once under :data:`WIRE`.
 
-    A sender that ships the same plain value many times (a job's qstat/poll
-    row, unchanged between scheduler polls) builds the fragment once and
-    puts *it* in its payloads; the encoder splices the bytes verbatim, so
-    the frame is byte-identical to one built from the value itself.
+    A sender that ships the same value many times (a job's qstat/poll row,
+    unchanged between scheduler polls) builds the fragment once and puts
+    *it* in its payloads; the encoder splices the bytes verbatim, so the
+    frame is byte-identical to one built from the value itself.
 
-    The value is encoded by a codec with an empty registry: a record or an
-    enum inside it is a :class:`CodecError` (as is a set), so the bytes hold
-    no record number and are the same under every registry. Decoding never
-    produces a fragment — the receiver gets the plain value. Immutable; equal and
-    hashed by its bytes; ``repr`` is the value's own (payload printers such
-    as ``wiretrace`` cannot tell it from the value it stands for).
+    The bytes may hold record numbers. That is sound because a group runs
+    one wire schema (PROTOCOLS.md §11): a number means the same to the
+    fragment's owner and to every receiver. Decoding never produces a
+    fragment — the receiver gets the value. Immutable; equal and hashed by
+    its bytes; ``repr`` is the value's own (payload printers such as
+    ``wiretrace`` cannot tell it from the value it stands for).
     """
 
     __slots__ = ("_wire",)
 
     def __init__(self, value: Any) -> None:
-        out = bytearray()
-        Codec()._encode_value(value, out)
-        object.__setattr__(self, "_wire", bytes(out))
+        object.__setattr__(self, "_wire", WIRE.encode(value))
 
     def __setattr__(self, name: str, value: Any) -> None:
-        raise AttributeError("PlainFragment is immutable")
+        raise AttributeError("Fragment is immutable")
 
     def __eq__(self, other: object) -> bool:
-        return type(other) is PlainFragment and other._wire == self._wire
+        return type(other) is Fragment and other._wire == self._wire
 
     def __hash__(self) -> int:
         return hash(self._wire)
 
     def __repr__(self) -> str:
-        return repr(Codec()._decode_value(self._wire, 0)[0])
+        return repr(WIRE.decode(self._wire))
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
@@ -435,10 +412,6 @@ class Codec:
         self._numbered: list[_Record] = []
         # schema_digest(), memoised until the next registration.
         self._digest: str | None = None
-        # Decode memo: complete encoding of a plain dict -> marshal snapshot
-        # of its value, and first _MEMO_KEY bytes -> the lengths remembered.
-        self._memo: dict[bytes, bytes] = {}
-        self._memo_lengths: dict[bytes, list[int]] = {}
 
     # -- registration -----------------------------------------------------------
 
@@ -532,7 +505,8 @@ class Codec:
         # Exact-type dispatch, builtins first and in the order the measured
         # traffic has them: ``str`` is most of every qstat/poll row, and no
         # builtin can be a registered record or enum, so testing them ahead
-        # of the registry lookup changes no frame. ``type() is`` keeps
+        # of the registry lookup changes no frame (``dict``, which only the
+        # PVFS directory record carries, comes after it). ``type() is`` keeps
         # bool apart from int and NamedTuple records apart from tuple.
         cls = type(value)
         if cls is str:
@@ -553,15 +527,7 @@ class Codec:
                 _encode_varint(_zigzag(value), out)
         elif value is None:
             out.append(_T_NONE)
-        elif cls is dict:
-            out.append(_T_DICT)
-            _encode_varint(len(value), out)
-            encode = self._encode_value
-            # repro-lint: ignore[R3] insertion order IS the wire contract here: the sender's dict order is encoded verbatim and reproduced by decode, so it is deterministic iff the sender built the dict deterministically (which R3 checks at the send sites)
-            for key, item in value.items():
-                encode(key, out)
-                encode(item, out)
-        elif cls is PlainFragment:
+        elif cls is Fragment:
             out += value._wire
         elif cls is float:
             out.append(_T_FLOAT)
@@ -578,6 +544,14 @@ class Codec:
             out.append(record.tag)
             encode = self._encode_value
             for item in record.getter(value):
+                encode(item, out)
+        elif cls is dict:
+            out.append(_T_DICT)
+            _encode_varint(len(value), out)
+            encode = self._encode_value
+            # repro-lint: ignore[R3] insertion order IS the wire contract here: the sender's dict order is encoded verbatim and reproduced by decode, so it is deterministic iff the sender built the dict deterministically (which R3 checks at the send sites)
+            for key, item in value.items():
+                encode(key, out)
                 encode(item, out)
         elif cls is bytes:
             out.append(_T_BYTES)
@@ -645,26 +619,6 @@ class Codec:
             return _unzigzag(raw), pos
         if tag == _T_NONE:
             return None, pos
-        if tag == _T_DICT:
-            start = pos - 1
-            for length in self._memo_lengths.get(
-                    data[start:start + _MEMO_KEY], ()):
-                # Fit first: a slice past the frame's end comes back short
-                # and can equal a shorter remembered encoding.
-                end = start + length
-                if end <= size and (
-                        snapshot := self._memo.get(data[start:end])) is not None:
-                    return marshal.loads(snapshot), end
-            count, pos = _decode_varint(data, pos)
-            decode = self._decode_value
-            mapping = {}
-            for _ in range(count):
-                key, pos = decode(data, pos)
-                item, pos = decode(data, pos)
-                mapping[key] = item
-            if _MEMO_KEY <= pos - start <= _MEMO_MAX:
-                self._remember(data[start:pos], mapping)
-            return mapping, pos
         if tag == _T_FLOAT:
             end = pos + 8
             if end > size:
@@ -680,6 +634,15 @@ class Codec:
             return (tuple(items) if tag == _T_TUPLE else items), pos
         if tag >= _FIRST_RECORD_TAG:
             return self._decode_record(data, pos)
+        if tag == _T_DICT:
+            count, pos = _decode_varint(data, pos)
+            decode = self._decode_value
+            mapping = {}
+            for _ in range(count):
+                key, pos = decode(data, pos)
+                item, pos = decode(data, pos)
+                mapping[key] = item
+            return mapping, pos
         if tag == _T_TRUE:
             return True, pos
         if tag == _T_FALSE:
@@ -690,23 +653,6 @@ class Codec:
         if end > size:
             raise _codec_error("truncated bytes", pos)
         return data[pos:end], end
-
-    def _remember(self, encoded: bytes, mapping: dict) -> None:
-        """Memoise a freshly decoded dict under its complete encoding, if it
-        is made only of builtins (``marshal`` refuses a record or an enum:
-        those decode through the registry, so their value is not a function
-        of the bytes alone)."""
-        try:
-            snapshot = marshal.dumps(mapping)
-        except ValueError:
-            return
-        if len(self._memo) >= _MEMO_CAP:
-            self._memo.clear()
-            self._memo_lengths.clear()
-        self._memo[encoded] = snapshot
-        lengths = self._memo_lengths.setdefault(encoded[:_MEMO_KEY], [])
-        if len(encoded) not in lengths:
-            lengths.append(len(encoded))
 
     def _decode_record(self, data: bytes, pos: int) -> tuple[Any, int]:
         """The record whose tag byte is at ``pos - 1``."""

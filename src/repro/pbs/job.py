@@ -5,11 +5,12 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field, replace
 from functools import cached_property
+from typing import NamedTuple
 
-from repro.net.codec import PlainFragment, register_wire_types
+from repro.net.codec import Fragment, register_wire_types
 from repro.util.errors import PBSError
 
-__all__ = ["JobState", "JobSpec", "Job"]
+__all__ = ["JobState", "JobSpec", "Job", "JobRow"]
 
 
 class JobState(enum.Enum):
@@ -51,6 +52,24 @@ class JobSpec:
             raise PBSError(f"job needs at least one node, got {self.nodes}")
         if self.walltime <= 0:
             raise PBSError(f"walltime must be positive, got {self.walltime}")
+
+
+class JobRow(NamedTuple):
+    """One ``qstat`` output row: positional columns, as TORQUE prints them,
+    so a row on the wire carries its values and one record byte, not the
+    column names."""
+
+    job_id: str
+    name: str
+    owner: str
+    #: The single-letter :class:`JobState` code.
+    state: str
+    queue: str
+    nodes: int
+    walltime: float
+    exec_nodes: tuple[str, ...]
+    exit_status: int | None
+    comment: str
 
 
 @dataclass(frozen=True)
@@ -95,29 +114,23 @@ class Job:
         """Numeric part of the job id (``'42.torque'`` -> 42)."""
         return int(self.job_id.split(".", 1)[0])
 
-    def stat_row(self) -> dict:
+    def stat_row(self) -> JobRow:
         """One ``qstat`` output row."""
-        return {
-            "job_id": self.job_id,
-            "name": self.spec.name,
-            "owner": self.spec.owner,
-            "state": self.state.value,
-            "queue": self.spec.queue,
-            "nodes": self.spec.nodes,
-            "walltime": self.spec.walltime,
-            "exec_nodes": list(self.exec_nodes),
-            "exit_status": self.exit_status,
-            "comment": self.comment,
-        }
+        spec = self.spec
+        return JobRow(
+            self.job_id, spec.name, spec.owner, self.state.value, spec.queue,
+            spec.nodes, spec.walltime, self.exec_nodes, self.exit_status,
+            self.comment,
+        )
 
     @cached_property
-    def wire_row(self) -> PlainFragment:
+    def wire_row(self) -> Fragment:
         """:meth:`stat_row` pre-encoded — what the server puts in a qstat
         or scheduler-poll reply. Built on first use and kept with this
         record: a transition makes a new record, so a stale row cannot be
         sent. Derived state, not a field: equality, ``repr``, ``replace``
         and the codec's record encoding go by the declared fields."""
-        return PlainFragment(self.stat_row())
+        return Fragment(self.stat_row())
 
     def __getstate__(self) -> dict:
         # Copies and pickles carry the fields only: without this the cached
@@ -127,7 +140,8 @@ class Job:
         return state
 
 
-# JobSpec rides inside every submit and every replayed state-transfer item.
-# No frame carries a Job, but the codec requires every exported record of a
-# registering module to be registered; JobState members appear as Job fields.
-register_wire_types(JobSpec, Job, JobState)
+# JobSpec rides inside every submit and every replayed state-transfer item,
+# and a JobRow inside every qstat and scheduler-poll reply. No frame carries
+# a Job, but the codec requires every exported record of a registering module
+# to be registered; JobState members appear as Job fields.
+register_wire_types(JobSpec, Job, JobRow, JobState)

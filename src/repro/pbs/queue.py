@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from typing import Iterator
 
-from repro.net.codec import PlainFragment
+from repro.net.codec import Fragment
 from repro.pbs.job import Job
 from repro.util.errors import UnknownJobError
 
@@ -102,7 +102,7 @@ class JobQueue:
         """All jobs in submission order (jobs are immutable; safe to share)."""
         return list(self._jobs.values())
 
-    def to_wire(self, since: int = 0) -> list[PlainFragment]:
+    def to_wire(self, since: int = 0) -> list[Fragment]:
         """The qstat rows of the jobs changed after generation *since* (by
         default every job) in submission order, pre-encoded (an unchanged
         job costs one attribute read — ``Job.wire_row``)."""

@@ -26,6 +26,7 @@ from typing import TYPE_CHECKING
 
 from repro.cluster.daemon import Daemon
 from repro.net.address import Address
+from repro.pbs.job import JobRow
 from repro.pbs.service_times import ERA_2006, ServiceTimes
 from repro.pbs.wire import RunJobReq, SchedPollReq, SchedPollResp
 from repro.rpc import RpcTimeout, call as rpc_call
@@ -37,23 +38,23 @@ if TYPE_CHECKING:  # pragma: no cover
 __all__ = ["MauiScheduler", "QueueView", "fifo_decide"]
 
 
-def fifo_decide(rows: list[dict], node_free: list[tuple[str, bool]]) -> tuple[str, tuple[str, ...]] | None:
+def fifo_decide(rows: list[JobRow], node_free: list[tuple[str, bool]]) -> tuple[str, tuple[str, ...]] | None:
     """Pure scheduling decision: which job to start where, or ``None``.
 
     Exposed as a function so tests (and the replicated-state argument) can
     check determinism directly: same inputs, same decision, no hidden state.
     """
-    if any(r["state"] in ("R", "E") for r in rows):
+    if any(r.state in ("R", "E") for r in rows):
         return None  # exclusive access: one job on the cluster at a time
     # Strict FIFO: only the head of the queue is considered. A large job
     # that does not fit blocks everything behind it — no backfill, which is
     # part of what keeps replicated schedulers deterministic.
-    row = next((r for r in rows if r["state"] == "Q"), None)
+    row = next((r for r in rows if r.state == "Q"), None)
     if row is None:
         return None
     free_nodes = [name for name, free in node_free if free]
-    if row["nodes"] <= len(free_nodes):
-        return row["job_id"], tuple(sorted(free_nodes)[: row["nodes"]])
+    if row.nodes <= len(free_nodes):
+        return row.job_id, tuple(sorted(free_nodes)[: row.nodes])
     return None
 
 
@@ -68,7 +69,7 @@ class QueueView:
     def __init__(self):
         self.epoch = 0
         self.generation = 0
-        self.jobs: dict[str, dict] = {}
+        self.jobs: dict[str, JobRow] = {}
 
     def request(self) -> SchedPollReq:
         return SchedPollReq(self.epoch, self.generation)
@@ -78,13 +79,13 @@ class QueueView:
             self.jobs = {}
         jobs = self.jobs
         for row in poll.rows:
-            if row["state"] == "C":
-                jobs.pop(row["job_id"], None)
+            if row.state == "C":
+                jobs.pop(row.job_id, None)
             else:
-                jobs[row["job_id"]] = row
+                jobs[row.job_id] = row
         self.epoch, self.generation = poll.epoch, poll.generation
 
-    def rows(self) -> list[dict]:
+    def rows(self) -> list[JobRow]:
         return list(self.jobs.values())
 
 

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 from repro.net.address import Address
 from repro.net.codec import register_wire_types
-from repro.pbs.job import JobSpec
+from repro.pbs.job import JobRow, JobSpec
 
 __all__ = [
     "SubmitReq", "SubmitResp",
@@ -51,7 +51,7 @@ class StatReq:
 
 @dataclass(frozen=True)
 class StatResp:
-    rows: tuple
+    rows: tuple[JobRow, ...]
 
 
 @dataclass(frozen=True)
@@ -144,8 +144,8 @@ class SchedPollResp:
     row when the request's epoch is not the server's (or is 0); ``epoch``
     and ``generation`` name what the rows are current to."""
 
-    #: qstat-style rows, submission order.
-    rows: tuple
+    #: qstat rows, submission order.
+    rows: tuple[JobRow, ...]
     #: compute node name -> free (True) / busy.
     node_free: tuple
     epoch: int = 0

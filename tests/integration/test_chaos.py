@@ -359,7 +359,7 @@ class TestInvariantSuiteCatchesRealBreakage:
         client.last_write_seq[0] = 10 ** 6  # no replica gets there in time
         drive(stack, session.jstat())
         assert not isinstance(client.last_stat_response, JStatResp)
-        assert job_id not in {row["job_id"] for row in client.last_stat_response.rows}
+        assert job_id not in {row.job_id for row in client.last_stat_response.rows}
         suite.observe_read("alice", {0: 10 ** 6}, client.last_stat_response)
         assert session_rules() == set()
 

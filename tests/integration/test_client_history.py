@@ -86,9 +86,9 @@ class TestSpecAnswersAsPlainPBS:
 
         brief = run(client.qsub(name="brief", walltime=1.0))
         live = run(client.qsub(name="live", walltime=600.0))
-        assert run(client.qstat(live))[0]["name"] == "live"
+        assert run(client.qstat(live))[0].name == "live"
         cluster.run(until=10.0)
-        assert run(client.qstat(brief))[0]["state"] == "C"
+        assert run(client.qstat(brief))[0].state == "C"
         assert run(client.qdel(live)) == live
         assert run(client.qdel(brief)) == "bad-state"
         assert run(client.qdel("99.joshua")) == "unknown-job"

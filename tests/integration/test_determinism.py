@@ -171,7 +171,7 @@ class TestCrossHeadConsistency:
 
             def stat():
                 rows = yield from per_head.jstat()
-                return tuple((r["job_id"], r["name"]) for r in rows)
+                return tuple((r.job_id, r.name) for r in rows)
 
             p = kernel.spawn(stat())
             views.append(cluster.run(until=p))

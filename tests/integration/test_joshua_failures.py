@@ -36,7 +36,7 @@ class TestSingleHeadFailure:
         stack.cluster.node("head1").crash()
         settle(stack, 3.0)
         rows = drive(stack, client.jstat())
-        assert sorted(r["job_id"] for r in rows) == sorted(ids)
+        assert sorted(r.job_id for r in rows) == sorted(ids)
 
     def test_client_fails_over_to_surviving_head(self, stack):
         client = stack.client(node="login", prefer="head0")

@@ -61,7 +61,7 @@ class TestReplicatedSubmission:
         client = stack.client(node="login")
         job_id = drive(stack, client.jsub(name="watched", walltime=300))
         rows = drive(stack, client.jstat())
-        assert [r["job_id"] for r in rows] == [job_id]
+        assert [r.job_id for r in rows] == [job_id]
 
     def test_jdel_running_job_killed_once_everywhere(self, stack):
         """jdel of a RUNNING job: every replica's delete handler asks the

@@ -47,7 +47,7 @@ class TestLocalReads:
         assert client.last_write_seq, "write was not seq-stamped"
         floor = client.last_write_seq[0]
         rows = drive(stack, client.jstat())
-        assert job_id in [r["job_id"] for r in rows]
+        assert job_id in [r.job_id for r in rows]
         response = client.last_stat_response
         assert isinstance(response, JStatResp)
         assert dict(response.as_of_seq)[0] >= floor
@@ -107,7 +107,7 @@ class TestCrossShardReads:
         b = drive(stack, client.jsub(name="b", walltime=300, queue="workq"))
         assert sorted(client.last_write_seq) == [0, 1]  # floors on both
         rows = drive(stack, client.jstat())
-        assert {r["job_id"] for r in rows} == {a, b}
+        assert {r.job_id for r in rows} == {a, b}
         response = client.last_stat_response
         assert isinstance(response, JStatResp)
         as_of = dict(response.as_of_seq)
@@ -136,7 +136,7 @@ class TestCrossShardReads:
                    if joshua.shard_for_job(job.job_id).index == 1}
         assert len(applied) >= 3
         reader = stack.client(node="login", prefer=head)  # ordered by default
-        listed = {row["job_id"] for row in drive(stack, reader.jstat())}
+        listed = {row.job_id for row in drive(stack, reader.jstat())}
         assert isinstance(reader.last_stat_response, StatResp)
         assert reader.stats["failovers"] == 0  # *head* answered
         assert acked in listed
@@ -153,7 +153,7 @@ class TestCrossShardReads:
         other = 1 - owner
         client.last_write_seq[other] = 10_000  # would never be met
         rows = drive(stack, client.jstat(a))
-        assert [r["job_id"] for r in rows] == [a]
+        assert [r.job_id for r in rows] == [a]
         assert isinstance(client.last_stat_response, JStatResp)
 
 
@@ -262,7 +262,7 @@ class TestGateway:
         session = gateway.session("login", "alice")
         job_id = drive(stack, session.jsub(name="hello", walltime=300))
         rows = drive(stack, session.jstat())
-        assert job_id in [r["job_id"] for r in rows]
+        assert job_id in [r.job_id for r in rows]
         assert gateway.stats["reads_local"] == 1
         assert gateway.stats["reads_fallback"] == 0
         assert gateway.stats["writes"] == 1

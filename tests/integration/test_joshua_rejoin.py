@@ -156,7 +156,7 @@ class TestFinishedJobsAreNotTransferred:
         # own replica: a veteran says "C", the rejoined head "Unknown Job
         # Id" — which a client is to read as "finished" (SNIPPETS.md §3).
         veteran = stack.client(node="login", prefer="head1")
-        assert drive(stack, veteran.jstat(done_id))[0]["state"] == "C"
+        assert drive(stack, veteran.jstat(done_id))[0].state == "C"
         rejoined = stack.client(node="login", prefer="head0")
         with pytest.raises(PBSError, match="Unknown Job Id"):
             drive(stack, rejoined.jstat(done_id))
@@ -166,7 +166,7 @@ class TestFinishedJobsAreNotTransferred:
         session.client.prefer = session.head = "head0"
         with pytest.raises(PBSError, match="Unknown Job Id"):
             drive(stack, session.jstat(done_id))
-        assert done_id not in [row["job_id"] for row in drive(stack, session.jstat())]
+        assert done_id not in [row.job_id for row in drive(stack, session.jstat())]
         # The id is never handed out again on any head (defect (ii)).
         next_id = drive(stack, rejoined.jsub(name="later", walltime=900))
         assert next_id != done_id

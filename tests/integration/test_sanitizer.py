@@ -158,11 +158,12 @@ class TestRealScenario:
     def test_isolation_audit_passes_with_fragments_in_the_sent_payload(self):
         """Poll and qstat replies are *sent* holding pre-encoded fragments —
         each the same object in every reply until its job changes — and
-        *arrive* as plain rows, memo hits included: nothing of the sender's,
-        and nothing of an earlier delivery, may be in them. A poll ships a
-        job's row when the job changes; every ordered ``jstat`` ships the
-        unchanged row again, from every head's ``StatResp``."""
-        from repro.net.codec import PlainFragment
+        *arrive* as ``JobRow`` records: nothing of the sender's, and nothing
+        of an earlier delivery, may be in them. A poll ships a job's row
+        when the job changes; every ordered ``jstat`` ships the unchanged
+        row again, from every head's ``StatResp``."""
+        from repro.net.codec import Fragment
+        from repro.pbs.job import JobRow
         from repro.pbs.server import PBS_SERVER_PORT
         from repro.pbs.wire import SchedPollResp, StatResp
 
@@ -206,14 +207,18 @@ class TestRealScenario:
         polls = [r for r in sent if type(r) is SchedPollResp]
         stats = [r for r in sent if type(r) is StatResp]
         assert len(polls) >= 4 and len(stats) == 8 and len(delivered) == len(sent)
-        assert all(type(row) is PlainFragment for r in sent for row in r.rows)
-        assert all(type(row) is dict for r in delivered for row in r.rows)
+        assert all(type(row) is Fragment for r in sent for row in r.rows)
+        assert all(type(row) is JobRow for r in delivered for row in r.rows)
         # The unchanged row is one fragment, sent again and again...
         assert len({id(r.rows[0]) for r in stats}) <= 2  # one per head
-        # ...and every delivery of it is its own dict with its own list.
+        # ...and every delivery of it is its own record, and once the job
+        # runs, with its own exec_nodes tuple (an empty one is the
+        # interpreter's singleton, which the audit does not count).
         rows = [r.rows[0] for r in delivered]
         assert len({id(row) for row in rows}) == len(rows)
-        assert len({id(row["exec_nodes"]) for row in rows}) == len(rows)
+        running = [row for row in rows if row.exec_nodes]
+        assert len(running) >= len(stats)
+        assert len({id(row.exec_nodes) for row in running}) == len(running)
         assert cluster.kernel.sanitizer.aliasing == [], \
             cluster.kernel.sanitizer.report()
 

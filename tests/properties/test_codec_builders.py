@@ -40,7 +40,7 @@ RECORDS = dict(sorted(WIRE._records_by_name.items()))
 #: enum looks its member up).
 CONSTRUCTED = {"JobSpec", "JobState"}
 #: The NamedTuple records, built by ``tuple.__new__``.
-TUPLES = {"Address", "MessageId"}
+TUPLES = {"Address", "JobRow", "MessageId"}
 
 
 def _kind(build) -> str:

@@ -330,7 +330,7 @@ class RestartFromDisk(RuleBasedStateMachine):
         caught_up = copy.deepcopy(self.view)
         caught_up.apply(_over_the_wire(server._do_sched_poll(self.view.request())))
         full = _over_the_wire(server._do_sched_poll(SchedPollReq()))
-        assert caught_up.rows() == [row for row in full.rows if row["state"] != "C"]
+        assert caught_up.rows() == [row for row in full.rows if row.state != "C"]
         node_free = list(full.node_free)
         assert fifo_decide(caught_up.rows(), node_free) \
             == fifo_decide(list(full.rows), node_free)
@@ -389,23 +389,23 @@ def test_delta_to_wire_equals_the_full_scan(edits):
 def _listing_fifo_decide(rows, node_free):
     """``fifo_decide`` as it was first written: two full lists, then the
     head of the queued one."""
-    running = [r for r in rows if r["state"] in ("R", "E")]
+    running = [r for r in rows if r.state in ("R", "E")]
     if running:
         return None
     free_nodes = [name for name, free in node_free if free]
-    candidates = [r for r in rows if r["state"] == "Q"]
+    candidates = [r for r in rows if r.state == "Q"]
     if not candidates:
         return None
     row = candidates[0]
-    if row["nodes"] <= len(free_nodes):
-        return row["job_id"], tuple(sorted(free_nodes)[: row["nodes"]])
+    if row.nodes <= len(free_nodes):
+        return row.job_id, tuple(sorted(free_nodes)[: row.nodes])
     return None
 
 
 poll_rows = st.lists(
     st.tuples(st.sampled_from("QRHEWC"), st.integers(1, 4)), max_size=10
 ).map(lambda rows: [
-    {"job_id": f"{index}.t", "state": state, "nodes": nodes}
+    Job(f"{index}.t", JobSpec(nodes=nodes), state=JobState(state)).stat_row()
     for index, (state, nodes) in enumerate(rows)
 ])
 node_frees = st.lists(

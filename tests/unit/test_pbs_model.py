@@ -3,7 +3,7 @@
 import pytest
 
 from repro.pbs import Job, JobQueue, JobSpec, JobState
-from repro.pbs.job import KILLED_EXIT_STATUS
+from repro.pbs.job import KILLED_EXIT_STATUS, JobRow
 from repro.pbs.scheduler import QueueView, fifo_decide
 from repro.pbs.service_times import ERA_2006
 from repro.pbs.wire import SchedPollResp
@@ -61,9 +61,18 @@ class TestJob:
         assert job.state is JobState.QUEUED and job2.state is JobState.HELD
 
     def test_stat_row(self):
-        row = self.make().stat_row()
-        assert row["job_id"] == "7.torque"
-        assert row["state"] == "Q"
+        row = self.make(JobState.RUNNING).stat_row()
+        assert type(row) is JobRow
+        # The columns, in the order the row's dict form had its keys.
+        assert JobRow._fields == (
+            "job_id", "name", "owner", "state", "queue", "nodes", "walltime",
+            "exec_nodes", "exit_status", "comment",
+        )
+        assert row._asdict() == {
+            "job_id": "7.torque", "name": "t", "owner": "user", "state": "R",
+            "queue": "batch", "nodes": 1, "walltime": 60.0, "exec_nodes": (),
+            "exit_status": None, "comment": "",
+        }
 
     def test_killed_exit_status_constant(self):
         assert KILLED_EXIT_STATUS == 271
@@ -131,10 +140,14 @@ class TestJobQueue:
         assert q.to_wire(5) == []
 
 
+def _row(job_id: str, state: str, nodes: int = 1) -> JobRow:
+    return Job(job_id, JobSpec(nodes=nodes), state=JobState(state)).stat_row()
+
+
 class TestQueueView:
     def reply(self, epoch, generation, *rows):
         return SchedPollResp(
-            tuple({"job_id": job_id, "state": state} for job_id, state in rows),
+            tuple(_row(job_id, state) for job_id, state in rows),
             (), epoch, generation,
         )
 
@@ -143,28 +156,25 @@ class TestQueueView:
         assert (view.request().epoch, view.request().since) == (0, 0)
         view.apply(self.reply(7, 3, ("1.t", "Q"), ("2.t", "Q"), ("3.t", "C")))
         view.apply(self.reply(7, 6, ("1.t", "R"), ("4.t", "Q")))
-        assert [(r["job_id"], r["state"]) for r in view.rows()] == [
+        assert [(r.job_id, r.state) for r in view.rows()] == [
             ("1.t", "R"), ("2.t", "Q"), ("4.t", "Q")]
         view.apply(self.reply(7, 7, ("2.t", "C")))
-        assert [r["job_id"] for r in view.rows()] == ["1.t", "4.t"]
+        assert [r.job_id for r in view.rows()] == ["1.t", "4.t"]
         assert (view.request().epoch, view.request().since) == (7, 7)
 
     def test_another_epoch_or_epoch_zero_replaces_the_copy(self):
         view = QueueView()
         view.apply(self.reply(7, 3, ("1.t", "Q"), ("2.t", "Q")))
         view.apply(self.reply(8, 1, ("2.t", "Q")))
-        assert [r["job_id"] for r in view.rows()] == ["2.t"]
+        assert [r.job_id for r in view.rows()] == ["2.t"]
         view.apply(self.reply(0, 0, ("5.t", "Q")))
         view.apply(self.reply(0, 0, ("6.t", "Q")))
-        assert [r["job_id"] for r in view.rows()] == ["6.t"]
+        assert [r.job_id for r in view.rows()] == ["6.t"]
 
 
 class TestFifoDecide:
     def rows(self, *states, nodes=1):
-        return [
-            {"job_id": f"{i}.t", "state": s, "nodes": nodes}
-            for i, s in enumerate(states, start=1)
-        ]
+        return [_row(f"{i}.t", s, nodes) for i, s in enumerate(states, start=1)]
 
     def free(self, *names):
         return [(n, True) for n in names]
@@ -197,10 +207,7 @@ class TestFifoDecide:
     def test_fifo_does_not_skip_big_job(self):
         """Strict FIFO: a large job at the head blocks smaller later ones
         (no backfill — deterministic behaviour the replicas rely on)."""
-        rows = [
-            {"job_id": "1.t", "state": "Q", "nodes": 3},
-            {"job_id": "2.t", "state": "Q", "nodes": 1},
-        ]
+        rows = [_row("1.t", "Q", 3), _row("2.t", "Q", 1)]
         assert fifo_decide(rows, self.free("c0", "c1")) is None
 
 

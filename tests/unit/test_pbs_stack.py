@@ -47,13 +47,13 @@ class TestSubmission:
         client = stack.client()
         job_id = drive(stack, client.qsub(name="visible", walltime=500))
         rows = drive(stack, client.qstat(None))
-        assert [r["job_id"] for r in rows] == [job_id]
+        assert [r.job_id for r in rows] == [job_id]
 
     def test_qstat_single_job(self, stack):
         client = stack.client()
         job_id = drive(stack, client.qsub(name="one", walltime=500))
         [row] = drive(stack, client.qstat(job_id))
-        assert row["name"] == "one"
+        assert row.name == "one"
 
     def test_qstat_unknown_job(self, stack):
         with pytest.raises(PBSError, match="Unknown Job Id"):
@@ -70,8 +70,8 @@ class TestExecution:
         job_id = drive(stack, client.qsub(name="quick", walltime=2.0))
         stack.cluster.run(until=10.0)
         [row] = drive(stack, client.qstat(job_id))
-        assert row["state"] == "C"
-        assert row["exit_status"] == 0
+        assert row.state == "C"
+        assert row.exit_status == 0
         assert stack.moms[0].stats["runs"] + stack.moms[1].stats["runs"] == 1
 
     def test_fifo_execution_order(self, stack):
@@ -87,8 +87,8 @@ class TestExecution:
             drive(stack, client.qsub(name=f"j{i}", walltime=5.0, nodes=1))
         stack.cluster.run(until=4.0)
         rows = drive(stack, client.qstat(None))
-        running = [r for r in rows if r["state"] == "R"]
-        queued = [r for r in rows if r["state"] == "Q"]
+        running = [r for r in rows if r.state == "R"]
+        queued = [r for r in rows if r.state == "Q"]
         assert len(running) == 1 and len(queued) == 1
 
     def test_multi_node_job(self, stack):
@@ -96,15 +96,15 @@ class TestExecution:
         job_id = drive(stack, client.qsub(name="big", walltime=2.0, nodes=2))
         stack.cluster.run(until=10.0)
         [row] = drive(stack, client.qstat(job_id))
-        assert row["state"] == "C"
-        assert sorted(row["exec_nodes"]) == ["compute0", "compute1"]
+        assert row.state == "C"
+        assert sorted(row.exec_nodes) == ["compute0", "compute1"]
 
     def test_nonzero_exit_status_reported(self, stack):
         client = stack.client()
         job_id = drive(stack, client.qsub(JobSpec(name="bad", walltime=1.0, exit_status=3)))
         stack.cluster.run(until=10.0)
         [row] = drive(stack, client.qstat(job_id))
-        assert row["exit_status"] == 3
+        assert row.exit_status == 3
 
     def test_accounting_lifecycle(self, stack):
         client = stack.client()
@@ -124,8 +124,8 @@ class TestDeleteHoldSignal:
         job_id = drive(stack, client.qsub(name="doomed", walltime=500))
         drive(stack, client.qdel(job_id))
         [row] = drive(stack, client.qstat(job_id))
-        assert row["state"] == "C"
-        assert row["comment"] == "deleted by user"
+        assert row.state == "C"
+        assert row.comment == "deleted by user"
 
     def test_qdel_running_job_kills_it(self, stack):
         client = stack.client()
@@ -134,8 +134,8 @@ class TestDeleteHoldSignal:
         drive(stack, client.qdel(job_id))
         stack.cluster.run(until=10.0)
         [row] = drive(stack, client.qstat(job_id))
-        assert row["state"] == "C"
-        assert row["exit_status"] == 271
+        assert row.state == "C"
+        assert row.exit_status == 271
 
     def test_qdel_unknown(self, stack):
         with pytest.raises(PBSError, match="Unknown Job Id"):
@@ -155,11 +155,11 @@ class TestDeleteHoldSignal:
         drive(stack, client.qhold(job_id))
         stack.cluster.run(until=3.0)
         [row] = drive(stack, client.qstat(job_id))
-        assert row["state"] == "H"
+        assert row.state == "H"
         drive(stack, client.qrls(job_id))
         stack.cluster.run(until=8.0)
         [row] = drive(stack, client.qstat(job_id))
-        assert row["state"] == "C"
+        assert row.state == "C"
 
     def test_qsig_running_job(self, stack):
         client = stack.client()
@@ -174,8 +174,8 @@ class TestDeleteHoldSignal:
         stack.cluster.run(until=2.0)  # running
         drive(stack, client.qrerun(job_id))
         [row] = drive(stack, client.qstat(job_id))
-        assert row["state"] == "Q"
-        assert "qrerun" in row["comment"]
+        assert row.state == "Q"
+        assert "qrerun" in row.comment
 
     def test_qrerun_queued_job_rejected(self, stack):
         client = stack.client()
@@ -392,7 +392,7 @@ class TestSchedulerView:
         cluster.run(until=1.0)
         maui = stack.head.daemon("maui")
         assert list(maui.view.jobs) == [runner, *held]
-        assert maui.view.jobs[runner]["state"] == "R"
+        assert maui.view.jobs[runner].state == "R"
         stack.head.stop_daemon("pbs_server")
         cluster.run(until=1.5)  # Maui's poll in flight goes unanswered
         server = stack.head.start_daemon("pbs_server")
@@ -501,4 +501,4 @@ class TestMomBehaviour:
         busy[0].crash()
         cluster.run(until=20.0)
         [row] = drive(stack, client.qstat(job_id))
-        assert row["state"] == "R"  # stuck, as the paper observed
+        assert row.state == "R"  # stuck, as the paper observed
