@@ -46,6 +46,21 @@ EVENT_LOG_LIMIT = 200_000
 #: Bound on the multicast-sent timestamp map (see :meth:`gcs_multicast`).
 MCAST_MAP_LIMIT = 50_000
 
+#: Field names of the RPC spans, most of a run's spans; every span of a
+#: kind holds the one tuple.
+_SEND_KEYS = ("request", "dst", "attempt", "request_id")
+_CALL_KEYS = ("request", "dst", "latency_s", "attempts", "outcome", "response")
+_DISPATCH_KEYS = ("daemon", "request", "request_id", "src")
+
+
+class _Spelling(dict):
+    """Server address -> its ``node:port`` text, spelled once per collector
+    (a client's address is a fresh port per conversation: not memoised)."""
+
+    def __missing__(self, address):
+        text = self[address] = str(address)
+        return text
+
 
 class _Series(dict):
     """The series of one metric, memoised by label values.
@@ -101,6 +116,9 @@ class TraceCollector:
         #: msg_id -> [multicast-sent time, first ORDER assignment already
         #: recorded] (insertion-ordered, bounded).
         self._mcast_sent: dict = {}
+        #: Span field names, one tuple per distinct shape (see :meth:`record`).
+        self._keys: dict[tuple, tuple] = {}
+        self._spelled = _Spelling()
         #: The flight recorder and time-series sampler, once attached
         #: (:func:`~repro.obs.recorder.attach_recorder`,
         #: :func:`~repro.obs.timeseries.attach_timeseries`).
@@ -149,12 +167,21 @@ class TraceCollector:
 
     # -- event plumbing ------------------------------------------------------
 
-    def record(self, kind: str, node: str, trace_id: str | None = None, **fields) -> TraceEvent:
-        event = TraceEvent(self.kernel.now, kind, node, trace_id, fields)
+    def record(self, kind: str, node: str, trace_id: str | None,
+               keys: tuple, values: tuple) -> TraceEvent:
+        """Log one span: every span the collector makes passes here."""
+        event = TraceEvent(self.kernel.now, kind, node, trace_id, keys, values)
         self.events.append(event)
         if self.recorder is not None:
             self.recorder.on_trace_event(event)
         return event
+
+    def _span(self, kind: str, node: str, trace_id: str | None = None,
+              **fields) -> TraceEvent:
+        keys = tuple(fields)
+        return self.record(kind, node, trace_id,
+                           self._keys.setdefault(keys, keys),
+                           tuple(fields.values()))
 
     # -- client-side RPC hooks ----------------------------------------------
 
@@ -167,8 +194,8 @@ class TraceCollector:
             entry[1] = attempt
             self._retries[request_type].inc()
         self._requests[request_type].inc()
-        self.record("rpc.send", node, request=request_type,
-                    dst=str(server), attempt=attempt, request_id=request_id)
+        self.record("rpc.send", node, None, _SEND_KEYS,
+                    (request_type, self._spelled[server], attempt, request_id))
 
     def rpc_response(self, node, server, request_id, payload, response) -> None:
         request_type = type(payload).__name__
@@ -181,9 +208,9 @@ class TraceCollector:
         self._attempts[request_type].observe(float(attempts))
         if timed_out:
             self._timeouts[request_type].inc()
-        self.record("rpc.call", node, request=request_type, dst=str(server),
-                    latency_s=latency, attempts=attempts, outcome=outcome,
-                    response=type(response).__name__)
+        self.record("rpc.call", node, None, _CALL_KEYS,
+                    (request_type, self._spelled[server], latency, attempts,
+                     outcome, type(response).__name__))
 
     # -- server-side dispatch hooks -----------------------------------------
 
@@ -192,9 +219,8 @@ class TraceCollector:
         self._dispatch_open[(tag, request_id)] = self.kernel.now
         request_type = type(payload).__name__
         self._dispatches[daemon.name, request_type].inc()
-        self.record("rpc.dispatch", daemon.node.name,
-                    daemon=tag, request=request_type,
-                    request_id=request_id, src=str(src))
+        self.record("rpc.dispatch", daemon.node.name, None, _DISPATCH_KEYS,
+                    (tag, request_type, request_id, str(src)))
 
     def rpc_dispatch_done(self, daemon, src, request_id, payload, response) -> None:
         started = self._dispatch_open.pop((daemon.tag, request_id), None)
@@ -225,8 +251,8 @@ class TraceCollector:
             for key in list(self._mcast_sent)[: MCAST_MAP_LIMIT // 2]:
                 del self._mcast_sent[key]
         self._multicasts[node, service, shard].inc()
-        self.record("gcs.mcast", node, msg_id=str(msg_id), service=service,
-                    payload=type(payload).__name__, **self._shard_labels(shard))
+        self._span("gcs.mcast", node, msg_id=str(msg_id), service=service,
+                   payload=type(payload).__name__, **self._shard_labels(shard))
 
     def gcs_batch_flush(self, node: str, count: int, reason: str,
                         shard: int | None = None) -> None:
@@ -234,8 +260,8 @@ class TraceCollector:
         coalesced multicasts (reason: count/bytes/timer/drain)."""
         self._flushes[node, reason, shard].inc()
         self._batch_size[node, shard].observe(float(count))
-        self.record("gcs.batch", node, count=count, reason=reason,
-                    **self._shard_labels(shard))
+        self._span("gcs.batch", node, count=count, reason=reason,
+                   **self._shard_labels(shard))
 
     def gcs_ordered(self, node: str, seq: int, msg_id,
                     shard: int | None = None) -> None:
@@ -245,8 +271,8 @@ class TraceCollector:
             # A view change re-assigns the id; its delay counts once.
             entry[1] = True
             self._ordering_delay[node, shard].observe(self.kernel.now - entry[0])
-        self.record("gcs.order", node, seq=seq, msg_id=str(msg_id),
-                    **self._shard_labels(shard))
+        self._span("gcs.order", node, seq=seq, msg_id=str(msg_id),
+                   **self._shard_labels(shard))
 
     def gcs_delivered(self, node: str, msg, queue_stats: dict,
                       shard: int | None = None) -> None:
@@ -258,10 +284,10 @@ class TraceCollector:
             # (the Transis share of a jsub's latency in Figure 10), timed
             # from the original multicast stamp (batching-independent).
             self._e2e_delay[node, shard].observe(self.kernel.now - entry[0])
-        self.record("gcs.deliver", node, msg_id=str(msg.msg_id), seq=msg.seq,
-                    view=msg.view_id, service=msg.service,
-                    payload=type(msg.payload).__name__, sender=msg.sender.node,
-                    **self._shard_labels(shard))
+        self._span("gcs.deliver", node, msg_id=str(msg.msg_id), seq=msg.seq,
+                   view=msg.view_id, service=msg.service,
+                   payload=type(msg.payload).__name__, sender=msg.sender.node,
+                   **self._shard_labels(shard))
 
     # -- GCS lifecycle: failure detector & views -----------------------------
 
@@ -275,7 +301,7 @@ class TraceCollector:
         fields = dict(transition=transition, **self._shard_labels(shard))
         if peer is not None:
             fields["peer"] = peer
-        self.record("gcs.fd", node, **fields)
+        self._span("gcs.fd", node, **fields)
 
     def gcs_view(self, node: str, view_id: int, members: list,
                  sequencer: str | None, shard: int | None = None) -> None:
@@ -284,8 +310,8 @@ class TraceCollector:
         making sequencer handoffs visible in the trace."""
         self._installs[node, shard].inc()
         self._view_size[node, shard].set(len(members))
-        self.record("gcs.view", node, view=view_id, members=list(members),
-                    sequencer=sequencer, **self._shard_labels(shard))
+        self._span("gcs.view", node, view=view_id, members=list(members),
+                   sequencer=sequencer, **self._shard_labels(shard))
 
     # -- JOSHUA read path ----------------------------------------------------
 
@@ -304,9 +330,9 @@ class TraceCollector:
         reads[node, mode, shard].inc()
         self._catchup_wait[node, shard].observe(wait_s)
         self._staleness[node, shard].set(float(lag))
-        self.record("joshua.read", node, trace_id=trace_id, mode=mode,
-                    outcome=outcome, wait_s=wait_s, lag=lag,
-                    **self._shard_labels(shard))
+        self._span("joshua.read", node, trace_id=trace_id, mode=mode,
+                   outcome=outcome, wait_s=wait_s, lag=lag,
+                   **self._shard_labels(shard))
 
     # -- job lifecycle -------------------------------------------------------
 
@@ -343,7 +369,7 @@ class TraceCollector:
         if trace.command is None and "command" in fields:
             trace.command = fields["command"]
         fresh = trace.first(kind) is None
-        event = self.record(kind, node, trace_id=tid, **fields)
+        event = self._span(kind, node, trace_id=tid, **fields)
         trace.events.append(event)
         if fresh:
             self._observe_phase(trace, kind, event.time)

@@ -28,19 +28,32 @@ class TraceEvent:
     """One observation, stamped with simulated time.
 
     A slotted record, built once per span and never changed afterwards:
-    the collector's log, the job traces and the flight recorder's rings all
-    hold the same instance by reference.
+    the collector's log, the job traces, the flight recorder's rings and
+    its bundles all hold the same instance by reference. It holds no dict:
+    ``keys`` names the fields (one tuple shared by every span of a shape)
+    and ``values`` holds them in the same order.
     """
 
-    __slots__ = ("time", "kind", "node", "trace_id", "fields")
+    __slots__ = ("time", "kind", "node", "trace_id", "keys", "values")
 
     def __init__(self, time: float, kind: str, node: str,
-                 trace_id: str | None = None, fields: dict | None = None):
+                 trace_id: str | None = None, keys: tuple = (),
+                 values: tuple = ()):
         self.time = time
         self.kind = kind
         self.node = node
         self.trace_id = trace_id
-        self.fields = {} if fields is None else fields
+        self.keys = keys
+        self.values = values
+
+    @property
+    def fields(self) -> dict:
+        """The fields by name, a fresh dict on every read."""
+        return dict(zip(self.keys, self.values))
+
+    def get(self, key: str, default=None):
+        """One field's value, without building :attr:`fields`."""
+        return self.values[self.keys.index(key)] if key in self.keys else default
 
     def to_dict(self) -> dict:
         """Machine-readable form, shape-compatible with
@@ -51,7 +64,7 @@ class TraceEvent:
             "kind": self.kind,
             "node": self.node,
             "trace_id": self.trace_id,
-            "fields": dict(self.fields),
+            "fields": self.fields,
         }
 
 

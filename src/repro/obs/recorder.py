@@ -12,13 +12,13 @@ bounded, always-on event log per node.
 
 Rings hold what the hooks hand over — the immutable span itself, and a
 ``(time, src, dst, kind, size)`` tuple per frame — so feeding them costs an
-append. An observation is formatted into its export record only when a
-capture first reads it (:meth:`FlightRecorder.ring_records`), in the shape
-rings of eagerly formatted dicts held.
+append.
 
 A **postmortem bundle** is a causally merged (time-sorted) snapshot of all
-rings plus the trigger that caused it. Bundles are captured automatically
-when
+rings plus the trigger that caused it. It keeps the ring entries it took,
+not records: its ``records`` are formatted into their export shape each
+time something reads them (:func:`write_bundle`, :func:`timeline_lines`).
+Bundles are captured automatically when
 
 * an :class:`~repro.faults.invariants.InvariantSuite` check fails (the
   suite reaches the recorder through its network's collector at its
@@ -45,7 +45,6 @@ from __future__ import annotations
 
 import json
 from collections import deque
-from operator import itemgetter
 from typing import TYPE_CHECKING
 
 from repro.net.address import dst_text
@@ -82,10 +81,8 @@ class FlightRecorder:
     def __init__(self, network: "Network"):
         self.network = network
         self.kernel = network.kernel
-        #: node name -> ring of observations: a :class:`TraceEvent`, a
-        #: ``(time, src, dst, kind, size)`` frame tuple, or the record of
-        #: either once a capture has read it. Read them as records through
-        #: :meth:`ring_records`.
+        #: node name -> ring of observations: a :class:`TraceEvent` or a
+        #: ``(time, src, dst, kind, size)`` frame tuple.
         self.rings: dict[str, deque] = {}
         #: Captured bundles, oldest first, at most ``max_bundles`` per
         #: distinct trigger reason.
@@ -110,13 +107,12 @@ class FlightRecorder:
         exhausted RPC conversation additionally triggers a capture."""
         self.observed += 1
         self._ring(event.node).append(event)
-        if event.kind == "rpc.call" and event.fields.get("outcome") == "timeout":
-            fields = event.fields
+        if event.kind == "rpc.call" and event.get("outcome") == "timeout":
             self.capture(
                 "rpc-exhausted",
-                f"{fields.get('request')} from {event.node} to "
-                f"{fields.get('dst')} gave up after "
-                f"{fields.get('attempts')} attempt(s)",
+                f"{event.get('request')} from {event.node} to "
+                f"{event.get('dst')} gave up after "
+                f"{event.get('attempts')} attempt(s)",
             )
 
     def on_frame(self, now: float, src, dst, kind: str, size: int,
@@ -133,29 +129,6 @@ class FlightRecorder:
             f"sanitizer-{type(finding).__name__.lower()}", finding.describe()
         )
 
-    # -- read side -----------------------------------------------------------
-
-    def ring_records(self, node: str) -> list[dict]:
-        """*node*'s ring, oldest first, as export-shaped records (``type``
-        is ``"span"`` or ``"frame"``).
-
-        Each observation is formatted once: the first read puts its record
-        in the ring in its place, and later reads (the next capture) hand
-        out that same record.
-        """
-        ring = self.rings.get(node)
-        if ring is None:
-            return []
-        # A ring's frames come from a handful of addresses and groups.
-        texts: dict = {}
-        records = [
-            entry if type(entry) is dict else _record(entry, texts)
-            for entry in ring
-        ]
-        ring.clear()
-        ring.extend(records)
-        return records
-
     # -- capture -------------------------------------------------------------
 
     def capture(self, reason: str, detail: str = "") -> dict:
@@ -165,20 +138,20 @@ class FlightRecorder:
         while its *reason* is under :attr:`max_bundles` captures (the count
         of shed later bundles is kept in :attr:`dropped_bundles`).
         """
-        records: list[dict] = []
+        entries: list = []
         for node in sorted(self.rings):
-            records.extend(self.ring_records(node))
+            entries.extend(self.rings[node])
         # Stable sort: same-time records keep per-node append order, nodes
         # interleave in sorted-name order — deterministic and readable.
-        records.sort(key=itemgetter("time"))
+        entries.sort(key=lambda e: e[0] if type(e) is tuple else e.time)
         bundle = {
             "type": "postmortem",
             "reason": reason,
             "detail": detail,
             "time": self.kernel.now,
             "nodes": sorted(self.rings),
-            "record_count": len(records),
-            "records": records,
+            "record_count": len(entries),
+            "records": _Timeline(entries),
         }
         kept = self._bundle_counts.get(reason, 0)
         if kept < self.max_bundles:
@@ -187,6 +160,30 @@ class FlightRecorder:
         else:
             self.dropped_bundles += 1
         return bundle
+
+
+class _Timeline:
+    """A captured bundle's ``records``: the ring entries its capture took,
+    formatted into fresh export records on every read, and equal to the
+    list of those records."""
+
+    __slots__ = ("entries",)
+
+    def __init__(self, entries: list):
+        self.entries = entries
+
+    def __len__(self) -> int:
+        return len(self.entries)
+
+    def __iter__(self):
+        texts: dict = {}  # a bundle's frames come from a few addresses
+        return (_record(entry, texts) for entry in self.entries)
+
+    def __getitem__(self, index):
+        return list(self)[index]
+
+    def __eq__(self, other) -> bool:
+        return list(self) == other
 
 
 def _record(entry, texts: dict) -> dict:

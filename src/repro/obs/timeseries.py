@@ -84,8 +84,9 @@ class TimeSeriesSampler:
         #: Closed-window samples, in time order, held compact: ``(window
         #: index, registry key, kind, *values)``; :meth:`records` formats
         #: them. Values are ``(delta,)`` for a counter, ``(value,)`` for a
-        #: gauge and ``(bounds, state before, state after, max)`` for a
-        #: histogram, a state being ``(counts, overflow, count, total)``.
+        #: gauge and ``(bounds, bucket deltas, overflow delta, count delta,
+        #: total delta, max)`` for a histogram, its bucket deltas being the
+        #: window's nonzero ones, flat: ``(bucket index, delta, ...)``.
         self.samples: deque[tuple] = deque()
         #: Samples shed past :attr:`max_samples` (oldest-first eviction).
         self.dropped_samples = 0
@@ -99,7 +100,8 @@ class TimeSeriesSampler:
         self._series: list[tuple] = []
         #: Each series' mark at the last close, in ``_series`` order.
         self._marks: list = []
-        #: Histogram key -> its state at its last sample.
+        #: Histogram key -> its ``(counts, overflow, count, total)`` at its
+        #: last sample.
         self._states: dict[tuple, tuple] = {}
 
     # -- feed side (kernel on_advance hook) ---------------------------------
@@ -157,14 +159,19 @@ class TimeSeriesSampler:
             elif type(metric) is Gauge:
                 samples.append((index, key, "gauge", marks[position]))
             else:
-                before = self._states.get(key) or (
+                counts0, overflow0, count0, total0 = self._states.get(key) or (
                     (0,) * len(metric.bounds), 0, 0, 0.0)
-                after = self._states[key] = (
-                    tuple(metric.counts), metric.overflow, metric.count,
-                    metric.total,
-                )
+                counts = tuple(metric.counts)
+                self._states[key] = (
+                    counts, metric.overflow, metric.count, metric.total)
+                deltas = []
+                for bucket, (new, old) in enumerate(zip(counts, counts0)):
+                    if new != old:
+                        deltas += (bucket, new - old)
                 samples.append((index, key, "histogram", metric.bounds,
-                                before, after, metric.max))
+                                tuple(deltas), metric.overflow - overflow0,
+                                metric.count - count0, metric.total - total0,
+                                metric.max))
         self._marks = marks
         excess = len(samples) - self.max_samples
         if excess > 0:
@@ -193,17 +200,15 @@ class TimeSeriesSampler:
         elif kind == "gauge":
             record["value"] = values[0]
         else:
-            bounds, before, after, maximum = values
-            counts0, overflow0, count0, total0 = before
-            counts, overflow, count, total = after
-            dcounts = [c - p for c, p in zip(counts, counts0)]
-            dcount = count - count0
-            record["count"] = dcount
-            record["mean"] = (total - total0) / dcount
+            bounds, deltas, overflow, count, total, maximum = values
+            counts = [0] * len(bounds)
+            for bucket, delta in zip(deltas[::2], deltas[1::2]):
+                counts[bucket] = delta
+            record["count"] = count
+            record["mean"] = total / count
             for p in (50, 95, 99):
                 record[f"p{p}"] = percentile_from_counts(
-                    bounds, dcounts, overflow - overflow0, dcount, p,
-                    maximum=maximum)
+                    bounds, counts, overflow, count, p, maximum=maximum)
         return record
 
     def records(self) -> list[dict]:

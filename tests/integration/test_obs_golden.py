@@ -1,7 +1,9 @@
 """What the observers emit, pinned byte for byte.
 
 The collector, the flight recorder and the time-series sampler keep compact
-state while a run is going and format records only when they are read. The
+state while a run is going and format records only when they are read:
+spans hold tuples, not dicts, a postmortem bundle holds the ring entries it
+captured, and a histogram window holds its nonzero bucket deltas. The
 digests in ``tests/data/golden_digests.json`` (``"obs"``) were taken when
 every observer still formatted on observe, so they hold the read-side
 formatting to exactly the bytes the eager one wrote:

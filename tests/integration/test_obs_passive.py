@@ -90,7 +90,9 @@ class TestObservationIsPassive:
         assert collector.registry.find("gcs.multicasts")
         # ...the recorder's rings hold spans AND wire frames per node...
         assert recorder.observed > 0
-        head_rings = [recorder.ring_records(f"head{i}") for i in range(3)]
+        records = recorder.capture("test", "read the rings")["records"]
+        head_rings = [[r for r in records if r["node"] == f"head{i}"]
+                      for i in range(3)]
         assert all(head_rings)
         assert any(r["type"] == "frame"
                    for ring in head_rings for r in ring)

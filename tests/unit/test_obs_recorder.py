@@ -5,8 +5,10 @@ by ``tests/integration/test_postmortem.py``; here every piece is driven
 directly: ring bounding and eviction, the three capture triggers (invariant
 violations reach it through ``collector_of(network).recorder``, sanitizer
 findings via ``on_finding``, exhausted RPC conversations via the span
-stream), the per-reason bundle cap, causal merging, and the JSONL
-write/read round trip behind ``repro postmortem``.
+stream), the per-reason bundle cap, causal merging, the JSONL write/read
+round trip behind ``repro postmortem``, and the compact state the
+observers keep: spans without a dict, bundles holding the rings' own
+entries.
 """
 
 import pytest
@@ -34,7 +36,15 @@ def make_network():
 
 
 def span(kind="job.submit", node="head0", time=1.0, trace_id=None, **fields):
-    return TraceEvent(time, kind, node, trace_id, fields)
+    return TraceEvent(time, kind, node, trace_id, tuple(fields),
+                      tuple(fields.values()))
+
+
+def ring_records(recorder, node):
+    """*node*'s ring, oldest first, as export records, read through a
+    capture."""
+    bundle = recorder.capture("test", "read the rings")
+    return [record for record in bundle["records"] if record["node"] == node]
 
 
 class TestRings:
@@ -44,7 +54,7 @@ class TestRings:
         recorder.on_trace_event(span(node="head0"))
         recorder.on_trace_event(span(node="head1", kind="job.run"))
         assert sorted(recorder.rings) == ["head0", "head1"]
-        assert recorder.ring_records("head0")[0]["kind"] == "job.submit"
+        assert ring_records(recorder, "head0")[0]["kind"] == "job.submit"
         assert recorder.observed == 2
 
     def test_frames_recorded_against_the_sender(self):
@@ -52,7 +62,7 @@ class TestRings:
         recorder = attach_recorder(network)
         recorder.on_frame(2.5, Address("head0", 9), Address("head1", 9),
                           "DataMsg", 120, None)
-        [record] = recorder.ring_records("head0")
+        [record] = ring_records(recorder, "head0")
         assert record["type"] == "frame"
         assert record["kind"] == "DataMsg" and record["size"] == 120
         assert record["dst"] == "head1:9"
@@ -63,7 +73,7 @@ class TestRings:
         recorder.ring_limit = 4
         for i in range(10):
             recorder.on_trace_event(span(time=float(i), seq=i))
-        ring = recorder.ring_records("head0")
+        ring = ring_records(recorder, "head0")
         assert len(ring) == 4
         assert [r["fields"]["seq"] for r in ring] == [6, 7, 8, 9]
         assert recorder.observed == 10  # eviction never decrements
@@ -76,7 +86,64 @@ class TestRings:
         network.bind("head1", 9)
         network.send(src, dst, ("ping", 1))
         kernel.run(until=1.0)
-        assert any(r["type"] == "frame" for r in recorder.ring_records("head0"))
+        assert any(r["type"] == "frame" for r in ring_records(recorder, "head0"))
+
+
+class TestCompactState:
+    def test_a_recorded_span_holds_no_dict(self):
+        _, network = make_network()
+        attach_recorder(network)
+        collector = collector_of(network)
+        server = Address("head1", 5)
+        collector.rpc_request("login", server, 7, object(), 1)
+        collector.rpc_request("login", server, 8, object(), 1)
+        collector.record("job.submit", "head0", None, ("job",), ("1.head0",))
+        first, second, job = collector.events
+        assert "fields" not in TraceEvent.__slots__
+        for event in collector.events:
+            assert not any(isinstance(getattr(event, slot), dict)
+                           for slot in TraceEvent.__slots__)
+        # One tuple of names per span kind, one spelling per address.
+        assert first.keys is second.keys
+        assert first.values[1] == "head1:5"
+        assert first.values[1] is second.values[1]
+        # Each read builds a fresh dict, so no reader can change a span.
+        assert job.fields == job.fields == {"job": "1.head0"}
+        assert job.fields is not job.fields
+        job.fields["job"] = "changed"
+        assert job.get("job") == "1.head0"
+
+    def test_a_bundle_captured_twice_holds_the_rings_own_spans(self):
+        _, network = make_network()
+        recorder = attach_recorder(network)
+        recorder.on_trace_event(span(node="head0", time=1.0))
+        recorder.on_frame(1.5, Address("head0", 9), Address("head1", 9),
+                          "DataMsg", 99, None)
+        recorder.on_trace_event(span(node="head1", time=2.0))
+        first = recorder.capture("test", "first")
+        assert len(list(first["records"])) == 3
+        second = recorder.capture("test", "second")
+        held = [entry for node in ("head0", "head1")
+                for entry in recorder.rings[node]]
+        for bundle in (first, second):
+            entries = bundle["records"].entries
+            assert len(entries) == len(held) == 3
+            assert all(a is b for a, b in zip(entries, held))
+        assert first["records"] == second["records"]
+
+    def test_reading_a_bundle_leaves_spans_and_frames_in_the_ring(self):
+        _, network = make_network()
+        recorder = attach_recorder(network)
+        recorder.on_trace_event(span(node="head0", time=1.0))
+        recorder.on_frame(1.5, Address("head0", 9), Address("head1", 9),
+                          "DataMsg", 99, None)
+        bundle = recorder.capture("test", "read")
+        assert [r["type"] for r in bundle["records"]] == ["span", "frame"]
+        timeline_lines(bundle)
+        event, frame = recorder.rings["head0"]
+        assert type(event) is TraceEvent
+        assert frame == (1.5, Address("head0", 9), Address("head1", 9),
+                         "DataMsg", 99)
 
 
 class TestTriggers:
@@ -164,8 +231,8 @@ class TestAttachment:
         _, network = make_network()
         recorder = attach_recorder(network)
         collector = collector_of(network)
-        collector.record("job.submit", "head0", job="1.head0")
-        [record] = recorder.ring_records("head0")
+        collector.record("job.submit", "head0", None, ("job",), ("1.head0",))
+        [record] = ring_records(recorder, "head0")
         assert record["kind"] == "job.submit"
 
 
